@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
+from repro.baselines.base import Decision, EpochContext, RoundFeedback
 from repro.core.fedl import FedLPolicy
-from repro.core.rounding import independent_round, rdcs_round
 
 __all__ = ["ParticipationTracker", "FairFedLPolicy", "jain_index"]
 
@@ -109,23 +108,8 @@ class FairFedLPolicy(FedLPolicy):
                 np.clip(x_frac + self.fairness_weight * bias, 0.0, 1.0),
                 0.0,
             )
-        if self.config.rounding == "rdcs":
-            x_int = rdcs_round(x_frac, self.rng)
-        else:
-            x_int = independent_round(x_frac, self.rng)
-        mask = x_int > 0.5
-        if not mask.any():
-            order = np.argsort(-x_frac, kind="stable")
-            mask = np.zeros_like(mask)
-            mask[order[: ctx.min_participants]] = True
-        mask = enforce_feasibility(mask, ctx, self.rng)
         self._last_available = ctx.available.copy()
-        return Decision(
-            selected=mask,
-            iterations=phi.iterations,
-            rho=phi.rho,
-            fractional_x=x_frac,
-        )
+        return self._round_and_repair(phi, x_frac, ctx)
 
     def update(self, feedback: RoundFeedback) -> None:
         super().update(feedback)

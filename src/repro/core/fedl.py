@@ -121,7 +121,12 @@ class FedLPolicy:
         return phi, x_frac
 
     def select(self, ctx: EpochContext) -> Decision:
-        phi, x_frac = self.fractional_decision(ctx)
+        return self._round_and_repair(*self.fractional_decision(ctx), ctx)
+
+    def _round_and_repair(
+        self, phi: Phi, x_frac: np.ndarray, ctx: EpochContext
+    ) -> Decision:
+        """Round ``x̃``, repair feasibility, and package the decision."""
         if self.config.rounding == "rdcs":
             x_int = rdcs_round(x_frac, self.rng)
         else:

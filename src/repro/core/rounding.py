@@ -14,6 +14,9 @@ not an integer a single fractional coordinate survives the pairing loop;
 it is resolved by an (unavoidable) independent Bernoulli round, so the
 realized sum is ``floor(Σx̃)`` or ``ceil(Σx̃)`` and the marginals are still
 exact.
+
+Cost per call: O(K) vectorized validation plus, for F fractional coordinates,
+at most F − 1 pairing steps of two generator draws and O(1) bookkeeping each.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ def _snap(x: np.ndarray) -> np.ndarray:
     x = np.where(np.abs(x) <= _ATOL, 0.0, x)
     x = np.where(np.abs(x - 1.0) <= _ATOL, 1.0, x)
     return x
+
+
+def _snap_scalar(v: float) -> float:
+    """:func:`_snap` for one Python float."""
+    if abs(v) <= _ATOL:
+        return 0.0
+    return 1.0 if abs(v - 1.0) <= _ATOL else v
 
 
 def independent_round(
@@ -63,28 +73,28 @@ def rdcs_round(x_frac: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("fractions must lie in [0, 1]")
     x = _snap(np.clip(x, 0.0, 1.0))
 
-    frac_idx = list(np.flatnonzero((x > 0.0) & (x < 1.0)))
+    # Fractional coordinates and their values as parallel lists in index
+    # order; ``x`` receives a coordinate only once it is integral.
+    frac = np.flatnonzero((x > 0.0) & (x < 1.0))
+    frac_idx, frac_val = frac.tolist(), x[frac].tolist()
     while len(frac_idx) >= 2:
         # Randomly choose the interacting pair (paper line 1).
-        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False)
-        i, j = frac_idx[pos_i], frac_idx[pos_j]
-        zeta1 = min(1.0 - x[i], x[j])
-        zeta2 = min(x[i], 1.0 - x[j])
-        total = zeta1 + zeta2
-        if total <= _ATOL:
-            # Both already integral (numerically); drop them.
-            x[i], x[j] = round(x[i]), round(x[j])
-        elif rng.random() < zeta2 / total:
-            x[i] += zeta1
-            x[j] -= zeta1
+        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False).tolist()
+        xi, xj = frac_val[pos_i], frac_val[pos_j]
+        zeta1 = min(1.0 - xi, xj)
+        zeta2 = min(xi, 1.0 - xj)
+        # Snapped fractional values are > _ATOL from 0 and 1: ζ1 + ζ2 > 2·_ATOL.
+        if rng.random() < zeta2 / (zeta1 + zeta2):
+            xi, xj = xi + zeta1, xj - zeta1
         else:
-            x[i] -= zeta2
-            x[j] += zeta2
-        x[i] = _snap(np.asarray([x[i]]))[0]
-        x[j] = _snap(np.asarray([x[j]]))[0]
-        frac_idx = [k for k in frac_idx if 0.0 < x[k] < 1.0]
+            xi, xj = xi - zeta2, xj + zeta2
+        frac_val[pos_i], frac_val[pos_j] = _snap_scalar(xi), _snap_scalar(xj)
+        # Larger position first, so the smaller one still names its entry.
+        for pos in sorted((pos_i, pos_j), reverse=True):
+            if not 0.0 < frac_val[pos] < 1.0:
+                x[frac_idx[pos]] = frac_val[pos]
+                del frac_idx[pos], frac_val[pos]
 
     if frac_idx:  # one leftover fractional coordinate
-        k = frac_idx[0]
-        x[k] = 1.0 if rng.random() < x[k] else 0.0
+        x[frac_idx[0]] = 1.0 if rng.random() < frac_val[0] else 0.0
     return x

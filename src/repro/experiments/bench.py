@@ -76,10 +76,12 @@ BENCH_LAYERS = ("fl", "solver", "nn", "sim", "scale", "live", "checkpoint")
 #: warm_speedup / conv_cache_speedup / sgd_in_place_speedup divide
 #: millisecond-scale timings and are reported but not gated — a 20% gate
 #: on those would flake on allocator/cache noise.
+#: ``scale.speedup_vs_flat_k10000`` is reported but not gated: it falls
+#: whenever the flat arm speeds up more than the sharded one, which is
+#: an improvement of both, not a regression.
 RATIO_KEYS = (
     ("fl", "speedup_vs_loop"),
     ("solver", "warm_iter_ratio"),
-    ("scale", "speedup_vs_flat_k10000"),
 )
 
 #: Absolute throughput metrics (higher is better), gated only under
@@ -538,9 +540,10 @@ def bench_scale(
 ) -> Dict[str, Any]:
     """Sharded vs flat FedL selection at large client populations.
 
-    The FedL hot path is the O(F²) dependent-rounding pairing loop over
-    the fractional support; sharding replaces it with S independent
-    O((F/S)²) subproblems.  Both arms run the *full* select+update policy
+    The part of a flat selection that outgrows the population is the
+    K-dimensional descent solve; sharding replaces it with S independent
+    solves of size K/S (RDCS rounding is linear in the fractional support
+    either way).  Both arms run the *full* select+update policy
     pipeline (FISTA descent, RDCS rounding, feasibility repair, learner
     feedback) on identical synthetic epoch streams — no model training, so
     the timing isolates the selection layer the tentpole optimises.

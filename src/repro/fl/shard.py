@@ -1,11 +1,11 @@
 """Sharded FedL selection: O(S·(K/S)²) per epoch instead of O(K²).
 
 The flat :class:`~repro.core.fedl.FedLPolicy` solves one global selection
-subproblem per epoch whose dominant costs — the RDCS pairing loop over
-fractional coordinates and the constraint-matrix work inside the descent
-step — grow quadratically with the population size (Theorem 4).  At
-K = 10⁵ the flat path spends seconds per epoch inside ``rdcs_round``
-alone.
+subproblem per epoch; its cost that grows faster than the population is
+the K-dimensional FISTA solve and the constraint work inside the descent
+step (Theorem 4's ``O(K²)``).  That is what sharding buys: S solves of
+size K/S.  RDCS rounding is linear in the number of fractional coordinates
+and costs the same flat or sharded.
 
 :class:`ShardedFedLPolicy` partitions the fleet into ``S`` shards
 (deterministic under the experiment seed), decomposes the global

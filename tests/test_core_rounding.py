@@ -2,17 +2,85 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.rounding import independent_round, rdcs_round
+from repro.core.rounding import _ATOL, _snap, independent_round, rdcs_round
 
 fractions = hnp.arrays(
     np.float64,
     st.integers(min_value=1, max_value=15),
     elements=st.floats(0.0, 1.0, allow_nan=False),
 )
+
+# Up to 600 coordinates: exact 0/1, values within 1e-13 of them (inside the
+# snapping tolerance), and ordinary fractions.
+stream_fractions = hnp.arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=600),
+    elements=st.one_of(
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1e-13),
+        st.floats(0.0, 1e-13).map(lambda e: 1.0 - e),
+    ),
+    fill=st.nothing(),
+)
+
+
+def rdcs_round_oracle(x_frac: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Frozen literal Alg. 2 loop (the pre-PR-12 ``rdcs_round``, verbatim).
+
+    O(F²) per call: it rebuilds the fractional-index list after every
+    pairing.  ``rdcs_round`` must consume the generator exactly as this does.
+    """
+    x = np.asarray(x_frac, dtype=float).copy()
+    if x.ndim != 1:
+        raise ValueError("x_frac must be 1-D")
+    if np.any((x < -_ATOL) | (x > 1.0 + _ATOL)):
+        raise ValueError("fractions must lie in [0, 1]")
+    x = _snap(np.clip(x, 0.0, 1.0))
+
+    frac_idx = list(np.flatnonzero((x > 0.0) & (x < 1.0)))
+    while len(frac_idx) >= 2:
+        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False)
+        i, j = frac_idx[pos_i], frac_idx[pos_j]
+        zeta1 = min(1.0 - x[i], x[j])
+        zeta2 = min(x[i], 1.0 - x[j])
+        total = zeta1 + zeta2
+        if total <= _ATOL:
+            x[i], x[j] = round(x[i]), round(x[j])
+        elif rng.random() < zeta2 / total:
+            x[i] += zeta1
+            x[j] -= zeta1
+        else:
+            x[i] -= zeta2
+            x[j] += zeta2
+        x[i] = _snap(np.asarray([x[i]]))[0]
+        x[j] = _snap(np.asarray([x[j]]))[0]
+        frac_idx = [k for k in frac_idx if 0.0 < x[k] < 1.0]
+
+    if frac_idx:
+        k = frac_idx[0]
+        x[k] = 1.0 if rng.random() < x[k] else 0.0
+    return x
+
+
+class TestRdcsStreamIdentity:
+    """The linear-bookkeeping loop is the literal one, draw for draw."""
+
+    @given(stream_fractions, st.integers(0, 2**32 - 1))
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_same_output_and_generator_state_as_oracle(self, x, seed):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = rdcs_round(x, rng_new)
+        np.testing.assert_array_equal(out, rdcs_round_oracle(x, rng_old))
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestRdcsInvariants:

@@ -118,6 +118,59 @@ class TestFairFedL:
         d_plain = plain.select(ctx)
         np.testing.assert_allclose(d_fair.fractional_x, d_plain.fractional_x)
 
+    def test_select_matches_pre_refactor_trajectory(self):
+        """``_round_and_repair`` is the tail ``select`` used to carry inline:
+        same seed, 10 epochs, identical masks and generator state."""
+        from repro.baselines.base import enforce_feasibility
+        from repro.core.rounding import independent_round, rdcs_round
+
+        class InlineTail(FairFedLPolicy):
+            def select(self, ctx):  # FairFedLPolicy.select before PR 12, verbatim
+                phi, x_frac = self.fractional_decision(ctx)
+                if self.fairness_weight > 0 and self.queues.max() > 0:
+                    bias = self.queues / self.queues.max()
+                    x_frac = np.where(
+                        ctx.available,
+                        np.clip(x_frac + self.fairness_weight * bias, 0.0, 1.0),
+                        0.0,
+                    )
+                if self.config.rounding == "rdcs":
+                    x_int = rdcs_round(x_frac, self.rng)
+                else:
+                    x_int = independent_round(x_frac, self.rng)
+                mask = x_int > 0.5
+                if not mask.any():
+                    order = np.argsort(-x_frac, kind="stable")
+                    mask = np.zeros_like(mask)
+                    mask[order[: ctx.min_participants]] = True
+                mask = enforce_feasibility(mask, ctx, self.rng)
+                self._last_available = ctx.available.copy()
+                return Decision(
+                    selected=mask,
+                    iterations=phi.iterations,
+                    rho=phi.rho,
+                    fractional_x=x_frac,
+                )
+
+        m = 12
+        for rounding in ("rdcs", "independent"):
+            kwargs = dict(
+                num_clients=m, budget=200.0, min_participants=3, theta=0.5,
+                config=FedLConfig(rounding=rounding), fair_rate=0.25,
+            )
+            new = FairFedLPolicy(rng=np.random.default_rng(5), **kwargs)
+            old = InlineTail(rng=np.random.default_rng(5), **kwargs)
+            for t in range(10):
+                available = np.random.default_rng(t).random(m) < 0.8
+                ctx = make_ctx(m=m, seed=t, available=available)
+                d_new, d_old = new.select(ctx), old.select(ctx)
+                np.testing.assert_array_equal(d_new.selected, d_old.selected)
+                np.testing.assert_array_equal(d_new.fractional_x, d_old.fractional_x)
+                assert d_new.iterations == d_old.iterations
+                new.update(feedback_for(d_new, t, m, ctx.tau_last))
+                old.update(feedback_for(d_old, t, m, ctx.tau_last))
+            assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
     def test_queues_grow_for_unselected(self):
         pol = self._policy()
         ctx = make_ctx()
