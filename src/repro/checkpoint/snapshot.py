@@ -4,7 +4,9 @@ A snapshot captures the *complete* mutable state of a running experiment
 at an epoch boundary:
 
 * the global model (via :mod:`repro.nn.serialization`),
-* every RNG stream created so far (:meth:`repro.rng.RngFactory.state_dict`),
+* every RNG stream created so far (:meth:`repro.rng.RngFactory.state_dict`;
+  per-client streams are created at their first draw, so ``rng.json`` grows
+  with the clients that have drawn, not with the population),
 * the environment processes' carried state (AR(1) prices, shadow fading,
   Markov availability),
 * the flat per-client observables (reliability EWMAs, spend, latencies),
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -191,23 +194,31 @@ def write_snapshot(
     if stage.exists():
         shutil.rmtree(stage)
     stage.mkdir()
+    files: Dict[str, str] = {}
+
+    def put(name: str, payload: bytes) -> None:
+        # Checksum the bytes being written; no staged file is read back.
+        (stage / name).write_bytes(payload)
+        files[name] = hashlib.sha256(payload).hexdigest()
+
     try:
         rng_states = sim.rng.state_dict()
         if extra_rng_states:
             rng_states.update(extra_rng_states)
-        (stage / "rng.json").write_text(json.dumps(rng_states, default=int))
-        (stage / "trace.json").write_text(json.dumps(trace_to_dict(trace)))
-        save_checkpoint(sim.model, stage / "model.npz", w=sim.server.w)
+        put("rng.json", json.dumps(rng_states, default=int).encode())
+        put("trace.json", json.dumps(trace_to_dict(trace)).encode())
+        model_npz, state_npz = io.BytesIO(), io.BytesIO()
+        save_checkpoint(sim.model, model_npz, w=sim.server.w)
+        put("model.npz", model_npz.getvalue())
         arrays = {name: getattr(state, name) for name in _STATE_FIELDS}
         arrays["final_w"] = np.asarray(final_w, dtype=float)
         arrays["prices_current"] = sim.prices._current
         arrays["shadow_db"] = sim.channel._shadow_db
         if hasattr(sim.availability, "_state"):
             arrays["avail_state"] = sim.availability._state
-        np.savez(stage / "state.npz", **arrays)
-        (stage / "policy.pkl").write_bytes(
-            pickle.dumps(policy, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        np.savez(state_npz, **arrays)
+        put("state.npz", state_npz.getvalue())
+        put("policy.pkl", pickle.dumps(policy, protocol=pickle.HIGHEST_PROTOCOL))
         learner = getattr(policy, "learner", None)
         manifest = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
@@ -222,9 +233,7 @@ def write_snapshot(
             },
             "learner": learner.state_dict() if learner is not None else None,
             "config": config_to_dict(sim.config),
-            "files": {
-                name.name: _sha256(name) for name in sorted(stage.iterdir())
-            },
+            "files": dict(sorted(files.items())),
         }
         (stage / "manifest.json").write_text(json.dumps(manifest, default=int))
         target = directory / _epoch_dir_name(next_epoch)

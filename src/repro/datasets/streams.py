@@ -34,7 +34,14 @@ class ClientDataStream:
             raise ValueError("class_probs must be a nonnegative distribution")
         self.generator = generator
         self.class_probs = probs / probs.sum()
-        self.rng = rng
+        self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This stream's generator; a deferred one is created by the first read."""
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
+        return self._rng
 
     def draw(self, num_samples: int) -> Dataset:
         """Sample this epoch's local dataset (``num_samples`` examples)."""
@@ -51,7 +58,8 @@ def build_client_streams(
     """One stream per client, each with an independent RNG stream.
 
     ``rng_factory`` is a :class:`repro.rng.RngFactory`; streams are keyed
-    ``data.client.<k>`` so adding clients never perturbs existing streams.
+    ``data.client.<k>`` so adding clients never perturbs existing streams,
+    and deferred so a client that never draws never creates one.
     """
     dists = np.asarray(class_distributions, dtype=float)
     if dists.ndim != 2 or dists.shape[1] != generator.num_classes:
@@ -60,7 +68,7 @@ def build_client_streams(
         ClientDataStream(
             generator=generator,
             class_probs=dists[k],
-            rng=rng_factory.get(f"data.client.{k}"),
+            rng=rng_factory.defer(f"data.client.{k}"),
         )
         for k in range(dists.shape[0])
     ]

@@ -176,7 +176,7 @@ class Simulation:
             FLClient(
                 k,
                 self.model,
-                self.rng.get(f"fl.client.{k}"),
+                self.rng.defer(f"fl.client.{k}"),
                 sgd_steps=config.training.local_sgd_steps,
                 sgd_lr=config.training.sgd_lr,
                 sigma1=config.training.sigma1,

@@ -47,7 +47,7 @@ class FLClient:
             raise ValueError("momentum must be in [0, 1)")
         self.client_id = client_id
         self.model = model
-        self.rng = rng
+        self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
         self.sgd_steps = sgd_steps
         self.sgd_lr = sgd_lr
         self.sigma1 = sigma1
@@ -56,6 +56,18 @@ class FLClient:
         self.local_solver = local_solver
         self.momentum = momentum
         self._data: Optional[Dataset] = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This client's stream; a deferred one is created by the first read."""
+        if not self.rng_created:
+            self._rng = self._rng()
+        return self._rng
+
+    @property
+    def rng_created(self) -> bool:
+        """False while the stream is still pristine (deferred, never read)."""
+        return isinstance(self._rng, np.random.Generator)
 
     # -- per-epoch data ----------------------------------------------------------
 

@@ -27,10 +27,11 @@ Supervision (PR10): workers emit ``hb`` heartbeat frames from a
 background thread; the pump treats a socket EOF *or* heartbeat silence
 beyond ``worker_stale_s`` as a worker death.  A dead worker is reaped
 and — within a bounded per-worker restart budget with exponential
-backoff — re-forked from the parent's client objects, its RNG streams
-reset to the last checkpointed state (``set_rng``) and its datasets
-re-shipped from the install cache.  Clients the casualty had in the
-round in flight are dropped with the normal ``_drop_client`` machinery,
+backoff — re-forked from the parent's client objects, the RNG streams
+of clients that had drawn by the last checkpoint reset to that state
+(``set_rng``; the others restart pristine, as the parent holds them) and
+its datasets re-shipped from the install cache.  Clients the casualty had
+in the round in flight are dropped with the normal ``_drop_client`` machinery,
 so a fleet that shrinks below ``min_participants`` degrades to the
 typed :class:`~repro.sim.faults.ParticipationFloorError` (CLI exit 1)
 instead of hanging until the barrier timeout.
@@ -699,9 +700,10 @@ class LiveRuntime:
         self._respawn_worker(idx)
 
     def _respawn_worker(self, idx: int) -> None:
-        """Re-fork worker ``idx``: fresh socket, last checkpointed client
-        RNG states (when a checkpoint has captured them), datasets
-        re-shipped from the install cache."""
+        """Re-fork worker ``idx``: fresh socket, ``set_rng`` with the last
+        checkpointed state of each client a checkpoint has captured (one
+        that had not drawn by then keeps the parent's pristine stream),
+        datasets re-shipped from the install cache."""
         make_pair = socket_pair if self.transport == "unix" else tcp_pair
         parent_end, child_end = make_pair()
         owned = {
@@ -831,17 +833,19 @@ class LiveRuntime:
     # -- checkpoint support ------------------------------------------------------
 
     def client_rng_states(self) -> Dict[str, dict]:
-        """Collect every worker-owned client RNG state for a checkpoint.
+        """Collect the worker-side client RNG states for a checkpoint.
 
-        Per-client streams are consumed *inside* the forked workers, so
-        the parent factory's own capture is stale for them; this pulls
-        the live ``bit_generator.state`` dicts back over the sockets and
-        returns them keyed by factory stream name (``fl.client.<id>``).
-        The result is also cached so a later worker restart can resume
-        its clients from the last checkpointed state.  Clients of a
-        permanently dead worker report their last cached state (or, if
-        never checkpointed, fall back to the parent factory's capture by
-        being absent here).
+        Per-client streams are created and consumed *inside* the forked
+        workers, so the parent factory's own capture is stale (or empty)
+        for them; this pulls the live ``bit_generator.state`` dicts back
+        over the sockets and returns them keyed by factory stream name
+        (``fl.client.<id>``).  A worker reports only clients that have
+        drawn in it; a client absent here is exactly what the parent
+        factory holds for it — a state restored by a resume, or nothing
+        at all, in which case the stream is recreated from seed and key
+        at its first draw.  The result is also cached so a later worker
+        restart can resume its clients from the last checkpointed state;
+        clients of a permanently dead worker keep their last cached one.
         """
         if not self._started or self._closed:
             return {}

@@ -21,9 +21,10 @@ A background thread additionally sends a small ``hb`` liveness beacon
 every ``heartbeat_s`` wall seconds; the server's watchdog uses its
 absence to tell a *wedged* worker (deadlocked, stopped) from a merely
 slow one.  Two supervision commands round out the protocol: ``rng_state``
-reports every owned client's ``bit_generator.state`` (how checkpoints
-capture worker-side RNG streams) and ``set_rng`` restores them (how a
-restarted worker resumes from the last checkpointed client state).
+reports the ``bit_generator.state`` of every owned client that has drawn
+(how checkpoints capture worker-side RNG streams; a client that never
+trained here has no stream to report) and ``set_rng`` restores them (how
+a restarted worker resumes from the last checkpointed client state).
 
 Workers never touch the aggregation pipeline: DP, compression,
 adversaries, defenses and averaging all stay in the server process, in
@@ -153,14 +154,18 @@ class _Worker:
         self.threads = [t for t in self.threads if t.is_alive()]
 
     def handle_rng_state(self) -> None:
-        """Report every owned client's RNG state (checkpoint capture).
+        """Report the RNG state of every owned client whose stream exists
+        (checkpoint capture).  A client absent from the reply has never
+        drawn here: its stream is whatever the parent's factory holds or
+        would create from seed and key.
 
         Each client's lock is taken so a cancelled straggler still inside
         a solve cannot advance the stream mid-read."""
         states = {}
         for cid in sorted(self.clients):
             with self.locks[cid]:
-                states[str(cid)] = self.clients[cid].rng.bit_generator.state
+                if self.clients[cid].rng_created:
+                    states[str(cid)] = self.clients[cid].rng.bit_generator.state
         self.stream.send(
             {
                 "cmd": "ok",

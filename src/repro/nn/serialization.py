@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import BinaryIO, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -163,17 +163,20 @@ def decode_payload(buf: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
 
 def save_checkpoint(
     model: ClassifierModel,
-    path: str | Path,
+    path: str | Path | BinaryIO,
     spec: Optional[Mapping] = None,
     w: Optional[np.ndarray] = None,
-) -> Path:
+) -> Path | BinaryIO:
     """Write ``w`` (default: the model's current parameters) to ``path``.
 
     ``spec`` is an arbitrary JSON-serializable architecture description
     (e.g. the kwargs passed to :func:`repro.nn.models.build_model`); it is
-    stored verbatim and returned on load.
+    stored verbatim and returned on load.  ``path`` may also be an open
+    binary file, which is written to and returned as is.
     """
-    path = Path(path)
+    to_file = hasattr(path, "write")
+    if not to_file:
+        path = Path(path)
     weights = np.asarray(w if w is not None else model.get_params(), dtype=float)
     if weights.size != model.num_params:
         raise ValueError(
@@ -188,7 +191,9 @@ def save_checkpoint(
     }
     np.savez(path, weights=weights, meta=np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8))
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    if to_file or path.suffix == ".npz":
+        return path
+    return path.with_suffix(path.suffix + ".npz")
 
 
 def load_checkpoint(

@@ -19,13 +19,19 @@ Usage::
 
 ``get`` is memoized: asking twice for the same key returns the same
 generator object (so a component can keep drawing from where it left off).
+Streams are created on first use and creation order never matters — a
+stream's state is a function of ``(seed, key)`` alone.  The per-client
+families (``data.client.<k>``, ``fl.client.<k>``) are handed out through
+:meth:`RngFactory.defer` and created at their owner's first draw, so set-up
+and snapshots pay for the clients that have drawn, not for the population.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -58,6 +64,11 @@ class RngFactory:
             gen = np.random.default_rng(derive_seed(self.seed, key))
             self._cache[key] = gen
         return gen
+
+    def defer(self, key: str) -> Callable[[], np.random.Generator]:
+        """A source for ``key``'s stream that calls :meth:`get` only when
+        called itself: naming a stream this way does not create it."""
+        return functools.partial(self.get, key)
 
     def fresh(self, key: str) -> np.random.Generator:
         """Return a *new* generator for ``key``, resetting its stream."""
@@ -100,11 +111,12 @@ class RngFactory:
         """
         for key, state in states.items():
             gen = self.get(key)
-            if state["bit_generator"] != gen.bit_generator.state["bit_generator"]:
+            name = type(gen.bit_generator).__name__
+            if state["bit_generator"] != name:
                 raise ValueError(
                     f"stream {key!r}: bit generator "
                     f"{state['bit_generator']!r} does not match the "
-                    f"factory's {gen.bit_generator.state['bit_generator']!r}"
+                    f"factory's {name!r}"
                 )
             gen.bit_generator.state = copy.deepcopy(state)
 

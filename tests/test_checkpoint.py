@@ -26,9 +26,16 @@ from repro.checkpoint import (
     resume_experiment,
 )
 from repro.checkpoint.crashsmoke import run_crash_resume_smoke
-from repro.config import AttackConfig, CheckpointConfig, DefenseConfig, LiveConfig
-from repro.experiments.runner import run_experiment
+from repro.config import (
+    AttackConfig,
+    CheckpointConfig,
+    DefenseConfig,
+    LiveConfig,
+    ShardConfig,
+)
+from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
+from repro.fl.client import FLClient
 from repro.rng import RngFactory
 
 SMALL = dict(budget=200.0, seed=0, num_clients=8, min_participants=2, max_epochs=12)
@@ -284,6 +291,69 @@ class TestSnapshotManifest:
         )
         assert len(snaps) == 2
         assert (ckpt_dir / "LATEST").read_text().strip() == snaps[-1]
+
+
+class TestLazyClientStreams:
+    """Per-client RNG streams exist from their first draw on, so set-up
+    and snapshots pay for the clients that have drawn, not the population;
+    a stream first drawn after a resume is recreated from seed and key."""
+
+    def sampled_config(self, **overrides):
+        cfg = small_config(
+            "batched", budget=1e6, num_clients=60, model="logreg", **overrides
+        )
+        return cfg.replace(shard=ShardConfig(eval_sample=4))
+
+    def test_setup_creates_the_same_streams_at_any_population(self):
+        small, large = (
+            Simulation(small_config(num_clients=k)).rng.state_dict()
+            for k in (50, 500)
+        )
+        assert set(small) == set(large)
+        assert not any(".client." in key for key in small)
+
+    def test_client_first_drawn_after_resume_matches_uninterrupted(self, tmp_path):
+        cfg = self.sampled_config()
+        reference = run_experiment(fedl(cfg), cfg)
+
+        ckpt_dir = tmp_path / "ck"
+        ckpt_cfg = cfg.replace(
+            checkpoint=CheckpointConfig(directory=str(ckpt_dir), interval=3, keep=100)
+        )
+        run_experiment(fedl(ckpt_cfg), ckpt_cfg)
+        mid, last = (
+            {
+                key
+                for key in json.loads((ckpt_dir / name / "rng.json").read_text())
+                if key.startswith("data.client.")
+            }
+            for name in ("epoch_00000006", "epoch_00000012")
+        )
+        everyone = {f"data.client.{k}" for k in range(60)}
+        assert mid < everyone, "every client drew before the mid-run snapshot"
+        assert last - mid, "no client was first drawn after the resume point"
+
+        resumed = resume_experiment(
+            ckpt_dir / "epoch_00000006",
+            checkpoint_override=CheckpointConfig(directory=None),
+        )
+        assert resumed.final_w.tobytes() == reference.final_w.tobytes()
+        assert resumed.trace.equals(reference.trace)
+
+    def test_client_built_from_a_plain_generator(self):
+        """The unit-test construction path: a ready Generator is its own
+        already-created stream."""
+        sim = Simulation(small_config())
+        gen = np.random.default_rng(3)
+        client = FLClient(0, sim.model, gen)
+        assert client.rng_created and client.rng is gen
+        assert not sim.clients[0].rng_created
+        client.set_data(sim.streams[0].draw(24))
+        w = sim.model.get_params()
+        d, eta_hat, _ = client.train_iteration(w, client.local_grad(w))
+        assert d.shape == w.shape and np.isfinite(d).all() and 0.0 <= eta_hat <= 1.0
+        assert sim.clients[0].rng is sim.rng.get("fl.client.0")
+        assert sim.clients[0].rng_created
 
 
 class TestCliResumeContract:

@@ -73,6 +73,48 @@ class TestRngFactory:
         np.testing.assert_array_equal(a, b)
 
 
+class TestDeferredStreams:
+    """``defer`` names a stream; only the first call of the source (the
+    owner's first draw) creates it — the per-client families' contract."""
+
+    def test_defer_creates_nothing_until_called(self):
+        factory = RngFactory(2)
+        source = factory.defer("fl.client.4")
+        assert factory.state_dict() == {}
+        assert source() is factory.get("fl.client.4")
+        assert source() is source()
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_draws_match_eager_streams_whatever_the_resolve_order(self, order):
+        keys = [f"data.client.{k}" for k in range(3)]
+        eager = RngFactory(9)
+        expected = {key: eager.get(key).random(6) for key in keys}
+        lazy = RngFactory(9)
+        sources = {key: lazy.defer(key) for key in keys}
+        lazy.get("other").random(5)     # unrelated traffic in between
+        for k in order:
+            np.testing.assert_array_equal(
+                sources[keys[k]]().random(6), expected[keys[k]]
+            )
+
+    def test_state_dict_lists_only_resolved_streams(self):
+        factory = RngFactory(4)
+        sources = [factory.defer(f"fl.client.{k}") for k in range(100)]
+        sources[17]().random(3)
+        sources[3]()                    # resolved, not yet drawn from
+        assert set(factory.state_dict()) == {"fl.client.17", "fl.client.3"}
+
+    def test_deferred_stream_picks_up_a_restored_state(self):
+        src = RngFactory(6)
+        src.get("fl.client.1").random(50)
+        states = src.state_dict()
+        expected = src.get("fl.client.1").random(5)
+        dst = RngFactory(6)
+        source = dst.defer("fl.client.1")   # handed out before the restore
+        dst.load_state(states)
+        np.testing.assert_array_equal(source().random(5), expected)
+
+
 class TestStateRoundTrip:
     """state_dict/load_state: the checkpointing contract for RNG streams."""
 
@@ -114,6 +156,11 @@ class TestStateRoundTrip:
         again = RngFactory(7)
         again.load_state(src.state_dict())
         np.testing.assert_array_equal(again.get("k").random(8), expected)
+
+    def test_load_state_rejects_a_foreign_bit_generator(self):
+        states = {"k": np.random.Generator(np.random.MT19937(1)).bit_generator.state}
+        with pytest.raises(ValueError, match="MT19937.*PCG64"):
+            RngFactory(0).load_state(states)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
