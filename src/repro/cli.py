@@ -21,10 +21,10 @@ Ten subcommands::
                              [--follow [--poll 0.5] [--timeout 60]]
     python -m repro profile  out/trace [--diff other/trace] [--top 10]
     python -m repro regret   --horizons 25 50 100
-    python -m repro bench    [--quick] [--out BENCH.json] \
-                             [--check BENCH_PR3.json --tolerance 0.2] \
-                             [--overhead [--max-null-overhead 0.02]] \
-                             [--compare A.json B.json]
+    python -m repro bench    --overhead [--max-null-overhead 0.02] \
+                             | --checkpoint-overhead [--max-ckpt-overhead 0.02] \
+                             | --crash-smoke [--engine live] \
+                             [--quick] [--out REPORT.json]
 
 ``tournament`` runs every registered selection strategy (the zoo in
 :mod:`repro.strategies`) across a scenario matrix (partition skew, price
@@ -80,10 +80,14 @@ fit, budget headroom, quarantine count, latency, accuracy sparkline) and
 exiting 0 once the run finalizes.  ``profile`` reconstructs the temporal
 phase tree from a finished trace's manifest — self vs. cumulative time,
 call counts, per-epoch cost — and ``--diff`` compares two trace
-directories phase by phase.  ``bench --overhead`` audits what the
-telemetry layer itself costs (disabled vs. enabled hubs per layer, with
-per-hook-site attribution); ``bench --compare A.json B.json`` prints a
-per-layer delta table between two saved bench reports.
+directories phase by phase.
+
+``bench`` runs exactly one of three contract gates (the speed benchmark
+is ``python3 perf/run.py``): ``--overhead`` audits what the telemetry
+layer itself costs (disabled vs. enabled hubs per layer, with
+per-hook-site attribution), ``--checkpoint-overhead`` gates periodic
+snapshot cost and checkpointed-vs-plain bit-identity, ``--crash-smoke``
+is the SIGKILL crash/resume drill.
 
 Exit codes: 0 on success, 2 on argument errors (both argparse failures
 and semantic validation like non-positive budgets), 1 on runtime errors.
@@ -453,68 +457,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bch = sub.add_parser(
         "bench",
-        help="hot-path performance benchmark (FL engine, epoch solver, "
-        "NN kernels) with an optional regression gate",
+        help="contract gates: telemetry overhead audit, checkpoint "
+        "overhead, SIGKILL crash/resume drill (speed benchmark: "
+        "python3 perf/run.py)",
     )
+    mode = p_bch.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--overhead", action="store_true",
+                      help="run the telemetry overhead audit: disabled vs "
+                      "enabled hubs per layer with hook-site attribution")
+    mode.add_argument("--checkpoint-overhead", action="store_true",
+                      help="measure what periodic snapshots cost an "
+                      "otherwise-identical run (interval=10) and verify "
+                      "the checkpointed run stays bit-identical; exit 1 "
+                      "when the overhead exceeds --max-ckpt-overhead")
+    mode.add_argument("--crash-smoke", action="store_true",
+                      help="run the SIGKILL crash/resume drill: fork a "
+                      "checkpointing run, kill it at a randomized epoch, "
+                      "resume from disk, and verify the recovery is "
+                      "bit-identical to an uninterrupted reference "
+                      "(exit 1 on mismatch)")
     p_bch.add_argument("--quick", action="store_true",
                        help="smaller config for CI smoke runs")
-    p_bch.add_argument("--clients", type=int, default=None,
-                       help="FL-layer client count (default: 100, or 40 "
-                       "with --quick)")
-    p_bch.add_argument("--epochs", type=int, default=None,
-                       help="FL-layer epoch count (default: 200, or 40 "
-                       "with --quick)")
     p_bch.add_argument("--seed", type=int, default=0)
     p_bch.add_argument("--out", type=str, default=None, metavar="PATH.json",
-                       help="write the versioned JSON report here")
-    p_bch.add_argument("--check", type=str, default=None, metavar="BASELINE.json",
-                       help="compare against a baseline report; exit 1 when "
-                       "a gated ratio regresses past --tolerance or "
-                       "bit-identity breaks")
-    p_bch.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed fractional regression for --check "
-                       "(default 0.2 = 20%%)")
-    p_bch.add_argument("--strict", action="store_true",
-                       help="with --check, also gate absolute throughputs "
-                       "(same-machine baselines only)")
-    p_bch.add_argument("--pre-pr-seconds", type=float, default=None,
-                       help="wall seconds of the pre-PR loop reference at "
-                       "the same FL config (measured from a worktree of "
-                       "the parent commit); recorded in the report")
-    p_bch.add_argument("--overhead", action="store_true",
-                       help="run the telemetry overhead audit instead of "
-                       "the throughput bench: disabled vs enabled hubs "
-                       "per layer with hook-site attribution")
+                       help="write the JSON report here")
     p_bch.add_argument("--max-null-overhead", type=float, default=0.02,
                        metavar="FRAC",
                        help="with --overhead, fail (exit 1) when the "
                        "estimated disabled-telemetry cost of any layer "
                        "exceeds this fraction of its runtime "
                        "(default 0.02 = 2%%)")
-    p_bch.add_argument("--compare", nargs=2, default=None,
-                       metavar=("A.json", "B.json"),
-                       help="print a per-layer delta table between two "
-                       "saved bench reports, then exit")
-    p_bch.add_argument("--layers", nargs="+", default=None, metavar="LAYER",
-                       help="run only these bench layers (space- or "
-                       "comma-separated; known: fl, solver, nn, sim, "
-                       "scale; default: all)")
-    p_bch.add_argument("--checkpoint-overhead", action="store_true",
-                       help="measure what periodic snapshots cost an "
-                       "otherwise-identical run (interval=10) and verify "
-                       "the checkpointed run stays bit-identical; exit 1 "
-                       "when the overhead exceeds --max-ckpt-overhead")
     p_bch.add_argument("--max-ckpt-overhead", type=float, default=0.02,
                        metavar="FRAC",
                        help="allowed checkpoint wall-clock overhead "
                        "fraction for --checkpoint-overhead "
                        "(default 0.02 = 2%%)")
-    p_bch.add_argument("--crash-smoke", action="store_true",
-                       help="run the SIGKILL crash/resume drill instead of "
-                       "the throughput bench: fork a checkpointing run, "
-                       "kill it at a randomized epoch, resume from disk, "
-                       "and verify the recovery is bit-identical to an "
-                       "uninterrupted reference (exit 1 on mismatch)")
     p_bch.add_argument("--engine", default="loop",
                        choices=["loop", "batched", "des", "live"],
                        help="training engine for --crash-smoke "
@@ -1466,6 +1443,7 @@ def _bench_crash_smoke(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.checkpoint.crashsmoke import run_crash_resume_smoke
+    from repro.experiments.bench import save_report
 
     cfg = experiment_config(
         budget=200.0, seed=args.seed, num_clients=8,
@@ -1493,14 +1471,7 @@ def _bench_crash_smoke(args: argparse.Namespace) -> int:
     ):
         print(f"{key}={report[key]}")
     if args.out:
-        path = Path(args.out).expanduser()
-        tmp_path = path.with_name(path.name + ".tmp")
-        tmp_path.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        tmp_path.replace(path)
-        print(f"report -> {path}")
+        print(f"report -> {save_report(report, args.out)}")
     if not report["ok"]:
         print("repro: crash-resume smoke FAILED", file=sys.stderr)
         return 1
@@ -1509,27 +1480,20 @@ def _bench_crash_smoke(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import (
+        bench_checkpoint_overhead,
         bench_overhead,
+        check_checkpoint_overhead,
         check_overhead,
-        check_regression,
-        compare_reports,
-        format_compare,
         format_overhead,
-        format_report,
-        load_report,
-        run_bench,
         save_report,
     )
 
     if args.crash_smoke:
         return _bench_crash_smoke(args)
+    if args.engine != "loop":
+        return _usage_error("--engine only applies with --crash-smoke")
 
     if args.checkpoint_overhead:
-        from repro.experiments.bench import (
-            bench_checkpoint_overhead,
-            check_checkpoint_overhead,
-        )
-
         if not (0.0 < args.max_ckpt_overhead < 1.0):
             return _usage_error("--max-ckpt-overhead must be in (0, 1)")
         report = bench_checkpoint_overhead(quick=args.quick, seed=args.seed)
@@ -1560,89 +1524,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.compare is not None:
-        path_a, path_b = args.compare
-        try:
-            report_a = load_report(path_a)
-            report_b = load_report(path_b)
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"cannot read report: {exc}")
-        rows = compare_reports(report_a, report_b)
-        print(format_compare(rows, label_a=path_a, label_b=path_b))
-        return 0
-
-    if args.overhead:
-        if not (0.0 < args.max_null_overhead < 1.0):
-            return _usage_error("--max-null-overhead must be in (0, 1)")
-        report = bench_overhead(quick=args.quick, seed=args.seed)
-        print(format_overhead(report))
-        if args.out:
-            path = Path(args.out).expanduser()
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            tmp.replace(path)
-            print(f"\nreport -> {path}")
-        failures = check_overhead(
-            report, max_null_fraction=args.max_null_overhead
-        )
-        if failures:
-            print("\nOVERHEAD GATE FAILED:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"\noverhead gate: OK (disabled-telemetry cost <= "
-            f"{args.max_null_overhead:.1%} per layer)"
-        )
-        return 0
-
-    if args.clients is not None and args.clients < 2:
-        return _usage_error("--clients must be >= 2")
-    if args.epochs is not None and args.epochs < 1:
-        return _usage_error("--epochs must be >= 1")
-    if not (0.0 < args.tolerance < 1.0):
-        return _usage_error("--tolerance must be in (0, 1)")
-    baseline = None
-    if args.check:
-        try:
-            baseline = load_report(args.check)
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"cannot read baseline: {exc}")
-    layers = None
-    if args.layers is not None:
-        layers = [
-            name for item in args.layers for name in item.split(",") if name
-        ]
-        if not layers:
-            return _usage_error("--layers must name at least one layer")
-    try:
-        report = run_bench(
-            quick=args.quick,
-            num_clients=args.clients,
-            max_epochs=args.epochs,
-            seed=args.seed,
-            pre_pr_seconds=args.pre_pr_seconds,
-            layers=layers,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    print(format_report(report))
+    if not (0.0 < args.max_null_overhead < 1.0):
+        return _usage_error("--max-null-overhead must be in (0, 1)")
+    report = bench_overhead(quick=args.quick, seed=args.seed)
+    print(format_overhead(report))
     if args.out:
         path = save_report(report, args.out)
         print(f"\nreport -> {path}")
-    if baseline is not None:
-        failures = check_regression(
-            report, baseline, tolerance=args.tolerance, strict=args.strict
-        )
-        if failures:
-            print(f"\nREGRESSION vs {args.check}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print(f"\nregression check vs {args.check}: OK")
+    failures = check_overhead(
+        report, max_null_fraction=args.max_null_overhead
+    )
+    if failures:
+        print("\nOVERHEAD GATE FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
+        return 1
+    print(
+        f"\noverhead gate: OK (disabled-telemetry cost <= "
+        f"{args.max_null_overhead:.1%} per layer)"
+    )
     return 0
 
 

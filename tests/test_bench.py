@@ -1,215 +1,11 @@
-"""The ``repro bench`` harness: report shape, regression gate, in-place SGD."""
+"""What is left of ``repro bench``: the telemetry overhead audit, and in-place SGD."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
 
-from repro.experiments.bench import (
-    SCHEMA_VERSION,
-    bench_fl_engine,
-    bench_nn_kernels,
-    bench_solver,
-    check_regression,
-    format_report,
-    load_report,
-    run_bench,
-    save_report,
-)
 from repro.nn.optim import SGD
-
-
-@pytest.fixture(scope="module")
-def tiny_report():
-    """One real (tiny) bench run shared by the structural tests."""
-    return run_bench(quick=True, num_clients=8, max_epochs=2, seed=0)
-
-
-class TestReportStructure:
-    def test_schema_and_sections(self, tiny_report):
-        assert tiny_report["schema_version"] == SCHEMA_VERSION
-        assert set(tiny_report) >= {"fl", "solver", "nn", "sim", "meta", "quick"}
-        assert tiny_report["meta"]["numpy"] == np.__version__
-
-    def test_fl_section_is_bit_identical(self, tiny_report):
-        fl = tiny_report["fl"]
-        assert fl["identical"] is True
-        assert fl["epochs"] > 0
-        assert fl["speedup_vs_loop"] > 0
-        assert fl["solver_iters_per_epoch"] > 0
-
-    def test_solver_section_counts_warm_hits(self, tiny_report):
-        solver = tiny_report["solver"]
-        assert solver["warm"]["warm_start_hits"] == solver["config"]["horizon"] - 1
-        assert solver["cold"]["warm_start_hits"] == 0
-        assert solver["warm_iter_ratio"] > 0
-
-    def test_nn_section_in_place_sgd_exact(self, tiny_report):
-        assert tiny_report["nn"]["sgd_results_equal"] is True
-
-    def test_sim_section_is_bit_exact(self, tiny_report):
-        sim = tiny_report["sim"]
-        assert sim["exact"] is True
-        assert sim["rounds_per_s"] > 0
-        assert sim["overhead_ratio"] > 0
-        assert sim["events_per_round"] > 0
-        assert sim["faulted_retries"] > 0  # the flaky arm exercised retries
-
-    def test_live_section_is_bit_identical(self, tiny_report):
-        live = tiny_report["live"]
-        assert live["exact"] is True
-        assert live["rounds"] > 0
-        assert live["live_seconds"] > 0
-        assert live["overhead_ratio"] > 0
-
-    def test_format_report_renders(self, tiny_report):
-        text = format_report(tiny_report)
-        assert "bit-identical results: True" in text
-        assert "[solver]" in text and "[nn]" in text
-        assert "[sim]" in text and "bit-exact vs closed form: True" in text
-
-    def test_round_trip_via_json(self, tiny_report, tmp_path):
-        path = save_report(tiny_report, tmp_path / "bench.json")
-        loaded = load_report(path)
-        assert loaded["schema_version"] == SCHEMA_VERSION
-        assert loaded["fl"]["identical"] is True
-
-    def test_load_rejects_non_reports(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"hello": 1}))
-        with pytest.raises(ValueError):
-            load_report(bad)
-
-    def test_pre_pr_reference_recorded(self):
-        report = run_bench(
-            quick=True, num_clients=8, max_epochs=2, pre_pr_seconds=100.0
-        )
-        fl = report["fl"]
-        assert fl["pre_pr_seconds"] == 100.0
-        assert fl["speedup_vs_pre_pr"] == pytest.approx(
-            100.0 / fl["batched_seconds"]
-        )
-
-
-class TestRegressionGate:
-    def test_identical_report_passes(self, tiny_report):
-        assert check_regression(tiny_report, tiny_report) == []
-
-    def test_ratio_regression_detected(self, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["fl"]["speedup_vs_loop"] = (
-            tiny_report["fl"]["speedup_vs_loop"] * 0.5
-        )
-        failures = check_regression(current, tiny_report, tolerance=0.2)
-        assert any("fl.speedup_vs_loop" in f for f in failures)
-
-    def test_regression_within_tolerance_passes(self, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["fl"]["speedup_vs_loop"] = (
-            tiny_report["fl"]["speedup_vs_loop"] * 0.9
-        )
-        assert check_regression(current, tiny_report, tolerance=0.2) == []
-
-    def test_identity_break_always_fails(self, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["fl"]["identical"] = False
-        failures = check_regression(current, tiny_report)
-        assert any("bit-identical" in f for f in failures)
-
-    def test_sim_exactness_break_always_fails(self, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["sim"]["exact"] = False
-        failures = check_regression(current, tiny_report)
-        assert any("closed-form" in f for f in failures)
-
-    def test_sgd_mismatch_always_fails(self, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["nn"]["sgd_results_equal"] = False
-        failures = check_regression(current, tiny_report)
-        assert any("in-place SGD" in f for f in failures)
-
-    def test_schema_mismatch_fails(self, tiny_report):
-        baseline = copy.deepcopy(tiny_report)
-        baseline["schema_version"] = SCHEMA_VERSION + 1
-        failures = check_regression(tiny_report, baseline)
-        assert any("schema_version" in f for f in failures)
-
-    def test_strict_gates_throughput_only_on_matching_config(self, tiny_report):
-        slower = copy.deepcopy(tiny_report)
-        slower["fl"]["batched_epochs_per_s"] = (
-            tiny_report["fl"]["batched_epochs_per_s"] * 0.1
-        )
-        assert check_regression(slower, tiny_report) == []  # not strict
-        failures = check_regression(slower, tiny_report, strict=True)
-        assert any("batched_epochs_per_s" in f for f in failures)
-        # Different config: absolute throughputs are not comparable.
-        slower["fl"]["config"] = dict(
-            tiny_report["fl"]["config"], num_clients=999
-        )
-        assert check_regression(slower, tiny_report, strict=True) == []
-
-
-class TestLayerFilter:
-    def test_subset_report_has_only_selected_sections(self):
-        report = run_bench(quick=True, num_clients=8, max_epochs=2, layers=["solver"])
-        assert "solver" in report
-        assert all(k not in report for k in ("fl", "nn", "sim", "scale"))
-        text = format_report(report)
-        assert "[solver]" in text and "[fl]" not in text
-
-    def test_unknown_layer_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench layer"):
-            run_bench(quick=True, layers=["fl", "mystery"])
-
-    def test_gate_tolerates_missing_sections(self, tiny_report):
-        subset = run_bench(quick=True, num_clients=8, max_epochs=2, layers=["solver"])
-        # A subset run gates only what it measured — absent sections are
-        # neither compared nor treated as exactness breaks.
-        assert check_regression(subset, tiny_report) == []
-
-
-class TestScaleBench:
-    @pytest.fixture(scope="class")
-    def scale(self):
-        from repro.experiments.bench import bench_scale
-
-        return bench_scale(populations=(200,), epochs=2, seed=0)
-
-    def test_single_shard_identical(self, scale):
-        assert scale["single_shard_identical"] is True
-
-    def test_per_population_shape(self, scale):
-        per = scale["per_population"]["200"]
-        assert per["flat_epochs_per_s"] > 0
-        assert per["sharded_epochs_per_s"] > 0
-        assert per["speedup_vs_flat"] > 0
-        assert per["flat_mean_selected"] >= 1
-        assert scale["sharded_epochs_per_s_k200"] == per["sharded_epochs_per_s"]
-
-    def test_identity_break_always_fails_gate(self, scale, tiny_report):
-        current = copy.deepcopy(tiny_report)
-        current["scale"]["single_shard_identical"] = False
-        failures = check_regression(current, tiny_report)
-        assert any("single-shard" in f for f in failures)
-
-
-class TestLayerBenches:
-    def test_bench_solver_deterministic_iterations(self):
-        a = bench_solver(num_clients=6, horizon=8, seed=1)
-        b = bench_solver(num_clients=6, horizon=8, seed=1)
-        assert a["cold"]["iterations"] == b["cold"]["iterations"]
-        assert a["warm"]["iterations"] == b["warm"]["iterations"]
-
-    def test_bench_nn_kernels_shape(self):
-        nn = bench_nn_kernels(repeats=2, seed=0)
-        assert nn["sgd_results_equal"] is True
-        assert nn["conv_steps_per_s"] > 0
-
-    def test_bench_fl_engine_tiny(self):
-        fl = bench_fl_engine(num_clients=6, budget=60.0, max_epochs=2, seed=3)
-        assert fl["identical"] is True
-        assert fl["epochs"] >= 1
 
 
 class TestInPlaceSGD:
@@ -296,51 +92,3 @@ class TestOverheadAudit:
         assert "fl.batched" in text
         assert "hook sites" in text
         assert format_overhead(audit) == text  # deterministic
-
-
-class TestBenchCompare:
-    def test_compare_detects_regression_and_improvement(self, tiny_report):
-        from repro.experiments.bench import compare_reports
-
-        slower = copy.deepcopy(tiny_report)
-        slower["fl"]["batched_epochs_per_s"] = (
-            tiny_report["fl"]["batched_epochs_per_s"] * 0.5
-        )
-        rows = compare_reports(tiny_report, slower, threshold=0.05)
-        by_metric = {f"{r['section']}.{r['metric']}": r for r in rows}
-        row = by_metric["fl.batched_epochs_per_s"]
-        assert row["regressed"] is True
-        assert row["delta_pct"] == pytest.approx(-50.0)
-
-    def test_self_compare_is_clean(self, tiny_report):
-        from repro.experiments.bench import compare_reports
-
-        rows = compare_reports(tiny_report, tiny_report)
-        assert rows and all(not r["regressed"] for r in rows)
-
-    def test_lower_is_better_metrics_flip_direction(self, tiny_report):
-        from repro.experiments.bench import compare_reports
-
-        slower = copy.deepcopy(tiny_report)
-        slower["fl"]["batched_epoch_latency_s"] = (
-            tiny_report["fl"]["batched_epoch_latency_s"] * 2.0
-        )
-        rows = compare_reports(tiny_report, slower, threshold=0.05)
-        by_metric = {f"{r['section']}.{r['metric']}": r for r in rows}
-        assert by_metric["fl.batched_epoch_latency_s"]["regressed"] is True
-
-    def test_tolerates_missing_sections(self, tiny_report):
-        from repro.experiments.bench import compare_reports
-
-        v1 = copy.deepcopy(tiny_report)
-        del v1["sim"]  # schema-v1 reports predate the sim section
-        rows = compare_reports(v1, tiny_report)
-        assert all(r["section"] != "sim" for r in rows)
-
-    def test_format_compare_renders(self, tiny_report):
-        from repro.experiments.bench import compare_reports, format_compare
-
-        text = format_compare(
-            compare_reports(tiny_report, tiny_report), "A", "B"
-        )
-        assert "bench compare: A -> B" in text

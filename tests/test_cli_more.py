@@ -251,3 +251,42 @@ class TestRobustnessFlags:
         )
         assert rc == 2
         assert "--attack-fraction only applies" in capsys.readouterr().err
+
+
+#: The options that went with ``repro bench``'s retired timing layers.
+RETIRED_BENCH_FLAGS = [
+    "clients", "epochs", "check", "tolerance", "strict", "pre-pr-seconds",
+    "compare", "layers",
+]
+
+
+class TestBenchFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],                                            # a mode is required
+            ["--overhead", "--crash-smoke"],               # ...and only one
+            ["--overhead", "--checkpoint-overhead"],
+            ["--check", "x.json"],
+            *(["--overhead", f"--{flag}", "1"] for flag in RETIRED_BENCH_FLAGS),
+            ["--overhead", "--max-null-overhead", "1.5"],  # semantic checks
+            ["--checkpoint-overhead", "--max-ckpt-overhead", "0"],
+            ["--overhead", "--engine", "live"],
+        ],
+    )
+    def test_bad_args_exit_2(self, argv):
+        try:
+            rc = main(["bench", *argv])
+        except SystemExit as exit_:  # argparse's own usage errors
+            rc = exit_.code
+        assert rc == 2
+
+    def test_out_expands_home_and_leaves_no_temp(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        rc = main(["bench", "--overhead", "--quick", "--out", "~/audit.json"])
+        assert rc == 0
+        assert "overhead gate: OK" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["audit.json"]
+        assert "overhead-audit" in (tmp_path / "audit.json").read_text()
