@@ -93,10 +93,16 @@ class FLClient:
         """F_{t,k}(w) on the full local dataset."""
         return self.model.loss(w, self.data.x, self.data.y)
 
-    def local_grad(self, w: np.ndarray) -> np.ndarray:
-        """∇F_{t,k}(w) on the full local dataset."""
-        _, g = self.model.loss_and_grad(w, self.data.x, self.data.y)
-        return g
+    def local_grad(
+        self, w: np.ndarray, with_loss: bool = False
+    ) -> np.ndarray | Tuple[float, np.ndarray]:
+        """∇F_{t,k}(w) on the full local dataset.
+
+        ``with_loss=True`` returns the whole ``(F_{t,k}(w), ∇F_{t,k}(w))``
+        pair — what :meth:`train_iteration` takes as ``start``.
+        """
+        loss, g = self.model.loss_and_grad(w, self.data.x, self.data.y)
+        return (loss, g) if with_loss else g
 
     # -- training -------------------------------------------------------------
 
@@ -105,24 +111,26 @@ class FLClient:
         w_global: np.ndarray,
         global_grad: np.ndarray,
         target_eta: Optional[float] = None,
+        start: Optional[Tuple[float, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, float, List[float]]:
         """One DANE local solve at the broadcast model.
 
         ``target_eta`` is the server's tolerated local accuracy η_t: the
         inner SGD stops early once the estimated accuracy reaches it
-        (paper's iteration-control coupling).
+        (paper's iteration-control coupling).  ``start`` is this client's
+        ``local_grad(w_global, with_loss=True)`` when the caller has just
+        computed it; ``None`` evaluates it here.
 
         Returns ``(d, η̂, trajectory)``: the model difference to upload, the
         estimated local convergence accuracy, and the full-batch surrogate
         trajectory (for diagnostics/tests).
         """
-        loss_val, local_g = self.model.loss_and_grad(
-            w_global, self.data.x, self.data.y
-        )
+        if start is None:
+            start = self.model.loss_and_grad(w_global, self.data.x, self.data.y)
         if self.local_solver == "dane":
             ws = DaneWorkspace(
                 w_global=np.asarray(w_global, dtype=float),
-                local_grad_at_w=local_g,
+                local_grad_at_w=start[1],
                 global_grad=np.asarray(global_grad, dtype=float),
                 sigma1=self.sigma1,
                 sigma2=self.sigma2,
@@ -149,6 +157,7 @@ class FLClient:
             rng=self.rng,
             target_eta=target_eta,
             momentum=self.momentum,
+            start=start,
         )
         eta_hat = estimate_local_accuracy(trajectory)
         return d, eta_hat, trajectory

@@ -85,7 +85,7 @@ def estimate_local_accuracy(surrogate_values: Sequence[float]) -> float:
     denom = g0 - g_best
     if denom <= 1e-15:
         # No progress at all → worst-case accuracy.
-        return ETA_CAP if vals.size > 1 else ETA_CAP
+        return ETA_CAP
     gap = 0.0
     if vals.size >= 3:
         d1 = vals[-2] - vals[-1]

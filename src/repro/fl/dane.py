@@ -22,6 +22,14 @@ global gradient, then local curvature refines it.
 The inner solver is plain minibatch SGD with at most ``max_steps``
 gradient steps (the paper: "the maximal value of gradient steps j is a
 pre-defined constant"), starting from ``d = 0``.
+
+Every ``(w, batch)`` point is evaluated once.  Nothing is evaluated at
+``d = 0``: ``G(0) = F_k(w)`` exactly and ``∇F_k(w)`` is the starting pair
+the caller already holds.  A solve of ``J`` steps then costs ``J`` network
+evaluations when the minibatch is the whole local set (step ``j``'s
+gradient and step ``j−1``'s trajectory value are one fused forward/backward
+pass at ``w + d_j``) and ``2J`` when it subsamples (a minibatch gradient
+plus a full-batch value per step).
 """
 
 from __future__ import annotations
@@ -74,20 +82,6 @@ def dane_surrogate_value(
     return f + 0.5 * ws.sigma1 * float(d @ d) - float(ws.linear_term() @ d)
 
 
-def _surrogate_grad(
-    model: ClassifierModel,
-    ws: DaneWorkspace,
-    d: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """(G value on batch, ∇G on batch) at displacement ``d``."""
-    f, g = model.loss_and_grad(ws.w_global + d, x, y)
-    val = f + 0.5 * ws.sigma1 * float(d @ d) - float(ws.linear_term() @ d)
-    grad = g + ws.sigma1 * d - ws.linear_term()
-    return val, grad
-
-
 def dane_local_step(
     model: ClassifierModel,
     ws: DaneWorkspace,
@@ -98,6 +92,7 @@ def dane_local_step(
     rng: np.random.Generator,
     target_eta: Optional[float] = None,
     momentum: float = 0.0,
+    start: Optional[Tuple[float, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, List[float]]:
     """Run the inner SGD on ``G_{t,k}`` from ``d = 0``.
 
@@ -107,6 +102,11 @@ def dane_local_step(
     trajectory after each step), subject to the hard cap ``max_steps``
     ("the maximal value of gradient steps j is a pre-defined constant").
     ``None`` runs exactly ``max_steps`` steps.
+
+    ``start`` is ``(F_k(w), ∇F_k(w))`` on the full local set at
+    ``ws.w_global``, for a caller that already holds it; ``None`` costs one
+    evaluation here.  From there ``J`` steps make ``J`` evaluations for a
+    full-batch client and ``2J`` for a subsampling one (module docstring).
 
     Returns ``(d, trajectory)`` where ``trajectory`` holds the *full-batch*
     surrogate values ``[G(d_0), …, G(d_J)]`` used by
@@ -124,12 +124,19 @@ def dane_local_step(
 
     n = len(data)
     bs = min(batch_size, n)
+    if start is None:
+        start = model.loss_and_grad(ws.w_global, data.x, data.y)
+    # f, g: F_k and ∇F_k on the full local set at w + d (here d = 0).
+    f, g = start
+    lin = ws.linear_term()
     d = np.zeros_like(ws.w_global)
     velocity = np.zeros_like(d)
-    trajectory = [dane_surrogate_value(model, ws, d, data)]
+    trajectory = [float(f)]  # G(0) = F_k(w)
     for step in range(max_steps):
-        idx = rng.choice(n, size=bs, replace=False) if bs < n else np.arange(n)
-        _, grad = _surrogate_grad(model, ws, d, data.x[idx], data.y[idx])
+        if bs < n:
+            idx = rng.choice(n, size=bs, replace=False)
+            _, g = model.loss_and_grad(ws.w_global + d, data.x[idx], data.y[idx])
+        grad = g + ws.sigma1 * d - lin
         if momentum > 0.0:
             # Heavy-ball inner updates (Momentum Federated Learning,
             # paper's related work [17]).
@@ -137,7 +144,13 @@ def dane_local_step(
             d = d + velocity
         else:
             d = d - lr * grad
-        trajectory.append(dane_surrogate_value(model, ws, d, data))
+        if bs < n:
+            f = model.loss(ws.w_global + d, data.x, data.y)
+        else:
+            # The minibatch is the whole local set: this one pass is both
+            # G(d)'s value and the next step's gradient.
+            f, g = model.loss_and_grad(ws.w_global + d, data.x, data.y)
+        trajectory.append(f + 0.5 * ws.sigma1 * float(d @ d) - float(lin @ d))
         if (
             target_eta is not None
             and step >= 1  # need >= 3 trajectory points for the estimator

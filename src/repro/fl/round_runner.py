@@ -5,7 +5,18 @@ An epoch consists of ``l_t`` global iterations; each iteration:
 1. the server broadcasts ``w^{i-1}`` and the aggregated gradient ``ḡ``,
 2. every *selected* client runs its DANE local solve and uploads
    ``d^i_{t,k}`` (plus its fresh local gradient),
-3. the server aggregates: ``w^i = w^{i-1} + avg(d)``, ``ḡ = avg(∇F_k(w^i))``.
+3. the server aggregates: ``w^i = w^{i-1} + avg(d)``, ``ḡ = avg(∇F_k(w^i))``
+   — ``ḡ`` only when a next iteration will read it, so an epoch of ``l_t``
+   iterations makes ``l_t`` gradient sweeps (one before the first solve,
+   none after the last).
+
+On the loop path each ``(w, batch)`` point is evaluated once: the
+``(F_k(w^i), ∇F_k(w^i))`` pair a sweep computes is handed to that client's
+next solve, which therefore evaluates nothing at ``d = 0`` and makes ``J``
+network evaluations for ``J`` inner steps when its minibatch is its whole
+local set, ``2J`` when it subsamples (:mod:`repro.fl.dane`).  A client the
+sweep did not cover (DES contributor sets change between iterations; live
+workers solve in their own process) evaluates its own starting pair.
 
 The runner also records everything the FedL controller needs to observe
 *after* acting: per-client local accuracies ``η̂^i_{t,k}``, the participant
@@ -41,7 +52,7 @@ round's *timeline* is measured off the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,6 +256,12 @@ def run_federated_round(
     part_sizes = [c.num_samples for c in participants]
     sample_counts = part_sizes if aggregation == "weighted" else None
 
+    # Loop path: the (F_k(w), ∇F_k(w)) pairs of the latest gradient sweep,
+    # by client id.  Each is popped by that client's next solve, which
+    # starts at the same w, and every sweep empties the dict first, so no
+    # pair outlives the point it was evaluated at.
+    starts: Dict[int, Tuple[float, np.ndarray]] = {}
+
     def participant_grads(
         parts: Optional[Sequence[FLClient]] = None,
     ) -> List[np.ndarray]:
@@ -253,7 +270,11 @@ def run_federated_round(
             # reuses these gradients instead of recomputing them.
             return batched_engine.local_grads(server.w)
         plist = participants if parts is None else parts
-        return [c.local_grad(server.w) for c in plist]
+        pairs = [c.local_grad(server.w, with_loss=True) for c in plist]
+        starts.clear()
+        if live_round is None:  # live solves run in the workers
+            starts.update(zip((c.client_id for c in plist), pairs))
+        return [g for _, g in pairs]
 
     # Initial aggregated gradient at the incoming model.
     global_grad = FLServer.aggregate_gradients(participant_grads())
@@ -314,7 +335,10 @@ def run_federated_round(
                     d, eta_hat, _ = solves[pos]
                 else:
                     d, eta_hat, _ = client.train_iteration(
-                        w_broadcast, global_grad, target_eta=target_eta
+                        w_broadcast,
+                        global_grad,
+                        target_eta=target_eta,
+                        start=starts.pop(client.client_id, None),
                     )
                 if dp_spec is not None:
                     # DP first (clip + noise on the raw update, [29]
@@ -413,9 +437,14 @@ def run_federated_round(
                 # of silently training on a non-finite model.
                 raise TrainingDivergedError(epoch, it)
             prev_global_delta = server.w - w_broadcast
-            global_grad = FLServer.aggregate_gradients(
-                participant_grads(iter_parts)
-            )
+            if it + 1 < iterations:
+                global_grad = FLServer.aggregate_gradients(
+                    participant_grads(iter_parts)
+                )
+            elif not iter_parts:
+                # ḡ is aggregated only when a next iteration will read it;
+                # an empty final contributor set fails as that sweep would.
+                raise ValueError("no gradients to aggregate")
 
     live_outcome = live_round.finish() if live_round is not None else None
     if live_outcome is not None and tel.enabled:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -17,12 +17,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> Tuple[float, np.ndarray]:
+    logits: np.ndarray, labels: np.ndarray, want_grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
     """Mean cross-entropy and its gradient w.r.t. the logits.
 
-    Fusing the two avoids forming the log-softmax twice and gives the
-    well-known stable gradient ``(softmax − onehot) / N``.
+    Fusing the two shares one ``exp`` of the shifted logits between the
+    loss's log-sum-exp and the softmax of the well-known stable gradient
+    ``(softmax − onehot) / N``.  ``want_grad=False`` returns the same loss
+    and ``None`` without forming the gradient.
     """
     if logits.ndim != 2:
         raise ValueError("logits must be (N, C)")
@@ -33,11 +35,15 @@ def softmax_cross_entropy(
     if np.any(y < 0) or np.any(y >= c):
         raise ValueError("labels out of range")
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(logsumexp - z[np.arange(n), y]))
-    probs = softmax(logits)
+    e = np.exp(z)
+    se = e.sum(axis=1)
+    loss = float(np.mean(np.log(se) - z[np.arange(n), y]))
+    if not want_grad:
+        return loss, None
+    probs = np.divide(e, se[:, None], out=e)
     probs[np.arange(n), y] -= 1.0
-    return loss, probs / n
+    probs /= n
+    return loss, probs
 
 
 def l2_penalty(w: np.ndarray, reg: float) -> Tuple[float, np.ndarray]:

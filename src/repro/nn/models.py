@@ -63,12 +63,16 @@ class ClassifierModel:
     # -- functional evaluation -------------------------------------------------
 
     def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        """F(w) on the batch: mean CE + (reg/2)‖w‖²."""
+        """F(w) on the batch: mean CE + (reg/2)‖w‖².
+
+        Value only — no gradient is formed — and bit-equal to
+        ``loss_and_grad(w, x, y)[0]``.
+        """
+        w = np.asarray(w, dtype=float)
         self.network.set_flat_params(w)
         logits = self.network.forward(x)
-        ce, _ = softmax_cross_entropy(logits, y)
-        pen, _ = l2_penalty(w, self.l2_reg)
-        return ce + pen
+        ce, _ = softmax_cross_entropy(logits, y, want_grad=False)
+        return ce + 0.5 * self.l2_reg * float(w @ w)
 
     def loss_and_grad(
         self, w: np.ndarray, x: np.ndarray, y: np.ndarray

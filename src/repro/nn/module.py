@@ -80,12 +80,14 @@ class Module:
     def set_flat_params(self, w: np.ndarray) -> None:
         """Load parameter values from a flat vector."""
         w = np.asarray(w, dtype=float)
-        if w.size != self.num_params:
+        ps = self.parameters()
+        num_params = sum(p.size for p in ps)
+        if w.size != num_params:
             raise ValueError(
-                f"flat vector has {w.size} entries, model has {self.num_params}"
+                f"flat vector has {w.size} entries, model has {num_params}"
             )
         offset = 0
-        for p in self.parameters():
+        for p in ps:
             chunk = w[offset : offset + p.size]
             p.value[...] = chunk.reshape(p.value.shape)
             offset += p.size

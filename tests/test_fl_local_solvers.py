@@ -1,4 +1,5 @@
-"""Tests for the local-solver variants: FedProx and inner momentum."""
+"""Tests for the local-solver variants (FedProx, inner momentum) and for the
+evaluate-each-point-once contract of the loop-path solve."""
 
 import dataclasses
 
@@ -7,7 +8,8 @@ import pytest
 
 from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.fl.client import FLClient
-from repro.fl.dane import DaneWorkspace, dane_local_step
+from repro.fl.convergence import estimate_local_accuracy
+from repro.fl.dane import DaneWorkspace, dane_local_step, dane_surrogate_value
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
@@ -115,6 +117,201 @@ class TestMomentum:
             model, ws, data, 10, 0.02, 64, np.random.default_rng(1), momentum=0.7
         )
         assert traj_mom[-1] < traj_plain[-1]
+
+
+def dane_local_step_oracle(
+    model, ws, data, max_steps, lr, batch_size, rng, target_eta=None, momentum=0.0
+):
+    """The ``dane_local_step`` this repo shipped before the solve stopped
+    re-evaluating points, verbatim (validation dropped, ``_surrogate_grad``
+    inlined): a full-batch value at every ``d_j`` including ``d = 0``, a
+    separate minibatch gradient per step, ``linear_term()`` rebuilt each
+    time."""
+    n = len(data)
+    bs = min(batch_size, n)
+    d = np.zeros_like(ws.w_global)
+    velocity = np.zeros_like(d)
+    trajectory = [dane_surrogate_value(model, ws, d, data)]
+    for step in range(max_steps):
+        idx = rng.choice(n, size=bs, replace=False) if bs < n else np.arange(n)
+        _, g = model.loss_and_grad(ws.w_global + d, data.x[idx], data.y[idx])
+        grad = g + ws.sigma1 * d - ws.linear_term()
+        if momentum > 0.0:
+            velocity = momentum * velocity - lr * grad
+            d = d + velocity
+        else:
+            d = d - lr * grad
+        trajectory.append(dane_surrogate_value(model, ws, d, data))
+        if (
+            target_eta is not None
+            and step >= 1
+            and estimate_local_accuracy(trajectory) <= target_eta
+        ):
+            break
+    return d, trajectory
+
+
+def count_evaluations(model, monkeypatch):
+    """Count every network evaluation (``loss`` or ``loss_and_grad``)."""
+    calls = []
+    for name in ("loss", "loss_and_grad"):
+        original = getattr(model, name)
+        monkeypatch.setattr(
+            model,
+            name,
+            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k),
+        )
+    return calls
+
+
+BATCH = 32
+
+
+class TestEveryPointEvaluatedOnce:
+    @pytest.mark.parametrize("with_start", [True, False])
+    @pytest.mark.parametrize("solver", ["dane", "fedprox"])
+    @pytest.mark.parametrize("target_eta", [None, 0.3, 0.9])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("n", [20, BATCH, 45])  # full, exactly full, minibatch
+    def test_bit_identical_to_pre_fusion_solve(
+        self, setup, rng_factory, n, momentum, target_eta, solver, with_start
+    ):
+        gen, model, _ = setup
+        data = gen.sample(n, rng=rng_factory.get("d"))
+        w = model.get_params() + 0.1 * rng_factory.get("w").normal(size=model.num_params)
+        global_grad = 0.05 * rng_factory.get("g").normal(size=w.size)
+        client = FLClient(
+            0, model, np.random.default_rng(11), sgd_steps=6, sgd_lr=0.05,
+            batch_size=BATCH, local_solver=solver, momentum=momentum,
+        )
+        client.set_data(data)
+        start = client.local_grad(w, with_loss=True) if with_start else None
+        d, eta, traj = client.train_iteration(
+            w, global_grad, target_eta=target_eta, start=start
+        )
+
+        local_g = client.local_grad(w)
+        if solver == "dane":
+            ws = DaneWorkspace(w, local_g, global_grad, client.sigma1, client.sigma2)
+        else:
+            ws = DaneWorkspace(w, np.zeros_like(w), np.zeros_like(w), client.sigma1, 0.0)
+        ref_rng = np.random.default_rng(11)
+        ref_d, ref_traj = dane_local_step_oracle(
+            model, ws, data, 6, 0.05, BATCH, ref_rng,
+            target_eta=target_eta, momentum=momentum,
+        )
+        assert d.tobytes() == ref_d.tobytes()
+        assert traj == ref_traj
+        assert eta == estimate_local_accuracy(ref_traj)
+        assert client.rng.bit_generator.state == ref_rng.bit_generator.state
+        # The solver itself, fed the same workspace, agrees too.
+        step_rng = np.random.default_rng(11)
+        d2, traj2 = dane_local_step(
+            model, ws, data, 6, 0.05, BATCH, step_rng,
+            target_eta=target_eta, momentum=momentum, start=start,
+        )
+        assert d2.tobytes() == ref_d.tobytes() and traj2 == ref_traj
+        assert step_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, with_start, expected",
+        [
+            (BATCH, True, 5),        # full batch: J fused evaluations
+            (20, False, 1 + 5),      # ... plus its own starting pair
+            (45, True, 2 * 5),       # minibatch: gradient + value per step
+            (45, False, 1 + 2 * 5),
+        ],
+    )
+    def test_evaluations_per_solve(
+        self, setup, rng_factory, monkeypatch, n, with_start, expected
+    ):
+        gen, model, _ = setup
+        client = FLClient(
+            0, model, rng_factory.get("c"), sgd_steps=5, batch_size=BATCH
+        )
+        client.set_data(gen.sample(n, rng=rng_factory.get("d")))
+        w = model.get_params()
+        start = client.local_grad(w, with_loss=True) if with_start else None
+        calls = count_evaluations(model, monkeypatch)
+        _, _, traj = client.train_iteration(w, np.zeros_like(w), start=start)
+        assert len(traj) == 5 + 1
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_loop_round_sweeps_once_per_iteration(
+        self, setup, rng_factory, monkeypatch, iterations
+    ):
+        """``iterations`` gradient sweeps (none after the last solve), and no
+        solve re-evaluates the point its sweep already covered."""
+        gen, model, _ = setup
+        steps = 4
+        clients = []
+        for k, n in enumerate([20, BATCH, 45, 28]):
+            c = FLClient(
+                k, model, rng_factory.get(f"c{k}"), sgd_steps=steps, batch_size=BATCH
+            )
+            c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))
+            clients.append(c)
+        server = FLServer(model, model.get_params(), gen.sample(40, rng=rng_factory.get("t")))
+        selected = np.array([True, True, True, False])
+        sweeps = []
+        original = FLClient.local_grad
+        monkeypatch.setattr(
+            FLClient,
+            "local_grad",
+            lambda self, *a, **k: sweeps.append(self.client_id) or original(self, *a, **k),
+        )
+        calls = count_evaluations(model, monkeypatch)
+        run_federated_round(
+            server, clients, selected, np.ones(4, bool), iterations, engine="loop"
+        )
+        assert len(sweeps) == 3 * iterations  # was 3 * (iterations + 1)
+        solve_evals = iterations * (steps + steps + 2 * steps)  # full, full, mini
+        tail_evals = 4 + 1  # loss sweep over the available clients + test loss
+        assert len(calls) == len(sweeps) + solve_evals + tail_evals
+
+    def test_unswept_client_evaluates_its_own_start(
+        self, setup, rng_factory, monkeypatch
+    ):
+        """DES contributor sets change between iterations: a client that
+        joins iteration 1 without having been in iteration 0's sweep still
+        solves (from its own evaluation), and an empty final contributor set
+        raises what the skipped last sweep used to."""
+        import repro.fl.round_runner as rr
+        from repro.sim import SimRoundSpec
+        from repro.sim.entities import RoundOutcome
+
+        gen, model, _ = setup
+        clients = []
+        for k in range(3):
+            c = FLClient(k, model, rng_factory.get(f"c{k}"), sgd_steps=2, batch_size=BATCH)
+            c.set_data(gen.sample(24, rng=rng_factory.get(f"d{k}")))
+            clients.append(c)
+        test_set = gen.sample(40, rng=rng_factory.get("t"))
+
+        def run(contributors):
+            outcome = RoundOutcome(
+                completion_time=1.0,
+                iteration_durations=[0.5] * len(contributors),
+                contributors=[np.asarray(ids, dtype=int) for ids in contributors],
+                dropped={}, num_retries=0, deadline_hits=0,
+                client_busy_s={}, client_last_t={}, timeline=[],
+            )
+            monkeypatch.setattr(rr, "simulate_round", lambda spec, rng=None: outcome)
+            spec = SimRoundSpec(
+                client_ids=np.arange(3), tau_loc=np.ones(3), tau_cm=np.ones(3),
+                iterations=len(contributors),
+            )
+            server = FLServer(model, model.get_params(), test_set)
+            return run_federated_round(
+                server, clients, np.ones(3, bool), np.ones(3, bool),
+                len(contributors), engine="des", sim_spec=spec,
+            )
+
+        res = run([[0, 1], [1, 2], [2]])
+        assert not np.isnan(res.local_etas).any()  # all three contributed
+        with pytest.raises(ValueError, match="no gradients to aggregate"):
+            run([[0, 1], []])
 
 
 class TestEndToEnd:

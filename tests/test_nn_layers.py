@@ -215,6 +215,17 @@ class TestModuleFlatVector:
         with pytest.raises(ValueError):
             net.set_flat_params(np.zeros(3))
 
+    def test_set_walks_the_parameter_list_once(self, rng, monkeypatch):
+        net = Sequential([Linear(4, 3, rng=rng), ReLU(), Linear(3, 2, rng=rng)])
+        size, calls, original = net.num_params, [], net.parameters
+        monkeypatch.setattr(
+            net, "parameters", lambda: calls.append(1) or original()
+        )
+        net.set_flat_params(np.zeros(size))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="3 entries, model has 23"):
+            net.set_flat_params(np.zeros(3))
+
     def test_zero_grad(self, rng):
         net = Sequential([Linear(2, 2, rng=rng)])
         net.forward(np.ones((1, 2)))

@@ -62,6 +62,47 @@ class TestCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
+def softmax_cross_entropy_two_exp(logits, labels):
+    """The two-``exp`` ``softmax_cross_entropy`` this repo shipped before the
+    single-``exp`` one, verbatim (validation dropped) — the bit-identity
+    oracle."""
+    n, c = logits.shape
+    y = np.asarray(labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1))
+    loss = float(np.mean(logsumexp - z[np.arange(n), y]))
+    probs = softmax(logits)
+    probs[np.arange(n), y] -= 1.0
+    return loss, probs / n
+
+
+class TestCrossEntropySingleExp:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0, 1e6])
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 10), (33, 4), (64, 10)])
+    def test_bit_identical_to_two_exp_version(self, rng, shape, scale):
+        logits = rng.normal(size=shape) * scale
+        y = rng.integers(0, shape[1], size=shape[0])
+        before = logits.copy()
+        loss, grad = softmax_cross_entropy(logits, y)
+        ref_loss, ref_grad = softmax_cross_entropy_two_exp(logits, y)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(logits, before)  # caller's logits untouched
+
+    def test_value_only_is_the_same_loss(self, rng):
+        logits = rng.normal(size=(9, 5)) * 20.0
+        y = rng.integers(0, 5, size=9)
+        loss, grad = softmax_cross_entropy(logits, y, want_grad=False)
+        assert grad is None
+        assert loss == softmax_cross_entropy(logits, y)[0]
+
+    def test_value_only_still_validates_labels(self):
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]), want_grad=False)
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([-1, 0]), want_grad=False)
+
+
 class TestL2Penalty:
     def test_value_and_grad(self):
         w = np.array([1.0, 2.0])
@@ -101,6 +142,33 @@ class TestClassifierModel:
         model.set_params(rng.normal(size=w.size))
         l2 = model.loss(w, x, y)
         assert l1 == pytest.approx(l2)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("logreg", {}),
+            ("mlp", {"hidden": (12, 7)}),
+            ("cnn", {"image_shape": (8, 8, 1), "cnn_scale": 0.5}),
+        ],
+    )
+    @pytest.mark.parametrize("l2_reg", [0.0, 1e-3])
+    def test_loss_is_loss_and_grad_value_bit_for_bit(self, rng, name, kwargs, l2_reg):
+        m = build_model(name, 64, 5, rng, l2_reg=l2_reg, **kwargs)
+        for n in (1, 17, 40):
+            x = rng.normal(size=(n, 64))
+            y = rng.integers(0, 5, size=n)
+            w = m.get_params() + 0.3 * rng.normal(size=m.num_params)
+            assert m.loss(w, x, y) == m.loss_and_grad(w, x, y)[0]
+
+    def test_loss_accepts_a_list_w(self, model, rng):
+        x = rng.normal(size=(4, 6))
+        y = rng.integers(0, 3, size=4)
+        w = model.get_params()
+        assert model.loss(list(w), x, y) == model.loss(w, x, y)
+
+    def test_loss_rejects_out_of_range_labels(self, model, rng):
+        with pytest.raises(ValueError):
+            model.loss(model.get_params(), rng.normal(size=(2, 6)), np.array([0, 3]))
 
     def test_predict_shape_and_range(self, model, rng):
         x = rng.normal(size=(10, 6))
