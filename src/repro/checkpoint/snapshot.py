@@ -370,7 +370,7 @@ def load_snapshot(directory: str | Path) -> Snapshot:
 
 
 def resume_experiment(
-    directory: str | Path,
+    directory: "str | Path | Snapshot",
     *,
     target_accuracy: Optional[float] = None,
     heartbeat_s: Optional[float] = None,
@@ -378,7 +378,9 @@ def resume_experiment(
     checkpoint_override=None,
     policy_hook=None,
 ):
-    """Resume an experiment from its newest snapshot under ``directory``.
+    """Resume an experiment from its newest snapshot under ``directory``
+    (or from an already loaded :class:`Snapshot`, for a caller that needs
+    its config or trace before the run starts).
 
     Rebuilds the simulation from the checkpointed config (so every
     init-time RNG draw replays), restores all stream/process state, and
@@ -391,7 +393,9 @@ def resume_experiment(
     """
     from repro.experiments.runner import Simulation, run_experiment
 
-    snapshot = load_snapshot(directory)
+    snapshot = (
+        directory if isinstance(directory, Snapshot) else load_snapshot(directory)
+    )
     config = snapshot.config
     if checkpoint_override is not None:
         config = config.replace(checkpoint=checkpoint_override)

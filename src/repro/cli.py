@@ -97,16 +97,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro import __version__
-from repro.checkpoint import CheckpointError, ExperimentInterrupted
+from repro.checkpoint import (
+    CheckpointError,
+    ExperimentInterrupted,
+    load_snapshot,
+    resume_experiment,
+)
 from repro.config import CheckpointConfig, LiveConfig, SimConfig
 from repro.fl.adversary import ATTACKS
 from repro.fl.defense import AGGREGATORS, CorruptUpdateError, TrainingDivergedError
@@ -156,163 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", default="fmnist", choices=["fmnist", "cifar10"])
-        p.add_argument("--non-iid", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--clients", type=int, default=20)
-        p.add_argument("--participants", type=int, default=5)
-        p.add_argument("--epochs", type=int, default=80)
-        p.add_argument("--save", type=str, default=None, metavar="PATH.json")
+    for name, row in EXPERIMENT_COMMANDS.items():
+        p_exp = sub.add_parser(name, help=row.help)
+        for group in row.groups:
+            OPTION_GROUPS[group].add(p_exp)
 
-    def scaling(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--num-clients", dest="clients", type=int,
-                       default=argparse.SUPPRESS, metavar="K",
-                       help="alias of --clients (large-K convention)")
-        p.add_argument("--num-shards", type=int, default=None, metavar="S",
-                       help="partition the fleet into S shards: per-shard "
-                       "FedL selection + hierarchical aggregation. Default: "
-                       "auto (clients//500 once clients >= 5000, else 1); "
-                       "pass 1 to force the flat path")
-        p.add_argument("--eval-sample", type=int, default=None, metavar="N",
-                       help="estimate the population loss from a fresh "
-                       "random panel of N available clients per epoch "
-                       "instead of sweeping all of them. Default: auto "
-                       "(2000 once clients >= 10000); pass 0 to force the "
-                       "exact full sweep")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the periodic epoch-throughput "
-                       "heartbeat on stderr")
-
-    def robustness(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--attack", default=None, choices=list(ATTACKS),
-                       help="plant deterministic Byzantine clients with this "
-                       "behavior (default: none)")
-        p.add_argument("--attack-fraction", type=float, default=None,
-                       metavar="FRAC",
-                       help="fraction of clients compromised, in (0, 1) "
-                       "(requires --attack; default 0.2)")
-        p.add_argument("--defense", default=None, choices=list(AGGREGATORS),
-                       help="update screening + robust aggregation rule "
-                       "(default: none = plain weighted mean, corrupt "
-                       "uploads abort the run)")
-
-    def checkpointing(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--checkpoint-dir", type=str, default=None,
-                       metavar="DIR",
-                       help="write atomic round-granular snapshots into DIR "
-                       "every --checkpoint-interval epochs (restart the run "
-                       "bit-identically with --resume DIR)")
-        p.add_argument("--checkpoint-interval", type=int, default=10,
-                       metavar="N",
-                       help="epochs between snapshots (default 10)")
-        p.add_argument("--checkpoint-keep", type=int, default=2, metavar="N",
-                       help="snapshots retained in --checkpoint-dir "
-                       "(default 2; older ones are pruned)")
-        p.add_argument("--resume", type=str, default=None, metavar="DIR",
-                       help="resume from the newest snapshot in DIR; the "
-                       "experiment config comes from the snapshot, so "
-                       "scenario flags are ignored. Checkpointing continues "
-                       "into the same directory unless --checkpoint-dir "
-                       "overrides it")
-
-    p_run = sub.add_parser("run", help="run one policy end to end")
-    common(p_run)
-    scaling(p_run)
-    robustness(p_run)
-    checkpointing(p_run)
-    p_run.add_argument("--policy", default="FedL", choices=ALL_POLICIES)
-    p_run.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a strategy registry parameter "
-                       "(repeatable; values are JSON, e.g. --param d=9)")
-    p_run.add_argument("--budget", type=float, default=800.0)
-    p_run.add_argument("--telemetry", type=str, default=None, metavar="DIR",
-                       help="record a structured JSONL event trace + manifest "
-                       "into DIR (render it with `repro trace DIR`)")
-
-    p_sim = sub.add_parser(
-        "sim",
-        help="run one policy on the event-driven network runtime "
-        "(message-level DES: stragglers, deadlines, retries, async)",
-    )
-    common(p_sim)
-    scaling(p_sim)
-    robustness(p_sim)
-    checkpointing(p_sim)
-    p_sim.add_argument("--policy", default="FedL", choices=ALL_POLICIES)
-    p_sim.add_argument("--budget", type=float, default=800.0)
-    p_sim.add_argument("--quick", action="store_true",
-                       help="smoke mode: cap the run at 5 epochs")
-    p_sim.add_argument("--aggregation", default="sync",
-                       choices=list(AGGREGATION_POLICIES),
-                       help="server aggregation policy for each round")
-    p_sim.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="round deadline (required with "
-                       "--aggregation deadline): updates arriving later "
-                       "are dropped, the round closes at the deadline")
-    p_sim.add_argument("--quorum", type=int, default=None, metavar="K",
-                       help="aggregate as soon as K updates arrive "
-                       "(required with --aggregation async)")
-    p_sim.add_argument("--faults", default="none",
-                       choices=sorted(FAULT_PROFILES),
-                       help="named fault profile (dropout hazard, upload "
-                       "failures + retries)")
-    p_sim.add_argument("--telemetry", type=str, default=None, metavar="DIR",
-                       help="record sim.* round/client events for "
-                       "`repro trace DIR` per-client timelines")
-
-    p_liv = sub.add_parser(
-        "live",
-        help="run one policy on the live multi-process runtime (forked "
-        "workers, real sockets, shaped uploads), or calibrate it "
-        "against the DES",
-    )
-    common(p_liv)
-    scaling(p_liv)
-    checkpointing(p_liv)
-    p_liv.add_argument("--policy", default="FedL", choices=ALL_POLICIES)
-    p_liv.add_argument("--budget", type=float, default=800.0)
-    p_liv.add_argument("--quick", action="store_true",
-                       help="smoke mode: cap the run at 5 epochs")
-    p_liv.add_argument("--aggregation", default="sync",
-                       choices=list(AGGREGATION_POLICIES),
-                       help="server aggregation policy for each round")
-    p_liv.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="round deadline in simulated seconds (required "
-                       "with --aggregation deadline)")
-    p_liv.add_argument("--quorum", type=int, default=None, metavar="K",
-                       help="aggregate as soon as K updates arrive "
-                       "(required with --aggregation async)")
-    p_liv.add_argument("--faults", default="none",
-                       choices=sorted(FAULT_PROFILES),
-                       help="named fault profile (dropout hazard, upload "
-                       "failures + retries), realized on the wall clock")
-    p_liv.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="forked client worker processes (default 2)")
-    p_liv.add_argument("--time-scale", type=float, default=None, metavar="X",
-                       help="wall seconds per simulated second (default 1; "
-                       "--calibrate defaults to 25 so shaped sleeps "
-                       "dominate host overhead)")
-    p_liv.add_argument("--transport", default="unix",
-                       choices=["unix", "tcp"],
-                       help="worker socket transport (default unix "
-                       "socketpair; tcp = loopback TCP)")
-    p_liv.add_argument("--round-timeout", type=float, default=60.0,
-                       metavar="SECONDS",
-                       help="wall-clock safety cap per iteration barrier")
-    p_liv.add_argument("--calibrate", action="store_true",
-                       help="run the scenario through DES and live per "
-                       "fault profile and print the divergence table "
-                       "(+ fault-free live-vs-loop bit-identity check)")
-    p_liv.add_argument("--profiles", nargs="+", default=None,
-                       choices=sorted(FAULT_PROFILES),
-                       help="fault profiles for --calibrate "
-                       "(default: none flaky-uplink stress)")
-    p_liv.add_argument("--out", type=str, default=None, metavar="REPORT.json",
-                       help="persist the --calibrate report as JSON")
-    p_liv.add_argument("--telemetry", type=str, default=None, metavar="DIR",
-                       help="record live.* round/client events plus the "
-                       "runtime's measured per-client stats files")
+    common = OPTION_GROUPS["common"].add
+    robustness = OPTION_GROUPS["robustness"].add
 
     p_cmp = sub.add_parser("compare", help="run the four-policy paper suite")
     common(p_cmp)
@@ -499,8 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --- option groups -------------------------------------------------------------
+# Each group of related flags is declared once: how to add it to a parser,
+# how to check it (first error message, or None) and how to lay it over an
+# ExperimentConfig.  Subcommands attach groups by name.
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dataset", default="fmnist", choices=["fmnist", "cifar10"])
+    p.add_argument("--non-iid", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clients", type=int, default=20)
+    p.add_argument("--participants", type=int, default=5)
+    p.add_argument("--epochs", type=int, default=80)
+    p.add_argument("--save", type=str, default=None, metavar="PATH.json")
+
+
 def _validate_common(args: argparse.Namespace) -> Optional[str]:
-    """Semantic argument validation shared by run/compare/sweep."""
+    """Semantic argument validation shared by run/sim/live/compare/sweep."""
     if args.clients < 1:
         return "--clients must be >= 1"
     if args.participants < 1 or args.participants > args.clients:
@@ -516,12 +388,44 @@ def _validate_common(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _validate_sim_args(
-    aggregation: Optional[str],
-    deadline: Optional[float],
-    quorum: Optional[int],
-) -> Optional[str]:
-    """Semantic validation of the event-driven-runtime knobs (sim/sweep)."""
+def _add_single_run(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", default="FedL", choices=ALL_POLICIES)
+    p.add_argument("--budget", type=float, default=800.0)
+    p.add_argument("--telemetry", type=str, default=None, metavar="DIR",
+                   help="record a structured JSONL event trace + manifest "
+                   "into DIR (render it with `repro trace DIR`; sim.*/live.* "
+                   "round/client events give per-client timelines, and the "
+                   "live runtime adds its measured per-client stats files)")
+
+
+def _add_params(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a strategy registry parameter "
+                   "(repeatable; values are JSON, e.g. --param d=9)")
+
+
+def _add_runtime(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--quick", action="store_true",
+                   help="smoke mode: cap the run at 5 epochs")
+    p.add_argument("--aggregation", default="sync",
+                   choices=list(AGGREGATION_POLICIES),
+                   help="server aggregation policy for each round")
+    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                   help="round deadline in simulated seconds (required with "
+                   "--aggregation deadline): updates arriving later are "
+                   "dropped, the round closes at the deadline")
+    p.add_argument("--quorum", type=int, default=None, metavar="K",
+                   help="aggregate as soon as K updates arrive "
+                   "(required with --aggregation async)")
+    p.add_argument("--faults", default="none",
+                   choices=sorted(FAULT_PROFILES),
+                   help="named fault profile (dropout hazard, upload "
+                   "failures + retries)")
+
+
+def _validate_runtime(args: argparse.Namespace) -> Optional[str]:
+    """Semantic validation of the network-runtime knobs (sim/live/sweep)."""
+    aggregation, deadline, quorum = args.aggregation, args.deadline, args.quorum
     if aggregation == "deadline":
         if deadline is None:
             return "--aggregation deadline requires --deadline"
@@ -539,15 +443,95 @@ def _validate_sim_args(
     return None
 
 
-def _validate_attack_args(
-    attack: Optional[str],
-    fraction: Optional[float],
-) -> Optional[str]:
+def _runtime_overlay(cfg, args: argparse.Namespace):
+    """Overlay --aggregation/--deadline/--quorum/--faults (and --quick)."""
+    return cfg.replace(
+        max_epochs=min(cfg.max_epochs, 5) if args.quick else cfg.max_epochs,
+        sim=SimConfig(
+            aggregation=args.aggregation,
+            deadline_s=args.deadline,
+            quorum=args.quorum,
+            faults=args.faults,
+        ),
+    )
+
+
+def _add_live(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=2, metavar="N",
+                   help="forked client worker processes (default 2)")
+    p.add_argument("--time-scale", type=float, default=None, metavar="X",
+                   help="wall seconds per simulated second (default 1; "
+                   "--calibrate defaults to 25 so shaped sleeps "
+                   "dominate host overhead)")
+    p.add_argument("--transport", default="unix",
+                   choices=["unix", "tcp"],
+                   help="worker socket transport (default unix "
+                   "socketpair; tcp = loopback TCP)")
+    p.add_argument("--round-timeout", type=float, default=60.0,
+                   metavar="SECONDS",
+                   help="wall-clock safety cap per iteration barrier")
+    p.add_argument("--calibrate", action="store_true",
+                   help="run the scenario through DES and live per "
+                   "fault profile and print the divergence table "
+                   "(+ fault-free live-vs-loop bit-identity check)")
+    p.add_argument("--profiles", nargs="+", default=None,
+                   choices=sorted(FAULT_PROFILES),
+                   help="fault profiles for --calibrate "
+                   "(default: none flaky-uplink stress)")
+    p.add_argument("--out", type=str, default=None, metavar="REPORT.json",
+                   help="persist the --calibrate report as JSON")
+
+
+def _validate_live_args(args: argparse.Namespace) -> Optional[str]:
+    """Semantic validation of the live-runtime knobs."""
+    if args.workers < 1:
+        return "--workers must be >= 1"
+    if args.time_scale is not None and args.time_scale <= 0:
+        return "--time-scale must be positive"
+    if args.round_timeout <= 0:
+        return "--round-timeout must be positive"
+    if args.out is not None and not args.calibrate:
+        return "--out only applies with --calibrate"
+    if args.profiles is not None and not args.calibrate:
+        return "--profiles only applies with --calibrate"
+    return None
+
+
+def _live_overlay(cfg, args: argparse.Namespace):
+    """Overlay --workers/--time-scale/--transport/--round-timeout."""
+    time_scale = args.time_scale
+    if time_scale is None:
+        time_scale = 25.0 if args.calibrate else 1.0
+    return cfg.replace(
+        live=LiveConfig(
+            workers=args.workers,
+            time_scale=time_scale,
+            transport=args.transport,
+            round_timeout_s=args.round_timeout,
+        )
+    )
+
+
+def _add_robustness(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--attack", default=None, choices=list(ATTACKS),
+                   help="plant deterministic Byzantine clients with this "
+                   "behavior (default: none)")
+    p.add_argument("--attack-fraction", type=float, default=None,
+                   metavar="FRAC",
+                   help="fraction of clients compromised, in (0, 1) "
+                   "(requires --attack; default 0.2)")
+    p.add_argument("--defense", default=None, choices=list(AGGREGATORS),
+                   help="update screening + robust aggregation rule "
+                   "(default: none = plain weighted mean, corrupt "
+                   "uploads abort the run)")
+
+
+def _validate_attack_args(args: argparse.Namespace) -> Optional[str]:
     """Semantic validation of the robustness knobs (run/sim/sweep)."""
-    if fraction is not None:
-        if attack is None or attack == "none":
+    if args.attack_fraction is not None:
+        if args.attack is None or args.attack == "none":
             return "--attack-fraction only applies with --attack"
-        if not (0.0 < fraction < 1.0):
+        if not (0.0 < args.attack_fraction < 1.0):
             return "--attack-fraction must be in (0, 1)"
     return None
 
@@ -575,8 +559,8 @@ def _attack_overlay(cfg, args: argparse.Namespace):
     return dataclasses.replace(cfg, attack=attack, defense=defense)
 
 
-#: Epoch-throughput heartbeat cadence (seconds) for run/sim; suppressed
-#: by --quiet.
+#: Epoch-throughput heartbeat cadence (seconds) for run/sim/live;
+#: suppressed by --quiet.
 HEARTBEAT_S = 10.0
 
 #: Auto-sharding thresholds: populations at or above SHARD_AUTO_CLIENTS
@@ -589,16 +573,34 @@ EVAL_AUTO_CLIENTS = 10_000
 EVAL_AUTO_SAMPLE = 2_000
 
 
+def _add_scaling(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--num-clients", dest="clients", type=int,
+                   default=argparse.SUPPRESS, metavar="K",
+                   help="alias of --clients (large-K convention)")
+    p.add_argument("--num-shards", type=int, default=None, metavar="S",
+                   help="partition the fleet into S shards: per-shard "
+                   "FedL selection + hierarchical aggregation. Default: "
+                   "auto (clients//500 once clients >= 5000, else 1); "
+                   "pass 1 to force the flat path")
+    p.add_argument("--eval-sample", type=int, default=None, metavar="N",
+                   help="estimate the population loss from a fresh "
+                   "random panel of N available clients per epoch "
+                   "instead of sweeping all of them. Default: auto "
+                   "(2000 once clients >= 10000); pass 0 to force the "
+                   "exact full sweep")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the periodic epoch-throughput "
+                   "heartbeat on stderr")
+
+
 def _validate_scaling_args(args: argparse.Namespace) -> Optional[str]:
-    """Semantic validation of --num-shards / --eval-sample (run/sim)."""
-    num_shards = getattr(args, "num_shards", None)
-    if num_shards is not None:
-        if num_shards < 1:
+    """Semantic validation of --num-shards / --eval-sample."""
+    if args.num_shards is not None:
+        if args.num_shards < 1:
             return "--num-shards must be >= 1"
-        if num_shards > args.clients:
+        if args.num_shards > args.clients:
             return "--num-shards cannot exceed --clients"
-    eval_sample = getattr(args, "eval_sample", None)
-    if eval_sample is not None and eval_sample < 0:
+    if args.eval_sample is not None and args.eval_sample < 0:
         return "--eval-sample must be >= 0 (0 = exact full sweep)"
     return None
 
@@ -610,7 +612,7 @@ def _scaling_overlay(cfg, args: argparse.Namespace):
     the pre-sharding path stays exactly what it was.
     """
     clients = cfg.population.num_clients
-    num_shards = getattr(args, "num_shards", None)
+    num_shards = args.num_shards
     if num_shards is None:
         num_shards = (
             max(1, clients // SHARD_AUTO_DIVISOR)
@@ -618,7 +620,7 @@ def _scaling_overlay(cfg, args: argparse.Namespace):
             else 1
         )
     num_shards = min(num_shards, clients)
-    eval_sample = getattr(args, "eval_sample", None)
+    eval_sample = args.eval_sample
     if eval_sample is None:
         eval_sample = EVAL_AUTO_SAMPLE if clients >= EVAL_AUTO_CLIENTS else 0
     eval_opt = None if eval_sample == 0 else int(eval_sample)
@@ -630,6 +632,26 @@ def _scaling_overlay(cfg, args: argparse.Namespace):
             cfg.shard, num_shards=num_shards, eval_sample=eval_opt
         ),
     )
+
+
+def _add_checkpointing(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint-dir", type=str, default=None,
+                   metavar="DIR",
+                   help="write atomic round-granular snapshots into DIR "
+                   "every --checkpoint-interval epochs (restart the run "
+                   "bit-identically with --resume DIR)")
+    p.add_argument("--checkpoint-interval", type=int, default=10,
+                   metavar="N",
+                   help="epochs between snapshots (default 10)")
+    p.add_argument("--checkpoint-keep", type=int, default=2, metavar="N",
+                   help="snapshots retained in --checkpoint-dir "
+                   "(default 2; older ones are pruned)")
+    p.add_argument("--resume", type=str, default=None, metavar="DIR",
+                   help="resume from the newest snapshot in DIR; the "
+                   "experiment config comes from the snapshot, so "
+                   "scenario flags are ignored. Checkpointing continues "
+                   "into the same directory unless --checkpoint-dir "
+                   "overrides it")
 
 
 def _validate_checkpoint_args(args: argparse.Namespace) -> Optional[str]:
@@ -645,79 +667,93 @@ def _validate_checkpoint_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _checkpoint_override(args: argparse.Namespace) -> Optional[CheckpointConfig]:
+    """The checkpoint destination the flags name, if they name one."""
+    if args.checkpoint_dir is None:
+        return None
+    return CheckpointConfig(
+        directory=args.checkpoint_dir,
+        interval=args.checkpoint_interval,
+        keep=args.checkpoint_keep,
+    )
+
+
 def _checkpoint_overlay(cfg, args: argparse.Namespace):
     """Overlay --checkpoint-dir/--checkpoint-interval/--checkpoint-keep."""
-    if args.checkpoint_dir is None:
-        return cfg
-    return cfg.replace(
-        checkpoint=CheckpointConfig(
-            directory=args.checkpoint_dir,
-            interval=args.checkpoint_interval,
-            keep=args.checkpoint_keep,
-        )
-    )
+    override = _checkpoint_override(args)
+    return cfg if override is None else cfg.replace(checkpoint=override)
 
 
-def _resume_hint(command: str, directory: str) -> None:
-    print(
-        f"repro: resume with: repro {command} --resume {directory}",
-        file=sys.stderr,
-    )
+@dataclasses.dataclass(frozen=True)
+class OptionGroup:
+    """One set of related flags: declare, check, lay over a config."""
+
+    add: Callable[[argparse.ArgumentParser], None]
+    validate: Callable[[argparse.Namespace], Optional[str]] = lambda args: None
+    overlay: Callable = lambda cfg, args: cfg
 
 
-def _resume_run(args: argparse.Namespace, command: str) -> int:
-    """Shared --resume path for run/sim/live.
+OPTION_GROUPS = {
+    "common": OptionGroup(_add_common, _validate_common),
+    "single-run": OptionGroup(_add_single_run),
+    "params": OptionGroup(_add_params),
+    "scaling": OptionGroup(_add_scaling, _validate_scaling_args, _scaling_overlay),
+    "runtime": OptionGroup(_add_runtime, _validate_runtime, _runtime_overlay),
+    "live": OptionGroup(_add_live, _validate_live_args, _live_overlay),
+    "robustness": OptionGroup(_add_robustness, _validate_attack_args, _attack_overlay),
+    "checkpointing": OptionGroup(
+        _add_checkpointing, _validate_checkpoint_args, _checkpoint_overlay
+    ),
+}
 
-    The entire experiment config (engine included) comes from the
-    snapshot; only the checkpoint destination can be overridden.  Exit
-    codes follow the documented contract: 2 for bad arguments (handled
-    by the caller's validation), 1 for unrecoverable runtime failures or
-    a further interruption, 0 on completion.
-    """
-    from repro.checkpoint import resume_experiment
 
-    override = None
-    if args.checkpoint_dir is not None:
-        override = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            interval=args.checkpoint_interval,
-            keep=args.checkpoint_keep,
-        )
-    try:
-        result = resume_experiment(
-            args.resume,
-            heartbeat_s=None if getattr(args, "quiet", False) else HEARTBEAT_S,
-            checkpoint_override=override,
-        )
-    except CheckpointError as exc:
-        print(f"repro: cannot resume: {exc}", file=sys.stderr)
-        return 1
-    except ExperimentInterrupted as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        _resume_hint(command, exc.directory)
-        return 1
-    except ParticipationFloorError as exc:
-        print(f"repro: run aborted: {exc}", file=sys.stderr)
-        return 1
-    except LiveError as exc:
-        print(f"repro: live runtime failed: {exc}", file=sys.stderr)
-        return 1
-    except (CorruptUpdateError, TrainingDivergedError) as exc:
-        print(f"repro: training aborted: {exc}", file=sys.stderr)
-        return 1
-    tr = result.trace
-    print(
-        f"policy={tr.policy_name} resumed={args.resume} "
-        f"epochs={len(tr)} stop={result.stop_reason}"
-    )
-    print(
-        f"final_accuracy={tr.final_accuracy:.4f} "
-        f"sim_time={tr.times[-1]:.1f}s spend={tr.total_spend:.1f}"
-    )
-    if args.save:
-        path = save_traces({tr.policy_name: tr}, args.save)
-        print(f"saved -> {path}")
-    return 0
+def _first_error(args: argparse.Namespace, groups: Sequence[str]) -> Optional[str]:
+    """The first validation error among ``groups``, in the order given."""
+    for name in groups:
+        error = OPTION_GROUPS[name].validate(args)
+        if error:
+            return error
+    return None
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentCommand:
+    """What tells ``run``/``sim``/``live`` apart: the training engine they
+    pin (``None`` = the config default), the option groups they take — in
+    validation order — and the noun of a participation-floor abort."""
+
+    help: str
+    engine: Optional[str]
+    groups: tuple
+    abort_noun: str
+
+
+EXPERIMENT_COMMANDS = {
+    "run": ExperimentCommand(
+        help="run one policy end to end",
+        engine=None,
+        groups=("common", "single-run", "params", "scaling", "robustness",
+                "checkpointing"),
+        abort_noun="run",
+    ),
+    "sim": ExperimentCommand(
+        help="run one policy on the event-driven network runtime "
+        "(message-level DES: stragglers, deadlines, retries, async)",
+        engine="des",
+        groups=("common", "single-run", "scaling", "runtime", "robustness",
+                "checkpointing"),
+        abort_noun="simulation",
+    ),
+    "live": ExperimentCommand(
+        help="run one policy on the live multi-process runtime (forked "
+        "workers, real sockets, shaped uploads), or calibrate it "
+        "against the DES",
+        engine="live",
+        groups=("common", "single-run", "scaling", "runtime", "live",
+                "checkpointing"),
+        abort_noun="live run",
+    ),
+}
 
 
 def _parse_params(pairs: Sequence[str]) -> dict:
@@ -745,272 +781,83 @@ def _parse_params(pairs: Sequence[str]) -> dict:
     return params
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    error = (
-        _validate_common(args)
-        or _validate_scaling_args(args)
-        or _validate_attack_args(args.attack, args.attack_fraction)
-        or _validate_checkpoint_args(args)
-    )
+#: Engines whose rounds play on a network timeline (``config.sim`` binds).
+TIMELINE_ENGINES = ("des", "live")
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """``run``/``sim``/``live`` and their ``--resume``: validate → config →
+    hub → run → summary, with one typed-error → exit-1 ladder.
+
+    A resumed run takes its entire experiment config (engine included)
+    from the snapshot; only the checkpoint destination can be overridden.
+    Exit codes follow the documented contract: 2 for bad arguments, 1 for
+    runtime failures or an interruption, 0 on completion.
+    """
+    command = EXPERIMENT_COMMANDS[args.command]
+    error = _first_error(args, command.groups)
     if error:
         return _usage_error(error)
-    if args.resume is not None:
-        return _resume_run(args, "run")
-    cfg = experiment_config(
-        dataset=args.dataset,
-        iid=not args.non_iid,
-        budget=args.budget,
-        seed=args.seed,
-        num_clients=args.clients,
-        min_participants=args.participants,
-        max_epochs=args.epochs,
-    )
-    cfg = _scaling_overlay(cfg, args)
-    cfg = _attack_overlay(cfg, args)
-    cfg = _checkpoint_overlay(cfg, args)
+    resuming = args.resume is not None
     try:
-        params = _parse_params(args.param)
-        policy = make_policy(
-            args.policy, cfg, RngFactory(args.seed).get("cli.policy"),
-            params=params or None,
-        )
-    except StrategyError as exc:
-        return _usage_error(str(exc))
-    hub = (
-        Telemetry.for_directory(
-            args.telemetry, run_id=f"{args.policy}[seed={args.seed}]"
-        )
-        if args.telemetry
-        else None
-    )
-    try:
-        with use_telemetry(hub):
-            result = run_experiment(
-                policy, cfg,
-                heartbeat_s=None if args.quiet else HEARTBEAT_S,
+        if resuming:
+            snapshot = load_snapshot(args.resume)
+            label, seed = snapshot.resume.trace.policy_name, snapshot.config.seed
+            run = functools.partial(
+                resume_experiment,
+                snapshot,
+                checkpoint_override=_checkpoint_override(args),
             )
-    except (CorruptUpdateError, TrainingDivergedError) as exc:
-        print(f"repro: training aborted: {exc}", file=sys.stderr)
-        return 1
-    except ExperimentInterrupted as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        _resume_hint("run", exc.directory)
-        return 1
-    except CheckpointError as exc:
-        print(f"repro: checkpoint failure: {exc}", file=sys.stderr)
-        return 1
-    if hub is not None:
-        hub.finalize(
-            meta={"command": "run", "policy": args.policy, "seed": args.seed}
-        )
-        print(f"telemetry -> {args.telemetry}", file=sys.stderr)
-    tr = result.trace
-    print(f"policy={tr.policy_name} epochs={len(tr)} stop={result.stop_reason}")
-    print(
-        f"final_accuracy={tr.final_accuracy:.4f} "
-        f"sim_time={tr.times[-1]:.1f}s spend={tr.total_spend:.1f}"
-    )
-    if args.attack not in (None, "none") or args.defense not in (None, "none"):
-        print(
-            f"attack={cfg.attack.kind} defense={cfg.defense.aggregator} "
-            f"quarantined_updates="
-            f"{sum(r.num_quarantined for r in tr.records)}"
-        )
-    if args.save:
-        path = save_traces({tr.policy_name: tr}, args.save)
-        print(f"saved -> {path}")
-    return 0
-
-
-def _cmd_sim(args: argparse.Namespace) -> int:
-    error = (
-        _validate_common(args)
-        or _validate_scaling_args(args)
-        or _validate_sim_args(args.aggregation, args.deadline, args.quorum)
-        or _validate_attack_args(args.attack, args.attack_fraction)
-        or _validate_checkpoint_args(args)
-    )
-    if error:
-        return _usage_error(error)
-    if args.resume is not None:
-        return _resume_run(args, "sim")
-    max_epochs = min(args.epochs, 5) if args.quick else args.epochs
-    cfg = experiment_config(
-        dataset=args.dataset,
-        iid=not args.non_iid,
-        budget=args.budget,
-        seed=args.seed,
-        num_clients=args.clients,
-        min_participants=args.participants,
-        max_epochs=max_epochs,
-    )
-    cfg = _scaling_overlay(cfg, args)
-    cfg = dataclasses.replace(
-        cfg,
-        training=dataclasses.replace(cfg.training, engine="des"),
-        sim=SimConfig(
-            aggregation=args.aggregation,
-            deadline_s=args.deadline,
-            quorum=args.quorum,
-            faults=args.faults,
-        ),
-    )
-    cfg = _attack_overlay(cfg, args)
-    cfg = _checkpoint_overlay(cfg, args)
-    policy = make_policy(args.policy, cfg, RngFactory(args.seed).get("cli.policy"))
-    hub = (
-        Telemetry.for_directory(
-            args.telemetry, run_id=f"{args.policy}[seed={args.seed}]"
-        )
-        if args.telemetry
-        else None
-    )
-    try:
-        with use_telemetry(hub):
-            result = run_experiment(
-                policy, cfg,
-                heartbeat_s=None if args.quiet else HEARTBEAT_S,
+        else:
+            cfg = experiment_config(
+                dataset=args.dataset,
+                iid=not args.non_iid,
+                budget=args.budget,
+                seed=args.seed,
+                num_clients=args.clients,
+                min_participants=args.participants,
+                max_epochs=args.epochs,
             )
-    except ParticipationFloorError as exc:
-        print(f"repro: simulation aborted: {exc}", file=sys.stderr)
-        return 1
-    except (CorruptUpdateError, TrainingDivergedError) as exc:
-        print(f"repro: training aborted: {exc}", file=sys.stderr)
-        return 1
-    except ExperimentInterrupted as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        _resume_hint("sim", exc.directory)
-        return 1
-    except CheckpointError as exc:
-        print(f"repro: checkpoint failure: {exc}", file=sys.stderr)
-        return 1
-    if hub is not None:
-        hub.finalize(
-            meta={
-                "command": "sim",
-                "policy": args.policy,
-                "seed": args.seed,
-                "aggregation": args.aggregation,
-                "faults": args.faults,
-            }
+            if command.engine is not None:
+                cfg = cfg.replace(
+                    training=dataclasses.replace(cfg.training, engine=command.engine)
+                )
+            for name in command.groups:
+                cfg = OPTION_GROUPS[name].overlay(cfg, args)
+            if getattr(args, "calibrate", False):
+                return _live_calibrate(args, cfg)
+            try:
+                policy = make_policy(
+                    args.policy, cfg, RngFactory(args.seed).get("cli.policy"),
+                    params=_parse_params(getattr(args, "param", ())) or None,
+                )
+            except StrategyError as exc:
+                return _usage_error(str(exc))
+            label, seed = args.policy, args.seed
+            run = functools.partial(run_experiment, policy, cfg)
+        hub = (
+            Telemetry.for_directory(args.telemetry, run_id=f"{label}[seed={seed}]")
+            if args.telemetry
+            else None
         )
-        print(f"telemetry -> {args.telemetry}", file=sys.stderr)
-    tr = result.trace
-    print(
-        f"policy={tr.policy_name} engine=des aggregation={args.aggregation} "
-        f"faults={args.faults} epochs={len(tr)} stop={result.stop_reason}"
-    )
-    print(
-        f"final_accuracy={tr.final_accuracy:.4f} "
-        f"sim_time={tr.times[-1]:.1f}s spend={tr.total_spend:.1f} "
-        f"failed_clients={sum(r.num_failed for r in tr.records)}"
-    )
-    if args.attack not in (None, "none") or args.defense not in (None, "none"):
-        print(
-            f"attack={cfg.attack.kind} defense={cfg.defense.aggregator} "
-            f"quarantined_updates="
-            f"{sum(r.num_quarantined for r in tr.records)}"
-        )
-    if args.save:
-        path = save_traces({tr.policy_name: tr}, args.save)
-        print(f"saved -> {path}")
-    return 0
-
-
-def _validate_live_args(args: argparse.Namespace) -> Optional[str]:
-    """Semantic validation of the live-runtime knobs."""
-    if args.workers < 1:
-        return "--workers must be >= 1"
-    if args.time_scale is not None and args.time_scale <= 0:
-        return "--time-scale must be positive"
-    if args.round_timeout <= 0:
-        return "--round-timeout must be positive"
-    if args.out is not None and not args.calibrate:
-        return "--out only applies with --calibrate"
-    if args.profiles is not None and not args.calibrate:
-        return "--profiles only applies with --calibrate"
-    return None
-
-
-def _cmd_live(args: argparse.Namespace) -> int:
-    error = (
-        _validate_common(args)
-        or _validate_scaling_args(args)
-        or _validate_sim_args(args.aggregation, args.deadline, args.quorum)
-        or _validate_live_args(args)
-        or _validate_checkpoint_args(args)
-    )
-    if error:
-        return _usage_error(error)
-    if args.resume is not None:
-        return _resume_run(args, "live")
-    max_epochs = min(args.epochs, 5) if args.quick else args.epochs
-    time_scale = args.time_scale
-    if time_scale is None:
-        time_scale = 25.0 if args.calibrate else 1.0
-    cfg = experiment_config(
-        dataset=args.dataset,
-        iid=not args.non_iid,
-        budget=args.budget,
-        seed=args.seed,
-        num_clients=args.clients,
-        min_participants=args.participants,
-        max_epochs=max_epochs,
-    )
-    cfg = _scaling_overlay(cfg, args)
-    cfg = dataclasses.replace(
-        cfg,
-        training=dataclasses.replace(cfg.training, engine="live"),
-        sim=SimConfig(
-            aggregation=args.aggregation,
-            deadline_s=args.deadline,
-            quorum=args.quorum,
-            faults=args.faults,
-        ),
-        live=LiveConfig(
-            workers=args.workers,
-            time_scale=time_scale,
-            transport=args.transport,
-            round_timeout_s=args.round_timeout,
-        ),
-    )
-    cfg = _checkpoint_overlay(cfg, args)
-    if args.calibrate:
-        profiles = tuple(args.profiles) if args.profiles else DEFAULT_PROFILES
-        try:
-            report = run_calibration(cfg, policy=args.policy, profiles=profiles)
-        except (LiveError, ParticipationFloorError) as exc:
-            print(f"repro: calibration aborted: {exc}", file=sys.stderr)
-            return 1
-        print(report.render())
-        if args.out:
-            path = report.save(args.out)
-            print(f"saved -> {path}")
-        if report.bit_identical is False:
-            print(
-                "repro: fault-free live run is NOT bit-identical to the "
-                "loop engine",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    policy = make_policy(args.policy, cfg, RngFactory(args.seed).get("cli.policy"))
-    hub = (
-        Telemetry.for_directory(
-            args.telemetry, run_id=f"{args.policy}[seed={args.seed}]"
-        )
-        if args.telemetry
-        else None
-    )
-    try:
         with use_telemetry(hub):
-            result = run_experiment(
-                policy, cfg,
+            result = run(
                 heartbeat_s=None if args.quiet else HEARTBEAT_S,
                 live_stats_dir=args.telemetry,
             )
+    except CheckpointError as exc:
+        what = "cannot resume" if resuming else "checkpoint failure"
+        print(f"repro: {what}: {exc}", file=sys.stderr)
+        return 1
+    except ExperimentInterrupted as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        print(
+            f"repro: resume with: repro {args.command} --resume {exc.directory}",
+            file=sys.stderr,
+        )
+        return 1
     except ParticipationFloorError as exc:
-        print(f"repro: live run aborted: {exc}", file=sys.stderr)
+        print(f"repro: {command.abort_noun} aborted: {exc}", file=sys.stderr)
         return 1
     except LiveError as exc:
         print(f"repro: live runtime failed: {exc}", file=sys.stderr)
@@ -1018,40 +865,76 @@ def _cmd_live(args: argparse.Namespace) -> int:
     except (CorruptUpdateError, TrainingDivergedError) as exc:
         print(f"repro: training aborted: {exc}", file=sys.stderr)
         return 1
-    except ExperimentInterrupted as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        _resume_hint("live", exc.directory)
-        return 1
-    except CheckpointError as exc:
-        print(f"repro: checkpoint failure: {exc}", file=sys.stderr)
-        return 1
+    cfg = result.config
     if hub is not None:
-        hub.finalize(
-            meta={
-                "command": "live",
-                "policy": args.policy,
-                "seed": args.seed,
-                "aggregation": args.aggregation,
-                "faults": args.faults,
-                "workers": args.workers,
-                "time_scale": time_scale,
-            }
-        )
+        meta = {"command": args.command, "policy": label, "seed": seed}
+        if cfg.training.engine in TIMELINE_ENGINES:
+            meta.update(aggregation=cfg.sim.aggregation, faults=cfg.sim.faults)
+        if cfg.training.engine == "live":
+            meta.update(workers=cfg.live.workers, time_scale=cfg.live.time_scale)
+        hub.finalize(meta=meta)
         print(f"telemetry -> {args.telemetry}", file=sys.stderr)
-    tr = result.trace
-    print(
-        f"policy={tr.policy_name} engine=live workers={args.workers} "
-        f"time_scale={time_scale:g} aggregation={args.aggregation} "
-        f"faults={args.faults} epochs={len(tr)} stop={result.stop_reason}"
-    )
-    print(
-        f"final_accuracy={tr.final_accuracy:.4f} "
-        f"measured_time={tr.times[-1]:.1f}s spend={tr.total_spend:.1f} "
-        f"failed_clients={sum(r.num_failed for r in tr.records)}"
-    )
+    _print_summary(result, resumed=args.resume)
     if args.save:
-        path = save_traces({tr.policy_name: tr}, args.save)
+        path = save_traces({result.trace.policy_name: result.trace}, args.save)
         print(f"saved -> {path}")
+    return 0
+
+
+def _print_summary(result, resumed: Optional[str]) -> None:
+    """The run summary, a function of the result alone — so a resumed run
+    prints the fields the run it continues would have."""
+    cfg, tr = result.config, result.trace
+    engine = cfg.training.engine
+    timeline = engine in TIMELINE_ENGINES
+    head = [f"policy={tr.policy_name}"]
+    if resumed is not None:
+        head.append(f"resumed={resumed}")
+    if timeline:
+        head.append(f"engine={engine}")
+        if engine == "live":
+            head.append(
+                f"workers={cfg.live.workers} time_scale={cfg.live.time_scale:g}"
+            )
+        head.append(f"aggregation={cfg.sim.aggregation} faults={cfg.sim.faults}")
+    head.append(f"epochs={len(tr)} stop={result.stop_reason}")
+    print(" ".join(head))
+    clock = "measured_time" if engine == "live" else "sim_time"
+    tail = (
+        f"final_accuracy={tr.final_accuracy:.4f} "
+        f"{clock}={tr.times[-1]:.1f}s spend={tr.total_spend:.1f}"
+    )
+    if timeline:
+        tail += f" failed_clients={sum(r.num_failed for r in tr.records)}"
+    print(tail)
+    if cfg.attack.kind != "none" or cfg.defense.aggregator != "none":
+        print(
+            f"attack={cfg.attack.kind} defense={cfg.defense.aggregator} "
+            f"quarantined_updates="
+            f"{sum(r.num_quarantined for r in tr.records)}"
+        )
+
+
+def _live_calibrate(args: argparse.Namespace, cfg) -> int:
+    """``repro live --calibrate``: the scenario through the DES and the live
+    runtime per fault profile, plus the fault-free bit-identity verdict."""
+    profiles = tuple(args.profiles) if args.profiles else DEFAULT_PROFILES
+    try:
+        report = run_calibration(cfg, policy=args.policy, profiles=profiles)
+    except (LiveError, ParticipationFloorError) as exc:
+        print(f"repro: calibration aborted: {exc}", file=sys.stderr)
+        return 1
+    print(report.render())
+    if args.out:
+        path = report.save(args.out)
+        print(f"saved -> {path}")
+    if report.bit_identical is False:
+        print(
+            "repro: fault-free live run is NOT bit-identical to the "
+            "loop engine",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -1102,11 +985,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    error = (
-        _validate_common(args)
-        or _validate_sim_args(args.aggregation, args.deadline, args.quorum)
-        or _validate_attack_args(args.attack, args.attack_fraction)
-        or _validate_checkpoint_args(args)
+    error = _first_error(
+        args, ("common", "runtime", "robustness", "checkpointing")
     )
     if error:
         return _usage_error(error)
@@ -1549,9 +1429,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
-        "run": _cmd_run,
-        "sim": _cmd_sim,
-        "live": _cmd_live,
+        "run": _cmd_experiment,
+        "sim": _cmd_experiment,
+        "live": _cmd_experiment,
         "compare": _cmd_compare,
         "sweep": _cmd_sweep,
         "tournament": _cmd_tournament,

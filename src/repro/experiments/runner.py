@@ -21,6 +21,7 @@ experiment itself runs as fast as NumPy allows.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import signal
 import sys
@@ -54,6 +55,7 @@ from repro.fl.adversary import Adversary
 from repro.fl.compression import CompressionSpec
 from repro.fl.defense import DefenseSpec
 from repro.fl.privacy import DPSpec, PrivacyAccountant
+from repro.live.runtime import LiveRoundSpec, LiveRuntime
 from repro.net import ChannelModel, achievable_rate, compute_latency, transmission_latency
 from repro.nn import build_model
 from repro.obs import get_telemetry
@@ -263,52 +265,35 @@ class Simulation:
         tau_loc = compute_latency(
             self.population.cycles_per_bit, bits, self.population.cpu_freq_hz
         )
-        total = self.config.network.bandwidth_hz
-        if self.config.network.mac == "tdma":
-            rates = np.asarray(
-                achievable_rate(total, channel_state.snr_per_hz()), dtype=float
-            )
-            tau_cm = np.asarray(
-                transmission_latency(self.config.network.upload_bits, rates),
-                dtype=float,
-            )
-            if upload_ratio is not None:
-                tau_cm = tau_cm * np.asarray(upload_ratio, dtype=float)
-            if selected is not None and np.any(selected):
-                sel = np.asarray(selected, dtype=bool)
-                slot_total = float(tau_cm[sel].sum())
-                tau_cm = np.where(sel, slot_total, tau_cm)
-            return np.asarray(tau_loc, dtype=float), tau_cm
-        share = total / max(1, num_sharing)
-        rates = np.asarray(
-            achievable_rate(share, channel_state.snr_per_hz()), dtype=float
+        net = self.config.network
+        tdma = net.mac == "tdma"
+        sel = (
+            np.asarray(selected, dtype=bool)
+            if selected is not None and np.any(selected)
+            else None
         )
-        if (
-            self.config.network.bandwidth_policy == "min_latency"
-            and selected is not None
-            and np.any(selected)
-        ):
+        snr = channel_state.snr_per_hz()
+        band = net.bandwidth_hz if tdma else net.bandwidth_hz / max(1, num_sharing)
+        rates = np.asarray(achievable_rate(band, snr), dtype=float)
+        if not tdma and net.bandwidth_policy == "min_latency" and sel is not None:
             from repro.net import allocate_bandwidth
 
             bw = allocate_bandwidth(
                 channel_state,
                 selected,
-                total,
-                self.config.network.upload_bits,
+                net.bandwidth_hz,
+                net.upload_bits,
                 policy="min_latency",
             )
-            sel = np.asarray(selected, dtype=bool)
-            rates[sel] = np.asarray(
-                achievable_rate(bw[sel], channel_state.snr_per_hz()[sel]),
-                dtype=float,
-            )
+            rates[sel] = np.asarray(achievable_rate(bw[sel], snr[sel]), dtype=float)
         tau_cm = np.asarray(
-            transmission_latency(self.config.network.upload_bits, rates),
-            dtype=float,
+            transmission_latency(net.upload_bits, rates), dtype=float
         )
         if upload_ratio is not None:
             # Compressed uploads shrink the payload proportionally.
             tau_cm = tau_cm * np.asarray(upload_ratio, dtype=float)
+        if tdma and sel is not None:
+            tau_cm = np.where(sel, float(tau_cm[sel].sum()), tau_cm)
         return np.asarray(tau_loc, dtype=float), tau_cm
 
     @property
@@ -378,8 +363,6 @@ def run_experiment(
     sim = simulation if simulation is not None else Simulation(config)
     live_runtime = None
     if config.training.engine == "live":
-        from repro.live.runtime import LiveRuntime
-
         live_runtime = LiveRuntime(
             sim.clients,
             num_workers=config.live.workers,
@@ -393,12 +376,35 @@ def run_experiment(
             restart_backoff_s=config.live.restart_backoff_s,
         )
     try:
-        return _run_experiment_loop(
-            policy, config, sim, target_accuracy, heartbeat_s, live_runtime, resume
-        )
+        with _deferred_signals(config.checkpoint.directory is not None) as interrupted:
+            return _run_experiment_loop(
+                policy, config, sim, target_accuracy, heartbeat_s, live_runtime,
+                resume, interrupted,
+            )
     finally:
         if live_runtime is not None:
             live_runtime.close()
+
+
+@contextlib.contextmanager
+def _deferred_signals(enabled: bool):
+    """Collect SIGTERM/SIGINT names in the yielded list instead of dying, so
+    a checkpointing run can flush a final snapshot at the next epoch
+    boundary; the previous handlers come back on exit.  Handlers can only
+    be installed from the main thread; elsewhere (and when not ``enabled``)
+    the list just stays empty."""
+    caught: list = []
+    prev_handlers = {}
+    if enabled and threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            prev_handlers[sig] = signal.signal(
+                sig, lambda signum, frame: caught.append(signal.Signals(signum).name)
+            )
+    try:
+        yield caught
+    finally:
+        for sig, handler in prev_handlers.items():
+            signal.signal(sig, handler)
 
 
 def _run_experiment_loop(
@@ -408,7 +414,8 @@ def _run_experiment_loop(
     target_accuracy: Optional[float],
     heartbeat_s: Optional[float],
     live_runtime,
-    resume=None,
+    resume,
+    interrupted: list,
 ) -> ExperimentResult:
     m = config.population.num_clients
     if resume is not None:
@@ -459,82 +466,18 @@ def _run_experiment_loop(
     run_t0 = time.monotonic()
     last_beat = run_t0
 
-    # --- checkpointing -------------------------------------------------------
-    # Enabled only when a directory is configured; the disabled path does
-    # no work per epoch beyond one None check.  SIGTERM/SIGINT are turned
-    # into a deferred final-snapshot flush at the next epoch boundary
-    # (handlers restored on exit; only touched from the main thread).
+    # Checkpointing is enabled only when a directory is configured; the
+    # disabled path does no work per epoch beyond one None check.
     ckpt = config.checkpoint
     ckpt_dir = None
-    interrupted: list = []
-    prev_handlers = {}
     if ckpt.directory is not None:
-        from repro.checkpoint import prepare_checkpoint_dir
+        from repro.checkpoint import (
+            ExperimentInterrupted,
+            prepare_checkpoint_dir,
+            write_snapshot,
+        )
 
         ckpt_dir = prepare_checkpoint_dir(ckpt.directory)
-        if threading.current_thread() is threading.main_thread():
-
-            def _on_signal(signum, frame):
-                interrupted.append(signal.Signals(signum).name)
-
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                prev_handlers[sig] = signal.signal(sig, _on_signal)
-
-    try:
-        return _drive_epochs(
-            policy=policy,
-            config=config,
-            sim=sim,
-            target_accuracy=target_accuracy,
-            heartbeat_s=heartbeat_s,
-            live_runtime=live_runtime,
-            trace=trace,
-            state=state,
-            counts_buf=counts_buf,
-            remaining=remaining,
-            cumulative_time=cumulative_time,
-            final_w=final_w,
-            epochs_done=epochs_done,
-            done_at_start=done_at_start,
-            start_epoch=start_epoch,
-            run_t0=run_t0,
-            last_beat=last_beat,
-            stop_reason=stop_reason,
-            ckpt_dir=ckpt_dir,
-            interrupted=interrupted,
-            tel=tel,
-        )
-    finally:
-        for sig, handler in prev_handlers.items():
-            signal.signal(sig, handler)
-
-
-def _drive_epochs(
-    *,
-    policy,
-    config,
-    sim,
-    target_accuracy,
-    heartbeat_s,
-    live_runtime,
-    trace,
-    state,
-    counts_buf,
-    remaining,
-    cumulative_time,
-    final_w,
-    epochs_done,
-    done_at_start,
-    start_epoch,
-    run_t0,
-    last_beat,
-    stop_reason,
-    ckpt_dir,
-    interrupted,
-    tel,
-):
-    m = config.population.num_clients
-    ckpt = config.checkpoint
     # Per-client reliability (EWMA of "this round produced no rejected or
     # clipped updates"); only maintained — and only surfaced to policies —
     # when a defense aggregator is active, so the default path is unchanged.
@@ -557,8 +500,24 @@ def _drive_epochs(
         if config.shard.num_shards > 1 and hasattr(policy, "plan")
         else None
     )
-    if ckpt_dir is not None:
-        from repro.checkpoint import ExperimentInterrupted, write_snapshot
+    # The DES and live engines play every round from a network-timeline
+    # spec; its fault profile is a function of the fixed config.
+    timeline_engine = config.training.engine in ("des", "live")
+    if timeline_engine:
+        profile = fault_profile(config.sim.faults)
+        if profile.dropout_hazard > 0.0 and isinstance(
+            sim.availability, MarkovAvailabilityProcess
+        ):
+            # Sojourn-consistent churn: reuse the Markov chain's
+            # intra-round hazard instead of the preset's generic rate.
+            profile = dataclasses.replace(
+                profile,
+                dropout_hazard=float(sim.availability.intra_round_hazard()),
+            )
+        # Live fault realizations are drawn with the same machinery as the
+        # DES's but from a dedicated stream, so calibration compares two
+        # honest samples.
+        fault_stream = "sim.runtime" if live_runtime is None else "live.faults"
 
     for t in range(start_epoch, config.max_epochs):
         if tel.enabled:
@@ -655,36 +614,21 @@ def _drive_epochs(
         rho_eff = decision.rho if np.isfinite(decision.rho) else float(decision.iterations)
         target_eta = max(0.0, 1.0 - 1.0 / max(rho_eff, 1.0))
 
-        # Event-driven / live engines: build the network timeline spec
-        # from the same τ components the closed-form latency below uses,
-        # so that a fault-free sync round reproduces epoch_latency
-        # bit-exactly (DES) or tracks it up to host overhead (live).
-        use_des = config.training.engine == "des"
-        use_live = config.training.engine == "live"
-        sim_spec = None
-        sim_rng = None
-        live_spec = None
-        live_rng = None
-        if use_des or use_live:
+        # Timeline engines: build the round spec from the same τ components
+        # the closed-form latency below uses, so that a fault-free sync
+        # round reproduces epoch_latency bit-exactly (DES) or tracks it up
+        # to host overhead (live).  ``source_args`` is what the engine's
+        # solve source needs beyond its name.
+        source_args: dict = {}
+        if timeline_engine:
             tau_loc_c, tau_cm_c = sim.realized_tau_components(
                 counts,
                 channel_state,
                 int(contributors.sum()),
                 selected=contributors,
             )
-            profile = fault_profile(config.sim.faults)
-            if profile.dropout_hazard > 0.0 and isinstance(
-                sim.availability, MarkovAvailabilityProcess
-            ):
-                # Sojourn-consistent churn: reuse the Markov chain's
-                # intra-round hazard instead of the preset's generic rate.
-                profile = dataclasses.replace(
-                    profile,
-                    dropout_hazard=float(sim.availability.intra_round_hazard()),
-                )
             ids = np.flatnonzero(contributors)
-        if use_des:
-            sim_spec = SimRoundSpec(
+            physics = dict(
                 client_ids=ids,
                 tau_loc=tau_loc_c[ids],
                 tau_cm=tau_cm_c[ids],
@@ -696,32 +640,16 @@ def _drive_epochs(
                 # Only guard the runtime's own drops: the pre-existing
                 # failure injection may already run below the global floor.
                 min_participants=min(config.min_participants, int(ids.size)),
-                # The per-message timeline only feeds sim.* telemetry and
-                # gantt views — skip the allocations when nobody listens.
-                record_timeline=tel.enabled,
             )
-            if profile.stochastic:
-                sim_rng = sim.rng.get("sim.runtime")
-        elif use_live:
-            from repro.live.runtime import LiveRoundSpec
-
-            live_spec = LiveRoundSpec(
-                client_ids=ids,
-                tau_loc=tau_loc_c[ids],
-                tau_cm=tau_cm_c[ids],
-                iterations=decision.iterations,
-                aggregation=config.sim.aggregation,
-                deadline_s=config.sim.deadline_s,
-                quorum=config.sim.quorum,
-                faults=profile,
-                min_participants=min(config.min_participants, int(ids.size)),
-                time_scale=config.live.time_scale,
-            )
-            if profile.stochastic:
-                # A dedicated stream: live fault realizations are drawn
-                # with the same machinery but independently of the DES,
-                # so calibration compares two honest samples.
-                live_rng = sim.rng.get("live.faults")
+            fault_rng = sim.rng.get(fault_stream) if profile.stochastic else None
+            if live_runtime is None:
+                source_args = dict(
+                    # The per-message timeline only feeds sim.* telemetry
+                    # and gantt views — skip the allocations when nobody
+                    # listens.
+                    sim_spec=SimRoundSpec(**physics, record_timeline=tel.enabled),
+                    sim_rng=fault_rng,
+                )
 
         if eval_sample is not None:
             # Sample this epoch's evaluation panel from the available
@@ -743,15 +671,17 @@ def _drive_epochs(
                 config.data.num_classes,
             )
 
-        live_round = None
-        if use_live:
+        if live_runtime is not None:
             # Ship this epoch's (possibly poisoned) contributor datasets
             # to the owning workers — the exact arrays the parent-side
             # clients hold, so worker solves match the loop engine's.
             live_runtime.install_data(
                 {int(k): sim.clients[k].data for k in ids}
             )
-            live_round = live_runtime.begin_round(live_spec, live_rng)
+            live_spec = LiveRoundSpec(**physics, time_scale=config.live.time_scale)
+            source_args = dict(
+                live_round=live_runtime.begin_round(live_spec, fault_rng)
+            )
 
         with tel.timer("experiment.round"):
             result = run_federated_round(
@@ -767,14 +697,12 @@ def _drive_epochs(
                 dp_rng=sim.rng.get("fl.dp"),
                 dp_accountant=sim.dp_accountant,
                 engine=config.training.engine,
-                sim_spec=sim_spec,
-                sim_rng=sim_rng,
-                live_round=live_round,
                 adversary=sim.adversary,
                 defense=sim.defense_spec,
                 epoch=t,
                 eval_mask=eval_mask,
                 shard_of=shard_of,
+                **source_args,
             )
         final_w = result.w
         # Realized latencies: the band was shared by the actual uploaders
@@ -788,7 +716,7 @@ def _drive_epochs(
             selected=contributors,
             upload_ratio=result.upload_ratio,
         )
-        if use_des or use_live:
+        if result.timeline is not None:
             # The simulated (DES) or measured (live) timeline realizes
             # the epoch latency directly (equal to the closed form below
             # when fault-free and sync; shorter with deadline/async,
@@ -805,19 +733,12 @@ def _drive_epochs(
         state.observe_latency(tau_real, available)
         # The round already swept every available client's loss at the
         # final model for its population loss; reuse instead of recomputing.
-        if result.local_losses is not None:
-            new_losses = result.local_losses.copy()
-        else:
-            new_losses = np.full(m, np.nan)
-            for k in np.flatnonzero(available):
-                new_losses[k] = sim.clients[k].local_loss(sim.server.w)
+        new_losses = result.local_losses.copy()
         state.observe_losses(new_losses)
 
         num_failed = int(sel.sum()) - int(survivors.sum())
-        if use_des and result.sim is not None:
-            num_failed += len(result.sim.dropped)
-        if use_live and result.live is not None:
-            num_failed += len(result.live.dropped)
+        if result.timeline is not None:
+            num_failed += len(result.timeline.dropped)
 
         num_quarantined = 0
         if result.defense is not None:
@@ -868,7 +789,7 @@ def _drive_epochs(
                 },
             )
         feedback_mask = contributors
-        if use_des or use_live:
+        if result.timeline is not None:
             # Clients the runtime dropped before any upload landed have no
             # observed η̂/τ — don't feed them back as if they participated.
             feedback_mask = contributors & ~np.isnan(result.local_etas)

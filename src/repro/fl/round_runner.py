@@ -23,35 +23,48 @@ The runner also records everything the FedL controller needs to observe
 loss ``F̃_t(w^{l_t})``, and the all-available-clients loss ``F_t(w^{l_t})``
 for constraint (3d).
 
-Two execution engines produce bit-identical results: ``"loop"`` runs the
-clients sequentially (the reference implementation), ``"batched"`` drives
-all local solves through :class:`repro.fl.batched.BatchedClientEngine` in
-stacked numpy ops.  ``"auto"`` (default) picks batched whenever the model
-supports it (dense ``Sequential`` stacks; CNNs fall back to the loop).
+Who executes the local solves, and which clients' updates arrive at
+iteration ``i``, is the only thing the engines differ in.
+:func:`run_federated_round` reads the engine name once, to pick a *solve
+source*, and from then on the iteration loop, the DP → compress → corrupt
+→ screen → combine → apply chain, the observables and the telemetry run
+once against this protocol:
 
-A third engine, ``"des"``, first simulates the round on the event-driven
-network runtime (:mod:`repro.sim`) and then trains with the *per-
-iteration contributor sets* the simulation produced: stragglers dropped
-by a deadline, clients lost to mid-round faults, or uploads cancelled by
-an async quorum simply stop contributing from that iteration on.  With
-faults and deadlines disabled under sync aggregation every contributor
-set is the full participant list and the engine is bit-identical to
-``"loop"`` (per-client RNG streams are isolated, so skipping one
-client's solve never perturbs another's draw).
+``sweep(parts) -> grads``
+    ``[∇F_k(w)]`` of ``parts`` at the server's current model.  The source
+    owns the hand-off of the ``(F_k(w), ∇F_k(w))`` pairs to the next solve.
+``solve(it, w, ḡ, η) -> (parts, [(d, η̂)])``
+    Iteration ``it``'s contributors, in ascending client id, and their
+    local-solve outputs at the broadcast point (an iterable the round
+    consumes once, in order).
+``losses(clients, w) -> [F_k(w)]``
+    The end-of-round loss sweep.
+``finish() -> timeline | None``
+    The round's network timeline (``completion_time``, ``dropped``,
+    per-iteration ``contributors``, ...) when the source has one.
 
-The fourth engine, ``"live"``, delegates every local solve to forked
-worker processes (:mod:`repro.live`): each iteration broadcasts
-``(w, ḡ)`` over sockets and the arrivals — real serialized updates that
-survived the shaped upload path — take the place of the in-process
-solves.  Aggregation, DP, compression, adversary and defense all still
-run here in the server process, in ascending-client-id order, so a
-fault-free sync live round is bit-identical to ``"loop"`` while the
-round's *timeline* is measured off the wall clock.
+The four sources: ``"loop"`` solves every participant sequentially in this
+process (the reference); ``"batched"`` drives the same solves through
+:class:`repro.fl.batched.BatchedClientEngine` in stacked numpy ops,
+bit-identically (``"auto"``, the default, picks it whenever the model
+supports it — dense ``Sequential`` stacks; CNNs fall back to the loop);
+``"des"`` is the loop gated by the per-iteration contributor sets of a
+round pre-simulated on the event-driven network runtime
+(:mod:`repro.sim`) — stragglers dropped by a deadline, clients lost to
+mid-round faults and uploads cancelled by an async quorum stop
+contributing from that iteration on; ``"live"`` takes the *measured*
+arrivals of forked worker processes (:mod:`repro.live`) that run the real
+solves and ship serialized updates back over shaped sockets.  Per-client
+RNG streams are isolated, so skipping one client's solve never perturbs
+another's draw: a fault-free sync DES or live round is bit-identical to
+``"loop"``, with the round's timeline simulated or measured off the wall
+clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,8 +88,6 @@ from repro.sim.entities import RoundOutcome, SimRoundSpec, simulate_round
 
 __all__ = ["RoundResult", "run_federated_round"]
 
-ENGINES = ("auto", "loop", "batched", "des", "live")
-
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -98,12 +109,12 @@ class RoundResult:
                                         # the per-client sweep behind
                                         # population_loss, exposed so callers
                                         # don't recompute it
-    completion_time: Optional[float] = None     # DES engine: simulated d(E_t)
-                                        # (None for the closed-form engines)
-    sim: Optional[RoundOutcome] = None  # DES engine: full round outcome
-                                        # (drops, retries, timeline)
-    live: Optional[LiveRoundOutcome] = None     # live engine: measured round
-                                        # outcome (drops, retries, wall times)
+    completion_time: Optional[float] = None     # d(E_t) of ``timeline`` (None
+                                        # for the closed-form engines)
+    timeline: "RoundOutcome | LiveRoundOutcome | None" = None   # the round's
+                                        # simulated (DES) or measured (live)
+                                        # network outcome: drops, retries,
+                                        # per-iteration contributors
     defense: Optional[DefenseRoundReport] = None   # quarantine bookkeeping
                                         # (None when no defense is active)
 
@@ -122,6 +133,217 @@ class RoundResult:
             object.__setattr__(
                 self, "local_losses", np.asarray(self.local_losses, dtype=float)
             )
+
+
+def _check_spec(spec, participants: Sequence[FLClient], iterations: int) -> None:
+    """A round spec must describe exactly the round about to be trained."""
+    if {int(i) for i in spec.client_ids} != {c.client_id for c in participants}:
+        raise ValueError("round spec client_ids must match the selected clients")
+    if spec.iterations != iterations:
+        raise ValueError("round spec iterations must match iterations")
+
+
+class _LoopSource:
+    """Every participant solves sequentially in this process (the
+    reference), each solve starting from the pair the last sweep computed.
+    ``iterations`` is what a spec-carrying source checks its spec against."""
+
+    name = "loop"
+
+    def __init__(
+        self, server: FLServer, participants: List[FLClient], iterations: int
+    ) -> None:
+        self.server = server
+        self.participants = participants
+        # The (F_k(w), ∇F_k(w)) pairs of the latest sweep, by client id.
+        # Every sweep replaces the dict and each pair is popped by that
+        # client's next solve, which starts at the same w, so no pair
+        # outlives the point it was evaluated at.
+        self.starts: Dict[int, Tuple[float, np.ndarray]] = {}
+
+    def sweep(self, parts: Sequence[FLClient]) -> List[np.ndarray]:
+        pairs = [c.local_grad(self.server.w, with_loss=True) for c in parts]
+        self.starts = dict(zip((c.client_id for c in parts), pairs))
+        return [g for _, g in pairs]
+
+    def arrivals(self, it: int) -> List[FLClient]:
+        return self.participants
+
+    def solve(self, it, w, global_grad, target_eta):
+        parts = self.arrivals(it)
+        # Lazy: each solve runs when the round consumes it, so only one
+        # raw update is alive at a time next to the processed ones.
+        return parts, (
+            c.train_iteration(
+                w,
+                global_grad,
+                target_eta=target_eta,
+                # None for a client the last sweep did not cover: it
+                # evaluates its own starting pair.
+                start=self.starts.pop(c.client_id, None),
+            )[:2]
+            for c in parts
+        )
+
+    def losses(self, clients: Sequence[FLClient], w: np.ndarray):
+        return [c.local_loss(w) for c in clients]
+
+    def finish(self):
+        return None
+
+
+class _BatchedSource(_LoopSource):
+    """All participants' solves in stacked numpy ops, bit-identical to the
+    loop; the engine caches each sweep for the next iteration's solve."""
+
+    name = "batched"
+
+    def __init__(self, server, participants, iterations) -> None:
+        super().__init__(server, participants, iterations)
+        if not BatchedClientEngine.supported(server.model, participants):
+            raise ValueError("batched engine does not support this model")
+        self.engine = BatchedClientEngine(server.model, participants)
+
+    def sweep(self, parts):
+        return self.engine.local_grads(self.server.w)
+
+    def solve(self, it, w, global_grad, target_eta):
+        solves = self.engine.train_iteration_all(
+            w, global_grad, target_eta=target_eta
+        )
+        return self.participants, [(d, eta_hat) for d, eta_hat, _ in solves]
+
+    def losses(self, clients, w):
+        if BatchedClientEngine.supported(self.server.model, clients):
+            return batched_local_losses(self.server.model, clients, w)
+        return super().losses(clients, w)
+
+
+def _auto_source(server, participants, iterations) -> _LoopSource:
+    """Batched whenever the model supports it, else the loop."""
+    if BatchedClientEngine.supported(server.model, participants):
+        return _BatchedSource(server, participants, iterations)
+    return _LoopSource(server, participants, iterations)
+
+
+class _DesSource(_LoopSource):
+    """The loop, gated by a network timeline simulated up front: a client
+    dropped at iteration i stops contributing from i on, exactly like the
+    loop with a shrinking mask."""
+
+    name = "des"
+
+    def __init__(
+        self, server, participants, iterations, spec: SimRoundSpec, rng
+    ) -> None:
+        super().__init__(server, participants, iterations)
+        _check_spec(spec, participants, iterations)
+        tel = get_telemetry()
+        with tel.timer("sim.round"):
+            out = self.timeline = simulate_round(spec, rng=rng)
+        self.contributors = [{int(i) for i in ids} for ids in out.contributors]
+        if tel.enabled:
+            _emit_timeline_telemetry(
+                tel,
+                "sim",
+                spec,
+                out,
+                round_data={
+                    "completion_time": out.completion_time,
+                    "iteration_durations": list(out.iteration_durations),
+                },
+                client_data={"busy_s": out.client_busy_s, "last_t": out.client_last_t},
+            )
+
+    def arrivals(self, it):
+        return [
+            c for c in self.participants if c.client_id in self.contributors[it]
+        ]
+
+    def finish(self) -> RoundOutcome:
+        return self.timeline
+
+
+class _LiveSource(_LoopSource):
+    """The forked worker fleet behind a started ``LiveRound`` runs the
+    real solves; the arrivals — serialized updates that survived the
+    shaped upload path — come back sorted by client id, so the
+    aggregation order matches the loop's.  The barrier wait *is* the
+    solve time."""
+
+    name = "live"
+
+    def __init__(
+        self, server, participants, iterations, live_round: LiveRound
+    ) -> None:
+        super().__init__(server, participants, iterations)
+        _check_spec(live_round.spec, participants, iterations)
+        self.live_round = live_round
+        self.by_id = {c.client_id: c for c in participants}
+
+    def sweep(self, parts):
+        # No hand-off: the solves run in the workers, which evaluate
+        # their own starting pairs.
+        return [c.local_grad(self.server.w) for c in parts]
+
+    def solve(self, it, w, global_grad, target_eta):
+        arrivals = self.live_round.run_iteration(
+            it, w, global_grad, target_eta=target_eta
+        )
+        return (
+            [self.by_id[cid] for cid, _, _ in arrivals],
+            [(d, eta_hat) for _, d, eta_hat in arrivals],
+        )
+
+    def finish(self) -> LiveRoundOutcome:
+        outcome = self.live_round.finish()
+        tel = get_telemetry()
+        if tel.enabled:
+            # Measured wall-clock quantities ride in the ``dur`` slot so
+            # they land in the event's ``ts`` block, keeping canonical
+            # telemetry lines comparable across runs.
+            spec = self.live_round.spec
+            _emit_timeline_telemetry(
+                tel,
+                "live",
+                spec,
+                outcome,
+                round_data={
+                    "time_scale": spec.time_scale,
+                    "worker_deaths": outcome.worker_deaths,
+                    "worker_restarts": outcome.worker_restarts,
+                },
+                round_dur=outcome.completion_time * spec.time_scale,
+                client_dur={
+                    cid: float(sum(offsets)) * spec.time_scale
+                    for cid, offsets in outcome.arrival_offsets.items()
+                },
+            )
+            tel.counter("live.worker_deaths", outcome.worker_deaths)
+            tel.counter("live.worker_restarts", outcome.worker_restarts)
+        return outcome
+
+
+def _solve_source(engine, sim_spec, sim_rng, live_round, dp_on_client_rng):
+    """The one place the engine name is read: check the arguments its
+    source needs and return ``build(server, participants, iterations)``."""
+    if engine == "des":
+        if sim_spec is None:
+            raise ValueError("engine='des' requires a sim_spec")
+        return functools.partial(_DesSource, spec=sim_spec, rng=sim_rng)
+    if engine == "live":
+        if live_round is None:
+            raise ValueError("engine='live' requires a live_round")
+        if dp_on_client_rng:
+            # Per-client RNG streams live in the forked workers; drawing DP
+            # noise from the parent-side stream would silently diverge from
+            # the loop engine's draw order.
+            raise ValueError("engine='live' with DP requires a dedicated dp_rng")
+        return functools.partial(_LiveSource, live_round=live_round)
+    in_process = {"auto": _auto_source, "loop": _LoopSource, "batched": _BatchedSource}
+    if engine not in in_process:
+        raise ValueError(f"unknown engine {engine!r}")
+    return in_process[engine]
 
 
 def run_federated_round(
@@ -187,19 +409,13 @@ def run_federated_round(
     """
     if aggregation not in ("uniform", "weighted"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "des" and sim_spec is None:
-        raise ValueError("engine='des' requires a sim_spec")
-    if engine == "live" and live_round is None:
-        raise ValueError("engine='live' requires a live_round")
-    if engine == "live" and dp_spec is not None and dp_rng is None:
-        # Per-client RNG streams live in the forked workers; drawing DP
-        # noise from the parent-side stream would silently diverge from
-        # the loop engine's draw order.
-        raise ValueError("engine='live' with DP requires a dedicated dp_rng")
-    if engine != "live":
-        live_round = None
+    build_source = _solve_source(
+        engine,
+        sim_spec,
+        sim_rng,
+        live_round,
+        dp_on_client_rng=dp_spec is not None and dp_rng is None,
+    )
     sel = np.asarray(selected_mask, dtype=bool)
     avail = np.asarray(available_mask, dtype=bool)
     if sel.shape != avail.shape or sel.size != len(clients):
@@ -211,73 +427,18 @@ def run_federated_round(
         raise ValueError("at least one client must be selected")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if live_round is not None:
-        spec_ids = {int(i) for i in live_round.spec.client_ids}
-        if spec_ids != {c.client_id for c in participants}:
-            raise ValueError(
-                "live_round.spec.client_ids must match the selected clients"
-            )
-        if live_round.spec.iterations != iterations:
-            raise ValueError("live_round.spec.iterations must match iterations")
-    batched_engine: Optional[BatchedClientEngine] = None
-    if engine in ("auto", "batched"):
-        supported = BatchedClientEngine.supported(server.model, participants)
-        if engine == "batched" and not supported:
-            raise ValueError("batched engine does not support this model")
-        if supported:
-            batched_engine = BatchedClientEngine(server.model, participants)
+    source = build_source(server, participants, iterations)
 
     tel = get_telemetry()
-    # DES engine: simulate the round's network timeline first; the
-    # simulated per-iteration contributor sets then gate the training
-    # loop below (a client dropped at iteration i stops contributing
-    # from i on, exactly like the loop engine with a shrinking mask).
-    outcome: Optional[RoundOutcome] = None
-    contrib_sets: Optional[List[set]] = None
-    if engine == "des":
-        spec_ids = {int(i) for i in sim_spec.client_ids}
-        if spec_ids != {c.client_id for c in participants}:
-            raise ValueError("sim_spec.client_ids must match the selected clients")
-        if sim_spec.iterations != iterations:
-            raise ValueError("sim_spec.iterations must match iterations")
-        with tel.timer("sim.round"):
-            outcome = simulate_round(sim_spec, rng=sim_rng)
-        contrib_sets = [{int(i) for i in ids} for ids in outcome.contributors]
-        if tel.enabled:
-            _emit_sim_telemetry(tel, sim_spec, outcome)
     num_available = int(avail.sum())
     defense_report = (
         DefenseRoundReport.empty(len(clients), defense.aggregator)
         if defense is not None
         else None
     )
-    # Participant sample sizes, computed once and reused for the weighted
-    # aggregation and the participant-loss weights below.
-    part_sizes = [c.num_samples for c in participants]
-    sample_counts = part_sizes if aggregation == "weighted" else None
-
-    # Loop path: the (F_k(w), ∇F_k(w)) pairs of the latest gradient sweep,
-    # by client id.  Each is popped by that client's next solve, which
-    # starts at the same w, and every sweep empties the dict first, so no
-    # pair outlives the point it was evaluated at.
-    starts: Dict[int, Tuple[float, np.ndarray]] = {}
-
-    def participant_grads(
-        parts: Optional[Sequence[FLClient]] = None,
-    ) -> List[np.ndarray]:
-        if batched_engine is not None:
-            # Also primes the engine's cache so the next iteration's solve
-            # reuses these gradients instead of recomputing them.
-            return batched_engine.local_grads(server.w)
-        plist = participants if parts is None else parts
-        pairs = [c.local_grad(server.w, with_loss=True) for c in plist]
-        starts.clear()
-        if live_round is None:  # live solves run in the workers
-            starts.update(zip((c.client_id for c in plist), pairs))
-        return [g for _, g in pairs]
 
     # Initial aggregated gradient at the incoming model.
-    global_grad = FLServer.aggregate_gradients(participant_grads())
+    global_grad = FLServer.aggregate_gradients(source.sweep(participants))
     # Flat per-client accumulators (no dicts on the hot path): zeros +
     # greater-than update is exactly the old ``max(prev, eta_hat)`` with a
     # 0.0 prior, masked to NaN below for clients that never contributed.
@@ -287,59 +448,15 @@ def run_federated_round(
     compressed_bits = 0.0
     full_bits = 0.0
     prev_global_delta: np.ndarray | None = None
-    client_by_id = {c.client_id: c for c in participants}
     for it in range(iterations):
-        if contrib_sets is None:
-            iter_parts = participants
-            iter_counts = sample_counts
-        else:
-            iter_parts = [
-                c for c in participants if c.client_id in contrib_sets[it]
-            ]
-            iter_counts = (
-                [c.num_samples for c in iter_parts]
-                if aggregation == "weighted"
-                else None
-            )
         w_broadcast = server.w.copy()
         updates: List[np.ndarray] = []
         update_ids: List[int] = []
         with tel.timer("round.local_solve"):
-            live_solves = None
-            if live_round is not None:
-                # The barrier wait *is* the solve time: workers run the
-                # real DANE solves and ship back serialized updates;
-                # arrivals come sorted by client id, so the aggregation
-                # order below matches the loop engine's.
-                arrivals = live_round.run_iteration(
-                    it, w_broadcast, global_grad, target_eta=target_eta
-                )
-                iter_parts = [client_by_id[cid] for cid, _, _ in arrivals]
-                iter_counts = (
-                    [c.num_samples for c in iter_parts]
-                    if aggregation == "weighted"
-                    else None
-                )
-                live_solves = {cid: (d, eta) for cid, d, eta in arrivals}
-            solves = (
-                batched_engine.train_iteration_all(
-                    w_broadcast, global_grad, target_eta=target_eta
-                )
-                if batched_engine is not None
-                else None
+            iter_parts, solves = source.solve(
+                it, w_broadcast, global_grad, target_eta
             )
-            for pos, client in enumerate(iter_parts):
-                if live_solves is not None:
-                    d, eta_hat = live_solves[client.client_id]
-                elif solves is not None:
-                    d, eta_hat, _ = solves[pos]
-                else:
-                    d, eta_hat, _ = client.train_iteration(
-                        w_broadcast,
-                        global_grad,
-                        target_eta=target_eta,
-                        start=starts.pop(client.client_id, None),
-                    )
+            for client, (d, eta_hat) in zip(iter_parts, solves):
                 if dp_spec is not None:
                     # DP first (clip + noise on the raw update, [29]
                     # defense), then any compression of the privatized
@@ -385,7 +502,11 @@ def run_federated_round(
                 defense=defense,
                 epoch=epoch,
                 iteration=it,
-                sample_counts=iter_counts,
+                sample_counts=(
+                    [c.num_samples for c in iter_parts]
+                    if aggregation == "weighted"
+                    else None
+                ),
             )
             if defense_report is not None:
                 for cid in screened.rejected_ids:
@@ -439,17 +560,14 @@ def run_federated_round(
             prev_global_delta = server.w - w_broadcast
             if it + 1 < iterations:
                 global_grad = FLServer.aggregate_gradients(
-                    participant_grads(iter_parts)
+                    source.sweep(iter_parts)
                 )
             elif not iter_parts:
                 # ḡ is aggregated only when a next iteration will read it;
                 # an empty final contributor set fails as that sweep would.
                 raise ValueError("no gradients to aggregate")
 
-    live_outcome = live_round.finish() if live_round is not None else None
-    if live_outcome is not None and tel.enabled:
-        _emit_live_telemetry(tel, live_round.spec, live_outcome)
-    dynamic = contrib_sets is not None or live_outcome is not None
+    timeline = source.finish()
 
     # Observables.
     contributed = contrib_counts > 0
@@ -466,26 +584,15 @@ def run_federated_round(
     avail_clients = [c for c in clients if sweep[c.client_id]]
     if not avail_clients:
         raise ValueError("no available clients to evaluate")
-    if batched_engine is not None and BatchedClientEngine.supported(
-        server.model, avail_clients
-    ):
-        avail_losses = batched_local_losses(server.model, avail_clients, server.w)
-    else:
-        avail_losses = [c.local_loss(server.w) for c in avail_clients]
+    avail_losses = source.losses(avail_clients, server.w)
     sweep_ids = np.asarray([c.client_id for c in avail_clients])
     local_losses = np.full(len(clients), np.nan)
     local_losses[sweep_ids] = np.asarray(avail_losses, dtype=float)
-    # Under DES/live, clients that never got an upload through did not
-    # shape the model — the participant loss weights only actual
-    # contributors.
-    eval_parts = participants
-    if dynamic:
-        eval_parts = [c for c in participants if contrib_counts[c.client_id] > 0]
-    sizes = np.asarray(
-        part_sizes if not dynamic
-        else [c.num_samples for c in eval_parts],
-        dtype=float,
-    )
+    # Clients that never got an upload through (dropped by the timeline)
+    # did not shape the model — the participant loss weights only actual
+    # contributors, which without a timeline is every participant.
+    eval_parts = [c for c in participants if contributed[c.client_id]]
+    sizes = np.asarray([c.num_samples for c in eval_parts], dtype=float)
     weights = sizes / sizes.sum()
     participant_loss = float(
         weights
@@ -494,13 +601,10 @@ def run_federated_round(
     pop_weights = np.asarray([c.num_samples for c in avail_clients], dtype=float)
     pop_weights /= pop_weights.sum()
     population_loss = float(pop_weights @ np.asarray(avail_losses))
+    # Mean over the iterations each client's upload landed in (all of them
+    # without a timeline).
     upload_ratio = np.ones(len(clients))
-    for c in participants:
-        n = int(contrib_counts[c.client_id])
-        if n:
-            # n == iterations for the closed-form engines; under DES it
-            # is the number of iterations this client's upload landed.
-            upload_ratio[c.client_id] = ratio_sum[c.client_id] / n
+    np.divide(ratio_sum, contrib_counts, out=upload_ratio, where=contributed)
     if tel.enabled:
         tel.counter("round.upload_bits_full", full_bits)
         tel.counter("round.upload_bits_sent", compressed_bits)
@@ -548,11 +652,7 @@ def run_federated_round(
                 "eta_max": eta_max,
                 "upload_bits_full": full_bits,
                 "upload_bits_sent": compressed_bits,
-                "engine": (
-                    engine
-                    if engine in ("des", "live")
-                    else ("batched" if batched_engine is not None else "loop")
-                ),
+                "engine": source.name,
             },
         )
     return RoundResult(
@@ -566,77 +666,32 @@ def run_federated_round(
         eta_max=eta_max,
         upload_ratio=upload_ratio,
         local_losses=local_losses,
-        completion_time=(
-            outcome.completion_time
-            if outcome is not None
-            else (
-                live_outcome.completion_time
-                if live_outcome is not None
-                else None
-            )
-        ),
-        sim=outcome,
-        live=live_outcome,
+        completion_time=None if timeline is None else timeline.completion_time,
+        timeline=timeline,
         defense=defense_report,
     )
 
 
-def _emit_live_telemetry(tel, spec, outcome) -> None:
-    """Publish the measured round through the telemetry hub (``live.*``).
-
-    Measured wall-clock quantities ride in the ``dur`` slot so they land
-    in the event's ``ts`` block, keeping canonical telemetry lines
-    comparable across runs (the PR2 isolation rule).
-    """
-    scale = spec.time_scale
-    tel.counter("live.retries", outcome.num_retries)
-    tel.counter("live.drops", len(outcome.dropped))
-    tel.counter("live.deadline_hits", outcome.deadline_hits)
-    tel.counter("live.worker_deaths", outcome.worker_deaths)
-    tel.counter("live.worker_restarts", outcome.worker_restarts)
+def _emit_timeline_telemetry(
+    tel,
+    prefix: str,
+    spec: SimRoundSpec,
+    outcome,
+    round_data: dict,
+    round_dur: Optional[float] = None,
+    client_data: Optional[Dict[str, Dict[int, float]]] = None,
+    client_dur: Optional[Dict[int, float]] = None,
+) -> None:
+    """Publish a round's simulated (``sim.*``) or measured (``live.*``)
+    timeline through the telemetry hub: the outcome fields both share, plus
+    the source's own per-round ``round_data``/``round_dur`` and per-client
+    ``client_data`` (field -> by-client-id values) / ``client_dur``."""
+    tel.counter(f"{prefix}.retries", outcome.num_retries)
+    tel.counter(f"{prefix}.drops", len(outcome.dropped))
+    tel.counter(f"{prefix}.deadline_hits", outcome.deadline_hits)
     tel.emit(
-        "live.round",
+        f"{prefix}.round",
         data={
-            "iterations": spec.iterations,
-            "aggregation": spec.aggregation,
-            "deadline_s": spec.deadline_s,
-            "quorum": spec.quorum,
-            "time_scale": scale,
-            "participants": int(len(spec.client_ids)),
-            "survivors": int(len(outcome.survivors)),
-            "dropped": {str(k): v for k, v in outcome.dropped.items()},
-            "retries": outcome.num_retries,
-            "deadline_hits": outcome.deadline_hits,
-            "worker_deaths": outcome.worker_deaths,
-            "worker_restarts": outcome.worker_restarts,
-        },
-        dur=outcome.completion_time * scale,
-    )
-    for cid in spec.client_ids:
-        cid = int(cid)
-        offsets = outcome.arrival_offsets.get(cid, [])
-        tel.emit(
-            "live.client",
-            data={
-                "client": cid,
-                "status": outcome.dropped.get(cid, "ok"),
-                "contributions": int(
-                    sum(1 for ids in outcome.contributors if cid in ids)
-                ),
-            },
-            dur=float(sum(offsets)) * scale,
-        )
-
-
-def _emit_sim_telemetry(tel, spec: SimRoundSpec, outcome: RoundOutcome) -> None:
-    """Publish the simulated round through the telemetry hub (``sim.*``)."""
-    tel.counter("sim.retries", outcome.num_retries)
-    tel.counter("sim.drops", len(outcome.dropped))
-    tel.counter("sim.deadline_hits", outcome.deadline_hits)
-    tel.emit(
-        "sim.round",
-        data={
-            "completion_time": outcome.completion_time,
             "iterations": spec.iterations,
             "aggregation": spec.aggregation,
             "deadline_s": spec.deadline_s,
@@ -646,20 +701,23 @@ def _emit_sim_telemetry(tel, spec: SimRoundSpec, outcome: RoundOutcome) -> None:
             "dropped": {str(k): v for k, v in outcome.dropped.items()},
             "retries": outcome.num_retries,
             "deadline_hits": outcome.deadline_hits,
-            "iteration_durations": list(outcome.iteration_durations),
+            **round_data,
         },
+        dur=round_dur,
     )
     for cid in spec.client_ids:
         cid = int(cid)
+        data = {
+            "client": cid,
+            "status": outcome.dropped.get(cid, "ok"),
+            "contributions": int(
+                sum(1 for ids in outcome.contributors if cid in ids)
+            ),
+        }
+        for key, by_client in (client_data or {}).items():
+            data[key] = by_client.get(cid, 0.0)
         tel.emit(
-            "sim.client",
-            data={
-                "client": cid,
-                "busy_s": outcome.client_busy_s.get(cid, 0.0),
-                "last_t": outcome.client_last_t.get(cid, 0.0),
-                "status": outcome.dropped.get(cid, "ok"),
-                "contributions": int(
-                    sum(1 for ids in outcome.contributors if cid in ids)
-                ),
-            },
+            f"{prefix}.client",
+            data=data,
+            dur=None if client_dur is None else client_dur.get(cid, 0.0),
         )

@@ -44,7 +44,7 @@ import os
 import selectors
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -52,9 +52,8 @@ import numpy as np
 
 from repro.live.protocol import FrameStream, socket_pair, tcp_pair
 from repro.nn.serialization import TruncatedPayloadError, decode_payload
-from repro.sim.entities import AGGREGATION_POLICIES
+from repro.sim.entities import SimRoundSpec
 from repro.sim.faults import (
-    FaultProfile,
     ParticipationFloorError,
     SimError,
     sample_dropout_times,
@@ -103,52 +102,16 @@ def atomic_write_json(path: Path, obj) -> Path:
 
 
 @dataclass(frozen=True)
-class LiveRoundSpec:
-    """Everything the live runtime needs to play one federated round.
+class LiveRoundSpec(SimRoundSpec):
+    """Everything the live runtime needs to play one federated round: the
+    DES's physics (one set of fields, one validation) plus ``time_scale``,
+    which maps simulated seconds to wall seconds (2.0 = the round runs at
+    half speed, twice the shaping headroom)."""
 
-    The physics fields mirror :class:`repro.sim.entities.SimRoundSpec`
-    exactly; ``time_scale`` maps simulated seconds to wall seconds
-    (2.0 = the round runs at half speed, twice the shaping headroom).
-    """
-
-    client_ids: np.ndarray
-    tau_loc: np.ndarray
-    tau_cm: np.ndarray
-    iterations: int
-    aggregation: str = "sync"
-    deadline_s: Optional[float] = None
-    quorum: Optional[int] = None
-    faults: FaultProfile = field(default_factory=FaultProfile)
-    min_participants: int = 1
     time_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.client_ids, dtype=int)
-        loc = np.asarray(self.tau_loc, dtype=float)
-        cm = np.asarray(self.tau_cm, dtype=float)
-        object.__setattr__(self, "client_ids", ids)
-        object.__setattr__(self, "tau_loc", loc)
-        object.__setattr__(self, "tau_cm", cm)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ValueError("need at least one participant")
-        if loc.shape != ids.shape or cm.shape != ids.shape:
-            raise ValueError("tau arrays must match client_ids shape")
-        if np.any(~np.isfinite(loc)) or np.any(loc < 0):
-            raise ValueError("tau_loc must be finite and nonnegative")
-        if np.any(~np.isfinite(cm)) or np.any(cm < 0):
-            raise ValueError("tau_cm must be finite and nonnegative")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.aggregation not in AGGREGATION_POLICIES:
-            raise ValueError(f"unknown aggregation policy {self.aggregation!r}")
-        if self.aggregation == "deadline":
-            if self.deadline_s is None or self.deadline_s <= 0:
-                raise ValueError("deadline aggregation needs deadline_s > 0")
-        if self.aggregation == "async":
-            if self.quorum is None or self.quorum < 1:
-                raise ValueError("async aggregation needs quorum >= 1")
-        if self.min_participants < 1:
-            raise ValueError("min_participants must be >= 1")
+        super().__post_init__()
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
 

@@ -1,5 +1,7 @@
 """Additional CLI coverage: sweep, chart flag, and Fair-FedL/UCB runs."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -258,6 +260,67 @@ RETIRED_BENCH_FLAGS = [
     "clients", "epochs", "check", "tolerance", "strict", "pre-pr-seconds",
     "compare", "layers",
 ]
+
+
+class TestResumeThroughTheSharedDriver:
+    """``--resume`` goes through the same driver as a fresh run: same
+    telemetry handling, same summary fields."""
+
+    SIM = [
+        "sim", "--budget", "120", "--clients", "8", "--participants", "3",
+        "--epochs", "4", "--quiet", "--faults", "flaky-uplink",
+        "--attack", "sign-flip", "--defense", "trimmed-mean",
+    ]
+
+    def test_resumed_run_records_telemetry(self, capsys, tmp_path):
+        ck, tel = tmp_path / "ck", tmp_path / "tel"
+        assert main(self.SIM + ["--checkpoint-dir", str(ck),
+                                "--checkpoint-interval", "3"]) == 0
+        capsys.readouterr()
+        rc = main(["sim", "--resume", str(ck), "--telemetry", str(tel), "--quiet"])
+        assert rc == 0
+        assert f"telemetry -> {tel}" in capsys.readouterr().err
+        assert (tel / "manifest.json").is_file()
+        events = [
+            json.loads(line)
+            for line in (tel / "events-main.jsonl").read_text().splitlines()
+        ]
+        assert events[0]["kind"] == "run.start"
+        assert events[0]["run"] == "FedL[seed=0]"
+        # Recording starts at the resume epoch: the one snapshot of this
+        # 4-epoch run was taken after epoch index 2.
+        assert [e["epoch"] for e in events if e["kind"] == "epoch.start"] == [3]
+        assert [e["epoch"] for e in events if e["kind"] == "sim.round"] == [3]
+
+    def test_resumed_summary_prints_what_the_fresh_run_prints(
+        self, capsys, tmp_path
+    ):
+        ck = tmp_path / "ck"
+        assert main(self.SIM + ["--checkpoint-dir", str(ck),
+                                "--checkpoint-interval", "2"]) == 0
+        fresh = capsys.readouterr().out.splitlines()
+        assert main(["sim", "--resume", str(ck), "--quiet"]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert f"resumed={ck} " in resumed[0]
+        assert resumed[0].replace(f"resumed={ck} ", "") == fresh[0]
+        assert "engine=des" in resumed[0] and "faults=flaky-uplink" in resumed[0]
+        assert resumed[1:] == fresh[1:]
+        assert "failed_clients=" in resumed[1]
+        assert resumed[2].startswith("attack=sign-flip defense=trimmed-mean")
+
+    def test_resumed_live_run_reports_measured_time(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        argv = [
+            "live", "--budget", "120", "--clients", "6", "--participants", "2",
+            "--epochs", "3", "--quiet", "--time-scale", "0.01",
+            "--checkpoint-dir", str(ck), "--checkpoint-interval", "1",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["live", "--resume", str(ck), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "engine=live workers=2 time_scale=0.01" in out
+        assert "measured_time=" in out and "sim_time=" not in out
 
 
 class TestBenchFlags:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.live import LiveRoundSpec
 from repro.net.latency import client_latency, epoch_latency
 from repro.sim import (
     FaultProfile,
@@ -200,6 +201,8 @@ class TestParticipationFloor:
 
 
 class TestSpecValidation:
+    spec_cls = SimRoundSpec
+
     def base(self, **kw):
         args = dict(
             client_ids=np.arange(3),
@@ -208,7 +211,7 @@ class TestSpecValidation:
             iterations=2,
         )
         args.update(kw)
-        return SimRoundSpec(**args)
+        return self.spec_cls(**args)
 
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError, match="aggregation"):
@@ -238,3 +241,20 @@ class TestSpecValidation:
         spec = self.base(faults=FaultProfile(upload_failure_prob=0.2))
         with pytest.raises(ValueError, match="RNG"):
             simulate_round(spec)
+
+
+class TestLiveSpecValidation(TestSpecValidation):
+    """The live spec is the DES spec plus ``time_scale``: every bad-input
+    case above is rejected by the same validation."""
+
+    spec_cls = LiveRoundSpec
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_time_scale_positive(self, scale):
+        with pytest.raises(ValueError, match="time_scale"):
+            self.base(time_scale=scale)
+
+    def test_is_a_sim_round_spec(self):
+        spec = self.base(time_scale=2.0)
+        assert isinstance(spec, SimRoundSpec)
+        assert spec.time_scale == 2.0
