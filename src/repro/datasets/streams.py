@@ -34,6 +34,7 @@ class ClientDataStream:
             raise ValueError("class_probs must be a nonnegative distribution")
         self.generator = generator
         self.class_probs = probs / probs.sum()
+        self._label_cdf: Optional[np.ndarray] = None  # built by the first draw
         self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
 
     @property
@@ -45,8 +46,12 @@ class ClientDataStream:
 
     def draw(self, num_samples: int) -> Dataset:
         """Sample this epoch's local dataset (``num_samples`` examples)."""
-        return self.generator.sample(
-            num_samples, class_probs=self.class_probs, rng=self.rng
+        if self._label_cdf is None:
+            # What ``generator.sample(class_probs=self.class_probs)`` would
+            # validate, re-normalise and accumulate on every call.
+            self._label_cdf = self.generator.label_cdf(self.class_probs)
+        return self.generator.sample_from_cdf(
+            num_samples, self._label_cdf, self.rng
         )
 
 

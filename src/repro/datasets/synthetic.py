@@ -121,6 +121,26 @@ class ClassConditionalGenerator:
         h, w, c = self.image_shape
         return h * w * c
 
+    def label_cdf(self, class_probs: Optional[np.ndarray] = None) -> np.ndarray:
+        """The validated label distribution (uniform default), as the cdf
+        ``Generator.choice(p=...)`` would build from it."""
+        if class_probs is None:
+            probs = np.full(self.num_classes, 1.0 / self.num_classes)
+        else:
+            probs = np.asarray(class_probs, dtype=float)
+            if probs.shape != (self.num_classes,):
+                raise ValueError("class_probs must have shape (num_classes,)")
+            if (
+                not np.all(np.isfinite(probs))
+                or np.any(probs < 0)
+                or probs.sum() <= 0
+            ):
+                raise ValueError("class_probs must be a nonnegative distribution")
+            probs = probs / probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     def sample(
         self,
         n: int,
@@ -129,19 +149,19 @@ class ClassConditionalGenerator:
         flatten: bool = True,
     ) -> Dataset:
         """Draw ``n`` samples with labels ~ ``class_probs`` (uniform default)."""
+        return self.sample_from_cdf(
+            n, self.label_cdf(class_probs), rng if rng is not None else self.rng, flatten
+        )
+
+    def sample_from_cdf(
+        self, n: int, cdf: np.ndarray, gen: np.random.Generator, flatten: bool = True
+    ) -> Dataset:
+        """:meth:`sample` for a caller that keeps its :meth:`label_cdf`."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        gen = rng if rng is not None else self.rng
-        if class_probs is None:
-            probs = np.full(self.num_classes, 1.0 / self.num_classes)
-        else:
-            probs = np.asarray(class_probs, dtype=float)
-            if probs.shape != (self.num_classes,):
-                raise ValueError("class_probs must have shape (num_classes,)")
-            if np.any(probs < 0) or probs.sum() <= 0:
-                raise ValueError("class_probs must be a nonnegative distribution")
-            probs = probs / probs.sum()
-        labels = gen.choice(self.num_classes, size=n, p=probs)
+        # Inverse-cdf labels: the draw ``gen.choice(num_classes, size=n, p=probs)``
+        # makes, without its per-call validation and cumsum of ``p``.
+        labels = cdf.searchsorted(gen.random(n), side="right")
         base = self.prototypes[labels]  # (n, H, W, C), a fresh copy
         eps = gen.normal(0.0, self.noise, size=base.shape)
         # Per-sample intensity/contrast jitter (broadcast over pixels).

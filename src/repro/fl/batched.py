@@ -2,23 +2,22 @@
 
 The per-client loop in :mod:`repro.fl.round_runner` evaluates the same
 small network dozens of times per global iteration — once per client for
-the local gradient, then ``sgd_steps`` minibatch gradients plus
-``sgd_steps`` full-batch surrogate values inside every DANE solve.  Each
-evaluation is a handful of tiny GEMMs, so the run is dominated by Python
-and BLAS call overhead rather than arithmetic.
+the local gradient, then one or two evaluations per inner step of every
+DANE solve.  Each evaluation is a handful of tiny GEMMs, so the run is
+dominated by Python and BLAS call overhead rather than arithmetic.
 
-:class:`BatchedClientEngine` stacks the participants' datasets into one
-contiguous ``(K, n_max, D)`` tensor (zero-padded to the largest local
-dataset) and drives all K solves step-synchronously through
+:class:`BatchedClientEngine` sorts the participants by local dataset size,
+stacks each run of equal-length datasets into one contiguous ``(k, n, D)``
+tensor and drives all K solves step-synchronously through
 :class:`BatchedSequentialKernel`, a batched re-implementation of the
 ``Sequential`` forward/backward for dense networks.  Every numpy batched
 op used here is *per-slice bit-identical* to its loop equivalent:
 
-* GEMMs never see padded rows: clients are regrouped into equal-length
-  sub-batches before any ``np.matmul``, because BLAS derives its panel
-  blocking (and hence the floating-point accumulation grouping) from the
-  matrix shape — padding the sample axis changes low-order bits even for
-  rows that carry real data;
+* GEMMs never see padded rows: clients are evaluated in equal-length
+  sub-batches, because BLAS derives its panel blocking (and hence the
+  floating-point accumulation grouping) from the matrix shape — padding
+  the sample axis changes low-order bits even for rows that carry real
+  data;
 * ``np.matmul`` on exact-length stacked operands computes each slice
   with the same GEMM as the sequential 2-D call;
 * elementwise ops and per-row reductions (``max``/``sum``/``exp`` along
@@ -26,10 +25,22 @@ op used here is *per-slice bit-identical* to its loop equivalent:
 * scalar reductions (the CE mean over samples, the bias-gradient sum)
   are taken over per-client contiguous slices.
 
-Per-client RNG streams are preserved exactly: each client draws its own
-minibatch indices from its own generator in step order, and a client that
-early-stops (reached ``target_eta``) simply leaves the active set, so its
-draw count matches the sequential loop.
+Every ``(w, batch)`` point is evaluated once, as in :mod:`repro.fl.dane`.
+Nothing is evaluated at ``d = 0``: :meth:`BatchedClientEngine.local_grads`
+keeps the ``(F_k(w), ∇F_k(w))`` of its sweep and the solves at the same
+``w`` start from them (a solve at a point no sweep covered pays one sweep of
+its own).  From there a solve of ``J`` steps costs a client ``J`` kernel
+evaluations when its minibatch is its whole local set (``n_k ≤
+batch_size``: one fused value+gradient pass at ``w + d_{j+1}`` gives
+``G(d_{j+1})`` and step ``j+1``'s gradient) and ``2J`` when it subsamples
+(a minibatch gradient plus a full-batch value per step); a client that
+stopped early is not evaluated again.
+
+Per-client RNG streams are preserved exactly: each subsampling client
+draws its own minibatch indices from its own generator in step order, a
+client that never subsamples never touches (or creates) its generator, and
+a client that early-stops (reached ``target_eta``) simply leaves the active
+set, so its draw count matches the sequential loop.
 
 The engine only supports shared-model ``Sequential`` stacks of ``Linear``
 and elementwise activations with 2-D inputs (``logreg``/``mlp``); the
@@ -149,79 +160,41 @@ class BatchedSequentialKernel:
                 h = out
         return h, caches
 
-    def evaluate(
-        self,
-        w: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        lengths: np.ndarray,
-        reg: float,
-        want_grad: bool = True,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Batched F / ∇F over K padded client stacks.
-
-        ``x`` is ``(K, n_pad, D)`` with rows ``lengths[k]:`` ignored,
-        ``y`` is ``(K, n_pad)`` int labels (pad entries must be valid
-        class indices; they never contribute).  Returns ``(loss, grad)``
-        with ``loss`` of shape ``(K,)`` and ``grad`` of shape ``(K, P)``
-        (``None`` when ``want_grad`` is false).
-
-        Clients are processed in equal-length sub-batches so that no GEMM
-        ever sees a padded sample axis: BLAS picks its panel blocking from
-        the matrix shape, so both reducing over *and* carrying padded rows
-        can regroup the floating-point accumulation of the real entries.
-        With exact lengths every batched matmul is per-slice bit-identical
-        to the sequential 2-D call.
-        """
-        w = np.asarray(w, dtype=float)
-        lengths = np.asarray(lengths)
-        length0 = int(lengths[0])
-        if np.all(lengths == length0):
-            # Uniform lengths (the common minibatch case): no regrouping.
-            return self._evaluate_exact(
-                w, x[:, :length0], y[:, :length0], reg, want_grad
-            )
-        k_count = x.shape[0]
-        losses = np.empty(k_count)
-        flat = np.empty((k_count, self.num_params)) if want_grad else None
-        for length in np.unique(lengths):
-            idx = np.flatnonzero(lengths == length)
-            w_sub = w if w.ndim == 1 else w[idx]
-            l_sub, g_sub = self._evaluate_exact(
-                w_sub, x[idx, :length], y[idx, :length], reg, want_grad
-            )
-            losses[idx] = l_sub
-            if want_grad:
-                flat[idx] = g_sub
-        return losses, flat
-
     def evaluate_sorted(
         self,
         w: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        buckets: Sequence[Tuple[int, int, int]],
+        runs: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
         reg: float,
         want_grad: bool = True,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """:meth:`evaluate` for a length-sorted stack.
+        """Batched F / ∇F over a length-sorted client stack.
 
-        ``buckets`` lists the contiguous equal-length row ranges
-        ``(start, end, length)``; each is evaluated through zero-copy
-        views.  Sub-batch membership — and therefore every GEMM shape and
-        result — matches the length-dispatch of :meth:`evaluate`.
+        ``runs`` lists the stack's contiguous equal-length row ranges as
+        ``(start, end, x, y)`` with ``x`` of shape ``(end − start, n, D)``
+        and ``y`` of shape ``(end − start, n)`` int labels — exactly ``n``
+        samples per client, no padding.  Returns ``(loss, grad)`` with
+        ``loss`` of shape ``(K,)`` and ``grad`` of shape ``(K, P)``
+        (``None`` when ``want_grad`` is false).
+
+        Clients are evaluated one equal-length run at a time so that no
+        GEMM ever sees a padded sample axis: BLAS picks its panel blocking
+        from the matrix shape, so both reducing over *and* carrying padded
+        rows can regroup the floating-point accumulation of the real
+        entries.  With exact lengths every batched matmul is per-slice
+        bit-identical to the sequential 2-D call.
         """
-        k_count = x.shape[0]
+        k_count = runs[-1][1]
         losses = np.empty(k_count)
         flat = np.empty((k_count, self.num_params)) if want_grad else None
-        for s, e, ln in buckets:
-            w_sub = w if w.ndim == 1 else w[s:e]
-            l_sub, g_sub = self._evaluate_exact(
-                w_sub, x[s:e, :ln], y[s:e, :ln], reg, want_grad
+        for s, e, x, y in runs:
+            losses[s:e], _ = self._evaluate_exact(
+                w if w.ndim == 1 else w[s:e],
+                x,
+                y,
+                reg,
+                want_grad,
+                out=flat[s:e] if want_grad else None,
             )
-            losses[s:e] = l_sub
-            if want_grad:
-                flat[s:e] = g_sub
         return losses, flat
 
     def _evaluate_exact(
@@ -231,8 +204,13 @@ class BatchedSequentialKernel:
         y: np.ndarray,
         reg: float,
         want_grad: bool,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """F / ∇F for clients sharing one exact sample count (no padding)."""
+        """F / ∇F for clients sharing one exact sample count (no padding).
+
+        The gradient is written into ``out`` (``(K, P)``, every entry
+        overwritten) when given, else into a fresh array.
+        """
         k_count, n, _ = x.shape
         logits, caches = self._forward(w, x, need_cache=want_grad)
         # Row-stable softmax pieces, identical to losses.softmax_cross_entropy.
@@ -246,15 +224,15 @@ class BatchedSequentialKernel:
         # z is otherwise dead); elementwise values unchanged.
         e = np.exp(z, out=z)
         se = e.sum(axis=2)
-        lse = np.log(se)
-        diff = lse - picked
+        diff = np.log(se)
+        diff -= picked
         # Reducing the last axis of a contiguous 2-D array applies the same
-        # pairwise summation per row as the loop's 1-D np.mean — bitwise
-        # identical to per-client means.
-        losses = diff.mean(axis=1)
+        # pairwise summation per row as the loop's 1-D np.mean (a sum
+        # divided by the count) — bitwise identical to per-client means.
+        losses = np.add.reduce(diff, axis=1) / n
         if reg > 0.0:
             if w.ndim == 1:
-                losses = losses + 0.5 * reg * float(w @ w)
+                losses += 0.5 * reg * float(w @ w)
             else:
                 for k in range(k_count):
                     losses[k] += 0.5 * reg * float(w[k] @ w[k])
@@ -265,15 +243,21 @@ class BatchedSequentialKernel:
         # probs[arange(n), y] -= 1 (no duplicate index pairs).
         probs.reshape(-1)[flat_pick] -= 1.0
         g = np.divide(probs, float(n), out=probs)
-        flat = np.empty((k_count, self.num_params))
+        flat = np.empty((k_count, self.num_params)) if out is None else out
         for i in range(len(self.specs) - 1, -1, -1):
             spec, cache = self.specs[i], caches[i]
             kind = spec[0]
             if kind == "linear":
                 _, din, dout, w_off, b_off = spec
                 h_in, weight = cache
-                wgrad = np.matmul(h_in.transpose(0, 2, 1), g)
-                flat[:, w_off:b_off] = wgrad.reshape(k_count, din * dout)
+                # The weight gradient lands in its slot of ``flat`` directly
+                # (a strided view, one contiguous (din, dout) block per
+                # client): the same GEMM per slice, no K×P copy after it.
+                np.matmul(
+                    h_in.transpose(0, 2, 1),
+                    g,
+                    out=flat[:, w_off:b_off].reshape(k_count, din, dout),
+                )
                 # Last-axis-contiguous reduction: per-slice bitwise equal
                 # to each client's g[k].sum(axis=0).
                 flat[:, b_off : b_off + dout] = g.sum(axis=1)
@@ -289,60 +273,60 @@ class BatchedSequentialKernel:
             else:  # sigmoid
                 g = g * cache[0] * (1.0 - cache[0])
         if reg > 0.0:
-            flat = flat + reg * w
+            flat += reg * w
         return losses, flat
 
 
 class _ClientGroup:
     """Participants sharing one set of local-solver hyper-parameters.
 
-    Members are stored sorted by local dataset size, so every equal-length
-    sub-batch occupies a contiguous row range (``buckets``) of the padded
-    stack and can be evaluated through zero-copy views.  The sort is pure
-    bookkeeping: sub-batch *membership* (and hence every GEMM shape) is
-    exactly what the unsorted length-dispatch would produce, only the slice
-    order inside each batched call changes — and batched ops are computed
-    per slice.
+    Members are stored sorted by local dataset size and stacked one
+    equal-length run at a time (``buckets``, in the ``runs`` format of
+    :meth:`BatchedSequentialKernel.evaluate_sorted`): only real samples are
+    copied, nothing is padded.  The sort is pure bookkeeping — which
+    clients share a GEMM never changes a result, because batched ops are
+    computed per slice.
     """
 
-    __slots__ = ("positions", "clients", "x", "y", "lengths", "buckets")
+    __slots__ = ("positions", "clients", "lengths", "buckets")
 
     def __init__(self, positions: List[int], clients: List) -> None:
         order = sorted(range(len(clients)), key=lambda j: clients[j].num_samples)
         self.positions = [positions[j] for j in order]
         self.clients = [clients[j] for j in order]
-        n_max = max(c.num_samples for c in clients)
-        dim = clients[0].data.x.shape[1]
-        self.x = np.zeros((len(clients), n_max, dim))
-        self.y = np.zeros((len(clients), n_max), dtype=np.int64)
-        self.lengths = np.empty(len(clients), dtype=np.int64)
-        for j, c in enumerate(self.clients):
-            n = c.num_samples
-            self.x[j, :n] = c.data.x
-            self.y[j, :n] = c.data.y
-            self.lengths[j] = n
-        # Contiguous equal-length row ranges [(start, end, length), ...].
-        self.buckets: List[Tuple[int, int, int]] = []
+        self.lengths = np.asarray([c.num_samples for c in self.clients])
+        self.buckets: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
         start = 0
-        for j in range(1, len(self.clients) + 1):
-            if j == len(self.clients) or self.lengths[j] != self.lengths[start]:
-                self.buckets.append((start, j, int(self.lengths[start])))
+        for j in range(1, len(clients) + 1):
+            if j == len(clients) or self.lengths[j] != self.lengths[start]:
+                members = self.clients[start:j]
+                self.buckets.append(
+                    (
+                        start,
+                        j,
+                        np.stack([c.data.x for c in members]),
+                        np.stack([c.data.y for c in members]),
+                    )
+                )
                 start = j
 
-
-def _stack_clients(clients: Sequence) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-padded ``(x, y, lengths)`` stack of the clients' datasets."""
-    n_max = max(c.num_samples for c in clients)
-    dim = clients[0].data.x.shape[1]
-    x = np.zeros((len(clients), n_max, dim))
-    y = np.zeros((len(clients), n_max), dtype=np.int64)
-    lengths = np.empty(len(clients), dtype=np.int64)
-    for j, c in enumerate(clients):
-        n = c.num_samples
-        x[j, :n] = c.data.x
-        y[j, :n] = c.data.y
-        lengths[j] = n
-    return x, y, lengths
+    def runs(self, rows: np.ndarray) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """``buckets`` restricted to the ascending group rows ``rows``:
+        ``(lo, hi, x, y)`` with ``rows[lo:hi]`` the rows of one bucket and
+        ``x``/``y`` their data — the bucket's own arrays when all of it is
+        there, else one gathered copy."""
+        runs = []
+        lo = 0
+        ends = [e for _, e, _, _ in self.buckets]
+        for (s, e, x, y), hi in zip(self.buckets, np.searchsorted(rows, ends)):
+            if hi == lo:
+                continue
+            if hi - lo < e - s:
+                sel = rows[lo:hi] - s
+                x, y = x[sel], y[sel]
+            runs.append((lo, int(hi), x, y))
+            lo = hi
+        return runs
 
 
 def batched_local_losses(
@@ -352,12 +336,7 @@ def batched_local_losses(
     kernel = BatchedSequentialKernel(model.network)
     group = _ClientGroup(list(range(len(clients))), list(clients))
     sorted_losses, _ = kernel.evaluate_sorted(
-        np.asarray(w, dtype=float),
-        group.x,
-        group.y,
-        group.buckets,
-        model.l2_reg,
-        want_grad=False,
+        np.asarray(w, dtype=float), group.buckets, model.l2_reg, want_grad=False
     )
     losses = np.empty(len(clients))
     losses[group.positions] = sorted_losses
@@ -414,7 +393,7 @@ class BatchedClientEngine:
         grads: List[Optional[np.ndarray]] = [None] * len(self.participants)
         for group in self.groups:
             losses, flat = self.kernel.evaluate_sorted(
-                w, group.x, group.y, group.buckets, self.model.l2_reg
+                w, group.buckets, self.model.l2_reg
             )
             per_group.append((losses, flat))
             for j, pos in enumerate(group.positions):
@@ -445,7 +424,7 @@ class BatchedClientEngine:
                 f0, g0 = cache[1][gi]
             else:
                 f0, g0 = self.kernel.evaluate_sorted(
-                    w_global, group.x, group.y, group.buckets, self.model.l2_reg
+                    w_global, group.buckets, self.model.l2_reg
                 )
             ds, etas, trajs = self._solve_group(
                 group, w_global, global_grad, target_eta, f0, g0
@@ -463,117 +442,101 @@ class BatchedClientEngine:
         f0: np.ndarray,
         g0: np.ndarray,
     ) -> Tuple[np.ndarray, List[float], List[List[float]]]:
+        """:func:`repro.fl.dane.dane_local_step` for every client of the
+        group at once, from the sweep's ``(f0, g0) = (F_k(w), ∇F_k(w))``.
+
+        The per-step state — ``d``, the linear term ``lt``, the gradient
+        ``g`` in use, the velocity and one scratch ``t`` — holds one row per
+        *active* client, in group (length-sorted) order, so the full-batch
+        clients stay a prefix ``[:nf]``; every update below is the loop's
+        elementwise IEEE operation applied in place.  Rows leave only when
+        a client reaches ``target_eta``.
+        """
         c0 = group.clients[0]
         k_count = len(group.clients)
         p = w_global.size
         sigma1 = c0.sigma1
         lr = c0.sgd_lr
         momentum = c0.momentum
-        max_steps = c0.sgd_steps
         batch_size = c0.batch_size
+        reg = self.model.l2_reg
+        exact = self.kernel._evaluate_exact
         if c0.local_solver == "dane":
             lt = g0 - c0.sigma2 * global_grad[None, :]
         else:  # fedprox: the gradient-correction linear term is dropped
             lt = np.zeros((k_count, p))
         d = np.zeros((k_count, p))
         velocity = np.zeros((k_count, p)) if momentum > 0.0 else None
-        # trajectory[k][0] = G(0) = F(w) + σ1/2·0 − lt·0, as in the loop.
-        trajs: List[List[float]] = [
-            [float(f0[j]) + 0.5 * sigma1 * 0.0 - 0.0] for j in range(k_count)
-        ]
-        active = list(range(k_count))
-        bss = np.minimum(batch_size, group.lengths)
-        subsamples = bool(np.any(bss < group.lengths))
-        reg = self.model.l2_reg
-        kernel = self.kernel
-
-        def bucket_eval(wrows, acts_arr, xs_full, ys_full, lens, want_grad):
-            """Equal-length sub-batch sweep over contiguous views.
-
-            ``acts_arr`` is sorted and the group rows are length-sorted, so
-            every sub-batch is a contiguous range of both ``wrows`` and the
-            (sliced) data stack — the same member sets the length-dispatch
-            in :meth:`BatchedSequentialKernel.evaluate` would form, minus
-            the fancy-index copies.
-            """
-            k_act = acts_arr.size
-            losses = np.empty(k_act)
-            grads = np.empty((k_act, p)) if want_grad else None
-            lo_i = 0
-            while lo_i < k_act:
-                ln = int(lens[lo_i])
-                hi_i = int(np.searchsorted(lens, ln, side="right"))
-                sel = acts_arr[lo_i:hi_i]
-                contiguous = int(sel[-1]) - int(sel[0]) + 1 == hi_i - lo_i
-                if contiguous:
-                    s = int(sel[0])
-                    xs, ys = xs_full[s : s + hi_i - lo_i, :ln], ys_full[s : s + hi_i - lo_i, :ln]
-                else:
-                    xs, ys = xs_full[sel, :ln], ys_full[sel, :ln]
-                l_sub, g_sub = kernel._evaluate_exact(
-                    wrows[lo_i:hi_i], xs, ys, reg, want_grad
-                )
-                losses[lo_i:hi_i] = l_sub
-                if want_grad:
-                    grads[lo_i:hi_i] = g_sub
-                lo_i = hi_i
-            return losses, grads
-
-        for step in range(max_steps):
-            if not active:
-                break
-            acts = np.asarray(active)
-            w_eval = w_global[None, :] + d[acts]
-            if subsamples:
-                bs_act = bss[acts]
-                bs_pad = int(bs_act[-1])        # lengths (hence bss) sorted
-                xb = np.zeros((len(acts), bs_pad, group.x.shape[2]))
-                yb = np.zeros((len(acts), bs_pad), dtype=np.int64)
-                for j, k in enumerate(active):
-                    n_k = int(group.lengths[k])
-                    bs_k = int(bss[k])
-                    idx = (
-                        group.clients[k].rng.choice(n_k, size=bs_k, replace=False)
-                        if bs_k < n_k
-                        else np.arange(n_k)
-                    )
-                    xb[j, :bs_k] = group.x[k, idx]
-                    yb[j, :bs_k] = group.y[k, idx]
-                _, gb = bucket_eval(
-                    w_eval, np.arange(len(acts)), xb, yb, bs_act, True
-                )
+        t = np.empty((k_count, p))
+        # A full-batch client's first gradient is the sweep's; each later
+        # one comes out of the fused pass that also yields G(d)'s value.
+        n_full = int(np.searchsorted(group.lengths, batch_size, side="right"))
+        g = np.empty((k_count, p))
+        g[:n_full] = g0[:n_full]
+        # Minibatch stack of the subsampling clients (all draw batch_size).
+        dim = c0.data.x.shape[1]
+        xb = np.empty((k_count - n_full, batch_size, dim))
+        yb = np.empty((k_count - n_full, batch_size), dtype=np.int64)
+        trajs: List[List[float]] = [[float(f)] for f in f0]  # G(0) = F_k(w)
+        fb = np.empty(k_count)
+        rows = np.arange(k_count)       # group row of each active state row
+        out = None                      # (K, P) result once a row has left
+        nf, runs = n_full, group.buckets
+        for step in range(c0.sgd_steps):
+            if nf < rows.size:
+                np.add(w_global, d[nf:], out=t[nf:])
+                for j, k in enumerate(rows[nf:].tolist()):
+                    c = group.clients[k]
+                    idx = c.rng.choice(c.num_samples, size=batch_size, replace=False)
+                    xb[j] = c.data.x[idx]
+                    yb[j] = c.data.y[idx]
+                ns = rows.size - nf
+                exact(t[nf:], xb[:ns], yb[:ns], reg, True, out=g[nf:])
+            # ∇G(d) = g + σ1 d − lt, then the (heavy-ball) step, into t.
+            np.multiply(d, sigma1, out=t)
+            t += g
+            t -= lt
+            t *= lr
+            if velocity is not None:
+                velocity *= momentum
+                velocity -= t
+                d += velocity
             else:
-                # Full-batch steps everywhere: the loop draws nothing from
-                # any client RNG, so the stacked slices are the minibatches.
-                _, gb = bucket_eval(
-                    w_eval, acts, group.x, group.y, group.lengths[acts], True
+                d -= t
+            np.add(w_global, d, out=t)
+            # G(d)'s value on the full local set; for a full-batch client
+            # the same pass yields the gradient of its next step.
+            for lo, hi, x, y in runs:
+                fused = lo < nf
+                fb[lo:hi], _ = exact(
+                    t[lo:hi], x, y, reg, fused, out=g[lo:hi] if fused else None
                 )
-            grad = gb + sigma1 * d[acts] - lt[acts]
-            if momentum > 0.0:
-                velocity[acts] = momentum * velocity[acts] - lr * grad
-                d[acts] = d[acts] + velocity[acts]
-            else:
-                d[acts] = d[acts] - lr * grad
-            fb, _ = bucket_eval(
-                w_global[None, :] + d[acts],
-                acts,
-                group.x,
-                group.y,
-                group.lengths[acts],
-                False,
-            )
-            still: List[int] = []
-            for j, k in enumerate(active):
-                dd = float(d[k] @ d[k])
-                ltd = float(lt[k] @ d[k])
-                trajs[k].append(float(fb[j]) + 0.5 * sigma1 * dd - ltd)
-                if (
-                    target_eta is not None
-                    and step >= 1
-                    and estimate_local_accuracy(trajs[k]) <= target_eta
-                ):
-                    continue
-                still.append(k)
-            active = still
-        etas = [estimate_local_accuracy(trajs[j]) for j in range(k_count)]
-        return d, etas, trajs
+            check = target_eta is not None and step >= 1
+            stop = np.zeros(rows.size, dtype=bool)
+            for j, k in enumerate(rows.tolist()):
+                traj = trajs[k]
+                traj.append(
+                    float(fb[j])
+                    + 0.5 * sigma1 * float(d[j] @ d[j])
+                    - float(lt[j] @ d[j])
+                )
+                stop[j] = check and estimate_local_accuracy(traj) <= target_eta
+            if stop.any():
+                if out is None:
+                    out = np.empty((k_count, p))
+                out[rows[stop]] = d[stop]
+                keep = ~stop
+                rows = rows[keep]
+                d, lt, g = d[keep], lt[keep], g[keep]
+                if velocity is not None:
+                    velocity = velocity[keep]
+                t, fb = t[: rows.size], fb[: rows.size]
+                nf = int(np.count_nonzero(rows < n_full))
+                if rows.size == 0:
+                    break
+                runs = group.runs(rows)
+        if out is None:
+            out = d
+        else:
+            out[rows] = d
+        return out, [estimate_local_accuracy(traj) for traj in trajs], trajs

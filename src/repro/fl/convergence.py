@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "rho_to_eta",
     "eta_to_rho",
@@ -76,18 +74,22 @@ def estimate_local_accuracy(surrogate_values: Sequence[float]) -> float:
     Returns a value in ``[0, ETA_CAP]``; 0 means the inner solve converged
     essentially exactly, values near 1 mean it barely improved.
     """
-    vals = np.asarray(list(surrogate_values), dtype=float)
-    if vals.size == 0:
+    vals = [float(v) for v in surrogate_values]
+    if not vals:
         raise ValueError("need at least one surrogate value")
-    g0 = float(vals[0])
-    g_best = float(np.min(vals))
-    g_final = float(vals[-1])
+    if any(v != v for v in vals):
+        # A diverged trajectory has no accuracy: NaN, as when ``np.min``
+        # carried it into every quantity below (``min`` would skip it).
+        return math.nan
+    g0 = vals[0]
+    g_best = min(vals)
+    g_final = vals[-1]
     denom = g0 - g_best
     if denom <= 1e-15:
         # No progress at all → worst-case accuracy.
         return ETA_CAP
     gap = 0.0
-    if vals.size >= 3:
+    if len(vals) >= 3:
         d1 = vals[-2] - vals[-1]
         d2 = vals[-3] - vals[-2]
         if d2 > 1e-15 and 0.0 < d1 < d2:
@@ -95,4 +97,5 @@ def estimate_local_accuracy(surrogate_values: Sequence[float]) -> float:
             gap = max(0.0, d1 * q / (1.0 - q))
     g_star = g_best - gap
     eta = (g_final - g_star) / max(g0 - g_star, 1e-15)
-    return float(np.clip(eta, 0.0, ETA_CAP))
+    # eta first: an inf − inf NaN passes through both comparisons.
+    return min(max(eta, 0.0), ETA_CAP)

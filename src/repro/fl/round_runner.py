@@ -10,11 +10,12 @@ An epoch consists of ``l_t`` global iterations; each iteration:
    iterations makes ``l_t`` gradient sweeps (one before the first solve,
    none after the last).
 
-On the loop path each ``(w, batch)`` point is evaluated once: the
-``(F_k(w^i), ∇F_k(w^i))`` pair a sweep computes is handed to that client's
-next solve, which therefore evaluates nothing at ``d = 0`` and makes ``J``
-network evaluations for ``J`` inner steps when its minibatch is its whole
-local set, ``2J`` when it subsamples (:mod:`repro.fl.dane`).  A client the
+On both in-process solve paths — the loop and the batched engine — each
+``(w, batch)`` point is evaluated once: the ``(F_k(w^i), ∇F_k(w^i))`` pair a
+sweep computes is handed to that client's next solve, which therefore
+evaluates nothing at ``d = 0`` and makes ``J`` network evaluations for ``J``
+inner steps when its minibatch is its whole local set, ``2J`` when it
+subsamples (:mod:`repro.fl.dane`, :mod:`repro.fl.batched`).  A client the
 sweep did not cover (DES contributor sets change between iterations; live
 workers solve in their own process) evaluates its own starting pair.
 

@@ -14,7 +14,7 @@ supported via ``normalize_by``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class FLServer:
         self.w = np.asarray(w_init, dtype=float).copy()
         self.test_set = test_set
         self.normalize_by = normalize_by
+        # (w, test-set logits at w) of the last test evaluation.
+        self._test_logits_at: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def aggregate_updates(
         self,
@@ -98,11 +100,26 @@ class FLServer:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def _test_logits(self) -> np.ndarray:
+        """Test-set logits at the current ``w``: one forward pass serves
+        :meth:`test_accuracy` and :meth:`test_loss` alike.  Keyed on the
+        identity of ``self.w``, which every update rebinds and nothing
+        mutates in place."""
+        memo = self._test_logits_at
+        if memo is None or memo[0] is not self.w:
+            memo = (self.w, self.model.logits(self.w, self.test_set.x))
+            self._test_logits_at = memo
+        return memo[1]
+
     def test_accuracy(self) -> float:
-        return self.model.accuracy(self.w, self.test_set.x, self.test_set.y)
+        return self.model.accuracy(
+            self.w, self.test_set.x, self.test_set.y, logits=self._test_logits()
+        )
 
     def test_loss(self) -> float:
-        return self.model.loss(self.w, self.test_set.x, self.test_set.y)
+        return self.model.loss(
+            self.w, self.test_set.x, self.test_set.y, logits=self._test_logits()
+        )
 
     def weighted_population_loss(
         self,

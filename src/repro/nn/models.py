@@ -62,15 +62,27 @@ class ClassifierModel:
 
     # -- functional evaluation -------------------------------------------------
 
-    def loss(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    def logits(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The network's forward pass on ``x`` at parameters ``w``."""
+        self.network.set_flat_params(w)
+        return self.network.forward(x)
+
+    def loss(
+        self,
+        w: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        logits: Optional[np.ndarray] = None,
+    ) -> float:
         """F(w) on the batch: mean CE + (reg/2)‖w‖².
 
         Value only — no gradient is formed — and bit-equal to
-        ``loss_and_grad(w, x, y)[0]``.
+        ``loss_and_grad(w, x, y)[0]``.  ``logits`` is ``self.logits(w, x)``
+        for a caller that already holds it.
         """
         w = np.asarray(w, dtype=float)
-        self.network.set_flat_params(w)
-        logits = self.network.forward(x)
+        if logits is None:
+            logits = self.logits(w, x)
         ce, _ = softmax_cross_entropy(logits, y, want_grad=False)
         return ce + 0.5 * self.l2_reg * float(w @ w)
 
@@ -90,15 +102,22 @@ class ClassifierModel:
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Argmax class predictions at parameters ``w``."""
-        self.network.set_flat_params(w)
-        return np.argmax(self.network.forward(x), axis=1)
+        return np.argmax(self.logits(w, x), axis=1)
 
     def predict_proba(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        self.network.set_flat_params(w)
-        return softmax(self.network.forward(x))
+        return softmax(self.logits(w, x))
 
-    def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(w, x) == np.asarray(y)))
+    def accuracy(
+        self,
+        w: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        logits: Optional[np.ndarray] = None,
+    ) -> float:
+        """Top-1 accuracy; ``logits`` as in :meth:`loss`."""
+        if logits is None:
+            logits = self.logits(w, x)
+        return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
     def init_params(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """A fresh random initialization (does not disturb current params)."""

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.rng import RngFactory
+
+# ``pytest --hypothesis-profile ci`` (what CI's tests job runs): every
+# property draws the same examples on every run, so a failing differential
+# draw in CI is the same draw on a re-run and on a laptop, and a failure
+# prints the blob that replays it.  Without the option the default profile
+# (fresh random draws) stays in force.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 
 
 @pytest.fixture

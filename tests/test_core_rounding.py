@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.rounding import _ATOL, _snap, independent_round, rdcs_round
+from tests.oracle import assert_matches_oracle
 
 fractions = hnp.arrays(
     np.float64,
@@ -77,10 +78,9 @@ class TestRdcsStreamIdentity:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_same_output_and_generator_state_as_oracle(self, x, seed):
-        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = rdcs_round(x, rng_new)
-        np.testing.assert_array_equal(out, rdcs_round_oracle(x, rng_old))
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert_matches_oracle(
+            rdcs_round_oracle, rdcs_round, lambda: (x, np.random.default_rng(seed))
+        )
 
 
 class TestRdcsInvariants:

@@ -15,6 +15,7 @@ from repro.datasets.partition import (
 from repro.datasets.streams import ClientDataStream, build_client_streams
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
 from repro.rng import RngFactory
+from tests.oracle import assert_matches_oracle
 
 
 class TestDataset:
@@ -186,3 +187,97 @@ class TestStreams:
             ClientDataStream(gen, np.array([1.0, 0.0]), rng_factory.get("s"))
         with pytest.raises(ValueError):
             build_client_streams(gen, np.ones((3, 7)), rng_factory)
+
+
+def sample_oracle(self, n, class_probs=None, rng=None, flatten=True):
+    """``ClassConditionalGenerator.sample`` as shipped before the label draw
+    moved to a kept cdf, verbatim: validation, re-normalisation and
+    ``Generator.choice(p=...)`` on every call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gen = rng if rng is not None else self.rng
+    if class_probs is None:
+        probs = np.full(self.num_classes, 1.0 / self.num_classes)
+    else:
+        probs = np.asarray(class_probs, dtype=float)
+        if probs.shape != (self.num_classes,):
+            raise ValueError("class_probs must have shape (num_classes,)")
+        if np.any(probs < 0) or probs.sum() <= 0:
+            raise ValueError("class_probs must be a nonnegative distribution")
+        probs = probs / probs.sum()
+    labels = gen.choice(self.num_classes, size=n, p=probs)
+    base = self.prototypes[labels]  # (n, H, W, C), a fresh copy
+    eps = gen.normal(0.0, self.noise, size=base.shape)
+    gain = gen.uniform(0.85, 1.15, size=(n, 1, 1, 1))
+    bias = gen.uniform(-0.05, 0.05, size=(n, 1, 1, 1))
+    np.multiply(base, gain, out=base)
+    base += bias
+    base += eps
+    imgs = np.clip(base, 0.0, 1.0, out=base)
+    x = imgs.reshape(n, -1) if flatten else imgs
+    return Dataset(x=x if flatten else x.reshape(n, -1), y=labels)
+
+
+GENERATORS = {
+    c: ClassConditionalGenerator((3, 4, 1), c, np.random.default_rng(c))
+    for c in (2, 5, 10)
+}
+
+#: (num_classes, unnormalised class weights with exact zeros and tiny/huge
+#: entries, at least one positive).
+label_weights = st.sampled_from(sorted(GENERATORS)).flatmap(
+    lambda c: st.tuples(
+        st.just(c),
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 1.0, 1e-300, 1e-12, 1e6]),
+            ),
+            min_size=c,
+            max_size=c,
+        ).filter(lambda ws: sum(ws) > 0),
+    )
+)
+draw_sizes = st.lists(st.integers(1, 70), min_size=1, max_size=4)
+
+
+class TestLabelCdfStreamIdentity:
+    """Labels by inverse cdf are ``Generator.choice(p=...)``'s, draw for draw."""
+
+    @given(label_weights, draw_sizes, st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_draws_match_original_sample(self, weights, sizes, seed):
+        num_classes, ws = weights
+        gen = GENERATORS[num_classes]
+        assert_matches_oracle(
+            lambda stream: [
+                sample_oracle(gen, n, class_probs=stream.class_probs, rng=stream.rng)
+                for n in sizes
+            ],
+            lambda stream: [stream.draw(n) for n in sizes],
+            lambda: (ClientDataStream(gen, np.asarray(ws), np.random.default_rng(seed)),),
+            state=lambda stream: stream.rng,
+        )
+
+    @given(
+        st.one_of(label_weights, st.sampled_from(sorted(GENERATORS)).map(lambda c: (c, None))),
+        st.integers(1, 70),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sample_keeps_signature_and_stream(self, weights, n, flatten, seed):
+        num_classes, ws = weights
+        gen = GENERATORS[num_classes]
+        assert_matches_oracle(
+            lambda p, rng: sample_oracle(gen, n, p, rng, flatten),
+            lambda p, rng: gen.sample(n, class_probs=p, rng=rng, flatten=flatten),
+            lambda: (ws, np.random.default_rng(seed)),
+        )
+
+    def test_non_finite_weights_still_rejected(self):
+        """``Generator.choice`` refused a NaN ``p``; the cdf path must too."""
+        gen = GENERATORS[2]
+        for bad in ([float("nan"), 1.0], [float("inf"), 1.0]):
+            with pytest.raises(ValueError):
+                gen.sample(3, class_probs=np.array(bad))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
 from repro.fl.client import FLClient
@@ -16,6 +18,7 @@ from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
 from repro.rng import RngFactory
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.fixture
@@ -84,6 +87,59 @@ class TestAccuracyEstimator:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             estimate_local_accuracy([])
+
+    def test_diverged_trajectory_is_nan(self):
+        """A NaN anywhere must surface, not be skipped: ``min([1.0, nan,
+        0.5])`` is ``0.5``, ``np.min`` of the same is NaN."""
+        for vals in ([1.0, float("nan"), 0.5], [float("nan"), 1.0], [1.0, 0.5, float("nan")]):
+            assert np.isnan(estimate_local_accuracy(vals))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(-2.0, 2.0),
+                st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 1e-15, 2e-15]),  # ties
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([list, tuple, np.asarray]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_value_and_type_as_numpy_original(self, vals, container):
+        with np.errstate(all="ignore"):  # the original's inf − inf warns
+            assert_matches_oracle(
+                estimate_local_accuracy_oracle,
+                estimate_local_accuracy,
+                lambda: (container(vals),),
+            )
+
+
+def estimate_local_accuracy_oracle(surrogate_values):
+    """``estimate_local_accuracy`` as shipped before it moved to Python
+    floats, verbatim: an array, ``np.min`` and ``np.clip`` per call."""
+    ETA_CAP = 0.995
+    vals = np.asarray(list(surrogate_values), dtype=float)
+    if vals.size == 0:
+        raise ValueError("need at least one surrogate value")
+    g0 = float(vals[0])
+    g_best = float(np.min(vals))
+    g_final = float(vals[-1])
+    denom = g0 - g_best
+    if denom <= 1e-15:
+        # No progress at all → worst-case accuracy.
+        return ETA_CAP
+    gap = 0.0
+    if vals.size >= 3:
+        d1 = vals[-2] - vals[-1]
+        d2 = vals[-3] - vals[-2]
+        if d2 > 1e-15 and 0.0 < d1 < d2:
+            q = d1 / d2
+            gap = max(0.0, d1 * q / (1.0 - q))
+    g_star = g_best - gap
+    eta = (g_final - g_star) / max(g0 - g_star, 1e-15)
+    return float(np.clip(eta, 0.0, ETA_CAP))
 
 
 class TestDane:
@@ -236,6 +292,36 @@ class TestFLServer:
         gen, model, clients, server = setup
         with pytest.raises(ValueError):
             FLServer(model, server.w, server.test_set, normalize_by="median")
+
+    def test_test_metrics_share_one_forward_per_model(self, setup, monkeypatch):
+        """``test_accuracy`` and ``test_loss`` at one ``w`` cost a single
+        pass over the test set, return what two separate passes return, and
+        every way the server moves ``w`` is seen by the next evaluation."""
+        gen, model, clients, server = setup
+        forwards = []
+        original = model.logits
+        monkeypatch.setattr(
+            model, "logits", lambda w, x: forwards.append(len(x)) or original(w, x)
+        )
+        x, y = server.test_set.x, server.test_set.y
+        step = 0.01 * np.ones_like(server.w)
+        moves = (
+            lambda: None,
+            lambda: server.aggregate_updates([step, 3 * step], num_available=6),
+            lambda: server.aggregate_updates([step, step], 6, sample_counts=[1, 3]),
+            lambda: server.apply_delta(-step),
+            lambda: setattr(server, "w", server.w + step),
+        )
+        for move in moves:
+            move()
+            forwards.clear()
+            assert server.test_accuracy() == server.test_accuracy()
+            assert server.test_loss() == server.test_loss()
+            assert forwards == [len(x)]
+            forwards.clear()
+            assert server.test_accuracy() == model.accuracy(server.w, x, y)
+            assert server.test_loss() == model.loss(server.w, x, y)
+            assert forwards == [len(x)] * 2  # the two reference passes only
 
 
 class TestRoundRunner:

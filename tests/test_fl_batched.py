@@ -7,10 +7,13 @@ must reproduce the same bytes — weights, traces, losses — across every
 environment variant (IID, non-IID, crash injection, Markov availability).
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.experiments.runner import run_experiment
@@ -21,6 +24,7 @@ from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
 from repro.rng import RngFactory
+from tests.oracle import assert_matches_oracle, stream_state
 
 
 def tiny_config(variant="plain", seed=0, engine="loop"):
@@ -136,3 +140,196 @@ class TestRoundBitIdentity:
 
         assert not BatchedClientEngine.supported(Opaque(), clients)
         assert BatchedClientEngine.supported(model, clients)
+
+
+# -- the stacked solve against the per-client solve ---------------------------
+
+BATCH = 8
+DIM, CLASSES = 12, 3
+_GEN = ClassConditionalGenerator((3, 4, 1), CLASSES, np.random.default_rng(5), noise=0.3)
+
+
+@dataclass(frozen=True)
+class SolveCase:
+    """One drawn group of clients and the solver settings they share."""
+
+    clients: tuple              # ((num_samples, one_more_step), ...)
+    steps: int
+    solver: str = "dane"
+    momentum: float = 0.0
+    target_eta: Optional[float] = None
+    seed: int = 0
+
+    def build(self):
+        """``(clients, w, ḡ)``, identical on every call: fresh model, data
+        and *deferred* per-client streams, so a stream exists only once its
+        client has drawn a minibatch."""
+        factory = RngFactory(self.seed)
+        model = build_model("mlp", DIM, CLASSES, factory.get("model"), hidden=(5,))
+        clients = []
+        for k, (n, one_more) in enumerate(self.clients):
+            c = FLClient(
+                k, model, factory.defer(f"c{k}"), sgd_steps=self.steps + one_more,
+                sgd_lr=0.1, batch_size=BATCH, local_solver=self.solver,
+                momentum=self.momentum,
+            )
+            c.set_data(_GEN.sample(n, rng=factory.get(f"d{k}")))
+            clients.append(c)
+        w = model.get_params() + 0.1 * factory.get("w").normal(size=model.num_params)
+        global_grad = 0.05 * factory.get("g").normal(size=w.size)
+        return clients, w, global_grad
+
+    def loop(self, clients, w, global_grad):
+        return [
+            c.train_iteration(
+                w, global_grad, target_eta=self.target_eta,
+                start=c.local_grad(w, with_loss=True),
+            )
+            for c in clients
+        ]
+
+    def batched(self, clients, w, global_grad):
+        engine = BatchedClientEngine(clients[0].model, clients)
+        engine.local_grads(w)
+        return engine.train_iteration_all(w, global_grad, target_eta=self.target_eta)
+
+
+def client_streams(clients, w, global_grad):
+    # Reading ``rng`` creates a stream nobody drew from, in its first state.
+    return [stream_state(c.rng) for c in clients]
+
+
+def check_solve_case(case):
+    """Equal ``d`` bytes, η̂, trajectories and per-client stream positions;
+    returns the batched side's clients and solves for further assertions."""
+    seen = []
+
+    def batched(clients, w, global_grad):
+        solves = case.batched(clients, w, global_grad)
+        for c in clients:
+            # PR 13's contract: no minibatch draw, no generator.
+            assert c.rng_created == (c.num_samples > BATCH)
+        seen.append((clients, solves))
+        return solves
+
+    assert_matches_oracle(case.loop, batched, case.build, state=client_streams)
+    return seen[0]
+
+
+class TestSolveMatchesLoop:
+    @given(
+        st.builds(
+            SolveCase,
+            clients=st.lists(
+                st.tuples(
+                    st.one_of(st.integers(2, 2 * BATCH), st.just(BATCH)), st.booleans()
+                ),
+                min_size=1,
+                max_size=8,
+            ).map(tuple),
+            steps=st.integers(1, 6),
+            solver=st.sampled_from(["dane", "fedprox"]),
+            momentum=st.sampled_from([0.0, 0.5, 0.9]),
+            target_eta=st.sampled_from([None, 0.3, 0.9]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_drawn_groups(self, case):
+        check_solve_case(case)
+
+    # The situations the rewrite of the stacked solve has to get right, by
+    # name, each checked to be the situation it claims to be.
+    NAMED = {
+        "all_full": SolveCase(((3, False), (7, False), (7, False), (5, False)), steps=4),
+        "all_sub": SolveCase(((9, False), (16, False), (9, False)), steps=4),
+        "mixed": SolveCase(
+            ((12, False), (4, False), (BATCH, False), (9, False), (4, False)), steps=5
+        ),
+        "exactly_batch_size": SolveCase(((BATCH, False), (BATCH, False)), steps=3),
+        "momentum": SolveCase(((6, False), (11, False)), steps=4, momentum=0.9),
+        "fedprox": SolveCase(((6, False), (11, False)), steps=4, solver="fedprox"),
+        "fedprox_momentum_two_groups": SolveCase(
+            ((6, True), (11, False), (11, True), (5, False)),
+            steps=3, solver="fedprox", momentum=0.5, target_eta=0.9,
+        ),
+        "early_stop": SolveCase(
+            ((6, False), (11, False), (7, False), (14, False), (6, False)),
+            steps=6, target_eta=0.52,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_group(self, name):
+        case = self.NAMED[name]
+        clients, solves = check_solve_case(case)
+        sizes = [c.num_samples for c in clients]
+        steps_run = [len(traj) - 1 for _, _, traj in solves]
+        if name == "mixed":
+            assert min(sizes) < BATCH < max(sizes) and BATCH in sizes
+        if name == "early_stop":
+            # η̂ needs three trajectory points: step 2 is the earliest stop.
+            # Here one client takes it and the rest leave one after another,
+            # full-batch rows (which carry their gradient) from the middle
+            # of the active prefix included.
+            assert min(steps_run) == 2
+            full = [j for j, n in zip(steps_run, sizes) if n <= BATCH]
+            assert len(set(full)) > 1 and len(set(steps_run)) >= 3
+
+
+def count_kernel_rows(engine, monkeypatch):
+    """Record the client rows of every ``_evaluate_exact`` call — the batched
+    engine's unit of work, one row being one network evaluation."""
+    rows = []
+    original = engine.kernel._evaluate_exact
+    monkeypatch.setattr(
+        engine.kernel,
+        "_evaluate_exact",
+        lambda w, x, *a, **k: rows.append(x.shape[0]) or original(w, x, *a, **k),
+    )
+    return rows
+
+
+class TestEveryPointEvaluatedOnceBatched:
+    """:mod:`repro.fl.dane`'s evaluation-count contract, on the stacked solve."""
+
+    STEPS = 5
+
+    @pytest.mark.parametrize(
+        "sizes, per_solve",
+        [
+            ((5, 5, 7), 3 * STEPS),                      # full batch: J fused passes
+            ((BATCH, BATCH), 2 * STEPS),                 # exactly full: still J
+            ((9, 12, 12), 3 * 2 * STEPS),                # minibatch: gradient + value
+            ((5, BATCH, 9, 12), 2 * STEPS + 2 * 2 * STEPS),   # one mixed group
+        ],
+    )
+    @pytest.mark.parametrize("swept", ["same point", "other point", "never"])
+    def test_rows_per_solve(self, monkeypatch, sizes, per_solve, swept):
+        case = SolveCase(tuple((n, False) for n in sizes), steps=self.STEPS)
+        clients, w, global_grad = case.build()
+        engine = BatchedClientEngine(clients[0].model, clients)
+        if swept != "never":
+            engine.local_grads(w if swept == "same point" else w + 1.0)
+        rows = count_kernel_rows(engine, monkeypatch)
+        solves = engine.train_iteration_all(w, global_grad)
+        assert [len(traj) for _, _, traj in solves] == [self.STEPS + 1] * len(sizes)
+        # Nothing is evaluated at d = 0 when the sweep covered w; a solve
+        # the sweep did not cover pays exactly one sweep of its own.
+        own_sweep = 0 if swept == "same point" else len(sizes)
+        assert sum(rows) == own_sweep + per_solve
+
+    def test_early_stopped_rows_are_not_evaluated_again(self, monkeypatch):
+        case = TestSolveMatchesLoop.NAMED["early_stop"]
+        clients, w, global_grad = case.build()
+        engine = BatchedClientEngine(clients[0].model, clients)
+        engine.local_grads(w)
+        rows = count_kernel_rows(engine, monkeypatch)
+        solves = engine.train_iteration_all(w, global_grad, target_eta=case.target_eta)
+        expected = sum(
+            (len(traj) - 1) * (2 if c.num_samples > BATCH else 1)
+            for c, (_, _, traj) in zip(clients, solves)
+        )
+        assert sum(rows) == expected
