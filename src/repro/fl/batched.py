@@ -8,10 +8,13 @@ dominated by Python and BLAS call overhead rather than arithmetic.
 
 :class:`BatchedClientEngine` sorts the participants by local dataset size,
 stacks each run of equal-length datasets into one contiguous ``(k, n, D)``
-tensor and drives all K solves step-synchronously through
-:class:`BatchedSequentialKernel`, a batched re-implementation of the
-``Sequential`` forward/backward for dense networks.  Every numpy batched
-op used here is *per-slice bit-identical* to its loop equivalent:
+tensor and drives all K solves step-synchronously through the model's
+:class:`repro.nn.kernel.BatchedSequentialKernel` — the flat-parameter
+forward/backward for dense networks that lives in :mod:`repro.nn` and that
+the loop path evaluates single clients with as well
+(:class:`repro.nn.models.ClassifierModel`); this module stacks it, it does
+not own it.  Every numpy batched op the kernel and the solve use is
+*per-slice bit-identical* to its one-client equivalent:
 
 * GEMMs never see padded rows: clients are evaluated in equal-length
   sub-batches, because BLAS derives its panel blocking (and hence the
@@ -42,9 +45,10 @@ client that never subsamples never touches (or creates) its generator, and
 a client that early-stops (reached ``target_eta``) simply leaves the active
 set, so its draw count matches the sequential loop.
 
-The engine only supports shared-model ``Sequential`` stacks of ``Linear``
-and elementwise activations with 2-D inputs (``logreg``/``mlp``); the
-round runner falls back to the loop for anything else (CNNs).
+The engine only supports shared models that have a kernel — ``Sequential``
+stacks of ``Linear`` and elementwise activations with 2-D inputs
+(``logreg``/``mlp``); the round runner falls back to the loop for anything
+else (CNNs).
 """
 
 from __future__ import annotations
@@ -54,227 +58,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fl.convergence import estimate_local_accuracy
-from repro.nn.activations import ReLU, Sigmoid, Tanh
-from repro.nn.linear import Linear
+from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.models import ClassifierModel
-from repro.nn.module import Sequential
 
 __all__ = ["BatchedSequentialKernel", "BatchedClientEngine", "batched_local_losses"]
-
-_ACTIVATIONS = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
-
-#: Read-only ``np.arange`` tables keyed by length: the label gather in
-#: :meth:`BatchedSequentialKernel._evaluate_exact` rebuilds the same small
-#: index base tens of thousands of times per experiment.
-_ARANGE_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _flat_arange(size: int) -> np.ndarray:
-    """Memoized read-only ``np.arange(size)``."""
-    ar = _ARANGE_CACHE.get(size)
-    if ar is None:
-        ar = np.arange(size)
-        ar.setflags(write=False)
-        _ARANGE_CACHE[size] = ar
-    return ar
-
-
-class BatchedSequentialKernel:
-    """Batched loss/gradient evaluation for a dense ``Sequential`` network.
-
-    Evaluates F(w) = mean-CE + (reg/2)‖w‖² and ∇F for K clients at once,
-    at either one shared parameter vector ``w ∈ R^P`` or per-client rows
-    ``w ∈ R^{K×P}``, bit-identical to K sequential
-    :meth:`repro.nn.models.ClassifierModel.loss_and_grad` calls.
-    """
-
-    def __init__(self, network: Sequential) -> None:
-        if not self.supports(network):
-            raise ValueError("network not supported by the batched kernel")
-        self.specs: List[Tuple] = []
-        offset = 0
-        for layer in network.layers:
-            if isinstance(layer, Linear):
-                din, dout = layer.weight.value.shape
-                w_off = offset
-                b_off = offset + din * dout
-                self.specs.append(("linear", din, dout, w_off, b_off))
-                offset = b_off + dout
-            else:
-                self.specs.append((_ACTIVATIONS[type(layer)],))
-        self.num_params = offset
-
-    @staticmethod
-    def supports(network) -> bool:
-        """True when every layer is Linear or an elementwise activation."""
-        if not isinstance(network, Sequential):
-            return False
-        for layer in network.layers:
-            if not isinstance(layer, (Linear, ReLU, Tanh, Sigmoid)):
-                return False
-        return isinstance(network.layers[0], Linear)
-
-    # -- forward / backward ----------------------------------------------------
-
-    def _weights(self, w: np.ndarray, spec: Tuple) -> Tuple[np.ndarray, np.ndarray]:
-        _, din, dout, w_off, b_off = spec
-        if w.ndim == 1:
-            return w[w_off:b_off].reshape(din, dout), w[b_off : b_off + dout]
-        return (
-            w[:, w_off:b_off].reshape(-1, din, dout),
-            w[:, b_off : b_off + dout],
-        )
-
-    def _forward(
-        self, w: np.ndarray, x: np.ndarray, need_cache: bool
-    ) -> Tuple[np.ndarray, List[Tuple]]:
-        shared = w.ndim == 1
-        h = x
-        caches: List[Tuple] = []
-        for spec in self.specs:
-            kind = spec[0]
-            if kind == "linear":
-                weight, bias = self._weights(w, spec)
-                if need_cache:
-                    caches.append((h, weight))
-                h = np.matmul(h, weight)
-                # In-place broadcast add: same elementwise op as `+ bias`.
-                h += bias if shared else bias[:, None, :]
-            elif kind == "relu":
-                mask = h > 0
-                if need_cache:
-                    caches.append((mask,))
-                h = np.where(mask, h, 0.0)
-            elif kind == "tanh":
-                h = np.tanh(h)
-                if need_cache:
-                    caches.append((h,))
-            else:  # sigmoid
-                out = np.empty_like(h, dtype=float)
-                pos = h >= 0
-                out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
-                ex = np.exp(h[~pos])
-                out[~pos] = ex / (1.0 + ex)
-                if need_cache:
-                    caches.append((out,))
-                h = out
-        return h, caches
-
-    def evaluate_sorted(
-        self,
-        w: np.ndarray,
-        runs: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
-        reg: float,
-        want_grad: bool = True,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Batched F / ∇F over a length-sorted client stack.
-
-        ``runs`` lists the stack's contiguous equal-length row ranges as
-        ``(start, end, x, y)`` with ``x`` of shape ``(end − start, n, D)``
-        and ``y`` of shape ``(end − start, n)`` int labels — exactly ``n``
-        samples per client, no padding.  Returns ``(loss, grad)`` with
-        ``loss`` of shape ``(K,)`` and ``grad`` of shape ``(K, P)``
-        (``None`` when ``want_grad`` is false).
-
-        Clients are evaluated one equal-length run at a time so that no
-        GEMM ever sees a padded sample axis: BLAS picks its panel blocking
-        from the matrix shape, so both reducing over *and* carrying padded
-        rows can regroup the floating-point accumulation of the real
-        entries.  With exact lengths every batched matmul is per-slice
-        bit-identical to the sequential 2-D call.
-        """
-        k_count = runs[-1][1]
-        losses = np.empty(k_count)
-        flat = np.empty((k_count, self.num_params)) if want_grad else None
-        for s, e, x, y in runs:
-            losses[s:e], _ = self._evaluate_exact(
-                w if w.ndim == 1 else w[s:e],
-                x,
-                y,
-                reg,
-                want_grad,
-                out=flat[s:e] if want_grad else None,
-            )
-        return losses, flat
-
-    def _evaluate_exact(
-        self,
-        w: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        reg: float,
-        want_grad: bool,
-        out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """F / ∇F for clients sharing one exact sample count (no padding).
-
-        The gradient is written into ``out`` (``(K, P)``, every entry
-        overwritten) when given, else into a fresh array.
-        """
-        k_count, n, _ = x.shape
-        logits, caches = self._forward(w, x, need_cache=want_grad)
-        # Row-stable softmax pieces, identical to losses.softmax_cross_entropy.
-        z = logits - logits.max(axis=2, keepdims=True)
-        # Flat elementwise gather of z[k, i, y[k, i]] (pure indexing, no
-        # arithmetic — values identical to take_along_axis).
-        num_classes = z.shape[2]
-        flat_pick = _flat_arange(k_count * n) * num_classes + y.ravel()
-        picked = z.reshape(-1)[flat_pick].reshape(k_count, n)
-        # exp/softmax computed in place on z (picked was gathered above, so
-        # z is otherwise dead); elementwise values unchanged.
-        e = np.exp(z, out=z)
-        se = e.sum(axis=2)
-        diff = np.log(se)
-        diff -= picked
-        # Reducing the last axis of a contiguous 2-D array applies the same
-        # pairwise summation per row as the loop's 1-D np.mean (a sum
-        # divided by the count) — bitwise identical to per-client means.
-        losses = np.add.reduce(diff, axis=1) / n
-        if reg > 0.0:
-            if w.ndim == 1:
-                losses += 0.5 * reg * float(w @ w)
-            else:
-                for k in range(k_count):
-                    losses[k] += 0.5 * reg * float(w[k] @ w[k])
-        if not want_grad:
-            return losses, None
-        probs = np.divide(e, se[:, :, None], out=e)
-        # One label per row, so the flat scatter matches the loop's
-        # probs[arange(n), y] -= 1 (no duplicate index pairs).
-        probs.reshape(-1)[flat_pick] -= 1.0
-        g = np.divide(probs, float(n), out=probs)
-        flat = np.empty((k_count, self.num_params)) if out is None else out
-        for i in range(len(self.specs) - 1, -1, -1):
-            spec, cache = self.specs[i], caches[i]
-            kind = spec[0]
-            if kind == "linear":
-                _, din, dout, w_off, b_off = spec
-                h_in, weight = cache
-                # The weight gradient lands in its slot of ``flat`` directly
-                # (a strided view, one contiguous (din, dout) block per
-                # client): the same GEMM per slice, no K×P copy after it.
-                np.matmul(
-                    h_in.transpose(0, 2, 1),
-                    g,
-                    out=flat[:, w_off:b_off].reshape(k_count, din, dout),
-                )
-                # Last-axis-contiguous reduction: per-slice bitwise equal
-                # to each client's g[k].sum(axis=0).
-                flat[:, b_off : b_off + dout] = g.sum(axis=1)
-                if i > 0:
-                    if weight.ndim == 2:
-                        g = np.matmul(g, weight.T)
-                    else:
-                        g = np.matmul(g, weight.transpose(0, 2, 1))
-            elif kind == "relu":
-                g = np.where(cache[0], g, 0.0)
-            elif kind == "tanh":
-                g = g * (1.0 - cache[0] ** 2)
-            else:  # sigmoid
-                g = g * cache[0] * (1.0 - cache[0])
-        if reg > 0.0:
-            flat += reg * w
-        return losses, flat
 
 
 class _ClientGroup:
@@ -333,9 +120,8 @@ def batched_local_losses(
     model: ClassifierModel, clients: Sequence, w: np.ndarray
 ) -> np.ndarray:
     """Per-client ``F_{t,k}(w)`` for many clients in one batched sweep."""
-    kernel = BatchedSequentialKernel(model.network)
     group = _ClientGroup(list(range(len(clients))), list(clients))
-    sorted_losses, _ = kernel.evaluate_sorted(
+    sorted_losses, _ = model.kernel.evaluate_sorted(
         np.asarray(w, dtype=float), group.buckets, model.l2_reg, want_grad=False
     )
     losses = np.empty(len(clients))
@@ -348,7 +134,7 @@ class BatchedClientEngine:
 
     def __init__(self, model: ClassifierModel, participants: Sequence) -> None:
         self.model = model
-        self.kernel = BatchedSequentialKernel(model.network)
+        self.kernel: BatchedSequentialKernel = model.kernel
         self.participants = list(participants)
         by_key: Dict[Tuple, List[int]] = {}
         for pos, c in enumerate(self.participants):
@@ -373,9 +159,7 @@ class BatchedClientEngine:
     @staticmethod
     def supported(model, participants: Sequence) -> bool:
         """True when every participant can run through the batched kernel."""
-        if not isinstance(model, ClassifierModel):
-            return False
-        if not BatchedSequentialKernel.supports(model.network):
+        if not isinstance(model, ClassifierModel) or model.kernel is None:
             return False
         for c in participants:
             if c.model is not model:

@@ -2,9 +2,11 @@
 
 Clients share one :class:`repro.nn.models.ClassifierModel` instance (the
 architecture); all state that differs between clients — data, RNG stream,
-the current displacement — lives here.  Sharing the network object is safe
-because the simulator executes clients sequentially and every loss/grad
-call re-loads its parameter vector.
+the current displacement — lives here.  Sharing the model is safe: a dense
+network is evaluated at the ``w`` it is handed without touching the shared
+layers (:mod:`repro.nn.models`), and on the ``Module`` path (CNNs) the
+simulator executes clients sequentially and every loss/grad call re-loads
+its parameter vector.
 """
 
 from __future__ import annotations
@@ -154,7 +156,9 @@ class FLClient:
             max_steps=self.sgd_steps,
             lr=self.sgd_lr,
             batch_size=self.batch_size,
-            rng=self.rng,
+            # Only a subsampling solve draws: a full-batch client's deferred
+            # stream is never created.
+            rng=self.rng if self.batch_size < self.num_samples else None,
             target_eta=target_eta,
             momentum=self.momentum,
             start=start,

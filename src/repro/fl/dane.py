@@ -89,7 +89,7 @@ def dane_local_step(
     max_steps: int,
     lr: float,
     batch_size: int,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     target_eta: Optional[float] = None,
     momentum: float = 0.0,
     start: Optional[Tuple[float, np.ndarray]] = None,
@@ -102,6 +102,10 @@ def dane_local_step(
     trajectory after each step), subject to the hard cap ``max_steps``
     ("the maximal value of gradient steps j is a pre-defined constant").
     ``None`` runs exactly ``max_steps`` steps.
+
+    ``rng`` draws the minibatch indices and is read only by a solve that
+    subsamples (``batch_size < len(data)``); a full-batch caller may pass
+    ``None``.
 
     ``start`` is ``(F_k(w), ∇F_k(w))`` on the full local set at
     ``ws.w_global``, for a caller that already holds it; ``None`` costs one
@@ -124,33 +128,46 @@ def dane_local_step(
 
     n = len(data)
     bs = min(batch_size, n)
+    w = ws.w_global
+    sigma1 = ws.sigma1
     if start is None:
-        start = model.loss_and_grad(ws.w_global, data.x, data.y)
+        start = model.loss_and_grad(w, data.x, data.y)
     # f, g: F_k and ∇F_k on the full local set at w + d (here d = 0).
     f, g = start
     lin = ws.linear_term()
-    d = np.zeros_like(ws.w_global)
-    velocity = np.zeros_like(d)
+    # d, the velocity and one scratch t are the only P-vectors of the solve,
+    # updated in place; w, ḡ and the starting pair are the caller's and are
+    # only read.
+    d = np.zeros_like(w)
+    velocity = np.zeros_like(w) if momentum > 0.0 else None
+    t = np.empty_like(w)
     trajectory = [float(f)]  # G(0) = F_k(w)
     for step in range(max_steps):
         if bs < n:
             idx = rng.choice(n, size=bs, replace=False)
-            _, g = model.loss_and_grad(ws.w_global + d, data.x[idx], data.y[idx])
-        grad = g + ws.sigma1 * d - lin
-        if momentum > 0.0:
+            np.add(w, d, out=t)
+            _, g = model.loss_and_grad(t, data.x[idx], data.y[idx])
+        # ∇G(d) = g + σ1 d − lin, times lr, into t.
+        np.multiply(d, sigma1, out=t)
+        t += g
+        t -= lin
+        t *= lr
+        if velocity is not None:
             # Heavy-ball inner updates (Momentum Federated Learning,
             # paper's related work [17]).
-            velocity = momentum * velocity - lr * grad
-            d = d + velocity
+            velocity *= momentum
+            velocity -= t
+            d += velocity
         else:
-            d = d - lr * grad
+            d -= t
+        np.add(w, d, out=t)
         if bs < n:
-            f = model.loss(ws.w_global + d, data.x, data.y)
+            f = model.loss(t, data.x, data.y)
         else:
             # The minibatch is the whole local set: this one pass is both
             # G(d)'s value and the next step's gradient.
-            f, g = model.loss_and_grad(ws.w_global + d, data.x, data.y)
-        trajectory.append(f + 0.5 * ws.sigma1 * float(d @ d) - float(lin @ d))
+            f, g = model.loss_and_grad(t, data.x, data.y)
+        trajectory.append(f + 0.5 * sigma1 * float(d @ d) - float(lin @ d))
         if (
             target_eta is not None
             and step >= 1  # need >= 3 trajectory points for the estimator

@@ -86,9 +86,11 @@ class _Worker:
         self.plan: Optional[_RoundPlan] = None
         self.cancels: Dict[tuple, threading.Event] = {}
         self.threads: list = []
-        # Each client gets a private model clone: loss/grad calls load
-        # parameters into shared network buffers, so concurrent solves on
-        # one model object would race.
+        # Each client gets a private model clone.  Only a ``Module``-path
+        # model (CNN) needs it: its loss/grad calls load parameters into
+        # shared network buffers, so concurrent solves on one model object
+        # would race.  A dense model evaluates through the stateless
+        # flat-parameter kernel and never writes its layers.
         import copy
 
         for client in clients.values():

@@ -11,6 +11,9 @@ package implements the needed pieces directly on NumPy:
   :mod:`repro.nn.pooling`, :mod:`repro.nn.activations`.
 * :mod:`repro.nn.losses` — softmax cross-entropy with fused gradient,
   L2 regularization.
+* :mod:`repro.nn.kernel` — forward/backward of dense stacks directly on the
+  flat parameter vector, for one batch or K stacked clients; what
+  ``ClassifierModel`` and the batched FL engine both evaluate with.
 * :mod:`repro.nn.models` — ``ClassifierModel`` facade plus factories for
   logistic regression, MLP, and the paper's two CNNs (scaled).
 * :mod:`repro.nn.optim` — SGD / momentum and LR schedules.
@@ -28,6 +31,7 @@ from repro.nn.activations import ReLU, Tanh, Sigmoid
 from repro.nn.dropout import Dropout
 from repro.nn.serialization import save_checkpoint, load_checkpoint
 from repro.nn.losses import softmax_cross_entropy, softmax, l2_penalty
+from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.models import ClassifierModel, build_model
 from repro.nn.optim import SGD, step_decay_schedule, constant_schedule
 from repro.nn.metrics import accuracy, top_k_accuracy
@@ -51,6 +55,7 @@ __all__ = [
     "softmax_cross_entropy",
     "softmax",
     "l2_penalty",
+    "BatchedSequentialKernel",
     "ClassifierModel",
     "build_model",
     "SGD",

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["softmax", "softmax_cross_entropy", "l2_penalty"]
+__all__ = ["softmax", "check_labels", "softmax_cross_entropy", "l2_penalty"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -14,6 +14,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
+    """``labels`` as an array, after checking it is ``(n,)`` within ``[0, C)``."""
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise ValueError("labels must be (N,)")
+    if (y < 0).any() or (y >= num_classes).any():
+        raise ValueError("labels out of range")
+    return y
 
 
 def softmax_cross_entropy(
@@ -29,11 +39,7 @@ def softmax_cross_entropy(
     if logits.ndim != 2:
         raise ValueError("logits must be (N, C)")
     n, c = logits.shape
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ValueError("labels must be (N,)")
-    if np.any(y < 0) or np.any(y >= c):
-        raise ValueError("labels out of range")
+    y = check_labels(labels, n, c)
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     se = e.sum(axis=1)

@@ -5,6 +5,21 @@ softmax cross-entropy + L2 and exposes the *functional* interface the FL
 machinery needs: evaluate loss/gradient at an arbitrary flat parameter
 vector ``w`` without the caller touching layer internals.
 
+There is one evaluation path per kind of network, chosen from its layer
+types.  A ``Sequential`` of ``Linear`` and elementwise activations
+(``logreg``, ``mlp``, any hand-built dense stack) evaluates ``logits`` /
+``loss`` / ``loss_and_grad`` through :class:`repro.nn.kernel.
+BatchedSequentialKernel`, which reads the weights as views into ``w`` and
+writes the gradient into one flat vector: the network's ``Parameter``
+objects are neither read nor written, so evaluating at ``w`` leaves
+``get_params()`` what it was and concurrent evaluations on one model do not
+interact.  Before the kernel runs, the arguments are checked as the layers
+would check them — ``w`` a flat vector of the parameter count, ``x`` 2-D
+with the first layer's input width, labels ``(N,)`` within ``[0, C)`` — each
+a ``ValueError``.  Anything else (the CNNs) takes the ``Module`` path: load
+``w`` into the layers, ``forward`` / ``backward``, gather the gradients;
+bit-identical where both apply.
+
 Factories:
 
 * ``logreg`` — multinomial logistic regression.  With ``l2_reg > 0`` the
@@ -28,6 +43,7 @@ import numpy as np
 
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
+from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.linear import Flatten, Linear, Reshape
 from repro.nn.losses import l2_penalty, softmax, softmax_cross_entropy
 from repro.nn.module import Module, Sequential
@@ -47,6 +63,13 @@ class ClassifierModel:
         self.network = network
         self.num_classes = num_classes
         self.l2_reg = l2_reg
+        #: The flat-parameter evaluator of a dense network; ``None`` sends
+        #: evaluation down the ``Module`` path.
+        self.kernel: Optional[BatchedSequentialKernel] = (
+            BatchedSequentialKernel(network)
+            if BatchedSequentialKernel.supports(network)
+            else None
+        )
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -64,6 +87,8 @@ class ClassifierModel:
 
     def logits(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The network's forward pass on ``x`` at parameters ``w``."""
+        if self.kernel is not None:
+            return self.kernel.logits(np.asarray(w, dtype=float), x)
         self.network.set_flat_params(w)
         return self.network.forward(x)
 
@@ -91,6 +116,8 @@ class ClassifierModel:
     ) -> Tuple[float, np.ndarray]:
         """F(w) and ∇F(w) on the batch."""
         w = np.asarray(w, dtype=float)
+        if self.kernel is not None:
+            return self.kernel.loss_and_grad(w, x, y, self.l2_reg)
         self.network.set_flat_params(w)
         self.network.zero_grad()
         logits = self.network.forward(x)

@@ -174,7 +174,7 @@ class TestEveryPointEvaluatedOnce:
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("n", [20, BATCH, 45])  # full, exactly full, minibatch
     def test_bit_identical_to_pre_fusion_solve(
-        self, setup, rng_factory, n, momentum, target_eta, solver, with_start
+        self, setup, rng_factory, monkeypatch, n, momentum, target_eta, solver, with_start
     ):
         gen, model, _ = setup
         data = gen.sample(n, rng=rng_factory.get("d"))
@@ -186,9 +186,13 @@ class TestEveryPointEvaluatedOnce:
         )
         client.set_data(data)
         start = client.local_grad(w, with_loss=True) if with_start else None
+        # What the solve is handed stays the caller's: read, never written.
+        inputs = [w, global_grad] + ([start[1]] if with_start else [])
+        before = [a.tobytes() for a in inputs]
         d, eta, traj = client.train_iteration(
             w, global_grad, target_eta=target_eta, start=start
         )
+        assert [a.tobytes() for a in inputs] == before
 
         local_g = client.local_grad(w)
         if solver == "dane":
@@ -206,12 +210,27 @@ class TestEveryPointEvaluatedOnce:
         assert client.rng.bit_generator.state == ref_rng.bit_generator.state
         # The solver itself, fed the same workspace, agrees too.
         step_rng = np.random.default_rng(11)
-        d2, traj2 = dane_local_step(
-            model, ws, data, 6, 0.05, BATCH, step_rng,
-            target_eta=target_eta, momentum=momentum, start=start,
-        )
+        inputs += [ws.w_global, ws.global_grad, ws.local_grad_at_w]
+        before = [a.tobytes() for a in inputs]
+        zeroed = []
+        zeros_like = np.zeros_like
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np, "zeros_like", lambda *a, **k: zeroed.append(1) or zeros_like(*a, **k)
+            )
+            d2, traj2 = dane_local_step(
+                model, ws, data, 6, 0.05, BATCH, step_rng,
+                target_eta=target_eta, momentum=momentum, start=start,
+            )
         assert d2.tobytes() == ref_d.tobytes() and traj2 == ref_traj
         assert step_rng.bit_generator.state == ref_rng.bit_generator.state
+        # The in-place step: inputs untouched here too, ``d`` owns its memory
+        # (the second solve left the first result alone) and only a
+        # heavy-ball solve allocates a velocity next to ``d``.
+        assert [a.tobytes() for a in inputs] == before
+        assert d.flags.owndata and d2.flags.owndata and d2 is not d
+        assert d.tobytes() == ref_d.tobytes()
+        assert len(zeroed) == (2 if momentum > 0.0 else 1)
 
     @pytest.mark.parametrize(
         "n, with_start, expected",
@@ -312,6 +331,94 @@ class TestEveryPointEvaluatedOnce:
         assert not np.isnan(res.local_etas).any()  # all three contributed
         with pytest.raises(ValueError, match="no gradients to aggregate"):
             run([[0, 1], []])
+
+
+class TestNeverDrawsNeverCreates:
+    """PR 13's contract on every engine: a client whose minibatch is its whole
+    local set never draws, so its deferred stream is never created."""
+
+    SIZES = (12, BATCH, 45, 20)  # only the third subsamples
+
+    def fleet(self, setup, rng_factory):
+        gen, model, _ = setup
+        clients = []
+        for k, n in enumerate(self.SIZES):
+            c = FLClient(
+                k, model, rng_factory.defer(f"fl.client.{k}"), sgd_steps=3,
+                batch_size=BATCH,
+            )
+            c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))
+            clients.append(c)
+        server = FLServer(
+            model, model.get_params(), gen.sample(40, rng=rng_factory.get("t"))
+        )
+        return clients, server
+
+    @pytest.mark.parametrize("engine", ["loop", "des"])
+    def test_in_process_round(self, setup, rng_factory, engine):
+        from repro.sim import SimRoundSpec
+
+        clients, server = self.fleet(setup, rng_factory)
+        k = len(clients)
+        source = {}
+        if engine == "des":  # fault-free: everybody contributes every iteration
+            source = dict(
+                sim_spec=SimRoundSpec(
+                    client_ids=np.arange(k), tau_loc=np.ones(k), tau_cm=np.ones(k),
+                    iterations=2,
+                ),
+                sim_rng=rng_factory.get("sim"),
+            )
+        res = run_federated_round(
+            server, clients, np.ones(k, bool), np.ones(k, bool), 2,
+            engine=engine, **source,
+        )
+        assert not np.isnan(res.local_etas).any()
+        assert [c.rng_created for c in clients] == [n > BATCH for n in self.SIZES]
+        assert [key for key in rng_factory.state_dict() if key.startswith("fl.")] == [
+            "fl.client.2"
+        ]
+
+    def test_live_worker_reports_only_clients_that_drew(self, setup, rng_factory):
+        from repro.live import LiveRoundSpec, LiveRuntime
+
+        clients, server = self.fleet(setup, rng_factory)
+        k = len(clients)
+        spec = LiveRoundSpec(
+            np.arange(k), np.full(k, 1e-3), np.full(k, 1e-3), iterations=2,
+            time_scale=0.01,
+        )
+        with LiveRuntime(clients, num_workers=1, round_timeout_s=30.0) as rt:
+            rt.install_data({c.client_id: c.data for c in clients})
+            res = run_federated_round(
+                server, clients, np.ones(k, bool), np.ones(k, bool), 2,
+                engine="live", live_round=rt.begin_round(spec),
+            )
+            states = rt.client_rng_states()
+        assert not np.isnan(res.local_etas).any()
+        assert sorted(states) == ["fl.client.2"]
+        # The solves ran in the worker: the parent created no client stream.
+        assert not any(c.rng_created for c in clients)
+
+    def test_loop_and_batched_runs_hold_the_same_streams(self):
+        """What a snapshot's ``rng.json`` would list after the same run."""
+        from repro.experiments.runner import Simulation
+
+        names = {}
+        for engine in ("loop", "batched"):
+            cfg = experiment_config(budget=1e6, num_clients=12, max_epochs=3)
+            cfg = cfg.replace(
+                training=dataclasses.replace(cfg.training, engine=engine)
+            )
+            sim = Simulation(cfg)
+            res = run_experiment(
+                make_policy("FedAvg", cfg, RngFactory(0).get("p")), cfg, simulation=sim
+            )
+            assert len(res.trace) == 3
+            names[engine] = sorted(sim.rng.state_dict())
+        assert names["loop"] == names["batched"]
+        drew = [key for key in names["loop"] if key.startswith("fl.client.")]
+        assert 0 < len(drew) < 12  # the run mixed full-batch and subsampling clients
 
 
 class TestEndToEnd:
