@@ -20,6 +20,7 @@ import pytest
 
 from repro.experiments.figures import run_policy_suite
 from repro.experiments.metrics import Trace
+from repro.host import usable_cpus
 
 BENCH_CLIENTS = 20
 BENCH_EPOCHS = 60
@@ -28,7 +29,7 @@ BENCH_BUDGET = 1200.0
 # Worker processes for the sweep-engine benches (multi-seed bands, budget
 # sweeps).  Results are bit-identical at any worker count; override with
 # REPRO_SWEEP_WORKERS to pin serial (1) or oversubscribe.
-SWEEP_WORKERS = int(os.environ.get("REPRO_SWEEP_WORKERS", str(os.cpu_count() or 1)))
+SWEEP_WORKERS = int(os.environ.get("REPRO_SWEEP_WORKERS", usable_cpus()))
 
 _suite_cache: Dict[tuple, Dict[str, Trace]] = {}
 

@@ -12,6 +12,20 @@ Top-level convenience re-exports; see the subpackages for the full API:
   :mod:`repro.env`, :mod:`repro.datasets`, :mod:`repro.solvers`.
 """
 
+import os
+import sys
+
+# One compute thread per process, sized before the first ``import numpy``
+# (below, through ``repro.config``) starts a BLAS pool: every GEMM here is
+# sub-millisecond and all real parallelism is by process (sweep pool,
+# forked live workers), so an ncores-wide pool in each of them only spins
+# against the others.  A variable the user exported wins.  A caller that
+# imported numpy first keeps numpy's pool; run manifests record that.
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from repro.config import ExperimentConfig, FedLConfig
 from repro.rng import RngFactory
 

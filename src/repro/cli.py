@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     p_swp.add_argument("--workers", type=positive_int, default=None,
-                       help="worker processes (default: all cores; 1 = serial)")
+                       help="worker processes (default: the CPUs this process "
+                       "may use; 1 = serial)")
     p_swp.add_argument("--engine", default=None,
                        choices=["loop", "batched", "des"],
                        help="override the per-round training engine "
@@ -259,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeds per cell (default: 0 with --quick, "
                        "else 0 1 2)")
     p_trn.add_argument("--workers", type=positive_int, default=None,
-                       help="worker processes (default: all cores; "
-                       "1 = serial)")
+                       help="worker processes (default: the CPUs this process "
+                       "may use; 1 = serial)")
     p_trn.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
                        help="reuse/store per-cell results in this directory")
     p_trn.add_argument("--out", type=str, default=None, metavar="REPORT.json",

@@ -5,7 +5,7 @@ Every figure/table in the paper is a grid of independent
 that grid into first-class *jobs* and executes them:
 
 * **in parallel** on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (worker count configurable, default ``os.cpu_count()``), with
+  (worker count configurable, default :func:`~repro.host.usable_cpus`), with
   ``workers=1`` as an in-process serial fallback for debugging;
 * **deterministically** — each job carries its full
   :class:`~repro.config.ExperimentConfig` and a :class:`PolicySpec`, and
@@ -57,6 +57,7 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenarios import make_policy
+from repro.host import usable_cpus
 from repro.obs import Telemetry, get_telemetry, set_telemetry, use_telemetry
 from repro.rng import RngFactory
 
@@ -497,10 +498,12 @@ def run_sweep(
 ) -> List[ExperimentResult]:
     """Run every job, reusing cached results, and return results in job order.
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers=1`` runs serially
-    in-process (no executor), which is the debugging fallback.  Duplicate
-    jobs (identical content hash) execute once and the extra indices get
-    independent copies.  ``progress`` is called once per finished job with
+    ``workers=None`` uses the CPUs this process may run on
+    (:func:`~repro.host.usable_cpus` — with one compute thread per worker
+    the worker count is the whole parallelism budget); ``workers=1`` runs
+    serially in-process (no executor), which is the debugging fallback.
+    Duplicate jobs (identical content hash) execute once and the extra
+    indices get independent copies.  ``progress`` is called once per finished job with
     a :class:`SweepProgress` event (from the main process; ordering across
     parallel jobs follows completion, not submission).
 
@@ -516,7 +519,7 @@ def run_sweep(
     if total == 0:
         return []
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = usable_cpus()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tel = telemetry if telemetry is not None else get_telemetry()

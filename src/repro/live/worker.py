@@ -34,6 +34,7 @@ bit-identical to the loop engine.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 import threading
@@ -86,15 +87,14 @@ class _Worker:
         self.plan: Optional[_RoundPlan] = None
         self.cancels: Dict[tuple, threading.Event] = {}
         self.threads: list = []
-        # Each client gets a private model clone.  Only a ``Module``-path
-        # model (CNN) needs it: its loss/grad calls load parameters into
-        # shared network buffers, so concurrent solves on one model object
-        # would race.  A dense model evaluates through the stateless
-        # flat-parameter kernel and never writes its layers.
-        import copy
-
+        # A ``Module``-path model (CNN) gets a private clone per client:
+        # its loss/grad calls load parameters into shared network buffers,
+        # so concurrent solves on one model object would race.  A dense
+        # model evaluates through the stateless flat-parameter kernel and
+        # never writes its layers, so the fleet keeps sharing one.
         for client in clients.values():
-            client.model = copy.deepcopy(client.model)
+            if client.model.kernel is None:
+                client.model = copy.deepcopy(client.model)
         self.locks = {cid: threading.Lock() for cid in clients}
         self._hb_stop = threading.Event()
         if heartbeat_s > 0:

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, TextIO
 
+from repro.host import host_record
 from repro.obs.events import (
     TELEMETRY_SCHEMA_VERSION,
     Event,
@@ -355,7 +356,9 @@ def build_manifest(
     Merges ``own_registry`` with every ``registry-*.json`` worker
     snapshot, counts events per kind across every ``events*.jsonl`` file,
     and derives per-worker utilization from each worker's ``sweep.job``
-    timer (jobs executed + busy seconds).
+    timer (jobs executed + busy seconds).  ``host`` says which pool the
+    process that wrote the manifest computed with (:func:`repro.host.
+    host_record`); pool workers and forked live workers inherit it.
     """
     root = Path(directory).expanduser()
     merged = MetricsRegistry()
@@ -397,6 +400,7 @@ def build_manifest(
         "workers": workers,
         "registry": merged.snapshot(),
         "meta": jsonify(dict(meta) if meta else {}),
+        "host": host_record(),
         "ts": {"wall": time.time()},
     }
 
@@ -428,3 +432,11 @@ def validate_manifest(payload: Mapping[str, Any]) -> None:
             "max_s",
         } <= set(stat):
             raise ValueError(f"timer {name!r} malformed")
+    # Directories written before the field existed carry no ``host``.
+    host = payload.get("host")
+    if host is not None and not (
+        isinstance(host, Mapping)
+        and isinstance(host.get("cpus"), int)
+        and isinstance(host.get("blas_threads"), (Mapping, str))
+    ):
+        raise ValueError("manifest field 'host' mistyped")

@@ -302,6 +302,17 @@ def _warm_start_summary(counters: Mapping[str, Any]) -> Optional[str]:
     return line
 
 
+def _host_line(manifest: Optional[Dict[str, Any]]) -> str:
+    """Header line naming the pool the run's digests came from."""
+    host = manifest.get("host") if manifest else None
+    if host is None:
+        return ""
+    threads = host["blas_threads"]
+    if not isinstance(threads, str):
+        threads = " ".join(f"{k}={v}" for k, v in threads.items())
+    return f"\n  host: cpus={host['cpus']}  blas threads: {threads}"
+
+
 def render_trace(
     directory: str | Path,
     run: Optional[str] = None,
@@ -321,6 +332,7 @@ def render_trace(
         f"telemetry trace: {directory}\n"
         f"  events={len(events)}  runs={len(runs)}  workers={len(workers)}"
         + ("  manifest=ok" if manifest else "  manifest=missing")
+        + _host_line(manifest)
     )
 
     if counts:

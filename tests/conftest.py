@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+# ``repro`` first: importing it is what sizes the BLAS pool to one thread,
+# and that only works before numpy loads.  With numpy above this line the
+# suite would run the host's pool, not the program's.
+from repro.rng import RngFactory
+
 import numpy as np
 import pytest
 from hypothesis import settings
-
-from repro.rng import RngFactory
 
 # ``pytest --hypothesis-profile ci`` (what CI's tests job runs): every
 # property draws the same examples on every run, so a failing differential

@@ -19,7 +19,11 @@ from repro.cli import main
 from repro.config import LiveConfig, SimConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
+from repro.fl.client import FLClient
 from repro.live import LiveRoundSpec, LiveRuntime, run_calibration
+from repro.live.protocol import FrameStream, socket_pair
+from repro.live.worker import _Worker
+from repro.nn.models import build_model
 from repro.rng import RngFactory
 from repro.sim.faults import ParticipationFloorError, fault_profile
 
@@ -189,3 +193,32 @@ class TestCliLive:
         )
         assert rc == 1
         assert "participation floor" in capsys.readouterr().err.lower()
+
+
+class TestWorkerModelClones:
+    """A worker clones a model only when concurrent solves would race on it."""
+
+    @staticmethod
+    def worker_models(name, **model_kwargs):
+        model = build_model(name, 64, 3, np.random.default_rng(0), **model_kwargs)
+        clients = {
+            cid: FLClient(cid, model, np.random.default_rng(cid)) for cid in range(3)
+        }
+        ours, theirs = socket_pair()
+        try:
+            _Worker(FrameStream(ours), clients, chunk_bytes=1024, heartbeat_s=0)
+        finally:
+            ours.close()
+            theirs.close()
+        return model, [client.model for client in clients.values()]
+
+    def test_dense_fleet_keeps_sharing_one_model(self):
+        model, seen = self.worker_models("mlp", hidden=(8,))
+        assert model.kernel is not None
+        assert all(m is model for m in seen)
+
+    def test_cnn_fleet_gets_one_clone_per_client(self):
+        model, seen = self.worker_models("cnn", image_shape=(8, 8, 1))
+        assert model.kernel is None
+        assert len({id(m) for m in [model, *seen]}) == 4
+        assert len({id(m.network) for m in [model, *seen]}) == 4

@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from repro.host import BLAS_THREAD_VARS
 from repro.obs import (
     NULL_TELEMETRY,
     MANIFEST_NAME,
@@ -18,6 +21,8 @@ from repro.obs import (
     use_telemetry,
     validate_manifest,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestNullHub:
@@ -147,6 +152,19 @@ class TestManifest:
             "w2": 3,
         }
 
+    def test_manifest_names_the_pool_that_wrote_it(self, tmp_path):
+        manifest = build_manifest(tmp_path)
+        assert manifest["host"]["cpus"] >= 1
+        # conftest imports repro before numpy, so the defaults are in effect.
+        assert manifest["host"]["blas_threads"] == {
+            name: os.environ[name] for name in BLAS_THREAD_VARS
+        }
+
+    def test_manifest_written_before_the_host_field_still_validates(self):
+        old = json.loads((FIXTURES / "manifest_pre_host.json").read_text())
+        assert "host" not in old
+        validate_manifest(old)
+
     def test_load_manifest_rejects_invalid(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"v": 1}))
         assert load_manifest(tmp_path) is None
@@ -157,6 +175,8 @@ class TestManifest:
         {"registry": {}},
         {"event_counts": None},
         {"workers": "w1"},
+        {"host": "two cores"},
+        {"host": {"cpus": 2}},
     ])
     def test_validate_manifest_rejects_malformed(self, tmp_path, mutation):
         hub = Telemetry.for_directory(tmp_path)

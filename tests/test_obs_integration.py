@@ -230,10 +230,11 @@ class TestCli:
             "--epochs", "2", "--budget", "60", "--telemetry", str(tel),
         ])
         assert rc == 0
-        assert load_manifest(tel) is not None
+        host = load_manifest(tel)["host"]
         rc = main(["trace", str(tel)])
         assert rc == 0
         out = capsys.readouterr().out
+        assert f"host: cpus={host['cpus']}  blas threads: OPENBLAS_NUM_THREADS=" in out
         assert "per-phase timing" in out
         assert "dual max_i mu_t[i]" in out
         assert "cumulative fit" in out

@@ -7,10 +7,12 @@ serial fallback, or fanned out over a process pool — including the
 stochastic failure-injection and Markov-availability environment paths.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.figures import run_policy_suite
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
@@ -21,6 +23,7 @@ from repro.experiments.sweep import (
     results_identical,
     run_sweep,
 )
+from repro.host import usable_cpus
 from repro.rng import RngFactory
 
 
@@ -132,3 +135,24 @@ class TestParallelDeterminism:
         # Mutating one trace must not leak into the other.
         b.trace.records.pop()
         assert len(a.trace) == len(b.trace) + 1
+
+
+class TestDefaultWorkerCount:
+    """``workers=None`` is the CPUs the process may run on, not the machine's."""
+
+    def test_one_cpu_affinity_takes_the_serial_path(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one usable CPU must not start a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        jobs = [SweepJob(PolicySpec("FedAvg"), tiny_config(seed=s)) for s in (0, 1)]
+        assert len(run_sweep(jobs, workers=None)) == 2
+
+    def test_platform_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
