@@ -11,11 +11,13 @@ Usage::
     python examples/custom_policy.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.baselines.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
 from repro.experiments import experiment_config, format_table, make_policy, run_experiment
 from repro.rng import RngFactory
+
+import numpy as np
 
 
 class CheapestFirstPolicy:

@@ -9,11 +9,13 @@ Usage::
     python examples/fairness_demo.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.core.fairness import jain_index
 from repro.experiments import experiment_config, format_table, make_policy, run_experiment
 from repro.rng import RngFactory
+
+import numpy as np
 
 
 def main() -> None:

@@ -9,13 +9,15 @@ Usage::
     python examples/hierarchical_edge.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.config import NetworkConfig, PopulationConfig
 from repro.env import build_population
 from repro.fl.hierarchy import cluster_clients, hierarchical_epoch_latency
 from repro.net import ChannelModel, achievable_rate, transmission_latency
 from repro.rng import RngFactory
+
+import numpy as np
 
 
 def main() -> None:

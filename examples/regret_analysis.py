@@ -10,12 +10,14 @@ Usage::
     python examples/regret_analysis.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.core.online_learner import OnlineLearner
 from repro.core.problem import EpochInputs, FedLProblem
 from repro.core.regret import dynamic_fit, dynamic_regret
 from repro.rng import RngFactory
+
+import numpy as np
 
 
 def make_stream(m: int, horizon: int, rng: np.random.Generator):

@@ -20,8 +20,8 @@ Usage::
 import argparse
 import time
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.config import ShardConfig
 from repro.core.fedl import FedLPolicy
 from repro.core.phi import Phi
@@ -29,6 +29,8 @@ from repro.core.problem import EpochInputs, FedLProblem
 from repro.core.regret import dynamic_fit, dynamic_regret
 from repro.baselines.base import EpochContext, RoundFeedback
 from repro.fl.shard import ShardedFedLPolicy
+
+import numpy as np
 
 RHO_MAX = 6.0
 

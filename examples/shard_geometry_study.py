@@ -20,13 +20,15 @@ Usage::
     python examples/shard_geometry_study.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.config import NetworkConfig, PopulationConfig
 from repro.env import build_population
 from repro.fl.hierarchy import Clustering, hierarchical_epoch_latency
 from repro.fl.shard import ShardPlan, build_shard_plan
 from repro.rng import RngFactory
+
+import numpy as np
 
 NUM_CLIENTS = 80
 SELECTED = 24

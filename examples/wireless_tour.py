@@ -10,8 +10,8 @@ Usage::
     python examples/wireless_tour.py
 """
 
-import numpy as np
-
+# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
+# which only works before numpy loads.
 from repro.config import NetworkConfig, PopulationConfig
 from repro.env import build_population
 from repro.net import (
@@ -24,6 +24,8 @@ from repro.net import (
 )
 from repro.net.pathloss import pathloss_db
 from repro.rng import RngFactory
+
+import numpy as np
 
 
 def main() -> None:

@@ -10,7 +10,9 @@ per epoch t (while budget lasts):
   2. hand the policy its 0-lookahead context (last epoch's realized
      latencies/losses) and get back (participants, l_t);
   3. charge the budget; stop if the epoch cannot be paid;
-  4. run l_t federated iterations (DANE local solves + aggregation);
+  4. draw this epoch's local data on the clients the round reads, run l_t
+     federated iterations (DANE local solves + aggregation), and release
+     the data when the round returns;
   5. realize the epoch latency — bandwidth is shared FDMA-equally among
      the actual uploaders, so τ_cm depends on the selection size;
   6. record metrics, feed the realized observables back to the policy.
@@ -309,9 +311,10 @@ def _install_epoch_data(
     t: int,
     num_classes: int,
 ) -> None:
-    """Install this epoch's local data on the given clients.  A
-    label-flipping adversary poisons its local dataset here; every other
-    attack corrupts the upload inside the round instead."""
+    """Install this epoch's local data on the given clients (released by
+    the caller when the round returns).  A label-flipping adversary
+    poisons its local dataset here; every other attack corrupts the upload
+    inside the round instead."""
     if adversary is None:
         for k in ids:
             sim.clients[k].set_data(sim.streams[k].draw(int(counts[k])))
@@ -485,12 +488,14 @@ def _run_experiment_loop(
     # Hoisted once: the adversary (or its absence) is fixed for the whole
     # run, so the benign path never re-tests it inside per-client loops.
     adversary = sim.adversary
-    # Large-K observability bound: with shard.eval_sample set, data is
-    # installed lazily on contributors plus a freshly sampled evaluation
-    # panel *after* selection (selection never reads client data, and each
-    # client's data stream is an independent RNG, so draw order across
-    # clients does not matter), and the round's loss sweep shrinks to that
-    # panel.  None keeps the exact full-population behaviour.
+    # Client data lives for one round.  It is installed once per epoch,
+    # after selection, on exactly the clients the round reads — the
+    # contributors and the end-of-round loss sweep — and released when the
+    # round returns.  Selection never reads client data and every client's
+    # data stream is its own RNG, so neither the install point nor the
+    # order across clients changes a byte.  The sweep covers every
+    # available client; with shard.eval_sample set (large-K observability
+    # bound) it shrinks to a freshly sampled panel plus the contributors.
     eval_sample = config.shard.eval_sample
     eval_rng = sim.rng.get("env.eval") if eval_sample is not None else None
     # Sharded runs aggregate hierarchically (per-shard partial sums, then
@@ -526,18 +531,6 @@ def _run_experiment_loop(
         costs = sim.prices.step_into(state.costs)
         counts = sim.volumes.sample_into(counts_buf)
         channel_state = sim.channel.sample()
-        eval_mask: Optional[np.ndarray] = None
-        if eval_sample is None:
-            # Install this epoch's local data on every available client
-            # (deferred until after selection under eval_sample).
-            _install_epoch_data(
-                sim,
-                adversary,
-                np.flatnonzero(available),
-                counts,
-                t,
-                config.data.num_classes,
-            )
 
         if tel.enabled:
             tel.emit(
@@ -651,25 +644,23 @@ def _run_experiment_loop(
                     sim_rng=fault_rng,
                 )
 
-        if eval_sample is not None:
-            # Sample this epoch's evaluation panel from the available
-            # clients, then lazily install data for exactly the clients
-            # the round will touch: contributors plus the panel.
-            avail_idx = np.flatnonzero(available)
+        avail_idx = np.flatnonzero(available)
+        eval_mask: Optional[np.ndarray] = None
+        if eval_sample is None:
+            held = avail_idx
+        else:
+            # This epoch's evaluation panel, sampled from the available
+            # clients.
             eval_mask = np.zeros(m, dtype=bool)
             n_panel = min(int(eval_sample), int(avail_idx.size))
             if n_panel > 0:
                 eval_mask[
                     eval_rng.choice(avail_idx, size=n_panel, replace=False)
                 ] = True
-            _install_epoch_data(
-                sim,
-                adversary,
-                np.flatnonzero(contributors | eval_mask),
-                counts,
-                t,
-                config.data.num_classes,
-            )
+            held = np.flatnonzero(contributors | eval_mask)
+        _install_epoch_data(
+            sim, adversary, held, counts, t, config.data.num_classes
+        )
 
         if live_runtime is not None:
             # Ship this epoch's (possibly poisoned) contributor datasets
@@ -704,6 +695,8 @@ def _run_experiment_loop(
                 shard_of=shard_of,
                 **source_args,
             )
+        for k in held:
+            sim.clients[k].release_data()
         final_w = result.w
         # Realized latencies: the band was shared by the actual uploaders
         # (crashed clients never finished; quorum stragglers' uploads are

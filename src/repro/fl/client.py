@@ -1,5 +1,11 @@
 """An FL client: holds this epoch's local data and runs the DANE solve.
 
+A client holds data only from its install to the end of its round: the
+experiment loop draws D_{t,k} after selection, on the clients the round
+reads (its contributors and the end-of-round loss sweep), and releases it
+when the round returns, so memory follows the round, not the number of
+clients ever drawn.
+
 Clients share one :class:`repro.nn.models.ClassifierModel` instance (the
 architecture); all state that differs between clients — data, RNG stream,
 the current displacement — lives here.  Sharing the model is safe: a dense
@@ -78,6 +84,11 @@ class FLClient:
         if len(data) == 0:
             raise ValueError("client data must be nonempty")
         self._data = data
+
+    def release_data(self) -> None:
+        """Drop D_{t,k} at the end of its round; :attr:`data` raises until
+        the next :meth:`set_data`."""
+        self._data = None
 
     @property
     def data(self) -> Dataset:

@@ -371,6 +371,7 @@ def run_federated_round(
 ) -> RoundResult:
     """Run ``iterations`` global iterations with the given participants.
 
+    ``clients[k]`` is client ``k``: the masks index the list by client id.
     ``target_eta`` is forwarded to every client's local solve (the
     tolerated local accuracy η_t implied by the iteration decision).
     ``aggregation``: ``"uniform"`` (the paper's update) averages the
@@ -423,7 +424,7 @@ def run_federated_round(
         raise ValueError("mask shapes must match the client list")
     if np.any(sel & ~avail):
         raise ValueError("cannot select an unavailable client")
-    participants: List[FLClient] = [c for c in clients if sel[c.client_id]]
+    participants: List[FLClient] = [clients[k] for k in np.flatnonzero(sel)]
     if not participants:
         raise ValueError("at least one client must be selected")
     if iterations < 1:
@@ -582,11 +583,11 @@ def run_federated_round(
         sweep = avail
     else:
         sweep = avail & (np.asarray(eval_mask, dtype=bool) | sel)
-    avail_clients = [c for c in clients if sweep[c.client_id]]
+    sweep_ids = np.flatnonzero(sweep)
+    avail_clients = [clients[k] for k in sweep_ids]
     if not avail_clients:
         raise ValueError("no available clients to evaluate")
     avail_losses = source.losses(avail_clients, server.w)
-    sweep_ids = np.asarray([c.client_id for c in avail_clients])
     local_losses = np.full(len(clients), np.nan)
     local_losses[sweep_ids] = np.asarray(avail_losses, dtype=float)
     # Clients that never got an upload through (dropped by the timeline)

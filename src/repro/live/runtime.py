@@ -480,7 +480,7 @@ class LiveRuntime:
         self._restarts: List[int] = [0] * self.num_workers
         self._dead: set = set()          # restart budget exhausted
         self._casualties: List[int] = [] # deaths not yet seen by the round
-        self._installed: Dict[int, "Dataset"] = {}   # last-shipped datasets
+        self._installed: Dict[int, "Dataset"] = {}   # this epoch's shipment
         self._client_rng_cache: Dict[int, dict] = {} # last checkpointed states
         self.worker_deaths_total = 0
         self.worker_restarts_total = 0
@@ -753,12 +753,14 @@ class LiveRuntime:
     def install_data(self, datasets: Dict[int, "Dataset"]) -> None:
         """Ship this epoch's local datasets to the owning workers.
 
-        The shipment is cached first so a worker restarted mid-epoch can
-        be re-provisioned with exactly what its predecessor held; workers
-        whose restart budget is exhausted are skipped (their clients get
-        dropped from the round by the supervision path)."""
+        The shipment replaces the re-ship cache first, so a worker
+        restarted before the next install is re-provisioned with exactly
+        this epoch's datasets, and a worker drops every owned client's data
+        its shipment does not list; workers whose restart budget is
+        exhausted are skipped (their clients get dropped from the round by
+        the supervision path)."""
         self.ensure_started()
-        self._installed.update(datasets)
+        self._installed = dict(datasets)
         per_worker: Dict[int, List[int]] = {}
         for cid in datasets:
             per_worker.setdefault(self.owner_of(cid), []).append(cid)

@@ -118,11 +118,17 @@ class _Worker:
     # -- command handlers --------------------------------------------------------
 
     def handle_install(self, meta: Dict, arrays: Dict) -> None:
-        for cid in meta["clients"]:
-            cid = int(cid)
-            self.clients[cid].set_data(
-                Dataset(x=arrays[f"x{cid}"], y=arrays[f"y{cid}"])
-            )
+        """Install this epoch's shipment and release every other owned
+        client's dataset (the parent's clients release theirs when the
+        round returns).  A release takes the client's lock so that a
+        cancelled straggler still inside a solve keeps its data."""
+        shipped = {int(cid) for cid in meta["clients"]}
+        for cid, client in self.clients.items():
+            if cid in shipped:
+                client.set_data(Dataset(x=arrays[f"x{cid}"], y=arrays[f"y{cid}"]))
+            else:
+                with self.locks[cid]:
+                    client.release_data()
         self.stream.send({"cmd": "ok", "re": "install"})
 
     def handle_round(self, meta: Dict, arrays: Dict) -> None:

@@ -222,3 +222,24 @@ class TestWorkerModelClones:
         assert model.kernel is None
         assert len({id(m) for m in [model, *seen]}) == 4
         assert len({id(m.network) for m in [model, *seen]}) == 4
+
+
+def test_worker_holds_only_its_latest_shipment():
+    """An owned client the install frame does not list drops its data."""
+    model = build_model("logreg", 4, 3, np.random.default_rng(0))
+    clients = {cid: FLClient(cid, model, np.random.default_rng(cid)) for cid in range(3)}
+    x, y = np.zeros((2, 4)), np.zeros(2, dtype=int)
+    ours, theirs = socket_pair()
+    try:
+        worker = _Worker(FrameStream(ours), clients, chunk_bytes=1024, heartbeat_s=0)
+        server = FrameStream(theirs)
+        for shipment in ([0, 1], [1, 2]):
+            arrays = {f"{k}{cid}": v for cid in shipment for k, v in (("x", x), ("y", y))}
+            worker.handle_install({"cmd": "install", "clients": shipment}, arrays)
+            assert server.recv()[0] == {"cmd": "ok", "re": "install"}
+    finally:
+        ours.close()
+        theirs.close()
+    with pytest.raises(RuntimeError, match="no data this epoch"):
+        clients[0].data
+    assert [len(clients[cid].data) for cid in (1, 2)] == [2, 2]

@@ -19,6 +19,7 @@ import pytest
 from repro.config import LiveConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
+from repro.live.protocol import FrameStream
 from repro.live.runtime import LiveRuntime
 from repro.rng import RngFactory
 from repro.sim.faults import ParticipationFloorError
@@ -170,3 +171,53 @@ class TestWorkerDeath:
         run_hooked(cfg, hook, monkeypatch=monkeypatch)
         assert sum(o.worker_deaths for o in outcomes) >= 1
         assert sum(o.worker_restarts for o in outcomes) >= 1
+
+    def test_respawn_reships_only_this_epochs_shipment(self, monkeypatch):
+        """Kill worker 1 at an epoch >= 2 whose contributors are not all
+        it was ever shipped: its replacement's ``install`` frame must list
+        exactly that epoch's contributors it owns."""
+        cfg = live_config().replace(max_epochs=6)
+        ever_shipped = set()   # every client the parent shipped to worker 1
+        respawn_installs = []
+        respawning = False
+        orig_install = LiveRuntime.install_data
+        orig_send = FrameStream.send
+        orig_respawn = LiveRuntime._respawn_worker
+
+        def install_data(self, datasets):
+            ever_shipped.update(c for c in datasets if self.owner_of(c) == 1)
+            return orig_install(self, datasets)
+
+        def send(self, meta, arrays=None):
+            if meta.get("cmd") == "install" and respawning:
+                respawn_installs.append(list(meta["clients"]))
+            return orig_send(self, meta, arrays)
+
+        def respawn(self, idx):
+            nonlocal respawning
+            respawning = True
+            try:
+                orig_respawn(self, idx)
+            finally:
+                respawning = False
+
+        monkeypatch.setattr(LiveRuntime, "install_data", install_data)
+        monkeypatch.setattr(FrameStream, "send", send)
+        monkeypatch.setattr(LiveRuntime, "_respawn_worker", respawn)
+
+        def hook(runtime, spec, holder):
+            pid = runtime._pids[1] if runtime._pids else None
+            if holder.get("killed") or runtime.rounds_started < 2 or pid is None:
+                return
+            owned1 = sorted(
+                int(c) for c in spec.client_ids if runtime.owner_of(int(c)) == 1
+            )
+            keep = len(spec.client_ids) - len(owned1)
+            if owned1 and keep >= spec.min_participants and ever_shipped > set(owned1):
+                os.kill(pid, signal.SIGKILL)
+                holder["killed"] = owned1
+
+        result, holder = run_hooked(cfg, hook, monkeypatch=monkeypatch)
+        assert holder.get("killed"), "kill condition never arose"
+        assert respawn_installs == [holder["killed"]]
+        assert len(result.trace) == cfg.max_epochs
