@@ -5,21 +5,59 @@ into online data followed by Poisson distribution".  A
 :class:`ClientDataStream` couples a client's class distribution with the
 shared generator; each epoch it yields a fresh local dataset whose size is
 supplied by :class:`repro.env.dynamics.DataVolumeProcess`.
+
+A client's data is a row: :func:`build_client_streams` validates and
+normalises the partitioner's ``(K, C)`` class-distribution matrix once, and
+client ``k``'s stream object is built from row ``k`` the first time the run
+reads it (:class:`LazyRows`), so set-up pays for the matrix, not for K
+Python objects.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import operator
+from collections.abc import Sequence
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
 
-__all__ = ["ClientDataStream", "build_client_streams"]
+__all__ = ["ClientDataStream", "LazyRows", "build_client_streams"]
+
+
+class LazyRows(Sequence):
+    """A population of ``n`` per-client objects, each built the first time
+    its index is read.
+
+    ``rows[k]`` calls ``make(k)`` once and returns that same object on every
+    later read, so a client the run never touches never exists.  Iterating
+    builds every row.
+    """
+
+    __slots__ = ("_make", "_rows")
+
+    def __init__(self, n: int, make: Callable[[int], Any]) -> None:
+        self._make = make
+        self._rows: List[Any] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = self._make(k % len(self._rows))
+        return row
 
 
 class ClientDataStream:
-    """On-demand sampler of one client's per-epoch local dataset."""
+    """On-demand sampler of one client's per-epoch local dataset.
+
+    ``class_probs`` is one row of the class-distribution matrix that
+    :func:`build_client_streams` has already validated and normalised.
+    """
 
     def __init__(
         self,
@@ -27,13 +65,8 @@ class ClientDataStream:
         class_probs: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        probs = np.asarray(class_probs, dtype=float)
-        if probs.shape != (generator.num_classes,):
-            raise ValueError("class_probs shape mismatch")
-        if np.any(probs < 0) or probs.sum() <= 0:
-            raise ValueError("class_probs must be a nonnegative distribution")
         self.generator = generator
-        self.class_probs = probs / probs.sum()
+        self.class_probs = class_probs
         self._label_cdf: Optional[np.ndarray] = None  # built by the first draw
         self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
 
@@ -59,21 +92,26 @@ def build_client_streams(
     generator: ClassConditionalGenerator,
     class_distributions: np.ndarray,
     rng_factory,
-) -> List[ClientDataStream]:
+) -> LazyRows:
     """One stream per client, each with an independent RNG stream.
 
+    The ``(K, C)`` matrix is checked and normalised here, once; row ``k``
+    is bit-for-bit what a per-client ``probs / probs.sum()`` gives (the
+    C-order copy makes every row sum the same contiguous reduction).
     ``rng_factory`` is a :class:`repro.rng.RngFactory`; streams are keyed
     ``data.client.<k>`` so adding clients never perturbs existing streams,
     and deferred so a client that never draws never creates one.
     """
-    dists = np.asarray(class_distributions, dtype=float)
+    dists = np.asarray(class_distributions, dtype=float, order="C")
     if dists.ndim != 2 or dists.shape[1] != generator.num_classes:
         raise ValueError("class_distributions must be (M, num_classes)")
-    return [
-        ClientDataStream(
-            generator=generator,
-            class_probs=dists[k],
-            rng=rng_factory.defer(f"data.client.{k}"),
-        )
-        for k in range(dists.shape[0])
-    ]
+    sums = dists.sum(axis=1)
+    if np.any(dists < 0) or np.any(sums <= 0):
+        raise ValueError("class_probs must be a nonnegative distribution")
+    probs = dists / sums[:, None]
+    return LazyRows(
+        probs.shape[0],
+        lambda k: ClientDataStream(
+            generator, probs[k], rng_factory.defer(f"data.client.{k}")
+        ),
+    )

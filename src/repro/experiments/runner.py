@@ -37,6 +37,7 @@ import numpy as np
 from repro.baselines.base import Decision, EpochContext, RoundFeedback, SelectionPolicy
 from repro.config import ExperimentConfig
 from repro.datasets import (
+    LazyRows,
     build_client_streams,
     dirichlet_class_distributions,
     iid_class_distributions,
@@ -52,7 +53,7 @@ from repro.env import (
     build_population,
 )
 from repro.experiments.metrics import EpochRecord, Trace
-from repro.fl import FLClient, FLServer, run_federated_round
+from repro.fl import FLClient, FLServer, LocalSolveSpec, run_federated_round
 from repro.fl.adversary import Adversary
 from repro.fl.compression import CompressionSpec
 from repro.fl.defense import DefenseSpec
@@ -176,21 +177,13 @@ class Simulation:
             l2_reg=config.training.l2_reg,
             cnn_scale=0.5,
         )
-        self.clients = [
-            FLClient(
-                k,
-                self.model,
-                self.rng.defer(f"fl.client.{k}"),
-                sgd_steps=config.training.local_sgd_steps,
-                sgd_lr=config.training.sgd_lr,
-                sigma1=config.training.sigma1,
-                sigma2=config.training.sigma2,
-                batch_size=config.training.batch_size,
-                local_solver=config.training.local_solver,
-                momentum=config.training.momentum,
-            )
-            for k in range(m)
-        ]
+        # A client is an index: its FLClient is built the first time the
+        # run reads clients[k], like its data stream above.
+        spec = LocalSolveSpec.from_config(config.training)
+        model, rng = self.model, self.rng
+        self.clients = LazyRows(
+            m, lambda k: FLClient(k, model, rng.defer(f"fl.client.{k}"), spec)
+        )
         self.server = FLServer(self.model, self.model.get_params(), self.test_set)
         tc = config.training
         self.compression = (

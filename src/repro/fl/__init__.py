@@ -7,7 +7,8 @@ Implements the paper's FL process:
   minimized by inner SGD (the paper's eq. for model training, following
   FEDL [7]).
 * :mod:`repro.fl.client` — an FL client holding its per-epoch local data
-  and producing ``(d, η̂)`` pairs.
+  and producing ``(d, η̂)`` pairs, and the run-wide solver settings
+  (:class:`~repro.fl.client.LocalSolveSpec`) every client references.
 * :mod:`repro.fl.server` — aggregation of updates and gradients.
 * :mod:`repro.fl.convergence` — local-accuracy estimation ``η̂^i_{t,k}``
   and the iteration count ``l_t(η_t, θ0)`` mapping (paper eq. after (1)).
@@ -21,7 +22,7 @@ from repro.fl.batched import (
     BatchedSequentialKernel,
     batched_local_losses,
 )
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.server import FLServer
 from repro.fl.convergence import (
     estimate_local_accuracy,
@@ -86,6 +87,7 @@ __all__ = [
     "BatchedSequentialKernel",
     "batched_local_losses",
     "FLClient",
+    "LocalSolveSpec",
     "FLServer",
     "estimate_local_accuracy",
     "iterations_for_accuracy",

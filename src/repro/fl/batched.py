@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fl.client import LocalSolveSpec
 from repro.fl.convergence import estimate_local_accuracy
 from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.models import ClassifierModel
@@ -65,7 +66,7 @@ __all__ = ["BatchedSequentialKernel", "BatchedClientEngine", "batched_local_loss
 
 
 class _ClientGroup:
-    """Participants sharing one set of local-solver hyper-parameters.
+    """Participants sharing one :class:`~repro.fl.client.LocalSolveSpec`.
 
     Members are stored sorted by local dataset size and stacked one
     equal-length run at a time (``buckets``, in the ``runs`` format of
@@ -136,21 +137,12 @@ class BatchedClientEngine:
         self.model = model
         self.kernel: BatchedSequentialKernel = model.kernel
         self.participants = list(participants)
-        by_key: Dict[Tuple, List[int]] = {}
+        by_spec: Dict[LocalSolveSpec, List[int]] = {}
         for pos, c in enumerate(self.participants):
-            key = (
-                c.sgd_steps,
-                c.sgd_lr,
-                c.sigma1,
-                c.sigma2,
-                c.batch_size,
-                c.local_solver,
-                c.momentum,
-            )
-            by_key.setdefault(key, []).append(pos)
+            by_spec.setdefault(c.spec, []).append(pos)
         self.groups = [
             _ClientGroup(positions, [self.participants[p] for p in positions])
-            for positions in by_key.values()
+            for positions in by_spec.values()
         ]
         # (w, per-group (loss, grad)) of the last local_grads() sweep, so the
         # solve at the same broadcast point reuses it instead of recomputing.
@@ -237,16 +229,17 @@ class BatchedClientEngine:
         a client reaches ``target_eta``.
         """
         c0 = group.clients[0]
+        spec = c0.spec
         k_count = len(group.clients)
         p = w_global.size
-        sigma1 = c0.sigma1
-        lr = c0.sgd_lr
-        momentum = c0.momentum
-        batch_size = c0.batch_size
+        sigma1 = spec.sigma1
+        lr = spec.sgd_lr
+        momentum = spec.momentum
+        batch_size = spec.batch_size
         reg = self.model.l2_reg
         exact = self.kernel._evaluate_exact
-        if c0.local_solver == "dane":
-            lt = g0 - c0.sigma2 * global_grad[None, :]
+        if spec.local_solver == "dane":
+            lt = g0 - spec.sigma2 * global_grad[None, :]
         else:  # fedprox: the gradient-correction linear term is dropped
             lt = np.zeros((k_count, p))
         d = np.zeros((k_count, p))
@@ -266,7 +259,7 @@ class BatchedClientEngine:
         rows = np.arange(k_count)       # group row of each active state row
         out = None                      # (K, P) result once a row has left
         nf, runs = n_full, group.buckets
-        for step in range(c0.sgd_steps):
+        for step in range(spec.sgd_steps):
             if nf < rows.size:
                 np.add(w_global, d[nf:], out=t[nf:])
                 for j, k in enumerate(rows[nf:].tolist()):

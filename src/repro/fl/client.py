@@ -1,5 +1,11 @@
 """An FL client: holds this epoch's local data and runs the DANE solve.
 
+A client is a row plus objects built at first touch.  What every client
+shares — the solver hyper-parameters — is one :class:`LocalSolveSpec`,
+built and validated once per run; the population is an index range over
+it (:class:`repro.datasets.streams.LazyRows`), and client ``k``'s
+:class:`FLClient` exists only once the run has read ``clients[k]``.
+
 A client holds data only from its install to the end of its round: the
 experiment loop draws D_{t,k} after selection, on the clients the round
 reads (its contributors and the end-of-round loss sweep), and releases it
@@ -17,6 +23,7 @@ its parameter vector.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +33,43 @@ from repro.fl.convergence import estimate_local_accuracy
 from repro.fl.dane import DaneWorkspace, dane_local_step
 from repro.nn.models import ClassifierModel
 
-__all__ = ["FLClient"]
+__all__ = ["FLClient", "LocalSolveSpec"]
+
+
+@dataclass(frozen=True)
+class LocalSolveSpec:
+    """The local-solver hyper-parameters every client of a run shares."""
+
+    sgd_steps: int = 5
+    sgd_lr: float = 0.05
+    sigma1: float = 1.0
+    sigma2: float = 1.0
+    batch_size: int = 32
+    local_solver: str = "dane"
+    momentum: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.sgd_steps < 1:
+            raise ValueError("sgd_steps must be >= 1")
+        if self.sgd_lr <= 0:
+            raise ValueError("sgd_lr must be positive")
+        if self.local_solver not in ("dane", "fedprox"):
+            raise ValueError(f"unknown local solver {self.local_solver!r}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must be in [0, 1)")
+
+    @classmethod
+    def from_config(cls, training) -> "LocalSolveSpec":
+        """The spec of a :class:`repro.config.TrainingConfig`."""
+        return cls(
+            sgd_steps=training.local_sgd_steps,
+            sgd_lr=training.sgd_lr,
+            sigma1=training.sigma1,
+            sigma2=training.sigma2,
+            batch_size=training.batch_size,
+            local_solver=training.local_solver,
+            momentum=training.momentum,
+        )
 
 
 class FLClient:
@@ -37,32 +80,12 @@ class FLClient:
         client_id: int,
         model: ClassifierModel,
         rng: np.random.Generator,
-        sgd_steps: int = 5,
-        sgd_lr: float = 0.05,
-        sigma1: float = 1.0,
-        sigma2: float = 1.0,
-        batch_size: int = 32,
-        local_solver: str = "dane",
-        momentum: float = 0.0,
+        spec: LocalSolveSpec = LocalSolveSpec(),
     ) -> None:
-        if sgd_steps < 1:
-            raise ValueError("sgd_steps must be >= 1")
-        if sgd_lr <= 0:
-            raise ValueError("sgd_lr must be positive")
-        if local_solver not in ("dane", "fedprox"):
-            raise ValueError(f"unknown local solver {local_solver!r}")
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
         self.client_id = client_id
         self.model = model
         self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
-        self.sgd_steps = sgd_steps
-        self.sgd_lr = sgd_lr
-        self.sigma1 = sigma1
-        self.sigma2 = sigma2
-        self.batch_size = batch_size
-        self.local_solver = local_solver
-        self.momentum = momentum
+        self.spec = spec
         self._data: Optional[Dataset] = None
 
     @property
@@ -138,15 +161,16 @@ class FLClient:
         estimated local convergence accuracy, and the full-batch surrogate
         trajectory (for diagnostics/tests).
         """
+        spec = self.spec
         if start is None:
             start = self.model.loss_and_grad(w_global, self.data.x, self.data.y)
-        if self.local_solver == "dane":
+        if spec.local_solver == "dane":
             ws = DaneWorkspace(
                 w_global=np.asarray(w_global, dtype=float),
                 local_grad_at_w=start[1],
                 global_grad=np.asarray(global_grad, dtype=float),
-                sigma1=self.sigma1,
-                sigma2=self.sigma2,
+                sigma1=spec.sigma1,
+                sigma2=spec.sigma2,
             )
         else:
             # FedProx (paper's related work [15]): the pure proximal
@@ -157,21 +181,21 @@ class FLClient:
                 w_global=np.asarray(w_global, dtype=float),
                 local_grad_at_w=zeros,
                 global_grad=zeros,
-                sigma1=self.sigma1,
+                sigma1=spec.sigma1,
                 sigma2=0.0,
             )
         d, trajectory = dane_local_step(
             self.model,
             ws,
             self.data,
-            max_steps=self.sgd_steps,
-            lr=self.sgd_lr,
-            batch_size=self.batch_size,
+            max_steps=spec.sgd_steps,
+            lr=spec.sgd_lr,
+            batch_size=spec.batch_size,
             # Only a subsampling solve draws: a full-batch client's deferred
             # stream is never created.
-            rng=self.rng if self.batch_size < self.num_samples else None,
+            rng=self.rng if spec.batch_size < self.num_samples else None,
             target_eta=target_eta,
-            momentum=self.momentum,
+            momentum=spec.momentum,
             start=start,
         )
         eta_hat = estimate_local_accuracy(trajectory)

@@ -447,8 +447,10 @@ class LiveRuntime:
             raise ValueError("heartbeat/staleness thresholds must be >= 0")
         if max_worker_restarts < 0 or restart_backoff_s < 0:
             raise ValueError("restart budget/backoff must be >= 0")
-        self.clients = list(clients)
-        if not self.clients:
+        # Kept as given: ``clients[k]`` is client ``k``, and a lazily built
+        # population must not be materialised here.
+        self.clients = clients
+        if not len(clients):
             raise ValueError("need at least one client")
         self.num_workers = min(int(num_workers), len(self.clients))
         self.transport = transport
@@ -491,6 +493,13 @@ class LiveRuntime:
         """Worker index owning client ``cid`` (fixed modulo partition)."""
         return cid % self.num_workers
 
+    def _owned(self, idx: int) -> Dict[int, "FLClient"]:
+        """Worker ``idx``'s clients, read straight off its residue class."""
+        return {
+            k: self.clients[k]
+            for k in range(idx, len(self.clients), self.num_workers)
+        }
+
     def ensure_started(self) -> None:
         """Fork the workers (idempotent).  Must happen before any client
         RNG stream is consumed in the parent, i.e. before the first
@@ -505,11 +514,7 @@ class LiveRuntime:
         make_pair = socket_pair if self.transport == "unix" else tcp_pair
         pairs = [make_pair() for _ in range(self.num_workers)]
         for idx in range(self.num_workers):
-            owned = {
-                c.client_id: c
-                for c in self.clients
-                if self.owner_of(c.client_id) == idx
-            }
+            owned = self._owned(idx)
             pid = os.fork()
             if pid == 0:
                 # Child: keep only this worker's end of this pair.
@@ -669,11 +674,7 @@ class LiveRuntime:
         datasets re-shipped from the install cache."""
         make_pair = socket_pair if self.transport == "unix" else tcp_pair
         parent_end, child_end = make_pair()
-        owned = {
-            c.client_id: c
-            for c in self.clients
-            if self.owner_of(c.client_id) == idx
-        }
+        owned = self._owned(idx)
         from repro.live.worker import worker_main
 
         pid = os.fork()

@@ -24,7 +24,13 @@ from typing import Any, Callable, Tuple
 
 import numpy as np
 
-__all__ = ["assert_matches_oracle", "assert_same", "stream_state"]
+__all__ = [
+    "PerRowClientDataStream",
+    "assert_matches_oracle",
+    "assert_same",
+    "per_row_client_streams",
+    "stream_state",
+]
 
 
 def stream_state(gen: np.random.Generator) -> dict:
@@ -80,3 +86,35 @@ def assert_matches_oracle(
     args_o, args_c = build(), build()
     assert_same(oracle(*args_o), candidate(*args_c))
     assert_same(state(*args_o), state(*args_c), "state")
+
+
+class PerRowClientDataStream:
+    """``ClientDataStream.__init__`` as shipped when every client checked and
+    normalised its own class vector, verbatim: the oracle for the matrix
+    path of ``repro.datasets.streams.build_client_streams``."""
+
+    def __init__(self, generator, class_probs, rng) -> None:
+        probs = np.asarray(class_probs, dtype=float)
+        if probs.shape != (generator.num_classes,):
+            raise ValueError("class_probs shape mismatch")
+        if np.any(probs < 0) or probs.sum() <= 0:
+            raise ValueError("class_probs must be a nonnegative distribution")
+        self.generator = generator
+        self.class_probs = probs / probs.sum()
+        self._label_cdf = None  # built by the first draw
+        self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
+
+
+def per_row_client_streams(generator, class_distributions, rng_factory) -> list:
+    """``build_client_streams`` as shipped with one eager stream per row."""
+    dists = np.asarray(class_distributions, dtype=float)
+    if dists.ndim != 2 or dists.shape[1] != generator.num_classes:
+        raise ValueError("class_distributions must be (M, num_classes)")
+    return [
+        PerRowClientDataStream(
+            generator=generator,
+            class_probs=dists[k],
+            rng=rng_factory.defer(f"data.client.{k}"),
+        )
+        for k in range(dists.shape[0])
+    ]

@@ -184,7 +184,7 @@ class TestStreams:
     def test_stream_validation(self, rng_factory):
         gen = ClassConditionalGenerator((6, 6, 1), 4, rng_factory.get("g"))
         with pytest.raises(ValueError):
-            ClientDataStream(gen, np.array([1.0, 0.0]), rng_factory.get("s"))
+            build_client_streams(gen, np.array([[1.0, 0.0]]), rng_factory)
         with pytest.raises(ValueError):
             build_client_streams(gen, np.ones((3, 7)), rng_factory)
 
@@ -255,7 +255,7 @@ class TestLabelCdfStreamIdentity:
                 for n in sizes
             ],
             lambda stream: [stream.draw(n) for n in sizes],
-            lambda: (ClientDataStream(gen, np.asarray(ws), np.random.default_rng(seed)),),
+            lambda: (build_client_streams(gen, np.asarray([ws]), RngFactory(seed))[0],),
             state=lambda stream: stream.rng,
         )
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.convergence import (
     estimate_local_accuracy,
     eta_to_rho,
@@ -26,7 +26,7 @@ def setup(rng_factory):
     gen = ClassConditionalGenerator((6, 6, 1), 4, rng_factory.get("gen"), noise=0.3)
     model = build_model("mlp", 36, 4, rng_factory.get("model"), hidden=(8,))
     clients = [
-        FLClient(k, model, rng_factory.get(f"c{k}"), sgd_steps=4, sgd_lr=0.1)
+        FLClient(k, model, rng_factory.get(f"c{k}"), LocalSolveSpec(sgd_steps=4, sgd_lr=0.1))
         for k in range(6)
     ]
     for c in clients:
@@ -242,9 +242,9 @@ class TestFLClient:
     def test_validation(self, setup):
         gen, model, clients, server = setup
         with pytest.raises(ValueError):
-            FLClient(0, model, np.random.default_rng(0), sgd_steps=0)
+            FLClient(0, model, np.random.default_rng(0), LocalSolveSpec(sgd_steps=0))
         with pytest.raises(ValueError):
-            FLClient(0, model, np.random.default_rng(0), sgd_lr=0.0)
+            FLClient(0, model, np.random.default_rng(0), LocalSolveSpec(sgd_lr=0.0))
 
 
 class TestFLServer:

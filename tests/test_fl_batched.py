@@ -19,7 +19,7 @@ from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.batched import BatchedClientEngine, batched_local_losses
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
@@ -87,7 +87,7 @@ def fresh_setup(seed=777):
     gen = ClassConditionalGenerator((6, 6, 1), 4, factory.get("gen"), noise=0.3)
     model = build_model("mlp", 36, 4, factory.get("model"), hidden=(8,))
     clients = [
-        FLClient(k, model, factory.get(f"c{k}"), sgd_steps=4, sgd_lr=0.1)
+        FLClient(k, model, factory.get(f"c{k}"), LocalSolveSpec(sgd_steps=4, sgd_lr=0.1))
         for k in range(6)
     ]
     for k, c in enumerate(clients):
@@ -169,9 +169,11 @@ class SolveCase:
         clients = []
         for k, (n, one_more) in enumerate(self.clients):
             c = FLClient(
-                k, model, factory.defer(f"c{k}"), sgd_steps=self.steps + one_more,
-                sgd_lr=0.1, batch_size=BATCH, local_solver=self.solver,
-                momentum=self.momentum,
+                k, model, factory.defer(f"c{k}"),
+                LocalSolveSpec(
+                    sgd_steps=self.steps + one_more, sgd_lr=0.1, batch_size=BATCH,
+                    local_solver=self.solver, momentum=self.momentum,
+                ),
             )
             c.set_data(_GEN.sample(n, rng=factory.get(f"d{k}")))
             clients.append(c)

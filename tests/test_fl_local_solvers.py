@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import ClassConditionalGenerator
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.convergence import estimate_local_accuracy
 from repro.fl.dane import DaneWorkspace, dane_local_step, dane_surrogate_value
 from repro.fl.round_runner import run_federated_round
@@ -30,7 +30,8 @@ class TestFedProxClient:
     def test_fedprox_trains(self, setup, rng_factory):
         gen, model, data = setup
         client = FLClient(
-            0, model, rng_factory.get("c"), local_solver="fedprox", sgd_steps=6
+            0, model, rng_factory.get("c"),
+            LocalSolveSpec(local_solver="fedprox", sgd_steps=6),
         )
         client.set_data(data)
         w = model.get_params()
@@ -48,7 +49,7 @@ class TestFedProxClient:
         def update_with(global_grad, seed):
             client = FLClient(
                 0, model, np.random.default_rng(seed),
-                local_solver="fedprox", sgd_steps=4,
+                LocalSolveSpec(local_solver="fedprox", sgd_steps=4),
             )
             client.set_data(data)
             d, _, _ = client.train_iteration(w, global_grad)
@@ -65,7 +66,7 @@ class TestFedProxClient:
         def update_with(global_grad, seed):
             client = FLClient(
                 0, model, np.random.default_rng(seed),
-                local_solver="dane", sgd_steps=4,
+                LocalSolveSpec(local_solver="dane", sgd_steps=4),
             )
             client.set_data(data)
             d, _, _ = client.train_iteration(w, global_grad)
@@ -78,14 +79,14 @@ class TestFedProxClient:
     def test_unknown_solver_rejected(self, setup, rng_factory):
         gen, model, data = setup
         with pytest.raises(ValueError):
-            FLClient(0, model, rng_factory.get("c"), local_solver="scaffold")
+            FLClient(0, model, rng_factory.get("c"), LocalSolveSpec(local_solver="scaffold"))
 
 
 class TestMomentum:
     def test_momentum_validation(self, setup, rng_factory):
         gen, model, data = setup
         with pytest.raises(ValueError):
-            FLClient(0, model, rng_factory.get("c"), momentum=1.0)
+            FLClient(0, model, rng_factory.get("c"), LocalSolveSpec(momentum=1.0))
         w = model.get_params()
         ws = DaneWorkspace(w, np.zeros_like(w), np.zeros_like(w), 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -181,8 +182,11 @@ class TestEveryPointEvaluatedOnce:
         w = model.get_params() + 0.1 * rng_factory.get("w").normal(size=model.num_params)
         global_grad = 0.05 * rng_factory.get("g").normal(size=w.size)
         client = FLClient(
-            0, model, np.random.default_rng(11), sgd_steps=6, sgd_lr=0.05,
-            batch_size=BATCH, local_solver=solver, momentum=momentum,
+            0, model, np.random.default_rng(11),
+            LocalSolveSpec(
+                sgd_steps=6, sgd_lr=0.05, batch_size=BATCH, local_solver=solver,
+                momentum=momentum,
+            ),
         )
         client.set_data(data)
         start = client.local_grad(w, with_loss=True) if with_start else None
@@ -196,9 +200,13 @@ class TestEveryPointEvaluatedOnce:
 
         local_g = client.local_grad(w)
         if solver == "dane":
-            ws = DaneWorkspace(w, local_g, global_grad, client.sigma1, client.sigma2)
+            ws = DaneWorkspace(
+                w, local_g, global_grad, client.spec.sigma1, client.spec.sigma2
+            )
         else:
-            ws = DaneWorkspace(w, np.zeros_like(w), np.zeros_like(w), client.sigma1, 0.0)
+            ws = DaneWorkspace(
+                w, np.zeros_like(w), np.zeros_like(w), client.spec.sigma1, 0.0
+            )
         ref_rng = np.random.default_rng(11)
         ref_d, ref_traj = dane_local_step_oracle(
             model, ws, data, 6, 0.05, BATCH, ref_rng,
@@ -246,7 +254,7 @@ class TestEveryPointEvaluatedOnce:
     ):
         gen, model, _ = setup
         client = FLClient(
-            0, model, rng_factory.get("c"), sgd_steps=5, batch_size=BATCH
+            0, model, rng_factory.get("c"), LocalSolveSpec(sgd_steps=5, batch_size=BATCH),
         )
         client.set_data(gen.sample(n, rng=rng_factory.get("d")))
         w = model.get_params()
@@ -267,7 +275,8 @@ class TestEveryPointEvaluatedOnce:
         clients = []
         for k, n in enumerate([20, BATCH, 45, 28]):
             c = FLClient(
-                k, model, rng_factory.get(f"c{k}"), sgd_steps=steps, batch_size=BATCH
+                k, model, rng_factory.get(f"c{k}"),
+                LocalSolveSpec(sgd_steps=steps, batch_size=BATCH),
             )
             c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))
             clients.append(c)
@@ -303,7 +312,10 @@ class TestEveryPointEvaluatedOnce:
         gen, model, _ = setup
         clients = []
         for k in range(3):
-            c = FLClient(k, model, rng_factory.get(f"c{k}"), sgd_steps=2, batch_size=BATCH)
+            c = FLClient(
+                k, model, rng_factory.get(f"c{k}"),
+                LocalSolveSpec(sgd_steps=2, batch_size=BATCH),
+            )
             c.set_data(gen.sample(24, rng=rng_factory.get(f"d{k}")))
             clients.append(c)
         test_set = gen.sample(40, rng=rng_factory.get("t"))
@@ -344,8 +356,8 @@ class TestNeverDrawsNeverCreates:
         clients = []
         for k, n in enumerate(self.SIZES):
             c = FLClient(
-                k, model, rng_factory.defer(f"fl.client.{k}"), sgd_steps=3,
-                batch_size=BATCH,
+                k, model, rng_factory.defer(f"fl.client.{k}"),
+                LocalSolveSpec(sgd_steps=3, batch_size=BATCH),
             )
             c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))
             clients.append(c)

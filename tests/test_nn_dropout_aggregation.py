@@ -8,7 +8,7 @@ import pytest
 from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.dropout import Dropout
@@ -94,7 +94,7 @@ class TestWeightedAggregation:
     def test_round_runner_weighted_mode(self, rng_factory):
         gen, model, server = self._server(rng_factory)
         clients = [
-            FLClient(k, model, rng_factory.get(f"c{k}"), sgd_steps=3)
+            FLClient(k, model, rng_factory.get(f"c{k}"), LocalSolveSpec(sgd_steps=3))
             for k in range(4)
         ]
         for k, c in enumerate(clients):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.synthetic import ClassConditionalGenerator
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.activations import ReLU, Sigmoid, Tanh
@@ -206,7 +206,10 @@ class TestRouting:
         model = build_model("mlp", 36, CLASSES, rng_factory.get("model"), hidden=(8,))
         clients = []
         for k, n in enumerate([20, 45, 32]):  # full-batch and subsampling solves
-            c = FLClient(k, model, rng_factory.get(f"c{k}"), sgd_steps=3, batch_size=32)
+            c = FLClient(
+                k, model, rng_factory.get(f"c{k}"),
+                LocalSolveSpec(sgd_steps=3, batch_size=32),
+            )
             c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))
             clients.append(c)
         server = FLServer(

@@ -232,7 +232,7 @@ class TestReliabilityFeedback:
 class TestRoundReportPlumbing:
     def test_defense_report_reaches_round_result(self):
         from repro.datasets.synthetic import ClassConditionalGenerator
-        from repro.fl.client import FLClient
+        from repro.fl.client import FLClient, LocalSolveSpec
         from repro.fl.defense import DefenseSpec
         from repro.fl.round_runner import run_federated_round
         from repro.fl.server import FLServer
@@ -242,7 +242,9 @@ class TestRoundReportPlumbing:
         gen = ClassConditionalGenerator((4, 4, 1), 3, factory.get("gen"), noise=0.3)
         model = build_model("mlp", 16, 3, factory.get("model"), hidden=(6,))
         clients = [
-            FLClient(k, model, factory.get(f"c{k}"), sgd_steps=2, sgd_lr=0.1)
+            FLClient(
+                k, model, factory.get(f"c{k}"), LocalSolveSpec(sgd_steps=2, sgd_lr=0.1)
+            )
             for k in range(4)
         ]
         for c in clients:
@@ -270,7 +272,7 @@ class TestRoundReportPlumbing:
 
     def test_no_defense_round_result_has_no_report(self):
         from repro.datasets.synthetic import ClassConditionalGenerator
-        from repro.fl.client import FLClient
+        from repro.fl.client import FLClient, LocalSolveSpec
         from repro.fl.round_runner import run_federated_round
         from repro.fl.server import FLServer
         from repro.nn.models import build_model
@@ -279,7 +281,9 @@ class TestRoundReportPlumbing:
         gen = ClassConditionalGenerator((4, 4, 1), 3, factory.get("gen"), noise=0.3)
         model = build_model("mlp", 16, 3, factory.get("model"), hidden=(6,))
         clients = [
-            FLClient(k, model, factory.get(f"c{k}"), sgd_steps=2, sgd_lr=0.1)
+            FLClient(
+                k, model, factory.get(f"c{k}"), LocalSolveSpec(sgd_steps=2, sgd_lr=0.1)
+            )
             for k in range(3)
         ]
         for c in clients:

@@ -117,9 +117,10 @@ class TestProjectedGradient:
         )
         np.testing.assert_allclose(res.x, np.ones(3), atol=1e-8)
 
-    #: A drawn case the solver gets wrong (below); the property skips it so
-    #: that tier-1 does not depend on whether a local example database holds it.
-    KNOWN_DEFECT = (3, 256)
+    #: Every drawn ``(n, seed)`` the solver is known to get wrong (below).  The
+    #: property skips all of them, so that tier-1 does not depend on whether a
+    #: local example database holds one, and the strict xfail asserts each.
+    KNOWN_DEFECTS = ((3, 256), (3, 604), (4, 883), (6, 1084))
 
     @staticmethod
     def check_against_box_qp(n, seed):
@@ -141,23 +142,25 @@ class TestProjectedGradient:
     @given(st.integers(min_value=2, max_value=6), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_box_qp(self, n, seed):
-        assume((n, seed) != self.KNOWN_DEFECT)
+        assume((n, seed) not in self.KNOWN_DEFECTS)
         self.check_against_box_qp(n, seed)
 
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "known defect, pinned not fixed: on (n=3, seed=256) projected_gradient "
-            "returns x = 0, fun = 0.0, converged=True with grad_norm = 0.117 where "
-            "the box-QP optimum is -6.89e-4 at x3 = 0.0118 - the step from an "
-            "infeasible extrapolated y projects back onto x, the displacement test "
-            "reads 0 and declares convergence.  Repairing it moves eq. 8 solves "
-            "(solvers.pg_iters 1380 -> 1384 on train_k100, 2844 -> 2891 on "
-            "select_k10000) and both digests, so it needs its own PR."
+            "known defect, pinned not fixed: e.g. on (n=3, seed=256) "
+            "projected_gradient returns x = 0, fun = 0.0, converged=True with "
+            "grad_norm = 0.117 where the box-QP optimum is -6.89e-4 at x3 = 0.0118 "
+            "- the step from an infeasible extrapolated y projects back onto x, "
+            "the displacement test reads 0 and declares convergence.  Repairing it "
+            "moves eq. 8 solves (solvers.pg_iters 1380 -> 1384 on train_k100, "
+            "2844 -> 2891 on select_k10000) and both digests, so it needs its own "
+            "change."
         ),
     )
-    def test_premature_convergence_from_an_infeasible_extrapolation(self):
-        self.check_against_box_qp(*self.KNOWN_DEFECT)
+    @pytest.mark.parametrize("n, seed", KNOWN_DEFECTS)
+    def test_premature_convergence_from_an_infeasible_extrapolation(self, n, seed):
+        self.check_against_box_qp(n, seed)
 
 
 class TestInteriorPoint:
