@@ -37,13 +37,12 @@ DEFENSES = ("none", "median", "trimmed-mean", "krum")
 
 
 def run_cell(attack: str, defense: str):
-    spec = PolicySpec(
-        "FedL",
-        attack=attack if attack != "none" else None,
-        attack_fraction=0.2 if attack != "none" else None,
-        defense=defense if defense != "none" else None,
-    )
-    return execute_job(SweepJob(spec, CONFIG))
+    config = CONFIG.override({
+        "attack.kind": attack,
+        "attack.fraction": 0.2,
+        "defense.aggregator": defense,
+    })
+    return execute_job(SweepJob(PolicySpec("FedL"), config))
 
 
 def main() -> None:

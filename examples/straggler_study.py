@@ -27,9 +27,10 @@ CONFIG = experiment_config(
 )
 
 
-def des_run(**sim_knobs):
-    spec = PolicySpec("FedCS", engine="des", **sim_knobs)
-    return execute_job(SweepJob(spec, CONFIG))
+def des_run(**sim):
+    overrides = {"training.engine": "des"}
+    overrides.update({f"sim.{name}": value for name, value in sim.items()})
+    return execute_job(SweepJob(PolicySpec("FedCS"), CONFIG.override(overrides)))
 
 
 def summarize(result):
@@ -58,7 +59,7 @@ def main() -> None:
         deadline = fraction * sync["mean_latency"]
         try:
             row = summarize(
-                des_run(aggregation="deadline", sim_deadline_s=deadline)
+                des_run(aggregation="deadline", deadline_s=deadline)
             )
         except ParticipationFloorError as err:
             print(f"{deadline:>9.4f}s  aborted: {err}")

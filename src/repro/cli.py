@@ -42,7 +42,10 @@ and fault profile (stragglers, upload retries, mid-round dropout), and
 ``repro trace`` renders per-client round timelines from the recorded
 ``sim.*`` events.  ``sweep`` accepts the same runtime knobs
 (``--engine des --aggregation ... --faults ...``) so grids can compare
-aggregation policies under faults.
+aggregation policies under faults; with ``--engine loop|batched`` they
+would bind nothing, so they exit 2.  Every option group names the config
+fields it sets as dotted-path overrides (``{"sim.faults": ...}``) resolved
+by :meth:`~repro.config.ExperimentConfig.override`.
 
 ``live`` is ``run`` on the live multi-process runtime (:mod:`repro.
 live`): forked worker processes execute the real local solves and stream
@@ -113,7 +116,7 @@ from repro.checkpoint import (
     load_snapshot,
     resume_experiment,
 )
-from repro.config import CheckpointConfig, LiveConfig, SimConfig
+from repro.config import CheckpointConfig
 from repro.fl.adversary import ATTACKS
 from repro.fl.defense import AGGREGATORS, CorruptUpdateError, TrainingDivergedError
 from repro.experiments.figures import accuracy_vs_time, run_policy_suite
@@ -167,11 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         for group in row.groups:
             OPTION_GROUPS[group].add(p_exp)
 
-    common = OPTION_GROUPS["common"].add
-    robustness = OPTION_GROUPS["robustness"].add
-
     p_cmp = sub.add_parser("compare", help="run the four-policy paper suite")
-    common(p_cmp)
+    OPTION_GROUPS["common"].add(p_cmp)
     p_cmp.add_argument("--budget", type=float, default=1200.0)
     p_cmp.add_argument("--target", type=float, default=0.7,
                        help="accuracy target for the completion-time table")
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="budget sweep (paper Figs. 6-7) on the parallel sweep engine",
     )
-    common(p_swp)
-    robustness(p_swp)
+    for group in SWEEP_GROUPS:
+        OPTION_GROUPS[group].add(p_swp)
     p_swp.add_argument("--budgets", type=float, nargs="+",
                        default=[300.0, 800.0, 2000.0])
     p_swp.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -191,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: just --seed); losses are averaged")
     p_swp.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
                        choices=list(ALL_POLICIES))
-    p_swp.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="strategy registry parameter override applied to "
-                       "every policy in the grid that declares it "
-                       "(repeatable; values are JSON)")
     def positive_int(text: str) -> int:
         value = int(text)
         if value < 1:
@@ -204,34 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--workers", type=positive_int, default=None,
                        help="worker processes (default: the CPUs this process "
                        "may use; 1 = serial)")
-    p_swp.add_argument("--engine", default=None,
-                       choices=["loop", "batched", "des"],
-                       help="override the per-round training engine "
-                       "(des = event-driven network runtime)")
-    p_swp.add_argument("--aggregation", default=None,
-                       choices=list(AGGREGATION_POLICIES),
-                       help="DES aggregation policy (implies --engine des "
-                       "semantics; pair with --deadline/--quorum)")
-    p_swp.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="DES round deadline for --aggregation deadline")
-    p_swp.add_argument("--quorum", type=int, default=None, metavar="K",
-                       help="DES quorum for --aggregation async")
-    p_swp.add_argument("--faults", default=None,
-                       choices=sorted(FAULT_PROFILES),
-                       help="DES fault profile for every job")
     p_swp.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
                        help="reuse/store per-job results in this directory "
                        "(a second identical sweep only runs cache misses)")
-    p_swp.add_argument("--checkpoint-dir", type=str, default=None,
-                       metavar="DIR",
-                       help="give every job a snapshot directory under "
-                       "DIR/jobs/<job-key>; a crashed sweep resumes each "
-                       "job from its newest surviving snapshot")
-    p_swp.add_argument("--checkpoint-interval", type=int, default=10,
-                       metavar="N",
-                       help="epochs between per-job snapshots (default 10)")
-    p_swp.add_argument("--checkpoint-keep", type=int, default=2, metavar="N",
-                       help="snapshots retained per job (default 2)")
     p_swp.add_argument("--telemetry", type=str, default=None, metavar="DIR",
                        help="record per-job/worker JSONL event traces + a "
                        "merged manifest into DIR")
@@ -358,8 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- option groups -------------------------------------------------------------
 # Each group of related flags is declared once: how to add it to a parser,
-# how to check it (first error message, or None) and how to lay it over an
-# ExperimentConfig.  Subcommands attach groups by name.
+# how to check it (first error message, or None) and the dotted-path config
+# overrides it stands for (applied by ExperimentConfig.override).
+# Subcommands attach groups by name.
+
+
+def _given(pairs) -> dict:
+    """The overrides whose flag was given (unset flags parse as None)."""
+    return {path: value for path, value in pairs if value is not None}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -402,15 +379,24 @@ def _add_single_run(p: argparse.ArgumentParser) -> None:
 def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="override a strategy registry parameter "
-                   "(repeatable; values are JSON, e.g. --param d=9)")
+                   "(repeatable; values are JSON, e.g. --param d=9; a sweep "
+                   "applies it to every policy that declares it)")
+
+
+def _add_quick(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--quick", action="store_true",
+                   help="smoke mode: cap the run at 5 epochs")
+
+
+def _quick_overlay(args: argparse.Namespace) -> dict:
+    return {"max_epochs": min(args.epochs, 5)} if args.quick else {}
 
 
 def _add_runtime(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quick", action="store_true",
-                   help="smoke mode: cap the run at 5 epochs")
-    p.add_argument("--aggregation", default="sync",
+    p.add_argument("--aggregation", default=None,
                    choices=list(AGGREGATION_POLICIES),
-                   help="server aggregation policy for each round")
+                   help="server aggregation policy for each round "
+                   "(default sync)")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="round deadline in simulated seconds (required with "
                    "--aggregation deadline): updates arriving later are "
@@ -418,14 +404,15 @@ def _add_runtime(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quorum", type=int, default=None, metavar="K",
                    help="aggregate as soon as K updates arrive "
                    "(required with --aggregation async)")
-    p.add_argument("--faults", default="none",
+    p.add_argument("--faults", default=None,
                    choices=sorted(FAULT_PROFILES),
                    help="named fault profile (dropout hazard, upload "
-                   "failures + retries)")
+                   "failures + retries; default none)")
 
 
 def _validate_runtime(args: argparse.Namespace) -> Optional[str]:
-    """Semantic validation of the network-runtime knobs (sim/live/sweep)."""
+    """Semantic validation of the network-runtime knobs (sim/live/sweep);
+    an unset ``--aggregation`` means sync."""
     aggregation, deadline, quorum = args.aggregation, args.deadline, args.quorum
     if aggregation == "deadline":
         if deadline is None:
@@ -444,17 +431,37 @@ def _validate_runtime(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _runtime_overlay(cfg, args: argparse.Namespace):
-    """Overlay --aggregation/--deadline/--quorum/--faults (and --quick)."""
-    return cfg.replace(
-        max_epochs=min(cfg.max_epochs, 5) if args.quick else cfg.max_epochs,
-        sim=SimConfig(
-            aggregation=args.aggregation,
-            deadline_s=args.deadline,
-            quorum=args.quorum,
-            faults=args.faults,
-        ),
-    )
+def _runtime_overlay(args: argparse.Namespace) -> dict:
+    return _given((
+        ("sim.aggregation", args.aggregation),
+        ("sim.deadline_s", args.deadline),
+        ("sim.quorum", args.quorum),
+        ("sim.faults", args.faults),
+    ))
+
+
+def _add_engine(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", default=None,
+                   choices=["loop", "batched", "des"],
+                   help="per-round training engine for every job (des = "
+                   "event-driven network runtime, implied by --aggregation "
+                   "or --faults)")
+
+
+def _validate_engine(args: argparse.Namespace) -> Optional[str]:
+    """The runtime knobs bind only on the DES: reject them elsewhere."""
+    if args.engine in ("loop", "batched"):
+        for flag in ("aggregation", "deadline", "quorum", "faults"):
+            if getattr(args, flag) is not None:
+                return f"--{flag} only applies with --engine des"
+    return None
+
+
+def _engine_overlay(args: argparse.Namespace) -> dict:
+    engine = args.engine
+    if engine is None and (args.aggregation or args.faults):
+        engine = "des"
+    return {} if engine is None else {"training.engine": engine}
 
 
 def _add_live(p: argparse.ArgumentParser) -> None:
@@ -498,19 +505,16 @@ def _validate_live_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _live_overlay(cfg, args: argparse.Namespace):
-    """Overlay --workers/--time-scale/--transport/--round-timeout."""
+def _live_overlay(args: argparse.Namespace) -> dict:
     time_scale = args.time_scale
     if time_scale is None:
         time_scale = 25.0 if args.calibrate else 1.0
-    return cfg.replace(
-        live=LiveConfig(
-            workers=args.workers,
-            time_scale=time_scale,
-            transport=args.transport,
-            round_timeout_s=args.round_timeout,
-        )
-    )
+    return {
+        "live.workers": args.workers,
+        "live.time_scale": time_scale,
+        "live.transport": args.transport,
+        "live.round_timeout_s": args.round_timeout,
+    }
 
 
 def _add_robustness(p: argparse.ArgumentParser) -> None:
@@ -537,27 +541,12 @@ def _validate_attack_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _attack_overlay(cfg, args: argparse.Namespace):
-    """Overlay --attack/--attack-fraction/--defense onto a config.
-
-    With neither flag set the config is returned unchanged, keeping the
-    benign path exactly what it was before these flags existed.
-    """
-    if args.attack in (None, "none") and args.defense in (None, "none"):
-        return cfg
-    attack = dataclasses.replace(
-        cfg.attack,
-        kind=args.attack or "none",
-        fraction=(
-            args.attack_fraction
-            if args.attack_fraction is not None
-            else cfg.attack.fraction
-        ),
-    )
-    defense = dataclasses.replace(
-        cfg.defense, aggregator=args.defense or "none"
-    )
-    return dataclasses.replace(cfg, attack=attack, defense=defense)
+def _attack_overlay(args: argparse.Namespace) -> dict:
+    return _given((
+        ("attack.kind", args.attack),
+        ("attack.fraction", args.attack_fraction),
+        ("defense.aggregator", args.defense),
+    ))
 
 
 #: Epoch-throughput heartbeat cadence (seconds) for run/sim/live;
@@ -606,13 +595,11 @@ def _validate_scaling_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _scaling_overlay(cfg, args: argparse.Namespace):
-    """Overlay --num-shards/--eval-sample (with large-K auto-defaults).
-
-    With no flags and a small fleet the config is returned unchanged, so
-    the pre-sharding path stays exactly what it was.
-    """
-    clients = cfg.population.num_clients
+def _scaling_overlay(args: argparse.Namespace) -> dict:
+    """--num-shards/--eval-sample with their large-K auto-defaults (with
+    no flags and a small fleet: one shard and the exact sweep, the
+    config's defaults)."""
+    clients = args.clients
     num_shards = args.num_shards
     if num_shards is None:
         num_shards = (
@@ -624,47 +611,34 @@ def _scaling_overlay(cfg, args: argparse.Namespace):
     eval_sample = args.eval_sample
     if eval_sample is None:
         eval_sample = EVAL_AUTO_SAMPLE if clients >= EVAL_AUTO_CLIENTS else 0
-    eval_opt = None if eval_sample == 0 else int(eval_sample)
-    if num_shards == 1 and eval_opt is None:
-        return cfg
-    return dataclasses.replace(
-        cfg,
-        shard=dataclasses.replace(
-            cfg.shard, num_shards=num_shards, eval_sample=eval_opt
-        ),
-    )
+    return {
+        "shard.num_shards": num_shards,
+        "shard.eval_sample": None if eval_sample == 0 else int(eval_sample),
+    }
 
 
 def _add_checkpointing(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint-dir", type=str, default=None,
                    metavar="DIR",
                    help="write atomic round-granular snapshots into DIR "
-                   "every --checkpoint-interval epochs (restart the run "
-                   "bit-identically with --resume DIR)")
+                   "every --checkpoint-interval epochs (run/sim/live: "
+                   "restart the run bit-identically with --resume DIR; "
+                   "sweep: each job snapshots under DIR/jobs/<job-key> and "
+                   "a rerun resumes it from its newest snapshot)")
     p.add_argument("--checkpoint-interval", type=int, default=10,
                    metavar="N",
                    help="epochs between snapshots (default 10)")
     p.add_argument("--checkpoint-keep", type=int, default=2, metavar="N",
-                   help="snapshots retained in --checkpoint-dir "
+                   help="snapshots retained per directory "
                    "(default 2; older ones are pruned)")
-    p.add_argument("--resume", type=str, default=None, metavar="DIR",
-                   help="resume from the newest snapshot in DIR; the "
-                   "experiment config comes from the snapshot, so "
-                   "scenario flags are ignored. Checkpointing continues "
-                   "into the same directory unless --checkpoint-dir "
-                   "overrides it")
 
 
 def _validate_checkpoint_args(args: argparse.Namespace) -> Optional[str]:
-    """Semantic validation of the checkpoint/resume knobs (run/sim/live/
-    sweep; sweep has no --resume — its jobs auto-resume per job dir)."""
+    """Semantic validation of the checkpoint knobs (run/sim/live/sweep)."""
     if args.checkpoint_interval < 1:
         return "--checkpoint-interval must be >= 1"
     if args.checkpoint_keep < 1:
         return "--checkpoint-keep must be >= 1"
-    resume = getattr(args, "resume", None)
-    if resume is not None and not Path(resume).is_dir():
-        return f"--resume: no such checkpoint directory: {resume}"
     return None
 
 
@@ -679,19 +653,33 @@ def _checkpoint_override(args: argparse.Namespace) -> Optional[CheckpointConfig]
     )
 
 
-def _checkpoint_overlay(cfg, args: argparse.Namespace):
-    """Overlay --checkpoint-dir/--checkpoint-interval/--checkpoint-keep."""
+def _checkpoint_overlay(args: argparse.Namespace) -> dict:
     override = _checkpoint_override(args)
-    return cfg if override is None else cfg.replace(checkpoint=override)
+    return {} if override is None else {"checkpoint": dataclasses.asdict(override)}
+
+
+def _add_resume(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--resume", type=str, default=None, metavar="DIR",
+                   help="resume from the newest snapshot in DIR; the "
+                   "experiment config comes from the snapshot, so "
+                   "scenario flags are ignored. Checkpointing continues "
+                   "into the same directory unless --checkpoint-dir "
+                   "overrides it")
+
+
+def _validate_resume(args: argparse.Namespace) -> Optional[str]:
+    if args.resume is not None and not Path(args.resume).is_dir():
+        return f"--resume: no such checkpoint directory: {args.resume}"
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
 class OptionGroup:
-    """One set of related flags: declare, check, lay over a config."""
+    """One set of related flags: declare, check, name their config overrides."""
 
     add: Callable[[argparse.ArgumentParser], None]
     validate: Callable[[argparse.Namespace], Optional[str]] = lambda args: None
-    overlay: Callable = lambda cfg, args: cfg
+    overlay: Callable[[argparse.Namespace], dict] = lambda args: {}
 
 
 OPTION_GROUPS = {
@@ -699,13 +687,20 @@ OPTION_GROUPS = {
     "single-run": OptionGroup(_add_single_run),
     "params": OptionGroup(_add_params),
     "scaling": OptionGroup(_add_scaling, _validate_scaling_args, _scaling_overlay),
+    "quick": OptionGroup(_add_quick, overlay=_quick_overlay),
     "runtime": OptionGroup(_add_runtime, _validate_runtime, _runtime_overlay),
+    "engine": OptionGroup(_add_engine, _validate_engine, _engine_overlay),
     "live": OptionGroup(_add_live, _validate_live_args, _live_overlay),
     "robustness": OptionGroup(_add_robustness, _validate_attack_args, _attack_overlay),
     "checkpointing": OptionGroup(
         _add_checkpointing, _validate_checkpoint_args, _checkpoint_overlay
     ),
+    "resume": OptionGroup(_add_resume, _validate_resume),
 }
+
+#: ``repro sweep``'s option groups, in validation order.
+SWEEP_GROUPS = ("common", "params", "runtime", "engine", "robustness",
+                "checkpointing")
 
 
 def _first_error(args: argparse.Namespace, groups: Sequence[str]) -> Optional[str]:
@@ -715,6 +710,14 @@ def _first_error(args: argparse.Namespace, groups: Sequence[str]) -> Optional[st
         if error:
             return error
     return None
+
+
+def _overrides(args: argparse.Namespace, groups: Sequence[str]) -> dict:
+    """Every config override the flags of ``groups`` stand for."""
+    overrides: dict = {}
+    for name in groups:
+        overrides.update(OPTION_GROUPS[name].overlay(args))
+    return overrides
 
 
 @dataclasses.dataclass(frozen=True)
@@ -734,15 +737,15 @@ EXPERIMENT_COMMANDS = {
         help="run one policy end to end",
         engine=None,
         groups=("common", "single-run", "params", "scaling", "robustness",
-                "checkpointing"),
+                "checkpointing", "resume"),
         abort_noun="run",
     ),
     "sim": ExperimentCommand(
         help="run one policy on the event-driven network runtime "
         "(message-level DES: stragglers, deadlines, retries, async)",
         engine="des",
-        groups=("common", "single-run", "scaling", "runtime", "robustness",
-                "checkpointing"),
+        groups=("common", "single-run", "scaling", "quick", "runtime",
+                "robustness", "checkpointing", "resume"),
         abort_noun="simulation",
     ),
     "live": ExperimentCommand(
@@ -750,8 +753,8 @@ EXPERIMENT_COMMANDS = {
         "workers, real sockets, shaped uploads), or calibrate it "
         "against the DES",
         engine="live",
-        groups=("common", "single-run", "scaling", "runtime", "live",
-                "checkpointing"),
+        groups=("common", "single-run", "scaling", "quick", "runtime", "live",
+                "checkpointing", "resume"),
         abort_noun="live run",
     ),
 }
@@ -819,12 +822,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 min_participants=args.participants,
                 max_epochs=args.epochs,
             )
+            overrides = _overrides(args, command.groups)
             if command.engine is not None:
-                cfg = cfg.replace(
-                    training=dataclasses.replace(cfg.training, engine=command.engine)
-                )
-            for name in command.groups:
-                cfg = OPTION_GROUPS[name].overlay(cfg, args)
+                overrides["training.engine"] = command.engine
+            cfg = cfg.override(overrides)
             if getattr(args, "calibrate", False):
                 return _live_calibrate(args, cfg)
             try:
@@ -986,19 +987,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    error = _first_error(
-        args, ("common", "runtime", "robustness", "checkpointing")
-    )
+    error = _first_error(args, SWEEP_GROUPS)
     if error:
         return _usage_error(error)
-    engine = args.engine
-    if engine is None and any(
-        v is not None for v in (args.aggregation, args.faults)
-    ):
-        engine = "des"  # the runtime knobs only bind on the DES engine
     seeds = args.seeds if args.seeds else [args.seed]
-    if not seeds:
-        return _usage_error("--seeds must name at least one seed")
     # --param overrides bind per policy to the parameters it declares;
     # a key no policy in the grid declares is a usage error.
     try:
@@ -1018,16 +1010,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name: {k: v for k, v in params.items() if k in declared[name]}
         for name in args.policies
     }
-    spec_kwargs = dict(
-        engine=engine,
-        aggregation=args.aggregation,
-        sim_deadline_s=args.deadline,
-        quorum=args.quorum,
-        fault_profile=args.faults,
-        attack=args.attack,
-        attack_fraction=args.attack_fraction,
-        defense=args.defense,
-    )
+    overrides = _overrides(args, SWEEP_GROUPS)
     jobs = []
     for seed in seeds:
         for budget in args.budgets:
@@ -1039,15 +1022,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 num_clients=args.clients,
                 min_participants=args.participants,
                 max_epochs=args.epochs,
-            )
-            cfg = _checkpoint_overlay(cfg, args)
+            ).override(overrides)
             jobs.extend(
-                SweepJob(
-                    policy=PolicySpec(
-                        name=name, params=policy_params[name], **spec_kwargs
-                    ),
-                    config=cfg,
-                )
+                SweepJob(PolicySpec(name, params=policy_params[name]), cfg)
                 for name in args.policies
             )
 
@@ -1326,21 +1303,13 @@ def _bench_crash_smoke(args: argparse.Namespace) -> int:
     from repro.checkpoint.crashsmoke import run_crash_resume_smoke
     from repro.experiments.bench import save_report
 
+    overrides = {} if args.engine == "loop" else {"training.engine": args.engine}
+    if args.engine == "live":
+        overrides.update({"live.time_scale": 0.01, "live.round_timeout_s": 30.0})
     cfg = experiment_config(
         budget=200.0, seed=args.seed, num_clients=8,
         min_participants=2, max_epochs=12,
-    )
-    if args.engine != "loop":
-        cfg = cfg.replace(
-            training=dataclasses.replace(cfg.training, engine=args.engine)
-        )
-    if args.engine == "live":
-        cfg = cfg.replace(
-            live=LiveConfig(
-                workers=2, time_scale=0.01, transport="unix",
-                round_timeout_s=30.0,
-            )
-        )
+    ).override(overrides)
     with tempfile.TemporaryDirectory(prefix="repro-crash-smoke-") as tmp:
         report = run_crash_resume_smoke(
             cfg, workdir=tmp, interval=3, smoke_seed=args.seed

@@ -10,17 +10,23 @@ validated config objects.  Defaults follow the paper where stated:
 * rental cost uniform in ``[0.1, 12]`` ("dynamic price of Amazon"),
 * availability i.i.d. Bernoulli per epoch.
 
-All configs are frozen; derived experiment variants are built with
-:func:`dataclasses.replace`.
+All configs are frozen.  Derived experiment variants are built with
+:meth:`ExperimentConfig.override`, which takes dotted-path changes such as
+``{"sim.faults": "churn", "attack.fraction": 0.25}`` and resolves them
+against this dataclass tree — the one description of an experiment that
+the CLI, sweeps, tournaments and persistence all share.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
+    "ConfigPathError",
     "NetworkConfig",
     "PopulationConfig",
     "DataConfig",
@@ -466,3 +472,78 @@ class ExperimentConfig:
     def replace(self, **kwargs) -> "ExperimentConfig":
         """Convenience alias for :func:`dataclasses.replace`."""
         return dataclasses.replace(self, **kwargs)
+
+    def override(self, changes: Mapping[str, Any]) -> "ExperimentConfig":
+        """This config with ``changes`` applied, validation re-run.
+
+        Keys are dotted field paths (``"sim.faults"``, ``"budget"``); a
+        section name may also map to a dict of its fields, so
+        ``override(dataclasses.asdict(cfg)) == cfg``.  All of a section's
+        changes land in one constructor call — ``SimConfig`` validates
+        aggregation and quorum together.  JSON lists become tuples on
+        tuple fields and ints become floats on float fields.  An unknown
+        path raises :class:`ConfigPathError`; a value of the wrong type
+        or one the section's validation rejects raises ``ValueError``.
+        """
+        return _override(self, changes, "")
+
+
+class ConfigPathError(ValueError):
+    """Raised when an override names no field of :class:`ExperimentConfig`."""
+
+    def __init__(self, path: str, known: Iterable[str]) -> None:
+        self.path = path
+        super().__init__(
+            f"unknown config path {path!r} (known here: {', '.join(known)})"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> Dict[str, Any]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _leaf(path: str, kind, value):
+    """``value`` checked against the field annotation ``kind``."""
+    if typing.get_origin(kind) is Union:  # Optional[X]
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(value)
+    elif kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(
+        f"config path {path!r}: expected {getattr(kind, '__name__', kind)}, "
+        f"got {value!r}"
+    )
+
+
+def _override(base, changes: Mapping[str, Any], prefix: str):
+    types = _field_types(type(base))
+    leaves: Dict[str, Any] = {}
+    sections: Dict[str, Dict[str, Any]] = {}
+    for key, value in changes.items():
+        name, dot, rest = key.partition(".")
+        kind = types.get(name)
+        is_section = kind is not None and dataclasses.is_dataclass(kind)
+        if kind is None or (dot and not is_section):
+            raise ConfigPathError(prefix + key, types)
+        if not is_section:
+            leaves[name] = _leaf(prefix + key, kind, value)
+        elif dot:
+            sections.setdefault(name, {})[rest] = value
+        elif isinstance(value, Mapping):
+            sections.setdefault(name, {}).update(value)
+        else:
+            raise ValueError(
+                f"config path {prefix + key!r} is a section: give a dict of "
+                "its fields or dotted paths"
+            )
+    for name, sub in sections.items():
+        leaves[name] = _override(getattr(base, name), sub, f"{prefix}{name}.")
+    return dataclasses.replace(base, **leaves) if leaves else base

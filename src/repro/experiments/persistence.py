@@ -23,20 +23,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.config import (
-    AttackConfig,
-    CheckpointConfig,
-    DataConfig,
-    DefenseConfig,
-    ExperimentConfig,
-    FedLConfig,
-    LiveConfig,
-    NetworkConfig,
-    PopulationConfig,
-    ShardConfig,
-    SimConfig,
-    TrainingConfig,
-)
+from repro.config import ExperimentConfig
 from repro.experiments.metrics import EpochRecord, Trace
 from repro.experiments.runner import ExperimentResult
 
@@ -153,10 +140,6 @@ def atomic_write_text(path: Path, text: str) -> None:
             _INFLIGHT_TMPS.discard(tmp)
 
 
-#: Backwards-compatible alias (pre-PR10 internal name).
-_atomic_write_text = atomic_write_text
-
-
 #: EpochRecord is flat (scalars only), so serialization reads the fields
 #: directly — ``dataclasses.asdict`` pays for recursive deep-copying the
 #: records never need, which matters once checkpointing re-serializes
@@ -194,7 +177,7 @@ def save_traces(traces: Mapping[str, Trace], path: str | Path) -> Path:
         "schema": SCHEMA_VERSION,
         "traces": {name: trace_to_dict(tr) for name, tr in traces.items()},
     }
-    _atomic_write_text(path, json.dumps(payload))
+    atomic_write_text(path, json.dumps(payload))
     return path
 
 
@@ -220,35 +203,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _with_tuples(data: Mapping, *keys: str) -> dict:
-    """Copy ``data`` with the named sequence fields coerced back to tuples."""
-    out = dict(data)
-    for key in keys:
-        out[key] = tuple(out[key])
-    return out
-
-
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict` (validation re-runs on construction)."""
-    return ExperimentConfig(
-        seed=int(data["seed"]),
-        budget=float(data["budget"]),
-        min_participants=int(data["min_participants"]),
-        max_epochs=int(data["max_epochs"]),
-        network=NetworkConfig(**data["network"]),
-        population=PopulationConfig(
-            **_with_tuples(data["population"], "cycles_per_bit_range", "cost_range")
-        ),
-        data=DataConfig(**data["data"]),
-        training=TrainingConfig(**_with_tuples(data["training"], "hidden_units")),
-        sim=SimConfig(**data.get("sim", {})),
-        live=LiveConfig(**data.get("live", {})),
-        attack=AttackConfig(**data.get("attack", {})),
-        defense=DefenseConfig(**data.get("defense", {})),
-        fedl=FedLConfig(**data["fedl"]),
-        shard=ShardConfig(**data.get("shard", {})),
-        checkpoint=CheckpointConfig(**data.get("checkpoint", {})),
-    )
+    """Inverse of :func:`config_to_dict` (validation re-runs on construction).
+
+    Sections and fields the payload predates take their defaults, so
+    results and snapshots written by older schemas still load.
+    """
+    return ExperimentConfig().override(data)
 
 
 # --- ExperimentResult ---------------------------------------------------------
@@ -288,7 +249,7 @@ def save_results(results: Mapping[str, ExperimentResult], path: str | Path) -> P
         "schema": RESULT_SCHEMA_VERSION,
         "results": {name: result_to_dict(r) for name, r in results.items()},
     }
-    _atomic_write_text(path, json.dumps(payload))
+    atomic_write_text(path, json.dumps(payload))
     return path
 
 

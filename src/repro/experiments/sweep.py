@@ -7,14 +7,19 @@ that grid into first-class *jobs* and executes them:
 * **in parallel** on a :class:`concurrent.futures.ProcessPoolExecutor`
   (worker count configurable, default :func:`~repro.host.usable_cpus`), with
   ``workers=1`` as an in-process serial fallback for debugging;
-* **deterministically** — each job carries its full
-  :class:`~repro.config.ExperimentConfig` and a :class:`PolicySpec`, and
-  the worker re-derives the policy RNG from the config seed via
-  :class:`~repro.rng.RngFactory`, so parallel output is bit-identical to
-  the serial loop regardless of scheduling order;
+* **deterministically** — a job is a fully resolved
+  :class:`~repro.config.ExperimentConfig` plus a :class:`PolicySpec`
+  (strategy name and params), and the worker re-derives the policy RNG
+  from the config seed via :class:`~repro.rng.RngFactory`, so parallel
+  output is bit-identical to the serial loop regardless of scheduling
+  order;
 * **cached** — an on-disk :class:`SweepCache` keyed by a stable SHA-256
-  content hash of (config, policy spec, schema versions) means a re-run
-  only executes cache misses.
+  content hash of (config, strategy name, resolved params, schema
+  versions) means a re-run only executes cache misses.
+
+Variations of a job are config overrides, not policy fields::
+
+    des = cfg.override({"training.engine": "des", "sim.faults": "churn"})
 
 Usage::
 
@@ -60,6 +65,7 @@ from repro.experiments.scenarios import make_policy
 from repro.host import usable_cpus
 from repro.obs import Telemetry, get_telemetry, set_telemetry, use_telemetry
 from repro.rng import RngFactory
+from repro.strategies import get_strategy, resolve_params
 
 __all__ = [
     "PolicySpec",
@@ -78,57 +84,31 @@ __all__ = [
 
 # Bump to invalidate every existing cache entry (e.g. when run_experiment's
 # semantics change in a way the config/schema versions don't capture).
-# v2: PolicySpec gained the event-driven-runtime fields (engine,
-# aggregation, fault profile) and configs gained the "sim" section.
-# v3: PolicySpec gained the robustness overlay fields (attack,
-# attack_fraction, defense) and configs the "attack"/"defense" sections.
-# v4: PolicySpec gained strategy-registry parameter overrides ("params")
-# and results carry a "policy" self-description.
-# v5: configs gained the "checkpoint" section.  It is excluded from the
-# fingerprint (a job's result is independent of where snapshots are
-# written), so runs that differ only in checkpointing share entries.
-CACHE_SCHEMA_VERSION = 5
+# v2: configs gained the "sim" section.  v3: the "attack"/"defense"
+# sections.  v4: strategy-registry parameters; results carry a "policy"
+# self-description.  v5: the "checkpoint" section, which the fingerprint
+# excludes (a job's result is independent of where snapshots go).
+# v6: a job is a resolved config plus a strategy name and its params —
+# PolicySpec lost its config overlay fields, and the key hashes the
+# params as the registry resolves them, so one run has one key however
+# it was specified.
+CACHE_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Picklable description of how to build a selection policy.
+    """Picklable description of a selection policy: a registry name and
+    its parameter overrides (see :mod:`repro.strategies`).
 
-    ``rng_stream`` names the :class:`~repro.rng.RngFactory` stream the
-    policy RNG is drawn from; the default (``policy.<name>``) matches the
-    stream :func:`~repro.experiments.figures.run_policy_suite` has always
-    used, so engine runs are bit-compatible with the historical serial
-    loop.
-
-    The runtime fields overlay the job config when set: ``engine``
-    overrides ``TrainingConfig.engine``, and ``aggregation`` /
-    ``sim_deadline_s`` / ``quorum`` / ``fault_profile`` override the
-    config's :class:`~repro.config.SimConfig` — so one sweep grid can
-    compare aggregation policies and fault profiles without hand-building
-    a config per cell.  (``deadline_s`` is the FedCS *selection* deadline;
-    ``sim_deadline_s`` is the runtime's barrier deadline.)  Likewise
-    ``attack`` / ``attack_fraction`` / ``defense`` overlay the config's
-    :class:`~repro.config.AttackConfig` / :class:`~repro.config.DefenseConfig`
-    for robustness grids (attack kinds × defenses).
-
-    ``params`` holds strategy-registry parameter overrides (see
-    :mod:`repro.strategies`): pass a dict (or pairs) and it is normalized
-    to a sorted tuple of ``(key, value)`` pairs so the spec stays frozen,
-    hashable, and order-insensitive in the cache key.
+    Everything else about a job — engine, runtime, attack, defense — is
+    the job's :class:`~repro.config.ExperimentConfig`.  ``params`` may be
+    a dict (or pairs); it is normalized to a sorted tuple of ``(key,
+    value)`` pairs so the spec stays frozen, hashable and order-insensitive.
+    The policy RNG is drawn from the stream ``policy.<name>``, the stream
+    :func:`~repro.experiments.figures.run_policy_suite` has always used.
     """
 
     name: str
-    iterations: int = 2
-    deadline_s: Optional[float] = None
-    rng_stream: Optional[str] = None
-    engine: Optional[str] = None
-    aggregation: Optional[str] = None
-    sim_deadline_s: Optional[float] = None
-    quorum: Optional[int] = None
-    fault_profile: Optional[str] = None
-    attack: Optional[str] = None
-    attack_fraction: Optional[float] = None
-    defense: Optional[str] = None
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
@@ -146,57 +126,9 @@ class PolicySpec:
         object.__setattr__(self, "params", normalized)
 
     @property
-    def stream(self) -> str:
-        return self.rng_stream or f"policy.{self.name}"
-
-    @property
     def params_dict(self) -> Dict[str, object]:
         """The parameter overrides as a plain dict."""
         return dict(self.params)
-
-    def apply_to(self, config: ExperimentConfig) -> ExperimentConfig:
-        """Overlay the runtime fields onto ``config`` (validation re-runs
-        on construction, so an inconsistent overlay raises here)."""
-        if (
-            self.engine is None
-            and self.aggregation is None
-            and self.sim_deadline_s is None
-            and self.quorum is None
-            and self.fault_profile is None
-            and self.attack is None
-            and self.attack_fraction is None
-            and self.defense is None
-        ):
-            return config
-        training = dataclasses.replace(
-            config.training, engine=self.engine or config.training.engine
-        )
-        sim = dataclasses.replace(
-            config.sim,
-            aggregation=self.aggregation or config.sim.aggregation,
-            deadline_s=(
-                self.sim_deadline_s
-                if self.sim_deadline_s is not None
-                else config.sim.deadline_s
-            ),
-            quorum=self.quorum if self.quorum is not None else config.sim.quorum,
-            faults=self.fault_profile or config.sim.faults,
-        )
-        attack = dataclasses.replace(
-            config.attack,
-            kind=self.attack or config.attack.kind,
-            fraction=(
-                self.attack_fraction
-                if self.attack_fraction is not None
-                else config.attack.fraction
-            ),
-        )
-        defense = dataclasses.replace(
-            config.defense, aggregator=self.defense or config.defense.aggregator
-        )
-        return dataclasses.replace(
-            config, training=training, sim=sim, attack=attack, defense=defense
-        )
 
 
 @dataclass(frozen=True)
@@ -248,13 +180,17 @@ def canonical_hash(obj) -> str:
 
 
 def job_fingerprint(job: JobLike) -> dict:
-    """The JSON-ready payload a job's cache key is computed from.
+    """The JSON-ready payload a job's cache key is computed from: the
+    config, the strategy name and its parameters as the registry resolves
+    them against the config (so a default spelled out and a default left
+    implicit are one key; an unknown name or parameter raises here).
 
     Includes every schema version involved in persisting a result, so a
     schema bump invalidates old entries instead of deserializing them
     wrongly.
     """
     job = as_job(job)
+    spec = get_strategy(job.policy.name)
     config = dataclasses.asdict(job.config)
     # Where (or whether) snapshots are written cannot change what a job
     # computes, so the checkpoint section must not split the cache key.
@@ -264,7 +200,10 @@ def job_fingerprint(job: JobLike) -> dict:
         "result_schema": RESULT_SCHEMA_VERSION,
         "trace_schema": SCHEMA_VERSION,
         "config": config,
-        "policy": dataclasses.asdict(job.policy),
+        "policy": {
+            "name": job.policy.name,
+            "params": resolve_params(spec, job.config, job.policy.params_dict),
+        },
         "target_accuracy": job.target_accuracy,
     }
 
@@ -360,7 +299,7 @@ def execute_job(job: JobLike) -> ExperimentResult:
     foundation of both determinism and cacheability.
     """
     job = as_job(job)
-    config = job.policy.apply_to(job.config)
+    config = job.config
     # Self-describing results: the spec rides along through persistence.
     # The JSON round trip normalizes tuples to lists up front, so cached
     # copies compare exactly equal to fresh ones.  The checkpoint section
@@ -407,14 +346,9 @@ def execute_job(job: JobLike) -> ExperimentResult:
                 pass
             else:
                 return canonical(result)
-    rng = RngFactory(config.seed).get(job.policy.stream)
+    rng = RngFactory(config.seed).get(f"policy.{job.policy.name}")
     policy = make_policy(
-        job.policy.name,
-        config,
-        rng,
-        iterations=job.policy.iterations,
-        deadline_s=job.policy.deadline_s,
-        params=job.policy.params_dict or None,
+        job.policy.name, config, rng, params=job.policy.params_dict or None
     )
     result = run_experiment(policy, config, target_accuracy=job.target_accuracy)
     return canonical(result)

@@ -22,14 +22,13 @@ themselves are bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import ExperimentConfig
-from repro.experiments.persistence import _atomic_write_text
+from repro.experiments.persistence import atomic_write_text
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import experiment_config
 from repro.experiments.sweep import (
@@ -47,6 +46,7 @@ __all__ = [
     "SCENARIOS",
     "scenario_names",
     "get_scenario",
+    "scenario_config",
     "UnknownScenarioError",
     "quick_base_config",
     "full_base_config",
@@ -75,84 +75,19 @@ class UnknownScenarioError(ValueError):
 class ScenarioSpec:
     """One column of the tournament matrix: a named config perturbation.
 
-    Every field with a non-``None`` value overlays the base experiment
-    config; because the whole config enters the sweep-cache fingerprint,
-    two scenarios never collide in the cache.  ``quick`` marks scenarios
-    safe and fast enough for the ``--quick`` matrix (synchronous-engine
-    only: event-driven fault scenarios can abort tiny runs through the
-    participation floor).
+    ``overrides`` are dotted-path changes applied to the base experiment
+    by :meth:`~repro.config.ExperimentConfig.override` (see
+    :func:`scenario_config`); because the whole config enters the
+    sweep-cache fingerprint, two scenarios never collide in the cache.
+    ``quick`` marks scenarios safe and fast enough for the ``--quick``
+    matrix (synchronous-engine only: event-driven fault scenarios can
+    abort tiny runs through the participation floor).
     """
 
     name: str
     description: str
-    iid: Optional[bool] = None
-    partition: Optional[str] = None
-    dirichlet_alpha: Optional[float] = None
-    cost_volatility: Optional[float] = None
-    availability_model: Optional[str] = None
-    engine: Optional[str] = None
-    aggregation: Optional[str] = None
-    quorum_frac: Optional[float] = None  # quorum = max(1, frac * n)
-    sim_deadline_s: Optional[float] = None
-    fault_profile: Optional[str] = None
-    attack: Optional[str] = None
-    attack_fraction: Optional[float] = None
-    defense: Optional[str] = None
+    overrides: Mapping[str, object] = field(default_factory=dict)
     quick: bool = False
-
-    def configure(self, base: ExperimentConfig) -> ExperimentConfig:
-        """Overlay this scenario onto ``base`` (validation re-runs)."""
-        cfg = base
-        data = cfg.data
-        if self.iid is not None:
-            data = dataclasses.replace(data, iid=self.iid)
-        if self.partition is not None:
-            data = dataclasses.replace(data, iid=False, partition=self.partition)
-        if self.dirichlet_alpha is not None:
-            data = dataclasses.replace(data, dirichlet_alpha=self.dirichlet_alpha)
-        population = cfg.population
-        if self.cost_volatility is not None:
-            population = dataclasses.replace(
-                population, cost_volatility=self.cost_volatility
-            )
-        if self.availability_model is not None:
-            population = dataclasses.replace(
-                population, availability_model=self.availability_model
-            )
-        training = cfg.training
-        if self.engine is not None:
-            training = dataclasses.replace(training, engine=self.engine)
-        # Sim overrides land in ONE replace: validation runs per replace,
-        # and e.g. aggregation="async" is only legal once the quorum is
-        # set alongside it.
-        sim_changes: Dict[str, object] = {}
-        if self.aggregation is not None:
-            sim_changes["aggregation"] = self.aggregation
-        if self.quorum_frac is not None:
-            sim_changes["quorum"] = max(
-                1, round(self.quorum_frac * cfg.min_participants)
-            )
-        if self.sim_deadline_s is not None:
-            sim_changes["deadline_s"] = self.sim_deadline_s
-        if self.fault_profile is not None:
-            sim_changes["faults"] = self.fault_profile
-        sim = dataclasses.replace(cfg.sim, **sim_changes) if sim_changes else cfg.sim
-        attack = cfg.attack
-        if self.attack is not None:
-            attack = dataclasses.replace(attack, kind=self.attack)
-        if self.attack_fraction is not None:
-            attack = dataclasses.replace(attack, fraction=self.attack_fraction)
-        defense = cfg.defense
-        if self.defense is not None:
-            defense = dataclasses.replace(defense, aggregator=self.defense)
-        return cfg.replace(
-            data=data,
-            population=population,
-            training=training,
-            sim=sim,
-            attack=attack,
-            defense=defense,
-        )
 
 
 #: The scenario matrix.  Order defines report column order.
@@ -160,60 +95,69 @@ SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         "iid",
         "the paper's baseline setting: IID shards, stable prices",
-        iid=True,
+        {"data.iid": True},
         quick=True,
     ),
     ScenarioSpec(
         "non-iid",
         "paper-style label-skew partition",
-        iid=False,
+        {"data.iid": False},
         quick=True,
     ),
     ScenarioSpec(
         "dirichlet",
         "dirichlet(0.3) partition: heavy client heterogeneity",
-        partition="dirichlet",
-        dirichlet_alpha=0.3,
+        {"data.iid": False, "data.partition": "dirichlet",
+         "data.dirichlet_alpha": 0.3},
     ),
     ScenarioSpec(
         "volatile-prices",
         "AR(1) price innovations at 0.5: costs swing round to round",
-        cost_volatility=0.5,
+        {"population.cost_volatility": 0.5},
         quick=True,
     ),
     ScenarioSpec(
         "flat-prices",
         "frozen prices: cost signal carries no information",
-        cost_volatility=0.0,
+        {"population.cost_volatility": 0.0},
     ),
     ScenarioSpec(
         "byzantine",
         "25% sign-flip attackers behind a trimmed-mean defense",
-        attack="sign-flip",
-        attack_fraction=0.25,
-        defense="trimmed-mean",
+        {"attack.kind": "sign-flip", "attack.fraction": 0.25,
+         "defense.aggregator": "trimmed-mean"},
         quick=True,
     ),
     ScenarioSpec(
         "markov-churn",
         "markov availability: clients flap in correlated bursts",
-        availability_model="markov",
+        {"population.availability_model": "markov"},
         quick=True,
     ),
     ScenarioSpec(
         "flaky-uplink",
         "event-driven runtime with 30% upload failures and retries",
-        engine="des",
-        fault_profile="flaky-uplink",
+        {"training.engine": "des", "sim.faults": "flaky-uplink"},
     ),
     ScenarioSpec(
         "async-quorum",
         "asynchronous aggregation: epoch closes at the quorum",
-        engine="des",
-        aggregation="async",
-        quorum_frac=1.0,
+        {"training.engine": "des", "sim.aggregation": "async"},
     ),
 )
+
+
+def scenario_config(scenario: ScenarioSpec, base: ExperimentConfig) -> ExperimentConfig:
+    """``base`` with ``scenario``'s overrides applied.
+
+    The one base-dependent value lives here: an async scenario's quorum
+    is the base's participation floor ``n``, so the epoch closes once
+    ``n`` uploads have arrived whatever the base's scale.
+    """
+    overrides = dict(scenario.overrides)
+    if overrides.get("sim.aggregation") == "async":
+        overrides["sim.quorum"] = base.min_participants
+    return base.override(overrides)
 
 
 def scenario_names(quick: bool = False) -> Tuple[str, ...]:
@@ -317,7 +261,7 @@ def run_tournament(
     for scenario in matrix:
         for name in names:
             for seed in seeds:
-                cfg = scenario.configure(base.replace(seed=seed))
+                cfg = scenario_config(scenario, base.replace(seed=seed))
                 jobs.append(SweepJob(PolicySpec(name), cfg))
                 index.append((scenario.name, name, seed))
     results = run_sweep(
@@ -481,7 +425,7 @@ def save_report(report: dict, path: str | Path, ts: Optional[dict] = None) -> Pa
     payload = dict(report)
     if ts is not None:
         payload["ts"] = ts
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2))
     return path
 
 

@@ -6,7 +6,7 @@ baselines, and the zoo of newer scorers — is registered here as a
 bounds, choices), capability flags (budget-aware, reliability-aware,
 deadline-aware, ...), and a builder.  The spec makes strategies
 *addressable as data*: the CLI, :class:`~repro.experiments.sweep.
-PolicySpec` overlays, the sweep cache, and the tournament harness all
+PolicySpec` (name + params), the sweep cache, and the tournament harness all
 construct policies through :func:`build_strategy` from a plain name (or
 a ``{"name": ..., "params": {...}}`` dict) instead of hard-coded
 constructor calls.

@@ -20,11 +20,16 @@ identically seeded generators.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.config import ExperimentConfig
+
 __all__ = [
+    "SCENARIOS",
+    "ScenarioSpec",
     "PerRowClientDataStream",
     "assert_matches_oracle",
     "assert_same",
@@ -118,3 +123,152 @@ def per_row_client_streams(generator, class_distributions, rng_factory) -> list:
         )
         for k in range(dists.shape[0])
     ]
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """``repro.experiments.tournament.ScenarioSpec`` as shipped when every
+    scenario was a set of typed override fields plus ``configure``,
+    verbatim (with the matrix below): the oracle for ``scenario_config``.
+
+    One column of the tournament matrix: a named config perturbation.
+
+    Every field with a non-``None`` value overlays the base experiment
+    config; because the whole config enters the sweep-cache fingerprint,
+    two scenarios never collide in the cache.  ``quick`` marks scenarios
+    safe and fast enough for the ``--quick`` matrix (synchronous-engine
+    only: event-driven fault scenarios can abort tiny runs through the
+    participation floor).
+    """
+
+    name: str
+    description: str
+    iid: Optional[bool] = None
+    partition: Optional[str] = None
+    dirichlet_alpha: Optional[float] = None
+    cost_volatility: Optional[float] = None
+    availability_model: Optional[str] = None
+    engine: Optional[str] = None
+    aggregation: Optional[str] = None
+    quorum_frac: Optional[float] = None  # quorum = max(1, frac * n)
+    sim_deadline_s: Optional[float] = None
+    fault_profile: Optional[str] = None
+    attack: Optional[str] = None
+    attack_fraction: Optional[float] = None
+    defense: Optional[str] = None
+    quick: bool = False
+
+    def configure(self, base: ExperimentConfig) -> ExperimentConfig:
+        """Overlay this scenario onto ``base`` (validation re-runs)."""
+        cfg = base
+        data = cfg.data
+        if self.iid is not None:
+            data = dataclasses.replace(data, iid=self.iid)
+        if self.partition is not None:
+            data = dataclasses.replace(data, iid=False, partition=self.partition)
+        if self.dirichlet_alpha is not None:
+            data = dataclasses.replace(data, dirichlet_alpha=self.dirichlet_alpha)
+        population = cfg.population
+        if self.cost_volatility is not None:
+            population = dataclasses.replace(
+                population, cost_volatility=self.cost_volatility
+            )
+        if self.availability_model is not None:
+            population = dataclasses.replace(
+                population, availability_model=self.availability_model
+            )
+        training = cfg.training
+        if self.engine is not None:
+            training = dataclasses.replace(training, engine=self.engine)
+        # Sim overrides land in ONE replace: validation runs per replace,
+        # and e.g. aggregation="async" is only legal once the quorum is
+        # set alongside it.
+        sim_changes: Dict[str, object] = {}
+        if self.aggregation is not None:
+            sim_changes["aggregation"] = self.aggregation
+        if self.quorum_frac is not None:
+            sim_changes["quorum"] = max(
+                1, round(self.quorum_frac * cfg.min_participants)
+            )
+        if self.sim_deadline_s is not None:
+            sim_changes["deadline_s"] = self.sim_deadline_s
+        if self.fault_profile is not None:
+            sim_changes["faults"] = self.fault_profile
+        sim = dataclasses.replace(cfg.sim, **sim_changes) if sim_changes else cfg.sim
+        attack = cfg.attack
+        if self.attack is not None:
+            attack = dataclasses.replace(attack, kind=self.attack)
+        if self.attack_fraction is not None:
+            attack = dataclasses.replace(attack, fraction=self.attack_fraction)
+        defense = cfg.defense
+        if self.defense is not None:
+            defense = dataclasses.replace(defense, aggregator=self.defense)
+        return cfg.replace(
+            data=data,
+            population=population,
+            training=training,
+            sim=sim,
+            attack=attack,
+            defense=defense,
+        )
+
+
+#: The scenario matrix.  Order defines report column order.
+SCENARIOS: Tuple[ScenarioSpec, ...] = (
+    ScenarioSpec(
+        "iid",
+        "the paper's baseline setting: IID shards, stable prices",
+        iid=True,
+        quick=True,
+    ),
+    ScenarioSpec(
+        "non-iid",
+        "paper-style label-skew partition",
+        iid=False,
+        quick=True,
+    ),
+    ScenarioSpec(
+        "dirichlet",
+        "dirichlet(0.3) partition: heavy client heterogeneity",
+        partition="dirichlet",
+        dirichlet_alpha=0.3,
+    ),
+    ScenarioSpec(
+        "volatile-prices",
+        "AR(1) price innovations at 0.5: costs swing round to round",
+        cost_volatility=0.5,
+        quick=True,
+    ),
+    ScenarioSpec(
+        "flat-prices",
+        "frozen prices: cost signal carries no information",
+        cost_volatility=0.0,
+    ),
+    ScenarioSpec(
+        "byzantine",
+        "25% sign-flip attackers behind a trimmed-mean defense",
+        attack="sign-flip",
+        attack_fraction=0.25,
+        defense="trimmed-mean",
+        quick=True,
+    ),
+    ScenarioSpec(
+        "markov-churn",
+        "markov availability: clients flap in correlated bursts",
+        availability_model="markov",
+        quick=True,
+    ),
+    ScenarioSpec(
+        "flaky-uplink",
+        "event-driven runtime with 30% upload failures and retries",
+        engine="des",
+        fault_profile="flaky-uplink",
+    ),
+    ScenarioSpec(
+        "async-quorum",
+        "asynchronous aggregation: epoch closes at the quorum",
+        engine="des",
+        aggregation="async",
+        quorum_frac=1.0,
+    ),
+)

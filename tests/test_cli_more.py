@@ -166,6 +166,27 @@ class TestSweepDesFlags:
         assert rc == 2
         assert "requires --quorum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--engine", "loop", "--faults", "stress"], "--faults"),
+            (["--engine", "batched", "--faults", "none"], "--faults"),
+            (["--engine", "loop", "--aggregation", "sync"], "--aggregation"),
+            (["--engine", "batched", "--aggregation", "deadline",
+              "--deadline", "0.5"], "--aggregation"),
+            (["--engine", "loop", "--aggregation", "async", "--quorum", "2"],
+             "--aggregation"),
+        ],
+    )
+    def test_runtime_flags_on_closed_form_engines_exit_2(
+        self, capsys, extra, flag
+    ):
+        # The loop/batched engines have no network timeline: these flags
+        # would bind nothing, so they are a usage error, not a silent no-op.
+        rc = main(["sweep", "--budgets", "60", *extra])
+        assert rc == 2
+        assert f"{flag} only applies with --engine des" in capsys.readouterr().err
+
 
 class TestRobustnessFlags:
     @pytest.mark.parametrize(

@@ -1,14 +1,24 @@
 """Property tests for the sweep cache and its content-addressed keys.
 
-Three invariants (ISSUE 1):
+Four invariants:
 
 1. the key is a function of job *content*, not dict/field ordering;
-2. the key changes whenever any config field or policy-spec field changes;
-3. a cache hit returns a result equal to a fresh run, without re-executing
+2. the key changes whenever any config leaf (walked from the dataclass
+   tree) or the strategy name/params change — except ``checkpoint.*``;
+3. one run has one key, however it was specified (config field, override,
+   CLI flag; defaults implicit or spelled out);
+4. a cache hit returns a result equal to a fresh run, without re-executing
    ``run_experiment``.
+
+The dotted-path resolver (``ExperimentConfig.override``) that every job
+variation goes through is tested here too.
 """
 
+import copy
+import dataclasses
+import json
 import random
+import typing
 from dataclasses import replace
 
 import pytest
@@ -16,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.sweep as sweep_mod
+from repro.cli import main
+from repro.config import ConfigPathError, ExperimentConfig
+from repro.experiments.persistence import config_from_dict, config_to_dict
 from repro.experiments.scenarios import experiment_config
 from repro.experiments.sweep import (
     CACHE_SCHEMA_VERSION,
@@ -28,6 +41,7 @@ from repro.experiments.sweep import (
     results_identical,
     run_sweep,
 )
+from repro.strategies import StrategyParamError
 
 
 def tiny_config(seed=0, **overrides):
@@ -45,8 +59,8 @@ def tiny_config(seed=0, **overrides):
     return cfg
 
 
-def base_job(**spec_overrides) -> SweepJob:
-    return SweepJob(PolicySpec("FedL", **spec_overrides), tiny_config())
+def base_job() -> SweepJob:
+    return SweepJob(PolicySpec("FedL"), tiny_config())
 
 
 def _reorder(obj, rnd: random.Random):
@@ -75,68 +89,87 @@ class TestKeyStability:
         assert job_key(("FedL", tiny_config())) == job_key(base_job())
 
 
-# Mutations covering every layer of the job: top-level config, each nested
-# config group, the policy spec, and the target.  Each must move the key.
-MUTATIONS = {
-    "seed": lambda j: replace(j, config=j.config.replace(seed=99)),
-    "budget": lambda j: replace(j, config=j.config.replace(budget=121.0)),
-    "max_epochs": lambda j: replace(j, config=j.config.replace(max_epochs=4)),
-    "min_participants": lambda j: replace(
-        j, config=j.config.replace(min_participants=4)
-    ),
-    "network.bandwidth_hz": lambda j: replace(
-        j, config=j.config.replace(network=replace(j.config.network, bandwidth_hz=10e6))
-    ),
-    "population.failure_prob": lambda j: replace(
-        j,
-        config=j.config.replace(
-            population=replace(j.config.population, failure_prob=0.2)
-        ),
-    ),
-    "population.availability_model": lambda j: replace(
-        j,
-        config=j.config.replace(
-            population=replace(j.config.population, availability_model="markov")
-        ),
-    ),
-    "data.iid": lambda j: replace(
-        j, config=j.config.replace(data=replace(j.config.data, iid=False))
-    ),
-    "training.sgd_lr": lambda j: replace(
-        j, config=j.config.replace(training=replace(j.config.training, sgd_lr=0.06))
-    ),
-    "fedl.rho_max": lambda j: replace(
-        j, config=j.config.replace(fedl=replace(j.config.fedl, rho_max=9.0))
-    ),
-    "policy.name": lambda j: replace(j, policy=replace(j.policy, name="FedAvg")),
-    "policy.iterations": lambda j: replace(
-        j, policy=replace(j.policy, iterations=3)
-    ),
-    "policy.deadline_s": lambda j: replace(
-        j, policy=replace(j.policy, deadline_s=1.5)
-    ),
-    "policy.rng_stream": lambda j: replace(
-        j, policy=replace(j.policy, rng_stream="policy.other")
-    ),
-    "policy.engine": lambda j: replace(j, policy=replace(j.policy, engine="des")),
-    "policy.aggregation": lambda j: replace(
-        j,
-        policy=replace(
-            j.policy, engine="des", aggregation="async", quorum=2
-        ),
-    ),
-    "policy.fault_profile": lambda j: replace(
-        j, policy=replace(j.policy, engine="des", fault_profile="churn")
-    ),
-    "target_accuracy": lambda j: replace(j, target_accuracy=0.9),
+def leaf_paths(cls=ExperimentConfig, prefix=""):
+    """Every leaf field of the config tree, as a dotted override path."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from leaf_paths(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+LEAVES = tuple(leaf_paths())
+CHECKPOINT_LEAVES = tuple(p for p in LEAVES if p.startswith("checkpoint."))
+
+
+def read_leaf(obj, path):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def mutated(value):
+    """A different value of the same kind (validity is not the point)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "~"
+    if isinstance(value, tuple):
+        return value + value[-1:]
+    assert value is None, f"no mutation for {value!r}"
+    return 1
+
+
+def with_leaf(obj, path, value):
+    """``obj`` with one leaf set, bypassing validation (the key hashes
+    whatever the config holds, so an invalid value still has to move it)."""
+    head, _, rest = path.partition(".")
+    out = copy.copy(obj)
+    inner = with_leaf(getattr(obj, head), rest, value) if rest else value
+    object.__setattr__(out, head, inner)
+    return out
+
+
+def leaf_job(path) -> SweepJob:
+    job = base_job()
+    value = mutated(read_leaf(job.config, path))
+    return replace(job, config=with_leaf(job.config, path, value))
+
+
+def param_job(name, **params) -> SweepJob:
+    return SweepJob(PolicySpec(name, params=params), tiny_config())
+
+
+# The job fields outside the config tree: (base job, mutated job).
+JOB_MUTATIONS = {
+    "policy.name": lambda: (base_job(), replace(base_job(), policy=PolicySpec("FedAvg"))),
+    "policy.iterations": lambda: (param_job("FedAvg"), param_job("FedAvg", iterations=3)),
+    "policy.deadline_s": lambda: (param_job("FedCS"), param_job("FedCS", deadline_s=1.5)),
+    "target_accuracy": lambda: (base_job(), replace(base_job(), target_accuracy=0.9)),
 }
 
 
 class TestKeySensitivity:
-    @pytest.mark.parametrize("field", sorted(MUTATIONS))
+    """Every leaf of the config tree moves the key, walked from the
+    dataclasses — a field added to ``config.py`` is covered unedited."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [p for p in LEAVES if p not in CHECKPOINT_LEAVES] + sorted(JOB_MUTATIONS),
+    )
     def test_key_changes_with_field(self, field):
-        job = base_job()
-        assert job_key(MUTATIONS[field](job)) != job_key(job)
+        if field in JOB_MUTATIONS:
+            job, changed = JOB_MUTATIONS[field]()
+        else:
+            job, changed = base_job(), leaf_job(field)
+        assert job_key(changed) != job_key(job)
+
+    @pytest.mark.parametrize("field", CHECKPOINT_LEAVES)
+    def test_checkpoint_fields_never_split_the_key(self, field):
+        assert job_key(leaf_job(field)) == job_key(base_job())
 
     @given(
         seed_a=st.integers(0, 2**31 - 1),
@@ -149,6 +182,45 @@ class TestKeySensitivity:
         a = SweepJob(PolicySpec("FedAvg"), tiny_config(seed=seed_a, budget=budget_a))
         b = SweepJob(PolicySpec("FedAvg"), tiny_config(seed=seed_b, budget=budget_b))
         assert (job_key(a) == job_key(b)) == (a == b)
+
+
+class TestOneRunOneKey:
+    """However a run is specified, it is cached under one key."""
+
+    def des_config(self):
+        cfg = tiny_config()
+        return cfg.replace(training=replace(cfg.training, engine="des"))
+
+    def test_des_as_field_and_as_override_share_a_key(self):
+        direct = self.des_config()
+        overridden = tiny_config().override({"training.engine": "des"})
+        assert overridden == direct
+        assert job_key(("FedL", overridden)) == job_key(("FedL", direct))
+
+    def test_des_through_the_sweep_cli_shares_the_key(self, tmp_path, capsys):
+        rc = main([
+            "sweep", "--dataset", "fmnist", "--budgets", "120", "--seeds", "0",
+            "--clients", "8", "--participants", "3", "--epochs", "3",
+            "--policies", "FedL", "--engine", "des", "--workers", "1",
+            "--quiet", "--cache-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        key = job_key(("FedL", self.des_config()))
+        assert [p.name for p in tmp_path.glob("*.json")] == [f"{key}.json"]
+
+    def test_default_params_spelled_out_share_a_key(self):
+        implicit = SweepJob(PolicySpec("FedAvg"), tiny_config())
+        explicit = SweepJob(PolicySpec("FedAvg", params={"iterations": 2}), tiny_config())
+        assert job_key(implicit) == job_key(explicit)
+
+    def test_int_and_float_budget_share_a_key(self):
+        cfg = tiny_config()
+        assert job_key(("FedL", cfg.override({"budget": 120}))) == job_key(("FedL", cfg))
+
+    def test_unknown_param_fails_at_key_time(self):
+        with pytest.raises(StrategyParamError):
+            job_key(SweepJob(PolicySpec("FedL", params={"iterations": 3}), tiny_config()))
 
 
 class TestCacheRoundTrip:
@@ -218,69 +290,116 @@ class TestCacheRoundTrip:
         assert len(cache) == 0
 
 
-class TestPolicySpecOverlay:
-    """The event-driven-runtime fields overlay the job config."""
+class TestConfigOverride:
+    """Dotted-path overrides resolved against the dataclass tree."""
 
     def test_no_overrides_returns_config_unchanged(self):
         cfg = tiny_config()
-        assert PolicySpec("FedL").apply_to(cfg) is cfg
+        assert cfg.override({}) is cfg
 
-    def test_overlay_sets_engine_and_sim(self):
-        spec = PolicySpec(
-            "FedL",
-            engine="des",
-            aggregation="deadline",
-            sim_deadline_s=0.5,
-            fault_profile="flaky-uplink",
-        )
-        cfg = spec.apply_to(tiny_config())
+    def test_override_sets_engine_and_sim(self):
+        cfg = tiny_config().override({
+            "training.engine": "des",
+            "sim.aggregation": "deadline",
+            "sim.deadline_s": 0.5,
+            "sim.faults": "flaky-uplink",
+        })
         assert cfg.training.engine == "des"
         assert cfg.sim.aggregation == "deadline"
         assert cfg.sim.deadline_s == 0.5
         assert cfg.sim.faults == "flaky-uplink"
 
-    def test_inconsistent_overlay_raises(self):
-        # SimConfig validation re-runs on construction.
-        with pytest.raises(ValueError, match="quorum"):
-            PolicySpec("FedL", aggregation="async").apply_to(tiny_config())
-
-    def test_des_job_executes_bit_identically_to_direct_config(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.experiments.sweep import execute_job
-
-        spec_job = SweepJob(PolicySpec("FedL", engine="des"), tiny_config())
-        direct_cfg = tiny_config().replace(
-            training=dc_replace(tiny_config().training, engine="des")
-        )
-        direct_job = SweepJob(PolicySpec("FedL"), direct_cfg)
-        assert results_identical(execute_job(spec_job), execute_job(direct_job))
-
-
-class TestRobustnessOverlay:
-    """--attack/--attack-fraction/--defense overlay the job config."""
-
-    def test_overlay_sets_attack_and_defense(self):
-        spec = PolicySpec(
-            "FedL", attack="sign-flip", attack_fraction=0.3, defense="median"
-        )
-        cfg = spec.apply_to(tiny_config())
+    def test_override_sets_attack_and_defense(self):
+        cfg = tiny_config().override({
+            "attack.kind": "sign-flip", "attack.fraction": 0.3,
+            "defense.aggregator": "median",
+        })
         assert cfg.attack.kind == "sign-flip"
         assert cfg.attack.fraction == 0.3
         assert cfg.defense.aggregator == "median"
 
-    def test_overlay_defaults_leave_config_unchanged(self):
-        cfg = tiny_config()
-        assert PolicySpec("FedL").apply_to(cfg) is cfg
+    def test_async_and_quorum_land_in_one_call(self):
+        # SimConfig validates aggregation and quorum together, so a
+        # section's changes must be applied in one constructor call.
+        cfg = tiny_config().override({"sim.aggregation": "async", "sim.quorum": 2})
+        assert (cfg.sim.aggregation, cfg.sim.quorum) == ("async", 2)
+        nested = tiny_config().override({"sim": {"aggregation": "async", "quorum": 2}})
+        assert nested == cfg
 
-    def test_invalid_attack_overlay_raises(self):
+    def test_inconsistent_override_raises(self):
+        with pytest.raises(ValueError, match="quorum"):
+            tiny_config().override({"sim.aggregation": "async"})
+
+    def test_invalid_attack_override_raises(self):
         with pytest.raises(ValueError, match="attack"):
-            PolicySpec("FedL", attack="replay").apply_to(tiny_config())
+            tiny_config().override({"attack.kind": "replay"})
 
-    def test_attack_fields_change_cache_key(self):
-        base = SweepJob(PolicySpec("FedL"), tiny_config())
-        attacked = SweepJob(
-            PolicySpec("FedL", attack="sign-flip", defense="median"),
-            tiny_config(),
+    @pytest.mark.parametrize(
+        "path", ["sim.fault", "simulation.faults", "budget.cap", "nope"]
+    )
+    def test_unknown_path_is_typed(self, path):
+        with pytest.raises(ConfigPathError) as excinfo:
+            tiny_config().override({path: 1})
+        assert excinfo.value.path == path
+        assert isinstance(excinfo.value, ValueError)
+        assert repr(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("path, value", [
+        ("budget", "lots"),
+        ("data.iid", 1),
+        ("population.num_clients", 2.5),
+        ("sim.quorum", True),
+        ("population.cost_range", 5.0),
+        ("sim", "churn"),
+        ("sim.faults", "meteor-strike"),
+    ])
+    def test_bad_value_raises_value_error(self, path, value):
+        with pytest.raises(ValueError) as excinfo:
+            tiny_config().override({path: value})
+        assert not isinstance(excinfo.value, ConfigPathError)
+
+    def test_json_lists_become_tuples(self):
+        cfg = tiny_config().override({
+            "population.cost_range": [1, 5],
+            "training.hidden_units": [32, 16],
+        })
+        assert cfg.population.cost_range == (1, 5)
+        assert cfg.training.hidden_units == (32, 16)
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert back == cfg
+        assert isinstance(back.training.hidden_units, tuple)
+
+    def test_override_equals_direct_construction(self):
+        base = tiny_config()
+        direct = base.replace(
+            budget=200.0,
+            data=replace(base.data, iid=False, partition="dirichlet",
+                         dirichlet_alpha=0.3),
+            training=replace(base.training, engine="des"),
+            sim=replace(base.sim, aggregation="async", quorum=3, faults="churn"),
+            attack=replace(base.attack, kind="sign-flip", fraction=0.25),
+            defense=replace(base.defense, aggregator="trimmed-mean"),
         )
-        assert job_key(base) != job_key(attacked)
+        assert base.override({
+            "budget": 200.0,
+            "data.iid": False, "data.partition": "dirichlet",
+            "data.dirichlet_alpha": 0.3,
+            "training.engine": "des",
+            "sim.aggregation": "async", "sim.quorum": 3, "sim.faults": "churn",
+            "attack.kind": "sign-flip", "attack.fraction": 0.25,
+            "defense.aggregator": "trimmed-mean",
+        }) == direct
+
+    @pytest.mark.parametrize("path", LEAVES)
+    def test_every_leaf_is_reachable(self, path):
+        cfg = tiny_config()
+        assert cfg.override({path: read_leaf(cfg, path)}) == cfg
+        value = mutated(read_leaf(cfg, path))
+        try:
+            changed = cfg.override({path: value})
+        except ConfigPathError:
+            raise  # unreachable path: a ValueError, but not a pass
+        except ValueError:
+            return  # reached, and the section's validation rejected it
+        assert read_leaf(changed, path) == value
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(changed)))) == changed

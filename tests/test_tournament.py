@@ -18,13 +18,17 @@ from repro.experiments.tournament import (
     TOURNAMENT_SCHEMA_VERSION,
     UnknownScenarioError,
     format_report,
+    full_base_config,
     get_scenario,
     load_report,
     quick_base_config,
     run_tournament,
     save_report,
+    scenario_config,
     scenario_names,
 )
+
+from tests import oracle
 
 STRATS = ["FedAvg", "GradNorm"]
 SCENS = ["iid", "volatile-prices"]
@@ -62,8 +66,19 @@ class TestScenarioRegistry:
 
     def test_scenarios_produce_distinct_configs(self):
         base = quick_base_config()
-        configs = {s.name: s.configure(base) for s in SCENARIOS}
+        configs = {s.name: scenario_config(s, base) for s in SCENARIOS}
         assert len({repr(c) for c in configs.values()}) == len(configs)
+
+    @pytest.mark.parametrize("base", [quick_base_config, full_base_config])
+    @pytest.mark.parametrize("name", [s.name for s in oracle.SCENARIOS])
+    def test_overrides_resolve_like_the_typed_fields(self, name, base):
+        expected = {s.name: s for s in oracle.SCENARIOS}[name].configure(base())
+        assert scenario_config(get_scenario(name), base()) == expected
+
+    def test_matrix_matches_the_oracle(self):
+        assert [(s.name, s.description, s.quick) for s in SCENARIOS] == [
+            (s.name, s.description, s.quick) for s in oracle.SCENARIOS
+        ]
 
 
 class TestReportStructure:
