@@ -12,40 +12,15 @@ import pytest
 
 from repro.core.bounds import mu_hat_bound, path_length, regret_bound
 from repro.core.online_learner import OnlineLearner
-from repro.core.problem import EpochInputs, FedLProblem
-from repro.core.regret import dynamic_fit, dynamic_regret
+from repro.core.regret import drifting_problem_stream, dynamic_fit, dynamic_regret
 from repro.rng import RngFactory
 
 HORIZONS = (20, 40, 80)
 M = 8
 
 
-def make_stream(horizon: int, rng: np.random.Generator):
-    base_tau = rng.uniform(0.2, 2.0, M)
-    base_eta = rng.uniform(0.2, 0.7, M)
-    problems = []
-    for t in range(horizon):
-        drift = 0.2 * np.sin(2 * np.pi * t / 40.0 + np.arange(M))
-        problems.append(
-            FedLProblem(
-                EpochInputs(
-                    tau=np.clip(base_tau + drift, 0.05, None),
-                    costs=rng.uniform(0.5, 3.0, M),
-                    available=np.ones(M, bool),
-                    eta_hat=np.clip(base_eta + 0.1 * drift, 0.0, 0.9),
-                    loss_gap=0.3,
-                    loss_sensitivity=np.full(M, -0.12),
-                    remaining_budget=1e6,
-                    min_participants=3,
-                ),
-                rho_max=6.0,
-            )
-        )
-    return problems
-
-
 def run_horizon(horizon: int, factory: RngFactory):
-    problems = make_stream(horizon, factory.fresh("stream"))
+    problems = drifting_problem_stream(M, horizon, factory.fresh("stream"))
     step = horizon ** (-1.0 / 3.0)
     learner = OnlineLearner(M, beta=step, delta=step, rho_max=6.0)
     decisions = []

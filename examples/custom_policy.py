@@ -1,10 +1,14 @@
 """Plug a custom client-selection policy into the FedL framework.
 
-The framework's :class:`~repro.baselines.base.SelectionPolicy` protocol is
-two methods — ``select(ctx)`` and ``update(feedback)`` — so any selection
-idea drops in.  This example implements a *cheapest-first* policy (always
-rent the n cheapest available clients, stretching the budget as far as it
-goes) and benchmarks it against FedL.
+A strategy is one class.  It implements the two methods of the
+:class:`~repro.strategies.base.SelectionPolicy` protocol — ``select(ctx)``
+and ``update(feedback)`` — and declares its registry entry on itself:
+a name, a description, its parameters and the contracts it keeps.
+``@register_strategy`` reads that declaration, after which the CLI's
+``--policy``/``--param``, sweeps, tournaments and the property suite all
+reach the strategy by name.  This example registers a *cheapest-first*
+policy (always rent the n cheapest available clients, stretching the
+budget as far as it goes) and benchmarks it against FedL.
 
 Usage::
 
@@ -13,14 +17,23 @@ Usage::
 
 # ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
 # which only works before numpy loads.
-from repro.baselines.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
 from repro.experiments import experiment_config, format_table, make_policy, run_experiment
 from repro.rng import RngFactory
+from repro.strategies import (
+    Decision,
+    EpochContext,
+    RoundFeedback,
+    Strategy,
+    enforce_feasibility,
+    register_strategy,
+)
+from repro.strategies.registry import ITERATIONS
 
 import numpy as np
 
 
-class CheapestFirstPolicy:
+@register_strategy
+class CheapestFirstPolicy(Strategy):
     """Rent the n cheapest available clients every epoch.
 
     Maximizes the number of epochs a budget buys — the opposite corner of
@@ -29,8 +42,12 @@ class CheapestFirstPolicy:
     accuracy-per-second (the cheap clients may be slow).
     """
 
-    def __init__(self, rng: np.random.Generator, iterations: int = 2) -> None:
-        self.name = "Cheapest"
+    name = "Cheapest"
+    description = "rent the n cheapest available clients every epoch"
+    params = (ITERATIONS,)  # defaults and bounds live in the ParamSpec
+    budget_aware = True     # the n cheapest fit whenever any n do
+
+    def __init__(self, config, rng: np.random.Generator, *, iterations: int) -> None:
         self.rng = rng
         self.iterations = iterations
 
@@ -53,7 +70,7 @@ def main() -> None:
     rows = {}
     for name, policy in [
         ("FedL", make_policy("FedL", config, RngFactory(11).get("fedl"))),
-        ("Cheapest", CheapestFirstPolicy(RngFactory(11).get("cheap"))),
+        ("Cheapest", make_policy("Cheapest", config, RngFactory(11).get("cheap"))),
     ]:
         result = run_experiment(policy, config)
         tr = result.trace

@@ -10,40 +10,14 @@ Usage::
     python examples/regret_analysis.py
 """
 
-# ``repro`` before numpy: importing it sizes the BLAS pool to one thread,
-# which only works before numpy loads.
 from repro.core.online_learner import OnlineLearner
-from repro.core.problem import EpochInputs, FedLProblem
-from repro.core.regret import dynamic_fit, dynamic_regret
+from repro.core.regret import drifting_problem_stream, dynamic_fit, dynamic_regret
 from repro.rng import RngFactory
-
-import numpy as np
-
-
-def make_stream(m: int, horizon: int, rng: np.random.Generator):
-    """A slowly-drifting stream of per-epoch problems (bounded variation)."""
-    base_tau = rng.uniform(0.2, 2.0, m)
-    base_eta = rng.uniform(0.2, 0.7, m)
-    problems = []
-    for t in range(horizon):
-        drift = 0.2 * np.sin(2 * np.pi * t / 40.0 + np.arange(m))
-        inputs = EpochInputs(
-            tau=np.clip(base_tau + drift, 0.05, None),
-            costs=rng.uniform(0.5, 3.0, m),
-            available=np.ones(m, bool),
-            eta_hat=np.clip(base_eta + 0.1 * drift, 0.0, 0.9),
-            loss_gap=0.3,
-            loss_sensitivity=np.full(m, -0.12),
-            remaining_budget=1e6,   # isolate the learning dynamics
-            min_participants=3,
-        )
-        problems.append(FedLProblem(inputs, rho_max=6.0))
-    return problems
 
 
 def run_horizon(horizon: int, rng_factory: RngFactory):
     m = 8
-    problems = make_stream(m, horizon, rng_factory.fresh("stream"))
+    problems = drifting_problem_stream(m, horizon, rng_factory.fresh("stream"))
     step = horizon ** (-1.0 / 3.0)          # Corollary 1's rule
     learner = OnlineLearner(m, beta=step, delta=step, rho_max=6.0)
     decisions = []

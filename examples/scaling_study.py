@@ -27,7 +27,7 @@ from repro.core.fedl import FedLPolicy
 from repro.core.phi import Phi
 from repro.core.problem import EpochInputs, FedLProblem
 from repro.core.regret import dynamic_fit, dynamic_regret
-from repro.baselines.base import EpochContext, RoundFeedback
+from repro.strategies.base import EpochContext, RoundFeedback
 from repro.fl.shard import ShardedFedLPolicy
 
 import numpy as np

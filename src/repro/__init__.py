@@ -7,7 +7,8 @@ Top-level convenience re-exports; see the subpackages for the full API:
   regret/fit machinery, and the fairness extension.
 * :mod:`repro.experiments` — scenario builders, the budget-driven
   experiment loop, figure/table regeneration.
-* :mod:`repro.baselines` — FedAvg, FedCS, Pow-d, UCB, oracle.
+* :mod:`repro.strategies` — the selection-policy protocol and registry:
+  FedAvg, FedCS, Pow-d, UCB, oracle and the wider zoo.
 * substrates: :mod:`repro.nn`, :mod:`repro.fl`, :mod:`repro.net`,
   :mod:`repro.env`, :mod:`repro.datasets`, :mod:`repro.solvers`.
 """

@@ -96,7 +96,7 @@ class Snapshot:
 
     path: Path
     config: "object"            # repro.config.ExperimentConfig
-    policy: "object"            # repro.baselines.base.SelectionPolicy
+    policy: "object"            # repro.strategies.base.SelectionPolicy
     rng_states: Dict[str, dict]
     learner_state: Optional[dict]
     server_w: np.ndarray

@@ -138,7 +138,13 @@ from repro.obs import Telemetry, render_trace, use_telemetry
 from repro.rng import RngFactory
 from repro.sim.entities import AGGREGATION_POLICIES
 from repro.sim.faults import FAULT_PROFILES, ParticipationFloorError
-from repro.strategies import STRATEGY_REGISTRY, StrategyError, strategy_names
+from repro.strategies import (
+    STRATEGY_REGISTRY,
+    StrategyError,
+    get_strategy,
+    resolve_params,
+    strategy_names,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -1027,6 +1033,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 SweepJob(PolicySpec(name, params=policy_params[name]), cfg)
                 for name in args.policies
             )
+    # Values are checked here, as `run` checks them, so a bad one exits 2
+    # before the pool starts rather than failing inside a worker.
+    try:
+        for job in jobs:
+            resolve_params(
+                get_strategy(job.policy.name), job.config, job.policy.params_dict
+            )
+    except StrategyError as exc:
+        return _usage_error(str(exc))
 
     cache = SweepCache(args.cache_dir) if args.cache_dir else None
 
@@ -1104,7 +1119,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         save_report,
         scenario_names,
     )
-    from repro.strategies import get_strategy
 
     if args.list_registry:
         print("registered strategies:")
@@ -1250,34 +1264,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_regret(args: argparse.Namespace) -> int:
     from repro.core.online_learner import OnlineLearner
-    from repro.core.problem import EpochInputs, FedLProblem
-    from repro.core.regret import dynamic_fit, dynamic_regret
+    from repro.core.regret import (
+        drifting_problem_stream,
+        dynamic_fit,
+        dynamic_regret,
+    )
 
     factory = RngFactory(args.seed)
     m = 8
     print(f"{'T':>6} {'Reg_d':>10} {'Fit_d':>10} {'Fit_d/T':>10}")
     for horizon in args.horizons:
-        rng = factory.fresh(f"stream.{horizon}")
-        base_tau = rng.uniform(0.2, 2.0, m)
-        base_eta = rng.uniform(0.2, 0.7, m)
-        problems = []
-        for t in range(horizon):
-            drift = 0.2 * np.sin(2 * np.pi * t / 40.0 + np.arange(m))
-            problems.append(
-                FedLProblem(
-                    EpochInputs(
-                        tau=np.clip(base_tau + drift, 0.05, None),
-                        costs=rng.uniform(0.5, 3.0, m),
-                        available=np.ones(m, bool),
-                        eta_hat=np.clip(base_eta + 0.1 * drift, 0.0, 0.9),
-                        loss_gap=0.3,
-                        loss_sensitivity=np.full(m, -0.12),
-                        remaining_budget=1e6,
-                        min_participants=3,
-                    ),
-                    rho_max=6.0,
-                )
-            )
+        problems = drifting_problem_stream(
+            m, horizon, factory.fresh(f"stream.{horizon}")
+        )
         step = horizon ** (-1.0 / 3.0)
         learner = OnlineLearner(m, beta=step, delta=step, rho_max=6.0)
         decisions = []

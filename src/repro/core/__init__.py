@@ -12,11 +12,16 @@
 * :mod:`repro.core.rounding` — RDCS dependent rounding (Alg. 2) and the
   independent-rounding baseline.
 * :mod:`repro.core.fedl` — the FedL controller (Alg. 1) packaged as a
-  :class:`repro.baselines.base.SelectionPolicy`.
+  :class:`repro.strategies.base.SelectionPolicy`.
 * :mod:`repro.core.regret` — dynamic regret / dynamic fit and the
   per-slot offline comparator (Sec. 5 definitions).
 * :mod:`repro.core.bounds` — the Lemma 2 / Theorem 2 bound values.
 """
+
+# FedL and Fair-FedL register themselves with the strategy registry, whose
+# package imports them in its listing order; loading it first keeps that
+# order whichever module of either package is imported first.
+import repro.strategies  # noqa: F401
 
 from repro.core.phi import Phi
 from repro.core.problem import EpochInputs, FedLProblem

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback
 from repro.core.fedl import FedLPolicy
+from repro.strategies.base import Decision, EpochContext, RoundFeedback
+from repro.strategies.registry import ParamSpec, register_strategy
 
 __all__ = ["ParticipationTracker", "FairFedLPolicy", "jain_index"]
 
@@ -75,22 +76,24 @@ class ParticipationTracker:
         return jain_index(self.rates())
 
 
+@register_strategy
 class FairFedLPolicy(FedLPolicy):
     """FedL with a virtual-queue long-term fairness bias."""
 
+    name = "Fair-FedL"
+    description = "FedL plus a virtual-queue participation-fairness bias"
+    params = (
+        ParamSpec("fair_rate", default=0.1, kind=float,
+                  minimum=0.0, maximum=0.999,
+                  doc="target long-term participation rate per client"),
+        ParamSpec("fairness_weight", default=0.5, kind=float, minimum=0.0,
+                  doc="virtual-queue bias strength (0 = plain FedL)"),
+    )
+
     def __init__(
-        self,
-        *args,
-        fair_rate: float = 0.1,
-        fairness_weight: float = 0.5,
-        **kwargs,
+        self, *args, fair_rate: float, fairness_weight: float, **kwargs
     ) -> None:
         super().__init__(*args, **kwargs)
-        if not (0.0 <= fair_rate < 1.0):
-            raise ValueError("fair_rate must be in [0, 1)")
-        if fairness_weight < 0:
-            raise ValueError("fairness_weight must be nonnegative")
-        self.name = "Fair-FedL"
         self.fair_rate = fair_rate
         self.fairness_weight = fairness_weight
         m = self.eta_hat.size

@@ -21,17 +21,24 @@ Per epoch:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
-from repro.config import FedLConfig
+from repro.config import ExperimentConfig, FedLConfig
 from repro.core.online_learner import OnlineLearner
 from repro.core.phi import Phi
 from repro.core.problem import EpochInputs
 from repro.core.horizon import corollary1_step_size
 from repro.core.rounding import independent_round, rdcs_round
+from repro.strategies.base import (
+    Decision,
+    EpochContext,
+    RoundFeedback,
+    SelectionPolicy,
+    enforce_feasibility,
+)
+from repro.strategies.registry import Strategy, register_strategy
 
 __all__ = ["FedLPolicy"]
 
@@ -43,8 +50,18 @@ EMA_WEIGHT = 0.4
 ETA_CLIP = 0.99
 
 
-class FedLPolicy:
+@register_strategy
+class FedLPolicy(Strategy):
     """Online-learning client selection + iteration control."""
+
+    name = "FedL"
+    description = ("the paper's online learner: dual-ascent budgeted selection"
+                   " with learned iteration control")
+    # Budget-constrained at horizon level (dual ascent), but the strict
+    # per-epoch affordability contract does not survive randomized
+    # rounding, so ``budget_aware`` is not declared.
+    reliability_aware = True
+    randomized = True  # dependent rounding consumes RNG draws
 
     def __init__(
         self,
@@ -57,7 +74,6 @@ class FedLPolicy:
         cost_range: tuple[float, float] = (0.1, 12.0),
     ) -> None:
         cfg = config if config is not None else FedLConfig()
-        self.name = "FedL"
         self.rng = rng
         self.theta = float(theta)
         self.config = cfg
@@ -87,6 +103,46 @@ class FedLPolicy:
         self.loss_sensitivity = np.full(num_clients, -0.01)
         self._last_pop_loss: Optional[float] = None
         self._last_inputs: Optional[EpochInputs] = None
+
+    @classmethod
+    def from_config(
+        cls, config: ExperimentConfig, rng: np.random.Generator, **params: Any
+    ) -> SelectionPolicy:
+        """The FedL family's registry factory.
+
+        The constructor takes the learner's scalars rather than a config
+        because :class:`~repro.fl.shard.ShardedFedLPolicy` calls it once per
+        shard.  "FedL" with ``shard.num_shards > 1`` builds the sharded
+        policy, so every registry consumer (CLI, sweeps, tournaments) gains
+        O(S·(K/S)²) selection; Fair-FedL has no sharded form.
+        """
+        kwargs = dict(
+            num_clients=config.population.num_clients,
+            budget=config.budget,
+            min_participants=config.min_participants,
+            theta=config.training.theta,
+            rng=rng,
+            config=config.fedl,
+            cost_range=config.population.cost_range,
+        )
+        if cls is not FedLPolicy or config.shard.num_shards == 1:
+            return cls(**kwargs, **params)
+        from repro.fl.shard import ShardedFedLPolicy
+
+        positions = None
+        if config.shard.assignment == "kmeans":
+            # Rebuild the deterministic client layout on a private copy
+            # of the env.population stream (same seed, fresh generator —
+            # the runner's own stream is not perturbed).
+            from repro.env.population import build_population
+            from repro.rng import RngFactory
+
+            positions = build_population(
+                config.population,
+                RngFactory(config.seed).get("env.population"),
+                cell_radius_m=config.network.cell_radius_m,
+            ).positions_m
+        return ShardedFedLPolicy(**kwargs, shard=config.shard, positions=positions)
 
     # ------------------------------------------------------------------ select --
 

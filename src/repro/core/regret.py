@@ -21,10 +21,15 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.phi import Phi
-from repro.core.problem import FedLProblem
+from repro.core.problem import EpochInputs, FedLProblem
 from repro.solvers.projected_gradient import projected_gradient
 
-__all__ = ["solve_per_slot_optimum", "dynamic_regret", "dynamic_fit"]
+__all__ = [
+    "solve_per_slot_optimum",
+    "dynamic_regret",
+    "dynamic_fit",
+    "drifting_problem_stream",
+]
 
 
 def solve_per_slot_optimum(
@@ -118,3 +123,33 @@ def dynamic_fit(
     for prob, phi in zip(problems, decisions):
         acc += prob.h(phi)
     return float(np.linalg.norm(np.maximum(acc, 0.0)))
+
+
+def drifting_problem_stream(
+    m: int, horizon: int, rng: np.random.Generator
+) -> List[FedLProblem]:
+    """``horizon`` eq. 8 problems over ``m`` clients with bounded variation.
+
+    Latencies and local accuracies drift sinusoidally around per-client
+    bases drawn once; prices are redrawn every epoch; the budget is large
+    enough to isolate the learning dynamics.  The synthetic stream behind
+    ``repro regret``, the regret benchmark and example, and the solver
+    layer of ``repro bench --overhead``.
+    """
+    base_tau = rng.uniform(0.2, 2.0, m)
+    base_eta = rng.uniform(0.2, 0.7, m)
+    problems = []
+    for t in range(horizon):
+        drift = 0.2 * np.sin(2 * np.pi * t / 40.0 + np.arange(m))
+        inputs = EpochInputs(
+            tau=np.clip(base_tau + drift, 0.05, None),
+            costs=rng.uniform(0.5, 3.0, m),
+            available=np.ones(m, bool),
+            eta_hat=np.clip(base_eta + 0.1 * drift, 0.0, 0.9),
+            loss_gap=0.3,
+            loss_sensitivity=np.full(m, -0.12),
+            remaining_budget=1e6,
+            min_participants=3,
+        )
+        problems.append(FedLProblem(inputs, rho_max=6.0))
+    return problems

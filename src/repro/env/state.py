@@ -12,7 +12,7 @@ The update methods reproduce the legacy runner's formulas **exactly**
 (same elementwise operations, same masking), property-tested against
 recorded trajectories in ``tests/test_shard.py``.
 
-Arrays handed out (e.g. into an :class:`~repro.baselines.base.
+Arrays handed out (e.g. into an :class:`~repro.strategies.base.
 EpochContext`) are live views: they reflect later in-place updates.
 Policies read them synchronously inside ``select``/``update``, so
 trajectories are unchanged; callers that stash state across epochs must

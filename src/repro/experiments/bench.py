@@ -46,34 +46,6 @@ def _mem_hub(run_id: str) -> Telemetry:
     return Telemetry(sink=io.StringIO(), run_id=run_id)
 
 
-def _epoch_problem_stream(num_clients: int, horizon: int, seed: int):
-    """Synthetic drifting epoch subproblems (same family as ``repro regret``)."""
-    from repro.core.problem import EpochInputs, FedLProblem
-
-    rng = np.random.default_rng(seed)
-    base_tau = rng.uniform(0.2, 2.0, num_clients)
-    base_eta = rng.uniform(0.2, 0.7, num_clients)
-    problems = []
-    for t in range(horizon):
-        drift = 0.2 * np.sin(2 * np.pi * t / 40.0 + np.arange(num_clients))
-        problems.append(
-            FedLProblem(
-                EpochInputs(
-                    tau=np.clip(base_tau + drift, 0.05, None),
-                    costs=rng.uniform(0.5, 3.0, num_clients),
-                    available=np.ones(num_clients, bool),
-                    eta_hat=np.clip(base_eta + 0.1 * drift, 0.0, 0.9),
-                    loss_gap=0.3,
-                    loss_sensitivity=np.full(num_clients, -0.12),
-                    remaining_budget=1e6,
-                    min_participants=3,
-                ),
-                rho_max=6.0,
-            )
-        )
-    return problems
-
-
 def save_report(report: Dict[str, Any], path: str | Path) -> Path:
     """Atomically write the report as stable, diff-friendly JSON
     (``~`` in ``path`` is expanded); returns the written path.
@@ -335,11 +307,15 @@ def bench_overhead(quick: bool = True, seed: int = 0) -> Dict[str, Any]:
 
     def solver_runner() -> None:
         from repro.core.online_learner import OnlineLearner
+        from repro.core.regret import drifting_problem_stream
 
         learner = OnlineLearner(
             min(clients, 30), beta=0.2, delta=0.2, rho_max=6.0, warm_start=True
         )
-        for prob in _epoch_problem_stream(min(clients, 30), 20, seed):
+        stream = drifting_problem_stream(
+            min(clients, 30), 20, np.random.default_rng(seed)
+        )
+        for prob in stream:
             phi = learner.descent_step(prob.inputs)
             learner.dual_ascent(prob.h(phi))
 

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback, SelectionPolicy
+from repro.strategies.base import Decision, EpochContext, RoundFeedback, SelectionPolicy
 from repro.config import ExperimentConfig
 from repro.datasets import (
     LazyRows,

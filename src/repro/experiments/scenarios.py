@@ -5,16 +5,13 @@ scale the *experiment* defaults down (M = 30, 14×14 / 16×16 images, MLP)
 while keeping every structural knob — availability, pricing, FDMA sharing,
 Poisson volumes, IID/non-IID — at the paper's values.  The config builder
 exposes all of it, so paper-scale runs are one ``replace`` away.
+
+``make_policy(name, config, rng, params=None)`` is the strategy registry's
+one build function, :func:`repro.strategies.build_strategy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Mapping, Optional
-
-import numpy as np
-
-from repro.baselines.base import SelectionPolicy
 from repro.config import (
     DataConfig,
     ExperimentConfig,
@@ -22,7 +19,7 @@ from repro.config import (
     PopulationConfig,
     TrainingConfig,
 )
-from repro.strategies import build_strategy
+from repro.strategies import build_strategy as make_policy
 
 __all__ = [
     "experiment_config",
@@ -31,6 +28,7 @@ __all__ = [
     "POLICY_NAMES",
 ]
 
+#: The paper's comparison set (Sec. 6): FedL and its three baselines.
 POLICY_NAMES = ("FedL", "FedAvg", "FedCS", "Pow-d")
 
 
@@ -90,28 +88,3 @@ def paper_scale_config(
         training=TrainingConfig(model="cnn"),
         fedl=FedLConfig(),
     )
-
-
-def make_policy(
-    name: str,
-    config: ExperimentConfig,
-    rng: np.random.Generator,
-    iterations: int = 2,
-    deadline_s: Optional[float] = None,
-    params: Optional[Mapping[str, Any]] = None,
-) -> SelectionPolicy:
-    """Instantiate a policy by its registry name.
-
-    Thin wrapper over :func:`repro.strategies.build_strategy` kept for
-    the historical call sites: baselines use a fixed iteration count
-    ``iterations`` (they have no iteration control); FedL's ``ρ_t`` is
-    learned and its rounding, step sizes, and solver come from
-    ``config.fedl``.  ``params`` overlays the strategy's schema defaults
-    (unknown names raise a typed ``ValueError``).
-    """
-    return build_strategy(
-        name, config, rng, params,
-        iterations=iterations, deadline_s=deadline_s,
-    )
-
-

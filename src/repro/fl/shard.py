@@ -13,7 +13,7 @@ per-epoch budget across shards proportionally to shard belief-cost mass
 (with a redistribution pass for unspent slack), and runs an independent
 FedL subproblem per shard — each with its own online learner and
 warm-started FISTA state.  Shard decisions are combined into one global
-:class:`~repro.baselines.base.Decision` (union of masks, max of
+:class:`~repro.strategies.base.Decision` (union of masks, max of
 iteration counts).  The cost-aware decomposition follows Luo et al.,
 "Cost-Effective Federated Learning Design"; the shard-then-select
 structure follows the FedCS resource-pooling idea (see PAPERS.md).
@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback
+from repro.strategies.base import Decision, EpochContext, RoundFeedback
 from repro.config import FedLConfig, ShardConfig
 from repro.core.fedl import FedLPolicy
 from repro.core.phi import Phi
@@ -194,7 +194,7 @@ def decompose_floor(
 class ShardedFedLPolicy:
     """FedL with per-shard selection subproblems and budget decomposition.
 
-    Drop-in :class:`~repro.baselines.base.SelectionPolicy`; constructed
+    Drop-in :class:`~repro.strategies.base.SelectionPolicy`; constructed
     transparently by the strategy registry whenever
     ``config.shard.num_shards > 1`` so sweeps, tournaments, and the CLI
     all gain sharding without code changes.

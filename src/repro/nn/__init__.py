@@ -28,7 +28,6 @@ from repro.nn.linear import Linear, Flatten, Reshape
 from repro.nn.conv import Conv2D
 from repro.nn.pooling import MaxPool2D, AvgPool2D
 from repro.nn.activations import ReLU, Tanh, Sigmoid
-from repro.nn.dropout import Dropout
 from repro.nn.serialization import save_checkpoint, load_checkpoint
 from repro.nn.losses import softmax_cross_entropy, softmax, l2_penalty
 from repro.nn.kernel import BatchedSequentialKernel
@@ -49,7 +48,6 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Sigmoid",
-    "Dropout",
     "save_checkpoint",
     "load_checkpoint",
     "softmax_cross_entropy",

@@ -12,8 +12,6 @@ is solved with:
   interior-point method with filter line search, the same algorithm family
   as the paper's reference [26] (Wächter & Biegler / IPOPT).
 * :mod:`repro.solvers.line_search` — Armijo / filter acceptance rules.
-* :mod:`repro.solvers.qp` — small dense QP helper used in tests as an
-  independent cross-check.
 """
 
 from repro.solvers.projections import (
@@ -33,7 +31,6 @@ from repro.solvers.interior_point import (
     solve_interior_point,
 )
 from repro.solvers.line_search import armijo_backtracking, Filter
-from repro.solvers.qp import solve_box_qp
 
 __all__ = [
     "project_box",
@@ -48,5 +45,4 @@ __all__ = [
     "solve_interior_point",
     "armijo_backtracking",
     "Filter",
-    "solve_box_qp",
 ]

@@ -19,17 +19,18 @@ but never drops below the cost of the cheapest feasible quorum.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.baselines.base import (
-    Decision,
-    EpochContext,
-    RoundFeedback,
-)
+from repro.config import ExperimentConfig
+from repro.strategies.base import Decision, EpochContext, RoundFeedback
+from repro.strategies.registry import ITERATIONS, ParamSpec, Strategy, register_strategy
 
 __all__ = ["GreedyUtilityPolicy", "KnapsackDPPolicy"]
+
+_BUDGET_FRAC = ParamSpec(
+    "budget_frac", default=0.05, kind=float, minimum=0.001, maximum=1.0,
+    doc="fraction of remaining budget spendable per epoch",
+)
 
 
 def _epoch_cap(ctx: EpochContext, budget_frac: float) -> float:
@@ -74,22 +75,25 @@ def _finalize(
     return mask
 
 
-class GreedyUtilityPolicy:
+@register_strategy
+class GreedyUtilityPolicy(Strategy):
     """Greedy utility-per-cost selection under a per-epoch budget cap."""
 
+    name = "GreedyUtility"
+    description = ("greedy loss-per-cost selection under a per-epoch"
+                   " budget cap")
+    params = (
+        ITERATIONS,
+        _BUDGET_FRAC,
+        ParamSpec("max_extra", default=2, kind=int, minimum=0,
+                  doc="clients admittable beyond the quorum n"),
+    )
+    budget_aware = True
+
     def __init__(
-        self,
-        iterations: int = 2,
-        budget_frac: float = 0.05,
-        max_extra: int = 2,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        iterations: int, budget_frac: float, max_extra: int,
     ) -> None:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 < budget_frac <= 1.0):
-            raise ValueError("budget_frac must be in (0, 1]")
-        if max_extra < 0:
-            raise ValueError("max_extra must be >= 0")
-        self.name = "GreedyUtility"
         self.iterations = iterations
         self.budget_frac = budget_frac
         self.max_extra = max_extra
@@ -115,22 +119,25 @@ class GreedyUtilityPolicy:
         """Stateless; utilities arrive through the context."""
 
 
-class KnapsackDPPolicy:
+@register_strategy
+class KnapsackDPPolicy(Strategy):
     """Exact 0/1 knapsack selection over discretized rental costs."""
 
+    name = "KnapsackDP"
+    description = ("exact 0/1 knapsack over discretized rental costs,"
+                   " maximizing summed utility under a per-epoch cap")
+    params = (
+        ITERATIONS,
+        _BUDGET_FRAC,
+        ParamSpec("resolution", default=64, kind=int, minimum=2,
+                  doc="cost-discretization buckets for the DP table"),
+    )
+    budget_aware = True
+
     def __init__(
-        self,
-        iterations: int = 2,
-        budget_frac: float = 0.05,
-        resolution: int = 64,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        iterations: int, budget_frac: float, resolution: int,
     ) -> None:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 < budget_frac <= 1.0):
-            raise ValueError("budget_frac must be in (0, 1]")
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        self.name = "KnapsackDP"
         self.iterations = iterations
         self.budget_frac = budget_frac
         self.resolution = resolution

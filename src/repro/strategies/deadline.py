@@ -26,15 +26,24 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import (
-    Decision,
-    EpochContext,
-    RoundFeedback,
-    SelectionPolicy,
-    enforce_feasibility,
+from repro.config import ExperimentConfig
+from repro.strategies.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
+from repro.strategies.registry import (
+    BASE,
+    DEADLINE,
+    ITERATIONS,
+    ParamSpec,
+    Strategy,
+    build_base,
+    register_strategy,
 )
 
 __all__ = ["HardDeadlinePolicy", "SoftDeadlinePolicy"]
+
+_QUANTILE = ParamSpec(
+    "quantile", default=0.6, kind=float, minimum=0.01, maximum=1.0,
+    doc="latency quantile for the adaptive deadline",
+)
 
 
 def _projected(ctx: EpochContext, iterations: int) -> np.ndarray:
@@ -42,26 +51,21 @@ def _projected(ctx: EpochContext, iterations: int) -> np.ndarray:
     return iterations * ctx.tau_last
 
 
-class _DeadlineFilter:
+class _DeadlineFilter(Strategy):
     """Shared wrapper plumbing: naming, adaptive deadline, update relay."""
 
-    _label = "deadline"
+    deadline_aware = True
+    randomized = True  # base default (FedAvg) samples randomly
 
     def __init__(
-        self,
-        base: SelectionPolicy,
-        deadline_s: Optional[float] = None,
-        quantile: float = 0.6,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        base: str, deadline_s: Optional[float], quantile: float, iterations: int,
     ) -> None:
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
-        if not (0.0 < quantile <= 1.0):
-            raise ValueError("quantile must be in (0, 1]")
-        self.base = base
+        self.base = build_base(base, config, rng, iterations)
         self.deadline_s = deadline_s
         self.quantile = quantile
-        self.name = f"{self._label}({base.name})"
-        self.iterations = getattr(base, "iterations", 2)
+        self.name = f"{type(self).name}({self.base.name})"
+        self.iterations = getattr(self.base, "iterations", 2)
 
     def _deadline(self, ctx: EpochContext, projected: np.ndarray) -> float:
         if self.deadline_s is not None:
@@ -76,10 +80,14 @@ class _DeadlineFilter:
         self.base.update(feedback)
 
 
+@register_strategy
 class HardDeadlinePolicy(_DeadlineFilter):
     """Admit only clients projected to meet the deadline, then delegate."""
 
-    _label = "HardDeadline"
+    name = "HardDeadline"
+    description = ("hard deadline filter: mask out projected stragglers,"
+                   " delegate to a base scorer")
+    params = (BASE, DEADLINE, _QUANTILE, ITERATIONS)
 
     def select(self, ctx: EpochContext) -> Decision:
         projected = _projected(ctx, self.iterations)
@@ -97,21 +105,27 @@ class HardDeadlinePolicy(_DeadlineFilter):
         return dataclasses.replace(decision, selected=mask)
 
 
+@register_strategy
 class SoftDeadlinePolicy(_DeadlineFilter):
     """Penalize projected deadline overshoot via inflated apparent costs."""
 
-    _label = "SoftDeadline"
+    name = "SoftDeadline"
+    description = ("soft deadline filter: inflate apparent costs by projected"
+                   " overshoot, delegate to a base scorer")
+    params = (
+        BASE,
+        DEADLINE,
+        _QUANTILE,
+        ParamSpec("penalty", default=1.0, kind=float, minimum=0.0,
+                  doc="cost-inflation strength per unit overshoot"),
+        ITERATIONS,
+    )
 
     def __init__(
-        self,
-        base: SelectionPolicy,
-        deadline_s: Optional[float] = None,
-        quantile: float = 0.6,
-        penalty: float = 1.0,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        penalty: float, **params,
     ) -> None:
-        super().__init__(base, deadline_s=deadline_s, quantile=quantile)
-        if penalty < 0:
-            raise ValueError("penalty must be >= 0")
+        super().__init__(config, rng, **params)
         self.penalty = penalty
 
     def select(self, ctx: EpochContext) -> Decision:

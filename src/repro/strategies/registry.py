@@ -1,45 +1,52 @@
 """Declarative registry of client-selection strategies.
 
-Every selection policy the repo knows — the paper's FedL, the classic
-baselines, and the zoo of newer scorers — is registered here as a
-:class:`StrategySpec`: a name, a typed parameter schema (defaults,
-bounds, choices), capability flags (budget-aware, reliability-aware,
-deadline-aware, ...), and a builder.  The spec makes strategies
-*addressable as data*: the CLI, :class:`~repro.experiments.sweep.
-PolicySpec` (name + params), the sweep cache, and the tournament harness all
-construct policies through :func:`build_strategy` from a plain name (or
-a ``{"name": ..., "params": {...}}`` dict) instead of hard-coded
-constructor calls.
+A strategy is one class that declares its own registry entry: it
+subclasses :class:`Strategy` and sets a name, a description, a typed
+parameter schema (``params``: defaults, bounds, choices) and capability
+flags as class attributes; the :func:`register_strategy` decorator adds
+it to :data:`STRATEGY_REGISTRY`.  That makes strategies *addressable as
+data*: the CLI, :class:`~repro.experiments.sweep.PolicySpec` (name +
+params), the sweep cache, and the tournament harness all construct
+policies through :func:`build_strategy` from a plain name (or a
+``{"name": ..., "params": {...}}`` dict).
+
+A parameter's default and bounds are written once, in its
+:class:`ParamSpec`, and checked once, here: constructors take their
+params as keywords without defaults and do not re-check them.
 
 Errors are typed so callers can map them to exit codes:
 :class:`UnknownStrategyError` for a name that is not registered,
 :class:`StrategyParamError` for an unknown/ill-typed/out-of-bounds
-parameter.  Both subclass ``ValueError`` for backward compatibility with
-the historical ``make_policy`` contract.
+parameter.  Both subclass ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.baselines.base import SelectionPolicy
 from repro.config import ExperimentConfig
+from repro.strategies.base import SelectionPolicy
 
 __all__ = [
     "StrategyError",
     "UnknownStrategyError",
     "StrategyParamError",
     "ParamSpec",
-    "StrategySpec",
+    "Strategy",
     "STRATEGY_REGISTRY",
     "register_strategy",
     "get_strategy",
     "strategy_names",
+    "wrappable_names",
     "resolve_params",
     "build_strategy",
+    "build_base",
+    "ITERATIONS",
+    "BASE",
+    "DEADLINE",
 ]
 
 
@@ -74,7 +81,9 @@ class ParamSpec:
     on the experiment (e.g. Pow-d's candidate count ``d = 3n``),
     ``derive`` computes it from the config at build time and ``default``
     documents it as ``None``.  ``minimum``/``maximum`` bound numeric
-    values inclusively; ``choices`` enumerates valid strings.
+    values inclusively (``min_exclusive`` makes the lower bound strict);
+    ``choices`` enumerates valid strings, or is a function returning them
+    when the set depends on the registry itself.
     """
 
     name: str
@@ -82,10 +91,11 @@ class ParamSpec:
     kind: type = float
     minimum: Optional[float] = None
     maximum: Optional[float] = None
-    choices: Optional[Tuple[str, ...]] = None
+    choices: Union[Tuple[str, ...], Callable[[], Tuple[str, ...]], None] = None
     doc: str = ""
     derive: Optional[Callable[[ExperimentConfig], Any]] = None
     optional: bool = False  # None is a legal value (e.g. adaptive deadline)
+    min_exclusive: bool = False
 
     def resolve_default(self, config: ExperimentConfig) -> Any:
         return self.derive(config) if self.derive is not None else self.default
@@ -96,10 +106,6 @@ class ParamSpec:
             if self.optional:
                 return None
             raise StrategyParamError(strategy, self.name, "may not be None")
-        if self.kind is bool:
-            if not isinstance(value, (bool, np.bool_)):
-                raise StrategyParamError(strategy, self.name, "expected a bool")
-            return bool(value)
         if self.kind is int:
             if isinstance(value, bool) or (
                 not isinstance(value, (int, np.integer))
@@ -117,13 +123,17 @@ class ParamSpec:
         elif self.kind is str:
             if not isinstance(value, str):
                 raise StrategyParamError(strategy, self.name, "expected a string")
-        if self.choices is not None and value not in self.choices:
+        choices = self.choices() if callable(self.choices) else self.choices
+        if choices is not None and value not in choices:
             raise StrategyParamError(
-                strategy, self.name, f"must be one of {sorted(self.choices)}"
+                strategy, self.name, f"must be one of {sorted(choices)}"
             )
-        if self.minimum is not None and value < self.minimum:
+        if self.minimum is not None and (
+            value <= self.minimum if self.min_exclusive else value < self.minimum
+        ):
+            relation = ">" if self.min_exclusive else ">="
             raise StrategyParamError(
-                strategy, self.name, f"must be >= {self.minimum}"
+                strategy, self.name, f"must be {relation} {self.minimum}"
             )
         if self.maximum is not None and value > self.maximum:
             raise StrategyParamError(
@@ -132,17 +142,12 @@ class ParamSpec:
         return value
 
 
-Builder = Callable[
-    [ExperimentConfig, np.random.Generator, Dict[str, Any]], SelectionPolicy
-]
+class Strategy:
+    """Base of every registered strategy: the class is its registry entry.
 
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """A registered selection strategy: schema + capabilities + builder.
-
-    Capability flags are declarative *contracts* the property-test suite
-    enforces:
+    Subclasses set ``name``, ``description``, ``params`` and the
+    capability flags.  The flags are declarative *contracts* the
+    property-test suite enforces:
 
     * ``budget_aware`` — whenever the ``n`` cheapest available clients
       fit the remaining budget, the selection's rental cost does too;
@@ -154,55 +159,61 @@ class StrategySpec:
     * ``needs_oracle`` — requires ``ctx.tau_oracle`` (1-lookahead).
     """
 
-    name: str
-    description: str
-    builder: Builder
+    name: str = ""
+    description: str = ""
     params: Tuple[ParamSpec, ...] = ()
     budget_aware: bool = False
     reliability_aware: bool = False
     deadline_aware: bool = False
     randomized: bool = False
     needs_oracle: bool = False
-    paper_baseline: bool = False  # part of the original FedL comparison set
 
-    def param(self, name: str) -> ParamSpec:
-        for p in self.params:
+    @classmethod
+    def from_config(
+        cls, config: ExperimentConfig, rng: np.random.Generator, **params: Any
+    ) -> SelectionPolicy:
+        """Build from already-resolved ``params``: ``cls(config, rng, **params)``.
+
+        Only the FedL family overrides this (see
+        :meth:`repro.core.fedl.FedLPolicy.from_config`)."""
+        return cls(config, rng, **params)
+
+    @classmethod
+    def param(cls, name: str) -> ParamSpec:
+        for p in cls.params:
             if p.name == name:
                 return p
         raise StrategyParamError(
-            self.name, name,
-            f"unknown parameter; known: {sorted(p.name for p in self.params)}",
+            cls.name, name,
+            f"unknown parameter; known: {sorted(p.name for p in cls.params)}",
         )
 
-    def capabilities(self) -> Tuple[str, ...]:
-        flags = []
-        if self.budget_aware:
-            flags.append("budget")
-        if self.deadline_aware:
-            flags.append("deadline")
-        if self.reliability_aware:
-            flags.append("reliability")
-        if self.randomized:
-            flags.append("randomized")
-        if self.needs_oracle:
-            flags.append("oracle")
-        return tuple(flags)
+    @classmethod
+    def capabilities(cls) -> Tuple[str, ...]:
+        flags = (
+            ("budget", cls.budget_aware),
+            ("deadline", cls.deadline_aware),
+            ("reliability", cls.reliability_aware),
+            ("randomized", cls.randomized),
+            ("oracle", cls.needs_oracle),
+        )
+        return tuple(label for label, on in flags if on)
 
 
 #: Insertion-ordered registry; order defines listing/CLI/report order.
-STRATEGY_REGISTRY: Dict[str, StrategySpec] = {}
+STRATEGY_REGISTRY: Dict[str, Type[Strategy]] = {}
 
 
-def register_strategy(spec: StrategySpec) -> StrategySpec:
-    """Add ``spec`` to the registry (duplicate names are a bug)."""
-    if spec.name in STRATEGY_REGISTRY:
-        raise StrategyError(f"strategy {spec.name!r} registered twice")
-    STRATEGY_REGISTRY[spec.name] = spec
-    return spec
+def register_strategy(cls: Type[Strategy]) -> Type[Strategy]:
+    """Class decorator: add ``cls`` under ``cls.name`` (duplicates are a bug)."""
+    if cls.name in STRATEGY_REGISTRY:
+        raise StrategyError(f"strategy {cls.name!r} registered twice")
+    STRATEGY_REGISTRY[cls.name] = cls
+    return cls
 
 
-def get_strategy(name: str) -> StrategySpec:
-    """Look up a spec by name; raises :class:`UnknownStrategyError`."""
+def get_strategy(name: str) -> Type[Strategy]:
+    """Look up a strategy class by name; raises :class:`UnknownStrategyError`."""
     try:
         return STRATEGY_REGISTRY[name]
     except KeyError:
@@ -214,17 +225,41 @@ def strategy_names() -> Tuple[str, ...]:
     return tuple(STRATEGY_REGISTRY)
 
 
+def wrappable_names() -> Tuple[str, ...]:
+    """Strategies a wrapper (OverSelect, deadline filters) may delegate to:
+    every one that needs no oracle and is not itself a wrapper, which keeps
+    composition one level deep."""
+    return tuple(
+        name for name, cls in STRATEGY_REGISTRY.items()
+        if not cls.needs_oracle and all(p.name != "base" for p in cls.params)
+    )
+
+
+#: Parameters several strategies declare.
+ITERATIONS = ParamSpec(
+    "iterations", default=2, kind=int, minimum=1,
+    doc="fixed global iterations per epoch",
+)
+BASE = ParamSpec(
+    "base", default="FedAvg", kind=str, choices=wrappable_names,
+    doc="registered strategy the wrapper delegates selection to",
+)
+DEADLINE = ParamSpec(
+    "deadline_s", kind=float, minimum=0, min_exclusive=True, optional=True,
+    doc="epoch deadline in seconds (None: adaptive quantile)",
+)
+
+
 def resolve_params(
-    spec: StrategySpec,
+    cls: Type[Strategy],
     config: ExperimentConfig,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Defaults (derived against ``config``) overlaid with ``overrides``,
     every value validated against the schema."""
-    params = {p.name: p.resolve_default(config) for p in spec.params}
+    params = {p.name: p.resolve_default(config) for p in cls.params}
     for key, value in dict(overrides or {}).items():
-        pspec = spec.param(key)  # raises on unknown names
-        params[key] = pspec.validate(spec.name, value)
+        params[key] = cls.param(key).validate(cls.name, value)
     return params
 
 
@@ -236,17 +271,9 @@ def build_strategy(
     config: ExperimentConfig,
     rng: np.random.Generator,
     params: Optional[Mapping[str, Any]] = None,
-    *,
-    iterations: Optional[int] = None,
-    deadline_s: Optional[float] = None,
 ) -> SelectionPolicy:
-    """Construct a policy from a name or a ``{"name", "params"}`` dict.
-
-    ``iterations``/``deadline_s`` are the historical ``make_policy``
-    keyword interface; they fill the matching schema parameters only
-    when present in the schema and not already set by ``params`` (an
-    explicit ``params`` entry always wins).
-    """
+    """Construct a policy from a name or a ``{"name", "params"}`` dict;
+    ``params`` overlays the dict's (an explicit ``params`` entry wins)."""
     if isinstance(ref, str):
         name, ref_params = ref, {}
     elif isinstance(ref, Mapping):
@@ -257,13 +284,19 @@ def build_strategy(
         ref_params = dict(ref.get("params") or {})
     else:
         raise StrategyError(f"expected a strategy name or dict, got {ref!r}")
-    spec = get_strategy(name)
-    merged = dict(ref_params)
-    merged.update(params or {})
-    names = {p.name for p in spec.params}
-    if iterations is not None and "iterations" in names:
-        merged.setdefault("iterations", iterations)
-    if deadline_s is not None and "deadline_s" in names:
-        merged.setdefault("deadline_s", deadline_s)
-    resolved = resolve_params(spec, config, merged)
-    return spec.builder(config, rng, resolved)
+    cls = get_strategy(name)
+    resolved = resolve_params(cls, config, {**ref_params, **(params or {})})
+    return cls.from_config(config, rng, **resolved)
+
+
+def build_base(
+    name: str,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    iterations: int,
+) -> SelectionPolicy:
+    """A wrapper's delegate, sharing the wrapper's generator and, where the
+    delegate declares one, its fixed iteration count."""
+    declared = {p.name for p in get_strategy(name).params}
+    params = {"iterations": iterations} if "iterations" in declared else {}
+    return build_strategy(name, config, rng, params)

@@ -16,7 +16,7 @@ about them through the 0-lookahead feedback channel:
   from the population loss, and select the top ``n`` (clients whose data
   distribution the global model fits worst).
 
-All three are pure :class:`~repro.baselines.base.SelectionPolicy`
+All three are pure :class:`~repro.strategies.base.SelectionPolicy`
 implementations: unobserved clients score ``+inf`` (explore-first), and
 every selection is repaired by ``enforce_feasibility``.
 """
@@ -25,14 +25,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import (
+from repro.config import ExperimentConfig
+from repro.strategies.base import (
     Decision,
     EpochContext,
     RoundFeedback,
     enforce_feasibility,
 )
+from repro.strategies.registry import ITERATIONS, ParamSpec, Strategy, register_strategy
 
 __all__ = ["GradNormPolicy", "LossPropPolicy", "DivergencePolicy"]
+
+_EMA = ParamSpec("ema", default=0.5, kind=float, minimum=0.01, maximum=1.0,
+                 doc="EWMA weight on the newest observation")
 
 
 def _top_n_mask(scores: np.ndarray, ctx: EpochContext) -> np.ndarray:
@@ -45,22 +50,20 @@ def _top_n_mask(scores: np.ndarray, ctx: EpochContext) -> np.ndarray:
     return mask
 
 
-class GradNormPolicy:
+@register_strategy
+class GradNormPolicy(Strategy):
     """Select the n clients with the largest gradient-norm proxy."""
 
+    name = "GradNorm"
+    description = ("gradient-norm sampling: EWMA of local-loss change"
+                   " magnitude, top-n")
+    params = (ITERATIONS, _EMA)
+
     def __init__(
-        self,
-        num_clients: int,
-        iterations: int = 2,
-        ema: float = 0.5,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        iterations: int, ema: float,
     ) -> None:
-        if num_clients < 1:
-            raise ValueError("need at least one client")
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 < ema <= 1.0):
-            raise ValueError("ema must be in (0, 1]")
-        self.name = "GradNorm"
+        num_clients = config.population.num_clients
         self.iterations = iterations
         self.ema = ema
         self.scores = np.full(num_clients, np.inf)  # unobserved: explore first
@@ -87,20 +90,23 @@ class GradNormPolicy:
         self._prev_losses = np.where(observed, losses, self._prev_losses)
 
 
-class LossPropPolicy:
+@register_strategy
+class LossPropPolicy(Strategy):
     """Sample n clients with probability proportional to local loss."""
 
+    name = "LossProp"
+    description = "loss-proportional sampling without replacement"
+    params = (
+        ITERATIONS,
+        ParamSpec("power", default=1.0, kind=float, minimum=0.01,
+                  doc="exponent sharpening the sampling distribution"),
+    )
+    randomized = True
+
     def __init__(
-        self,
-        rng: np.random.Generator,
-        iterations: int = 2,
-        power: float = 1.0,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        iterations: int, power: float,
     ) -> None:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if power <= 0:
-            raise ValueError("power must be positive")
-        self.name = "LossProp"
         self.rng = rng
         self.iterations = iterations
         self.power = power
@@ -129,23 +135,21 @@ class LossPropPolicy:
         """Stateless; losses arrive through the context."""
 
 
-class DivergencePolicy:
+@register_strategy
+class DivergencePolicy(Strategy):
     """Select the n clients whose local loss diverges most from the
     population loss (model-divergence scoring)."""
 
+    name = "Divergence"
+    description = ("model-divergence scoring: EWMA of |local - population|"
+                   " loss gap, top-n")
+    params = (ITERATIONS, _EMA)
+
     def __init__(
-        self,
-        num_clients: int,
-        iterations: int = 2,
-        ema: float = 0.5,
+        self, config: ExperimentConfig, rng: np.random.Generator, *,
+        iterations: int, ema: float,
     ) -> None:
-        if num_clients < 1:
-            raise ValueError("need at least one client")
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 < ema <= 1.0):
-            raise ValueError("ema must be in (0, 1]")
-        self.name = "Divergence"
+        num_clients = config.population.num_clients
         self.iterations = iterations
         self.ema = ema
         self.scores = np.full(num_clients, np.inf)  # unobserved: explore first

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.baselines.base import (
+from repro.core.fedl import FedLPolicy
+from repro.experiments.scenarios import experiment_config, make_policy
+from repro.strategies import StrategyParamError
+from repro.strategies.base import (
     Decision,
     EpochContext,
     RoundFeedback,
     SelectionPolicy,
     enforce_feasibility,
 )
-from repro.baselines.fedavg import FedAvgPolicy
-from repro.baselines.fedcs import FedCSPolicy
-from repro.baselines.oracle import GreedyOraclePolicy, best_subset_max_latency
-from repro.baselines.pow_d import PowDPolicy
-from repro.core.fedl import FedLPolicy
+from repro.strategies.oracle import best_subset_max_latency
+
+
+def build(name, rng, m=10, **params):
+    """Registered strategy ``name`` for an ``m``-client fleet."""
+    return make_policy(name, experiment_config(num_clients=m), rng, params=params)
 
 
 def make_ctx(m=10, n=3, budget=100.0, seed=0, **overrides):
@@ -71,13 +75,8 @@ class TestContextAndDecision:
             Decision(selected=np.ones(5, bool), iterations=0)
 
     def test_policies_satisfy_protocol(self, rng):
-        for pol in (
-            FedAvgPolicy(rng),
-            FedCSPolicy(rng),
-            PowDPolicy(rng),
-            GreedyOraclePolicy(rng),
-        ):
-            assert isinstance(pol, SelectionPolicy)
+        for name in ("FedAvg", "FedCS", "Pow-d", "Oracle"):
+            assert isinstance(build(name, rng), SelectionPolicy)
 
 
 class TestEnforceFeasibility:
@@ -109,33 +108,33 @@ class TestEnforceFeasibility:
 
 class TestFedAvg:
     def test_selects_exactly_n(self, rng):
-        pol = FedAvgPolicy(rng)
+        pol = build("FedAvg", rng)
         d = pol.select(make_ctx(n=4))
         assert d.selected.sum() == 4
 
     def test_only_available(self, rng):
         avail = np.zeros(10, bool)
         avail[2:7] = True
-        d = FedAvgPolicy(rng).select(make_ctx(available=avail, n=3))
+        d = build("FedAvg", rng).select(make_ctx(available=avail, n=3))
         assert not d.selected[~avail].any()
 
     def test_random_across_calls(self, rng):
-        pol = FedAvgPolicy(rng)
+        pol = build("FedAvg", rng)
         picks = {tuple(pol.select(make_ctx(n=3)).selected) for _ in range(20)}
         assert len(picks) > 1
 
     def test_update_is_noop(self, rng):
-        FedAvgPolicy(rng).update(make_feedback())
+        build("FedAvg", rng).update(make_feedback())
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            FedAvgPolicy(rng, iterations=0)
+        with pytest.raises(StrategyParamError):
+            build("FedAvg", rng, iterations=0)
 
 
 class TestFedCS:
     def test_prefers_fast_clients(self, rng):
         tau = np.arange(1.0, 11.0)
-        d = FedCSPolicy(rng, deadline_s=8.0, iterations=2).select(
+        d = build("FedCS", rng, deadline_s=8.0, iterations=2).select(
             make_ctx(tau_last=tau, n=2, budget=1e6)
         )
         # deadline 8 → admits tau <= 4 → clients 0..3.
@@ -143,46 +142,46 @@ class TestFedCS:
         assert not d.selected[4:].any()
 
     def test_selects_more_than_n_when_deadline_allows(self, rng):
-        d = FedCSPolicy(rng, deadline_s=1e9).select(make_ctx(n=2, budget=1e6))
+        d = build("FedCS", rng, deadline_s=1e9).select(make_ctx(n=2, budget=1e6))
         assert d.selected.sum() == 10  # everyone admitted
 
     def test_adaptive_deadline_middle_ground(self, rng):
-        d = FedCSPolicy(rng, adaptive_quantile=0.6).select(make_ctx(n=2, budget=1e6))
+        d = build("FedCS", rng, adaptive_quantile=0.6).select(make_ctx(n=2, budget=1e6))
         assert 2 <= d.selected.sum() <= 8
 
     def test_budget_limits_admission(self, rng):
         ctx = make_ctx(n=2, budget=3.0, costs=np.full(10, 1.0))
-        d = FedCSPolicy(rng, deadline_s=1e9).select(ctx)
+        d = build("FedCS", rng, deadline_s=1e9).select(ctx)
         assert d.selected.sum() <= 3
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            FedCSPolicy(rng, deadline_s=0.0)
-        with pytest.raises(ValueError):
-            FedCSPolicy(rng, adaptive_quantile=0.0)
+        with pytest.raises(StrategyParamError):
+            build("FedCS", rng, deadline_s=0.0)
+        with pytest.raises(StrategyParamError):
+            build("FedCS", rng, adaptive_quantile=0.0)
 
 
 class TestPowD:
     def test_picks_highest_loss_among_candidates(self, rng):
         losses = np.arange(10.0)
-        pol = PowDPolicy(rng, d=10)  # all clients are candidates
+        pol = build("Pow-d", rng, d=10)  # all clients are candidates
         d = pol.select(make_ctx(local_losses=losses, n=3, budget=1e6))
         assert d.selected[[7, 8, 9]].all()
 
     def test_nan_losses_rank_last(self, rng):
         losses = np.array([np.nan] * 8 + [5.0, 6.0])
-        pol = PowDPolicy(rng, d=10)
+        pol = build("Pow-d", rng, d=10)
         d = pol.select(make_ctx(local_losses=losses, n=2, budget=1e6))
         assert d.selected[[8, 9]].all()
 
     def test_candidate_subsampling(self, rng):
-        pol = PowDPolicy(rng, d=3)
+        pol = build("Pow-d", rng, d=3)
         d = pol.select(make_ctx(n=2))
         assert d.selected.sum() >= 2
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            PowDPolicy(rng, d=0)
+        with pytest.raises(StrategyParamError):
+            build("Pow-d", rng, d=0)
 
 
 class TestOracle:
@@ -205,7 +204,7 @@ class TestOracle:
         assert mask is None
 
     def test_oracle_requires_tau_oracle(self, rng):
-        pol = GreedyOraclePolicy(rng)
+        pol = build("Oracle", rng)
         ctx = make_ctx(tau_oracle=None)
         with pytest.raises(ValueError):
             pol.select(ctx)
@@ -215,7 +214,7 @@ class TestOracle:
         ctx = make_ctx(
             tau_oracle=tau_true, n=1, tau_last=np.full(10, 1.0), budget=1e6
         )
-        d = GreedyOraclePolicy(rng).select(ctx)
+        d = build("Oracle", rng).select(ctx)
         assert d.selected[9]
 
     def test_oracle_beats_honest_policies_on_current_epoch(self, rng):
@@ -223,8 +222,8 @@ class TestOracle:
         pick is <= any honest policy's (same n, both feasible)."""
         for seed in range(10):
             ctx = make_ctx(seed=seed, n=3, budget=1e6)
-            oracle = GreedyOraclePolicy(rng).select(ctx)
-            honest = FedAvgPolicy(rng).select(ctx)
+            oracle = build("Oracle", rng).select(ctx)
+            honest = build("FedAvg", rng).select(ctx)
             lat_o = ctx.tau_oracle[oracle.selected].max()
             lat_h = ctx.tau_oracle[honest.selected].max()
             assert lat_o <= lat_h + 1e-12

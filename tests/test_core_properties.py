@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.base import EpochContext, RoundFeedback
+from repro.strategies.base import EpochContext, RoundFeedback
 from repro.core.fedl import FedLPolicy
 from repro.core.online_learner import OnlineLearner
 from repro.core.phi import Phi

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import repro.experiments.runner as runner
-from repro.baselines.overselect import OverSelectPolicy
 from repro.config import AttackConfig, LiveConfig, ShardConfig
 from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
@@ -52,8 +51,8 @@ class HoldingsAtSelect:
         self.inner.update(feedback)
 
 
-def policy_for(name, cfg):
-    return make_policy(name, cfg, RngFactory(cfg.seed).get("cli.policy"))
+def policy_for(name, cfg, **params):
+    return make_policy(name, cfg, RngFactory(cfg.seed).get("cli.policy"), params=params)
 
 
 def with_panel(cfg, eval_sample):
@@ -142,7 +141,7 @@ def case_run(case, eval_sample):
             )
         )
     if case == "quorum":
-        policy = OverSelectPolicy(policy_for("FedAvg", cfg), extra=2)
+        policy = policy_for("OverSelect", cfg, extra=2)
     else:
         policy = policy_for("FedL", cfg)
     return cfg, policy

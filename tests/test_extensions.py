@@ -7,8 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback
-from repro.baselines.ucb import UCBPolicy
 from repro.config import FedLConfig, NetworkConfig
 from repro.core.fairness import FairFedLPolicy, ParticipationTracker, jain_index
 from repro.core.phi import Phi
@@ -16,6 +14,8 @@ from repro.core.problem import EpochInputs, FedLProblem
 from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.rng import RngFactory
+from repro.strategies import StrategyParamError
+from repro.strategies.base import Decision, EpochContext, RoundFeedback
 
 
 def make_ctx(m=10, n=3, budget=100.0, seed=0, **overrides):
@@ -90,29 +90,23 @@ class TestParticipationTracker:
             tr.record(np.ones(2, bool), np.ones(3, bool))
 
 
+def fleet(m, **fields):
+    """Config of an ``m``-client fleet with budget 200 and n = 3."""
+    cfg = experiment_config(budget=200.0, num_clients=m, min_participants=3)
+    return cfg.override(fields)
+
+
 class TestFairFedL:
-    def _policy(self, m=10, **kwargs):
-        return FairFedLPolicy(
-            num_clients=m,
-            budget=200.0,
-            min_participants=3,
-            theta=0.5,
-            rng=np.random.default_rng(0),
-            **kwargs,
-        )
+    def _policy(self, m=10, **params):
+        return make_policy("Fair-FedL", fleet(m), np.random.default_rng(0), params)
 
     def test_zero_weight_reduces_to_fedl_fractions(self):
         """κ = 0 biases nothing: the fractional decision equals FedL's."""
-        from repro.core.fedl import FedLPolicy
-
-        rng1, rng2 = np.random.default_rng(1), np.random.default_rng(1)
-        fair = FairFedLPolicy(
-            num_clients=8, budget=200.0, min_participants=3, theta=0.5,
-            rng=rng1, fairness_weight=0.0,
+        fair = make_policy(
+            "Fair-FedL", fleet(8), np.random.default_rng(1),
+            params={"fairness_weight": 0.0},
         )
-        plain = FedLPolicy(
-            num_clients=8, budget=200.0, min_participants=3, theta=0.5, rng=rng2,
-        )
+        plain = make_policy("FedL", fleet(8), np.random.default_rng(1))
         ctx = make_ctx(m=8)
         d_fair = fair.select(ctx)
         d_plain = plain.select(ctx)
@@ -121,7 +115,7 @@ class TestFairFedL:
     def test_select_matches_pre_refactor_trajectory(self):
         """``_round_and_repair`` is the tail ``select`` used to carry inline:
         same seed, 10 epochs, identical masks and generator state."""
-        from repro.baselines.base import enforce_feasibility
+        from repro.strategies.base import enforce_feasibility
         from repro.core.rounding import independent_round, rdcs_round
 
         class InlineTail(FairFedLPolicy):
@@ -154,12 +148,10 @@ class TestFairFedL:
 
         m = 12
         for rounding in ("rdcs", "independent"):
-            kwargs = dict(
-                num_clients=m, budget=200.0, min_participants=3, theta=0.5,
-                config=FedLConfig(rounding=rounding), fair_rate=0.25,
-            )
-            new = FairFedLPolicy(rng=np.random.default_rng(5), **kwargs)
-            old = InlineTail(rng=np.random.default_rng(5), **kwargs)
+            cfg = fleet(m, **{"fedl.rounding": rounding})
+            params = {"fair_rate": 0.25, "fairness_weight": 0.5}
+            new = make_policy("Fair-FedL", cfg, np.random.default_rng(5), params)
+            old = InlineTail.from_config(cfg, np.random.default_rng(5), **params)
             for t in range(10):
                 available = np.random.default_rng(t).random(m) < 0.8
                 ctx = make_ctx(m=m, seed=t, available=available)
@@ -184,8 +176,6 @@ class TestFairFedL:
     def test_improves_fairness_over_plain_fedl(self):
         """With a strongly heterogeneous fleet, plain FedL concentrates on
         the fast clients; the fairness queues spread participation."""
-        from repro.core.fedl import FedLPolicy
-
         m, n = 10, 3
         tau = np.concatenate([np.full(3, 0.05), np.full(7, 2.0)])
 
@@ -203,18 +193,13 @@ class TestFairFedL:
             return tracker.fairness()
 
         fair = run(self._policy(m=m, fair_rate=0.25, fairness_weight=0.8))
-        plain = run(
-            FedLPolicy(
-                num_clients=m, budget=200.0, min_participants=n, theta=0.5,
-                rng=np.random.default_rng(2),
-            )
-        )
+        plain = run(make_policy("FedL", fleet(m), np.random.default_rng(2)))
         assert fair > plain
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StrategyParamError):
             self._policy(fair_rate=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(StrategyParamError):
             self._policy(fairness_weight=-0.1)
 
     def test_runs_in_experiment(self):
@@ -228,7 +213,7 @@ class TestFairFedL:
 class TestUCB:
     def test_explores_all_arms_first(self):
         m, n = 6, 2
-        pol = UCBPolicy(m, np.random.default_rng(0))
+        pol = make_policy("UCB", fleet(m), np.random.default_rng(0))
         pulled = np.zeros(m, bool)
         tau = np.linspace(0.1, 1.0, m)
         for t in range(4):
@@ -241,7 +226,9 @@ class TestUCB:
 
     def test_converges_to_fast_arms(self):
         m, n = 8, 2
-        pol = UCBPolicy(m, np.random.default_rng(1), exploration=0.2)
+        pol = make_policy(
+            "UCB", fleet(m), np.random.default_rng(1), params={"exploration": 0.2}
+        )
         tau = np.concatenate([np.full(2, 0.05), np.full(6, 2.0)])
         last = None
         for t in range(60):
@@ -252,17 +239,18 @@ class TestUCB:
         assert last.selected[:2].all()
 
     def test_only_participants_update_stats(self):
-        pol = UCBPolicy(5, np.random.default_rng(0))
+        pol = make_policy("UCB", fleet(5), np.random.default_rng(0))
         ctx = make_ctx(m=5, n=2, budget=1e6)
         d = pol.select(ctx)
         pol.update(feedback_for(d, 0, 5, ctx.tau_last))
         assert pol.pulls[~d.selected].sum() == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UCBPolicy(0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            UCBPolicy(5, np.random.default_rng(0), exploration=-1.0)
+        with pytest.raises(StrategyParamError):
+            make_policy(
+                "UCB", fleet(5), np.random.default_rng(0),
+                params={"exploration": -1.0},
+            )
 
     def test_runs_in_experiment(self):
         cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=6)

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.baselines import FedAvgPolicy
-from repro.baselines.base import Decision
-from repro.baselines.overselect import OverSelectPolicy
 from repro.config import NetworkConfig
+from repro.strategies import StrategyParamError
+from repro.strategies.base import Decision
 from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.rng import RngFactory
@@ -67,10 +66,9 @@ class TestTdma:
 
 class TestOverSelection:
     def test_wrapper_adds_extras_and_sets_quorum(self, rng):
-        from tests.test_baselines import make_ctx
+        from tests.test_baselines import build, make_ctx
 
-        base = FedAvgPolicy(rng)
-        wrapped = OverSelectPolicy(base, extra=2)
+        wrapped = build("OverSelect", rng, extra=2)
         ctx = make_ctx(n=3, budget=1e6)
         d = wrapped.select(ctx)
         assert d.quorum == 3
@@ -78,29 +76,30 @@ class TestOverSelection:
         assert wrapped.name == "FedAvg+over2"
 
     def test_extras_are_fastest_estimated(self, rng):
-        from tests.test_baselines import make_ctx
+        from tests.test_baselines import build, make_ctx
 
         tau = np.arange(1.0, 11.0)
         ctx = make_ctx(n=2, budget=1e6, tau_last=tau)
-        base = FedAvgPolicy(rng)
-        wrapped = OverSelectPolicy(base, extra=3)
+        wrapped = build("OverSelect", rng, extra=3)
         d = wrapped.select(ctx)
         extras = d.selected.copy()
         # The base picked 2; extras are the fastest remaining.
         assert d.selected.sum() == 5
 
     def test_budget_respected_when_adding(self, rng):
-        from tests.test_baselines import make_ctx
+        from tests.test_baselines import build, make_ctx
 
         costs = np.full(10, 10.0)
         ctx = make_ctx(n=2, budget=21.0, costs=costs)
-        wrapped = OverSelectPolicy(FedAvgPolicy(rng), extra=5)
+        wrapped = build("OverSelect", rng, extra=5)
         d = wrapped.select(ctx)
         assert float(costs[d.selected].sum()) <= 21.0 + 1e-9
 
     def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            OverSelectPolicy(FedAvgPolicy(rng), extra=0)
+        from tests.test_baselines import build
+
+        with pytest.raises(StrategyParamError):
+            build("OverSelect", rng, extra=0)
         with pytest.raises(ValueError):
             Decision(selected=np.array([True]), iterations=1, quorum=0)
 
@@ -112,8 +111,12 @@ class TestOverSelection:
         )
 
         def run(wrap: bool):
-            base = make_policy("FedAvg", cfg, RngFactory(5).get("p"))
-            pol = OverSelectPolicy(base, extra=3) if wrap else base
+            # The wrapper draws its FedAvg base from the same generator.
+            rng = RngFactory(5).get("p")
+            pol = (
+                make_policy("OverSelect", cfg, rng, params={"extra": 3})
+                if wrap else make_policy("FedAvg", cfg, rng)
+            )
             return run_experiment(pol, cfg).trace
 
         plain = run(False)
@@ -130,7 +133,8 @@ class TestOverSelection:
         cfg = cfg.replace(
             population=dataclasses.replace(cfg.population, failure_prob=0.3)
         )
-        base = make_policy("FedAvg", cfg, RngFactory(6).get("p"))
-        pol = OverSelectPolicy(base, extra=3)
+        pol = make_policy(
+            "OverSelect", cfg, RngFactory(6).get("p"), params={"extra": 3}
+        )
         res = run_experiment(pol, cfg)
         assert len(res.trace) >= 3

@@ -1,4 +1,4 @@
-"""Tests for the Dropout layer and sample-weighted aggregation."""
+"""Tests for sample-weighted aggregation."""
 
 import dataclasses
 
@@ -11,52 +11,8 @@ from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
-from repro.nn.dropout import Dropout
 from repro.nn.models import build_model
 from repro.rng import RngFactory
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        layer.eval()
-        x = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_train_mode_zeroes_and_scales(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = np.ones((200, 50))
-        out = layer.forward(x)
-        zero_frac = float((out == 0).mean())
-        assert 0.4 < zero_frac < 0.6
-        # Survivors scaled by 1/(1-p) = 2.
-        assert np.allclose(out[out != 0], 2.0)
-
-    def test_expectation_preserved(self, rng):
-        layer = Dropout(0.3, rng=rng)
-        x = np.ones((500, 100))
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_backward_routes_through_mask(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = rng.normal(size=(3, 8))
-        out = layer.forward(x)
-        g = layer.backward(np.ones_like(out))
-        # Gradient zero exactly where the forward output was dropped.
-        np.testing.assert_array_equal(g == 0, out == 0)
-
-    def test_zero_p_identity_in_train(self, rng):
-        layer = Dropout(0.0, rng=rng)
-        x = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(layer.forward(x), x)
-        np.testing.assert_array_equal(layer.backward(x), x)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
 
 
 class TestWeightedAggregation:

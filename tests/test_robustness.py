@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.baselines.base import EpochContext
+from repro.strategies.base import EpochContext
 from repro.config import AttackConfig, DefenseConfig, FedLConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.baselines.base import Decision, EpochContext, RoundFeedback
+from repro.strategies.base import Decision, EpochContext, RoundFeedback
 from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.rng import RngFactory

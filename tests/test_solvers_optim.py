@@ -13,7 +13,7 @@ from repro.solvers.interior_point import solve_interior_point
 from repro.solvers.line_search import Filter, armijo_backtracking
 from repro.solvers.projected_gradient import projected_gradient
 from repro.solvers.projections import project_box
-from repro.solvers.qp import solve_box_qp
+from tests.qp import solve_box_qp
 
 
 def random_qp(rng: np.random.Generator, n: int):

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.base import EpochContext, RoundFeedback
+from repro.strategies.base import EpochContext, RoundFeedback
 from repro.experiments.scenarios import experiment_config
 from repro.strategies import STRATEGY_REGISTRY, build_strategy
 

@@ -21,7 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines.base import SelectionPolicy
+from repro.strategies.base import SelectionPolicy
 from repro.cli import main
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.experiments.sweep import (
@@ -42,6 +42,7 @@ from repro.strategies import (
     get_strategy,
     register_strategy,
     strategy_names,
+    wrappable_names,
 )
 
 NEW_ZOO = (
@@ -123,8 +124,14 @@ class TestRegistry:
         assert STRATEGY_REGISTRY["FedL"].reliability_aware
         assert STRATEGY_REGISTRY["HardDeadline"].deadline_aware
         assert STRATEGY_REGISTRY["FedCS"].deadline_aware
-        for name in PAPER_SET:
-            assert STRATEGY_REGISTRY[name].paper_baseline
+
+    def test_wrappable_is_derived_from_the_registry(self):
+        wrappable = wrappable_names()
+        assert "Oracle" not in wrappable  # needs the 1-lookahead oracle
+        for wrapper in ("OverSelect", "HardDeadline", "SoftDeadline"):
+            assert wrapper not in wrappable  # composition stays one level deep
+        assert set(wrappable) | {"Oracle", "OverSelect", "HardDeadline",
+                                 "SoftDeadline"} == set(strategy_names())
 
 
 class TestSpecSerialization:
@@ -201,6 +208,38 @@ class TestCliContract:
         ])
         assert rc == 0
         assert "policy=GradNorm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("policy, flag", [
+        ("FedCS", "deadline_s=-1"),
+        ("HardDeadline", "deadline_s=0"),
+        ("SoftDeadline", "deadline_s=-2"),
+    ])
+    def test_run_nonpositive_deadline_exits_2(self, policy, flag, capsys):
+        argv = ["run", "--policy", policy] + self.RUN_BASE[3:] + ["--param", flag]
+        assert main(argv) == 2
+        assert "param 'deadline_s': must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, flag, workers", [
+        ("Pow-d", "d=0", "1"),
+        ("FedCS", "deadline_s=-1", "1"),
+        ("FedCS", "deadline_s=-1", "2"),
+    ])
+    def test_sweep_bad_param_value_exits_2_before_any_job(
+        self, policy, flag, workers, capsys, monkeypatch
+    ):
+        """The sweep rejects a value the way `run` does, before the pool."""
+        monkeypatch.setattr(
+            "repro.cli.run_sweep", lambda *a, **k: pytest.fail("a job ran")
+        )
+        argv = ["--clients", "8", "--participants", "3", "--epochs", "1"]
+        rc = main(["sweep", "--policies", policy, "--param", flag,
+                   "--budgets", "60", "--workers", workers] + argv)
+        sweep_err = capsys.readouterr().err
+        assert rc == 2
+        assert main(["run", "--policy", policy, "--param", flag,
+                     "--budget", "60"] + argv) == 2
+        assert sweep_err == capsys.readouterr().err
+        assert f"strategy {policy!r}, param {flag.split('=')[0]!r}" in sweep_err
 
     def test_sweep_undeclared_param_exits_2(self, capsys):
         rc = main([
