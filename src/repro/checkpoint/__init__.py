@@ -1,10 +1,10 @@
 """Round-granular checkpoint/resume for long-horizon experiments.
 
 See :mod:`repro.checkpoint.snapshot` for the on-disk format and the
-bit-identical-resume contract, :mod:`repro.checkpoint.errors` for the
-exit-code mapping, and :mod:`repro.checkpoint.crashsmoke` for the
-SIGKILL crash-injection harness used by tests and ``repro bench
---crash-smoke``.
+bit-identical-resume contract and :mod:`repro.checkpoint.errors` for the
+exit-code mapping.  The contract is gated in ``tests/test_checkpoint.py``:
+a SIGKILL crash/resume drill on every training engine, and a snapshot
+cost ceiling of 2% of an otherwise identical run.
 """
 
 from repro.checkpoint.errors import CheckpointError, ExperimentInterrupted

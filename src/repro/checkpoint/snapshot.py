@@ -49,6 +49,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.atomic import atomic_write_text, clean_stale_tmps
 from repro.checkpoint.errors import CheckpointError
 
 __all__ = [
@@ -149,8 +150,6 @@ def _epoch_dir_name(next_epoch: int) -> str:
 def prepare_checkpoint_dir(directory: str | Path) -> Path:
     """Create ``directory`` and sweep litter from prior crashed writers
     (stale staging directories and ``*.tmp`` survivors)."""
-    from repro.experiments.persistence import clean_stale_tmps
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for entry in directory.iterdir():
@@ -181,11 +180,7 @@ def write_snapshot(
     lives outside this process (the live engine's worker-side per-client
     streams) over the factory's own capture.
     """
-    from repro.experiments.persistence import (
-        atomic_write_text,
-        config_to_dict,
-        trace_to_dict,
-    )
+    from repro.experiments.persistence import config_to_dict, trace_to_dict
     from repro.nn.serialization import save_checkpoint
 
     directory = Path(directory)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands::
+Nine subcommands::
 
     python -m repro run      --policy FedL --dataset fmnist --budget 600 \
                              [--param KEY=VALUE ...] [--telemetry out/trace]
@@ -21,10 +21,6 @@ Ten subcommands::
                              [--follow [--poll 0.5] [--timeout 60]]
     python -m repro profile  out/trace [--diff other/trace] [--top 10]
     python -m repro regret   --horizons 25 50 100
-    python -m repro bench    --overhead [--max-null-overhead 0.02] \
-                             | --checkpoint-overhead [--max-ckpt-overhead 0.02] \
-                             | --crash-smoke [--engine live] \
-                             [--quick] [--out REPORT.json]
 
 ``tournament`` runs every registered selection strategy (the zoo in
 :mod:`repro.strategies`) across a scenario matrix (partition skew, price
@@ -85,13 +81,6 @@ phase tree from a finished trace's manifest — self vs. cumulative time,
 call counts, per-epoch cost — and ``--diff`` compares two trace
 directories phase by phase.
 
-``bench`` runs exactly one of three contract gates (the speed benchmark
-is ``python3 perf/run.py``): ``--overhead`` audits what the telemetry
-layer itself costs (disabled vs. enabled hubs per layer, with
-per-hook-site attribution), ``--checkpoint-overhead`` gates periodic
-snapshot cost and checkpointed-vs-plain bit-identity, ``--crash-smoke``
-is the SIGKILL crash/resume drill.
-
 Exit codes: 0 on success, 2 on argument errors (both argparse failures
 and semantic validation like non-positive budgets), 1 on runtime errors.
 """
@@ -110,6 +99,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro import __version__
+from repro.atomic import atomic_write_text
 from repro.checkpoint import (
     CheckpointError,
     ExperimentInterrupted,
@@ -289,47 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--horizons", type=int, nargs="+", default=[25, 50, 100])
     p_reg.add_argument("--seed", type=int, default=5)
 
-    p_bch = sub.add_parser(
-        "bench",
-        help="contract gates: telemetry overhead audit, checkpoint "
-        "overhead, SIGKILL crash/resume drill (speed benchmark: "
-        "python3 perf/run.py)",
-    )
-    mode = p_bch.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--overhead", action="store_true",
-                      help="run the telemetry overhead audit: disabled vs "
-                      "enabled hubs per layer with hook-site attribution")
-    mode.add_argument("--checkpoint-overhead", action="store_true",
-                      help="measure what periodic snapshots cost an "
-                      "otherwise-identical run (interval=10) and verify "
-                      "the checkpointed run stays bit-identical; exit 1 "
-                      "when the overhead exceeds --max-ckpt-overhead")
-    mode.add_argument("--crash-smoke", action="store_true",
-                      help="run the SIGKILL crash/resume drill: fork a "
-                      "checkpointing run, kill it at a randomized epoch, "
-                      "resume from disk, and verify the recovery is "
-                      "bit-identical to an uninterrupted reference "
-                      "(exit 1 on mismatch)")
-    p_bch.add_argument("--quick", action="store_true",
-                       help="smaller config for CI smoke runs")
-    p_bch.add_argument("--seed", type=int, default=0)
-    p_bch.add_argument("--out", type=str, default=None, metavar="PATH.json",
-                       help="write the JSON report here")
-    p_bch.add_argument("--max-null-overhead", type=float, default=0.02,
-                       metavar="FRAC",
-                       help="with --overhead, fail (exit 1) when the "
-                       "estimated disabled-telemetry cost of any layer "
-                       "exceeds this fraction of its runtime "
-                       "(default 0.02 = 2%%)")
-    p_bch.add_argument("--max-ckpt-overhead", type=float, default=0.02,
-                       metavar="FRAC",
-                       help="allowed checkpoint wall-clock overhead "
-                       "fraction for --checkpoint-overhead "
-                       "(default 0.02 = 2%%)")
-    p_bch.add_argument("--engine", default="loop",
-                       choices=["loop", "batched", "des", "live"],
-                       help="training engine for --crash-smoke "
-                       "(default loop)")
     return parser
 
 
@@ -1251,13 +1200,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             end="",
         )
     if args.json_out:
-        path = Path(args.json_out).expanduser()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
+        path = atomic_write_text(
+            Path(args.json_out).expanduser(),
             json.dumps(profile, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
-        tmp.replace(path)
         print(f"profile -> {path}", file=sys.stderr)
     return 0
 
@@ -1290,111 +1236,6 @@ def _cmd_regret(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_crash_smoke(args: argparse.Namespace) -> int:
-    """``repro bench --crash-smoke``: the SIGKILL crash/resume drill.
-
-    Exit 0 iff the victim died by SIGKILL and the resumed run matched
-    the uninterrupted reference bit-for-bit (modulo measured wall time
-    for the live engine).
-    """
-    import tempfile
-
-    from repro.checkpoint.crashsmoke import run_crash_resume_smoke
-    from repro.experiments.bench import save_report
-
-    overrides = {} if args.engine == "loop" else {"training.engine": args.engine}
-    if args.engine == "live":
-        overrides.update({"live.time_scale": 0.01, "live.round_timeout_s": 30.0})
-    cfg = experiment_config(
-        budget=200.0, seed=args.seed, num_clients=8,
-        min_participants=2, max_epochs=12,
-    ).override(overrides)
-    with tempfile.TemporaryDirectory(prefix="repro-crash-smoke-") as tmp:
-        report = run_crash_resume_smoke(
-            cfg, workdir=tmp, interval=3, smoke_seed=args.seed
-        )
-    report["engine"] = args.engine
-    for key in (
-        "engine", "policy", "crash_epoch", "interval",
-        "killed_by_sigkill", "final_w_equal", "traces_equal", "ok",
-    ):
-        print(f"{key}={report[key]}")
-    if args.out:
-        print(f"report -> {save_report(report, args.out)}")
-    if not report["ok"]:
-        print("repro: crash-resume smoke FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        bench_checkpoint_overhead,
-        bench_overhead,
-        check_checkpoint_overhead,
-        check_overhead,
-        format_overhead,
-        save_report,
-    )
-
-    if args.crash_smoke:
-        return _bench_crash_smoke(args)
-    if args.engine != "loop":
-        return _usage_error("--engine only applies with --crash-smoke")
-
-    if args.checkpoint_overhead:
-        if not (0.0 < args.max_ckpt_overhead < 1.0):
-            return _usage_error("--max-ckpt-overhead must be in (0, 1)")
-        report = bench_checkpoint_overhead(quick=args.quick, seed=args.seed)
-        for key in (
-            "clients", "epochs", "interval", "snapshots_per_run",
-            "disabled_seconds", "enabled_seconds",
-            "checkpoint_write_seconds", "overhead_fraction",
-            "bit_identical",
-        ):
-            value = report[key]
-            if isinstance(value, float):
-                value = f"{value:.4f}"
-            print(f"{key}={value}")
-        if args.out:
-            path = save_report(report, args.out)
-            print(f"report -> {path}")
-        failures = check_checkpoint_overhead(
-            report, max_fraction=args.max_ckpt_overhead
-        )
-        if failures:
-            for failure in failures:
-                print(f"repro: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"\ncheckpoint overhead gate: OK "
-            f"(<= {args.max_ckpt_overhead:.1%} at interval="
-            f"{report['interval']})"
-        )
-        return 0
-
-    if not (0.0 < args.max_null_overhead < 1.0):
-        return _usage_error("--max-null-overhead must be in (0, 1)")
-    report = bench_overhead(quick=args.quick, seed=args.seed)
-    print(format_overhead(report))
-    if args.out:
-        path = save_report(report, args.out)
-        print(f"\nreport -> {path}")
-    failures = check_overhead(
-        report, max_null_fraction=args.max_null_overhead
-    )
-    if failures:
-        print("\nOVERHEAD GATE FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"\noverhead gate: OK (disabled-telemetry cost <= "
-        f"{args.max_null_overhead:.1%} per layer)"
-    )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1407,7 +1248,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
         "profile": _cmd_profile,
         "regret": _cmd_regret,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -134,7 +134,7 @@ def drifting_problem_stream(
     bases drawn once; prices are redrawn every epoch; the budget is large
     enough to isolate the learning dynamics.  The synthetic stream behind
     ``repro regret``, the regret benchmark and example, and the solver
-    layer of ``repro bench --overhead``.
+    layer of the telemetry overhead test.
     """
     base_tau = rng.uniform(0.2, 2.0, m)
     base_eta = rng.uniform(0.2, 0.7, m)

@@ -12,17 +12,14 @@ entries.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import json
-import os
-import tempfile
-import threading
 from pathlib import Path
 from typing import Dict, Mapping
 
 import numpy as np
 
+from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
 from repro.experiments.metrics import EpochRecord, Trace
 from repro.experiments.runner import ExperimentResult
@@ -38,8 +35,6 @@ __all__ = [
     "result_from_dict",
     "save_results",
     "load_results",
-    "atomic_write_text",
-    "clean_stale_tmps",
     "SCHEMA_VERSION",
     "RESULT_SCHEMA_VERSION",
     "SUPPORTED_RESULT_SCHEMAS",
@@ -60,85 +55,6 @@ RESULT_SCHEMA_VERSION = 5
 #: Every result schema this reader understands (older versions load with
 #: documented defaults for the fields they predate).
 SUPPORTED_RESULT_SCHEMAS = (1, 2, 3, 4, RESULT_SCHEMA_VERSION)
-
-# Temp files currently being written by this process, swept at interpreter
-# exit so an aborted run (uncaught exception, sys.exit, handled signal)
-# never leaves `*.tmp` litter next to its outputs.  A SIGKILL mid-write
-# still strands the file — :func:`clean_stale_tmps` is the second line of
-# defense the next process runs over the same directory.
-_INFLIGHT_TMPS: set = set()
-_INFLIGHT_LOCK = threading.Lock()
-
-
-def _reap_inflight_tmps() -> None:
-    with _INFLIGHT_LOCK:
-        stranded = list(_INFLIGHT_TMPS)
-        _INFLIGHT_TMPS.clear()
-    for tmp in stranded:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-atexit.register(_reap_inflight_tmps)
-
-
-def clean_stale_tmps(directory: str | Path) -> int:
-    """Remove torn-write litter (``.<name>.*.tmp`` / ``<name>.tmp<pid>``)
-    left in ``directory`` by a process that died between temp-file
-    creation and :func:`os.replace`.  Returns the number removed.
-
-    Only files matching the atomic writers' temp naming are touched;
-    called by long-lived writers (sweep cache, checkpoints) when they
-    (re)open a directory, where any survivor is by construction stale.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return 0
-    removed = 0
-    for entry in directory.iterdir():
-        name = entry.name
-        is_mkstemp_tmp = name.startswith(".") and name.endswith(".tmp")
-        is_pid_tmp = ".tmp" in name and name.rsplit(".tmp", 1)[1].isdigit()
-        if (is_mkstemp_tmp or is_pid_tmp) and entry.is_file():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` without ever exposing a torn file.
-
-    The payload goes to a temp file in the destination directory first and
-    is moved into place with :func:`os.replace`, which is atomic on POSIX —
-    a crash mid-write leaves either the old file or the new one, never a
-    truncated JSON document.  The temp path is tracked while in flight and
-    reaped at interpreter exit, so exits that skip the ``except`` path
-    (e.g. a SIGTERM handler calling ``sys.exit``) leave no litter either.
-    """
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    with _INFLIGHT_LOCK:
-        _INFLIGHT_TMPS.add(tmp)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    finally:
-        with _INFLIGHT_LOCK:
-            _INFLIGHT_TMPS.discard(tmp)
-
 
 #: EpochRecord is flat (scalars only), so serialization reads the fields
 #: directly — ``dataclasses.asdict`` pays for recursive deep-copying the

@@ -51,12 +51,11 @@ from typing import (
 
 import numpy as np
 
+from repro.atomic import atomic_write_text, clean_stale_tmps
 from repro.config import CheckpointConfig, ExperimentConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
     SCHEMA_VERSION,
-    atomic_write_text,
-    clean_stale_tmps,
     result_from_dict,
     result_to_dict,
 )

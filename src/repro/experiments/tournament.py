@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
-from repro.experiments.persistence import atomic_write_text
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import experiment_config
 from repro.experiments.sweep import (

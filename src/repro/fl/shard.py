@@ -20,10 +20,8 @@ structure follows the FedCS resource-pooling idea (see PAPERS.md).
 
 Contracts:
 
-* ``num_shards = 1`` delegates **wholesale** to a flat ``FedLPolicy``
-  constructed with the identical arguments and the identical RNG object,
-  so single-shard output is bit-identical to the flat path (gated in CI
-  and by the ``[scale]`` bench layer).
+* ``num_shards >= 2``: one shard is the flat ``FedLPolicy``, which the
+  registry builds instead (:meth:`~repro.core.fedl.FedLPolicy.from_config`).
 * ``decompose_budget`` never allocates more than the global remaining
   budget, never allocates a shard more than its demand, and
   redistributes slack deterministically (property-tested).
@@ -209,36 +207,23 @@ class ShardedFedLPolicy:
         rng: np.random.Generator,
         config: Optional[FedLConfig] = None,
         cost_range: tuple[float, float] = (0.1, 12.0),
-        shard: Optional[ShardConfig] = None,
+        *,
+        shard: ShardConfig,
         positions: Optional[np.ndarray] = None,
     ) -> None:
-        shard_cfg = shard if shard is not None else ShardConfig()
+        num_shards = int(shard.num_shards)
+        if num_shards < 2:
+            raise ValueError(
+                "ShardedFedLPolicy needs num_shards >= 2 (one shard is FedLPolicy)"
+            )
         self.name = "FedL"
         self.rng = rng
-        self.shard_config = shard_cfg
+        self.shard_config = shard
         self.num_clients = int(num_clients)
-        num_shards = int(shard_cfg.num_shards)
-        if num_shards <= 1:
-            # Single shard IS the flat path: same constructor arguments,
-            # same RNG object, wholesale delegation — bit-identical.
-            self._flat: Optional[FedLPolicy] = FedLPolicy(
-                num_clients=num_clients,
-                budget=budget,
-                min_participants=min_participants,
-                theta=theta,
-                rng=rng,
-                config=config,
-                cost_range=cost_range,
-            )
-            self.plan = build_shard_plan(num_clients, 1)
-            self.children: Tuple[Optional[FedLPolicy], ...] = (self._flat,)
-            self._participated = np.ones(1, dtype=bool)
-            return
-        self._flat = None
         # One deterministic draw block from the policy stream seeds every
         # shard's child generator (and the k-means assignment).
         seeds = rng.integers(0, 2**63 - 1, size=num_shards + 1)
-        if shard_cfg.assignment == "kmeans":
+        if shard.assignment == "kmeans":
             if positions is None:
                 raise ValueError("kmeans shard assignment needs client positions")
             plan = build_shard_plan(
@@ -268,14 +253,12 @@ class ShardedFedLPolicy:
                     cost_range=cost_range,
                 )
             )
-        self.children = tuple(children)
+        self.children: Tuple[Optional[FedLPolicy], ...] = tuple(children)
         self._participated = np.zeros(num_shards, dtype=bool)
 
     # ------------------------------------------------------------------ select --
 
     def select(self, ctx: EpochContext) -> Decision:
-        if self._flat is not None:
-            return self._flat.select(ctx)
         if ctx.num_clients != self.plan.num_clients:
             raise ValueError("context population does not match the shard plan")
         tel = get_telemetry()
@@ -357,9 +340,6 @@ class ShardedFedLPolicy:
     # ------------------------------------------------------------------ update --
 
     def update(self, feedback: RoundFeedback) -> None:
-        if self._flat is not None:
-            self._flat.update(feedback)
-            return
         for s, members in enumerate(self.plan.members):
             child = self.children[s]
             if child is None or not self._participated[s]:
@@ -382,8 +362,6 @@ class ShardedFedLPolicy:
     @property
     def phi(self) -> Phi:
         """Global view of the per-shard fractional decisions."""
-        if self._flat is not None:
-            return self._flat.phi
         x = np.zeros(self.num_clients)
         rho = 1.0
         for s, members in enumerate(self.plan.members):
@@ -396,8 +374,6 @@ class ShardedFedLPolicy:
 
     @property
     def mu(self) -> np.ndarray:
-        if self._flat is not None:
-            return self._flat.mu
         return np.concatenate(
             [child.mu for child in self.children if child is not None]
         )

@@ -17,14 +17,15 @@ sleeps dominate that overhead and drives the ratio toward 1.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
-from repro.live.runtime import atomic_write_json
 
 __all__ = [
     "CalibrationRow",
@@ -122,7 +123,9 @@ class CalibrationReport:
 
     def save(self, path: str | Path) -> Path:
         """Atomically persist the report as JSON."""
-        return atomic_write_json(Path(path), self.to_json())
+        return atomic_write_text(
+            path, json.dumps(self.to_json(), indent=2, sort_keys=True)
+        )
 
 
 def _trace_stats(result) -> Tuple[int, float, float, int]:

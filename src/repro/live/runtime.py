@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.atomic import atomic_write_text
 from repro.live.protocol import FrameStream, socket_pair, tcp_pair
 from repro.nn.serialization import TruncatedPayloadError, decode_payload
 from repro.sim.entities import SimRoundSpec
@@ -69,7 +70,6 @@ __all__ = [
     "LiveRoundOutcome",
     "LiveRound",
     "LiveRuntime",
-    "atomic_write_json",
 ]
 
 
@@ -79,26 +79,6 @@ class LiveError(SimError):
 
 class LiveRoundTimeout(LiveError):
     """A barrier did not close within the wall-clock safety timeout."""
-
-
-def atomic_write_json(path: Path, obj) -> Path:
-    """Crash-safe JSON write: temp file in the same directory, then an
-    atomic rename — a crash mid-serialization or mid-write leaves the
-    old file (if any) intact and no temp litter behind."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        tmp.write_text(
-            json.dumps(obj, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 @dataclass(frozen=True)
@@ -904,9 +884,9 @@ class LiveRuntime:
         paths = []
         for cid in sorted(self._client_stats):
             paths.append(
-                atomic_write_json(
+                atomic_write_text(
                     directory / f"live_client_{cid}.json",
-                    self._client_stats[cid],
+                    json.dumps(self._client_stats[cid], indent=2, sort_keys=True),
                 )
             )
         return paths

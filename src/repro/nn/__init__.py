@@ -16,7 +16,6 @@ package implements the needed pieces directly on NumPy:
   ``ClassifierModel`` and the batched FL engine both evaluate with.
 * :mod:`repro.nn.models` — ``ClassifierModel`` facade plus factories for
   logistic regression, MLP, and the paper's two CNNs (scaled).
-* :mod:`repro.nn.optim` — SGD / momentum and LR schedules.
 * :mod:`repro.nn.metrics` — accuracy, top-k.
 
 Backward passes are hand-derived and verified against central finite
@@ -32,7 +31,6 @@ from repro.nn.serialization import save_checkpoint, load_checkpoint
 from repro.nn.losses import softmax_cross_entropy, softmax, l2_penalty
 from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.models import ClassifierModel, build_model
-from repro.nn.optim import SGD, step_decay_schedule, constant_schedule
 from repro.nn.metrics import accuracy, top_k_accuracy
 
 __all__ = [
@@ -56,9 +54,6 @@ __all__ = [
     "BatchedSequentialKernel",
     "ClassifierModel",
     "build_model",
-    "SGD",
-    "step_decay_schedule",
-    "constant_schedule",
     "accuracy",
     "top_k_accuracy",
 ]

@@ -19,8 +19,8 @@ derived from the manifest, which already folds every
 under the ``ts`` key of ``metrics.json`` (the ``.prom`` file carries
 measured times by nature), matching the trace convention.
 
-Writes are temp-file + ``os.replace`` atomic, like every other artifact
-in the trace directory.
+Writes go through :func:`repro.atomic.atomic_write_text`, like every
+other artifact in the trace directory.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
+
+from repro.atomic import atomic_write_text
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
@@ -197,23 +199,18 @@ def prometheus_exposition(metrics: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _atomic_write(path: Path, text: str) -> Path:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-    return path
-
-
 def export_metrics(
     directory: str | Path, manifest: Mapping[str, Any]
 ) -> Tuple[Path, Path]:
     """Write ``metrics.json`` + ``metrics.prom`` for one trace directory."""
     root = Path(directory).expanduser()
     metrics = build_metrics(manifest)
-    json_path = _atomic_write(
+    json_path = atomic_write_text(
         root / METRICS_NAME, json.dumps(metrics, indent=2, sort_keys=False)
     )
-    prom_path = _atomic_write(root / PROM_NAME, prometheus_exposition(metrics))
+    prom_path = atomic_write_text(
+        root / PROM_NAME, prometheus_exposition(metrics)
+    )
     return json_path, prom_path
 
 

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, TextIO
 
+from repro.atomic import atomic_write_text
 from repro.host import host_record
 from repro.obs.events import (
     TELEMETRY_SCHEMA_VERSION,
@@ -77,24 +78,20 @@ _NULL_TIMER = _NullTimer()
 
 
 class _Timer:
-    """Measures a block, records it in the registry, optionally emits."""
+    """Measures a block and records it in the registry."""
 
-    __slots__ = ("_hub", "_name", "_emit_kind", "_t0")
+    __slots__ = ("_hub", "_name", "_t0")
 
-    def __init__(self, hub: "Telemetry", name: str, emit_kind: Optional[str]) -> None:
+    def __init__(self, hub: "Telemetry", name: str) -> None:
         self._hub = hub
         self._name = name
-        self._emit_kind = emit_kind
 
     def __enter__(self) -> "_Timer":
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        dt = time.perf_counter() - self._t0
-        self._hub.registry.record_timer(self._name, dt)
-        if self._emit_kind is not None:
-            self._hub.emit(self._emit_kind, data={"timer": self._name}, dur=dt)
+        self._hub.registry.record_timer(self._name, time.perf_counter() - self._t0)
         return False
 
 
@@ -184,10 +181,10 @@ class Telemetry:
 
     # -- registry shorthands -----------------------------------------------------
 
-    def timer(self, name: str, emit_kind: Optional[str] = None) -> _Timer:
+    def timer(self, name: str) -> _Timer:
         """``with tel.timer("solver.descent"): ...`` — records into the
-        registry; with ``emit_kind`` also emits a timing event."""
-        return _Timer(self, name, emit_kind)
+        registry."""
+        return _Timer(self, name)
 
     def counter(self, name: str, value: float = 1.0) -> None:
         self.registry.add_counter(name, value)
@@ -254,8 +251,9 @@ class Telemetry:
         Idempotent: the first call does all the work and later calls
         return the same path without touching the directory again.  All
         artifacts (``manifest.json``, ``metrics.json``, ``metrics.prom``)
-        are written via temp-file + ``os.replace``, so a crash mid-write
-        leaves the previous version (or nothing) — never a torn file.
+        are written with :func:`~repro.atomic.atomic_write_text`, so a
+        crash mid-write leaves the previous version (or nothing) — never
+        a torn file or a temp file.
         """
         if self._finalized:
             return self._manifest_path
@@ -264,10 +262,10 @@ class Telemetry:
         if self.directory is not None:
             self.dump_worker_snapshot()
             manifest = build_manifest(self.directory, meta=meta)
-            path = self.directory / MANIFEST_NAME
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(json.dumps(manifest, indent=2, sort_keys=False))
-            tmp.replace(path)
+            path = atomic_write_text(
+                self.directory / MANIFEST_NAME,
+                json.dumps(manifest, indent=2, sort_keys=False),
+            )
             # Deferred import: export depends on the manifest shape built
             # here, keeping hub <- export a one-way edge at import time.
             from repro.obs.export import export_metrics
@@ -302,7 +300,7 @@ class NullTelemetry(Telemetry):
     def emit(self, kind, data=None, epoch=None, dur=None):  # type: ignore[override]
         return None
 
-    def timer(self, name: str, emit_kind: Optional[str] = None):  # type: ignore[override]
+    def timer(self, name: str):  # type: ignore[override]
         return _NULL_TIMER
 
     def counter(self, name: str, value: float = 1.0) -> None:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional
 
+from repro.atomic import atomic_write_text
+
 __all__ = [
     "TimerStat",
     "MetricsRegistry",
@@ -126,11 +128,9 @@ class MetricsRegistry:
 
     def dump(self, path: str | Path) -> Path:
         """Atomically write :meth:`snapshot` to ``path``."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.snapshot(), separators=(",", ":")))
-        tmp.replace(path)
-        return path
+        return atomic_write_text(
+            path, json.dumps(self.snapshot(), separators=(",", ":"))
+        )
 
 
 def load_snapshot(path: str | Path) -> Optional[Dict[str, Any]]:

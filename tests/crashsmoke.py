@@ -9,7 +9,8 @@ no atexit sweep, no final flush, possibly a torn staging directory.
 The parent then resumes from whatever survived on disk and asserts the
 recovered run is bit-identical to an uninterrupted reference.
 
-Shared by ``tests/test_checkpoint.py`` and ``repro bench --crash-smoke``.
+Used by ``tests/test_checkpoint.py``, which runs the drill on every
+training engine.
 """
 
 from __future__ import annotations

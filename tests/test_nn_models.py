@@ -1,4 +1,4 @@
-"""Tests for losses, models, optimizers, and metrics."""
+"""Tests for losses, models, and metrics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.nn.losses import l2_penalty, softmax, softmax_cross_entropy
 from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.nn.models import ClassifierModel, build_model
-from repro.nn.optim import SGD, constant_schedule, step_decay_schedule
 
 
 class TestSoftmax:
@@ -227,53 +226,6 @@ class TestBuildModel:
     def test_mlp_hidden_sizes(self, rng):
         m = build_model("mlp", 8, 2, rng, hidden=(16, 4))
         assert m.num_params == (8 * 16 + 16) + (16 * 4 + 4) + (4 * 2 + 2)
-
-
-class TestSGDOptimizer:
-    def test_plain_step(self):
-        opt = SGD(lr=0.1)
-        w = opt.step(np.array([1.0]), np.array([2.0]))
-        np.testing.assert_allclose(w, [0.8])
-
-    def test_does_not_mutate_input(self):
-        opt = SGD(lr=0.1)
-        w = np.array([1.0])
-        opt.step(w, np.array([1.0]))
-        assert w[0] == 1.0
-
-    def test_momentum_accelerates(self):
-        plain = SGD(lr=0.1)
-        mom = SGD(lr=0.1, momentum=0.9)
-        w1, w2 = np.array([1.0]), np.array([1.0])
-        g = np.array([1.0])
-        for _ in range(5):
-            w1 = plain.step(w1, g)
-            w2 = mom.step(w2, g)
-        assert w2[0] < w1[0]
-
-    def test_schedule_applied(self):
-        opt = SGD(lr=step_decay_schedule(1.0, decay=0.5, every=1))
-        w = np.array([0.0])
-        w = opt.step(w, np.array([1.0]))   # lr=1
-        w = opt.step(w, np.array([1.0]))   # lr=0.5
-        np.testing.assert_allclose(w, [-1.5])
-
-    def test_reset(self):
-        opt = SGD(lr=constant_schedule(0.1), momentum=0.5)
-        opt.step(np.zeros(1), np.ones(1))
-        opt.reset()
-        assert opt._velocity is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(momentum=1.0)
-        with pytest.raises(ValueError):
-            constant_schedule(0.0)
-        with pytest.raises(ValueError):
-            step_decay_schedule(1.0, decay=0.0)
-        opt = SGD()
-        with pytest.raises(ValueError):
-            opt.step(np.zeros(2), np.zeros(3))
 
 
 class TestMetrics:

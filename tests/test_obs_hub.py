@@ -104,17 +104,14 @@ class TestEmission:
         hub.progress("line")
         assert stream.getvalue() == "line\n"
 
-    def test_timer_records_registry_and_optional_event(self, tmp_path):
+    def test_timer_records_registry_and_emits_nothing(self, tmp_path):
         hub = Telemetry.for_directory(tmp_path)
         with hub.timer("solver.descent"):
-            pass
-        with hub.timer("round.local_solve", emit_kind="round.complete"):
             pass
         hub.close()
         timers = hub.registry.snapshot()["timers"]
         assert timers["solver.descent"]["count"] == 1
-        (event,) = read_events(tmp_path)
-        assert event.kind == "round.complete" and event.dur is not None
+        assert read_events(tmp_path) == []
 
 
 class TestManifest:

@@ -6,10 +6,13 @@ schema-version-mismatch rejection.
 """
 
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.config import ExperimentConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
@@ -22,6 +25,37 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.scenarios import experiment_config, paper_scale_config
 from repro.experiments.sweep import PolicySpec, SweepJob, execute_job, results_identical
+from repro.live.calibrate import CalibrationReport
+from repro.live.runtime import LiveRuntime
+from repro.obs import Telemetry
+from repro.obs.export import export_metrics
+from repro.obs.registry import MetricsRegistry
+
+
+def write_client_stats(directory, stats):
+    """``LiveRuntime.write_client_stats`` over ``{client id: stats}``."""
+    runtime = SimpleNamespace(_client_stats=stats)
+    return LiveRuntime.write_client_stats(runtime, directory)
+
+
+def _profile_json(tmp_path):
+    Telemetry.for_directory(tmp_path / "trace").finalize()
+    return lambda: cli_main(
+        ["profile", str(tmp_path / "trace"), "--json", str(tmp_path / "p.json")]
+    )
+
+
+#: Every writer of a run artifact, as ``set-up(dir) -> write()``.
+WRITERS = {
+    "registry": lambda d: lambda: MetricsRegistry().dump(d / "registry-main.json"),
+    "manifest": lambda d: Telemetry.for_directory(d).finalize,
+    "metrics": lambda d: lambda: export_metrics(d, {}),
+    "profile-json": _profile_json,
+    "live-client-stats": lambda d: lambda: write_client_stats(d, {0: {"client": 0}}),
+    "calibration": lambda d: lambda: CalibrationReport(
+        rows=[], bit_identical=None, time_scale=1.0, policy="FedL", epochs=1
+    ).save(d / "calibration.json"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +143,7 @@ class TestResultBundles:
 
 
 class TestAtomicWrites:
-    """save_results/save_traces must never leave a torn file behind."""
+    """No writer may leave a torn file or a temp file behind."""
 
     def test_failed_serialization_preserves_old_file(self, tmp_path, small_result):
         path = tmp_path / "results.json"
@@ -148,47 +182,61 @@ class TestAtomicWrites:
     # torn-write guarantee as every other persisted artifact.
 
     def test_live_client_stats_failed_serialization(self, tmp_path):
-        from repro.live.runtime import atomic_write_json
-
         path = tmp_path / "live_client_3.json"
-        atomic_write_json(path, {"client": 3, "rounds": 2})
+        write_client_stats(tmp_path, {3: {"client": 3, "rounds": 2}})
         before = path.read_text()
         with pytest.raises(TypeError):
             # a set is not JSON-serializable: crash mid-serialization
-            atomic_write_json(path, {"client": 3, "drops": {1, 2}})
+            write_client_stats(tmp_path, {3: {"client": 3, "drops": {1, 2}}})
         assert path.read_text() == before              # old payload intact
         assert list(tmp_path.glob("*.tmp*")) == []     # no temp litter
 
     def test_live_client_stats_crash_mid_write(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        from repro.live.runtime import atomic_write_json
-
         path = tmp_path / "live_client_0.json"
-        atomic_write_json(path, {"client": 0})
+        write_client_stats(tmp_path, {0: {"client": 0}})
         before = path.read_text()
-        real_write = Path.write_text
+        real_fdopen = os.fdopen
 
-        def torn_write(self, text, **kwargs):
-            real_write(self, text[: len(text) // 2], **kwargs)
-            raise OSError("disk full")
+        def torn_fdopen(fd, *args, **kwargs):
+            fh = real_fdopen(fd, *args, **kwargs)
+            real_write = fh.write
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
+            def torn_write(text):
+                real_write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = torn_write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", torn_fdopen)
         with pytest.raises(OSError):
-            atomic_write_json(path, {"client": 0, "rounds": 99})
+            write_client_stats(tmp_path, {0: {"client": 0, "rounds": 99}})
         monkeypatch.undo()
         assert path.read_text() == before              # never half-replaced
         assert list(tmp_path.glob("*.tmp*")) == []     # torn temp removed
         json.loads(path.read_text())                   # still valid JSON
 
     def test_live_client_stats_fresh_write_crash_leaves_nothing(self, tmp_path):
-        from repro.live.runtime import atomic_write_json
-
         path = tmp_path / "live_client_7.json"
         with pytest.raises(TypeError):
-            atomic_write_json(path, {"bad": object()})
+            write_client_stats(tmp_path, {7: {"bad": object()}})
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", list(WRITERS.values()), ids=list(WRITERS))
+    def test_writer_leaves_no_tmp_when_replace_fails(
+        self, writer, tmp_path, monkeypatch
+    ):
+        write = writer(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write()
+        monkeypatch.undo()
+        assert list(tmp_path.rglob("*.tmp*")) == []
 
 
 class TestRobustnessSchema:

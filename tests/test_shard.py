@@ -2,8 +2,8 @@
 
 Covers the contracts promised in ``repro.fl.shard``:
 
-* single-shard ``ShardedFedLPolicy`` is bit-identical to the flat
-  ``FedLPolicy`` over a full experiment, on both closed-form engines;
+* the registry builds the flat ``FedLPolicy`` at one shard and
+  ``ShardedFedLPolicy`` from two on, which rejects a single shard;
 * hierarchical ``shard_combine`` equals the flat weighted average;
 * ``decompose_budget`` / ``decompose_floor`` never overshoot and
   redistribute deterministically;
@@ -22,7 +22,7 @@ from repro.core.fedl import FedLPolicy
 from repro.env.dynamics import DataVolumeProcess, PriceProcess
 from repro.env.state import ClientStateArrays
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import experiment_config
+from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.hierarchy import shard_combine
 from repro.fl.shard import (
     ShardedFedLPolicy,
@@ -203,23 +203,20 @@ class TestShardCombine:
             np.testing.assert_allclose(combined, flat, rtol=1e-10, atol=1e-12)
 
 
-class TestSingleShardIdentity:
-    """num_shards=1 must be the flat path, bit for bit."""
+class TestOneShardIsFlat:
+    """One shard is the flat policy; the sharded class starts at two."""
 
-    @pytest.mark.parametrize("engine", ["loop", "batched"])
-    def test_full_run_bit_identical(self, engine):
-        cfg = scaled_config(num_shards=1, engine=engine)
-        flat, sharded = fedl_pair(cfg, num_shards=1)
-        r_flat = run_experiment(flat, cfg)
-        r_shard = run_experiment(sharded, cfg)
-        assert r_flat.trace.equals(r_shard.trace)
-        np.testing.assert_array_equal(r_flat.final_w, r_shard.final_w)
+    def test_make_policy_picks_the_class_by_shard_count(self):
+        flat, sharded = (
+            make_policy("FedL", scaled_config(num_shards=s), np.random.default_rng(0))
+            for s in (1, 2)
+        )
+        assert type(flat) is FedLPolicy
+        assert type(sharded) is ShardedFedLPolicy
 
-    def test_delegates_wholesale(self):
-        cfg = scaled_config(num_shards=1)
-        _, sharded = fedl_pair(cfg, num_shards=1)
-        assert sharded._flat is not None
-        assert sharded.plan.num_shards == 1
+    def test_sharded_policy_rejects_one_shard(self):
+        with pytest.raises(ValueError, match="num_shards >= 2"):
+            fedl_pair(scaled_config(num_shards=1), num_shards=1)
 
 
 class TestShardedRun:
