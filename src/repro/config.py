@@ -209,9 +209,10 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Event-driven runtime knobs (``TrainingConfig.engine = "des"``).
+    """Network-timeline knobs (``TrainingConfig.engine`` ``"des"`` or ``"live"``).
 
-    Ignored by the closed-form loop/batched engines.  ``faults`` names a
+    The closed-form loop/batched engines have no timeline, so ``repro
+    run``/``sweep`` reject a non-default section on them.  ``faults`` names a
     preset from :data:`repro.sim.faults.FAULT_PROFILES`; under the
     Markov availability model the preset's dropout hazard is replaced by
     the chain's sojourn-consistent intra-round hazard.
@@ -232,13 +233,18 @@ class SimConfig:
                 self.deadline_s is not None and self.deadline_s > 0,
                 "deadline aggregation needs deadline_s > 0",
             )
-        elif self.deadline_s is not None:
-            _require(self.deadline_s > 0, "deadline_s must be positive")
+        else:
+            _require(
+                self.deadline_s is None,
+                "deadline_s only applies with deadline aggregation",
+            )
         if self.aggregation == "async":
             _require(
                 self.quorum is not None and self.quorum >= 1,
                 "async aggregation needs quorum >= 1",
             )
+        else:
+            _require(self.quorum is None, "quorum only applies with async aggregation")
         # Lazy import: repro.sim.faults depends only on numpy, so this
         # cannot cycle back into the config layer.
         from repro.sim.faults import FAULT_PROFILES
@@ -251,7 +257,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class LiveConfig:
-    """Live multi-process runtime knobs (``TrainingConfig.engine = "live"``).
+    """Live multi-process runtime knobs (``TrainingConfig.engine = "live"``,
+    e.g. ``repro run --set training.engine=live --set live.workers=4``).
 
     Ignored by every other engine.  The live engine forks ``workers``
     client processes and *measures* round timelines instead of computing
@@ -293,7 +300,10 @@ class AttackConfig:
     stream is touched and the run is bit-identical to an attack-free
     build.  The roster (``⌈fraction · M⌉`` compromised clients) is fixed
     per experiment; ``sleeper_period = p > 0`` makes attackers honest
-    except on every ``p``-th epoch.
+    except on every ``p``-th epoch.  With ``kind = "none"`` the three
+    attack-only fields must keep their defaults, so a knob set without an
+    attack is an error rather than a silent no-op; a field set to its own
+    default cannot be told from an unset one and is accepted.
     """
 
     kind: str = "none"                  # member of repro.fl.adversary.ATTACKS
@@ -308,6 +318,12 @@ class AttackConfig:
         _require(self.kind in ATTACKS, f"unknown attack (known: {ATTACKS})")
         if self.kind != "none":
             _require(0.0 < self.fraction < 1.0, "attack fraction in (0,1)")
+        else:
+            for name in ("fraction", "scale", "sleeper_period"):
+                _require(
+                    getattr(self, name) == getattr(AttackConfig, name),
+                    f"attack {name} only applies with an attack kind",
+                )
         _require(self.scale > 0, "attack scale must be positive")
         _require(self.sleeper_period >= 0, "sleeper_period must be >= 0")
 
@@ -421,7 +437,7 @@ class CheckpointConfig:
     directory set, the runner snapshots the *full* experiment state
     (model, learner duals, RNG streams, reliability EWMAs, budget,
     partial trace) every ``interval`` completed epochs, atomically, and
-    ``repro run/sim/live --resume <dir>`` restarts the run
+    ``repro run --resume <dir>`` restarts the run
     bit-identically from the newest snapshot.  Checkpointing never
     perturbs the trajectory, so the sweep cache fingerprint excludes
     this section.

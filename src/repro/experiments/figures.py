@@ -48,6 +48,7 @@ def run_policy_suite(
     seed: int = 0,
     num_clients: int = 30,
     max_epochs: int = 150,
+    min_participants: int = 5,
     policies: Sequence[str] = POLICY_NAMES,
     workers: int = 1,
     cache: Optional[SweepCache] = None,
@@ -59,6 +60,7 @@ def run_policy_suite(
         budget=budget,
         seed=seed,
         num_clients=num_clients,
+        min_participants=min_participants,
         max_epochs=max_epochs,
     )
     jobs = [SweepJob(policy=PolicySpec(name=name), config=cfg) for name in policies]

@@ -333,7 +333,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Drive ``policy`` through the budget-constrained FL process.
 
-    ``heartbeat_s`` (CLI ``repro sim``/``repro run`` progress heartbeat)
+    ``heartbeat_s`` (the ``repro run`` progress heartbeat)
     prints an epoch-throughput line to stderr at most every that many
     seconds; ``None`` (the default, and under ``--quiet``) stays silent.
 

@@ -152,11 +152,13 @@ def scenario_config(scenario: ScenarioSpec, base: ExperimentConfig) -> Experimen
 
     The one base-dependent value lives here: an async scenario's quorum
     is the base's participation floor ``n``, so the epoch closes once
-    ``n`` uploads have arrived whatever the base's scale.
+    ``n`` uploads have arrived whatever the base's scale; a deadline the
+    base set does not apply to async aggregation and is dropped.
     """
     overrides = dict(scenario.overrides)
     if overrides.get("sim.aggregation") == "async":
         overrides["sim.quorum"] = base.min_participants
+        overrides["sim.deadline_s"] = None
     return base.override(overrides)
 
 

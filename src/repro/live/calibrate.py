@@ -188,6 +188,7 @@ def run_calibration(
                     config.sim,
                     aggregation="async",
                     quorum=config.min_participants,
+                    deadline_s=None,
                 ),
             )
         )

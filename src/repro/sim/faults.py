@@ -101,7 +101,7 @@ class FaultProfile:
         return cls(dropout_hazard=float(hazard), **overrides)
 
 
-#: Named presets selectable from the CLI (`--faults`) and `sim.faults`.
+#: Named presets selectable as `sim.faults` (CLI: `--set sim.faults=NAME`).
 FAULT_PROFILES: Dict[str, FaultProfile] = {
     "none": FaultProfile(),
     "flaky-uplink": FaultProfile(

@@ -420,8 +420,8 @@ class TestCliResumeContract:
                     "run",
                     "--checkpoint-dir",
                     str(tmp_path),
-                    "--checkpoint-interval",
-                    "0",
+                    "--set",
+                    "checkpoint.interval=0",
                 ]
             )
             == 2

@@ -163,20 +163,44 @@ class TestCalibration:
         assert "bit-identity: PASS" in rendered
         assert "none" in rendered
 
+    @pytest.mark.parametrize("sim", [
+        SimConfig(aggregation="deadline", deadline_s=0.02),
+        SimConfig(aggregation="async", quorum=1),
+    ])
+    def test_async_cell_built_from_any_aggregation(self, monkeypatch, sim):
+        """The appended async-quorum cell replaces the config's own
+        barrier policy, so a deadline or quorum it set cannot make that
+        cell's config invalid."""
+        seen = []
+
+        def stub(cfg, policy, engine):
+            seen.append((engine, cfg.sim))
+            return None, "stub"
+
+        monkeypatch.setattr("repro.live.calibrate._run_engine", stub)
+        cfg = experiment_config(**SMALL).replace(sim=sim)
+        report = run_calibration(cfg, policy="FedAvg", profiles=("none",))
+        assert [r.aggregation for r in report.rows] == [sim.aggregation, "async"]
+        assert seen[-1] == (
+            "live", SimConfig(aggregation="async", quorum=SMALL["min_participants"])
+        )
+
 
 class TestCliLive:
-    COMMON = [
-        "live", "--clients", "6", "--participants", "2",
-        "--epochs", "2", "--budget", "150",
+    LIVE = ["run", "--set", "training.engine=live"]
+    COMMON = LIVE + [
+        "--clients", "6", "--participants", "2", "--epochs", "2", "--budget", "150",
     ]
 
     def test_semantic_validation_exits_2(self, capsys):
-        assert main(["live", "--workers", "0"]) == 2
-        assert main(["live", "--time-scale", "0"]) == 2
-        assert main(["live", "--round-timeout", "-1"]) == 2
-        assert main(["live", "--out", "x.json"]) == 2      # needs --calibrate
-        assert main(["live", "--profiles", "none"]) == 2   # needs --calibrate
-        capsys.readouterr()
+        assert main(self.LIVE + ["--set", "live.workers=0"]) == 2
+        assert main(self.LIVE + ["--set", "live.time_scale=0"]) == 2
+        assert main(self.LIVE + ["--set", "live.round_timeout_s=-1"]) == 2
+        assert main(["run", "--profiles", "none"]) == 2         # needs --calibrate
+        assert main(["run", "--calibrate", "--param", "d=3"]) == 2
+        err = capsys.readouterr().err
+        assert "workers must be >= 1" in err
+        assert "--profiles only applies with --calibrate" in err
 
     def test_run_exits_0(self, capsys):
         assert main(self.COMMON) == 0
@@ -187,8 +211,8 @@ class TestCliLive:
     def test_floor_abort_exits_1(self, capsys):
         rc = main(
             [
-                "live", "--clients", "4", "--participants", "4",
-                "--epochs", "4", "--budget", "500", "--faults", "stress",
+                *self.LIVE, "--clients", "4", "--participants", "4",
+                "--epochs", "4", "--budget", "500", "--set", "sim.faults=stress",
             ]
         )
         assert rc == 1

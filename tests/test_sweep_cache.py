@@ -201,7 +201,7 @@ class TestOneRunOneKey:
         rc = main([
             "sweep", "--dataset", "fmnist", "--budgets", "120", "--seeds", "0",
             "--clients", "8", "--participants", "3", "--epochs", "3",
-            "--policies", "FedL", "--engine", "des", "--workers", "1",
+            "--policies", "FedL", "--set", "training.engine=des", "--workers", "1",
             "--quiet", "--cache-dir", str(tmp_path),
         ])
         assert rc == 0

@@ -101,9 +101,10 @@ def test_forked_live_worker_sees_the_parents_values(tmp_path):
         f"    open({str(seen)!r}, 'w').write(json.dumps({READ_ENV}))\n"
         "    real(*args, **kwargs)\n"
         "worker.worker_main = reporting_worker_main\n"
-        "sys.exit(main(['live', '--budget', '100', '--clients', '4',\n"
-        "               '--participants', '2', '--epochs', '2', '--workers', '1',\n"
-        "               '--time-scale', '0.01']))\n"
+        "sys.exit(main(['run', '--budget', '100', '--clients', '4',\n"
+        "               '--participants', '2', '--epochs', '2',\n"
+        "               '--set', 'training.engine=live', '--set', 'live.workers=1',\n"
+        "               '--set', 'live.time_scale=0.01']))\n"
     )
     proc = run_python("-c", script, MKL_NUM_THREADS="3")
     assert proc.returncode == 0, proc.stderr
