@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands::
+Six subcommands::
 
     python -m repro run      --policy FedL --dataset fmnist --budget 600 \
                              [--set PATH=VALUE ...] [--param KEY=VALUE ...] \
@@ -11,8 +11,8 @@ Seven subcommands::
                              [--set PATH=VALUE ...] [--cache-dir DIR]
     python -m repro tournament [--quick] [--list] [--strategies A B] \
                              [--scenarios X Y] [--out REPORT.json]
-    python -m repro trace    out/trace [--run PREFIX] [--follow]
-    python -m repro profile  out/trace [--diff other/trace] [--top 10]
+    python -m repro trace    out/trace [--run PREFIX] [--follow] \
+                             [--diff other/trace]
     python -m repro regret   --horizons 25 50 100
 
 ``run`` and ``sweep`` describe an experiment the same way.  The paper's
@@ -43,7 +43,10 @@ shard.num_shards``/``shard.eval_sample`` says otherwise.
 bit-identically from its newest snapshot, whose config it takes whole.
 ``sweep`` and ``tournament`` run their grids on the process-parallel
 sweep engine; ``--cache-dir`` serves finished jobs from disk.
-``--telemetry DIR`` records what ``trace`` and ``profile`` render.
+``--telemetry DIR`` records what ``trace`` renders: the phase tree of
+the recorded timers, the hot phases, counters and the learner's
+trajectories; ``--diff DIR2`` adds the per-phase delta table against a
+second recording.
 
 Exit codes: 0 on success, 2 on argument errors (argparse failures,
 malformed ``KEY=VALUE`` items, values the config or the strategy
@@ -64,7 +67,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import __version__
-from repro.atomic import atomic_write_text
 from repro.checkpoint import (
     CheckpointError,
     ExperimentInterrupted,
@@ -88,7 +90,14 @@ from repro.experiments.sweep import (
 from repro.experiments.tables import headline_claims
 from repro.live import LiveError, run_calibration
 from repro.live.calibrate import DEFAULT_PROFILES
-from repro.obs import Telemetry, render_trace, use_telemetry
+from repro.obs import (
+    Telemetry,
+    UnknownRunError,
+    profile_directory,
+    render_diff,
+    render_trace,
+    use_telemetry,
+)
 from repro.rng import RngFactory
 from repro.sim.faults import FAULT_PROFILES, ParticipationFloorError
 from repro.strategies import (
@@ -229,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trc = sub.add_parser(
         "trace",
-        help="render a recorded --telemetry directory (timing tables, "
-        "dual/regret/fit trajectories)",
+        help="render a recorded --telemetry directory (phase tree, hot "
+        "phases, dual/regret/fit trajectories)",
     )
     p_trc.add_argument("directory", type=str, metavar="DIR")
     p_trc.add_argument("--run", type=str, default=None, metavar="PREFIX",
@@ -246,21 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trc.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="give up following after this much wall time "
                        "(default: wait until the run finalizes)")
-
-    p_prf = sub.add_parser(
-        "profile",
-        help="hierarchical phase profile of a finished trace directory "
-        "(self vs cumulative time, per-epoch cost, hot-phase ranking)",
-    )
-    p_prf.add_argument("directory", type=str, metavar="DIR")
-    p_prf.add_argument("--diff", type=str, default=None, metavar="DIR2",
-                       help="also diff against a second trace directory "
-                       "(per-phase delta table, regression highlighting)")
-    p_prf.add_argument("--top", type=int, default=10, metavar="N",
-                       help="hot phases to rank by self time (default 10)")
-    p_prf.add_argument("--json", type=str, default=None, metavar="PATH.json",
-                       dest="json_out",
-                       help="also write the profile document as JSON")
+    p_trc.add_argument("--diff", type=str, default=None, metavar="DIR2",
+                       help="append the per-phase delta table of DIR2 "
+                       "against DIR (regressions past +5%% mean/call marked)")
 
     p_reg = sub.add_parser("regret", help="dynamic regret/fit growth check")
     p_reg.add_argument("--horizons", type=int, nargs="+", default=[25, 50, 100])
@@ -748,6 +745,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # directory (or its first events file) may not exist yet, so the
         # static validations below do not apply — --timeout bounds the
         # wait instead.
+        if args.diff:
+            return _usage_error("--diff needs two finished traces, not --follow")
         if args.poll <= 0:
             return _usage_error("--poll must be positive")
         if args.timeout is not None and args.timeout < 0:
@@ -757,49 +756,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return follow_trace(
             directory, run=args.run, poll_s=args.poll, timeout_s=args.timeout
         )
-    if not directory.is_dir():
-        return _usage_error(f"not a telemetry directory: {directory}")
+    dirs = [directory] + ([Path(args.diff).expanduser()] if args.diff else [])
+    for d in dirs:
+        if not d.is_dir():
+            return _usage_error(f"not a telemetry directory: {d}")
     if not any(directory.glob("events*.jsonl")):
         return _usage_error(f"no events*.jsonl files under {directory}")
-    print(render_trace(directory, run=args.run, chart=not args.no_chart))
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import profile_directory, render_diff, render_profile
-
-    if args.top < 1:
-        return _usage_error("--top must be >= 1")
-    directory = Path(args.directory).expanduser()
-    if not directory.is_dir():
-        return _usage_error(f"not a telemetry directory: {directory}")
-    profile = profile_directory(directory)
-    if profile is None:
-        return _usage_error(
-            f"no manifest.json under {directory} (profile needs a "
-            "finalized trace; is the run still in flight?)"
-        )
-    print(render_profile(profile, top=args.top, label=str(directory)), end="")
+    diff = None
     if args.diff:
-        other_dir = Path(args.diff).expanduser()
-        if not other_dir.is_dir():
-            return _usage_error(f"not a telemetry directory: {other_dir}")
-        other = profile_directory(other_dir)
-        if other is None:
-            return _usage_error(f"no manifest.json under {other_dir}")
+        profiles = [profile_directory(d) for d in dirs]
+        for d, profile in zip(dirs, profiles):
+            if profile is None:
+                return _usage_error(
+                    f"no manifest.json under {d} (--diff needs finalized "
+                    "traces; is the run still in flight?)"
+                )
+        diff = render_diff(*profiles, label_a=str(dirs[0]), label_b=str(dirs[1]))
+    try:
+        print(render_trace(directory, run=args.run, chart=not args.no_chart))
+    except UnknownRunError as exc:
+        return _usage_error(str(exc))
+    if diff is not None:
         print()
-        print(
-            render_diff(
-                profile, other, label_a=str(directory), label_b=str(other_dir)
-            ),
-            end="",
-        )
-    if args.json_out:
-        path = atomic_write_text(
-            Path(args.json_out).expanduser(),
-            json.dumps(profile, indent=2, sort_keys=True) + "\n",
-        )
-        print(f"profile -> {path}", file=sys.stderr)
+        print(diff)
     return 0
 
 
@@ -839,7 +818,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "tournament": _cmd_tournament,
         "trace": _cmd_trace,
-        "profile": _cmd_profile,
         "regret": _cmd_regret,
     }
     return handlers[args.command](args)

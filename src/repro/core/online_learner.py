@@ -18,7 +18,6 @@ State: the fractional decision ``Φ̃_t`` and the Lagrange multiplier
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,57 +166,55 @@ class OnlineLearner:
             return g
 
         tel = get_telemetry()
-        t0 = time.perf_counter() if tel.enabled else 0.0
         warm_hit = False
         iterations_saved = 0
-        if self.solver == "projected_gradient":
-            carried = self._pg_state if self.warm_start else None
-            warm_hit = carried is not None
-            res = projected_gradient(
-                objective,
-                gradient,
-                problem.project,
-                x0=v_prev,
-                max_iters=self.solver_max_iters,
-                tol=self.solver_tol,
-                state=carried,
-            )
-            v_new = res.x
-            if self.warm_start:
-                self._pg_state = ProjectedGradientState.from_result(res)
-                if self._first_solve_iters is None:
-                    self._first_solve_iters = int(res.iterations)
-                elif warm_hit:
-                    # Iterations saved relative to this run's cold first
-                    # solve — the observable the trace report aggregates.
-                    iterations_saved = max(
-                        0, self._first_solve_iters - int(res.iterations)
-                    )
-        else:
-            A, b = problem.constraint_matrix()
+        with tel.timer(f"solver.{self.solver}") as solve_timer:
+            if self.solver == "projected_gradient":
+                carried = self._pg_state if self.warm_start else None
+                warm_hit = carried is not None
+                res = projected_gradient(
+                    objective,
+                    gradient,
+                    problem.project,
+                    x0=v_prev,
+                    max_iters=self.solver_max_iters,
+                    tol=self.solver_tol,
+                    state=carried,
+                )
+                v_new = res.x
+                if self.warm_start:
+                    self._pg_state = ProjectedGradientState.from_result(res)
+                    if self._first_solve_iters is None:
+                        self._first_solve_iters = int(res.iterations)
+                    elif warm_hit:
+                        # Iterations saved relative to this run's cold first
+                        # solve — the observable the trace report aggregates.
+                        iterations_saved = max(
+                            0, self._first_solve_iters - int(res.iterations)
+                        )
+            else:
+                A, b = problem.constraint_matrix()
 
-            def hessian(v: np.ndarray) -> np.ndarray:
-                return problem.hess_mu_h(mu) + np.eye(v.size) / self.beta
+                def hessian(v: np.ndarray) -> np.ndarray:
+                    return problem.hess_mu_h(mu) + np.eye(v.size) / self.beta
 
-            res = solve_interior_point(
-                objective,
-                gradient,
-                hessian,
-                A,
-                b,
-                x0=v_prev,
-                x_interior=problem.interior_point(),
-                tol=self.solver_tol,
-                max_outer=20,
-            )
-            v_new = res.x
-        # Numerical guard: snap into the box.
-        lo, hi = problem.box_bounds()
-        v_new = np.clip(v_new, lo, hi)
-        self.state.phi = Phi.from_vector(v_new)
+                res = solve_interior_point(
+                    objective,
+                    gradient,
+                    hessian,
+                    A,
+                    b,
+                    x0=v_prev,
+                    x_interior=problem.interior_point(),
+                    tol=self.solver_tol,
+                    max_outer=20,
+                )
+                v_new = res.x
+            # Numerical guard: snap into the box.
+            lo, hi = problem.box_bounds()
+            v_new = np.clip(v_new, lo, hi)
+            self.state.phi = Phi.from_vector(v_new)
         if tel.enabled:
-            dt = time.perf_counter() - t0
-            tel.registry.record_timer(f"solver.{self.solver}", dt)
             residual = (
                 res.grad_norm if self.solver == "projected_gradient" else res.barrier_mu
             )
@@ -240,7 +237,7 @@ class OnlineLearner:
                     "warm_start_hit": warm_hit,
                     "iterations_saved": iterations_saved,
                 },
-                dur=dt,
+                dur=solve_timer.seconds,
             )
         return self.state.phi
 

@@ -545,7 +545,7 @@ def _run_experiment_loop(
             tau_oracle=tau_oracle,
             reliability=state.reliability.copy() if track_reliability else None,
         )
-        with tel.timer("experiment.select"):
+        with tel.timer("strategies.select"):
             decision: Decision = policy.select(ctx)
         sel = decision.selected & available
         if int(sel.sum()) < 1:
@@ -667,7 +667,7 @@ def _run_experiment_loop(
                 live_round=live_runtime.begin_round(live_spec, fault_rng)
             )
 
-        with tel.timer("experiment.round"):
+        with tel.timer("fl.round"):
             result = run_federated_round(
                 sim.server,
                 sim.clients,

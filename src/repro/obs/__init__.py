@@ -1,22 +1,26 @@
 """Dependency-free structured telemetry for runs and sweeps.
 
-Three layers:
+Four modules write a recording:
 
 * :mod:`repro.obs.events` — the versioned JSONL event schema (monotonic
   sequence numbers, run/epoch/worker scoping, all wall-clock data
   isolated in the ``ts`` field so traces diff deterministically).
-* :mod:`repro.obs.registry` — hierarchical timer/counter/gauge registry
-  with snapshot/merge for process-safe aggregation across sweep workers.
+* :mod:`repro.obs.registry` — timer/counter/gauge registry with
+  snapshot/merge for process-safe aggregation across sweep workers.
 * :mod:`repro.obs.hub` — the process-current :class:`Telemetry` hub the
   instrumentation in the learner / round runner / experiment loop /
-  sweep engine reports to.  Defaults to a no-op hub: with telemetry
-  disabled nothing is emitted, timed, or attached to results.
+  sweep engine reports to.  Its timers key each measurement by the path
+  of the timers open around it, so the registry holds the phase tree
+  that ran.  Defaults to a no-op hub: with telemetry disabled nothing is
+  emitted, timed, or attached to results.
+* :mod:`repro.obs.export` — ``metrics.json``/``metrics.prom``, written at
+  finalize.
 
-Recorded traces are rendered by :mod:`repro.obs.trace_report`
-(``repro trace DIR``), profiled by :mod:`repro.obs.profile`
-(``repro profile DIR [--diff OTHER]``), tailed live by
-:mod:`repro.obs.follow` (``repro trace DIR --follow``), and exported to
-``metrics.json``/``metrics.prom`` at finalize by :mod:`repro.obs.export`.
+Three read one: :mod:`repro.obs.trace_report` renders it (``repro trace
+DIR``), :mod:`repro.obs.profile` builds, renders and diffs its phase
+tree for that report (``repro trace DIR --diff OTHER``), and
+:mod:`repro.obs.follow` tails one that is still running (``repro trace
+DIR --follow``).
 """
 
 from repro.obs.events import (
@@ -54,10 +58,8 @@ from repro.obs.export import (
 )
 from repro.obs.follow import TraceFollower, follow_trace, sparkline
 from repro.obs.profile import (
-    PROFILE_SCHEMA_VERSION,
     build_profile,
     diff_profiles,
-    engine_counts,
     profile_directory,
     render_diff,
     render_profile,
@@ -68,7 +70,7 @@ from repro.obs.registry import (
     load_snapshot,
     merge_snapshots,
 )
-from repro.obs.trace_report import load_manifest, render_trace
+from repro.obs.trace_report import UnknownRunError, load_manifest, render_trace
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -97,6 +99,7 @@ __all__ = [
     "validate_manifest",
     "load_manifest",
     "render_trace",
+    "UnknownRunError",
     "METRICS_SCHEMA_VERSION",
     "METRICS_NAME",
     "PROM_NAME",
@@ -104,10 +107,8 @@ __all__ = [
     "prometheus_exposition",
     "export_metrics",
     "load_metrics",
-    "PROFILE_SCHEMA_VERSION",
     "build_profile",
     "profile_directory",
-    "engine_counts",
     "render_profile",
     "diff_profiles",
     "render_diff",

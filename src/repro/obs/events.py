@@ -32,6 +32,7 @@ __all__ = [
     "EVENT_KINDS",
     "Event",
     "jsonify",
+    "decode_number",
     "event_to_line",
     "parse_event_line",
     "validate_event_dict",
@@ -96,6 +97,22 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
     raise TypeError(f"cannot jsonify {type(value).__name__}: {value!r}")
+
+
+_NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+def decode_number(value: Any, default: Optional[float] = None) -> Optional[float]:
+    """Undo :func:`jsonify`'s non-finite encoding: a JSON number or one of
+    ``"nan"``/``"inf"``/``"-inf"`` becomes a float, anything else (a bool,
+    ``None``, another string, a container) is ``default``."""
+    if isinstance(value, bool):
+        return default
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, default)
+    return default
 
 
 @dataclass(frozen=True)

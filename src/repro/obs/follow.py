@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
+from repro.obs.events import decode_number as _num
 from repro.obs.hub import MANIFEST_NAME
 
 __all__ = ["TraceFollower", "follow_trace", "sparkline"]
@@ -60,21 +61,6 @@ def sparkline(values: Sequence[float], width: int = 20) -> str:
     return "".join(
         SPARK_CHARS[int(round((v - lo) / (hi - lo) * top))] for v in vals
     )
-
-
-def _num(value: object) -> Optional[float]:
-    """Undo :func:`repro.obs.events.jsonify`'s non-finite encoding."""
-    if isinstance(value, bool) or value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if value == "nan":
-        return float("nan")
-    if value == "inf":
-        return float("inf")
-    if value == "-inf":
-        return float("-inf")
-    return None
 
 
 def _finite(value: object) -> bool:

@@ -9,6 +9,12 @@ construct hubs; they fetch the process-current one::
     with tel.timer("round.local_solve"):
         ...
 
+A timer's registry key is the path of the timers open around it, joined
+by ``/``, then its own name: ``round.local_solve`` opened inside
+``fl.round`` inside a sweep job records under
+``sweep.job/fl.round/round.local_solve``.  The phase tree that ``repro
+trace`` renders is read off those keys, so it is the nesting that ran.
+
 The default hub is :data:`NULL_TELEMETRY`, whose ``enabled`` is False and
 whose ``timer`` returns a shared no-op context manager — instrumentation
 costs one module-global read and an attribute check when telemetry is
@@ -34,7 +40,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Mapping, Optional, TextIO
 
 from repro.atomic import atomic_write_text
 from repro.host import host_record
@@ -78,20 +84,28 @@ _NULL_TIMER = _NullTimer()
 
 
 class _Timer:
-    """Measures a block and records it in the registry."""
+    """Measures a block and records it in the registry under its path;
+    ``seconds`` holds the measurement once the block exits."""
 
-    __slots__ = ("_hub", "_name", "_t0")
+    __slots__ = ("_hub", "_name", "_key", "_t0", "seconds")
 
     def __init__(self, hub: "Telemetry", name: str) -> None:
         self._hub = hub
         self._name = name
 
     def __enter__(self) -> "_Timer":
+        open_keys = self._hub._open_timers
+        self._key = (
+            f"{open_keys[-1]}/{self._name}" if open_keys else self._name
+        )
+        open_keys.append(self._key)
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        self._hub.registry.record_timer(self._name, time.perf_counter() - self._t0)
+        self.seconds = time.perf_counter() - self._t0
+        self._hub._open_timers.pop()
+        self._hub.registry.record_timer(self._key, self.seconds)
         return False
 
 
@@ -112,6 +126,9 @@ class Telemetry:
         self.directory = Path(directory) if directory is not None else None
         self.progress_stream = progress_stream
         self.registry = MetricsRegistry()
+        # Keys of the timers open right now, outermost first.  Every timer
+        # site runs on the experiment loop's thread, so one stack suffices.
+        self._open_timers: List[str] = []
         self._seq = 0
         self._epoch: Optional[int] = None
         self._finalized = False
@@ -182,8 +199,8 @@ class Telemetry:
     # -- registry shorthands -----------------------------------------------------
 
     def timer(self, name: str) -> _Timer:
-        """``with tel.timer("solver.descent"): ...`` — records into the
-        registry."""
+        """``with tel.timer("round.aggregate"): ...`` — records the block's
+        wall time under its path (see the module docstring)."""
         return _Timer(self, name)
 
     def counter(self, name: str, value: float = 1.0) -> None:

@@ -1,102 +1,43 @@
-"""Deterministic hierarchical phase profiler over the telemetry registry.
+"""The phase tree of a telemetry run directory: build, render, diff.
 
-The merged timer registry inside ``manifest.json`` already carries every
-phase's count/total/min/max, but its hierarchy is purely lexical
-(``round.local_solve`` does not nest under ``experiment.round`` by name
-even though it always runs inside it).  This module reconstructs the
-*temporal* phase tree the instrumentation actually has, computes **self
-time** (a phase's cumulative total minus its direct children's totals —
-the time spent in the phase itself rather than in measured sub-phases),
-and renders:
+Every timer in the manifest's merged registry is keyed by its path: the
+``/``-joined names of the timers that were open around it, then its own
+name (:class:`repro.obs.hub.Telemetry` records the path at run time).  A
+node's parent is its key without the last segment, so the tree here is
+the nesting that actually ran; one timer that runs under four parents
+(the solver inside each selection shard) is four nodes.  From that tree
+this module computes **self time** (a phase's cumulative total minus its
+direct children's totals: the time spent in the phase itself rather
+than in measured sub-phases) and renders:
 
 * a tree view with count / cumulative / self / mean / per-epoch columns
   (per-epoch attribution divides by the manifest's ``epoch.complete``
   count, so a 200-epoch sweep reads directly in ms/epoch);
-* a flat "hot phases" ranking by self time — the list that answers
+* a flat "hot phases" ranking by self time, the list that answers
   "where did the time actually go";
-* a diff of two profiles (``repro profile A --diff B``) with per-phase
+* a diff of two profiles (``repro trace A --diff B``) with per-phase
   Δtotal/Δmean and regression highlighting.
 
-Everything here is a pure function of the input manifests: rendering the
-same manifest twice is byte-identical (all wall-clock content in a trace
-directory lives in the manifest's ``ts`` block and the timer stats, which
-are inputs, not ambient state).  The engine mix (loop/batched/des) is
-read from the ``round.complete`` events' ``engine`` field so a profile is
-labeled with what actually executed.
+Manifests written before timers recorded their path have flat keys and
+render as a flat list of roots.  Everything here is a pure function of
+its inputs, so rendering the same manifest twice is byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
-    "PROFILE_SCHEMA_VERSION",
-    "PHASE_PARENTS",
     "build_profile",
     "profile_directory",
-    "engine_counts",
     "render_profile",
     "diff_profiles",
     "render_diff",
 ]
 
-PROFILE_SCHEMA_VERSION = 1
-
-#: Temporal containment edges that the lexical timer names cannot express:
-#: solver iterations run inside the policy's select phase, the round
-#: timers inside the experiment round, and both experiment phases inside a
-#: sweep job.  Keys are exact timer names or dotted prefixes (trailing
-#: ``"."``); an edge only applies when the parent timer actually exists in
-#: the registry (a plain ``repro run`` has no ``sweep.job``), otherwise
-#: resolution falls back to the longest lexical prefix that is a timer.
-PHASE_PARENTS: Dict[str, str] = {
-    "experiment.select": "sweep.job",
-    "experiment.round": "sweep.job",
-    "solver.": "experiment.select",
-    "round.": "experiment.round",
-    "sim.round": "experiment.round",
-}
-
-
-def _declared_parent(name: str) -> Optional[str]:
-    exact = PHASE_PARENTS.get(name)
-    if exact is not None:
-        return exact
-    for prefix, parent in PHASE_PARENTS.items():
-        if prefix.endswith(".") and name.startswith(prefix):
-            return parent
-    return None
-
-
-def _parent_of(name: str, names: "set[str]") -> Optional[str]:
-    declared = _declared_parent(name)
-    if declared is not None and declared != name and declared in names:
-        return declared
-    parts = name.split(".")
-    for i in range(len(parts) - 1, 0, -1):
-        candidate = ".".join(parts[:i])
-        if candidate in names:
-            return candidate
-    return None
-
-
-def engine_counts(directory: str | Path) -> Dict[str, int]:
-    """Rounds executed per engine, from ``round.complete`` events."""
-    from repro.obs.events import iter_trace_lines
-
-    counts: Dict[str, int] = {}
-    for line in iter_trace_lines(directory):
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if payload.get("kind") != "round.complete":
-            continue
-        engine = payload.get("data", {}).get("engine", "?")
-        counts[str(engine)] = counts.get(str(engine), 0) + 1
-    return dict(sorted(counts.items()))
+#: Phases the hot-phase ranking lists.
+HOT_PHASES = 10
 
 
 def build_profile(
@@ -105,40 +46,37 @@ def build_profile(
 ) -> Dict[str, Any]:
     """Build the phase-tree profile document from a telemetry manifest."""
     timers = manifest.get("registry", {}).get("timers", {})
-    names = set(timers)
     phases: Dict[str, Dict[str, Any]] = {}
-    for name in sorted(names):
-        stat = timers[name]
-        phases[name] = {
+    for key in sorted(timers):
+        stat = timers[key]
+        parent = key.rpartition("/")[0]
+        phases[key] = {
             "count": int(stat.get("count", 0)),
             "total_s": float(stat.get("total_s", 0.0)),
             "min_s": float(stat.get("min_s", 0.0)),
             "max_s": float(stat.get("max_s", 0.0)),
-            "parent": _parent_of(name, names),
+            "parent": parent if parent in timers else None,
             "children": [],
         }
-    for name, node in phases.items():
+    for key, node in phases.items():
         if node["parent"] is not None:
-            phases[node["parent"]]["children"].append(name)
+            phases[node["parent"]]["children"].append(key)
     for node in phases.values():
-        node["children"].sort()
         child_total = sum(phases[c]["total_s"] for c in node["children"])
         node["self_s"] = max(0.0, node["total_s"] - child_total)
-    roots = sorted(n for n, node in phases.items() if node["parent"] is None)
+    roots = [k for k, node in phases.items() if node["parent"] is None]
 
-    def _depth(name: str) -> int:
-        d, cur = 0, phases[name]["parent"]
+    def _depth(key: str) -> int:
+        d, cur = 0, phases[key]["parent"]
         while cur is not None:
             d, cur = d + 1, phases[cur]["parent"]
         return d
 
-    for name, node in phases.items():
-        node["depth"] = _depth(name)
+    for key, node in phases.items():
+        node["depth"] = _depth(key)
     event_counts = manifest.get("event_counts", {})
     epochs = int(event_counts.get("epoch.complete", 0))
     return {
-        "v": PROFILE_SCHEMA_VERSION,
-        "kind": "profile",
         "phases": phases,
         "roots": roots,
         "epochs": epochs,
@@ -152,9 +90,7 @@ def profile_directory(directory: str | Path) -> Optional[Dict[str, Any]]:
     from repro.obs.trace_report import load_manifest
 
     manifest = load_manifest(directory)
-    if manifest is None:
-        return None
-    return build_profile(manifest, engines=engine_counts(directory))
+    return None if manifest is None else build_profile(manifest)
 
 
 # -- rendering -----------------------------------------------------------------
@@ -187,17 +123,9 @@ def _tree_order(profile: Mapping[str, Any]) -> List[str]:
     return order
 
 
-def render_profile(
-    profile: Mapping[str, Any],
-    top: int = 10,
-    label: str = "",
-) -> str:
-    """Render one profile: header, phase tree, hot-phase ranking."""
+def render_profile(profile: Mapping[str, Any]) -> str:
+    """Render one profile: summary line, phase tree, hot-phase ranking."""
     phases = profile["phases"]
-    lines: List[str] = []
-    title = "phase profile" + (f": {label}" if label else "")
-    lines.append(title)
-    lines.append("=" * len(title))
     engines = profile.get("engines") or {}
     engine_str = (
         "  ".join(f"{k}x{v}" for k, v in sorted(engines.items()))
@@ -205,13 +133,13 @@ def render_profile(
         else "unknown"
     )
     epochs = int(profile.get("epochs", 0))
-    lines.append(
+    lines: List[str] = [
         f"phases: {len(phases)}   runs: {profile.get('runs', 0)}   "
         f"epochs: {epochs}   engines: {engine_str}"
-    )
+    ]
     if not phases:
         lines.append("(no timers recorded)")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
     wall = sum(phases[r]["total_s"] for r in profile["roots"])
     lines.append("")
     header = (
@@ -222,13 +150,13 @@ def render_profile(
         header += f" {'per-epoch':>10}"
     lines.append(header)
     lines.append("-" * len(header))
-    for name in _tree_order(profile):
-        node = phases[name]
-        indent = "  " * node["depth"]
+    for key in _tree_order(profile):
+        node = phases[key]
+        label = key if node["parent"] is None else key[len(node["parent"]) + 1 :]
         mean = node["total_s"] / node["count"] if node["count"] else 0.0
         pct = 100.0 * node["total_s"] / wall if wall > 0 else 0.0
         row = (
-            f"{indent + name:<34} {node['count']:>8} "
+            f"{'  ' * node['depth'] + label:<34} {node['count']:>8} "
             f"{_fmt_s(node['total_s']):>10} {_fmt_s(node['self_s']):>10} "
             f"{_fmt_s(mean):>9} {pct:>5.1f}%"
         )
@@ -236,18 +164,18 @@ def render_profile(
             row += f" {_fmt_s(node['total_s'] / epochs):>10}"
         lines.append(row)
     lines.append("")
-    lines.append(f"hot phases (self time, top {top}):")
+    lines.append(f"hot phases (self time, top {HOT_PHASES}):")
     ranked = sorted(
         phases.items(), key=lambda kv: (-kv[1]["self_s"], kv[0])
-    )[: max(1, top)]
+    )[:HOT_PHASES]
     total_self = sum(node["self_s"] for node in phases.values())
-    for rank, (name, node) in enumerate(ranked, 1):
+    for rank, (key, node) in enumerate(ranked, 1):
         share = 100.0 * node["self_s"] / total_self if total_self > 0 else 0.0
         lines.append(
-            f"  {rank:>2}. {name:<32} {_fmt_s(node['self_s']):>10}  "
-            f"{share:5.1f}% of self time, {node['count']} calls"
+            f"  {rank:>2}. {_fmt_s(node['self_s']):>10}  {share:5.1f}% of "
+            f"self time  {node['count']:>6} calls  {key}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # -- diffing -------------------------------------------------------------------
@@ -303,7 +231,8 @@ def render_diff(
     label_a: str = "A",
     label_b: str = "B",
 ) -> str:
-    """Render :func:`diff_profiles` as a fixed-width delta table."""
+    """Render :func:`diff_profiles` as a delta table whose phase column
+    fits the longest phase path."""
     rows = diff_profiles(a, b)
     lines: List[str] = []
     title = f"profile diff: {label_a} -> {label_b}"
@@ -311,9 +240,10 @@ def render_diff(
     lines.append("=" * len(title))
     if not rows:
         lines.append("(no phases in either profile)")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
+    width = max(30, *(len(r["phase"]) for r in rows))
     header = (
-        f"{'phase':<30} {'count':>13} {'total':>21} {'mean':>19} "
+        f"{'phase':<{width}} {'count':>13} {'total':>21} {'mean':>19} "
         f"{'d-mean':>8}"
     )
     lines.append(header)
@@ -328,7 +258,7 @@ def render_diff(
             dmean = f"{row['mean_delta_pct']:+.1f}%"
         marker = " !" if row["regressed"] else ""
         lines.append(
-            f"{row['phase']:<30} {counts:>13} {totals:>21} {means:>19} "
+            f"{row['phase']:<{width}} {counts:>13} {totals:>21} {means:>19} "
             f"{dmean:>8}{marker}"
         )
     regressions = [r for r in rows if r["regressed"]]
@@ -340,4 +270,4 @@ def render_diff(
         )
     else:
         lines.append("no per-call regressions past 5%")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)

@@ -1,8 +1,9 @@
 """Hierarchical timer/counter/gauge registry with cross-process merging.
 
-Names are dot-separated paths (``"solver.descent"``, ``"round.local_solve"``)
-— the hierarchy is purely lexical, so aggregation and rendering can group
-by prefix without any registration ceremony.
+Counter and gauge names are dotted (``"solver.iterations"``).  A timer's
+name is the ``/``-joined path of the timers that were open around it
+(``"fl.round/round.local_solve"``); the hub builds that path, so the
+registry stores it as an opaque key and merges equal keys.
 
 Process safety model: each process owns a private registry (no locks on
 the hot path); sweep workers serialize a :meth:`MetricsRegistry.snapshot`
@@ -31,7 +32,7 @@ __all__ = [
 
 @dataclass
 class TimerStat:
-    """Aggregate of every observation recorded under one timer name."""
+    """Aggregate of every observation recorded under one timer key."""
 
     count: int = 0
     total_s: float = 0.0

@@ -1,8 +1,8 @@
 """Rendering a recorded telemetry trace for terminals (``repro trace``).
 
 Input: a trace directory (``events*.jsonl`` + optional ``manifest.json``).
-Output: plain text — event inventory, hierarchical per-phase timing
-tables from the merged timer registry, counters, and ASCII trajectories
+Output: plain text — event inventory, the phase tree of the merged timer
+registry (:mod:`repro.obs.profile`), counters, and ASCII trajectories
 of the controller quantities the paper's theory tracks (dual variables
 ``μ_t``, constraint-fit accumulation ``Σ‖h_t⁺‖``, the running descent
 objective, test accuracy).
@@ -19,14 +19,15 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.events import Event, read_events
+from repro.obs.events import Event, decode_number as _num, read_events
 from repro.obs.hub import MANIFEST_NAME, validate_manifest
-from repro.obs.registry import MetricsRegistry, TimerStat
+from repro.obs.profile import build_profile, render_profile
+from repro.obs.registry import TimerStat
 
 __all__ = [
     "load_manifest",
     "render_trace",
-    "timing_table",
+    "UnknownRunError",
     "trajectory_section",
     "sim_timeline_section",
     "quarantine_section",
@@ -44,50 +45,17 @@ def load_manifest(directory: str | Path) -> Optional[Dict[str, Any]]:
     return payload
 
 
-def _num(value: Any, default: float = float("nan")) -> float:
-    """Undo :func:`repro.obs.events.jsonify`'s non-finite encoding."""
-    if isinstance(value, str):
-        return {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}.get(
-            value, default
-        )
-    if isinstance(value, (int, float)):
-        return float(value)
-    return default
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:8.3f}s "
-    return f"{seconds * 1e3:8.3f}ms"
-
-
-def timing_table(timers: Mapping[str, Mapping[str, Any]]) -> str:
-    """Hierarchical per-phase timing table from a registry snapshot.
-
-    Rows are sorted by name so siblings group under their dotted prefix;
-    nesting is shown by indenting each path segment past the first.
-    """
-    if not timers:
-        return "(no timers recorded)"
-    header = f"{'phase':<32} {'count':>7} {'total':>10} {'mean':>10} {'max':>10}"
-    lines = [header, "-" * len(header)]
-    for name in sorted(timers):
-        stat = TimerStat.from_dict(timers[name])
-        label = "  " * name.count(".") + name
-        lines.append(
-            f"{label:<32} {stat.count:>7d} {_fmt_seconds(stat.total_s):>10} "
-            f"{_fmt_seconds(stat.mean_s):>10} {_fmt_seconds(stat.max_s):>10}"
-        )
-    return "\n".join(lines)
+class UnknownRunError(LookupError):
+    """``render_trace(run=PREFIX)`` matched no run id in the trace."""
 
 
 def _aggregate_event_durs(events: Sequence[Event]) -> Dict[str, Dict[str, Any]]:
     """Fallback timing source when no manifest exists: per-kind ``dur``."""
-    registry = MetricsRegistry()
+    stats: Dict[str, TimerStat] = {}
     for event in events:
         if event.dur is not None:
-            registry.record_timer(event.kind, event.dur)
-    return registry.snapshot()["timers"]
+            stats.setdefault(event.kind, TimerStat()).record(event.dur)
+    return {kind: stat.to_dict() for kind, stat in stats.items()}
 
 
 def _series_block(
@@ -116,20 +84,20 @@ def trajectory_section(events: Sequence[Event], run: str, chart: bool = True) ->
             continue
         t = float(event.epoch)
         if event.kind == "learner.ascent":
-            mu = [_num(v) for v in event.data.get("mu", [])]
-            slacks = [_num(v) for v in event.data.get("h", [])]
+            mu = [_num(v, float("nan")) for v in event.data.get("mu", [])]
+            slacks = [_num(v, float("nan")) for v in event.data.get("h", [])]
             if mu:
                 mu_max.append((t, max(mu)))
             fit_total += sum(max(s, 0.0) for s in slacks)
             fit.append((t, fit_total))
         elif event.kind == "learner.descent":
-            obj = _num(event.data.get("objective"), default=float("nan"))
+            obj = _num(event.data.get("objective"), float("nan"))
             if obj == obj:  # skip NaN
                 objective.append((t, obj))
                 obj_total += obj
                 regret_like.append((t, obj_total))
         elif event.kind == "epoch.complete":
-            acc = _num(event.data.get("test_accuracy"))
+            acc = _num(event.data.get("test_accuracy"), float("nan"))
             if acc == acc:
                 accuracy.append((t, acc))
     lines: List[str] = [f"trajectories — run {run!r} (x = epoch)"]
@@ -319,7 +287,10 @@ def render_trace(
     chart: bool = True,
     max_runs: int = 4,
 ) -> str:
-    """Full text report for ``repro trace DIRECTORY``."""
+    """Full text report for ``repro trace DIRECTORY``.
+
+    Raises :class:`UnknownRunError` when ``run`` matches no run id.
+    """
     directory = Path(directory).expanduser()
     events = read_events(directory)
     manifest = load_manifest(directory)
@@ -342,10 +313,18 @@ def render_trace(
         )
         sections.append("event inventory\n" + inventory)
 
-    timers = (
-        manifest["registry"]["timers"] if manifest else _aggregate_event_durs(events)
+    engines = Counter(
+        str(e.data.get("engine", "?")) for e in events if e.kind == "round.complete"
     )
-    sections.append("per-phase timing\n" + timing_table(timers))
+    profile = build_profile(
+        manifest
+        or {
+            "registry": {"timers": _aggregate_event_durs(events)},
+            "event_counts": counts,
+        },
+        engines=engines,
+    )
+    sections.append("per-phase timing\n" + render_profile(profile))
 
     if manifest:
         counters = manifest["registry"]["counters"]
@@ -361,19 +340,21 @@ def render_trace(
         warm_line = _warm_start_summary(counters)
         if warm_line:
             sections.append(warm_line)
-        if manifest["workers"]:
+        # Utilization is sweep.job time, which only sweep workers record.
+        busy = [w for w in manifest["workers"] if w["jobs"] > 0]
+        if busy:
             sections.append(
                 "worker utilization\n"
                 + "\n".join(
                     f"  {w['worker']:<12} jobs={w['jobs']:<4d} busy={w['busy_s']:.3f}s"
-                    for w in manifest["workers"]
+                    for w in busy
                 )
             )
 
     if run is not None:
         chosen = [r for r in runs if r == run or r.startswith(run)]
         if not chosen:
-            sections.append(f"run {run!r} not found; available: {runs}")
+            raise UnknownRunError(f"run {run!r} not found; available: {runs}")
     else:
         # Most-instrumented runs first, capped so sweep traces stay readable.
         by_signal = Counter(

@@ -569,9 +569,10 @@ class TestCalibrate:
         assert json.loads(out.read_text())["bit_identical"] is False
 
 
-@pytest.mark.parametrize("command", ["sim", "live"])
+@pytest.mark.parametrize("command", ["sim", "live", "profile"])
 def test_retired_subcommands_exit_2(capsys, command):
-    """`sim` and `live` are `run --set training.engine=des|live`."""
+    """`sim` and `live` are `run --set training.engine=des|live`; `profile`
+    is `trace` (its phase tree) and `trace --diff`."""
     with pytest.raises(SystemExit) as exit_:
         main([command])
     assert exit_.value.code == 2
@@ -586,8 +587,8 @@ def test_bench_is_not_a_subcommand(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_help_lists_seven_subcommands(capsys):
+def test_help_lists_six_subcommands(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    assert "{run,compare,sweep,tournament,trace,profile,regret}" in out
+    assert "{run,compare,sweep,tournament,trace,regret}" in out

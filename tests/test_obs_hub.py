@@ -114,6 +114,63 @@ class TestEmission:
         assert read_events(tmp_path) == []
 
 
+class TestTimerPaths:
+    """A timer records under the path of the timers open around it."""
+
+    def test_nested_timers_key_by_path(self):
+        hub = Telemetry()
+        with hub.timer("sweep.job"):
+            with hub.timer("fl.round"):
+                with hub.timer("round.aggregate"):
+                    pass
+            with hub.timer("checkpoint.write"):
+                pass
+        with hub.timer("checkpoint.write"):
+            pass
+        assert sorted(hub.registry.timers) == [
+            "checkpoint.write",
+            "sweep.job",
+            "sweep.job/checkpoint.write",
+            "sweep.job/fl.round",
+            "sweep.job/fl.round/round.aggregate",
+        ]
+
+    def test_one_name_under_two_parents_gives_two_keys(self):
+        hub = Telemetry()
+        for shard in ("s0", "s1"):
+            with hub.timer(f"shard.select.{shard}"):
+                for _ in range(2):
+                    with hub.timer("solver.projected_gradient"):
+                        pass
+        timers = hub.registry.timers
+        for shard in ("s0", "s1"):
+            assert timers[f"shard.select.{shard}/solver.projected_gradient"].count == 2
+        assert "solver.projected_gradient" not in timers
+
+    def test_a_raising_block_still_closes_its_timer(self):
+        hub = Telemetry()
+        with pytest.raises(RuntimeError):
+            with hub.timer("fl.round"):
+                raise RuntimeError("boom")
+        with hub.timer("checkpoint.write"):
+            pass
+        assert sorted(hub.registry.timers) == ["checkpoint.write", "fl.round"]
+
+    def test_merging_worker_snapshots_sums_equal_paths(self, tmp_path):
+        for worker, jobs in (("w1", 2), ("w2", 3)):
+            hub = Telemetry.for_directory(tmp_path, worker=worker)
+            for _ in range(jobs):
+                with hub.timer("sweep.job"):
+                    with hub.timer("strategies.select"):
+                        pass
+            hub.dump_worker_snapshot()
+            hub.close()
+        timers = build_manifest(tmp_path)["registry"]["timers"]
+        assert timers["sweep.job"]["count"] == 5
+        assert timers["sweep.job/strategies.select"]["count"] == 5
+        assert set(timers) == {"sweep.job", "sweep.job/strategies.select"}
+
+
 class TestManifest:
     def test_finalize_writes_valid_manifest(self, tmp_path):
         hub = Telemetry.for_directory(tmp_path, run_id="r")

@@ -30,6 +30,7 @@ from repro.experiments.sweep import (
 )
 from repro.obs import (
     Telemetry,
+    build_profile,
     canonical_line,
     get_telemetry,
     iter_trace_lines,
@@ -114,13 +115,104 @@ class TestInstrumentedRun:
         hub.finalize()
         timers = load_manifest(tmp_path)["registry"]["timers"]
         for name in (
-            "experiment.select",
-            "experiment.round",
-            "round.local_solve",
-            "round.aggregate",
-            "solver.projected_gradient",
+            "strategies.select",
+            "strategies.select/solver.projected_gradient",
+            "fl.round",
+            "fl.round/round.local_solve",
+            "fl.round/round.aggregate",
         ):
             assert timers[name]["count"] > 0, name
+
+
+def record(argv, directory):
+    assert main([*argv, "--quiet", "--telemetry", str(directory)]) == 0
+    return load_manifest(directory)["registry"]["timers"]
+
+
+@pytest.fixture(scope="module")
+def sharded_run(tmp_path_factory):
+    """A FedL run whose selection is split over three shards."""
+    directory = tmp_path_factory.mktemp("sharded")
+    timers = record([
+        "run", "--clients", "30", "--participants", "4", "--epochs", "2",
+        "--set", "shard.num_shards=3", "--set", "training.model=logreg",
+    ], directory)
+    return directory, timers
+
+
+@pytest.fixture(scope="module")
+def checkpointed_sweep(tmp_path_factory):
+    """A two-worker sweep that snapshots every epoch."""
+    root = tmp_path_factory.mktemp("ckpt-sweep")
+    timers = record([
+        "sweep", "--policies", "FedL", "FedAvg", "--budgets", "200",
+        "--clients", "8", "--participants", "3", "--epochs", "2",
+        "--workers", "2", "--checkpoint-dir", str(root / "ckpt"),
+        "--set", "checkpoint.interval=1",
+    ], root / "trace")
+    return root / "trace", timers
+
+
+class TestRecordedPhaseTree:
+    """The phase tree is the nesting the timers ran in."""
+
+    def test_shard_select_runs_inside_strategies_select(self, sharded_run):
+        _, timers = sharded_run
+        assert "strategies.select/shard.select" in timers
+        assert "shard.select" not in timers
+
+    def test_solver_runs_inside_every_shard(self, sharded_run):
+        _, timers = sharded_run
+        shards = [k for k in timers if k.rpartition("/")[2].startswith("shard.select.s")]
+        assert len(shards) == 3
+        for shard in shards:
+            assert timers[f"{shard}/solver.projected_gradient"]["count"] > 0, shard
+        assert not any(k.startswith("solver.") for k in timers)
+
+    def test_checkpoint_write_runs_inside_sweep_job(self, checkpointed_sweep):
+        _, timers = checkpointed_sweep
+        # Two jobs, two epochs each, one snapshot per epoch.
+        assert timers["sweep.job/checkpoint.write"]["count"] == 4
+        assert "checkpoint.write" not in timers
+        assert timers["sweep.job/strategies.select"]["count"] == 4
+
+    @pytest.mark.parametrize("recording, roots", [
+        ("sharded_run", ["fl.round", "strategies.select"]),
+        ("checkpointed_sweep", ["sweep.job"]),
+    ])
+    def test_children_never_outlast_their_parent(self, recording, roots, request):
+        profile = build_profile({"registry": {"timers": request.getfixturevalue(recording)[1]}})
+        phases = profile["phases"]
+        # Only the outermost blocks are roots, so root time is not counted twice.
+        assert profile["roots"] == roots
+        for key, node in phases.items():
+            children = sum(phases[c]["total_s"] for c in node["children"])
+            assert children <= node["total_s"] + 1e-9, key
+
+    def test_trace_renders_the_recorded_tree(self, sharded_run, capsys):
+        directory, _ = sharded_run
+        assert main(["trace", str(directory), "--no-chart"]) == 0
+        out = capsys.readouterr().out
+        assert "\nstrategies.select " in out
+        assert "\n  shard.select " in out
+        assert "\n      solver.projected_gradient " in out
+        assert "engines: batchedx" in out
+
+
+class TestWorkerUtilization:
+    def test_plain_run_has_no_utilization_section(self, sharded_run, capsys):
+        assert main(["trace", str(sharded_run[0]), "--no-chart"]) == 0
+        assert "worker utilization" not in capsys.readouterr().out
+
+    def test_sweep_lists_only_workers_that_ran_jobs(self, checkpointed_sweep, capsys):
+        directory, _ = checkpointed_sweep
+        assert main(["trace", str(directory), "--no-chart"]) == 0
+        out = capsys.readouterr().out
+        section = out.split("worker utilization\n", 1)[1].split("\n\n", 1)[0]
+        rows = section.splitlines()
+        assert rows and all("jobs=0 " not in row for row in rows)
+        assert sum(int(row.split("jobs=")[1].split()[0]) for row in rows) == 2
+        assert not any(row.split()[0] == "main" for row in rows)
 
 
 class TestNoOpGuarantees:
@@ -222,6 +314,14 @@ class TestSweepTelemetry:
         assert "sweep.cache_misses" not in counters
 
 
+def one_run_trace(directory):
+    """A finalized trace holding one event of run ``FedL[seed=0]``."""
+    hub = Telemetry.for_directory(directory, run_id="FedL[seed=0]")
+    hub.emit("run.start")
+    hub.finalize()
+    return str(directory)
+
+
 class TestCli:
     def test_run_telemetry_then_trace_renders(self, tmp_path, capsys):
         tel = tmp_path / "trace"
@@ -239,6 +339,17 @@ class TestCli:
         assert "dual max_i mu_t[i]" in out
         assert "cumulative fit" in out
 
+    def test_trace_without_manifest_renders_event_durations(self, tmp_path, capsys):
+        # A crashed or in-flight run: events on disk, no manifest yet.
+        hub = Telemetry.for_directory(tmp_path, run_id="r")
+        hub.emit("learner.descent", epoch=0, data={}, dur=0.25)
+        hub.emit("learner.descent", epoch=1, data={}, dur=0.5)
+        hub.close()
+        assert main(["trace", str(tmp_path), "--no-chart"]) == 0
+        out = capsys.readouterr().out
+        assert "manifest=missing" in out
+        assert "\nlearner.descent                           2   750.00ms   750.00ms" in out
+
     def test_trace_on_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
@@ -246,15 +357,41 @@ class TestCli:
     def test_trace_on_empty_directory_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path)]) == 2
 
+    def test_trace_diff_appends_the_delta_table(self, sharded_run, capsys):
+        directory = str(sharded_run[0])
+        assert main(["trace", directory, "--no-chart", "--diff", directory]) == 0
+        out = capsys.readouterr().out
+        diff = out.split(f"profile diff: {directory} -> {directory}\n", 1)[1]
+        assert "strategies.select/shard.select " in diff
+        assert diff.rstrip().endswith("no per-call regressions past 5%")
+
+    def test_trace_diff_needs_two_finalized_traces(self, sharded_run, tmp_path, capsys):
+        (tmp_path / "events-main.jsonl").write_text("")
+        directory = str(sharded_run[0])
+        assert main(["trace", directory, "--diff", str(tmp_path)]) == 2
+        assert "no manifest.json" in capsys.readouterr().err
+        assert main(["trace", directory, "--diff", str(tmp_path / "nope")]) == 2
+        assert main(["trace", directory, "--follow", "--diff", directory]) == 2
+
     @pytest.mark.parametrize("argv", [
         ["run", "--budget", "-5"],
         ["run", "--epochs", "0"],
         ["run", "--clients", "4", "--participants", "9"],
         ["sweep", "--budgets", "10", "-3"],
+        ["trace", "{trace}", "--run", "nope"],
     ])
-    def test_semantic_argument_errors_exit_2(self, argv, capsys):
+    def test_semantic_argument_errors_exit_2(self, argv, capsys, tmp_path):
+        argv = [one_run_trace(tmp_path) if a == "{trace}" else a for a in argv]
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_run_names_the_available_ones(self, tmp_path, capsys):
+        assert main(["trace", one_run_trace(tmp_path), "--run", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "run 'nope' not found; available: ['FedL[seed=0]']" in captured.err
+        )
 
     def test_version_flag(self, capsys):
         from repro import __version__

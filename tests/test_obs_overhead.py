@@ -124,5 +124,5 @@ def test_null_overhead_under_gate(layers):
 def test_enabled_arm_attributes_hook_sites(layers):
     batched = layers["fl.batched"][1]
     assert "epoch.complete" in event_kinds(batched)
-    assert "experiment.round" in batched.registry.timers
+    assert "fl.round" in batched.registry.timers
     assert "defense.round" in event_kinds(layers["fl.defended"][1])

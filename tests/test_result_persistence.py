@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.cli import main as cli_main
 from repro.config import ExperimentConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
@@ -38,19 +37,11 @@ def write_client_stats(directory, stats):
     return LiveRuntime.write_client_stats(runtime, directory)
 
 
-def _profile_json(tmp_path):
-    Telemetry.for_directory(tmp_path / "trace").finalize()
-    return lambda: cli_main(
-        ["profile", str(tmp_path / "trace"), "--json", str(tmp_path / "p.json")]
-    )
-
-
 #: Every writer of a run artifact, as ``set-up(dir) -> write()``.
 WRITERS = {
     "registry": lambda d: lambda: MetricsRegistry().dump(d / "registry-main.json"),
     "manifest": lambda d: Telemetry.for_directory(d).finalize,
     "metrics": lambda d: lambda: export_metrics(d, {}),
-    "profile-json": _profile_json,
     "live-client-stats": lambda d: lambda: write_client_stats(d, {0: {"client": 0}}),
     "calibration": lambda d: lambda: CalibrationReport(
         rows=[], bit_identical=None, time_scale=1.0, policy="FedL", epochs=1
