@@ -369,7 +369,6 @@ def resume_experiment(
     *,
     target_accuracy: Optional[float] = None,
     heartbeat_s: Optional[float] = None,
-    live_stats_dir: Optional[str] = None,
     checkpoint_override=None,
     policy_hook=None,
 ):
@@ -404,6 +403,5 @@ def resume_experiment(
         simulation=sim,
         target_accuracy=target_accuracy,
         heartbeat_s=heartbeat_s,
-        live_stats_dir=live_stats_dir,
         resume=snapshot.resume,
     )

@@ -413,10 +413,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else None
         )
         with use_telemetry(hub):
-            result = run(
-                heartbeat_s=None if args.quiet else HEARTBEAT_S,
-                live_stats_dir=args.telemetry,
-            )
+            result = run(heartbeat_s=None if args.quiet else HEARTBEAT_S)
     except CheckpointError as exc:
         what = "cannot resume" if resuming else "checkpoint failure"
         print(f"repro: {what}: {exc}", file=sys.stderr)

@@ -328,7 +328,6 @@ def run_experiment(
     simulation: Optional[Simulation] = None,
     target_accuracy: Optional[float] = None,
     heartbeat_s: Optional[float] = None,
-    live_stats_dir: Optional[str] = None,
     resume=None,
 ) -> ExperimentResult:
     """Drive ``policy`` through the budget-constrained FL process.
@@ -341,8 +340,7 @@ def run_experiment(
     worker fleet (:mod:`repro.live`): the fleet is forked once up front —
     before any client RNG stream is consumed, so worker-side streams stay
     continuous with the loop engine's — reused across every epoch, and
-    torn down on exit even when the run raises.  ``live_stats_dir``
-    (optional) collects the runtime's measured per-client stats files.
+    torn down on exit even when the run raises.
 
     With ``config.checkpoint.directory`` set, the loop snapshots the
     full experiment state every ``config.checkpoint.interval`` completed
@@ -365,7 +363,6 @@ def run_experiment(
             transport=config.live.transport,
             chunk_bytes=config.live.chunk_bytes,
             round_timeout_s=config.live.round_timeout_s,
-            stats_dir=live_stats_dir,
             worker_heartbeat_s=config.live.worker_heartbeat_s,
             worker_stale_s=config.live.worker_stale_s,
             max_worker_restarts=config.live.max_worker_restarts,

@@ -300,9 +300,10 @@ class _LiveSource(_LoopSource):
         outcome = self.live_round.finish()
         tel = get_telemetry()
         if tel.enabled:
-            # Measured wall-clock quantities ride in the ``dur`` slot so
-            # they land in the event's ``ts`` block, keeping canonical
-            # telemetry lines comparable across runs.
+            # Measured wall-clock quantities (round and arrival times in
+            # ``dur``, solve time beside it) land in the event's ``ts``
+            # block, keeping canonical telemetry lines comparable across
+            # runs; the predicted per-iteration τ is deterministic data.
             spec = self.live_round.spec
             _emit_timeline_telemetry(
                 tel,
@@ -315,10 +316,17 @@ class _LiveSource(_LoopSource):
                     "worker_restarts": outcome.worker_restarts,
                 },
                 round_dur=outcome.completion_time * spec.time_scale,
+                client_data={
+                    "predicted_tau_s": {
+                        int(cid): float(spec.tau_loc[pos] + spec.tau_cm[pos])
+                        for pos, cid in enumerate(spec.client_ids)
+                    },
+                },
                 client_dur={
                     cid: float(sum(offsets)) * spec.time_scale
                     for cid, offsets in outcome.arrival_offsets.items()
                 },
+                client_measured={"solve_wall_s": outcome.solve_wall_s},
             )
             tel.counter("live.worker_deaths", outcome.worker_deaths)
             tel.counter("live.worker_restarts", outcome.worker_restarts)
@@ -683,11 +691,13 @@ def _emit_timeline_telemetry(
     round_dur: Optional[float] = None,
     client_data: Optional[Dict[str, Dict[int, float]]] = None,
     client_dur: Optional[Dict[int, float]] = None,
+    client_measured: Optional[Dict[str, Dict[int, float]]] = None,
 ) -> None:
     """Publish a round's simulated (``sim.*``) or measured (``live.*``)
     timeline through the telemetry hub: the outcome fields both share, plus
     the source's own per-round ``round_data``/``round_dur`` and per-client
-    ``client_data`` (field -> by-client-id values) / ``client_dur``."""
+    ``client_data`` / ``client_dur`` / ``client_measured`` (field ->
+    by-client-id values; the last two are wall-clock, written under ``ts``)."""
     tel.counter(f"{prefix}.retries", outcome.num_retries)
     tel.counter(f"{prefix}.drops", len(outcome.dropped))
     tel.counter(f"{prefix}.deadline_hits", outcome.deadline_hits)
@@ -722,4 +732,8 @@ def _emit_timeline_telemetry(
             f"{prefix}.client",
             data=data,
             dur=None if client_dur is None else client_dur.get(cid, 0.0),
+            measured={
+                key: by_client.get(cid, 0.0)
+                for key, by_client in (client_measured or {}).items()
+            },
         )

@@ -39,18 +39,15 @@ instead of hanging until the barrier timeout.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import signal
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.atomic import atomic_write_text
 from repro.live.protocol import FrameStream, socket_pair, tcp_pair
 from repro.nn.serialization import TruncatedPayloadError, decode_payload
 from repro.sim.entities import SimRoundSpec
@@ -395,12 +392,11 @@ class LiveRound:
                 self.runtime.worker_restarts_total - self._restarts_at_start
             ),
         )
-        self.runtime.record_round(self.spec, outcome)
         return outcome
 
 
 class LiveRuntime:
-    """Worker fleet lifecycle + per-client measured statistics."""
+    """Worker fleet lifecycle: fork, supervise, ship data, reap."""
 
     def __init__(
         self,
@@ -409,7 +405,6 @@ class LiveRuntime:
         transport: str = "unix",
         chunk_bytes: int = 16384,
         round_timeout_s: float = 60.0,
-        stats_dir: Optional[str | Path] = None,
         worker_heartbeat_s: float = 0.5,
         worker_stale_s: float = 0.0,
         max_worker_restarts: int = 2,
@@ -436,7 +431,6 @@ class LiveRuntime:
         self.transport = transport
         self.chunk_bytes = chunk_bytes
         self.round_timeout_s = round_timeout_s
-        self.stats_dir = Path(stats_dir) if stats_dir is not None else None
         self.worker_heartbeat_s = float(worker_heartbeat_s)
         # The watchdog must fire before the hard barrier timeout does,
         # or a wedged worker hangs the round; the auto threshold leaves
@@ -454,7 +448,6 @@ class LiveRuntime:
         self._pids: List[Optional[int]] = []
         self._selector: Optional[selectors.BaseSelector] = None
         self.rounds_started = 0
-        self._client_stats: Dict[int, Dict] = {}
         self._started = False
         self._closed = False
         # -- supervision state ----------------------------------------------------
@@ -524,7 +517,7 @@ class LiveRuntime:
         self._started = True
 
     def close(self) -> None:
-        """Stop and reap the workers; flush per-client stats files."""
+        """Stop and reap the workers."""
         if self._closed:
             return
         self._closed = True
@@ -556,8 +549,6 @@ class LiveRuntime:
                     os.waitpid(pid, 0)
                     break
                 time.sleep(0.01)
-        if self.stats_dir is not None:
-            self.write_client_stats(self.stats_dir)
 
     def __enter__(self) -> "LiveRuntime":
         return self
@@ -842,51 +833,3 @@ class LiveRuntime:
     ) -> LiveRound:
         self.ensure_started()
         return LiveRound(self, spec, rng)
-
-    # -- measured per-client statistics ------------------------------------------
-
-    def record_round(self, spec: LiveRoundSpec, outcome: LiveRoundOutcome) -> None:
-        for pos, cid in enumerate(spec.client_ids):
-            cid = int(cid)
-            stats = self._client_stats.setdefault(
-                cid,
-                {
-                    "client": cid,
-                    "rounds": 0,
-                    "contributions": 0,
-                    "drops": {},
-                    "solve_wall_s": 0.0,
-                    "arrival_offset_s_sum": 0.0,
-                    "arrivals": 0,
-                    "predicted_tau_s_sum": 0.0,
-                },
-            )
-            stats["rounds"] += 1
-            stats["contributions"] += int(
-                sum(1 for ids in outcome.contributors if cid in ids)
-            )
-            if cid in outcome.dropped:
-                reason = outcome.dropped[cid]
-                stats["drops"][reason] = stats["drops"].get(reason, 0) + 1
-            stats["solve_wall_s"] += float(outcome.solve_wall_s.get(cid, 0.0))
-            offsets = outcome.arrival_offsets.get(cid, [])
-            stats["arrival_offset_s_sum"] += float(sum(offsets))
-            stats["arrivals"] += len(offsets)
-            stats["predicted_tau_s_sum"] += float(
-                spec.tau_loc[pos] + spec.tau_cm[pos]
-            ) * len(offsets)
-
-    def write_client_stats(self, directory: str | Path) -> List[Path]:
-        """Atomically persist one ``live_client_<id>.json`` per client
-        that participated in any round (temp file + rename)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for cid in sorted(self._client_stats):
-            paths.append(
-                atomic_write_text(
-                    directory / f"live_client_{cid}.json",
-                    json.dumps(self._client_stats[cid], indent=2, sort_keys=True),
-                )
-            )
-        return paths

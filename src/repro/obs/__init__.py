@@ -4,7 +4,8 @@ Four modules write a recording:
 
 * :mod:`repro.obs.events` — the versioned JSONL event schema (monotonic
   sequence numbers, run/epoch/worker scoping, all wall-clock data
-  isolated in the ``ts`` field so traces diff deterministically).
+  isolated in the ``ts`` field so traces diff deterministically), and
+  :class:`~repro.obs.events.EventReader`, the one reader of event files.
 * :mod:`repro.obs.registry` — timer/counter/gauge registry with
   snapshot/merge for process-safe aggregation across sweep workers.
 * :mod:`repro.obs.hub` — the process-current :class:`Telemetry` hub the
@@ -16,22 +17,22 @@ Four modules write a recording:
 * :mod:`repro.obs.export` — ``metrics.json``/``metrics.prom``, written at
   finalize.
 
-Three read one: :mod:`repro.obs.trace_report` renders it (``repro trace
-DIR``), :mod:`repro.obs.profile` builds, renders and diffs its phase
-tree for that report (``repro trace DIR --diff OTHER``), and
-:mod:`repro.obs.follow` tails one that is still running (``repro trace
-DIR --follow``).
+Three read one, all through that reader: :mod:`repro.obs.trace_report`
+renders it (``repro trace DIR``) and holds :class:`RunFold`, the one
+per-run fold of learner and epoch events; :mod:`repro.obs.profile`
+builds, renders and diffs its phase tree for that report (``repro trace
+DIR --diff OTHER``); and :mod:`repro.obs.follow` tails one that is still
+running (``repro trace DIR --follow``) and streams the same fold.
 """
 
 from repro.obs.events import (
     EVENT_KINDS,
     TELEMETRY_SCHEMA_VERSION,
     Event,
+    EventReader,
     canonical_line,
     event_to_line,
-    iter_trace_lines,
     jsonify,
-    parse_event_line,
     read_events,
     strip_volatile,
     validate_event_dict,
@@ -56,7 +57,7 @@ from repro.obs.export import (
     load_metrics,
     prometheus_exposition,
 )
-from repro.obs.follow import TraceFollower, follow_trace, sparkline
+from repro.obs.follow import TraceFollower, follow_trace
 from repro.obs.profile import (
     build_profile,
     diff_profiles,
@@ -70,7 +71,13 @@ from repro.obs.registry import (
     load_snapshot,
     merge_snapshots,
 )
-from repro.obs.trace_report import UnknownRunError, load_manifest, render_trace
+from repro.obs.trace_report import (
+    RunFold,
+    UnknownRunError,
+    fold_runs,
+    load_manifest,
+    render_trace,
+)
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -78,12 +85,11 @@ __all__ = [
     "Event",
     "jsonify",
     "event_to_line",
-    "parse_event_line",
     "validate_event_dict",
     "strip_volatile",
     "canonical_line",
+    "EventReader",
     "read_events",
-    "iter_trace_lines",
     "MetricsRegistry",
     "TimerStat",
     "merge_snapshots",
@@ -100,6 +106,8 @@ __all__ = [
     "load_manifest",
     "render_trace",
     "UnknownRunError",
+    "RunFold",
+    "fold_runs",
     "METRICS_SCHEMA_VERSION",
     "METRICS_NAME",
     "PROM_NAME",
@@ -114,5 +122,4 @@ __all__ = [
     "render_diff",
     "TraceFollower",
     "follow_trace",
-    "sparkline",
 ]

@@ -15,15 +15,21 @@ Design rules the rest of the subsystem (and the tests) rely on:
   byte-identical once ``ts`` is dropped — see :func:`canonical_line`.
 * ``data`` values are plain JSON scalars/lists (NumPy is converted by
   :func:`jsonify` at emit time), so traces parse without this package.
+
+:class:`EventReader` is the one reader of a trace directory's
+``events*.jsonl`` files: read through once (:func:`read_events`, ``repro
+trace``, the manifest's event counts) or polled while a run is still
+writing (``repro trace --follow``), with one rule for a torn or bad line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,12 +40,11 @@ __all__ = [
     "jsonify",
     "decode_number",
     "event_to_line",
-    "parse_event_line",
     "validate_event_dict",
     "strip_volatile",
     "canonical_line",
+    "EventReader",
     "read_events",
-    "iter_trace_lines",
 ]
 
 #: Bump when the wire shape of an event line changes incompatibly.
@@ -127,6 +132,8 @@ class Event:
     data: Dict[str, Any] = field(default_factory=dict)
     wall: float = 0.0               # non-deterministic: wall-clock seconds
     dur: Optional[float] = None     # non-deterministic: measured duration
+    #: Further measured quantities, written under ``ts`` beside ``dur``.
+    measured: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict with the fixed key order the sink writes."""
@@ -138,7 +145,7 @@ class Event:
             "worker": self.worker,
             "epoch": self.epoch,
             "data": self.data,
-            "ts": {"wall": self.wall, "dur": self.dur},
+            "ts": {"wall": self.wall, "dur": self.dur, **self.measured},
         }
 
     @classmethod
@@ -154,6 +161,7 @@ class Event:
             data=dict(payload["data"]),
             wall=float(ts["wall"]),
             dur=None if ts["dur"] is None else float(ts["dur"]),
+            measured={k: v for k, v in ts.items() if k not in ("wall", "dur")},
         )
 
 
@@ -199,15 +207,6 @@ def event_to_line(event: Event) -> str:
     return json.dumps(event.to_dict(), separators=(",", ":"))
 
 
-def parse_event_line(line: str) -> Event:
-    """Parse and validate one JSONL line back into an :class:`Event`."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed event line: {exc}") from exc
-    return Event.from_dict(payload)
-
-
 def strip_volatile(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Drop the ``ts`` field — everything that may differ between two
     runs of the same seeded experiment."""
@@ -222,20 +221,80 @@ def canonical_line(line: str) -> str:
     return json.dumps(strip_volatile(payload), sort_keys=True, separators=(",", ":"))
 
 
-def iter_trace_lines(directory: str | Path) -> Iterator[str]:
-    """Yield every event line from ``events*.jsonl`` files under
-    ``directory`` (sorted by file name for stable ordering)."""
-    root = Path(directory).expanduser()
-    for path in sorted(root.glob("events*.jsonl")):
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line
+class EventReader:
+    """Reads the events completed in ``events*.jsonl`` since the last poll.
+
+    One :meth:`poll` reads a directory through; repeated polls tail a run
+    that is still writing.  Every caller gets the same rules:
+
+    * a trailing partial line waits (as bytes, so a multi-byte UTF-8
+      character may split across polls) until its newline arrives;
+    * a complete line that is not a valid v1 event is skipped and counted
+      in ``malformed``;
+    * a file that shrank (truncated in place) or whose name now points at
+      a different file (rotated, possibly already larger than the old
+      offset) is read again from offset 0, and named in ``restarts``.
+
+    Size and identity come from ``fstat`` of the handle actually read, so a
+    rotation between the directory listing and the open cannot slip through.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
+        self.directory = Path(directory).expanduser()
+        self.malformed = 0
+        #: Bytes the last poll consumed.
+        self.bytes_read = 0
+        #: ``"<file> truncated"`` / ``"<file> rotated"``, for the last poll.
+        self.restarts: List[str] = []
+        # file name -> (identity, offset, buffered partial line)
+        self._files: Dict[str, Tuple[Tuple[int, int], int, bytes]] = {}
+
+    @property
+    def files(self) -> List[str]:
+        """Names of the event files read so far."""
+        return sorted(self._files)
+
+    def poll(self) -> List[Event]:
+        """Every event whose line completed since the previous poll, in
+        file-name then file order."""
+        self.bytes_read = 0
+        self.restarts = []
+        events: List[Event] = []
+        for path in sorted(self.directory.glob("events*.jsonl")):
+            events.extend(self._read(path))
+        return events
+
+    def _read(self, path: Path) -> List[Event]:
+        try:
+            with path.open("rb") as fh:
+                st = os.fstat(fh.fileno())
+                identity = (st.st_dev, st.st_ino)
+                known, pos, partial = self._files.get(path.name, (identity, 0, b""))
+                if known != identity or st.st_size < pos:
+                    how = "rotated" if known != identity else "truncated"
+                    self.restarts.append(f"{path.name} {how}")
+                    pos, partial = 0, b""
+                fh.seek(pos)
+                chunk = fh.read()
+        except OSError:
+            return []
+        self.bytes_read += len(chunk)
+        *lines, partial = (partial + chunk).split(b"\n")
+        self._files[path.name] = (identity, pos + len(chunk), partial)
+        return [event for event in map(self._parse, lines) if event is not None]
+
+    def _parse(self, raw: bytes) -> Optional[Event]:
+        raw = raw.strip()
+        if not raw:
+            return None
+        try:
+            return Event.from_dict(json.loads(raw.decode("utf-8", errors="replace")))
+        except ValueError:  # not JSON, or not a v1 event
+            self.malformed += 1
+            return None
 
 
 def read_events(directory: str | Path) -> List[Event]:
-    """Parse every event under ``directory``; ordered by (worker, seq)."""
-    events = [parse_event_line(line) for line in iter_trace_lines(directory)]
-    events.sort(key=lambda e: (e.worker, e.seq))
-    return events
+    """Read every complete event under ``directory`` once (see
+    :class:`EventReader`); ordered by (worker, seq)."""
+    return sorted(EventReader(directory).poll(), key=lambda e: (e.worker, e.seq))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, TextIO
@@ -47,8 +48,8 @@ from repro.host import host_record
 from repro.obs.events import (
     TELEMETRY_SCHEMA_VERSION,
     Event,
+    EventReader,
     event_to_line,
-    iter_trace_lines,
     jsonify,
 )
 from repro.obs.registry import MetricsRegistry, load_snapshot
@@ -178,8 +179,11 @@ class Telemetry:
         data: Optional[Mapping[str, Any]] = None,
         epoch: Optional[int] = None,
         dur: Optional[float] = None,
+        measured: Optional[Mapping[str, float]] = None,
     ) -> Optional[Event]:
-        """Append one event to the trace (no-op without a sink)."""
+        """Append one event to the trace (no-op without a sink).  ``dur``
+        and ``measured`` are wall-clock measurements: they go under ``ts``,
+        apart from the deterministic ``data``."""
         if self._sink is None:
             return None
         event = Event(
@@ -191,6 +195,7 @@ class Telemetry:
             data=jsonify(dict(data) if data else {}),
             wall=time.time(),
             dur=dur,
+            measured=jsonify(dict(measured) if measured else {}),
         )
         self._seq += 1
         self._sink.write(event_to_line(event) + "\n")
@@ -314,7 +319,9 @@ class NullTelemetry(Telemetry):
     def __init__(self) -> None:
         super().__init__(sink=None)
 
-    def emit(self, kind, data=None, epoch=None, dur=None):  # type: ignore[override]
+    def emit(  # type: ignore[override]
+        self, kind, data=None, epoch=None, dur=None, measured=None
+    ):
         return None
 
     def timer(self, name: str):  # type: ignore[override]
@@ -369,7 +376,8 @@ def build_manifest(
     """Aggregate one trace directory into a manifest dict.
 
     Merges ``own_registry`` with every ``registry-*.json`` worker
-    snapshot, counts events per kind across every ``events*.jsonl`` file,
+    snapshot, counts events per kind as :class:`~repro.obs.events.
+    EventReader` reads them (a torn or malformed line is not an event),
     and derives per-worker utilization from each worker's ``sweep.job``
     timer (jobs executed + busy seconds).  ``host`` says which pool the
     process that wrote the manifest computed with (:func:`repro.host.
@@ -393,24 +401,12 @@ def build_manifest(
                 "busy_s": float(job_stat["total_s"]) if job_stat else 0.0,
             }
         )
-    event_counts: Dict[str, int] = {}
-    files = []
-    for path in sorted(root.glob("events*.jsonl")):
-        files.append(path.name)
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    kind = json.loads(line).get("kind", "?")
-                except json.JSONDecodeError:
-                    kind = "?"
-                event_counts[kind] = event_counts.get(kind, 0) + 1
+    reader = EventReader(root)
+    event_counts = Counter(event.kind for event in reader.poll())
     return {
         "v": TELEMETRY_SCHEMA_VERSION,
         "kind": "telemetry-manifest",
-        "event_files": files,
+        "event_files": reader.files,
         "event_counts": dict(sorted(event_counts.items())),
         "workers": workers,
         "registry": merged.snapshot(),

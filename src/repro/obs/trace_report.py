@@ -1,11 +1,16 @@
 """Rendering a recorded telemetry trace for terminals (``repro trace``).
 
-Input: a trace directory (``events*.jsonl`` + optional ``manifest.json``).
+Input: a trace directory (``events*.jsonl``, read by
+:class:`~repro.obs.events.EventReader`, + optional ``manifest.json``).
 Output: plain text — event inventory, the phase tree of the merged timer
 registry (:mod:`repro.obs.profile`), counters, and ASCII trajectories
 of the controller quantities the paper's theory tracks (dual variables
 ``μ_t``, constraint-fit accumulation ``Σ‖h_t⁺‖``, the running descent
 objective, test accuracy).
+
+Those trajectories come from :class:`RunFold`, the one per-run fold of
+the learner and epoch events; ``repro trace --follow``
+(:mod:`repro.obs.follow`) streams the same fold.
 
 Everything here is read-only over the JSONL schema in
 :mod:`repro.obs.events`; it never needs the experiment code, so traces
@@ -14,10 +19,13 @@ from old runs render with newer reporting.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.events import Event, decode_number as _num, read_events
 from repro.obs.hub import MANIFEST_NAME, validate_manifest
@@ -28,10 +36,16 @@ __all__ = [
     "load_manifest",
     "render_trace",
     "UnknownRunError",
+    "RunFold",
+    "fold_runs",
+    "run_matches",
     "trajectory_section",
-    "sim_timeline_section",
+    "timeline_section",
     "quarantine_section",
 ]
+
+#: ``(epoch, value)``: one point of a :class:`RunFold` series.
+Point = Tuple[float, float]
 
 
 def load_manifest(directory: str | Path) -> Optional[Dict[str, Any]]:
@@ -58,63 +72,121 @@ def _aggregate_event_durs(events: Sequence[Event]) -> Dict[str, Dict[str, Any]]:
     return {kind: stat.to_dict() for kind, stat in stats.items()}
 
 
-def _series_block(
-    title: str, points: Sequence[Tuple[float, float]], width: int = 60
-) -> List[str]:
-    """One labelled sparkline row (last value printed for reading off)."""
+def _finite(value: Any) -> Optional[float]:
+    f = _num(value)
+    return f if f is not None and math.isfinite(f) else None
+
+
+@dataclass
+class RunFold:
+    """One run's learner and epoch signals, folded event by event.
+
+    ``repro trace`` charts it and ``repro trace --follow`` streams it, so
+    both show the same numbers.  Only finite values enter a series;
+    learner and epoch events without an epoch index are skipped (they
+    have no place on the epoch axis).
+    """
+
+    epochs: int = 0
+    accuracy: List[Point] = field(default_factory=list)
+    latency: List[Point] = field(default_factory=list)
+    mu_max: List[Point] = field(default_factory=list)
+    #: Cumulative constraint fit ``Σ_t ‖h_t⁺‖₁`` after each dual ascent.
+    fit: List[Point] = field(default_factory=list)
+    #: The descent objective ``f_t`` of each epoch.
+    objective: List[Point] = field(default_factory=list)
+    objective_total: float = 0.0
+    headroom: Optional[float] = None
+    quarantined: int = 0
+    #: ``None`` until ``run.complete`` lands.
+    stop_reason: Optional[str] = None
+
+    @property
+    def fit_total(self) -> float:
+        return self.fit[-1][1] if self.fit else 0.0
+
+    def add(self, event: Event) -> None:
+        """Fold one event of this run."""
+        data = event.data
+        if event.kind == "run.complete":
+            self.stop_reason = str(data.get("stop_reason", "?"))
+        if event.epoch is None:
+            return
+        t = float(event.epoch)
+
+        def put(series: List[Point], key: str) -> Optional[float]:
+            value = _finite(data.get(key))
+            if value is not None:
+                series.append((t, value))
+            return value
+
+        if event.kind == "learner.descent":
+            self.objective_total += put(self.objective, "objective") or 0.0
+            headroom = _num(data.get("budget_headroom"))
+            if headroom is not None:
+                self.headroom = headroom
+        elif event.kind == "learner.ascent":
+            put(self.mu_max, "mu_max")
+            increment = _finite(data.get("fit_increment"))
+            if increment is not None:
+                self.fit.append((t, self.fit_total + increment))
+        elif event.kind == "epoch.complete":
+            self.epochs += 1
+            put(self.accuracy, "test_accuracy")
+            put(self.latency, "epoch_latency")
+            budget = _num(data.get("remaining_budget"))
+            if budget is not None:
+                self.headroom = budget
+            self.quarantined += int(_finite(data.get("num_quarantined")) or 0)
+
+
+def fold_runs(events: Iterable[Event]) -> Dict[str, RunFold]:
+    """Fold every event into its run's :class:`RunFold`."""
+    folds: Dict[str, RunFold] = {}
+    for event in events:
+        folds.setdefault(event.run, RunFold()).add(event)
+    return folds
+
+
+def run_matches(run: str, prefix: Optional[str]) -> bool:
+    """The ``--run PREFIX`` filter of ``repro trace`` and ``--follow``."""
+    return prefix is None or run.startswith(prefix)
+
+
+def spark(points: Sequence[Point], width: int) -> str:
+    """The values of a fold series as a sparkline of at most ``width``
+    glyphs (:func:`repro.experiments.plotting.sparkline`); empty before
+    the first point."""
     from repro.experiments.plotting import sparkline
 
-    values = [y for _, y in points]
-    if not values:
-        return []
-    return [f"  {title:<28} {sparkline(values, width)}  last={values[-1]:.4g}"]
+    return sparkline([v for _, v in points], width) if points else ""
 
 
-def trajectory_section(events: Sequence[Event], run: str, chart: bool = True) -> str:
-    """Render the controller trajectories recorded for one run id."""
-    mu_max: List[Tuple[float, float]] = []
-    fit: List[Tuple[float, float]] = []
-    objective: List[Tuple[float, float]] = []
-    regret_like: List[Tuple[float, float]] = []
-    accuracy: List[Tuple[float, float]] = []
-    fit_total = 0.0
-    obj_total = 0.0
-    for event in events:
-        if event.run != run or event.epoch is None:
-            continue
-        t = float(event.epoch)
-        if event.kind == "learner.ascent":
-            mu = [_num(v, float("nan")) for v in event.data.get("mu", [])]
-            slacks = [_num(v, float("nan")) for v in event.data.get("h", [])]
-            if mu:
-                mu_max.append((t, max(mu)))
-            fit_total += sum(max(s, 0.0) for s in slacks)
-            fit.append((t, fit_total))
-        elif event.kind == "learner.descent":
-            obj = _num(event.data.get("objective"), float("nan"))
-            if obj == obj:  # skip NaN
-                objective.append((t, obj))
-                obj_total += obj
-                regret_like.append((t, obj_total))
-        elif event.kind == "epoch.complete":
-            acc = _num(event.data.get("test_accuracy"), float("nan"))
-            if acc == acc:
-                accuracy.append((t, acc))
+def trajectory_section(fold: RunFold, run: str, chart: bool = True) -> str:
+    """Render the controller trajectories folded for one run id."""
+    steps = [t for t, _ in fold.objective]
+    cumulative = list(zip(steps, itertools.accumulate(v for _, v in fold.objective)))
     lines: List[str] = [f"trajectories — run {run!r} (x = epoch)"]
-    lines += _series_block("dual max_i mu_t[i]", mu_max)
-    lines += _series_block("cumulative fit sum h_t^+", fit)
-    lines += _series_block("descent objective f_t", objective)
-    lines += _series_block("cumulative objective", regret_like)
-    lines += _series_block("test accuracy", accuracy)
+    for title, points in (
+        ("dual max_i mu_t[i]", fold.mu_max),
+        ("cumulative fit sum h_t^+", fold.fit),
+        ("descent objective f_t", fold.objective),
+        ("cumulative objective", cumulative),
+        ("test accuracy", fold.accuracy),
+    ):
+        if points:
+            lines.append(
+                f"  {title:<28} {spark(points, 60)}  last={points[-1][1]:.4g}"
+            )
     if len(lines) == 1:
         return f"trajectories — run {run!r}: no learner/epoch events recorded"
-    if chart and mu_max and fit:
+    if chart and fold.mu_max and fold.fit:
         from repro.experiments.plotting import ascii_chart
 
         lines.append("")
         lines.append(
             ascii_chart(
-                {"mu_max": mu_max, "cum_fit": fit},
+                {"mu_max": fold.mu_max, "cum_fit": fold.fit},
                 x_label="epoch",
                 y_label="value",
             )
@@ -122,20 +194,26 @@ def trajectory_section(events: Sequence[Event], run: str, chart: bool = True) ->
     return "\n".join(lines)
 
 
-def sim_timeline_section(
+def timeline_section(
     events: Sequence[Event],
     run: str,
+    prefix: str,
     max_rounds: int = 3,
     width: int = 40,
 ) -> Optional[str]:
-    """Per-client timelines of the event-driven runtime's ``sim.*`` events.
+    """Per-client timelines of the ``<prefix>.round`` / ``<prefix>.client``
+    events the round runner emits in one shape for the event-driven
+    runtime (``sim``) and the live engine (``live``).
 
-    Returns ``None`` when the run recorded no simulated rounds.  Each of
-    the last ``max_rounds`` rounds renders as a bar chart: a client's bar
-    spans its last activity instant relative to the round's completion
-    time, annotated with its completed-work seconds and drop status.
+    Returns ``None`` when the run recorded no such rounds.  Each of the
+    last ``max_rounds`` rounds renders as a bar chart with each client's
+    drop status.  A simulated client's bar spans its last activity instant
+    relative to the round's completion time, annotated with its
+    completed-work seconds; a live client's bar is its barrier fill, the
+    share of the round's iterations its upload made.
     """
-    rounds = [e for e in events if e.run == run and e.kind == "sim.round"]
+    simulated = prefix == "sim"
+    rounds = [e for e in events if e.run == run and e.kind == f"{prefix}.round"]
     if not rounds:
         return None
     drops: Counter = Counter()
@@ -146,10 +224,11 @@ def sim_timeline_section(
             drops[str(reason)] += 1
         retries += int(_num(event.data.get("retries", 0), 0.0))
         deadline_hits += int(_num(event.data.get("deadline_hits", 0), 0.0))
-    lines = [
-        f"event-driven runtime — run {run!r} "
-        f"({len(rounds)} simulated rounds)"
-    ]
+    title, how = (
+        ("event-driven runtime", "simulated") if simulated
+        else ("live runtime", "measured")
+    )
+    lines = [f"{title} — run {run!r} ({len(rounds)} {how} rounds)"]
     drop_text = (
         ", ".join(f"{k}:{n}" for k, n in sorted(drops.items()))
         if drops
@@ -160,10 +239,15 @@ def sim_timeline_section(
     )
     clients_by_epoch: Dict[Optional[int], List[Event]] = {}
     for event in events:
-        if event.run == run and event.kind == "sim.client":
+        if event.run == run and event.kind == f"{prefix}.client":
             clients_by_epoch.setdefault(event.epoch, []).append(event)
     for event in rounds[-max_rounds:]:
-        total = _num(event.data.get("completion_time"), 0.0)
+        iterations = int(_num(event.data.get("iterations"), 0.0))
+        # The live engine measures the round's wall time (under ``ts``).
+        total = (
+            _num(event.data.get("completion_time"), 0.0) if simulated
+            else (event.dur or 0.0) / _num(event.data.get("time_scale"), 1.0)
+        )
         lines.append(
             f"  epoch {event.epoch}: {event.data.get('aggregation', 'sync')} "
             f"T={total:.4g}s iterations={event.data.get('iterations')} "
@@ -174,15 +258,20 @@ def sim_timeline_section(
             clients_by_epoch.get(event.epoch, []),
             key=lambda ev: int(_num(ev.data.get("client", 0), 0.0)),
         ):
-            last = _num(ce.data.get("last_t"), 0.0)
-            busy = _num(ce.data.get("busy_s"), 0.0)
-            frac = min(1.0, last / total) if total > 0 else 0.0
+            if simulated:
+                last = _num(ce.data.get("last_t"), 0.0)
+                frac = min(1.0, last / total) if total > 0 else 0.0
+                note = f"busy={_num(ce.data.get('busy_s'), 0.0):.4g}s"
+            else:
+                made = int(_num(ce.data.get("contributions"), 0.0))
+                frac = made / iterations if iterations > 0 else 0.0
+                note = f"fill={made}/{iterations}"
             bar = "#" * max(1, int(round(frac * width)))
             status = str(ce.data.get("status", "ok"))
             mark = "" if status == "ok" else f"  [{status}]"
             lines.append(
                 f"    k={int(_num(ce.data.get('client', 0), 0.0)):>3d} "
-                f"|{bar:<{width}}| busy={busy:.4g}s{mark}"
+                f"|{bar:<{width}}| {note}{mark}"
             )
     return "\n".join(lines)
 
@@ -293,6 +382,7 @@ def render_trace(
     """
     directory = Path(directory).expanduser()
     events = read_events(directory)
+    folds = fold_runs(events)
     manifest = load_manifest(directory)
     sections: List[str] = []
 
@@ -352,7 +442,7 @@ def render_trace(
             )
 
     if run is not None:
-        chosen = [r for r in runs if r == run or r.startswith(run)]
+        chosen = [r for r in runs if run_matches(r, run)]
         if not chosen:
             raise UnknownRunError(f"run {run!r} not found; available: {runs}")
     else:
@@ -362,10 +452,11 @@ def render_trace(
         )
         chosen = [r for r, _ in by_signal.most_common(max_runs)]
     for r in chosen:
-        sections.append(trajectory_section(events, r, chart=chart))
-        sim_section = sim_timeline_section(events, r)
-        if sim_section:
-            sections.append(sim_section)
+        sections.append(trajectory_section(folds[r], r, chart=chart))
+        for prefix in ("sim", "live"):
+            timeline = timeline_section(events, r, prefix)
+            if timeline:
+                sections.append(timeline)
         defense_section = quarantine_section(events, r)
         if defense_section:
             sections.append(defense_section)

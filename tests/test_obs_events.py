@@ -9,14 +9,18 @@ import pytest
 from repro.obs import (
     TELEMETRY_SCHEMA_VERSION,
     Event,
+    EventReader,
     canonical_line,
     event_to_line,
     jsonify,
-    parse_event_line,
     read_events,
     strip_volatile,
     validate_event_dict,
 )
+
+
+def parse(line):
+    return Event.from_dict(json.loads(line))
 
 
 def make_event(**overrides):
@@ -60,7 +64,7 @@ class TestRoundTrip:
     def test_emit_serialize_parse_round_trip(self):
         event = make_event()
         line = event_to_line(event)
-        parsed = parse_event_line(line)
+        parsed = parse(line)
         assert parsed == event
 
     def test_line_is_single_json_object_with_versioned_shape(self):
@@ -73,8 +77,18 @@ class TestRoundTrip:
 
     def test_null_epoch_and_dur_round_trip(self):
         event = make_event(epoch=None, dur=None)
-        parsed = parse_event_line(event_to_line(event))
+        parsed = parse(event_to_line(event))
         assert parsed.epoch is None and parsed.dur is None
+
+    def test_measured_values_round_trip_under_ts(self):
+        event = make_event(measured={"solve_wall_s": 0.75})
+        payload = json.loads(event_to_line(event))
+        assert payload["ts"] == {"wall": event.wall, "dur": event.dur,
+                                 "solve_wall_s": 0.75}
+        assert parse(event_to_line(event)) == event
+        assert canonical_line(event_to_line(event)) == canonical_line(
+            event_to_line(make_event())
+        )
 
     def test_read_events_orders_by_worker_then_seq(self, tmp_path):
         for worker, seqs in (("b", [0, 1]), ("a", [0])):
@@ -108,9 +122,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_event_dict(payload)
 
-    def test_parse_rejects_garbage_line(self):
-        with pytest.raises(ValueError):
-            parse_event_line("{not json")
+    def test_parse_rejects_garbage_line(self, tmp_path):
+        (tmp_path / "events-main.jsonl").write_text("{not json\n")
+        reader = EventReader(tmp_path)
+        assert reader.poll() == []
+        assert reader.malformed == 1
 
 
 class TestDeterministicCanonicalization:

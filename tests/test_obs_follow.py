@@ -1,16 +1,31 @@
-"""Live trace tailing: partial lines, truncation/rotation, missing manifest, determinism."""
+"""Live trace tailing: partial lines, truncation/rotation, missing manifest,
+determinism, and one fold with ``repro trace``."""
 
 import json
 
-from repro.obs import Telemetry, TraceFollower, follow_trace, sparkline, use_telemetry
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.experiments.runner import run_experiment
+from repro.experiments.scenarios import experiment_config, make_policy
+from repro.obs import (
+    Telemetry,
+    TraceFollower,
+    fold_runs,
+    follow_trace,
+    read_events,
+    use_telemetry,
+)
 from repro.obs.hub import MANIFEST_NAME
+from repro.rng import RngFactory
 
 
 def event_line(kind, run="r0", epoch=0, data=None):
     return (
         json.dumps(
-            {"v": 1, "seq": 0, "kind": kind, "run": run, "epoch": epoch,
-             "data": data or {}},
+            {"v": 1, "seq": 0, "kind": kind, "run": run, "worker": "main",
+             "epoch": epoch, "data": data or {},
+             "ts": {"wall": 0.0, "dur": None}},
             ensure_ascii=False,
         )
         + "\n"
@@ -32,20 +47,26 @@ def epoch_event(epoch, run="r0", acc=0.5, lat=0.1, budget=10.0, quar=0):
 
 
 class TestSparkline:
-    def test_width_and_extremes(self):
-        line = sparkline([0.0, 1.0, 0.5], width=20)
-        assert len(line) == 3
-        assert line[0] == " " and line[1] == "@"
+    """An epoch line ends in the one sparkline over the accuracies of the
+    last ``follow.ROLLING`` epochs."""
 
-    def test_constant_series_is_midpoint(self):
-        mid = len("abc")  # three values in, three chars out
-        line = sparkline([2.0, 2.0, 2.0])
-        assert len(line) == mid
-        assert len(set(line)) == 1  # flat series renders one level
+    def test_width_and_extremes(self, tmp_path):
+        accuracies = [0.0, 1.0] + [0.5] * 30
+        (tmp_path / "events-main.jsonl").write_text(
+            "".join(epoch_event(t, acc=a) for t, a in enumerate(accuracies))
+        )
+        lines = TraceFollower(tmp_path).poll()
+        first, second, last = lines[0], lines[1], lines[-1]
+        assert first.endswith("|▁|")
+        assert second.endswith("|▁█|")
+        assert len(last.rsplit("|", 2)[1]) == 20
 
-    def test_empty_and_nonfinite(self):
-        assert sparkline([]) == ""
-        assert sparkline([float("nan"), float("inf")]) == ""
+    def test_empty_and_nonfinite(self, tmp_path):
+        (tmp_path / "events-main.jsonl").write_text(
+            epoch_event(0, acc="nan") + epoch_event(1, acc="inf")
+        )
+        lines = TraceFollower(tmp_path).poll()
+        assert all(line.endswith("||") and "acc=-" in line for line in lines)
 
 
 class TestPartialLines:
@@ -162,6 +183,15 @@ class TestEventHandling:
         lines = follower.poll()
         assert len(lines) == 1 and "keep" in lines[0]
 
+    def test_run_filter_matches_a_prefix(self, tmp_path):
+        # The same filter as ``repro trace --run PREFIX``.
+        events = tmp_path / "events-main.jsonl"
+        events.write_text(
+            epoch_event(0, run="FedL[seed=0]") + epoch_event(0, run="FedAvg[seed=0]")
+        )
+        lines = TraceFollower(tmp_path, run="FedL").poll()
+        assert len(lines) == 1 and lines[0].startswith("FedL[seed=0]  t=   0")
+
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         events = tmp_path / "events-main.jsonl"
         events.write_text("{broken\n[1,2]\n" + epoch_event(0))
@@ -179,7 +209,7 @@ class TestEventHandling:
         )
         follower = TraceFollower(tmp_path)
         lines = [l for l in follower.poll() if "t=" in l]
-        assert "regret=0.250" in lines[0]
+        assert "objective=0.250" in lines[0]
         assert "fit=1.500" in lines[0]
         assert "budget=7.5" in lines[0]  # falls back to descent headroom
 
@@ -232,3 +262,53 @@ class TestFollowTrace:
         )
         assert code == 1
         assert "timeout" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tmp_path_factory):
+    """The bytes of one events file holding two recorded runs."""
+    directory = tmp_path_factory.mktemp("two-runs")
+    cfg = experiment_config(
+        dataset="fmnist", iid=True, budget=60.0, num_clients=4,
+        min_participants=2, max_epochs=2,
+    )
+    hub = Telemetry.for_directory(directory)
+    with use_telemetry(hub):
+        for name in ("FedL", "FedAvg"):
+            with hub.run_scope(f"{name}[seed=0]"):
+                policy = make_policy(name, cfg, RngFactory(0).get(f"policy.{name}"))
+                run_experiment(policy, cfg)
+    hub.close()
+    return (directory / "events-main.jsonl").read_bytes()
+
+
+class TestOneFold:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_read_through_and_byte_polls_fold_alike(
+        self, recorded_runs, tmp_path_factory, data
+    ):
+        prefix = recorded_runs[: data.draw(st.integers(0, len(recorded_runs)))]
+        whole = tmp_path_factory.mktemp("whole")
+        (whole / "events-main.jsonl").write_bytes(prefix)
+        fed = tmp_path_factory.mktemp("fed")
+        path = fed / "events-main.jsonl"
+        path.write_bytes(b"")
+        follower = TraceFollower(fed)
+        with path.open("ab", buffering=0) as fh:
+            for i in range(len(prefix)):
+                fh.write(prefix[i : i + 1])
+                follower.poll()
+        assert follower.malformed == 0
+        assert follower.runs == fold_runs(read_events(whole))
+
+    def test_recording_folds_both_runs(self, recorded_runs, tmp_path):
+        (tmp_path / "events-main.jsonl").write_bytes(recorded_runs)
+        folds = fold_runs(read_events(tmp_path))
+        for run in ("FedL[seed=0]", "FedAvg[seed=0]"):
+            assert folds[run].epochs == 2 and folds[run].stop_reason
+        assert len(folds["FedL[seed=0]"].fit) == 2

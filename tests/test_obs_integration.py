@@ -29,11 +29,12 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.obs import (
+    EventReader,
     Telemetry,
     build_profile,
     canonical_line,
+    event_to_line,
     get_telemetry,
-    iter_trace_lines,
     load_manifest,
     read_events,
     use_telemetry,
@@ -82,9 +83,11 @@ class TestInstrumentedRun:
         epochs = len(result.trace)
         assert sum(e.kind == "epoch.complete" for e in events) == epochs
         assert sum(e.kind == "learner.descent" for e in events) >= epochs
-        # Every line re-validates against the schema.
-        for line in iter_trace_lines(tmp_path):
-            validate_event_dict(json.loads(line))
+        # Every line is a valid event and re-validates against the schema.
+        reader = EventReader(tmp_path)
+        assert len(reader.poll()) == len(events) and reader.malformed == 0
+        for event in events:
+            validate_event_dict(json.loads(event_to_line(event)))
         # Epoch scoping: learner/round events carry the epoch index.
         assert all(
             e.epoch is not None
@@ -249,14 +252,14 @@ class TestTraceDeterminism:
             hub = Telemetry.for_directory(tmp_path / name, run_id="t")
             run_fedl(cfg, hub)
             hub.finalize()
-            lines.append(
-                [canonical_line(l) for l in iter_trace_lines(tmp_path / name)]
-            )
+            lines.append([
+                canonical_line(event_to_line(e)) for e in read_events(tmp_path / name)
+            ])
         assert lines[0] == lines[1]
         # ... and the raw lines differ only because of ts (sanity check
         # that the canonicalization is actually doing something).
-        raw_a = list(iter_trace_lines(tmp_path / "a"))
-        raw_b = list(iter_trace_lines(tmp_path / "b"))
+        raw_a = (tmp_path / "a" / "events-main.jsonl").read_text().splitlines()
+        raw_b = (tmp_path / "b" / "events-main.jsonl").read_text().splitlines()
         assert len(raw_a) == len(raw_b) > 0
 
 
@@ -349,6 +352,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert "manifest=missing" in out
         assert "\nlearner.descent                           2   750.00ms   750.00ms" in out
+
+    def test_trace_renders_a_torn_last_line(self, tmp_path, capsys):
+        # An in-flight run: the writer is mid-line.  The partial line waits
+        # for its newline; it is neither an event nor a malformed one.
+        hub = Telemetry.for_directory(tmp_path, run_id="t")
+        run_fedl(tiny_config(), hub)
+        hub.finalize()
+        counts = load_manifest(tmp_path)["event_counts"]
+        with (tmp_path / "events-main.jsonl").open("a") as fh:
+            fh.write('{"v": 1, "seq": 999, "kind": "epoch.st')
+        assert main(["trace", str(tmp_path), "--no-chart"]) == 0
+        out = capsys.readouterr().out
+        assert "trajectories — run 't'" in out
+        inventory = out.split("event inventory\n", 1)[1].split("\n\n", 1)[0]
+        assert {
+            kind: int(n) for kind, n in (row.split() for row in inventory.splitlines())
+        } == counts
+        assert main(["trace", str(tmp_path), "--follow", "--timeout", "5"]) == 0
+        footer = capsys.readouterr().out.splitlines()[-1]
+        assert footer.startswith(
+            f"[follow] complete: {sum(counts.values())} events, 1/1 runs finished, "
+            "0 malformed lines"
+        )
+
+    def test_trace_renders_live_rounds(self, tmp_path, capsys):
+        hub = Telemetry.for_directory(tmp_path, run_id="live")
+        hub.emit("live.round", epoch=0, dur=0.5, data={
+            "iterations": 2, "aggregation": "deadline", "participants": 2,
+            "survivors": 1, "dropped": {"4": "deadline"}, "retries": 1,
+            "deadline_hits": 1, "time_scale": 0.5,
+        })
+        for client, status, made in ((4, "deadline", 1), (1, "ok", 2)):
+            hub.emit("live.client", epoch=0, data={
+                "client": client, "status": status, "contributions": made,
+            })
+        hub.finalize()
+        assert main(["trace", str(tmp_path), "--no-chart", "--run", "live"]) == 0
+        out = capsys.readouterr().out
+        assert "live runtime — run 'live' (1 measured rounds)" in out
+        assert "  retries=1  deadline_hits=1  drops=deadline:1\n" in out
+        assert "  epoch 0: deadline T=1s iterations=2 participants=2" in out
+        assert f"    k=  1 |{'#' * 40}| fill=2/2\n" in out
+        assert f"    k=  4 |{'#' * 20:<40}| fill=1/2  [deadline]" in out
 
     def test_trace_on_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope")]) == 2

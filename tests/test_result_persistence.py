@@ -7,11 +7,11 @@ schema-version-mismatch rejection.
 
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
@@ -25,16 +25,13 @@ from repro.experiments.persistence import (
 from repro.experiments.scenarios import experiment_config, paper_scale_config
 from repro.experiments.sweep import PolicySpec, SweepJob, execute_job, results_identical
 from repro.live.calibrate import CalibrationReport
-from repro.live.runtime import LiveRuntime
 from repro.obs import Telemetry
 from repro.obs.export import export_metrics
 from repro.obs.registry import MetricsRegistry
 
 
-def write_client_stats(directory, stats):
-    """``LiveRuntime.write_client_stats`` over ``{client id: stats}``."""
-    runtime = SimpleNamespace(_client_stats=stats)
-    return LiveRuntime.write_client_stats(runtime, directory)
+def write_json(path, payload):
+    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 #: Every writer of a run artifact, as ``set-up(dir) -> write()``.
@@ -42,7 +39,6 @@ WRITERS = {
     "registry": lambda d: lambda: MetricsRegistry().dump(d / "registry-main.json"),
     "manifest": lambda d: Telemetry.for_directory(d).finalize,
     "metrics": lambda d: lambda: export_metrics(d, {}),
-    "live-client-stats": lambda d: lambda: write_client_stats(d, {0: {"client": 0}}),
     "calibration": lambda d: lambda: CalibrationReport(
         rows=[], bit_identical=None, time_scale=1.0, policy="FedL", epochs=1
     ).save(d / "calibration.json"),
@@ -168,23 +164,22 @@ class TestAtomicWrites:
         loaded = load_traces(path)
         assert loaded["t"].equals(small_result.trace)
 
-    # The live engine's per-client event files (live_client_<id>.json,
-    # written by LiveRuntime.write_client_stats) carry the same
-    # torn-write guarantee as every other persisted artifact.
+    # atomic_write_text, the one writer under every artifact above, never
+    # leaves a torn file or a temp file behind.
 
-    def test_live_client_stats_failed_serialization(self, tmp_path):
-        path = tmp_path / "live_client_3.json"
-        write_client_stats(tmp_path, {3: {"client": 3, "rounds": 2}})
+    def test_atomic_write_failed_serialization(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        write_json(path, {"client": 3, "rounds": 2})
         before = path.read_text()
         with pytest.raises(TypeError):
             # a set is not JSON-serializable: crash mid-serialization
-            write_client_stats(tmp_path, {3: {"client": 3, "drops": {1, 2}}})
+            write_json(path, {"client": 3, "drops": {1, 2}})
         assert path.read_text() == before              # old payload intact
         assert list(tmp_path.glob("*.tmp*")) == []     # no temp litter
 
-    def test_live_client_stats_crash_mid_write(self, tmp_path, monkeypatch):
-        path = tmp_path / "live_client_0.json"
-        write_client_stats(tmp_path, {0: {"client": 0}})
+    def test_atomic_write_crash_mid_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact.json"
+        write_json(path, {"client": 0})
         before = path.read_text()
         real_fdopen = os.fdopen
 
@@ -201,16 +196,22 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "fdopen", torn_fdopen)
         with pytest.raises(OSError):
-            write_client_stats(tmp_path, {0: {"client": 0, "rounds": 99}})
+            write_json(path, {"client": 0, "rounds": 99})
         monkeypatch.undo()
         assert path.read_text() == before              # never half-replaced
         assert list(tmp_path.glob("*.tmp*")) == []     # torn temp removed
         json.loads(path.read_text())                   # still valid JSON
 
-    def test_live_client_stats_fresh_write_crash_leaves_nothing(self, tmp_path):
-        path = tmp_path / "live_client_7.json"
-        with pytest.raises(TypeError):
-            write_client_stats(tmp_path, {7: {"bad": object()}})
+    def test_atomic_write_fresh_write_crash_leaves_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact.json"
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_json(path, {"client": 7})
+        monkeypatch.undo()
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
