@@ -15,13 +15,31 @@ it is resolved by an (unavoidable) independent Bernoulli round, so the
 realized sum is ``floor(Σx̃)`` or ``ceil(Σx̃)`` and the marginals are still
 exact.
 
+Both functions reject a non-finite fraction with ``ValueError``: a NaN
+would otherwise pass the range check and come out as neither 0 nor 1 (RDCS)
+or silently as 0 (independent rounding).
+
 Cost per call: O(K) vectorized validation plus, for F fractional coordinates,
-at most F − 1 pairing steps of two generator draws and O(1) bookkeeping each.
+at most F − 1 pairing steps of O(1) bookkeeping each.  A step draws its pair
+and its uniform through :class:`repro.rng.PCG64Stream`, which reads the
+generator's PCG64 words in blocks and reproduces numpy's
+``Generator.choice(n, 2, replace=False)`` (Floyd's sampler and a
+two-element shuffle over Lemire-bounded ``next_uint32`` draws) and
+``Generator.random()`` word for word, then rewinds the generator to exactly
+the words used: the same output and generator state as the numpy calls, at
+about a quarter of their cost.  Guards: the reader refuses any bit
+generator but PCG64 (``UnsupportedBitGenerator``), and the tier-1 tests
+compare it with numpy's own ``choice``/``random``/``integers`` and
+``rdcs_round`` with its frozen numpy-call loop, so a numpy release that
+changes those algorithms fails the suite instead of silently shifting a
+stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.rng import PCG64Stream
 
 __all__ = ["rdcs_round", "independent_round"]
 
@@ -42,6 +60,19 @@ def _snap_scalar(v: float) -> float:
     return 1.0 if abs(v - 1.0) <= _ATOL else v
 
 
+def _check_fractions(x: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every fraction is finite and in [0, 1]
+    (within ``_ATOL``)."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(
+            f"fractions must be finite: {bad.size} are not "
+            f"(first {x.flat[bad[0]]} at flat index {bad[0]})"
+        )
+    if np.any((x < -_ATOL) | (x > 1.0 + _ATOL)):
+        raise ValueError("fractions must lie in [0, 1]")
+
+
 def independent_round(
     x_frac: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -52,8 +83,7 @@ def independent_round(
     solution or lead to an excessive system latency").
     """
     x = np.asarray(x_frac, dtype=float)
-    if np.any((x < -_ATOL) | (x > 1.0 + _ATOL)):
-        raise ValueError("fractions must lie in [0, 1]")
+    _check_fractions(x)
     x = np.clip(x, 0.0, 1.0)
     return (rng.random(x.shape) < x).astype(float)
 
@@ -69,32 +99,35 @@ def rdcs_round(x_frac: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     x = np.asarray(x_frac, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError("x_frac must be 1-D")
-    if np.any((x < -_ATOL) | (x > 1.0 + _ATOL)):
-        raise ValueError("fractions must lie in [0, 1]")
+    _check_fractions(x)
     x = _snap(np.clip(x, 0.0, 1.0))
 
     # Fractional coordinates and their values as parallel lists in index
     # order; ``x`` receives a coordinate only once it is integral.
     frac = np.flatnonzero((x > 0.0) & (x < 1.0))
     frac_idx, frac_val = frac.tolist(), x[frac].tolist()
-    while len(frac_idx) >= 2:
-        # Randomly choose the interacting pair (paper line 1).
-        pos_i, pos_j = rng.choice(len(frac_idx), size=2, replace=False).tolist()
-        xi, xj = frac_val[pos_i], frac_val[pos_j]
-        zeta1 = min(1.0 - xi, xj)
-        zeta2 = min(xi, 1.0 - xj)
-        # Snapped fractional values are > _ATOL from 0 and 1: ζ1 + ζ2 > 2·_ATOL.
-        if rng.random() < zeta2 / (zeta1 + zeta2):
-            xi, xj = xi + zeta1, xj - zeta1
-        else:
-            xi, xj = xi - zeta2, xj + zeta2
-        frac_val[pos_i], frac_val[pos_j] = _snap_scalar(xi), _snap_scalar(xj)
-        # Larger position first, so the smaller one still names its entry.
-        for pos in sorted((pos_i, pos_j), reverse=True):
-            if not 0.0 < frac_val[pos] < 1.0:
-                x[frac_idx[pos]] = frac_val[pos]
-                del frac_idx[pos], frac_val[pos]
+    with PCG64Stream(rng) as stream:
+        while len(frac_idx) >= 2:
+            # Randomly choose the interacting pair (paper line 1).
+            pos_i, pos_j = stream.pair(len(frac_idx))
+            xi, xj = frac_val[pos_i], frac_val[pos_j]
+            # ζ1 = min(1 − x_i, x_j), ζ2 = min(x_i, 1 − x_j), spelled out:
+            # the builtin's call costs more than the rest of the arithmetic.
+            yi, yj = 1.0 - xi, 1.0 - xj
+            zeta1 = yi if yi <= xj else xj
+            zeta2 = xi if xi <= yj else yj
+            # Snapped fractional values are > _ATOL from 0 and 1: ζ1 + ζ2 > 2·_ATOL.
+            if stream.random() < zeta2 / (zeta1 + zeta2):
+                xi, xj = xi + zeta1, xj - zeta1
+            else:
+                xi, xj = xi - zeta2, xj + zeta2
+            frac_val[pos_i], frac_val[pos_j] = _snap_scalar(xi), _snap_scalar(xj)
+            # Larger position first, so the smaller one still names its entry.
+            for pos in (pos_i, pos_j) if pos_i > pos_j else (pos_j, pos_i):
+                if not 0.0 < frac_val[pos] < 1.0:
+                    x[frac_idx[pos]] = frac_val[pos]
+                    del frac_idx[pos], frac_val[pos]
 
-    if frac_idx:  # one leftover fractional coordinate
-        x[frac_idx[0]] = 1.0 if rng.random() < frac_val[0] else 0.0
+        if frac_idx:  # one leftover fractional coordinate
+            x[frac_idx[0]] = 1.0 if stream.random() < frac_val[0] else 0.0
     return x

@@ -34,6 +34,7 @@ __all__ = [
     "assert_matches_oracle",
     "assert_same",
     "per_row_client_streams",
+    "predrawn_rng",
     "stream_state",
 ]
 
@@ -41,6 +42,16 @@ __all__ = [
 def stream_state(gen: np.random.Generator) -> dict:
     """The comparable position of a generator's stream."""
     return gen.bit_generator.state
+
+
+def predrawn_rng(seed: int, predraws: int) -> np.random.Generator:
+    """``default_rng(seed)`` after ``predraws`` single-uint32 draws: an odd
+    count holds a buffered half-word (``has_uint32 = 1``), as a generator
+    that has been drawing uint32s usually does."""
+    gen = np.random.default_rng(seed)
+    for _ in range(predraws):
+        gen.integers(0, 7)
+    return gen
 
 
 def assert_same(expected: Any, actual: Any, where: str = "output") -> None:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.rounding import _ATOL, _snap, independent_round, rdcs_round
-from tests.oracle import assert_matches_oracle
+from repro.rng import UnsupportedBitGenerator
+from tests.oracle import assert_matches_oracle, predrawn_rng
 
 fractions = hnp.arrays(
     np.float64,
@@ -71,16 +72,21 @@ def rdcs_round_oracle(x_frac: np.ndarray, rng: np.random.Generator) -> np.ndarra
 class TestRdcsStreamIdentity:
     """The linear-bookkeeping loop is the literal one, draw for draw."""
 
-    @given(stream_fractions, st.integers(0, 2**32 - 1))
+    @given(stream_fractions, st.integers(0, 2**32 - 1), st.integers(0, 3))
     @settings(
         max_examples=300,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    def test_same_output_and_generator_state_as_oracle(self, x, seed):
+    def test_same_output_and_generator_state_as_oracle(self, x, seed, predraws):
         assert_matches_oracle(
-            rdcs_round_oracle, rdcs_round, lambda: (x, np.random.default_rng(seed))
+            rdcs_round_oracle, rdcs_round, lambda: (x, predrawn_rng(seed, predraws))
         )
+
+    def test_both_entry_states_are_exercised(self):
+        # FedL's generator usually enters rdcs_round holding a buffered half.
+        assert predrawn_rng(0, 0).bit_generator.state["has_uint32"] == 0
+        assert predrawn_rng(0, 1).bit_generator.state["has_uint32"] == 1
 
 
 class TestRdcsInvariants:
@@ -119,6 +125,17 @@ class TestRdcsInvariants:
             rdcs_round(np.array([1.5]), rng)
         with pytest.raises(ValueError):
             rdcs_round(np.array([[0.5]]), rng)
+
+    def test_rejects_a_non_pcg64_generator(self):
+        with pytest.raises(UnsupportedBitGenerator, match="MT19937"):
+            rdcs_round(np.array([0.5, 0.5]), np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, rng, bad):
+        # A NaN passes the [0, 1] range check; it must not come out as
+        # neither 0 nor 1.
+        with pytest.raises(ValueError, match="finite"):
+            rdcs_round(np.array([0.5, bad, 0.5]), rng)
 
     def test_theorem3_marginals(self):
         """E[x_k] = x̃_k — the headline RDCS guarantee (Theorem 3)."""
@@ -159,6 +176,12 @@ class TestIndependentRound:
     def test_rejects_out_of_range(self, rng):
         with pytest.raises(ValueError):
             independent_round(np.array([-0.5]), rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, rng, bad):
+        # A NaN would otherwise round to 0 without a word.
+        with pytest.raises(ValueError, match="finite"):
+            independent_round(np.array([0.5, bad]), rng)
 
     def test_sum_variance_larger_than_rdcs(self):
         """The motivating property: RDCS concentrates the selection count,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import RngFactory, derive_seed
+from repro.rng import PCG64Stream, RngFactory, UnsupportedBitGenerator, derive_seed
+from tests.oracle import predrawn_rng
 
 
 class TestDeriveSeed:
@@ -184,3 +185,135 @@ class TestStateRoundTrip:
         dst.load_state(wire)
         for key in plan:
             np.testing.assert_array_equal(dst.get(key).random(8), expected[key])
+
+
+# Bounds for ``bounded``: the smallest, 2³¹ + 1 (about half its draws are
+# rejected and redrawn) and the largest Lemire range numpy serves from one
+# uint32.
+BOUNDS = (0, 1, 2, 2**31 + 1, 2**32 - 2)
+
+draw_ops = st.one_of(
+    st.just(("random", None)),
+    st.tuples(st.just("bounded"), st.sampled_from(BOUNDS)),
+    st.tuples(st.just("pair"), st.integers(2, 10**6)),
+)
+
+
+def numpy_draw(gen: np.random.Generator, op: str, arg):
+    """What ``PCG64Stream`` promises each operation equals."""
+    if op == "random":
+        return gen.random()
+    if op == "bounded":
+        return int(gen.integers(0, arg, endpoint=True))
+    return tuple(gen.choice(arg, size=2, replace=False).tolist())
+
+
+def stream_draw(stream: PCG64Stream, op: str, arg):
+    return stream.random() if op == "random" else getattr(stream, op)(arg)
+
+
+def assert_same_state(expected: np.random.Generator, actual: np.random.Generator):
+    # The whole state: 128-bit position, has_uint32 and uinteger.
+    assert actual.bit_generator.state == expected.bit_generator.state
+
+
+class TestPCG64Stream:
+    """The reader against numpy's own draws on the same stream."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        predraws=st.integers(0, 3),
+        ops=st.lists(draw_ops, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_and_final_state_match_numpy(self, seed, predraws, ops):
+        ref, gen = predrawn_rng(seed, predraws), predrawn_rng(seed, predraws)
+        with PCG64Stream(gen) as stream:
+            for op, arg in ops:
+                assert stream_draw(stream, op, arg) == numpy_draw(ref, op, arg), op
+        assert_same_state(ref, gen)
+        # The generator continues where numpy's calls would have left it.
+        assert gen.integers(0, 7) == ref.integers(0, 7)
+        assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("r", BOUNDS)
+    def test_bounded_matches_integers(self, r):
+        ref, gen = np.random.default_rng(r), np.random.default_rng(r)
+        with PCG64Stream(gen) as stream:
+            got = [stream.bounded(r) for _ in range(301)]
+        assert got == [int(ref.integers(0, r, endpoint=True)) for _ in range(301)]
+        assert_same_state(ref, gen)
+
+    def test_bounded_zero_draws_nothing(self):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        with PCG64Stream(gen) as stream:
+            assert [stream.bounded(0) for _ in range(10)] == [0] * 10
+        assert gen.bit_generator.state == before
+
+    @pytest.mark.parametrize("r", [-1, 2**32 - 1, 2**40])
+    def test_bounded_refuses_a_range_beyond_one_uint32(self, r):
+        with PCG64Stream(np.random.default_rng(0)) as stream:
+            with pytest.raises(ValueError, match="2\\*\\*32 - 2"):
+                stream.bounded(r)
+
+    def test_random_matches_generator_random(self):
+        ref, gen = np.random.default_rng(9), np.random.default_rng(9)
+        with PCG64Stream(gen) as stream:
+            got = [stream.random() for _ in range(500)]
+        assert got == ref.random(500).tolist()
+        assert_same_state(ref, gen)
+
+    @pytest.mark.parametrize("leading", [62, 63, 64, 65, 191, 192])
+    @pytest.mark.parametrize("predraws", [0, 1])
+    def test_runs_across_block_boundaries(self, leading, predraws):
+        """Words come in blocks of 64, 128, ...: end a run just before, on
+        and after a boundary, with a uint32 pair straddling it."""
+        ref, gen = predrawn_rng(leading, predraws), predrawn_rng(leading, predraws)
+        ops = [("random", None)] * leading + [("bounded", 2**31 + 1)] * 3
+        with PCG64Stream(gen) as stream:
+            for op, arg in ops:
+                assert stream_draw(stream, op, arg) == numpy_draw(ref, op, arg)
+        assert_same_state(ref, gen)
+
+    @pytest.mark.parametrize("uint32_draws", [1, 2, 3])
+    def test_rewinds_when_the_loop_raises(self, uint32_draws):
+        """An exception inside the ``with`` block still leaves the generator
+        on the words consumed, buffered half (has_uint32 and uinteger)
+        included."""
+        ref, gen = np.random.default_rng(17), np.random.default_rng(17)
+        ref.random(3)
+        for _ in range(uint32_draws):
+            ref.integers(0, 1000, endpoint=True)
+        with pytest.raises(RuntimeError, match="mid-loop"):
+            with PCG64Stream(gen) as stream:
+                for _ in range(3):
+                    stream.random()
+                for _ in range(uint32_draws):
+                    stream.bounded(1000)
+                raise RuntimeError("mid-loop")
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == uint32_draws % 2
+        assert state == ref.bit_generator.state
+
+    def test_close_is_idempotent(self):
+        ref, gen = np.random.default_rng(3), np.random.default_rng(3)
+        ref.integers(0, 7)
+        ref.random()
+        stream = PCG64Stream(gen)
+        stream.bounded(6)
+        stream.random()
+        stream.close()
+        stream.close()
+        assert_same_state(ref, gen)
+
+    @pytest.mark.parametrize(
+        "bitgen", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM]
+    )
+    def test_other_bit_generators_raise_a_typed_error(self, bitgen):
+        gen = np.random.Generator(bitgen(1))
+        with pytest.raises(UnsupportedBitGenerator, match=bitgen.__name__):
+            PCG64Stream(gen)
+        assert issubclass(UnsupportedBitGenerator, TypeError)
+        # Nothing was drawn.
+        assert gen.random() == np.random.Generator(bitgen(1)).random()
