@@ -4,7 +4,7 @@ A snapshot captures the *complete* mutable state of a running experiment
 at an epoch boundary:
 
 * the global model (via :mod:`repro.nn.serialization`),
-* every RNG stream created so far (:meth:`repro.rng.RngFactory.state_dict`;
+* every RNG stream created so far (:meth:`repro.rng.RngFactory.capture`;
   per-client streams are created at their first draw, so ``rng.json`` grows
   with the clients that have drawn, not with the population),
 * the environment processes' carried state (AR(1) prices, shadow fading,
@@ -32,7 +32,17 @@ and ``policy.pkl``.  Files are staged into a hidden temp directory and
 committed with a single :func:`os.replace`, so a crash mid-write leaves
 either the previous snapshot set or the new one — never a torn snapshot.
 A ``LATEST`` pointer (atomic text write) names the newest committed
-snapshot.
+snapshot.  A snapshot loads only if the manifest's ``files`` table names
+exactly those five payloads and each matches its checksum.
+
+The RNG capture is incremental.  The factory keeps each stream's encoded
+``rng.json`` entry and re-reads only the streams its long-lived holders
+keep (``RngFactory.get``) and the per-client streams whose deferred source
+was called since the previous snapshot — which is why a holder calls that
+source at each use and never stores its generator (the holder rule of
+:mod:`repro.rng`).  Snapshot cost therefore follows the streams drawn since
+the last snapshot, not every stream the run has created; the bytes are
+those of a full re-read.
 """
 
 from __future__ import annotations
@@ -64,6 +74,9 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA_VERSION = 1
+
+#: The payload files a snapshot's manifest checksums, all of them required.
+_PAYLOADS = ("model.npz", "policy.pkl", "rng.json", "state.npz", "trace.json")
 
 #: Fields of :class:`repro.env.state.ClientStateArrays` that ride state.npz.
 _STATE_FIELDS = (
@@ -113,7 +126,10 @@ class Snapshot:
         original run; this then fast-forwards every stream and carried
         process state to the capture point.
         """
-        sim.rng.load_state(self.rng_states)
+        try:
+            sim.rng.load_state(self.rng_states)
+        except ValueError as exc:
+            raise CheckpointError(f"unusable RNG state in {self.path}: {exc}")
         if self.server_w.shape != sim.server.w.shape:
             raise CheckpointError(
                 "checkpointed model shape does not match the configuration"
@@ -197,10 +213,7 @@ def write_snapshot(
         files[name] = hashlib.sha256(payload).hexdigest()
 
     try:
-        rng_states = sim.rng.state_dict()
-        if extra_rng_states:
-            rng_states.update(extra_rng_states)
-        put("rng.json", json.dumps(rng_states, default=int).encode())
+        put("rng.json", sim.rng.capture(extra_rng_states).encode())
         put("trace.json", json.dumps(trace_to_dict(trace)).encode())
         model_npz, state_npz = io.BytesIO(), io.BytesIO()
         save_checkpoint(sim.model, model_npz, w=sim.server.w)
@@ -313,9 +326,17 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         raise CheckpointError(
             f"unsupported checkpoint schema {manifest.get('schema')!r} in {snap}"
         )
-    for name, expected in manifest.get("files", {}).items():
-        if name == "manifest.json":
-            continue
+    files = manifest.get("files")
+    listed = set(files) if isinstance(files, dict) else set()
+    if listed != set(_PAYLOADS):
+        missing = sorted(set(_PAYLOADS) - listed)
+        extra = sorted(listed - set(_PAYLOADS))
+        raise CheckpointError(
+            f"checkpoint manifest in {snap} does not checksum exactly the "
+            f"snapshot's payloads (missing: {', '.join(missing) or 'none'}; "
+            f"unexpected: {', '.join(extra) or 'none'})"
+        )
+    for name, expected in files.items():
         path = snap / name
         if not path.is_file():
             raise CheckpointError(f"checkpoint file missing: {path}")

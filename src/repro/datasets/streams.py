@@ -68,14 +68,15 @@ class ClientDataStream:
         self.generator = generator
         self.class_probs = class_probs
         self._label_cdf: Optional[np.ndarray] = None  # built by the first draw
-        self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
+        self._rng = rng  # a Generator, or an RngFactory.defer(key) source
 
     @property
     def rng(self) -> np.random.Generator:
-        """This stream's generator; a deferred one is created by the first read."""
-        if not isinstance(self._rng, np.random.Generator):
-            self._rng = self._rng()
-        return self._rng
+        """This stream's generator.  A deferred source is called at every
+        read and its generator never kept (the holder rule of
+        :mod:`repro.rng`): the call marks the stream for the next snapshot."""
+        rng = self._rng
+        return rng if isinstance(rng, np.random.Generator) else rng()
 
     def draw(self, num_samples: int) -> Dataset:
         """Sample this epoch's local dataset (``num_samples`` examples)."""

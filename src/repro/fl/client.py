@@ -84,21 +84,23 @@ class FLClient:
     ) -> None:
         self.client_id = client_id
         self.model = model
-        self._rng = rng  # a Generator, or RngFactory.defer(key) until first read
+        self._rng = rng  # a Generator, or an RngFactory.defer(key) source
         self.spec = spec
         self._data: Optional[Dataset] = None
 
     @property
     def rng(self) -> np.random.Generator:
-        """This client's stream; a deferred one is created by the first read."""
-        if not self.rng_created:
-            self._rng = self._rng()
-        return self._rng
+        """This client's stream.  A deferred source is called at every read
+        and its generator never kept (the holder rule of :mod:`repro.rng`):
+        the call marks the stream for the next snapshot."""
+        rng = self._rng
+        return rng if isinstance(rng, np.random.Generator) else rng()
 
     @property
     def rng_created(self) -> bool:
         """False while the stream is still pristine (deferred, never read)."""
-        return isinstance(self._rng, np.random.Generator)
+        rng = self._rng
+        return isinstance(rng, np.random.Generator) or rng.created
 
     # -- per-epoch data ----------------------------------------------------------
 

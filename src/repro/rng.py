@@ -25,6 +25,15 @@ families (``data.client.<k>``, ``fl.client.<k>``) are handed out through
 :meth:`RngFactory.defer` and created at their owner's first draw, so set-up
 and snapshots pay for the clients that have drawn, not for the population.
 
+**The holder rule.**  A holder of a deferred source calls it at each use
+and never stores the generator it returns: each call tells the factory that
+the stream may have moved.  A snapshot's capture (:meth:`RngFactory.capture`)
+re-reads only the streams handed out by :meth:`~RngFactory.get` (long-lived
+holders: env, net, the eval panel, policies, DP, faults) and the deferred
+streams called since the previous capture; every other stream reuses the
+``rng.json`` entry encoded when it last moved.  So capture cost follows the
+streams drawn since the last snapshot, not every stream the run has made.
+
 Every stream is PCG64 (``default_rng``'s bit generator); the factory's
 restore rule and :class:`PCG64Stream` both refuse any other.
 :class:`PCG64Stream` reads a generator's stream from Python draw for draw as
@@ -33,15 +42,20 @@ numpy's C code does, for loops whose per-draw numpy call overhead dominates.
 
 from __future__ import annotations
 
-import copy
-import functools
 import hashlib
+import json
 from operator import length_hint
-from typing import Callable, Dict, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-__all__ = ["PCG64Stream", "RngFactory", "UnsupportedBitGenerator", "derive_seed"]
+__all__ = [
+    "DeferredStream",
+    "PCG64Stream",
+    "RngFactory",
+    "UnsupportedBitGenerator",
+    "derive_seed",
+]
 
 
 def derive_seed(seed: int, key: str) -> int:
@@ -61,25 +75,47 @@ class RngFactory:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._cache: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[str, np.random.Generator] = {}
+        # Each stream's ``"key": {...}`` rng.json entry as of the last
+        # capture, in creation order (None until its first capture).
+        self._entries: Dict[str, Optional[str]] = {}
+        # Re-read at every capture: streams handed to long-lived holders.
+        self._held: Set[str] = set()
+        # Re-read at the next capture: created or called through a deferred
+        # source since the last one.
+        self._touched: Set[str] = set()
 
-    def get(self, key: str) -> np.random.Generator:
-        """Return the memoized generator for ``key`` (create on first use)."""
-        gen = self._cache.get(key)
+    def _stream(self, key: str) -> np.random.Generator:
+        gen = self._streams.get(key)
         if gen is None:
-            gen = np.random.default_rng(derive_seed(self.seed, key))
-            self._cache[key] = gen
+            gen = self._streams[key] = np.random.default_rng(
+                derive_seed(self.seed, key)
+            )
+            self._entries[key] = None
+            self._touched.add(key)
         return gen
 
-    def defer(self, key: str) -> Callable[[], np.random.Generator]:
-        """A source for ``key``'s stream that calls :meth:`get` only when
-        called itself: naming a stream this way does not create it."""
-        return functools.partial(self.get, key)
+    def get(self, key: str) -> np.random.Generator:
+        """Return the memoized generator for ``key`` (create on first use).
+
+        The caller may keep the generator: every capture re-reads it.
+        """
+        self._held.add(key)
+        return self._stream(key)
+
+    def defer(self, key: str) -> "DeferredStream":
+        """A source for ``key``'s stream that creates it only when called:
+        naming a stream this way does not create it.  Holders call the
+        source at each use and never keep what it returns."""
+        return DeferredStream(self, key)
 
     def fresh(self, key: str) -> np.random.Generator:
-        """Return a *new* generator for ``key``, resetting its stream."""
+        """Return a *new* generator for ``key``, resetting its stream (kept
+        by the caller, so re-read at every capture, like :meth:`get`)."""
         gen = np.random.default_rng(derive_seed(self.seed, key))
-        self._cache[key] = gen
+        self._streams[key] = gen
+        self._entries.setdefault(key, None)
+        self._held.add(key)
         return gen
 
     def child(self, key: str) -> "RngFactory":
@@ -88,46 +124,111 @@ class RngFactory:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, dict]:
-        """Bit-generator state of every stream created so far.
+    def capture(self, overlay: Optional[Dict[str, dict]] = None) -> str:
+        """``rng.json``: the JSON object of every created stream's
+        bit-generator state, in creation order.
 
-        The values are the nested plain-python dicts numpy exposes via
-        ``Generator.bit_generator.state`` (for the default PCG64: the
-        128-bit state/increment integers plus the cached-uint32 pair), so
-        the result is JSON-serializable as-is.  Streams not yet created
-        are absent — they are deterministic functions of ``seed`` and
-        their key, so a resumed factory recreates them identically on
-        first ``get``.
+        Exactly ``json.dumps(states, default=int)`` of a full read of every
+        stream with ``overlay`` applied by ``dict.update`` (states owned
+        outside this process), but only held streams and streams touched
+        since the last capture are read and encoded again.  Streams not yet
+        created are absent — they are deterministic functions of ``seed``
+        and their key, so a resumed factory recreates them identically on
+        first use.
         """
-        # The .state property builds a fresh nested dict on every access,
-        # so no defensive copy is needed on capture (restore still copies:
-        # the caller's dict must not be mutated by the setter).
-        return {
-            key: gen.bit_generator.state for key, gen in self._cache.items()
-        }
+        entries, streams = self._entries, self._streams
+        for key in self._held | self._touched:
+            entries[key] = _entry(key, _read_state(streams[key]))
+        self._touched.clear()
+        if overlay:
+            entries = {
+                **entries,
+                **{key: _entry(key, state) for key, state in overlay.items()},
+            }
+        return "{" + ", ".join(entries.values()) + "}"
+
+    def state_dict(self) -> Dict[str, dict]:
+        """:meth:`capture` as a dict: the nested plain-python state dicts
+        numpy exposes via ``Generator.bit_generator`` (for PCG64: the
+        128-bit state/increment integers plus the cached-uint32 pair)."""
+        return json.loads(self.capture())
 
     def load_state(self, states: Dict[str, dict]) -> None:
-        """Restore streams captured by :meth:`state_dict`.
+        """Restore streams captured by :meth:`capture`.
 
-        Each named stream is (re)created through :meth:`get` and its bit
-        generator fast-forwarded to the saved state, so subsequent draws
-        continue bit-identically from the capture point.  Streams already
-        handed out keep their object identity (holders see the restored
-        stream); cached streams absent from ``states`` are left alone.
+        Each named stream is (re)created and its bit generator
+        fast-forwarded to the saved state, so subsequent draws continue
+        bit-identically from the capture point.  Streams already handed
+        out keep their object identity (holders see the restored stream);
+        cached streams absent from ``states`` are left alone.  A state the
+        stream's bit generator rejects raises :class:`ValueError` naming
+        the stream.  The restored states seed the entry cache, so the next
+        capture re-reads only what moves after the restore.
         """
         for key, state in states.items():
-            gen = self.get(key)
+            gen = self._stream(key)
             name = type(gen.bit_generator).__name__
-            if state["bit_generator"] != name:
+            try:
+                found = state["bit_generator"]
+                if found != name:
+                    raise ValueError(
+                        f"bit generator {found!r} does not match the "
+                        f"factory's {name!r}"
+                    )
+                # The setter copies the values into the bit generator and
+                # keeps no reference to the caller's dict.
+                gen.bit_generator.state = state
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
-                    f"stream {key!r}: bit generator "
-                    f"{state['bit_generator']!r} does not match the "
-                    f"factory's {name!r}"
-                )
-            gen.bit_generator.state = copy.deepcopy(state)
+                    f"stream {key!r}: {name} rejects the saved state "
+                    f"({type(exc).__name__}: {exc})"
+                ) from None
+            self._entries[key] = _entry(key, _read_state(gen))
+            self._touched.discard(key)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"RngFactory(seed={self.seed}, streams={sorted(self._cache)})"
+        return f"RngFactory(seed={self.seed}, streams={sorted(self._streams)})"
+
+
+class DeferredStream:
+    """A named stream of an :class:`RngFactory`, created at the first call.
+
+    Calling it returns the stream's generator and marks the stream for the
+    next capture (one dict lookup plus one set add), which is why holders
+    call it at every use instead of keeping the generator.
+    """
+
+    __slots__ = ("_factory", "key")
+
+    def __init__(self, factory: RngFactory, key: str) -> None:
+        self._factory = factory
+        self.key = key
+
+    def __call__(self) -> np.random.Generator:
+        factory, key = self._factory, self.key
+        factory._touched.add(key)
+        gen = factory._streams.get(key)
+        return gen if gen is not None else factory._stream(key)
+
+    @property
+    def created(self) -> bool:
+        """Whether the stream exists (has been called, or restored)."""
+        return self.key in self._factory._streams
+
+
+_encode = json.JSONEncoder(default=int).encode
+
+
+def _entry(key: str, state: dict) -> str:
+    """One stream's ``rng.json`` entry, as ``json.dumps(..., default=int)``
+    writes it inside the object."""
+    return f"{_encode(key)}: {_encode(state)}"
+
+
+def _read_state(gen: np.random.Generator) -> dict:
+    """A fresh dict of ``gen``'s bit-generator state (the one read a
+    capture makes per stream)."""
+    return gen.bit_generator.state
 
 
 class UnsupportedBitGenerator(TypeError):

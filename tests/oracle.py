@@ -20,6 +20,7 @@ identically seeded generators.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -33,6 +34,7 @@ __all__ = [
     "PerRowClientDataStream",
     "assert_matches_oracle",
     "assert_same",
+    "full_read",
     "per_row_client_streams",
     "predrawn_rng",
     "stream_state",
@@ -42,6 +44,17 @@ __all__ = [
 def stream_state(gen: np.random.Generator) -> dict:
     """The comparable position of a generator's stream."""
     return gen.bit_generator.state
+
+
+def full_read(factory, overlay: Optional[Dict[str, dict]] = None) -> str:
+    """The ``rng.json`` a full re-read gives: every stream ``factory`` has
+    created, read now, in creation order, overlaid as ``dict.update`` does
+    and encoded as a snapshot writes it.  The incremental
+    :meth:`repro.rng.RngFactory.capture` must equal it at every moment."""
+    states = {key: stream_state(gen) for key, gen in factory._streams.items()}
+    if overlay:
+        states.update(overlay)
+    return json.dumps(states, default=int)
 
 
 def predrawn_rng(seed: int, predraws: int) -> np.random.Generator:

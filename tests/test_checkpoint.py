@@ -11,6 +11,7 @@ also stay cheap: at most 2% of the run they observe.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -197,6 +198,30 @@ class TestCorruptSnapshots:
         ckpt_dir = self.checkpointed_run(tmp_path)
         (latest_snapshot_path(ckpt_dir) / "policy.pkl").unlink()
         with pytest.raises(CheckpointError, match="missing"):
+            load_snapshot(ckpt_dir)
+
+    def test_manifest_must_checksum_every_payload(self, tmp_path):
+        """A payload the manifest does not list is a payload nobody
+        verified: dropping rng.json from ``files`` (with a state digit
+        changed in it), or the whole table, must not load."""
+        ckpt_dir = self.checkpointed_run(tmp_path)
+        snap = latest_snapshot_path(ckpt_dir)
+        manifest_path = snap / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        text = (snap / "rng.json").read_text()
+        digit = text.index('"state": {"state": ') + len('"state": {"state": ')
+        flipped = "1" if text[digit] != "1" else "2"
+        (snap / "rng.json").write_text(text[:digit] + flipped + text[digit + 1:])
+        del manifest["files"]["rng.json"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="missing: rng.json"):
+            load_snapshot(ckpt_dir)
+        del manifest["files"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError,
+            match="missing: model.npz, policy.pkl, rng.json, state.npz, trace.json",
+        ):
             load_snapshot(ckpt_dir)
 
     def test_unreadable_manifest(self, tmp_path):
@@ -426,6 +451,25 @@ class TestCliResumeContract:
             )
             == 2
         )
+
+    def test_resume_with_a_drifted_rng_state_is_runtime_error(self, tmp_path, capsys):
+        """A checksum-valid rng.json whose stream state the bit generator
+        rejects (here: no ``inc``) is an unrecoverable checkpoint, named,
+        not a traceback."""
+        ckpt_dir = TestCorruptSnapshots().checkpointed_run(tmp_path)
+        snap = latest_snapshot_path(ckpt_dir)
+        states = json.loads((snap / "rng.json").read_text())
+        key = next(key for key in states if key.startswith("data.client."))
+        del states[key]["state"]["inc"]
+        payload = json.dumps(states).encode()
+        (snap / "rng.json").write_bytes(payload)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["files"]["rng.json"] = hashlib.sha256(payload).hexdigest()
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        assert self.cli(["run", "--resume", str(ckpt_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "repro: cannot resume:" in err and repr(key) in err, err
+        assert "Traceback" not in err
 
     def test_resume_corrupt_dir_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "ck"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rng import PCG64Stream, RngFactory, UnsupportedBitGenerator, derive_seed
-from tests.oracle import predrawn_rng
+from tests.oracle import full_read, predrawn_rng
 
 
 class TestDeriveSeed:
@@ -163,6 +163,19 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError, match="MT19937.*PCG64"):
             RngFactory(0).load_state(states)
 
+    @pytest.mark.parametrize(
+        "drift", [("state", "inc"), (None, "has_uint32"), (None, "state")]
+    )
+    def test_load_state_names_the_stream_whose_state_is_rejected(self, drift):
+        src = RngFactory(3)
+        src.get("net.channel").random(2)
+        src.get("fl.client.7").random(2)
+        states = json.loads(json.dumps(src.state_dict()))
+        inner, field = drift
+        del (states["fl.client.7"][inner] if inner else states["fl.client.7"])[field]
+        with pytest.raises(ValueError, match=r"stream 'fl\.client\.7'.*PCG64"):
+            RngFactory(3).load_state(states)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         plan=st.dictionaries(
@@ -185,6 +198,70 @@ class TestStateRoundTrip:
         dst.load_state(wire)
         for key in plan:
             np.testing.assert_array_equal(dst.get(key).random(8), expected[key])
+
+
+KEYS = ("env", "fl.client.0", "fl.client.1", "data.client.0")
+
+
+class TestIncrementalCapture:
+    """``capture`` re-reads only held and touched streams, yet always
+    writes what a full re-read of every stream would
+    (:func:`tests.oracle.full_read`)."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["call", "get", "fresh", "capture", "save", "restore"]),
+                st.sampled_from(KEYS),
+                st.integers(0, 5),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_capture_equals_a_full_read_after_any_sequence(self, ops):
+        factory = RngFactory(1)
+        sources = {key: factory.defer(key) for key in KEYS}
+        kept = {}                       # what get/fresh holders keep drawing from
+        saved = {}
+        for op, key, n in ops:
+            for gen in kept.values():
+                gen.random(n)
+            if op == "call":
+                sources[key]().random(n)
+            elif op == "get":
+                kept[key] = factory.get(key)
+            elif op == "fresh":
+                kept[key] = factory.fresh(key)
+            elif op == "restore":
+                factory.load_state(saved)
+            else:
+                written = factory.capture()
+                assert written == full_read(factory)
+                if op == "save":
+                    saved = json.loads(written)
+        assert factory.capture() == full_read(factory)
+
+    def test_restoring_an_older_capture_replaces_the_cached_entries(self):
+        factory = RngFactory(1)
+        held, source = factory.get("env"), factory.defer("data.client.0")
+        source().random(2)
+        saved = json.loads(factory.capture())
+        held.random(3)
+        source().random(3)
+        assert factory.capture() == full_read(factory)
+        factory.load_state(saved)
+        assert factory.capture() == full_read(factory)
+        assert factory.state_dict() == saved
+
+    def test_overlay_replaces_in_place_and_appends_new_keys(self):
+        factory = RngFactory(2)
+        factory.get("a").random(3)
+        factory.defer("b")().random(1)
+        factory.capture()
+        overlay = {"b": {"x": 1}, "c": {"y": np.int64(2)}}
+        assert factory.capture(overlay) == full_read(factory, overlay)
+        assert list(json.loads(factory.capture(overlay))) == ["a", "b", "c"]
 
 
 # Bounds for ``bounded``: the smallest, 2³¹ + 1 (about half its draws are
