@@ -11,6 +11,13 @@ normalises the partitioner's ``(K, C)`` class-distribution matrix once, and
 client ``k``'s stream object is built from row ``k`` the first time the run
 reads it (:class:`LazyRows`), so set-up pays for the matrix, not for K
 Python objects.
+
+There is one draw path, :meth:`ClientDataStream.draw`, and it can write a
+dataset's features into a caller's buffer (``out``) instead of a fresh
+array: the loss sweep draws an evaluation-only client's data straight into
+the one buffer it evaluates a bucket from.  With or without ``out`` a draw
+consumes the same numbers from the client's stream and yields the same
+bytes (:meth:`repro.datasets.synthetic.ClassConditionalGenerator.sample_from_cdf`).
 """
 
 from __future__ import annotations
@@ -78,14 +85,16 @@ class ClientDataStream:
         rng = self._rng
         return rng if isinstance(rng, np.random.Generator) else rng()
 
-    def draw(self, num_samples: int) -> Dataset:
-        """Sample this epoch's local dataset (``num_samples`` examples)."""
+    def draw(self, num_samples: int, out: Optional[np.ndarray] = None) -> Dataset:
+        """Sample this epoch's local dataset (``num_samples`` examples),
+        its features written into ``out`` (``(num_samples, num_features)``
+        float64, C-contiguous) when given."""
         if self._label_cdf is None:
             # What ``generator.sample(class_probs=self.class_probs)`` would
             # validate, re-normalise and accumulate on every call.
             self._label_cdf = self.generator.label_cdf(self.class_probs)
         return self.generator.sample_from_cdf(
-            num_samples, self._label_cdf, self.rng
+            num_samples, self._label_cdf, self.rng, out=out
         )
 
 

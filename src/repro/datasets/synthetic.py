@@ -154,27 +154,52 @@ class ClassConditionalGenerator:
         )
 
     def sample_from_cdf(
-        self, n: int, cdf: np.ndarray, gen: np.random.Generator, flatten: bool = True
+        self,
+        n: int,
+        cdf: np.ndarray,
+        gen: np.random.Generator,
+        flatten: bool = True,
+        out: Optional[np.ndarray] = None,
     ) -> Dataset:
-        """:meth:`sample` for a caller that keeps its :meth:`label_cdf`."""
+        """:meth:`sample` for a caller that keeps its :meth:`label_cdf`.
+
+        ``out`` (C-contiguous float64, ``(n, num_features)``) receives the
+        features instead of a fresh array; the draws and the bytes are the
+        same either way.  Rows are always flat (``flatten`` is kept for
+        :meth:`sample`'s signature).
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
+        h, w, c = self.image_shape
+        if out is None:
+            out = np.empty((n, h * w * c))
+        elif (
+            out.shape != (n, h * w * c)
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError("out must be a C-contiguous (n, num_features) array")
         # Inverse-cdf labels: the draw ``gen.choice(num_classes, size=n, p=probs)``
         # makes, without its per-call validation and cumsum of ``p``.
         labels = cdf.searchsorted(gen.random(n), side="right")
-        base = self.prototypes[labels]  # (n, H, W, C), a fresh copy
-        eps = gen.normal(0.0, self.noise, size=base.shape)
+        # ε straight into the result: numpy's ``normal(0, σ)`` is
+        # ``0.0 + σ·z``, so σ·z + 0.0 is the same float (at σ = 0 a
+        # negative z gives −0.0, which the + 0.0 turns into +0.0).
+        eps = out.reshape(n, h, w, c)
+        gen.standard_normal(out=eps)
+        eps *= self.noise
+        eps += 0.0
         # Per-sample intensity/contrast jitter (broadcast over pixels).
         gain = gen.uniform(0.85, 1.15, size=(n, 1, 1, 1))
         bias = gen.uniform(-0.05, 0.05, size=(n, 1, 1, 1))
-        # ((base·gain) + bias) + eps, clipped — evaluated in place on the
-        # fancy-index copy (identical op order, no temporaries).
+        # ((base·gain) + bias) + eps, clipped: the same IEEE operations as
+        # adding ε to the jittered prototypes (a sum commutes exactly).
+        base = self.prototypes[labels]  # (n, H, W, C), a fresh copy
         np.multiply(base, gain, out=base)
         base += bias
-        base += eps
-        imgs = np.clip(base, 0.0, 1.0, out=base)
-        x = imgs.reshape(n, -1) if flatten else imgs
-        return Dataset(x=x if flatten else x.reshape(n, -1), y=labels)
+        eps += base
+        np.clip(eps, 0.0, 1.0, out=eps)
+        return Dataset(x=out, y=labels)
 
     def test_set(self, n: int, rng: Optional[np.random.Generator] = None) -> Dataset:
         """A balanced held-out set (n // num_classes per class, at least 1)."""

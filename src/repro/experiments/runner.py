@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import signal
 import sys
 import threading
@@ -37,6 +38,7 @@ import numpy as np
 from repro.strategies.base import Decision, EpochContext, RoundFeedback, SelectionPolicy
 from repro.config import ExperimentConfig
 from repro.datasets import (
+    Dataset,
     LazyRows,
     build_client_streams,
     dirichlet_class_distributions,
@@ -296,6 +298,46 @@ class Simulation:
         return self.population.bits_per_sample
 
 
+#: What a freed block must exceed for the C heap to keep a round's working
+#: set between rounds (:func:`_keep_round_heap`).
+_ROUND_HEAP_BYTES = 8 << 20
+
+
+def _keep_round_heap() -> None:
+    """Let the C allocator keep what a round frees for the next round
+    instead of handing it back to the OS.
+
+    glibc trims the top of its heap once more than its trim threshold is
+    free there.  That threshold is twice the mmap threshold, which starts
+    at 128 kB and rises to the size of any larger mmapped block that is
+    freed (mallopt(3), dynamic mmap threshold).  A round allocates and
+    frees a few MB — the batched solves' state, the sweep's bucket
+    buffer, the contributors' data — so from the 128 kB start every round
+    gave that memory back and faulted it in again.  Freeing one 8 MB block
+    raises the thresholds to 8 and 16 MB, as a larger array freed by the
+    run would.  Under another allocator it is one allocation and one free.
+    """
+    np.empty(_ROUND_HEAP_BYTES // 8)  # allocated and freed at once
+
+
+def _epoch_data(
+    sim: Simulation,
+    adversary: Optional[Adversary],
+    k: int,
+    n: int,
+    t: int,
+    num_classes: int,
+    out: Optional[np.ndarray] = None,
+) -> Dataset:
+    """Client ``k``'s D_{t,k}: ``n`` samples from its stream, features into
+    ``out`` when given.  A label-flipping adversary poisons it here; every
+    other attack corrupts the upload inside the round instead."""
+    data = sim.streams[k].draw(n, out=out)
+    if adversary is not None:
+        data = adversary.poison_data(k, data, t, num_classes)
+    return data
+
+
 def _install_epoch_data(
     sim: Simulation,
     adversary: Optional[Adversary],
@@ -303,23 +345,27 @@ def _install_epoch_data(
     counts: np.ndarray,
     t: int,
     num_classes: int,
+    eval_only: np.ndarray,
 ) -> None:
-    """Install this epoch's local data on the given clients (released by
-    the caller when the round returns).  A label-flipping adversary
-    poisons its local dataset here; every other attack corrupts the upload
-    inside the round instead."""
-    if adversary is None:
-        for k in ids:
-            sim.clients[k].set_data(sim.streams[k].draw(int(counts[k])))
-    else:
-        for k in ids:
-            data = adversary.poison_data(
-                int(k),
-                sim.streams[k].draw(int(counts[k])),
-                t,
-                num_classes,
-            )
-            sim.clients[k].set_data(data)
+    """Install this epoch's local data (released by the caller when the
+    round returns): the contributors ``ids`` draw theirs now; each
+    evaluation-only client in ``eval_only`` is handed the draw the loss
+    sweep makes.  Every one of these clients' streams is created here, in
+    ascending id order over both sets, as when all of them drew here:
+    ``rng.json`` lists streams in creation order."""
+    drawn = set(ids.tolist())
+    for k in np.sort(np.concatenate((ids, eval_only))).tolist():
+        n = int(counts[k])
+        if k in drawn:
+            sim.clients[k].set_data(_epoch_data(sim, adversary, k, n, t, num_classes))
+            continue
+        stream = sim.streams[k]
+        stream.rng  # creates the stream
+        sim.clients[k].defer_data(
+            n,
+            stream.generator.num_features,
+            functools.partial(_epoch_data, sim, adversary, k, n, t, num_classes),
+        )
 
 
 def run_experiment(
@@ -479,15 +525,17 @@ def _run_experiment_loop(
     # run, so the benign path never re-tests it inside per-client loops.
     adversary = sim.adversary
     # Client data lives for one round.  It is installed once per epoch,
-    # after selection, on exactly the clients the round reads — the
-    # contributors and the end-of-round loss sweep — and released when the
-    # round returns.  Selection never reads client data and every client's
-    # data stream is its own RNG, so neither the install point nor the
-    # order across clients changes a byte.  The sweep covers every
+    # after selection, on exactly the clients the round reads, and
+    # released when the round returns: the contributors draw theirs at
+    # install, and every other client of the end-of-round loss sweep draws
+    # its own inside the sweep.  Selection never reads client data and
+    # every client's data stream is its own RNG, so neither the draw point
+    # nor the order across clients changes a byte.  The sweep covers every
     # available client; with shard.eval_sample set (large-K observability
     # bound) it shrinks to a freshly sampled panel plus the contributors.
     eval_sample = config.shard.eval_sample
     eval_rng = sim.rng.get("env.eval") if eval_sample is not None else None
+    _keep_round_heap()
     # Sharded runs aggregate hierarchically (per-shard partial sums, then
     # a global combine) using the policy's shard labels.
     shard_of = (
@@ -637,7 +685,7 @@ def _run_experiment_loop(
         avail_idx = np.flatnonzero(available)
         eval_mask: Optional[np.ndarray] = None
         if eval_sample is None:
-            held = avail_idx
+            swept = avail_idx
         else:
             # This epoch's evaluation panel, sampled from the available
             # clients.
@@ -647,9 +695,15 @@ def _run_experiment_loop(
                 eval_mask[
                     eval_rng.choice(avail_idx, size=n_panel, replace=False)
                 ] = True
-            held = np.flatnonzero(contributors | eval_mask)
+            swept = np.flatnonzero(contributors | eval_mask)
         _install_epoch_data(
-            sim, adversary, held, counts, t, config.data.num_classes
+            sim,
+            adversary,
+            np.flatnonzero(contributors),
+            counts,
+            t,
+            config.data.num_classes,
+            swept[~contributors[swept]],
         )
 
         if live_runtime is not None:
@@ -685,7 +739,7 @@ def _run_experiment_loop(
                 shard_of=shard_of,
                 **source_args,
             )
-        for k in held:
+        for k in swept:
             sim.clients[k].release_data()
         final_w = result.w
         # Realized latencies: the band was shared by the actual uploaders

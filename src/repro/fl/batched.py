@@ -45,6 +45,13 @@ client that never subsamples never touches (or creates) its generator, and
 a client that early-stops (reached ``target_eta``) simply leaves the active
 set, so its draw count matches the sequential loop.
 
+The end-of-round loss sweep (:func:`batched_local_losses`) uses the same
+equal-length runs, but one bucket at a time through one reused buffer: an
+evaluation-only client — swept, not a contributor — holds no data
+(:mod:`repro.fl.client`), and its dataset is drawn straight into the
+buffer rows the kernel then reads, so the sweep never holds more than one
+bucket of data beside the contributors'.
+
 The engine only supports shared models that have a kernel — ``Sequential``
 stacks of ``Linear`` and elementwise activations with 2-D inputs
 (``logreg``/``mlp``); the round runner falls back to the loop for anything
@@ -65,6 +72,21 @@ from repro.nn.models import ClassifierModel
 __all__ = ["BatchedSequentialKernel", "BatchedClientEngine", "batched_local_losses"]
 
 
+def _equal_count_runs(clients: Sequence) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The positions of ``clients`` sorted by sample count (a stable sort),
+    and the ``(start, end)`` ranges of that order with one count — the
+    buckets."""
+    order = sorted(range(len(clients)), key=lambda j: clients[j].num_samples)
+    lengths = [clients[j].num_samples for j in order]
+    runs = []
+    start = 0
+    for j in range(1, len(order) + 1):
+        if j == len(order) or lengths[j] != lengths[start]:
+            runs.append((start, j))
+            start = j
+    return order, runs
+
+
 class _ClientGroup:
     """Participants sharing one :class:`~repro.fl.client.LocalSolveSpec`.
 
@@ -79,24 +101,19 @@ class _ClientGroup:
     __slots__ = ("positions", "clients", "lengths", "buckets")
 
     def __init__(self, positions: List[int], clients: List) -> None:
-        order = sorted(range(len(clients)), key=lambda j: clients[j].num_samples)
+        order, runs = _equal_count_runs(clients)
         self.positions = [positions[j] for j in order]
         self.clients = [clients[j] for j in order]
         self.lengths = np.asarray([c.num_samples for c in self.clients])
-        self.buckets: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-        start = 0
-        for j in range(1, len(clients) + 1):
-            if j == len(clients) or self.lengths[j] != self.lengths[start]:
-                members = self.clients[start:j]
-                self.buckets.append(
-                    (
-                        start,
-                        j,
-                        np.stack([c.data.x for c in members]),
-                        np.stack([c.data.y for c in members]),
-                    )
-                )
-                start = j
+        self.buckets: List[Tuple[int, int, np.ndarray, np.ndarray]] = [
+            (
+                start,
+                end,
+                np.stack([c.data.x for c in self.clients[start:end]]),
+                np.stack([c.data.y for c in self.clients[start:end]]),
+            )
+            for start, end in runs
+        ]
 
     def runs(self, rows: np.ndarray) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
         """``buckets`` restricted to the ascending group rows ``rows``:
@@ -120,13 +137,42 @@ class _ClientGroup:
 def batched_local_losses(
     model: ClassifierModel, clients: Sequence, w: np.ndarray
 ) -> np.ndarray:
-    """Per-client ``F_{t,k}(w)`` for many clients in one batched sweep."""
-    group = _ClientGroup(list(range(len(clients))), list(clients))
-    sorted_losses, _ = model.kernel.evaluate_sorted(
-        np.asarray(w, dtype=float), group.buckets, model.l2_reg, want_grad=False
-    )
+    """Per-client ``F_{t,k}(w)`` for many clients, one bucket at a time.
+
+    A bucket (the clients with one sample count) is written into one
+    buffer the sweep owns, sized for the largest bucket: an
+    evaluation-only client's dataset is drawn straight into its rows
+    (:meth:`repro.fl.client.FLClient.sweep_data`), a contributor's held
+    dataset is copied in.  The bucket is evaluated and the next one
+    overwrites it, so the sweep holds one bucket of data beside the
+    contributors', and no dataset is allocated and freed per client.  Each
+    bucket is one exact-length run of
+    :meth:`BatchedSequentialKernel.evaluate_sorted`, so the losses are the
+    floats a stack of the whole sweep gives.
+    """
+    w = np.asarray(w, dtype=float)
+    order, runs = _equal_count_runs(clients)
+    shapes = [
+        (end - start, clients[order[start]].num_samples,
+         clients[order[start]].num_features)
+        for start, end in runs
+    ]
+    x_buf = np.empty(max(k * n * d for k, n, d in shapes))
+    y_buf = np.empty(max(k * n for k, n, _ in shapes), dtype=np.int64)
     losses = np.empty(len(clients))
-    losses[group.positions] = sorted_losses
+    for (start, end), (k, n, d) in zip(runs, shapes):
+        x = x_buf[: k * n * d].reshape(k, n, d)
+        y = y_buf[: k * n].reshape(k, n)
+        members = order[start:end]
+        for row, j in enumerate(members):
+            out = x[row]
+            data = clients[j].sweep_data(out=out)
+            if data.x is not out:  # a contributor's held dataset
+                out[...] = data.x
+            y[row] = data.y
+        losses[members], _ = model.kernel.evaluate_sorted(
+            w, [(0, k, x, y)], model.l2_reg, want_grad=False
+        )
     return losses
 
 
@@ -156,7 +202,11 @@ class BatchedClientEngine:
         for c in participants:
             if c.model is not model:
                 return False
-            if c.data.x.ndim != 2:
+            if c.holds_data:
+                if c.data.x.ndim != 2:
+                    return False
+            elif c.num_features != model.kernel.in_dim:
+                # Not drawn yet: its stream's rows are num_features wide.
                 return False
         return True
 

@@ -7,10 +7,15 @@ it (:class:`repro.datasets.streams.LazyRows`), and client ``k``'s
 :class:`FLClient` exists only once the run has read ``clients[k]``.
 
 A client holds data only from its install to the end of its round: the
-experiment loop draws D_{t,k} after selection, on the clients the round
-reads (its contributors and the end-of-round loss sweep), and releases it
-when the round returns, so memory follows the round, not the number of
-clients ever drawn.
+experiment loop draws D_{t,k} after selection on the round's contributors
+(:meth:`FLClient.set_data`) and releases it when the round returns.  A
+client the end-of-round loss sweep evaluates but that did not contribute
+— an *evaluation-only* client — holds no data at all: its install
+(:meth:`FLClient.defer_data`) records the sample count and feature width
+the sweep buckets it by, and :meth:`FLClient.sweep_data` draws the dataset
+when the sweep reaches it, into the sweep's buffer when it passes one.
+Memory therefore follows the round's contributors plus what the sweep is
+evaluating, not the evaluation panel or the number of clients ever drawn.
 
 Clients share one :class:`repro.nn.models.ClassifierModel` instance (the
 architecture); all state that differs between clients — data, RNG stream,
@@ -24,7 +29,7 @@ its parameter vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +92,10 @@ class FLClient:
         self._rng = rng  # a Generator, or an RngFactory.defer(key) source
         self.spec = spec
         self._data: Optional[Dataset] = None
+        # This epoch's sample count and feature width, and an
+        # evaluation-only client's not-yet-made draw (out -> Dataset).
+        self._shape: Optional[Tuple[int, int]] = None
+        self._draw: Optional[Callable[[Optional[np.ndarray]], Dataset]] = None
 
     @property
     def rng(self) -> np.random.Generator:
@@ -109,11 +118,31 @@ class FLClient:
         if len(data) == 0:
             raise ValueError("client data must be nonempty")
         self._data = data
+        self._shape = data.x.shape
+        self._draw = None
+
+    def defer_data(
+        self,
+        num_samples: int,
+        num_features: int,
+        draw: Callable[[Optional[np.ndarray]], Dataset],
+    ) -> None:
+        """Install an evaluation-only client's D_{t,k} without drawing it:
+        the client reports ``num_samples`` / ``num_features`` and
+        ``draw(out)`` makes the dataset (features into ``out`` when it is
+        not ``None``) the one time :meth:`sweep_data` asks for it."""
+        if num_samples < 1:
+            raise ValueError("client data must be nonempty")
+        self._data = None
+        self._shape = (int(num_samples), int(num_features))
+        self._draw = draw
 
     def release_data(self) -> None:
         """Drop D_{t,k} at the end of its round; :attr:`data` raises until
         the next :meth:`set_data`."""
         self._data = None
+        self._shape = None
+        self._draw = None
 
     @property
     def data(self) -> Dataset:
@@ -122,14 +151,44 @@ class FLClient:
         return self._data
 
     @property
+    def holds_data(self) -> bool:
+        """Whether D_{t,k} is drawn and held (a contributor's)."""
+        return self._data is not None
+
+    def sweep_data(self, out: Optional[np.ndarray] = None) -> Dataset:
+        """D_{t,k} for the loss sweep: the held dataset, or an
+        evaluation-only client's draw — features into ``out`` when given —
+        made once and not kept."""
+        if self._data is not None:
+            return self._data
+        draw = self._draw
+        if draw is None:
+            # Never installed, released, or already drawn this epoch: a
+            # second draw would advance the stream past the round's data.
+            raise RuntimeError(f"client {self.client_id} has no data this epoch")
+        self._draw = None
+        return draw(out)
+
+    def _epoch_shape(self) -> Tuple[int, int]:
+        if self._shape is None:
+            raise RuntimeError(f"client {self.client_id} has no data this epoch")
+        return self._shape
+
+    @property
     def num_samples(self) -> int:
-        return len(self.data)
+        return self._epoch_shape()[0]
+
+    @property
+    def num_features(self) -> int:
+        return self._epoch_shape()[1]
 
     # -- evaluation ---------------------------------------------------------------
 
     def local_loss(self, w: np.ndarray) -> float:
-        """F_{t,k}(w) on the full local dataset."""
-        return self.model.loss(w, self.data.x, self.data.y)
+        """F_{t,k}(w) on the full local dataset (an evaluation-only
+        client's is drawn here and dropped on return)."""
+        data = self.sweep_data()
+        return self.model.loss(w, data.x, data.y)
 
     def local_grad(
         self, w: np.ndarray, with_loss: bool = False

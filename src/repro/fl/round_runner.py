@@ -39,7 +39,10 @@ once against this protocol:
     local-solve outputs at the broadcast point (an iterable the round
     consumes once, in order).
 ``losses(clients, w) -> [F_k(w)]``
-    The end-of-round loss sweep.
+    The end-of-round loss sweep.  A swept client that did not contribute
+    holds no data; it draws its dataset inside the sweep
+    (:meth:`repro.fl.client.FLClient.sweep_data`) — per client on the
+    loop path, one bucket at a time into one buffer on the batched path.
 ``finish() -> timeline | None``
     The round's network timeline (``completion_time``, ``dropped``,
     per-iteration ``contributors``, ...) when the source has one.
@@ -187,6 +190,7 @@ class _LoopSource:
         )
 
     def losses(self, clients: Sequence[FLClient], w: np.ndarray):
+        # Per client: an evaluation-only client's draw lives for its call.
         return [c.local_loss(w) for c in clients]
 
     def finish(self):

@@ -217,12 +217,15 @@ class TestObjectsAtFirstTouch:
         assert len(sim.clients) == len(sim.streams) == 100_000
 
     def test_a_run_builds_only_the_clients_it_installs(self, monkeypatch):
+        """The contributors (drawn at install) and the evaluation-only
+        clients (installed with the draw the loss sweep makes)."""
         installed = set()
         install = runner._install_epoch_data
 
-        def recording_install(sim, adversary, ids, *args):
+        def recording_install(sim, adversary, ids, counts, t, num_classes, eval_only):
             installed.update(int(k) for k in ids)
-            install(sim, adversary, ids, *args)
+            installed.update(int(k) for k in eval_only)
+            install(sim, adversary, ids, counts, t, num_classes, eval_only)
 
         monkeypatch.setattr(runner, "_install_epoch_data", recording_install)
         cfg = experiment_config(

@@ -2,7 +2,9 @@
 
 The experiment loop installs D_{t,k} once per epoch, after selection, on
 exactly the clients the round reads — the contributors and the end-of-round
-loss sweep — and releases it when the round returns.  Nothing between the
+loss sweep — and releases it when the round returns.  Only the
+contributors' data is drawn at install; a client the sweep evaluates
+without contributing draws its own inside the sweep.  Nothing between the
 old eager install point (before selection) and this one reads client data,
 and every ``data.client.<k>`` stream is per client, so the move changes no
 byte: the digests below were recorded from the two-path loop this replaced.
@@ -11,6 +13,7 @@ byte: the digests below were recorded from the two-path loop this replaced.
 import dataclasses
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -151,16 +154,19 @@ def case_run(case, eval_sample):
 def test_installed_set_is_the_swept_set(case, eval_sample, monkeypatch):
     """One install per epoch, on exactly the clients whose loss the round
     sweeps, in the cases where the two old install points sat furthest
-    apart; same bytes as the old loop."""
-    installs, sweeps = [], []
+    apart; same bytes as the old loop.  The contributors draw at install;
+    every other swept client is installed with the draw the sweep makes."""
+    drawn, deferred, contributors, sweeps = [], [], [], []
     install, play = runner._install_epoch_data, runner.run_federated_round
 
-    def recording_install(sim, adversary, ids, *args):
-        installs.append(sorted(int(k) for k in ids))
-        install(sim, adversary, ids, *args)
+    def recording_install(sim, adversary, ids, counts, t, num_classes, eval_only):
+        drawn.append(sorted(int(k) for k in ids))
+        deferred.append(sorted(int(k) for k in eval_only))
+        install(sim, adversary, ids, counts, t, num_classes, eval_only)
 
-    def recording_round(*args, **kwargs):
-        result = play(*args, **kwargs)
+    def recording_round(server, clients, selected, *args, **kwargs):
+        contributors.append(np.flatnonzero(selected).tolist())
+        result = play(server, clients, selected, *args, **kwargs)
         sweeps.append(np.flatnonzero(~np.isnan(result.local_losses)).tolist())
         return result
 
@@ -168,6 +174,138 @@ def test_installed_set_is_the_swept_set(case, eval_sample, monkeypatch):
     monkeypatch.setattr(runner, "run_federated_round", recording_round)
     cfg, policy = case_run(case, eval_sample)
     result = run_experiment(policy, cfg)
-    assert len(installs) == len(result.trace) > 0
-    assert installs == sweeps
+    assert len(drawn) == len(result.trace) > 0
+    assert drawn == contributors
+    assert [sorted(a + b) for a, b in zip(drawn, deferred)] == sweeps
+    assert not any(set(a) & set(b) for a, b in zip(drawn, deferred))
     assert digest(result) == DIGESTS[case, eval_sample]
+
+
+#: ``digest`` of a label-flip run with a 12-client panel at K=40, seed 5,
+#: recorded at the commit that still drew every panel client's data at
+#: install: evaluation-only clients drawn inside the sweep (poisoned there
+#: when compromised) must give the same bytes on both in-process paths.
+PANEL_DIGEST = "ec8e75f28e1e4abe977569192a8a644b43136bcaa2425580bbff67bc543f3d53"
+
+
+@pytest.mark.parametrize("engine", ["loop", "batched"])
+def test_label_flip_panel_bytes_are_pinned(engine):
+    cfg = experiment_config(
+        budget=400.0, num_clients=40, min_participants=4, max_epochs=6, seed=5
+    )
+    cfg = cfg.replace(
+        training=dataclasses.replace(cfg.training, engine=engine),
+        attack=AttackConfig("label-flip", 0.3),
+        shard=ShardConfig(eval_sample=12),
+    )
+    result = run_experiment(policy_for("FedL", cfg), cfg)
+    assert len(result.trace) == 6
+    assert digest(result) == PANEL_DIGEST
+
+
+class DrawLedger:
+    """Which drawn datasets are alive, client by client.
+
+    A draw with no buffer owns its array and holds data until that array
+    is freed.  A draw into a caller's buffer holds its rows until the
+    buffer is freed or another draw into it starts before they end — the
+    sweep overwriting them, or starting its next bucket.
+    """
+
+    def __init__(self) -> None:
+        self.entries = []  # (weakref to the owning array, first byte, end byte)
+
+    def add(self, x: np.ndarray) -> None:
+        owner = x if x.base is None else x.base
+        lo = x.__array_interface__["data"][0]
+        # Rows of this buffer that end after the new draw starts are
+        # overwritten or belong to a bucket the sweep has moved past.
+        self.entries = [
+            (ref, a, b)
+            for ref, a, b in self.entries
+            if ref() is not None and not (ref() is owner and b > lo)
+        ]
+        self.entries.append((weakref.ref(owner), lo, lo + x.nbytes))
+
+    def alive(self) -> int:
+        self.entries = [e for e in self.entries if e[0]() is not None]
+        return len(self.entries)
+
+
+class TestSweepHoldsOneBucket:
+    """During the end-of-round loss sweep at most (contributors + the
+    largest bucket of swept clients with one sample count) clients hold
+    data at any moment: the contributors draw at install, every other swept
+    client inside the sweep — per client on the loop path, one bucket at a
+    time into one buffer on the batched path."""
+
+    @pytest.mark.parametrize("eval_sample", [None, 4])
+    @pytest.mark.parametrize("engine", ["loop", "batched", "des", "live"])
+    def test_held_clients_during_the_sweep(self, engine, eval_sample, monkeypatch):
+        import repro.fl.round_runner as round_runner
+        from repro.datasets.streams import ClientDataStream
+        from repro.fl.client import FLClient
+        from repro.nn.kernel import BatchedSequentialKernel
+        from repro.nn.models import ClassifierModel
+
+        ledger = DrawLedger()
+        in_sweep = [0]
+        peaks, bounds = [], []
+
+        def sample():
+            if in_sweep[0]:
+                peaks[-1] = max(peaks[-1], ledger.alive())
+
+        def wrap(owner, name, before=None, after=None):
+            original = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                if before is not None:
+                    before(*args, **kwargs)
+                result = original(*args, **kwargs)
+                if after is not None:
+                    after(result)
+                return result
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        def sweep(owner, name):
+            original = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                in_sweep[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    in_sweep[0] -= 1
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        def drawn(data):
+            ledger.add(data.x)
+            sample()
+
+        wrap(ClientDataStream, "draw", after=drawn)
+        wrap(ClassifierModel, "loss", before=lambda *a, **k: sample())
+        wrap(BatchedSequentialKernel, "evaluate_sorted", before=lambda *a, **k: sample())
+        sweep(FLClient, "local_loss")
+        sweep(round_runner, "batched_local_losses")
+
+        play = runner.run_federated_round
+
+        def bounded_round(server, clients, selected, available, *args, **kwargs):
+            swept = np.asarray(available, dtype=bool)
+            if kwargs.get("eval_mask") is not None:
+                swept &= kwargs["eval_mask"] | selected
+            counts = [clients[k].num_samples for k in np.flatnonzero(swept)]
+            largest_bucket = max(counts.count(n) for n in set(counts))
+            bounds.append(int(np.sum(selected)) + largest_bucket)
+            peaks.append(0)
+            return play(server, clients, selected, available, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_federated_round", bounded_round)
+        cfg = with_panel(small_config(engine), eval_sample)
+        result = run_experiment(policy_for("FedL", cfg), cfg)
+        assert len(peaks) == len(result.trace) == cfg.max_epochs
+        assert min(peaks) > 0  # the sweep was observed in every epoch
+        assert all(p <= b for p, b in zip(peaks, bounds)), (peaks, bounds)

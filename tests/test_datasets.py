@@ -281,3 +281,56 @@ class TestLabelCdfStreamIdentity:
         for bad in ([float("nan"), 1.0], [float("inf"), 1.0]):
             with pytest.raises(ValueError):
                 gen.sample(3, class_probs=np.array(bad))
+
+
+NOISY_GENERATORS = {
+    (c, noise): ClassConditionalGenerator((3, 4, 2), c, np.random.default_rng(c), noise=noise)
+    for c in (2, 5, 10)
+    for noise in (0.0, 1e-3, 0.35, 2.0)
+}
+
+
+class TestDrawIntoBuffer:
+    """``draw(n, out=buf)`` is ``draw(n)`` with the features written into
+    the caller's buffer: same bytes (signed zeros included), same labels,
+    same stream position afterwards."""
+
+    @given(
+        label_weights,
+        st.sampled_from([0.0, 1e-3, 0.35, 2.0]),
+        draw_sizes,
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_buffered_draw_is_the_fresh_draw(self, weights, noise, sizes, seed):
+        num_classes, ws = weights
+        gen = NOISY_GENERATORS[num_classes, noise]
+        twins = [
+            build_client_streams(gen, np.asarray([ws]), RngFactory(seed))[0]
+            for _ in range(2)
+        ]
+        dim = gen.num_features
+        # One reused buffer, left holding garbage between draws.
+        buf = np.full(max(sizes) * dim, np.nan)
+        for n in sizes:
+            out = buf[: n * dim].reshape(n, dim)
+            got = twins[0].draw(n, out=out)
+            want = twins[1].draw(n)
+            assert got.x is out
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+            buf[: n * dim] = -0.0
+        assert twins[0].rng.bit_generator.state == twins[1].rng.bit_generator.state
+
+    def test_rejects_a_buffer_of_the_wrong_shape_or_layout(self):
+        gen = NOISY_GENERATORS[2, 0.35]
+        stream = ClientDataStream(gen, np.array([0.5, 0.5]), np.random.default_rng(0))
+        dim = gen.num_features
+        for bad in (
+            np.empty((4, dim + 1)),
+            np.empty((5, dim)),
+            np.empty((4, dim), dtype=np.float32),
+            np.empty((dim, 4)).T,
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                stream.draw(4, out=bad)
