@@ -562,6 +562,11 @@ def _run_experiment_loop(
         # honest samples.
         fault_stream = "sim.runtime" if live_runtime is None else "live.faults"
 
+    # 0-lookahead by construction: this epoch's true τ reaches only a
+    # policy that declares it needs the oracle (read through getattr, so a
+    # wrapper that forwards attributes is asked too).
+    needs_oracle = bool(getattr(policy, "needs_oracle", False))
+
     for t in range(start_epoch, config.max_epochs):
         if tel.enabled:
             tel.set_epoch(t)
@@ -578,7 +583,11 @@ def _run_experiment_loop(
                     "remaining_budget": remaining,
                 },
             )
-        tau_oracle = sim.realized_tau(counts, channel_state, config.min_participants)
+        tau_oracle = (
+            sim.realized_tau(counts, channel_state, config.min_participants)
+            if needs_oracle
+            else None
+        )
         ctx = EpochContext(
             t=t,
             available=available,

@@ -12,7 +12,8 @@ concurrency, serialization, and backpressure.
 Layout:
 
 * :mod:`repro.live.protocol` — length-prefixed frame transport.
-* :mod:`repro.live.shaper` — token-bucket pacing + interruptible waits.
+* :mod:`repro.live.shaper` — upload schedules as due instants (the
+  token bucket computed, not slept).
 * :mod:`repro.live.worker` — the forked client-side process loop.
 * :mod:`repro.live.runtime` — server-side runtime, barrier policies,
   :class:`LiveRoundSpec` / :class:`LiveRoundOutcome`.

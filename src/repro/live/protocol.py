@@ -10,10 +10,12 @@ stream that ends mid-frame raises the same typed
 :class:`~repro.nn.serialization.TruncatedPayloadError` a torn on-disk
 payload does, so transport and persistence share one failure vocabulary.
 
-:class:`FrameStream` wraps a connected socket with a write lock (worker
-threads interleave chunk frames on one socket) and a read buffer (the
-server multiplexes many sockets and must only block once a frame has
-started arriving).
+:class:`FrameStream` wraps a connected socket with a write lock
+(concurrent senders never tear a frame) and blocking whole-frame reads
+(the server multiplexes many sockets and reads one only once a frame has
+started arriving).  A live worker writes :func:`encode_frame` bytes from
+its command loop alone, without blocking, so that it always goes on
+reading (see :mod:`repro.live.worker`).
 """
 
 from __future__ import annotations
@@ -31,13 +33,21 @@ from repro.nn.serialization import (
     encode_payload,
 )
 
-__all__ = ["MAX_FRAME_BYTES", "Frame", "FrameStream", "recv_exact"]
+__all__ = ["MAX_FRAME_BYTES", "Frame", "FrameStream", "encode_frame", "recv_exact"]
 
 #: Upper bound on a single frame, as a corruption tripwire: a garbled
 #: length prefix must fail loudly, not allocate gigabytes.
 MAX_FRAME_BYTES = 1 << 30
 
 Frame = Tuple[Dict, Dict[str, np.ndarray]]
+
+
+def encode_frame(
+    meta: Mapping, arrays: Optional[Mapping[str, np.ndarray]] = None
+) -> bytes:
+    """One frame's bytes: the length prefix, then the payload."""
+    payload = encode_payload(meta, arrays or {})
+    return len(payload).to_bytes(4, "little") + payload
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -69,8 +79,7 @@ class FrameStream:
         self, meta: Mapping, arrays: Optional[Mapping[str, np.ndarray]] = None
     ) -> None:
         """Serialize and send one frame (atomic w.r.t. other senders)."""
-        payload = encode_payload(meta, arrays or {})
-        frame = len(payload).to_bytes(4, "little") + payload
+        frame = encode_frame(meta, arrays)
         with self._wlock:
             self.sock.sendall(frame)
 

@@ -23,9 +23,10 @@ server-side from a dedicated RNG stream using the *same*
 :mod:`repro.sim.faults` machinery as the DES, then shipped to workers —
 identical physics, independent draws.
 
-Supervision (PR10): workers emit ``hb`` heartbeat frames from a
-background thread; the pump treats a socket EOF *or* heartbeat silence
-beyond ``worker_stale_s`` as a worker death.  A dead worker is reaped
+Supervision (PR10): workers emit ``hb`` heartbeat frames from their
+command loop, beside the compute thread that runs the solves; the pump
+treats a socket EOF *or* heartbeat silence beyond ``worker_stale_s`` as
+a worker death.  A dead worker is reaped
 and — within a bounded per-worker restart budget with exponential
 backoff — re-forked from the parent's client objects, the RNG streams
 of clients that had drawn by the last checkpoint reset to that state

@@ -1,107 +1,66 @@
-"""Bandwidth shaping and interruptible waits for the live engine.
+"""Upload timing for the live engine, as due instants.
 
-The worker threads never sleep blindly: every wait is chunked into small
-quanta and re-checks (a) the iteration's cancel event (the server closed
-an async-quorum barrier or a deadline fired) and (b) the client's
-scheduled mid-round dropout instant.  :class:`TokenBucket` paces a
-chunked upload so the payload drains at the channel rate the ``net/``
-model predicted, giving real backpressure on the socket instead of one
-burst write.
+A worker never sleeps on a client's behalf.  :func:`upload_schedule`
+turns one client's upload into the sequence of ``time.monotonic``
+instants at which its frames are due, and the worker's command loop
+sends each frame at its instant while other clients' frames and the
+next local solve proceed (see :mod:`repro.live.worker`).
+
+The schedule plays the :mod:`repro.sim.faults` semantics the DES uses:
+each failed attempt occupies a full transmission ``upload_s`` before the
+loss is discovered, then a ``retry`` notice goes out and an exponential
+backoff follows; one failure past ``max_retries`` ends the upload.  The
+surviving attempt is a token bucket that starts empty, computed rather
+than slept: chunk *j* is due at ``start + upload_s · (bytes through
+chunk j) / size``, so the payload drains at the rate the ``net/`` model
+predicted (``size / upload_s``) and the first chunk already pays its
+transmission time.
+
+Cancellation and dropout are the caller's: it checks both before acting
+on each instant, and stops resuming the schedule once either fires.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Optional
+from typing import Callable, Iterator, Optional, Tuple
 
-__all__ = ["WAIT_QUANTUM_S", "WaitOutcome", "TokenBucket", "wait_until"]
+__all__ = ["RETRY", "FAILED", "CHUNK", "upload_schedule"]
 
-#: Sleep quantum: cancellation/dropout latency is bounded by this.
-WAIT_QUANTUM_S = 0.005
+#: Event kinds of :func:`upload_schedule`.  ``None`` is a bare wait.
+RETRY = "retry"      # arg: the failed attempt's number
+FAILED = "failed"    # arg: the failed attempt's number (> max_retries)
+CHUNK = "chunk"      # arg: (lo, hi) byte range of the payload
 
-
-class WaitOutcome:
-    """Tri-state result of an interruptible wait."""
-
-    OK = "ok"            # the target instant was reached
-    CANCEL = "cancel"    # the iteration's cancel event fired
-    DROP = "drop"        # the client's dropout instant passed
+Event = Tuple[float, Optional[str], object]
 
 
-def wait_until(
-    deadline: float,
-    cancel: Optional[threading.Event] = None,
-    drop_at: float = float("inf"),
-) -> str:
-    """Sleep until ``deadline`` (``time.monotonic`` instant), waking every
-    :data:`WAIT_QUANTUM_S` to poll ``cancel`` and ``drop_at``.
+def upload_schedule(
+    start: float,
+    size: int,
+    chunk_bytes: int,
+    upload_s: float,
+    attempt_fails: Callable[[], bool],
+    max_retries: int,
+    backoff_s: float,
+) -> Iterator[Event]:
+    """Yield ``(instant, event, arg)`` for an upload that begins at ``start``.
 
-    Returns a :class:`WaitOutcome` constant.  ``drop_at`` wins over the
-    deadline when it comes first (the client leaves mid-phase), and is
-    checked even for already-expired deadlines so a dropped client never
-    performs another phase.
+    ``attempt_fails`` is called once per attempt, lazily: the schedule is
+    resumed only at the instant the previous event is due, so a cancelled
+    or dropped upload draws exactly what the attempts it reached drew.
     """
-    while True:
-        now = time.monotonic()
-        if cancel is not None and cancel.is_set():
-            return WaitOutcome.CANCEL
-        if drop_at <= now and drop_at <= deadline:
-            return WaitOutcome.DROP
-        if now >= deadline:
-            return WaitOutcome.OK
-        step = min(WAIT_QUANTUM_S, deadline - now, max(drop_at - now, 0.0))
-        if cancel is not None:
-            if cancel.wait(step):
-                return WaitOutcome.CANCEL
-        else:
-            time.sleep(step)
-
-
-class TokenBucket:
-    """Classic token bucket: ``consume(n)`` blocks until ``n`` tokens
-    (bytes) have accrued at ``rate`` tokens/second.
-
-    The bucket starts empty, so the first chunk already pays its
-    transmission time — total drain time of a ``B``-byte payload is
-    ``B / rate`` (± one wait quantum), matching the channel model's
-    ``τ_cm`` when ``rate = payload / τ_cm``.
-    """
-
-    def __init__(self, rate: float, capacity: Optional[float] = None) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.capacity = capacity if capacity is not None else float("inf")
-        self.tokens = 0.0
-        self._last = time.monotonic()
-
-    def _refill(self) -> None:
-        now = time.monotonic()
-        self.tokens = min(
-            self.capacity, self.tokens + (now - self._last) * self.rate
-        )
-        self._last = now
-
-    def consume(
-        self,
-        n: float,
-        cancel: Optional[threading.Event] = None,
-        drop_at: float = float("inf"),
-    ) -> str:
-        """Block until ``n`` tokens are available, then take them.
-
-        Interruptible like :func:`wait_until`; on CANCEL/DROP the tokens
-        are *not* taken (the transmission never happened).
-        """
-        self._refill()
-        if self.tokens < n:
-            deficit = (n - self.tokens) / self.rate
-            outcome = wait_until(
-                time.monotonic() + deficit, cancel=cancel, drop_at=drop_at
-            )
-            if outcome != WaitOutcome.OK:
-                return outcome
-            self._refill()
-        self.tokens -= n
-        return WaitOutcome.OK
+    t = start
+    failures = 0
+    while attempt_fails():
+        failures += 1
+        t += upload_s
+        if failures > max_retries:
+            yield t, FAILED, failures
+            return
+        yield t, RETRY, failures
+        t += backoff_s * (2.0 ** (failures - 1))
+        yield t, None, None
+    sent = 0
+    while sent < size:
+        lo, sent = sent, min(sent + chunk_bytes, size)
+        yield t + upload_s * sent / size, CHUNK, (lo, sent)

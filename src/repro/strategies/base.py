@@ -12,7 +12,10 @@ cycle per epoch ``t``:
 
 ``ctx.tau_oracle`` is the one deliberate exception: the true
 current-epoch per-iteration latencies, provided *only* for the oracle
-baseline and lookahead ablations.  Honest policies must not read it.
+baseline and lookahead ablations.  The runner builds it only for a
+policy that declares ``needs_oracle`` (every other one sees ``None``),
+and ``tests/test_strategy_properties.py`` checks that no other
+registered strategy's decision moves with it.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ aborts exit 1, and the calibration report has its documented shape.
 
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.config import LiveConfig, SimConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.client import FLClient
 from repro.live import LiveRoundSpec, LiveRuntime, run_calibration
@@ -134,8 +135,6 @@ class TestLiveRuntimeValidation:
 
 
 def _tiny_clients():
-    from repro.experiments.runner import Simulation
-
     return Simulation(experiment_config(**SMALL)).clients
 
 
@@ -220,7 +219,8 @@ class TestCliLive:
 
 
 class TestWorkerModelClones:
-    """A worker clones a model only when concurrent solves would race on it."""
+    """A worker never clones a model: its solves run one at a time on one
+    compute thread, so no two of them can race on shared layers."""
 
     @staticmethod
     def worker_models(name, **model_kwargs):
@@ -241,11 +241,26 @@ class TestWorkerModelClones:
         assert model.kernel is not None
         assert all(m is model for m in seen)
 
-    def test_cnn_fleet_gets_one_clone_per_client(self):
+    def test_cnn_fleet_shares_one_model(self):
         model, seen = self.worker_models("cnn", image_shape=(8, 8, 1))
         assert model.kernel is None
-        assert len({id(m) for m in [model, *seen]}) == 4
-        assert len({id(m.network) for m in [model, *seen]}) == 4
+        assert all(m is model for m in seen)
+
+    def test_shared_cnn_live_matches_loop(self):
+        """The sharing checked end to end: a CNN fleet trained through one
+        worker's shared ``Module`` equals the loop engine bit for bit."""
+        runs = {}
+        for engine in ("loop", "live"):
+            cfg = small_config(engine=engine, workers=1, time_scale=0.01)
+            cfg = cfg.replace(
+                training=dataclasses.replace(cfg.training, model="cnn"),
+                max_epochs=2,
+            )
+            sim = Simulation(cfg)
+            assert sim.model.kernel is None  # the Module path
+            pol = make_policy("FedAvg", cfg, RngFactory(cfg.seed).get("cli.policy"))
+            runs[engine] = run_experiment(pol, cfg, simulation=sim)
+        np.testing.assert_array_equal(runs["loop"].final_w, runs["live"].final_w)
 
 
 def test_worker_holds_only_its_latest_shipment():
@@ -254,16 +269,21 @@ def test_worker_holds_only_its_latest_shipment():
     clients = {cid: FLClient(cid, model, np.random.default_rng(cid)) for cid in range(3)}
     x, y = np.zeros((2, 4)), np.zeros(2, dtype=int)
     ours, theirs = socket_pair()
+    worker = _Worker(FrameStream(ours), clients, chunk_bytes=1024, heartbeat_s=0)
+    serving = threading.Thread(target=worker.run)
+    serving.start()
+    server = FrameStream(theirs)
     try:
-        worker = _Worker(FrameStream(ours), clients, chunk_bytes=1024, heartbeat_s=0)
-        server = FrameStream(theirs)
         for shipment in ([0, 1], [1, 2]):
             arrays = {f"{k}{cid}": v for cid in shipment for k, v in (("x", x), ("y", y))}
-            worker.handle_install({"cmd": "install", "clients": shipment}, arrays)
+            server.send({"cmd": "install", "clients": shipment}, arrays)
             assert server.recv()[0] == {"cmd": "ok", "re": "install"}
     finally:
+        server.send({"cmd": "stop"})
+        serving.join(10.0)
         ours.close()
         theirs.close()
+    assert not serving.is_alive()
     with pytest.raises(RuntimeError, match="no data this epoch"):
         clients[0].data
     assert [len(clients[cid].data) for cid in (1, 2)] == [2, 2]

@@ -105,6 +105,32 @@ class TestSimulationWiring:
         res = run_experiment(pol, cfg)
         assert len(res.trace) >= 1
 
+    @pytest.mark.parametrize("name, sees_tau", [("FedAvg", False), ("FedL", False), ("Oracle", True)])
+    def test_only_an_oracle_policy_gets_tau_oracle(self, name, sees_tau):
+        """0-lookahead by construction: the runner builds this epoch's true
+        τ only for a ``needs_oracle`` policy, asked through a wrapper that
+        forwards attributes."""
+        cfg = experiment_config(budget=100.0, num_clients=8, min_participants=2,
+                                max_epochs=3)
+        seen = []
+
+        class Spy:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, attr):
+                if attr == "inner":
+                    raise AttributeError(attr)
+                return getattr(self.inner, attr)
+
+            def select(self, ctx):
+                seen.append(ctx.tau_oracle)
+                return self.inner.select(ctx)
+
+        run_experiment(Spy(make_policy(name, cfg, RngFactory(0).get("p"))), cfg)
+        assert seen
+        assert all((tau is not None) == sees_tau for tau in seen)
+
     def test_trace_epoch_indices_contiguous(self):
         cfg = experiment_config(budget=200.0, num_clients=8, min_participants=2,
                                 max_epochs=6)

@@ -17,6 +17,10 @@ members are covered the moment they register:
 4. **Determinism** — two instances built from the same seed, driven
    through the same episode, make identical decisions.  Holds for every
    member, randomized or not.
+5. **0-lookahead** — two contexts that differ only in this epoch's
+   realised latencies (``ctx.tau_oracle``) give the same decision, for
+   every member that does not declare ``needs_oracle``; one that does
+   must read them.
 
 Tie-breaking is the classic way such tests go flaky, so the generated
 instances are tie-free by construction: local losses come from distinct
@@ -37,6 +41,8 @@ from repro.strategies import STRATEGY_REGISTRY, build_strategy
 ALL_STRATEGIES = sorted(STRATEGY_REGISTRY)
 BUDGET_AWARE = sorted(n for n, s in STRATEGY_REGISTRY.items() if s.budget_aware)
 NON_RANDOMIZED = sorted(n for n, s in STRATEGY_REGISTRY.items() if not s.randomized)
+ORACLES = sorted(n for n, s in STRATEGY_REGISTRY.items() if s.needs_oracle)
+HONEST = sorted(n for n, s in STRATEGY_REGISTRY.items() if not s.needs_oracle)
 
 # Tie-free value pools (see module docstring).
 LOSS_POOL = np.array([2.0 ** -(k + 1) for k in range(16)])
@@ -117,10 +123,13 @@ def cheapest_n_cost(costs, avail, n):
     return float(np.sort(costs[avail])[:n].sum())
 
 
-def play(policy, ep, perm=None):
+def play(policy, ep, perm=None, tau_now=None):
     """Drive ``policy`` through the episode (optionally relabeled by
     ``perm``: every client-indexed array becomes ``arr[perm]``) and return
-    one record per epoch: (selected mask, iterations, spend, budget)."""
+    one record per epoch: (selected mask, iterations, spend, budget).
+
+    ``tau_now[t]``, when given, replaces epoch ``t``'s ``ctx.tau_oracle``
+    (and only that: the feedback still reports the episode's latencies)."""
     m, n = ep["m"], ep["n"]
     p = np.arange(m) if perm is None else np.asarray(perm)
     taus = [t[p] for t in ep["taus"]]
@@ -138,7 +147,7 @@ def play(policy, ep, perm=None):
             min_participants=n,
             tau_last=taus[t],
             local_losses=prev_losses,
-            tau_oracle=taus[t + 1],
+            tau_oracle=taus[t + 1] if tau_now is None else tau_now[t][p],
         )
         decision = policy.select(ctx)
         sel = decision.selected
@@ -213,3 +222,68 @@ class TestDeterminism:
             assert np.array_equal(sel_a, sel_b)
             assert it_a == it_b
             assert sp_a == sp_b
+
+
+class DecisionLog:
+    """Forwards to a policy and keeps every :class:`Decision` it made."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decisions = []
+
+    def select(self, ctx):
+        decision = self.inner.select(ctx)
+        self.decisions.append(decision)
+        return decision
+
+    def update(self, feedback):
+        self.inner.update(feedback)
+
+
+def same_decision(a, b):
+    return (
+        np.array_equal(a.selected, b.selected)
+        and a.iterations == b.iterations
+        and np.array_equal(a.rho, b.rho, equal_nan=True)
+        and (a.fractional_x is None) == (b.fractional_x is None)
+        and (a.fractional_x is None
+             or np.array_equal(a.fractional_x, b.fractional_x, equal_nan=True))
+        and a.quorum == b.quorum
+    )
+
+
+class TestZeroLookahead:
+    @pytest.mark.parametrize("name", HONEST)
+    @PROPERTY_SETTINGS
+    @given(ep=episodes(), scale=st.sampled_from([0.25, 3.0]))
+    def test_this_epochs_realised_tau_moves_no_honest_decision(self, name, ep, scale):
+        # The other world's latencies: reversed (the ranking flips) and
+        # rescaled, so any read of them shows.
+        other = [ep["taus"][t + 1][::-1] * scale for t in range(2)]
+        logs = [DecisionLog(build(name, ep)) for _ in range(2)]
+        play(logs[0], ep)
+        play(logs[1], ep, tau_now=other)
+        for t, (a, b) in enumerate(zip(*(log.decisions for log in logs))):
+            assert same_decision(a, b), f"{name} read this epoch's τ at t={t}"
+
+
+class TestOracleLooksAhead:
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_needs_oracle_strategies_read_this_epochs_tau(self, name):
+        m, n = 6, 2
+        ep = {"m": m, "n": n}
+        fast_first = np.arange(1.0, m + 1)
+        picks = []
+        for tau in (fast_first, fast_first[::-1]):
+            ctx = EpochContext(
+                t=0,
+                available=np.ones(m, dtype=bool),
+                costs=np.ones(m),
+                remaining_budget=100.0,
+                min_participants=n,
+                tau_last=np.ones(m),
+                local_losses=np.full(m, np.nan),
+                tau_oracle=tau,
+            )
+            picks.append(build(name, ep).select(ctx))
+        assert not same_decision(*picks)
