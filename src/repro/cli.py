@@ -789,7 +789,7 @@ def _cmd_regret(args: argparse.Namespace) -> int:
 
     factory = RngFactory(args.seed)
     m = 8
-    print(f"{'T':>6} {'Reg_d':>10} {'Fit_d':>10} {'Fit_d/T':>10}")
+    rows = []
     for horizon in args.horizons:
         problems = drifting_problem_stream(
             m, horizon, factory.fresh(f"stream.{horizon}")
@@ -803,7 +803,10 @@ def _cmd_regret(args: argparse.Namespace) -> int:
             learner.dual_ascent(prob.h(phi))
         reg, _ = dynamic_regret(problems, decisions)
         fit = dynamic_fit(problems, decisions)
-        print(f"{horizon:>6} {reg:>10.2f} {fit:>10.2f} {fit / horizon:>10.3f}")
+        rows.append((horizon, {
+            "Reg_d": f"{reg:.2f}", "Fit_d": f"{fit:.2f}", "Fit_d/T": f"{fit / horizon:.3f}",
+        }))
+    print(format_table(rows, label="T"))
     return 0
 
 

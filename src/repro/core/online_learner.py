@@ -11,9 +11,10 @@ State: the fractional decision ``Φ̃_t`` and the Lagrange multiplier
       min_Φ  ∇f_t(Φ̃_t)ᵀ(Φ − Φ̃_t) + μ_{t+1}ᵀ h_t(Φ) + ‖Φ − Φ̃_t‖²/(2β)
 
   over the relaxed feasible set X̃ (box ∩ budget ∩ participation).  Two
-  interchangeable solvers: projected gradient (default, via Dykstra
-  projections) and the from-scratch interior-point filter line-search
-  method (the paper's reference [26]); tests assert they agree.
+  interchangeable solvers: projected gradient (default, over
+  :meth:`FedLProblem.project`) and the from-scratch interior-point
+  filter line-search method (the paper's reference [26]); tests assert
+  they agree.
 """
 
 from __future__ import annotations

@@ -489,12 +489,10 @@ class FedLProblem:
     def _dykstra(self, v: np.ndarray, tol: float = 1e-10, max_iters: int = 500) -> np.ndarray:
         """Dykstra over box ∩ budget ∩ participation, fused.
 
-        Performs exactly the floating-point operations of
-        :func:`repro.solvers.projections.alternating_projections` composed
-        with ``project_box`` / ``project_halfspace`` (same sweep order,
-        same increment bookkeeping) but without per-call closure dispatch
-        and revalidation — this loop runs tens of thousands of inner
-        projections per experiment.
+        Performs exactly the floating-point operations of the generic
+        Dykstra in ``tests/oracle.py`` (``alternating_projections`` over
+        the box, budget and participation projections: same sweep order,
+        same increment bookkeeping) without per-call closure dispatch.
         """
         lo, hi = self._lo, self._hi
         costs, c_nrm2 = self._costs_ext, self._costs_nrm2

@@ -1,12 +1,18 @@
-"""Plain-text rendering of tables and series (bench harness output)."""
+"""Plain-text rendering of tables and series: the one table renderer
+behind every report the CLI prints."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import re
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["format_table", "format_series"]
+
+#: A rendered cell that reads as a number: a digit after an optional sign
+#: or decimal point.
+_NUMERIC = re.compile(r"[-+]?\.?\d")
 
 
 def _fmt(v) -> str:
@@ -19,33 +25,46 @@ def _fmt(v) -> str:
     return str(v)
 
 
+Row = Mapping[str, object]
+
+
 def format_table(
-    rows: Mapping[str, Mapping[str, object]],
+    rows: Mapping[str, Row] | Iterable[Tuple[str, Row]],
     title: Optional[str] = None,
+    label: str = "policy",
 ) -> str:
-    """Render ``{row_label: {column: value}}`` as an aligned ASCII table."""
-    if not rows:
+    """Render ``{row_label: {column: value}}`` as an aligned ASCII table.
+
+    ``rows`` may also be ``(row_label, cells)`` pairs, for labels that
+    repeat; ``label`` heads the row-label column.  Values render through
+    :func:`_fmt`, so a caller that wants its own precision or unit passes
+    the cell as a string.  A column holding a number, or a string that
+    starts like one (``1.2ms``, ``+5.0%``, ``3->4``), is right-aligned.
+    """
+    items = list(rows.items()) if isinstance(rows, Mapping) else list(rows)
+    if not items:
         return "(empty table)"
     columns: list[str] = []
-    for row in rows.values():
+    for _, row in items:
         for col in row:
             if col not in columns:
                 columns.append(col)
-    header = ["policy"] + columns
+    header = [label] + columns
     body = [
-        [label] + [_fmt(row.get(col)) for col in columns]
-        for label, row in rows.items()
+        [str(name)] + [_fmt(row.get(col)) for col in columns] for name, row in items
     ]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
+    right = [any(_NUMERIC.match(r[i]) for r in body) for i in range(len(header))]
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(
+            c.rjust(w) if r else c.ljust(w) for c, w, r in zip(cells, widths, right)
+        ).rstrip()
+
+    lines = [title] if title else []
+    lines.append(line(header))
+    lines.append("  ".join("-" * w for w in widths).rstrip())
+    lines.extend(line(r) for r in body)
     return "\n".join(lines)
 
 

@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import experiment_config
 from repro.experiments.sweep import (
@@ -371,46 +372,50 @@ def format_report(report: dict) -> str:
     )
     lines.append("")
 
-    lines.append("overall ranking (mean rank across scenarios; accuracy band over seeds)")
-    header = f"{'#':>3} {'strategy':<14} {'mean-rank':>9} {'mean-acc':>9} {'wins':>5}  capabilities"
-    lines.append(header)
-    lines.append("-" * len(header))
     caps = {s["name"]: ",".join(s["capabilities"]) or "-" for s in report["strategies"]}
-    for row in report["overall"]:
-        lines.append(
-            f"{row['rank']:>3} {row['strategy']:<14} {row['mean_rank']:>9.2f} "
-            f"{row['mean_accuracy']:>9.4f} {row['scenario_wins']:>5}  "
-            f"{caps[row['strategy']]}"
-        )
+    overall = [
+        (row["rank"], {
+            "strategy": row["strategy"],
+            "mean-rank": f"{row['mean_rank']:.2f}",
+            "mean-acc": f"{row['mean_accuracy']:.4f}",
+            "wins": row["scenario_wins"],
+            "capabilities": caps[row["strategy"]],
+        })
+        for row in report["overall"]
+    ]
+    lines.append(format_table(
+        overall, label="#",
+        title="overall ranking (mean rank across scenarios; accuracy band over seeds)",
+    ))
     lines.append("")
 
-    lines.append("per-scenario accuracy (mean±std over seeds; * = winner)")
-    width = max(len(s) for s in scen)
-    head = f"{'strategy':<14} " + " ".join(f"{s:>{max(width, 15)}}" for s in scen)
-    lines.append(head)
-    lines.append("-" * len(head))
-    for name in names:
-        row = [f"{name:<14}"]
-        for s in scen:
-            band = _fmt_band(report["cells"][s][name]["accuracy"])
-            star = "*" if report["winners"][s] == name else " "
-            row.append(f"{band + star:>{max(width, 15) + 1}}")
-        lines.append(" ".join(row))
+    accuracy = {
+        name: {
+            s: _fmt_band(report["cells"][s][name]["accuracy"])
+            + ("*" if report["winners"][s] == name else " ")
+            for s in scen
+        }
+        for name in names
+    }
+    lines.append(format_table(
+        accuracy, label="strategy",
+        title="per-scenario accuracy (mean±std over seeds; * = winner)",
+    ))
     lines.append("")
 
-    lines.append("head-to-head (row beats column in N scenarios)")
     short = [n[:7] for n in names]
-    head = f"{'strategy':<14} " + " ".join(f"{s:>7}" for s in short)
-    lines.append(head)
-    lines.append("-" * len(head))
-    for name in names:
-        row = [f"{name:<14}"]
-        for other in names:
-            if other == name:
-                row.append(f"{'.':>7}")
-            else:
-                row.append(f"{report['head_to_head'][name][other]:>7}")
-        lines.append(" ".join(row))
+    if len(set(short)) < len(short):
+        short = names                 # truncation would merge two columns
+    wins = {
+        name: {
+            col: "." if other == name else report["head_to_head"][name][other]
+            for col, other in zip(short, names)
+        }
+        for name in names
+    }
+    lines.append(format_table(
+        wins, label="strategy", title="head-to-head (row beats column in N scenarios)"
+    ))
     return "\n".join(lines)
 
 

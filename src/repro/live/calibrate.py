@@ -77,18 +77,22 @@ class CalibrationReport:
 
     def render(self) -> str:
         """ASCII divergence table (CLI output)."""
-        header = (
-            f"{'profile':<14} {'agg':<9} {'des_lat':>9} {'live_lat':>9} "
-            f"{'ratio':>6} {'des_fill':>9} {'live_fill':>9} "
-            f"{'des_drops':>9} {'live_drops':>10}"
-        )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.profile:<14} {r.aggregation:<9} {r.des_latency:>9.3f} "
-                f"{r.live_latency:>9.3f} {r.ratio:>6.2f} {r.des_fill:>9.3f} "
-                f"{r.live_fill:>9.3f} {r.des_drops:>9d} {r.live_drops:>10d}"
-            )
+        from repro.experiments.reporting import format_table
+
+        table = [
+            (r.profile, {
+                "agg": r.aggregation,
+                "des_lat": f"{r.des_latency:.3f}",
+                "live_lat": f"{r.live_latency:.3f}",
+                "ratio": f"{r.ratio:.2f}",
+                "des_fill": f"{r.des_fill:.3f}",
+                "live_fill": f"{r.live_fill:.3f}",
+                "des_drops": r.des_drops,
+                "live_drops": r.live_drops,
+            })
+            for r in self.rows
+        ]
+        lines = [format_table(table, label="profile")]
         verdict = (
             "not checked"
             if self.bit_identical is None

@@ -718,9 +718,6 @@ class LiveRuntime:
         """True once worker ``idx`` has exhausted its restart budget."""
         return idx in self._dead
 
-    def live_streams(self) -> List[FrameStream]:
-        return [s for s in self.streams if s is not None]
-
     # -- data distribution -------------------------------------------------------
 
     def install_data(self, datasets: Dict[int, "Dataset"]) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pathloss_db", "db_to_linear", "linear_to_db", "dbm_to_watt", "watt_to_dbm"]
+__all__ = ["pathloss_db", "db_to_linear", "dbm_to_watt"]
 
 #: 3GPP urban-macro intercept (dB) at 1 km.
 PATHLOSS_INTERCEPT_DB = 128.1
@@ -37,22 +37,6 @@ def db_to_linear(db: np.ndarray | float) -> np.ndarray | float:
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(lin: np.ndarray | float) -> np.ndarray | float:
-    """Convert a linear power ratio to dB."""
-    lin_a = np.asarray(lin, dtype=float)
-    if np.any(lin_a <= 0):
-        raise ValueError("linear power must be positive")
-    return 10.0 * np.log10(lin_a)
-
-
 def dbm_to_watt(dbm: np.ndarray | float) -> np.ndarray | float:
     """Convert dBm to watts (0 dBm = 1 mW)."""
     return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: np.ndarray | float) -> np.ndarray | float:
-    """Convert watts to dBm."""
-    w = np.asarray(watt, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("power must be positive")
-    return 10.0 * np.log10(w) + 30.0

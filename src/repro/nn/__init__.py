@@ -16,7 +16,7 @@ package implements the needed pieces directly on NumPy:
   ``ClassifierModel`` and the batched FL engine both evaluate with.
 * :mod:`repro.nn.models` — ``ClassifierModel`` facade plus factories for
   logistic regression, MLP, and the paper's two CNNs (scaled).
-* :mod:`repro.nn.metrics` — accuracy, top-k.
+* :mod:`repro.nn.metrics` — accuracy.
 
 Backward passes are hand-derived and verified against central finite
 differences in the test suite.
@@ -25,13 +25,13 @@ differences in the test suite.
 from repro.nn.module import Parameter, Module, Sequential
 from repro.nn.linear import Linear, Flatten, Reshape
 from repro.nn.conv import Conv2D
-from repro.nn.pooling import MaxPool2D, AvgPool2D
+from repro.nn.pooling import MaxPool2D
 from repro.nn.activations import ReLU, Tanh, Sigmoid
 from repro.nn.serialization import save_checkpoint, load_checkpoint
 from repro.nn.losses import softmax_cross_entropy, softmax, l2_penalty
 from repro.nn.kernel import BatchedSequentialKernel
 from repro.nn.models import ClassifierModel, build_model
-from repro.nn.metrics import accuracy, top_k_accuracy
+from repro.nn.metrics import accuracy
 
 __all__ = [
     "Parameter",
@@ -42,7 +42,6 @@ __all__ = [
     "Reshape",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "ReLU",
     "Tanh",
     "Sigmoid",
@@ -55,5 +54,4 @@ __all__ = [
     "ClassifierModel",
     "build_model",
     "accuracy",
-    "top_k_accuracy",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_matrix"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -16,30 +16,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if p.size == 0:
         raise ValueError("empty inputs")
     return float(np.mean(p == y))
-
-
-def top_k_accuracy(scores: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of rows whose label is among the top-k scored classes."""
-    s = np.asarray(scores)
-    y = np.asarray(labels)
-    if s.ndim != 2 or y.shape != (s.shape[0],):
-        raise ValueError("scores must be (N, C) and labels (N,)")
-    if not (1 <= k <= s.shape[1]):
-        raise ValueError("k out of range")
-    topk = np.argpartition(-s, kth=k - 1, axis=1)[:, :k]
-    return float(np.mean(np.any(topk == y[:, None], axis=1)))
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Counts[i, j] = #(label i predicted as j)."""
-    p = np.asarray(predictions, dtype=np.int64)
-    y = np.asarray(labels, dtype=np.int64)
-    if p.shape != y.shape:
-        raise ValueError("shape mismatch")
-    if np.any((p < 0) | (p >= num_classes) | (y < 0) | (y >= num_classes)):
-        raise ValueError("class index out of range")
-    out = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(out, (y, p), 1)
-    return out

@@ -146,15 +146,6 @@ class ClassifierModel:
             logits = self.logits(w, x)
         return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
-    def init_params(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """A fresh random initialization (does not disturb current params)."""
-        # Layers were already randomly initialized at construction; to get an
-        # independent draw we perturb deterministically from the given rng.
-        w = self.network.get_flat_params()
-        if rng is None:
-            return w
-        return w + 0.0 * rng.standard_normal(w.size)  # construction draw is canonical
-
 
 def _mlp_network(
     input_dim: int,

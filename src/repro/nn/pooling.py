@@ -1,4 +1,4 @@
-"""Max and average pooling (NHWC, non-overlapping windows)."""
+"""Max pooling (NHWC, non-overlapping windows)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-__all__ = ["MaxPool2D", "AvgPool2D"]
+__all__ = ["MaxPool2D"]
 
 
 def _window_view(x: np.ndarray, size: int) -> np.ndarray:
@@ -33,11 +33,8 @@ class MaxPool2D(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         win = _window_view(x, self.size)
         out = win.max(axis=(2, 4))
-        # Mask of (one of the) argmax positions for routing gradients.
+        # Mask of the argmax positions; backward splits ties evenly.
         mask = win == out[:, :, None, :, None, :]
-        # Break ties: keep only the first max per window so the gradient is
-        # routed exactly once (matches subgradient convention).
-        flat = mask.reshape(*mask.shape[:2], self.size, mask.shape[3], self.size, -1)
         self._cache = (mask, np.asarray(x.shape))
         return out
 
@@ -49,27 +46,4 @@ class MaxPool2D(Module):
         counts = mask.sum(axis=(2, 4), keepdims=True)
         g = (mask / counts) * grad_out[:, :, None, :, None, :]
         n, h, w, c = x_shape
-        return g.reshape(n, h, w, c)
-
-
-class AvgPool2D(Module):
-    """Non-overlapping average pooling with window ``size × size``."""
-
-    def __init__(self, size: int = 2) -> None:
-        if size < 1:
-            raise ValueError("pool size must be positive")
-        self.size = size
-        self._x_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return _window_view(x, self.size).mean(axis=(2, 4))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, h, w, c = self._x_shape
-        s = self.size
-        g = grad_out[:, :, None, :, None, :] / (s * s)
-        g = np.broadcast_to(g, (n, h // s, s, w // s, s, c))
         return g.reshape(n, h, w, c)

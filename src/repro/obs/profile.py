@@ -140,29 +140,27 @@ def render_profile(profile: Mapping[str, Any]) -> str:
     if not phases:
         lines.append("(no timers recorded)")
         return "\n".join(lines)
+    from repro.experiments.reporting import format_table
+
     wall = sum(phases[r]["total_s"] for r in profile["roots"])
-    lines.append("")
-    header = (
-        f"{'phase':<34} {'count':>8} {'total':>10} {'self':>10} "
-        f"{'mean':>9} {'%root':>6}"
-    )
-    if epochs:
-        header += f" {'per-epoch':>10}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    rows = []
     for key in _tree_order(profile):
         node = phases[key]
         label = key if node["parent"] is None else key[len(node["parent"]) + 1 :]
         mean = node["total_s"] / node["count"] if node["count"] else 0.0
         pct = 100.0 * node["total_s"] / wall if wall > 0 else 0.0
-        row = (
-            f"{'  ' * node['depth'] + label:<34} {node['count']:>8} "
-            f"{_fmt_s(node['total_s']):>10} {_fmt_s(node['self_s']):>10} "
-            f"{_fmt_s(mean):>9} {pct:>5.1f}%"
-        )
+        row = {
+            "count": node["count"],
+            "total": _fmt_s(node["total_s"]),
+            "self": _fmt_s(node["self_s"]),
+            "mean": _fmt_s(mean),
+            "%root": f"{pct:.1f}%",
+        }
         if epochs:
-            row += f" {_fmt_s(node['total_s'] / epochs):>10}"
-        lines.append(row)
+            row["per-epoch"] = _fmt_s(node["total_s"] / epochs)
+        rows.append(("  " * node["depth"] + label, row))
+    lines.append("")
+    lines.append(format_table(rows, label="phase"))
     lines.append("")
     lines.append(f"hot phases (self time, top {HOT_PHASES}):")
     ranked = sorted(
@@ -231,8 +229,8 @@ def render_diff(
     label_a: str = "A",
     label_b: str = "B",
 ) -> str:
-    """Render :func:`diff_profiles` as a delta table whose phase column
-    fits the longest phase path."""
+    """Render :func:`diff_profiles` as a delta table; ``!`` marks a
+    regressed phase."""
     rows = diff_profiles(a, b)
     lines: List[str] = []
     title = f"profile diff: {label_a} -> {label_b}"
@@ -241,26 +239,22 @@ def render_diff(
     if not rows:
         lines.append("(no phases in either profile)")
         return "\n".join(lines)
-    width = max(30, *(len(r["phase"]) for r in rows))
-    header = (
-        f"{'phase':<{width}} {'count':>13} {'total':>21} {'mean':>19} "
-        f"{'d-mean':>8}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+    from repro.experiments.reporting import format_table
+
+    table = []
     for row in rows:
-        counts = f"{row['count_a']}->{row['count_b']}"
-        totals = f"{_fmt_s(row['total_a_s'])}->{_fmt_s(row['total_b_s'])}"
-        means = f"{_fmt_s(row['mean_a_s'])}->{_fmt_s(row['mean_b_s'])}"
         if row["mean_delta_pct"] is None:
             dmean = "new" if row["count_a"] == 0 else "gone"
         else:
             dmean = f"{row['mean_delta_pct']:+.1f}%"
-        marker = " !" if row["regressed"] else ""
-        lines.append(
-            f"{row['phase']:<{width}} {counts:>13} {totals:>21} {means:>19} "
-            f"{dmean:>8}{marker}"
-        )
+        table.append((row["phase"], {
+            "count": f"{row['count_a']}->{row['count_b']}",
+            "total": f"{_fmt_s(row['total_a_s'])}->{_fmt_s(row['total_b_s'])}",
+            "mean": f"{_fmt_s(row['mean_a_s'])}->{_fmt_s(row['mean_b_s'])}",
+            "d-mean": dmean,
+            "": "!" if row["regressed"] else "",
+        }))
+    lines.append(format_table(table, label="phase"))
     regressions = [r for r in rows if r["regressed"]]
     lines.append("")
     if regressions:

@@ -283,7 +283,8 @@ def quarantine_section(
 ) -> Optional[str]:
     """Defense-layer digest from the ``defense.round``/``adversary.round``
     events: per-client rejected/clipped update totals, empty-iteration
-    count, and (when an adversary was configured) the attack roster size.
+    count, and (when an adversary was configured) the attack with the
+    number of distinct compromised clients seen among the participants.
 
     Returns ``None`` when the run recorded no defense activity.
     """
@@ -303,20 +304,24 @@ def quarantine_section(
         for cid, n in event.data.get("clipped", {}).items():
             clipped[int(cid)] += int(_num(n, 0.0))
         empty_iterations += int(_num(event.data.get("empty_iterations", 0), 0.0))
-    attacks = {
-        str(e.data.get("attack", "?")): int(
-            _num(e.data.get("compromised_participants", 0), 0.0)
-        )
-        for e in events
-        if e.run == run and e.kind == "adversary.round"
-    }
+    # attack kind -> the distinct compromised clients seen among participants
+    attacks: Dict[str, set] = {}
+    for e in events:
+        if e.run == run and e.kind == "adversary.round":
+            roster = e.data.get("compromised_participants")
+            attacks.setdefault(str(e.data.get("attack", "?")), set()).update(
+                roster if isinstance(roster, list) else ()
+            )
     lines = [
         f"update quarantine — run {run!r} "
         f"(aggregator {'/'.join(sorted(aggregators))}, "
         f"{len(defense_rounds)} defended rounds)"
     ]
     if attacks:
-        attack_text = ", ".join(f"{k}" for k in sorted(attacks))
+        attack_text = ", ".join(
+            f"{kind} ({len(ids)} compromised participants seen)"
+            for kind, ids in sorted(attacks.items())
+        )
         lines.append(f"  configured attack: {attack_text}")
     lines.append(
         f"  rejected_updates={sum(rejected.values())}  "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ __all__ = [
     "SCENARIOS",
     "ScenarioSpec",
     "PerRowClientDataStream",
+    "alternating_projections",
     "assert_matches_oracle",
     "assert_same",
+    "feasible_set_projection",
     "full_read",
     "per_row_client_streams",
     "predrawn_rng",
@@ -115,6 +117,68 @@ def assert_matches_oracle(
     args_o, args_c = build(), build()
     assert_same(oracle(*args_o), candidate(*args_c))
     assert_same(state(*args_o), state(*args_c), "state")
+
+
+def alternating_projections(
+    v: np.ndarray,
+    projections: Sequence[Callable[[np.ndarray], np.ndarray]],
+    tol: float = 1e-10,
+    max_iters: int = 500,
+) -> Tuple[np.ndarray, int]:
+    """Dykstra's algorithm onto an intersection of convex sets, given each
+    set's projection: the generic loop ``FedLProblem._dykstra`` fuses.
+    Returns the point and the sweeps run (``max_iters`` when ``tol`` was
+    never met).
+
+    Unlike plain alternating projection, Dykstra converges to the *nearest*
+    point of the intersection, so once it meets a tight ``tol`` it is the
+    reference for ``FedLProblem.project``'s exact stages.
+    """
+    x = np.asarray(v, dtype=float).copy()
+    increments = [np.zeros_like(x) for _ in projections]
+    for sweep in range(1, max_iters + 1):
+        max_shift = 0.0
+        for i, proj in enumerate(projections):
+            y = x + increments[i]
+            x_new = proj(y)
+            increments[i] = y - x_new
+            max_shift = max(max_shift, float(np.max(np.abs(x_new - x))))
+            x = x_new
+        if max_shift <= tol:
+            return x, sweep
+    return x, max_iters
+
+
+def _halfspace(a: np.ndarray, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The projection onto ``{x : aᵀx <= b}`` (``a`` nonzero)."""
+    nrm2 = float(a @ a)
+
+    def project(v: np.ndarray) -> np.ndarray:
+        gap = float(a @ v) - b
+        return v if gap <= 0.0 else v - (gap / nrm2) * a
+
+    return project
+
+
+def feasible_set_projection(
+    problem, v: np.ndarray, tol: float = 1e-10, max_iters: int = 500
+) -> Tuple[np.ndarray, int]:
+    """:func:`alternating_projections` onto ``problem``'s box ∩ budget ∩
+    participation, in that sweep order, from the problem's public inputs."""
+    inputs = problem.inputs
+    lo, hi = problem.box_bounds()
+    costs = np.concatenate([inputs.costs, [0.0]])
+    part = np.concatenate([-inputs.available.astype(float), [0.0]])
+    return alternating_projections(
+        v,
+        [
+            lambda u: np.clip(u, lo, hi),
+            _halfspace(costs, float(inputs.remaining_budget)),
+            _halfspace(part, -float(inputs.min_participants)),
+        ],
+        tol=tol,
+        max_iters=max_iters,
+    )
 
 
 class PerRowClientDataStream:

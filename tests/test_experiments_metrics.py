@@ -131,6 +131,16 @@ class TestReporting:
     def test_format_table_empty(self):
         assert "empty" in format_table({})
 
+    def test_format_table_label_and_alignment(self):
+        # Repeated labels as pairs; numeric columns (numbers or strings
+        # that start like one) right-aligned, text columns left-aligned.
+        rows = [("none", {"agg": "sync", "lat": "1.5ms", "n": 3}),
+                ("none", {"agg": "async", "lat": "12.25ms", "n": 10})]
+        lines = format_table(rows, label="profile").splitlines()
+        assert lines[0].split() == ["profile", "agg", "lat", "n"]
+        assert lines[2] == "none     sync     1.5ms   3"
+        assert lines[3] == "none     async  12.25ms  10"
+
     def test_format_series_subsamples(self):
         series = {"A": [(float(i), float(i)) for i in range(100)]}
         out = format_series(series, "x", "y", max_points=5)

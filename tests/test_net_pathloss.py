@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.pathloss import (
-    db_to_linear,
-    dbm_to_watt,
-    linear_to_db,
-    pathloss_db,
-    watt_to_dbm,
-)
+from repro.net.pathloss import db_to_linear, dbm_to_watt, pathloss_db
 
 
 class TestPathloss:
@@ -52,18 +46,12 @@ class TestConversions:
 
     def test_db_linear_round_trip(self):
         for db in (-20.0, 0.0, 13.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db)
+            assert 10.0 * np.log10(db_to_linear(db)) == pytest.approx(db)
 
     def test_watt_dbm_round_trip(self):
         for w in (1e-6, 1e-3, 2.5):
-            assert dbm_to_watt(watt_to_dbm(w)) == pytest.approx(w)
+            assert dbm_to_watt(10.0 * np.log10(w) + 30.0) == pytest.approx(w)
 
     def test_noise_psd_at_minus_174(self):
         # kT at 290K ≈ 4e-21 W/Hz = -174 dBm/Hz (the paper's N0).
         assert dbm_to_watt(-174.0) == pytest.approx(3.98e-21, rel=1e-2)
-
-    def test_rejects_nonpositive_linear(self):
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            watt_to_dbm(-1.0)

@@ -12,7 +12,7 @@ from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.conv import Conv2D, col2im, im2col
 from repro.nn.linear import Flatten, Linear, Reshape
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.pooling import AvgPool2D, MaxPool2D
+from repro.nn.pooling import MaxPool2D
 
 
 def numerical_input_grad(layer: Module, x: np.ndarray, seed=0, eps=1e-6):
@@ -177,16 +177,8 @@ class TestPooling:
         out = MaxPool2D(2).forward(x)
         np.testing.assert_allclose(out[0, :, :, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = np.arange(16.0).reshape(1, 4, 4, 1)
-        out = AvgPool2D(2).forward(x)
-        np.testing.assert_allclose(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_max_pool_gradients(self, rng):
         check_layer_grads(MaxPool2D(2), rng.normal(size=(2, 4, 4, 3)))
-
-    def test_avg_pool_gradients(self, rng):
-        check_layer_grads(AvgPool2D(2), rng.normal(size=(2, 4, 4, 3)))
 
     def test_max_pool_tie_gradient_sums_to_one(self):
         """Equal window values share the gradient (sums preserved)."""

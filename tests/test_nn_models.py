@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.losses import l2_penalty, softmax, softmax_cross_entropy
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.models import ClassifierModel, build_model
 
 
@@ -237,20 +237,3 @@ class TestMetrics:
             accuracy(np.array([1]), np.array([1, 2]))
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
-
-    def test_top_k(self):
-        scores = np.array([[0.1, 0.5, 0.4], [0.9, 0.05, 0.06]])
-        assert top_k_accuracy(scores, np.array([2, 1]), k=2) == pytest.approx(0.5)
-
-    def test_top_k_full_always_one(self, rng):
-        scores = rng.normal(size=(10, 4))
-        y = rng.integers(0, 4, size=10)
-        assert top_k_accuracy(scores, y, k=4) == 1.0
-
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2)
-        np.testing.assert_array_equal(cm, [[1, 1], [0, 1]])
-
-    def test_confusion_validation(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([2]), np.array([0]), 2)

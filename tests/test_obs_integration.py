@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.config import AttackConfig, DefenseConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.experiments.sweep import (
@@ -41,6 +42,7 @@ from repro.obs import (
     validate_event_dict,
     validate_manifest,
 )
+from repro.obs.trace_report import quarantine_section
 from repro.rng import RngFactory
 
 
@@ -126,6 +128,29 @@ class TestInstrumentedRun:
         ):
             assert timers[name]["count"] > 0, name
 
+
+class TestQuarantineSection:
+    def test_counts_the_compromised_participants_seen(self, tmp_path):
+        cfg = tiny_config(
+            attack=AttackConfig(kind="sign-flip", fraction=0.3),
+            defense=DefenseConfig(aggregator="trimmed-mean"),
+        )
+        hub = Telemetry.for_directory(tmp_path, run_id="r0")
+        run_fedl(cfg, telemetry=hub)
+        hub.finalize()
+        events = read_events(tmp_path)
+        seen = {
+            cid
+            for e in events
+            if e.kind == "adversary.round"
+            for cid in e.data["compromised_participants"]
+        }
+        assert seen, "no compromised client took part: the check is vacuous"
+        text = quarantine_section(events, "r0")
+        assert (
+            f"configured attack: sign-flip ({len(seen)} compromised "
+            "participants seen)"
+        ) in text
 
 def record(argv, directory):
     assert main([*argv, "--quiet", "--telemetry", str(directory)]) == 0
@@ -351,7 +376,9 @@ class TestCli:
         assert main(["trace", str(tmp_path), "--no-chart"]) == 0
         out = capsys.readouterr().out
         assert "manifest=missing" in out
-        assert "\nlearner.descent                           2   750.00ms   750.00ms" in out
+        # The phase-tree row: count, total and self time.
+        row = next(l for l in out.splitlines() if l.startswith("learner.descent"))
+        assert row.split()[:4] == ["learner.descent", "2", "750.00ms", "750.00ms"]
 
     def test_trace_renders_a_torn_last_line(self, tmp_path, capsys):
         # An in-flight run: the writer is mid-line.  The partial line waits

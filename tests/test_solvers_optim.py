@@ -9,10 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.solvers.interior_point import solve_interior_point
-from repro.solvers.line_search import Filter, armijo_backtracking
+from repro.solvers.interior_point import Filter, solve_interior_point
 from repro.solvers.projected_gradient import projected_gradient
-from repro.solvers.projections import project_box
 from tests.qp import solve_box_qp
 
 
@@ -28,23 +26,6 @@ def box_constraints(n: int, lo=0.0, hi=1.0):
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([np.full(n, hi), -np.full(n, lo)])
     return A, b
-
-
-class TestArmijo:
-    def test_accepts_full_step_on_quadratic(self):
-        f = lambda x: float(x @ x)
-        x = np.array([1.0, 1.0])
-        g = 2 * x
-        t, f_new = armijo_backtracking(f, x, f(x), g, -g, step0=0.5)
-        assert f_new < f(x)
-
-    def test_backtracks_on_overshoot(self):
-        f = lambda x: float(x @ x)
-        x = np.array([1.0])
-        g = 2 * x
-        t, f_new = armijo_backtracking(f, x, f(x), g, -g, step0=100.0)
-        assert t < 100.0
-        assert f_new <= f(x)
 
 
 class TestFilter:
@@ -102,7 +83,7 @@ class TestProjectedGradient:
         res = projected_gradient(
             lambda x: 0.5 * x @ Q @ x + c @ x,
             lambda x: Q @ x + c,
-            lambda x: project_box(x, 0.0, 2.0),
+            lambda x: np.clip(x, 0.0, 2.0),
             x0=np.zeros(2),
         )
         assert res.converged
@@ -112,7 +93,7 @@ class TestProjectedGradient:
         res = projected_gradient(
             lambda x: float((x - 5.0) @ (x - 5.0)),
             lambda x: 2 * (x - 5.0),
-            lambda x: project_box(x, 0.0, 1.0),
+            lambda x: np.clip(x, 0.0, 1.0),
             x0=np.zeros(3),
         )
         np.testing.assert_allclose(res.x, np.ones(3), atol=1e-8)
@@ -130,7 +111,7 @@ class TestProjectedGradient:
         res = projected_gradient(
             lambda x: 0.5 * x @ Q @ x + c @ x,
             lambda x: Q @ x + c,
-            lambda x: project_box(x, 0.0, 1.0),
+            lambda x: np.clip(x, 0.0, 1.0),
             x0=np.full(n, 0.5),
             max_iters=2000,
             tol=1e-12,
