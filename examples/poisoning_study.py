@@ -73,7 +73,7 @@ def main() -> None:
         print(f"{attack:>10} | " + " ".join(cells))
     print()
     print("Read the grid row-wise: the 'none' defense column shows what the")
-    print("attack does to plain weighted-mean aggregation (the nan row")
+    print("attack does to plain mean aggregation (the nan row")
     print("aborts — non-finite updates are refused, not averaged), and the")
     print("robust columns show how much each aggregator claws back.  'qN'")
     print("marks N client-epochs quarantined by the update screen.")

@@ -49,7 +49,11 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Wireless edge-network parameters (paper Sec. 3.2 / 6.1)."""
+    """Wireless edge-network parameters (paper Sec. 3.2 / 6.1).
+
+    The uplink is the paper's: the uploaders share the band in equal FDMA
+    shares (:meth:`repro.experiments.runner.Simulation.realized_tau`).
+    """
 
     bandwidth_hz: float = 20e6          # B, total FDMA bandwidth
     noise_psd_dbm_hz: float = -174.0    # N0
@@ -61,8 +65,6 @@ class NetworkConfig:
     tx_power_dbm: float = 10.0          # p_k^max for every client
     upload_bits: float = 80e3           # s, per-iteration model upload size
     min_distance_m: float = 1.0         # keep path loss finite at the center
-    bandwidth_policy: str = "equal"     # "equal" | "min_latency" FDMA split
-    mac: str = "fdma"                   # "fdma" (paper) | "tdma" sequential slots
 
     def __post_init__(self) -> None:
         _require(self.bandwidth_hz > 0, "bandwidth_hz must be positive")
@@ -75,11 +77,6 @@ class NetworkConfig:
         _require(
             0.0 <= self.shadowing_corr < 1.0, "shadowing_corr must be in [0, 1)"
         )
-        _require(
-            self.bandwidth_policy in ("equal", "min_latency"),
-            "unknown bandwidth_policy",
-        )
-        _require(self.mac in ("fdma", "tdma"), "unknown mac")
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,7 @@ class DataConfig:
     partition: str = "paper"            # non-IID scheme: "paper" | "dirichlet"
     non_iid_principal_frac: float = 0.8  # share drawn from the principal class pool
     dirichlet_alpha: float = 0.5        # concentration for the dirichlet scheme
-    samples_per_client: int = 60        # mean per-epoch local dataset size
-    poisson_arrivals: bool = True       # data volume ~ Poisson(mean) per epoch
+    samples_per_client: int = 60        # mean of the Poisson per-epoch data volume
     num_classes: int = 10
     test_samples: int = 1000
     feature_noise: float = 0.35         # generator noise scale (task difficulty)
@@ -160,7 +156,6 @@ class TrainingConfig:
     hidden_units: Tuple[int, ...] = (64,)
     local_solver: str = "dane"          # "dane" (paper) | "fedprox" [15]
     momentum: float = 0.0               # heavy-ball inner momentum [17]
-    aggregation: str = "uniform"        # "uniform" (paper) | "weighted" FedAvg
     compression: str = "none"           # "none" | "topk" | "quantize" | "cmfl" [28]
     topk_fraction: float = 0.1
     quantize_bits: int = 8
@@ -183,6 +178,10 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         _require(self.model in ("logreg", "mlp", "cnn"), "unknown model")
+        _require(
+            all(h >= 1 for h in self.hidden_units),
+            "training.hidden_units must be positive",
+        )
         _require(self.local_sgd_steps >= 1, "local_sgd_steps >= 1")
         _require(self.sgd_lr > 0, "sgd_lr must be positive")
         _require(self.sigma1 >= 0 and self.sigma2 >= 0, "sigmas must be >= 0")
@@ -194,7 +193,6 @@ class TrainingConfig:
             "unknown engine",
         )
         _require(0.0 <= self.momentum < 1.0, "momentum in [0,1)")
-        _require(self.aggregation in ("uniform", "weighted"), "unknown aggregation")
         _require(
             self.compression in ("none", "topk", "quantize", "cmfl"),
             "unknown compression",
@@ -211,8 +209,11 @@ class TrainingConfig:
 class SimConfig:
     """Network-timeline knobs (``TrainingConfig.engine`` ``"des"`` or ``"live"``).
 
-    The closed-form loop/batched engines have no timeline, so ``repro
-    run``/``sweep`` reject a non-default section on them.  ``faults`` names a
+    ``aggregation`` is the barrier policy — when an iteration closes —
+    not the update rule: every engine applies the uniform average of the
+    contributors' differences (paper Alg. 1).  The closed-form
+    loop/batched engines have no timeline, so ``repro run``/``sweep``
+    reject a non-default section on them.  ``faults`` names a
     preset from :data:`repro.sim.faults.FAULT_PROFILES`; under the
     Markov availability model the preset's dropout hazard is replaced by
     the chain's sojourn-consistent intra-round hazard.
@@ -299,17 +300,15 @@ class AttackConfig:
     ``kind = "none"`` (default) disables the adversary entirely — no RNG
     stream is touched and the run is bit-identical to an attack-free
     build.  The roster (``⌈fraction · M⌉`` compromised clients) is fixed
-    per experiment; ``sleeper_period = p > 0`` makes attackers honest
-    except on every ``p``-th epoch.  With ``kind = "none"`` the three
-    attack-only fields must keep their defaults, so a knob set without an
-    attack is an error rather than a silent no-op; a field set to its own
-    default cannot be told from an unset one and is accepted.
+    per experiment and attacks every epoch, with the magnitude
+    :data:`repro.fl.adversary.ATTACK_SCALE`.  With ``kind = "none"``
+    ``fraction`` must keep its default, so a knob set without an attack is
+    an error rather than a silent no-op; a fraction set to its own default
+    cannot be told from an unset one and is accepted.
     """
 
     kind: str = "none"                  # member of repro.fl.adversary.ATTACKS
     fraction: float = 0.2               # compromised share of the fleet
-    scale: float = 10.0                 # sign-flip/scale multiplier, gauss σ
-    sleeper_period: int = 0             # 0 = always active
 
     def __post_init__(self) -> None:
         # Lazy import keeps config importable without the fl package cycle.
@@ -319,13 +318,10 @@ class AttackConfig:
         if self.kind != "none":
             _require(0.0 < self.fraction < 1.0, "attack fraction in (0,1)")
         else:
-            for name in ("fraction", "scale", "sleeper_period"):
-                _require(
-                    getattr(self, name) == getattr(AttackConfig, name),
-                    f"attack {name} only applies with an attack kind",
-                )
-        _require(self.scale > 0, "attack scale must be positive")
-        _require(self.sleeper_period >= 0, "sleeper_period must be >= 0")
+            _require(
+                self.fraction == AttackConfig.fraction,
+                "attack fraction only applies with an attack kind",
+            )
 
 
 @dataclass(frozen=True)
@@ -335,12 +331,13 @@ class DefenseConfig:
     ``aggregator = "none"`` (default) keeps the paper's plain pipeline:
     the finite-value gate still fast-fails on corrupt updates, but values
     and aggregation order are untouched (bit-identical, bench-gated).
+    The round runner takes this section as is.  Each aggregator runs with
+    its fixed setting: ``trimmed-mean`` drops 20% per side, ``norm-clip``
+    clips to the survivors' median norm and ``krum`` assumes ``⌈n/5⌉``
+    Byzantine clients.
     """
 
     aggregator: str = "none"            # member of repro.fl.defense.AGGREGATORS
-    trim_fraction: float = 0.2          # trimmed-mean extremes per side
-    norm_bound: Optional[float] = None  # norm-clip bound (None = adaptive)
-    krum_f: Optional[int] = None        # assumed Byzantine count for krum
 
     def __post_init__(self) -> None:
         from repro.fl.defense import AGGREGATORS
@@ -349,13 +346,6 @@ class DefenseConfig:
             self.aggregator in AGGREGATORS,
             f"unknown defense aggregator (known: {AGGREGATORS})",
         )
-        _require(
-            0.0 <= self.trim_fraction < 0.5, "trim_fraction must be in [0, 0.5)"
-        )
-        if self.norm_bound is not None:
-            _require(self.norm_bound > 0, "norm_bound must be positive")
-        if self.krum_f is not None:
-            _require(self.krum_f >= 1, "krum_f must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -402,8 +392,9 @@ class ShardConfig:
     single global FedL subproblem and every output is bit-identical to
     pre-shard builds.  With ``num_shards = S > 1`` the fleet is
     partitioned into S shards (deterministic under the experiment seed),
-    the per-epoch budget is decomposed across shards, and the O(K²)
-    selection subproblem runs per shard — O(S·(K/S)²) total.
+    the per-epoch budget is split across shards in proportion to their
+    belief-cost mass, and the O(K²) selection subproblem runs per shard —
+    O(S·(K/S)²) total.
 
     ``eval_sample`` bounds the per-epoch full-population loss sweep (and
     the matching data installation) to a random subsample of the
@@ -413,16 +404,12 @@ class ShardConfig:
 
     num_shards: int = 1
     assignment: str = "contiguous"      # "contiguous" | "kmeans" (positions)
-    budget_split: str = "mass"          # "mass" (belief-cost mass) | "uniform"
     eval_sample: Optional[int] = None   # None = exact full-population sweep
 
     def __post_init__(self) -> None:
         _require(self.num_shards >= 1, "num_shards must be >= 1")
         _require(
             self.assignment in ("contiguous", "kmeans"), "unknown shard assignment"
-        )
-        _require(
-            self.budget_split in ("mass", "uniform"), "unknown budget_split"
         )
         if self.eval_sample is not None:
             _require(self.eval_sample >= 1, "eval_sample must be >= 1")
@@ -521,14 +508,26 @@ def _field_types(cls) -> Dict[str, Any]:
 
 
 def _leaf(path: str, kind, value):
-    """``value`` checked against the field annotation ``kind``."""
+    """``value`` checked against the field annotation ``kind``; a tuple's
+    elements are checked one by one, and a fixed-length tuple's arity."""
     if typing.get_origin(kind) is Union:  # Optional[X]
         if value is None:
             return None
         kind = typing.get_args(kind)[0]
     if typing.get_origin(kind) is tuple:
         if isinstance(value, (list, tuple)):
-            return tuple(value)
+            args = typing.get_args(kind)
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            elif len(args) != len(value):
+                raise ValueError(
+                    f"config path {path!r}: expected {len(args)} values, "
+                    f"got {value!r}"
+                )
+            return tuple(
+                _leaf(f"{path}[{i}]", k, v)
+                for i, (k, v) in enumerate(zip(args, value))
+            )
     elif kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):

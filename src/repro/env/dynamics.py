@@ -112,7 +112,6 @@ class DataVolumeProcess:
         mean_samples: float,
         rng: np.random.Generator,
         min_samples: int = 1,
-        heterogeneous: bool = True,
     ) -> None:
         if num_clients < 1:
             raise ValueError("need at least one client")
@@ -123,13 +122,10 @@ class DataVolumeProcess:
         self.num_clients = num_clients
         self.rng = rng
         self.min_samples = min_samples
-        if heterogeneous:
-            # Client-specific means spread around the target (0.5x .. 1.5x),
-            # giving persistent data-volume heterogeneity on top of the
-            # epoch-to-epoch Poisson noise.
-            self.means = mean_samples * rng.uniform(0.5, 1.5, size=num_clients)
-        else:
-            self.means = np.full(num_clients, float(mean_samples))
+        # Client-specific means spread around the target (0.5x .. 1.5x),
+        # giving persistent data-volume heterogeneity on top of the
+        # epoch-to-epoch Poisson noise.
+        self.means = mean_samples * rng.uniform(0.5, 1.5, size=num_clients)
 
     def sample(self) -> np.ndarray:
         """Draw one epoch's per-client sample counts, dtype int64."""

@@ -31,6 +31,8 @@ __all__ = [
     "load_traces",
     "config_to_dict",
     "config_from_dict",
+    "RETIRED_LEAVES",
+    "RetiredConfigError",
     "result_to_dict",
     "result_from_dict",
     "save_results",
@@ -119,12 +121,51 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: Config leaves that older results, snapshots and cache entries still
+#: carry, each with the one value the code now always runs.
+RETIRED_LEAVES: Dict[str, object] = {
+    "network.bandwidth_policy": "equal",
+    "network.mac": "fdma",
+    "data.poisson_arrivals": True,
+    "training.aggregation": "uniform",
+    "shard.budget_split": "mass",
+    "attack.scale": 10.0,
+    "attack.sleeper_period": 0,
+    "defense.trim_fraction": 0.2,
+    "defense.norm_bound": None,
+    "defense.krum_f": None,
+}
+
+
+class RetiredConfigError(ValueError):
+    """A persisted config sets a retired leaf to a value the code no
+    longer runs."""
+
+    def __init__(self, path: str, value: object) -> None:
+        self.path = path
+        self.value = value
+        super().__init__(
+            f"config leaf {path!r} was retired: only {RETIRED_LEAVES[path]!r} "
+            f"is supported, got {value!r}"
+        )
+
+
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict` (validation re-runs on construction).
 
     Sections and fields the payload predates take their defaults, so
-    results and snapshots written by older schemas still load.
+    results and snapshots written by older schemas still load.  A retired
+    leaf (:data:`RETIRED_LEAVES`) is dropped when it holds the value the
+    code now always runs and raises :class:`RetiredConfigError` otherwise.
     """
+    data = dict(data)
+    for path, kept in RETIRED_LEAVES.items():
+        section, name = path.split(".")
+        fields = data.get(section)
+        if isinstance(fields, Mapping) and name in fields:
+            if fields[name] != kept:
+                raise RetiredConfigError(path, fields[name])
+            data[section] = {k: v for k, v in fields.items() if k != name}
     return ExperimentConfig().override(data)
 
 

@@ -58,7 +58,6 @@ from repro.experiments.metrics import EpochRecord, Trace
 from repro.fl import FLClient, FLServer, LocalSolveSpec, run_federated_round
 from repro.fl.adversary import Adversary
 from repro.fl.compression import CompressionSpec
-from repro.fl.defense import DefenseSpec
 from repro.fl.privacy import DPSpec, PrivacyAccountant
 from repro.live.runtime import LiveRoundSpec, LiveRuntime
 from repro.net import ChannelModel, achievable_rate, compute_latency, transmission_latency
@@ -132,7 +131,6 @@ class Simulation:
             config.population.num_clients,
             config.data.samples_per_client,
             self.rng.get("env.volumes"),
-            heterogeneous=config.data.poisson_arrivals,
         )
         # --- data ------------------------------------------------------------
         data_rng = self.rng.get("data.generator")
@@ -208,11 +206,9 @@ class Simulation:
         )
         self.dp_accountant = PrivacyAccountant()
         # --- robustness ------------------------------------------------------
-        # Both default to None ("none" in the config): the adversary draws
-        # only from its own RNG streams and the defense gate is check-only,
-        # so attack-free runs stay bit-identical.
+        # None for attack "none": the adversary draws only from its own RNG
+        # streams, so attack-free runs stay bit-identical.
         self.adversary = Adversary.from_config(config.attack, m, self.rng)
-        self.defense_spec = DefenseSpec.from_config(config.defense)
 
     # ------------------------------------------------------------------------
 
@@ -221,17 +217,12 @@ class Simulation:
         data_counts: np.ndarray,
         channel_state,
         num_sharing: int,
-        selected: Optional[np.ndarray] = None,
         upload_ratio: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-iteration latency τ_loc + τ_cm for every client (see
         :meth:`realized_tau_components` for the split)."""
         tau_loc, tau_cm = self.realized_tau_components(
-            data_counts,
-            channel_state,
-            num_sharing,
-            selected=selected,
-            upload_ratio=upload_ratio,
+            data_counts, channel_state, num_sharing, upload_ratio=upload_ratio
         )
         return tau_loc + tau_cm
 
@@ -240,57 +231,23 @@ class Simulation:
         data_counts: np.ndarray,
         channel_state,
         num_sharing: int,
-        selected: Optional[np.ndarray] = None,
         upload_ratio: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-iteration ``(τ_loc, τ_cm)`` for every client.
-
-        With the ``"equal"`` bandwidth policy (paper default) every client
-        is priced at an equal ``B / num_sharing`` FDMA share.  Under
-        ``"min_latency"`` and a concrete ``selected`` mask, the band is
-        split across the selected uploaders to equalize their upload time
-        (optimal for the max-latency objective); unselected clients keep
-        the equal-share estimate so their τ remains defined for the
-        policies' bookkeeping.
-
-        Under ``mac = "tdma"`` uploaders transmit sequentially at the full
-        band: every selected client's τ_cm is charged the *sum* of the
-        selected slots (the round ends after the last slot), so the
-        existing max-over-participants epoch latency stays correct.
-        """
+        """Per-iteration ``(τ_loc, τ_cm)`` for every client, each priced at
+        an equal ``B / num_sharing`` FDMA share of the band (paper Sec. 3.2)."""
         bits = data_counts * self.population.bits_per_sample
         tau_loc = compute_latency(
             self.population.cycles_per_bit, bits, self.population.cpu_freq_hz
         )
         net = self.config.network
-        tdma = net.mac == "tdma"
-        sel = (
-            np.asarray(selected, dtype=bool)
-            if selected is not None and np.any(selected)
-            else None
+        band = net.bandwidth_hz / max(1, num_sharing)
+        rates = np.asarray(
+            achievable_rate(band, channel_state.snr_per_hz()), dtype=float
         )
-        snr = channel_state.snr_per_hz()
-        band = net.bandwidth_hz if tdma else net.bandwidth_hz / max(1, num_sharing)
-        rates = np.asarray(achievable_rate(band, snr), dtype=float)
-        if not tdma and net.bandwidth_policy == "min_latency" and sel is not None:
-            from repro.net import allocate_bandwidth
-
-            bw = allocate_bandwidth(
-                channel_state,
-                selected,
-                net.bandwidth_hz,
-                net.upload_bits,
-                policy="min_latency",
-            )
-            rates[sel] = np.asarray(achievable_rate(bw[sel], snr[sel]), dtype=float)
-        tau_cm = np.asarray(
-            transmission_latency(net.upload_bits, rates), dtype=float
-        )
+        tau_cm = np.asarray(transmission_latency(net.upload_bits, rates), dtype=float)
         if upload_ratio is not None:
             # Compressed uploads shrink the payload proportionally.
             tau_cm = tau_cm * np.asarray(upload_ratio, dtype=float)
-        if tdma and sel is not None:
-            tau_cm = np.where(sel, float(tau_cm[sel].sum()), tau_cm)
         return np.asarray(tau_loc, dtype=float), tau_cm
 
     @property
@@ -325,7 +282,6 @@ def _epoch_data(
     adversary: Optional[Adversary],
     k: int,
     n: int,
-    t: int,
     num_classes: int,
     out: Optional[np.ndarray] = None,
 ) -> Dataset:
@@ -334,7 +290,7 @@ def _epoch_data(
     other attack corrupts the upload inside the round instead."""
     data = sim.streams[k].draw(n, out=out)
     if adversary is not None:
-        data = adversary.poison_data(k, data, t, num_classes)
+        data = adversary.poison_data(k, data, num_classes)
     return data
 
 
@@ -343,7 +299,6 @@ def _install_epoch_data(
     adversary: Optional[Adversary],
     ids: np.ndarray,
     counts: np.ndarray,
-    t: int,
     num_classes: int,
     eval_only: np.ndarray,
 ) -> None:
@@ -357,14 +312,14 @@ def _install_epoch_data(
     for k in np.sort(np.concatenate((ids, eval_only))).tolist():
         n = int(counts[k])
         if k in drawn:
-            sim.clients[k].set_data(_epoch_data(sim, adversary, k, n, t, num_classes))
+            sim.clients[k].set_data(_epoch_data(sim, adversary, k, n, num_classes))
             continue
         stream = sim.streams[k]
         stream.rng  # creates the stream
         sim.clients[k].defer_data(
             n,
             stream.generator.num_features,
-            functools.partial(_epoch_data, sim, adversary, k, n, t, num_classes),
+            functools.partial(_epoch_data, sim, adversary, k, n, num_classes),
         )
 
 
@@ -520,7 +475,7 @@ def _run_experiment_loop(
     # Per-client reliability (EWMA of "this round produced no rejected or
     # clipped updates"); only maintained — and only surfaced to policies —
     # when a defense aggregator is active, so the default path is unchanged.
-    track_reliability = sim.defense_spec is not None
+    track_reliability = config.defense.aggregator != "none"
     # Hoisted once: the adversary (or its absence) is fixed for the whole
     # run, so the benign path never re-tests it inside per-client loops.
     adversary = sim.adversary
@@ -641,9 +596,7 @@ def _run_experiment_loop(
         # rented but their updates are discarded.
         contributors = survivors
         if decision.quorum is not None and decision.quorum < int(survivors.sum()):
-            tau_rank = sim.realized_tau(
-                counts, channel_state, int(survivors.sum()), selected=survivors
-            )
+            tau_rank = sim.realized_tau(counts, channel_state, int(survivors.sum()))
             surv_idx = np.flatnonzero(survivors)
             fastest = surv_idx[np.argsort(tau_rank[surv_idx], kind="stable")]
             contributors = np.zeros(m, dtype=bool)
@@ -662,10 +615,7 @@ def _run_experiment_loop(
         source_args: dict = {}
         if timeline_engine:
             tau_loc_c, tau_cm_c = sim.realized_tau_components(
-                counts,
-                channel_state,
-                int(contributors.sum()),
-                selected=contributors,
+                counts, channel_state, int(contributors.sum())
             )
             ids = np.flatnonzero(contributors)
             physics = dict(
@@ -710,7 +660,6 @@ def _run_experiment_loop(
             adversary,
             np.flatnonzero(contributors),
             counts,
-            t,
             config.data.num_classes,
             swept[~contributors[swept]],
         )
@@ -735,14 +684,13 @@ def _run_experiment_loop(
                 available,
                 iterations=decision.iterations,
                 target_eta=target_eta,
-                aggregation=config.training.aggregation,
                 compression=sim.compression,
                 dp_spec=sim.dp_spec,
                 dp_rng=sim.rng.get("fl.dp"),
                 dp_accountant=sim.dp_accountant,
                 engine=config.training.engine,
                 adversary=sim.adversary,
-                defense=sim.defense_spec,
+                defense=config.defense,
                 epoch=t,
                 eval_mask=eval_mask,
                 shard_of=shard_of,
@@ -759,7 +707,6 @@ def _run_experiment_loop(
             counts,
             channel_state,
             int(contributors.sum()),
-            selected=contributors,
             upload_ratio=result.upload_ratio,
         )
         if result.timeline is not None:

@@ -36,7 +36,6 @@ from repro.fl.defense import (
     AGGREGATORS,
     CorruptUpdateError,
     DefenseRoundReport,
-    DefenseSpec,
     TrainingDivergedError,
     coordinate_median,
     krum,
@@ -100,7 +99,6 @@ __all__ = [
     "AGGREGATORS",
     "CorruptUpdateError",
     "DefenseRoundReport",
-    "DefenseSpec",
     "TrainingDivergedError",
     "coordinate_median",
     "krum",

@@ -6,38 +6,42 @@ poisoning models from the Byzantine-FL literature so the defense layer
 (:mod:`repro.fl.defense`) and the reliability-aware selection loop can be
 exercised end to end:
 
-* ``sign-flip``  — upload ``−scale · d`` (scaled sign-flipping; moves the
+* ``sign-flip``  — upload ``−s · d`` (scaled sign-flipping; moves the
   aggregate *away* from the honest descent direction),
-* ``scale``      — upload ``scale · d`` (model-boosting / scaled update),
-* ``gauss``      — replace the update with i.i.d. ``N(0, scale²)`` noise,
+* ``scale``      — upload ``s · d`` (model-boosting / scaled update),
+* ``gauss``      — replace the update with i.i.d. ``N(0, s²)`` noise,
 * ``nan``        — upload non-finite values (NaN with one +Inf coordinate),
 * ``label-flip`` — train honestly but on label-flipped local data
   (``y → C−1−y``), the classic data-poisoning attack.
+
+with ``s =`` :data:`ATTACK_SCALE`.  Every compromised client attacks in
+every epoch it participates in.
 
 Adversary selection and noise draws live on their own
 :class:`~repro.rng.RngFactory` streams (``adversary.roster`` and
 ``adversary.client.<k>``), so enabling an attack never perturbs the
 honest clients' RNG streams — attack-free runs stay bit-identical to a
-build without this module.  ``sleeper_period`` makes attackers
-intermittent ("sleeper" mode: honest except every p-th epoch), which
-composes with the DES fault profiles in :mod:`repro.sim.faults` — faults
-drop *messages*, the adversary corrupts *content*, and both can be active
-in the same round.
+build without this module.  Attacks compose with the DES fault profiles
+in :mod:`repro.sim.faults` — faults drop *messages*, the adversary
+corrupts *content*, and both can be active in the same round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.datasets.synthetic import Dataset
 
-__all__ = ["ATTACKS", "Adversary"]
+__all__ = ["ATTACKS", "ATTACK_SCALE", "Adversary"]
 
 #: Attack kinds selectable from :class:`repro.config.AttackConfig` / the CLI.
 ATTACKS = ("none", "sign-flip", "label-flip", "scale", "gauss", "nan")
+
+#: The sign-flip/scale multiplier and the gauss attack's σ.
+ATTACK_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,6 @@ class Adversary:
         fraction: float,
         roster_rng: np.random.Generator,
         rng_factory,
-        scale: float = 10.0,
-        sleeper_period: int = 0,
     ) -> None:
         if kind not in ATTACKS:
             raise ValueError(f"unknown attack {kind!r}; known: {ATTACKS}")
@@ -75,15 +77,8 @@ class Adversary:
             raise ValueError("build no Adversary for attack 'none'")
         if not (0.0 < fraction < 1.0):
             raise ValueError("attack fraction must be in (0, 1)")
-        if scale <= 0:
-            raise ValueError("attack scale must be positive")
-        if sleeper_period < 0:
-            raise ValueError("sleeper_period must be >= 0")
         self.kind = kind
         self.num_clients = int(num_clients)
-        self.fraction = float(fraction)
-        self.scale = float(scale)
-        self.sleeper_period = int(sleeper_period)
         self._rng_factory = rng_factory
         num_adv = int(np.ceil(fraction * num_clients))
         num_adv = min(max(num_adv, 1), num_clients - 1)
@@ -103,8 +98,6 @@ class Adversary:
             fraction=attack.fraction,
             roster_rng=rng_factory.get("adversary.roster"),
             rng_factory=rng_factory,
-            scale=attack.scale,
-            sleeper_period=attack.sleeper_period,
         )
 
     # -- roster ----------------------------------------------------------------
@@ -117,36 +110,24 @@ class Adversary:
     def is_adversary(self, client_id: int) -> bool:
         return bool(self._roster.mask[client_id])
 
-    def active(self, epoch: int) -> bool:
-        """Whether the attack fires this epoch (sleeper mode gates it).
-
-        ``sleeper_period = 0`` attacks every epoch; ``p > 0`` attacks only
-        on epochs with ``t % p == p − 1`` (honest the rest of the time).
-        """
-        if self.sleeper_period == 0:
-            return True
-        return epoch % self.sleeper_period == self.sleeper_period - 1
-
     # -- the attacks -----------------------------------------------------------
 
-    def corrupt_update(
-        self, client_id: int, d: np.ndarray, epoch: int
-    ) -> np.ndarray:
-        """The payload client ``client_id`` actually uploads at ``epoch``.
+    def corrupt_update(self, client_id: int, d: np.ndarray) -> np.ndarray:
+        """The payload client ``client_id`` actually uploads.
 
-        Honest clients (and sleeping or data-poisoning attackers) return
-        ``d`` unchanged — and *by the same object*, so the honest path
-        stays allocation- and bit-identical.
+        Honest clients (and data-poisoning attackers) return ``d``
+        unchanged — and *by the same object*, so the honest path stays
+        allocation- and bit-identical.
         """
-        if not self.is_adversary(client_id) or not self.active(epoch):
+        if not self.is_adversary(client_id):
             return d
         if self.kind == "sign-flip":
-            return -self.scale * d
+            return -ATTACK_SCALE * d
         if self.kind == "scale":
-            return self.scale * d
+            return ATTACK_SCALE * d
         if self.kind == "gauss":
             rng = self._rng_factory.get(f"adversary.client.{client_id}")
-            return rng.normal(0.0, self.scale, size=d.shape)
+            return rng.normal(0.0, ATTACK_SCALE, size=d.shape)
         if self.kind == "nan":
             bad = np.full_like(np.asarray(d, dtype=float), np.nan)
             if bad.size:
@@ -155,28 +136,13 @@ class Adversary:
         return d                            # "label-flip" poisons data, not d
 
     def poison_data(
-        self, client_id: int, data: Dataset, epoch: int, num_classes: int
+        self, client_id: int, data: Dataset, num_classes: int
     ) -> Dataset:
         """Label-flipped view of ``data`` for a compromised client.
 
         Only the ``label-flip`` attack touches data; every other kind (and
         honest clients) get the original object back.
         """
-        if (
-            self.kind != "label-flip"
-            or not self.is_adversary(client_id)
-            or not self.active(epoch)
-        ):
+        if self.kind != "label-flip" or not self.is_adversary(client_id):
             return data
         return Dataset(x=data.x, y=(num_classes - 1) - data.y)
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "attack": self.kind,
-            "fraction": self.fraction,
-            "scale": self.scale,
-            "sleeper_period": self.sleeper_period,
-            "adversaries": [int(k) for k in np.flatnonzero(self._roster.mask)],
-        }

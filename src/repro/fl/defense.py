@@ -10,19 +10,19 @@ Every upload crosses this layer before it can touch the global model:
    aggregate and recorded against the client — so a NaN/Inf payload can
    never reach aggregation in any engine.
 2. **Norm clipping** — under the ``norm-clip`` aggregator, updates whose
-   L2 norm exceeds the bound (configured, or the median survivor norm
-   when adaptive) are rescaled onto it and recorded as clipped.
+   L2 norm exceeds the median survivor norm are rescaled onto it and
+   recorded as clipped.
 3. **Robust aggregation** — pluggable combiners over the surviving
    updates: coordinate-wise ``median``, ``trimmed-mean`` (drop the
-   ``⌊trim·n⌋`` extremes per coordinate), ``norm-clip``-ed weighted mean,
-   and ``krum`` (Blanchard et al.: the update closest to its ``n−f−2``
-   nearest neighbors).  ``mean`` keeps the plain (weighted) average but
-   still applies the quarantine gate.
+   ``⌊0.2·n⌋`` extremes per coordinate), ``norm-clip``-ed mean, and
+   ``krum`` (Blanchard et al.: the update closest to its ``n−f−2``
+   nearest neighbors, ``f = ⌈n/5⌉``).  ``mean`` keeps the plain average
+   but still applies the quarantine gate.
 
-The ``none``/no-defense path performs only the finite check and leaves
-values, weights and aggregation order untouched — the attack-free
-weighted-mean pipeline stays bit-identical to a build without this
-module (bench-gated).
+The aggregator comes from :class:`repro.config.DefenseConfig`.  The
+``none``/no-defense path performs only the finite check and leaves
+values and aggregation order untouched — the attack-free pipeline stays
+bit-identical to a build without this module (bench-gated).
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.config import DefenseConfig
+
 __all__ = [
     "AGGREGATORS",
     "CorruptUpdateError",
     "TrainingDivergedError",
-    "DefenseSpec",
     "DefenseRoundReport",
     "ScreenedUpdates",
     "screen_updates",
@@ -78,42 +79,6 @@ class TrainingDivergedError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class DefenseSpec:
-    """Configuration of the validation gate + robust aggregator."""
-
-    aggregator: str = "mean"
-    trim_fraction: float = 0.2          # trimmed-mean: drop ⌊trim·n⌋ per side
-    norm_bound: Optional[float] = None  # norm-clip bound (None = adaptive:
-                                        # the median norm of the survivors)
-    krum_f: Optional[int] = None        # assumed Byzantine count (None =
-                                        # ⌈n/5⌉, capped so n − f − 2 >= 1)
-
-    def __post_init__(self) -> None:
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(
-                f"unknown aggregator {self.aggregator!r}; known: {AGGREGATORS}"
-            )
-        if not (0.0 <= self.trim_fraction < 0.5):
-            raise ValueError("trim_fraction must be in [0, 0.5)")
-        if self.norm_bound is not None and self.norm_bound <= 0:
-            raise ValueError("norm_bound must be positive")
-        if self.krum_f is not None and self.krum_f < 1:
-            raise ValueError("krum_f must be >= 1")
-
-    @classmethod
-    def from_config(cls, defense) -> Optional["DefenseSpec"]:
-        """Build from a :class:`repro.config.DefenseConfig` (None = off)."""
-        if defense is None or defense.aggregator == "none":
-            return None
-        return cls(
-            aggregator=defense.aggregator,
-            trim_fraction=defense.trim_fraction,
-            norm_bound=defense.norm_bound,
-            krum_f=defense.krum_f,
-        )
-
-
 @dataclass
 class DefenseRoundReport:
     """Per-round quarantine bookkeeping (one entry per client id)."""
@@ -150,7 +115,6 @@ class ScreenedUpdates:
     """Output of the validation gate for one global iteration."""
 
     updates: List[np.ndarray]
-    sample_counts: Optional[List[int]]
     client_ids: List[int]
     rejected_ids: List[int] = field(default_factory=list)
     clipped_ids: List[int] = field(default_factory=list)
@@ -160,10 +124,9 @@ def screen_updates(
     updates: Sequence[np.ndarray],
     client_ids: Sequence[int],
     *,
-    defense: Optional[DefenseSpec],
+    defense: Optional[DefenseConfig],
     epoch: int,
     iteration: int,
-    sample_counts: Optional[Sequence[int]] = None,
 ) -> ScreenedUpdates:
     """Run the validation gate over one iteration's uploads.
 
@@ -176,8 +139,6 @@ def screen_updates(
     """
     if len(updates) != len(client_ids):
         raise ValueError("one client id per update required")
-    if sample_counts is not None and len(sample_counts) != len(updates):
-        raise ValueError("one sample count per update required")
     if defense is None:
         # Benign fast path: a single fused reduction per update.  Any
         # NaN/Inf poisons the sum, so a finite sum certifies the whole
@@ -188,13 +149,10 @@ def screen_updates(
             if not np.isfinite(np.sum(d)) and not np.all(np.isfinite(d)):
                 raise CorruptUpdateError(client_ids[pos], epoch, iteration)
         return ScreenedUpdates(
-            updates=list(updates),
-            sample_counts=list(sample_counts) if sample_counts is not None else None,
-            client_ids=[int(c) for c in client_ids],
+            updates=list(updates), client_ids=[int(c) for c in client_ids]
         )
     finite = [bool(np.isfinite(d).all()) for d in updates]
     kept: List[np.ndarray] = []
-    kept_counts: List[int] = [] if sample_counts is not None else None
     kept_ids: List[int] = []
     rejected: List[int] = []
     for pos, (ok, d) in enumerate(zip(finite, updates)):
@@ -203,16 +161,10 @@ def screen_updates(
             continue
         kept.append(np.asarray(d, dtype=float))
         kept_ids.append(int(client_ids[pos]))
-        if kept_counts is not None:
-            kept_counts.append(int(sample_counts[pos]))
     clipped: List[int] = []
     if defense.aggregator == "norm-clip" and kept:
         norms = np.asarray([float(np.linalg.norm(d)) for d in kept])
-        bound = (
-            defense.norm_bound
-            if defense.norm_bound is not None
-            else float(np.median(norms))
-        )
+        bound = float(np.median(norms))
         if bound > 0.0:
             for pos, (d, norm) in enumerate(zip(kept, norms)):
                 if norm > bound:
@@ -220,7 +172,6 @@ def screen_updates(
                     clipped.append(kept_ids[pos])
     return ScreenedUpdates(
         updates=kept,
-        sample_counts=kept_counts,
         client_ids=kept_ids,
         rejected_ids=rejected,
         clipped_ids=clipped,
@@ -312,16 +263,16 @@ def krum(updates: Sequence[np.ndarray], f: Optional[int] = None) -> np.ndarray:
 
 
 def robust_aggregate(
-    updates: Sequence[np.ndarray], spec: DefenseSpec
+    updates: Sequence[np.ndarray], defense: DefenseConfig
 ) -> np.ndarray:
     """Combined model delta for the non-mean robust aggregators."""
-    if spec.aggregator == "median":
+    if defense.aggregator == "median":
         return coordinate_median(updates)
-    if spec.aggregator == "trimmed-mean":
-        return trimmed_mean(updates, spec.trim_fraction)
-    if spec.aggregator == "krum":
-        return krum(updates, spec.krum_f)
+    if defense.aggregator == "trimmed-mean":
+        return trimmed_mean(updates)
+    if defense.aggregator == "krum":
+        return krum(updates)
     raise ValueError(
-        f"aggregator {spec.aggregator!r} is not a robust combiner "
-        "(mean/norm-clip delegate to the server's weighted average)"
+        f"aggregator {defense.aggregator!r} is not a robust combiner "
+        "(mean/norm-clip delegate to the server's average)"
     )

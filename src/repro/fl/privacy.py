@@ -99,21 +99,3 @@ class PrivacyAccountant:
         if self._rho == 0.0:
             return 0.0
         return self._rho + 2.0 * math.sqrt(self._rho * math.log(1.0 / delta))
-
-    def remaining_releases(self, spec: DPSpec, epsilon_budget: float,
-                           delta: float = 1e-5) -> int:
-        """How many more ``spec`` releases fit under ``epsilon_budget``.
-
-        Solves for the largest total ρ with ε(ρ) <= budget, then subtracts
-        what is already spent.
-        """
-        if epsilon_budget <= 0:
-            return 0
-        # ε(ρ) = ρ + 2√(ρ L) with L = ln(1/δ); solve ρ via the quadratic in √ρ.
-        L = math.log(1.0 / delta)
-        s = (-2.0 * math.sqrt(L) + math.sqrt(4.0 * L + 4.0 * epsilon_budget)) / 2.0
-        rho_max = s * s
-        left = rho_max - self._rho
-        if left <= 0:
-            return 0
-        return int(left / spec.rho_per_release)

@@ -73,12 +73,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import DefenseConfig
 from repro.fl.batched import BatchedClientEngine, batched_local_losses
 from repro.fl.client import FLClient
 from repro.fl.compression import FLOAT_BITS, compress_update
 from repro.fl.defense import (
     DefenseRoundReport,
-    DefenseSpec,
     TrainingDivergedError,
     robust_aggregate,
     screen_updates,
@@ -366,7 +366,6 @@ def run_federated_round(
     available_mask: np.ndarray,
     iterations: int,
     target_eta: float | None = None,
-    aggregation: str = "uniform",
     compression: "CompressionSpec | None" = None,
     dp_spec: "DPSpec | None" = None,
     dp_rng: np.random.Generator | None = None,
@@ -376,7 +375,7 @@ def run_federated_round(
     sim_rng: np.random.Generator | None = None,
     live_round: LiveRound | None = None,
     adversary: "Adversary | None" = None,
-    defense: DefenseSpec | None = None,
+    defense: DefenseConfig | None = None,
     epoch: int = 0,
     eval_mask: np.ndarray | None = None,
     shard_of: np.ndarray | None = None,
@@ -386,9 +385,8 @@ def run_federated_round(
     ``clients[k]`` is client ``k``: the masks index the list by client id.
     ``target_eta`` is forwarded to every client's local solve (the
     tolerated local accuracy η_t implied by the iteration decision).
-    ``aggregation``: ``"uniform"`` (the paper's update) averages the
-    differences equally; ``"weighted"`` weights by local data size
-    (standard FedAvg).  ``compression`` (a
+    Every iteration applies the uniform average of the surviving
+    differences (the paper's update).  ``compression`` (a
     :class:`repro.fl.compression.CompressionSpec`) lossy-compresses every
     upload before aggregation and reports the realized size ratios so the
     latency model can charge the smaller payloads.  ``engine`` selects the
@@ -405,7 +403,8 @@ def run_federated_round(
     ``adversary`` (a :class:`repro.fl.adversary.Adversary`) corrupts
     compromised participants' payloads after DP/compression — the
     attacker controls the bytes it uploads.  ``defense`` (a
-    :class:`repro.fl.defense.DefenseSpec`) screens every upload before
+    :class:`repro.config.DefenseConfig`; ``None`` or aggregator
+    ``"none"`` is no defense) screens every upload before
     aggregation: non-finite updates are quarantined (or, with no defense,
     raise a typed :class:`~repro.fl.defense.CorruptUpdateError` naming
     the client, ``epoch`` and iteration) and the surviving updates flow
@@ -417,12 +416,12 @@ def run_federated_round(
     available client; ``population_loss`` then estimates F_t from that
     subsample.  ``None`` keeps the exact full sweep.  ``shard_of`` (per-
     client shard labels from a :class:`repro.fl.shard.ShardPlan`) switches
-    the mean/weighted aggregation to the two-level hierarchical combine
-    (per-shard partial sums → global combine) — mathematically equal to
-    the flat weighted average, property-tested; only sharded runs pass it.
+    the mean aggregation to the two-level hierarchical combine (per-shard
+    partial sums → global combine) — mathematically equal to the flat
+    average, property-tested; only sharded runs pass it.
     """
-    if aggregation not in ("uniform", "weighted"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
+    if defense is not None and defense.aggregator == "none":
+        defense = None
     build_source = _solve_source(
         engine,
         sim_spec,
@@ -444,7 +443,6 @@ def run_federated_round(
     source = build_source(server, participants, iterations)
 
     tel = get_telemetry()
-    num_available = int(avail.sum())
     defense_report = (
         DefenseRoundReport.empty(len(clients), defense.aggregator)
         if defense is not None
@@ -498,7 +496,7 @@ def run_federated_round(
                 if adversary is not None:
                     # The attacker controls its final payload: corruption
                     # applies after DP/compression, just before upload.
-                    d = adversary.corrupt_update(client.client_id, d, epoch)
+                    d = adversary.corrupt_update(client.client_id, d)
                 updates.append(d)
                 update_ids.append(client.client_id)
                 contrib_counts[client.client_id] += 1
@@ -509,18 +507,9 @@ def run_federated_round(
             # a typed error on non-finite uploads) and passes the original
             # updates through untouched; with a defense it quarantines and
             # (under norm-clip) rescales.  Either way a NaN/Inf payload
-            # can never reach the weighted average below.
+            # can never reach the average below.
             screened = screen_updates(
-                updates,
-                update_ids,
-                defense=defense,
-                epoch=epoch,
-                iteration=it,
-                sample_counts=(
-                    [c.num_samples for c in iter_parts]
-                    if aggregation == "weighted"
-                    else None
-                ),
+                updates, update_ids, defense=defense, epoch=epoch, iteration=it
             )
             if defense_report is not None:
                 for cid in screened.rejected_ids:
@@ -532,38 +521,20 @@ def run_federated_round(
             if defense is None or defense.aggregator in ("mean", "norm-clip"):
                 if shard_of is not None and screened.updates:
                     # Sharded runs combine hierarchically: per-shard
-                    # partial sums, then a global merge.  Weighted runs map
-                    # directly onto shard_combine's weighted average; the
-                    # uniform update is the same mean rescaled to the
-                    # server's normalizer (sum/denom).
+                    # partial sums, then a global merge of the mean.
                     labels = shard_of[np.asarray(screened.client_ids)]
-                    num_shards = int(shard_of.max()) + 1
-                    if screened.sample_counts is not None:
-                        w_agg = np.asarray(screened.sample_counts, dtype=float)
-                        delta = shard_combine(
-                            screened.updates, w_agg, labels, num_shards
-                        )
-                    else:
-                        denom = (
-                            len(screened.updates)
-                            if server.normalize_by == "participants"
-                            else max(1, num_available)
-                        )
-                        delta = shard_combine(
+                    server.apply_delta(
+                        shard_combine(
                             screened.updates,
                             np.ones(len(screened.updates)),
                             labels,
-                            num_shards,
-                        ) * (len(screened.updates) / denom)
-                    server.apply_delta(delta)
-                else:
-                    # The server's own (weighted) average — bit-identical
-                    # to the undefended path when nothing was quarantined.
-                    server.aggregate_updates(
-                        screened.updates,
-                        num_available=num_available,
-                        sample_counts=screened.sample_counts,
+                            int(shard_of.max()) + 1,
+                        )
                     )
+                else:
+                    # The server's own average — bit-identical to the
+                    # undefended path when nothing was quarantined.
+                    server.aggregate_updates(screened.updates)
             elif screened.updates:
                 server.apply_delta(robust_aggregate(screened.updates, defense))
             if not np.isfinite(server.w).all():
@@ -631,7 +602,6 @@ def run_federated_round(
                 "adversary.round",
                 data={
                     "attack": adversary.kind,
-                    "active": adversary.active(epoch),
                     "compromised_participants": compromised,
                 },
             )

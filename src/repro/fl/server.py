@@ -8,13 +8,12 @@ differences and gradients and forms
 
 where ``P`` is the participant set.  The paper's normalization divides by
 ``|E_t|`` (all *available* clients); dividing by the participant count is
-the standard choice and differs only by a constant step-scaling — both are
-supported via ``normalize_by``.
+the standard choice and differs only by a constant step-scaling.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,54 +31,25 @@ class FLServer:
         model: ClassifierModel,
         w_init: np.ndarray,
         test_set: Dataset,
-        normalize_by: str = "participants",
     ) -> None:
-        if normalize_by not in ("participants", "available"):
-            raise ValueError("normalize_by must be 'participants' or 'available'")
         self.model = model
         self.w = np.asarray(w_init, dtype=float).copy()
         self.test_set = test_set
-        self.normalize_by = normalize_by
         # (w, test-set logits at w) of the last test evaluation.
         self._test_logits_at: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def aggregate_updates(
-        self,
-        updates: Sequence[np.ndarray],
-        num_available: int,
-        sample_counts: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Apply the averaged model differences; returns the new ``w``.
-
-        With ``sample_counts`` the average is data-size weighted
-        (``ϑ_k = D_k / Σ D`` as in the paper's population loss) — the
-        standard FedAvg weighting.  Without it, uniform averaging divided
-        by the participant/available count per ``normalize_by``.
-        """
+    def aggregate_updates(self, updates: Sequence[np.ndarray]) -> np.ndarray:
+        """Apply the uniform average of the model differences; returns the
+        new ``w``."""
         if not updates:
             return self.w
         total = np.zeros_like(self.w)
-        if sample_counts is not None:
-            counts = np.asarray(list(sample_counts), dtype=float)
-            if counts.size != len(updates) or np.any(counts <= 0):
-                raise ValueError("sample_counts must be positive, one per update")
-            weights = counts / counts.sum()
-            for w_k, d in zip(weights, updates):
-                d = np.asarray(d, dtype=float)
-                if d.shape != self.w.shape:
-                    raise ValueError("update shape mismatch")
-                total += w_k * d
-            self.w = self.w + total
-            return self.w
-        denom = (
-            len(updates) if self.normalize_by == "participants" else max(1, num_available)
-        )
         for d in updates:
             d = np.asarray(d, dtype=float)
             if d.shape != self.w.shape:
                 raise ValueError("update shape mismatch")
             total += d
-        self.w = self.w + total / denom
+        self.w = self.w + total / len(updates)
         return self.w
 
     def apply_delta(self, delta: np.ndarray) -> np.ndarray:
@@ -120,24 +90,3 @@ class FLServer:
         return self.model.loss(
             self.w, self.test_set.x, self.test_set.y, logits=self._test_logits()
         )
-
-    def weighted_population_loss(
-        self,
-        clients: Iterable,
-        available_mask: np.ndarray,
-    ) -> float:
-        """``F_t(w) = Σ_k ϑ_k F_{t,k}(w)`` over available clients,
-        ``ϑ_k = D_{t,k} / Σ D`` (paper Sec. 3.1 part 1)."""
-        avail = np.asarray(available_mask, dtype=bool)
-        losses: List[float] = []
-        sizes: List[int] = []
-        for client in clients:
-            if not avail[client.client_id]:
-                continue
-            losses.append(client.local_loss(self.w))
-            sizes.append(client.num_samples)
-        if not losses:
-            raise ValueError("no available clients to evaluate")
-        weights = np.asarray(sizes, dtype=float)
-        weights /= weights.sum()
-        return float(weights @ np.asarray(losses))

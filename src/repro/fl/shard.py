@@ -218,7 +218,6 @@ class ShardedFedLPolicy:
             )
         self.name = "FedL"
         self.rng = rng
-        self.shard_config = shard
         self.num_clients = int(num_clients)
         # One deterministic draw block from the policy stream seeds every
         # shard's child generator (and the k-means assignment).
@@ -285,10 +284,7 @@ class ShardedFedLPolicy:
             if not active[s]:
                 continue
             avail_members = members[ctx.available[members]]
-            if self.shard_config.budget_split == "uniform":
-                masses[s] = float(avail_members.size)
-            else:
-                masses[s] = float(belief[avail_members].sum())
+            masses[s] = float(belief[avail_members].sum())
             demands[s] = float(ctx.costs[avail_members].sum())
         allocs = decompose_budget(ctx.remaining_budget, masses, demands)
 

@@ -6,8 +6,8 @@ this package holds the two solvers that call it or its constraint rows:
 * :mod:`repro.solvers.projected_gradient` — FISTA with a monotone guard
   and gradient restart, over the caller's projection (the default).
 * :mod:`repro.solvers.interior_point` — a log-barrier primal-dual
-  interior-point method with a filter line search, the same algorithm
-  family as the paper's reference [26] (Wächter & Biegler / IPOPT).
+  interior-point method whose filter line search reduces to an Armijo
+  test, the same algorithm family as the paper's reference [26] (Wächter & Biegler / IPOPT).
 """
 
 from repro.solvers.projected_gradient import (
@@ -15,7 +15,6 @@ from repro.solvers.projected_gradient import (
     projected_gradient,
 )
 from repro.solvers.interior_point import (
-    Filter,
     InteriorPointResult,
     solve_interior_point,
 )
@@ -23,7 +22,6 @@ from repro.solvers.interior_point import (
 __all__ = [
     "ProjectedGradientResult",
     "projected_gradient",
-    "Filter",
     "InteriorPointResult",
     "solve_interior_point",
 ]

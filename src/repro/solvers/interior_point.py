@@ -1,4 +1,4 @@
-"""Log-barrier interior-point method with filter line search.
+"""Log-barrier interior-point method with an Armijo line search.
 
 Solves smooth convex programs of the form::
 
@@ -19,9 +19,7 @@ from scratch:
   Wächter & Biegler the filter coordinates are (equality-constraint
   violation, objective); with inequality-only problems kept strictly
   feasible the violation coordinate is identically zero and the filter
-  acceptance degenerates to exactly this Armijo test.  The general
-  :class:`Filter` below is the rule for problems that do carry equality
-  constraints.)
+  acceptance reduces to exactly this Armijo test.)
 
 Intended for the small dense problems that arise here (tens of variables,
 up to a few hundred constraints); everything is plain vectorized NumPy.
@@ -30,56 +28,11 @@ up to a few hundred constraints); everything is plain vectorized NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Filter", "InteriorPointResult", "solve_interior_point"]
-
-
-class Filter:
-    """Two-dimensional filter of (θ, φ) = (violation, objective) pairs.
-
-    A pair dominates another if it is no worse in both coordinates.  A trial
-    point is *acceptable* if, after the standard margins
-    ``θ <= (1-γθ) θ_j  or  φ <= φ_j - γφ θ_j`` for every filter entry j,
-    it is not dominated.
-    """
-
-    def __init__(self, gamma_theta: float = 1e-5, gamma_phi: float = 1e-5,
-                 theta_max: Optional[float] = None) -> None:
-        self._entries: List[Tuple[float, float]] = []
-        self.gamma_theta = gamma_theta
-        self.gamma_phi = gamma_phi
-        self.theta_max = theta_max
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def is_acceptable(self, theta: float, phi: float) -> bool:
-        """True if (theta, phi) is not dominated by any filter entry."""
-        if self.theta_max is not None and theta > self.theta_max:
-            return False
-        for th_j, ph_j in self._entries:
-            improves_theta = theta <= (1.0 - self.gamma_theta) * th_j
-            improves_phi = phi <= ph_j - self.gamma_phi * th_j
-            if not (improves_theta or improves_phi):
-                return False
-        return True
-
-    def add(self, theta: float, phi: float) -> None:
-        """Insert (theta, phi), dropping entries it dominates."""
-        kept = [
-            (th, ph)
-            for th, ph in self._entries
-            if not (theta <= th and phi <= ph)
-        ]
-        kept.append((theta, phi))
-        self._entries = kept
-
-    @property
-    def entries(self) -> List[Tuple[float, float]]:
-        return list(self._entries)
+__all__ = ["InteriorPointResult", "solve_interior_point"]
 
 
 @dataclass(frozen=True)

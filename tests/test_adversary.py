@@ -5,15 +5,13 @@ import pytest
 
 from repro.config import AttackConfig
 from repro.datasets.synthetic import Dataset
-from repro.fl.adversary import ATTACKS, Adversary
+from repro.fl.adversary import ATTACK_SCALE, ATTACKS, Adversary
 from repro.rng import RngFactory
 
 
-def make_adversary(kind="sign-flip", m=10, fraction=0.2, seed=3, **kw):
+def make_adversary(kind="sign-flip", m=10, fraction=0.2, seed=3):
     factory = RngFactory(seed)
-    return Adversary(
-        kind, m, fraction, factory.get("adversary.roster"), factory, **kw
-    )
+    return Adversary(kind, m, fraction, factory.get("adversary.roster"), factory)
 
 
 class TestRoster:
@@ -45,11 +43,10 @@ class TestFromConfig:
         assert Adversary.from_config(None, 10, factory) is None
 
     def test_config_fields_forwarded(self):
-        cfg = AttackConfig(kind="scale", fraction=0.3, scale=5.0, sleeper_period=4)
+        cfg = AttackConfig(kind="scale", fraction=0.3)
         adv = Adversary.from_config(cfg, 10, RngFactory(0))
         assert adv.kind == "scale"
-        assert adv.scale == 5.0
-        assert adv.sleeper_period == 4
+        assert adv.mask.sum() == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,8 +55,6 @@ class TestFromConfig:
             make_adversary(kind="none")
         with pytest.raises(ValueError):
             make_adversary(fraction=1.0)
-        with pytest.raises(ValueError):
-            make_adversary(scale=0.0)
 
 
 class TestCorruption:
@@ -67,32 +62,33 @@ class TestCorruption:
         adv = make_adversary()
         honest = int(np.flatnonzero(~adv.mask)[0])
         d = np.ones(4)
-        assert adv.corrupt_update(honest, d, epoch=0) is d
+        assert adv.corrupt_update(honest, d) is d
 
     def test_sign_flip_scales_negatively(self):
-        adv = make_adversary(kind="sign-flip", scale=10.0)
+        adv = make_adversary(kind="sign-flip")
         bad = int(np.flatnonzero(adv.mask)[0])
         d = np.array([1.0, -2.0])
-        assert np.allclose(adv.corrupt_update(bad, d, 0), [-10.0, 20.0])
+        assert np.allclose(adv.corrupt_update(bad, d), [-10.0, 20.0])
 
     def test_scale_attack(self):
-        adv = make_adversary(kind="scale", scale=3.0)
+        adv = make_adversary(kind="scale")
         bad = int(np.flatnonzero(adv.mask)[0])
-        assert np.allclose(adv.corrupt_update(bad, np.ones(2), 0), [3.0, 3.0])
+        assert ATTACK_SCALE == 10.0
+        assert np.allclose(adv.corrupt_update(bad, np.ones(2)), [10.0, 10.0])
 
     def test_gauss_attack_deterministic_per_client(self):
         a = make_adversary(kind="gauss", seed=9)
         b = make_adversary(kind="gauss", seed=9)
         bad = int(np.flatnonzero(a.mask)[0])
-        da = a.corrupt_update(bad, np.zeros(8), 0)
-        db = b.corrupt_update(bad, np.zeros(8), 0)
+        da = a.corrupt_update(bad, np.zeros(8))
+        db = b.corrupt_update(bad, np.zeros(8))
         assert np.array_equal(da, db)
         assert not np.allclose(da, 0.0)
 
     def test_nan_attack_nonfinite_payload(self):
         adv = make_adversary(kind="nan")
         bad = int(np.flatnonzero(adv.mask)[0])
-        out = adv.corrupt_update(bad, np.ones(5), 0)
+        out = adv.corrupt_update(bad, np.ones(5))
         assert not np.isfinite(out).all()
         assert np.isinf(out[0])
         assert np.isnan(out[1:]).all()
@@ -101,25 +97,7 @@ class TestCorruption:
         adv = make_adversary(kind="label-flip")
         bad = int(np.flatnonzero(adv.mask)[0])
         d = np.ones(3)
-        assert adv.corrupt_update(bad, d, 0) is d
-
-
-class TestSleeper:
-    def test_sleeper_fires_every_pth_epoch(self):
-        adv = make_adversary(sleeper_period=3)
-        fired = [adv.active(t) for t in range(7)]
-        assert fired == [False, False, True, False, False, True, False]
-
-    def test_zero_period_always_active(self):
-        adv = make_adversary(sleeper_period=0)
-        assert all(adv.active(t) for t in range(5))
-
-    def test_sleeping_attacker_is_honest(self):
-        adv = make_adversary(kind="sign-flip", sleeper_period=5)
-        bad = int(np.flatnonzero(adv.mask)[0])
-        d = np.ones(2)
-        assert adv.corrupt_update(bad, d, epoch=0) is d
-        assert np.allclose(adv.corrupt_update(bad, d, epoch=4), -10.0 * d)
+        assert adv.corrupt_update(bad, d) is d
 
 
 class TestDataPoisoning:
@@ -129,37 +107,31 @@ class TestDataPoisoning:
     def test_label_flip_mirrors_labels(self):
         adv = make_adversary(kind="label-flip")
         bad = int(np.flatnonzero(adv.mask)[0])
-        flipped = adv.poison_data(bad, self._data(), 0, num_classes=4)
+        flipped = adv.poison_data(bad, self._data(), num_classes=4)
         assert np.array_equal(flipped.y, [3, 2, 1, 0])
         assert flipped.x is not None
 
     def test_label_flip_is_involution(self):
         adv = make_adversary(kind="label-flip")
         bad = int(np.flatnonzero(adv.mask)[0])
-        once = adv.poison_data(bad, self._data(), 0, num_classes=4)
-        twice = adv.poison_data(bad, once, 0, num_classes=4)
+        once = adv.poison_data(bad, self._data(), num_classes=4)
+        twice = adv.poison_data(bad, once, num_classes=4)
         assert np.array_equal(twice.y, self._data().y)
 
     def test_other_attacks_never_touch_data(self):
         adv = make_adversary(kind="sign-flip")
         bad = int(np.flatnonzero(adv.mask)[0])
         data = self._data()
-        assert adv.poison_data(bad, data, 0, num_classes=4) is data
+        assert adv.poison_data(bad, data, num_classes=4) is data
 
     def test_honest_client_data_untouched(self):
         adv = make_adversary(kind="label-flip")
         honest = int(np.flatnonzero(~adv.mask)[0])
         data = self._data()
-        assert adv.poison_data(honest, data, 0, num_classes=4) is data
+        assert adv.poison_data(honest, data, num_classes=4) is data
 
 
-class TestSummary:
-    def test_summary_lists_roster(self):
-        adv = make_adversary(kind="gauss", fraction=0.2, m=10)
-        info = adv.summary()
-        assert info["attack"] == "gauss"
-        assert info["adversaries"] == [int(k) for k in np.flatnonzero(adv.mask)]
-
+class TestAttackKinds:
     def test_all_attack_kinds_known(self):
         assert set(ATTACKS) == {
             "none", "sign-flip", "label-flip", "scale", "gauss", "nan"

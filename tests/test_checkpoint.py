@@ -127,18 +127,18 @@ class TestSnapshotCost:
 
 
 class TestResumeUnderAttack:
-    """Adversary roster, sleeper schedule, and defense state all live in
-    the snapshot: a run resumed mid-attack must replay identically."""
+    """Adversary roster and defense state both live in the snapshot: a
+    run resumed mid-attack must replay identically."""
 
     def attack_config(self):
         return small_config(
             budget=400.0,
             max_epochs=16,
-            attack=AttackConfig(kind="sign-flip", fraction=0.25, sleeper_period=3),
+            attack=AttackConfig(kind="sign-flip", fraction=0.25),
             defense=DefenseConfig(aggregator="median"),
         )
 
-    def test_crash_resume_with_sleeper_adversary(self, tmp_path):
+    def test_crash_resume_with_sign_flip_adversary(self, tmp_path):
         report = run_crash_resume_smoke(
             self.attack_config(), workdir=tmp_path, interval=3, smoke_seed=1
         )

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import AttackConfig, DefenseConfig, SimConfig
+from repro.experiments.persistence import RETIRED_LEAVES
 from repro.experiments.scenarios import experiment_config
 from repro.live.calibrate import CalibrationReport
 from tests.test_sweep_cache import LEAVES, read_leaf
@@ -255,17 +256,11 @@ class TestRobustnessFlags:
         assert rc == 2
         assert "attack fraction only applies" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pair", ["attack.scale=2", "attack.sleeper_period=3"])
-    def test_run_attack_knob_without_attack_exits_2(self, capsys, pair):
-        assert main(["run", *SIM_SMALL, *sets(pair)]) == 2
-        field = pair.split(".")[1].split("=")[0]
-        assert f"attack {field} only applies" in capsys.readouterr().err
-
     def test_attack_knobs_at_their_defaults_pass_without_attack(self, monkeypatch):
         # Indistinguishable from unset, so accepted: the rule is "no knob
         # moved without an attack", not "no knob named".
         cfg = resolved_run_config(monkeypatch, [*SIM_SMALL, *sets(
-            "attack.fraction=0.2", "attack.scale=10", "attack.sleeper_period=0",
+            "attack.fraction=0.2",
         )])
         assert cfg.attack == AttackConfig()
 
@@ -494,10 +489,21 @@ class TestSetPaths:
         ("no_equals_sign", "--set expects KEY=VALUE"),
         ("training.sgd_lr=0", "sgd_lr must be positive"),
         ("population.num_clients=2.5", "expected int"),
+        ("training.hidden_units=[0]", "training.hidden_units must be positive"),
+        ('training.hidden_units=["a"]',
+         "config path 'training.hidden_units[0]': expected int"),
+        ("population.cost_range=[1]",
+         "config path 'population.cost_range': expected 2 values"),
     ])
     def test_bad_set_exits_2(self, capsys, command, pair, message):
         assert main([command, *SIM_SMALL, "--set", pair]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, kept", sorted(RETIRED_LEAVES.items()))
+    def test_retired_leaf_is_an_unknown_path(self, capsys, path, kept):
+        """Even set to the one value the code still runs."""
+        assert main(["run", *SIM_SMALL, "--set", f"{path}={json.dumps(kept)}"]) == 2
+        assert f"unknown config path {path!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, pair, message", [
         ("run", "budget=-5", "budget must be positive"),

@@ -222,10 +222,10 @@ class TestObjectsAtFirstTouch:
         installed = set()
         install = runner._install_epoch_data
 
-        def recording_install(sim, adversary, ids, counts, t, num_classes, eval_only):
+        def recording_install(sim, adversary, ids, counts, num_classes, eval_only):
             installed.update(int(k) for k in ids)
             installed.update(int(k) for k in eval_only)
-            install(sim, adversary, ids, counts, t, num_classes, eval_only)
+            install(sim, adversary, ids, counts, num_classes, eval_only)
 
         monkeypatch.setattr(runner, "_install_epoch_data", recording_install)
         cfg = experiment_config(

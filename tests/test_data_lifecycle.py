@@ -159,10 +159,10 @@ def test_installed_set_is_the_swept_set(case, eval_sample, monkeypatch):
     drawn, deferred, contributors, sweeps = [], [], [], []
     install, play = runner._install_epoch_data, runner.run_federated_round
 
-    def recording_install(sim, adversary, ids, counts, t, num_classes, eval_only):
+    def recording_install(sim, adversary, ids, counts, num_classes, eval_only):
         drawn.append(sorted(int(k) for k in ids))
         deferred.append(sorted(int(k) for k in eval_only))
-        install(sim, adversary, ids, counts, t, num_classes, eval_only)
+        install(sim, adversary, ids, counts, num_classes, eval_only)
 
     def recording_round(server, clients, selected, *args, **kwargs):
         contributors.append(np.flatnonzero(selected).tolist())

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DefenseConfig
 from repro.fl.defense import (
     AGGREGATORS,
     CorruptUpdateError,
     DefenseRoundReport,
-    DefenseSpec,
     TrainingDivergedError,
     coordinate_median,
     krum,
@@ -19,51 +19,23 @@ from repro.fl.defense import (
 )
 
 
-class TestDefenseSpec:
-    def test_defaults_valid(self):
-        spec = DefenseSpec()
-        assert spec.aggregator == "mean"
-
+class TestDefenseConfig:
     def test_unknown_aggregator_rejected(self):
-        with pytest.raises(ValueError, match="unknown aggregator"):
-            DefenseSpec(aggregator="majority-vote")
-
-    def test_trim_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            DefenseSpec(trim_fraction=0.5)
-        with pytest.raises(ValueError):
-            DefenseSpec(trim_fraction=-0.1)
-
-    def test_norm_bound_positive(self):
-        with pytest.raises(ValueError):
-            DefenseSpec(aggregator="norm-clip", norm_bound=0.0)
-
-    def test_from_config_none_is_off(self):
-        from repro.config import DefenseConfig
-
-        assert DefenseSpec.from_config(None) is None
-        assert DefenseSpec.from_config(DefenseConfig(aggregator="none")) is None
-        spec = DefenseSpec.from_config(DefenseConfig(aggregator="krum", krum_f=2))
-        assert spec.aggregator == "krum" and spec.krum_f == 2
+        with pytest.raises(ValueError, match="unknown defense aggregator"):
+            DefenseConfig(aggregator="majority-vote")
 
     def test_all_aggregators_constructible(self):
         for name in AGGREGATORS:
-            if name == "none":
-                continue
-            assert DefenseSpec(aggregator=name).aggregator == name
+            assert DefenseConfig(aggregator=name).aggregator == name
 
 
 class TestScreenGate:
     def test_no_defense_passthrough_is_identity(self):
         updates = [np.ones(4), np.full(4, 2.0)]
-        out = screen_updates(
-            updates, [0, 1], defense=None, epoch=0, iteration=0,
-            sample_counts=[10, 20],
-        )
-        # Same objects, same order, same counts — the bit-identity contract.
+        out = screen_updates(updates, [0, 1], defense=None, epoch=0, iteration=0)
+        # Same objects, same order — the bit-identity contract.
         assert out.updates[0] is updates[0]
         assert out.updates[1] is updates[1]
-        assert out.sample_counts == [10, 20]
         assert out.rejected_ids == [] and out.clipped_ids == []
 
     def test_no_defense_nan_raises_typed_error(self):
@@ -84,7 +56,7 @@ class TestScreenGate:
 
     @pytest.mark.parametrize("agg", ["mean", "median", "trimmed-mean", "krum"])
     def test_defense_quarantines_nonfinite(self, agg):
-        spec = DefenseSpec(aggregator=agg)
+        spec = DefenseConfig(aggregator=agg)
         updates = [np.ones(3), np.full(3, np.nan), np.full(3, 2.0)]
         out = screen_updates(
             updates, [4, 5, 6], defense=spec, epoch=1, iteration=0
@@ -93,27 +65,8 @@ class TestScreenGate:
         assert out.client_ids == [4, 6]
         assert all(np.isfinite(d).all() for d in out.updates)
 
-    def test_defense_drops_sample_counts_with_update(self):
-        spec = DefenseSpec(aggregator="mean")
-        out = screen_updates(
-            [np.ones(2), np.full(2, np.inf)], [0, 1],
-            defense=spec, epoch=0, iteration=0, sample_counts=[5, 9],
-        )
-        assert out.sample_counts == [5]
-
-    def test_norm_clip_rescales_onto_bound(self):
-        spec = DefenseSpec(aggregator="norm-clip", norm_bound=1.0)
-        big = np.array([3.0, 4.0])            # norm 5
-        out = screen_updates(
-            [big, np.array([0.1, 0.0])], [0, 1],
-            defense=spec, epoch=0, iteration=0,
-        )
-        assert out.clipped_ids == [0]
-        assert np.linalg.norm(out.updates[0]) == pytest.approx(1.0)
-        assert np.allclose(out.updates[1], [0.1, 0.0])
-
     def test_norm_clip_adaptive_uses_median_norm(self):
-        spec = DefenseSpec(aggregator="norm-clip")   # adaptive bound
+        spec = DefenseConfig(aggregator="norm-clip")
         updates = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([30.0, 40.0])]
         out = screen_updates(
             updates, [0, 1, 2], defense=spec, epoch=0, iteration=0
@@ -197,7 +150,7 @@ class TestCombiners:
 
     def test_robust_aggregate_rejects_mean(self):
         with pytest.raises(ValueError):
-            robust_aggregate([np.ones(2)], DefenseSpec(aggregator="mean"))
+            robust_aggregate([np.ones(2)], DefenseConfig(aggregator="mean"))
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError):

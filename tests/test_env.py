@@ -127,13 +127,8 @@ class TestDataVolumeProcess:
         assert np.all(counts >= 2)
         assert counts.dtype == np.int64
 
-    def test_poisson_mean_homogeneous(self, rng):
-        p = DataVolumeProcess(2000, 40.0, rng, heterogeneous=False)
-        counts = p.sample()
-        assert counts.mean() == pytest.approx(40.0, rel=0.05)
-
     def test_heterogeneous_means_spread(self, rng):
-        p = DataVolumeProcess(500, 40.0, rng, heterogeneous=True)
+        p = DataVolumeProcess(500, 40.0, rng)
         assert p.means.min() < 30.0
         assert p.means.max() > 50.0
 

@@ -1,17 +1,16 @@
 """Tests for the extensions beyond the paper: fairness-aware FedL,
-the UCB bandit baseline, the smooth-max objective, and min-latency
-bandwidth allocation in the runner."""
+the UCB bandit baseline and the smooth-max objective."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import FedLConfig, NetworkConfig
+from repro.config import FedLConfig
 from repro.core.fairness import FairFedLPolicy, ParticipationTracker, jain_index
 from repro.core.phi import Phi
 from repro.core.problem import EpochInputs, FedLProblem
-from repro.experiments.runner import Simulation, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.rng import RngFactory
 from repro.strategies import StrategyParamError
@@ -320,35 +319,3 @@ class TestSoftmaxObjective:
         pol = make_policy("FedL", cfg, RngFactory(0).get("p"))
         res = run_experiment(pol, cfg)
         assert len(res.trace) >= 1
-
-
-class TestBandwidthPolicyInRunner:
-    def test_min_latency_lowers_selected_tau(self):
-        cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=4)
-        cfg_ml = cfg.replace(
-            network=dataclasses.replace(cfg.network, bandwidth_policy="min_latency")
-        )
-        sim_eq = Simulation(cfg)
-        sim_ml = Simulation(cfg_ml)
-        counts = np.full(10, 30)
-        st = sim_eq.channel.mean_state()
-        sel = np.zeros(10, bool)
-        sel[:4] = True
-        tau_eq = sim_eq.realized_tau(counts, st, 4, selected=sel)
-        tau_ml = sim_ml.realized_tau(counts, st, 4, selected=sel)
-        assert tau_ml[sel].max() <= tau_eq[sel].max() * 1.001
-        # Unselected clients keep the equal-share estimate.
-        np.testing.assert_allclose(tau_ml[~sel], tau_eq[~sel])
-
-    def test_runner_completes_with_min_latency(self):
-        cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=4)
-        cfg = cfg.replace(
-            network=dataclasses.replace(cfg.network, bandwidth_policy="min_latency")
-        )
-        pol = make_policy("FedAvg", cfg, RngFactory(0).get("p"))
-        res = run_experiment(pol, cfg)
-        assert len(res.trace) >= 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(bandwidth_policy="waterfill")

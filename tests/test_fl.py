@@ -252,21 +252,13 @@ class TestFLServer:
         gen, model, clients, server = setup
         w0 = server.w.copy()
         ones = np.ones_like(w0)
-        server.aggregate_updates([ones, 3 * ones], num_available=6)
+        server.aggregate_updates([ones, 3 * ones])
         np.testing.assert_allclose(server.w, w0 + 2 * ones)
-
-    def test_aggregate_available_normalization(self, setup):
-        gen, model, clients, server = setup
-        server.normalize_by = "available"
-        w0 = server.w.copy()
-        ones = np.ones_like(w0)
-        server.aggregate_updates([ones, ones], num_available=4)
-        np.testing.assert_allclose(server.w, w0 + 0.5 * ones)
 
     def test_aggregate_empty_noop(self, setup):
         gen, model, clients, server = setup
         w0 = server.w.copy()
-        server.aggregate_updates([], num_available=6)
+        server.aggregate_updates([])
         np.testing.assert_array_equal(server.w, w0)
 
     def test_aggregate_gradients_mean(self):
@@ -276,22 +268,6 @@ class TestFLServer:
     def test_aggregate_gradients_empty_raises(self):
         with pytest.raises(ValueError):
             FLServer.aggregate_gradients([])
-
-    def test_weighted_population_loss_weighting(self, setup):
-        gen, model, clients, server = setup
-        avail = np.zeros(6, bool)
-        avail[:2] = True
-        loss = server.weighted_population_loss(clients[:2], avail)
-        l0 = clients[0].local_loss(server.w)
-        l1 = clients[1].local_loss(server.w)
-        n0, n1 = clients[0].num_samples, clients[1].num_samples
-        expected = (n0 * l0 + n1 * l1) / (n0 + n1)
-        assert loss == pytest.approx(expected)
-
-    def test_normalize_by_validation(self, setup):
-        gen, model, clients, server = setup
-        with pytest.raises(ValueError):
-            FLServer(model, server.w, server.test_set, normalize_by="median")
 
     def test_test_metrics_share_one_forward_per_model(self, setup, monkeypatch):
         """``test_accuracy`` and ``test_loss`` at one ``w`` cost a single
@@ -307,8 +283,7 @@ class TestFLServer:
         step = 0.01 * np.ones_like(server.w)
         moves = (
             lambda: None,
-            lambda: server.aggregate_updates([step, 3 * step], num_available=6),
-            lambda: server.aggregate_updates([step, step], 6, sample_counts=[1, 3]),
+            lambda: server.aggregate_updates([step, 3 * step]),
             lambda: server.apply_delta(-step),
             lambda: setattr(server, "w", server.w + step),
         )
@@ -362,6 +337,17 @@ class TestRoundRunner:
         sel = np.array([True] + [False] * 5)
         with pytest.raises(ValueError):
             run_federated_round(server, clients, sel, np.ones(6, bool), iterations=0)
+
+    def test_population_loss_is_data_weighted(self, setup):
+        """F_t(w) = Σ ϑ_k F_{t,k}(w) over the available clients, with
+        ϑ_k = D_{t,k} / Σ D (paper Sec. 3.1 part 1)."""
+        gen, model, clients, server = setup
+        sel = np.array([True, False, False, False, False, False])
+        avail = np.array([True, True, False, False, False, False])
+        res = run_federated_round(server, clients, sel, avail, iterations=1)
+        l0, l1 = (c.local_loss(server.w) for c in clients[:2])
+        n0, n1 = clients[0].num_samples, clients[1].num_samples
+        assert res.population_loss == pytest.approx((n0 * l0 + n1 * l1) / (n0 + n1))
 
     def test_result_w_matches_server(self, setup):
         gen, model, clients, server = setup

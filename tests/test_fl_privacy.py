@@ -80,24 +80,6 @@ class TestAccountant:
         b.spend(DPSpec(noise_multiplier=4.0))
         assert b.epsilon() < a.epsilon()
 
-    def test_remaining_releases_consistent(self):
-        acc = PrivacyAccountant()
-        spec = DPSpec(noise_multiplier=2.0)
-        budget = 3.0
-        n = acc.remaining_releases(spec, budget)
-        assert n > 0
-        # Spending exactly n stays within budget; one more exceeds it.
-        acc.spend(spec, count=n)
-        assert acc.epsilon() <= budget + 1e-9
-        acc.spend(spec, count=1)
-        assert acc.epsilon() > budget
-
-    def test_exhausted_budget(self):
-        acc = PrivacyAccountant()
-        spec = DPSpec(noise_multiplier=0.3)
-        acc.spend(spec, count=100)
-        assert acc.remaining_releases(spec, epsilon_budget=1.0) == 0
-
     def test_validation(self):
         acc = PrivacyAccountant()
         with pytest.raises(ValueError):

@@ -1,67 +1,15 @@
-"""Tests for the TDMA MAC option and over-selection quorum semantics."""
+"""Tests for the over-selection quorum semantics."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import NetworkConfig
 from repro.strategies import StrategyParamError
 from repro.strategies.base import Decision
-from repro.experiments.runner import Simulation, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.rng import RngFactory
-
-
-class TestTdma:
-    def _sims(self):
-        cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=4)
-        cfg_tdma = cfg.replace(
-            network=dataclasses.replace(cfg.network, mac="tdma")
-        )
-        return Simulation(cfg), Simulation(cfg_tdma)
-
-    def test_selected_clients_share_total_slot_time(self):
-        sim_f, sim_t = self._sims()
-        counts = np.full(10, 30)
-        st = sim_t.channel.mean_state()
-        sel = np.zeros(10, bool)
-        sel[:4] = True
-        tau = sim_t.realized_tau(counts, st, 4, selected=sel)
-        # All selected clients carry the same τ_cm component (the full
-        # slot sequence), so differences among them are τ_loc only.
-        bits = counts * sim_t.population.bits_per_sample
-        from repro.net import compute_latency
-
-        tau_loc = np.asarray(compute_latency(
-            sim_t.population.cycles_per_bit, bits, sim_t.population.cpu_freq_hz
-        ))
-        comm = tau[sel] - tau_loc[sel]
-        np.testing.assert_allclose(comm, comm[0])
-
-    def test_tdma_slower_than_fdma_for_many_uploaders(self):
-        """Sequential slots accumulate: for homogeneous clients TDMA's
-        total is ~n full-band uploads vs FDMA's single shared-band upload
-        — and by Shannon concavity FDMA at B/n is at least 1/n of the
-        full-band rate, so FDMA's max <= TDMA's sum."""
-        sim_f, sim_t = self._sims()
-        counts = np.full(10, 30)
-        sel = np.zeros(10, bool)
-        sel[:5] = True
-        tf = sim_f.realized_tau(counts, sim_f.channel.mean_state(), 5, selected=sel)
-        tt = sim_t.realized_tau(counts, sim_t.channel.mean_state(), 5, selected=sel)
-        assert tt[sel].max() >= tf[sel].max() * 0.99
-
-    def test_experiment_completes_under_tdma(self):
-        cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=4)
-        cfg = cfg.replace(network=dataclasses.replace(cfg.network, mac="tdma"))
-        pol = make_policy("FedAvg", cfg, RngFactory(0).get("p"))
-        res = run_experiment(pol, cfg)
-        assert len(res.trace) >= 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(mac="csma")
 
 
 class TestOverSelection:

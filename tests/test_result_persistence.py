@@ -240,8 +240,8 @@ class TestRobustnessSchema:
 
         cfg = replace(
             cfg,
-            attack=AttackConfig(kind="gauss", fraction=0.25, scale=2.0),
-            defense=DefenseConfig(aggregator="trimmed-mean", trim_fraction=0.3),
+            attack=AttackConfig(kind="gauss", fraction=0.25),
+            defense=DefenseConfig(aggregator="trimmed-mean"),
         )
         restored = config_from_dict(config_to_dict(cfg))
         assert restored == cfg

@@ -233,7 +233,7 @@ class TestRoundReportPlumbing:
     def test_defense_report_reaches_round_result(self):
         from repro.datasets.synthetic import ClassConditionalGenerator
         from repro.fl.client import FLClient, LocalSolveSpec
-        from repro.fl.defense import DefenseSpec
+        from repro.config import DefenseConfig
         from repro.fl.round_runner import run_federated_round
         from repro.fl.server import FLServer
         from repro.nn.models import build_model
@@ -262,7 +262,7 @@ class TestRoundReportPlumbing:
             iterations=2,
             target_eta=0.5,
             adversary=adv,
-            defense=DefenseSpec(aggregator="median"),
+            defense=DefenseConfig(aggregator="median"),
             epoch=0,
         )
         assert result.defense is not None

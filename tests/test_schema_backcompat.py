@@ -17,20 +17,28 @@ fixtures 100×.)
 
 Every old payload must keep loading, with documented defaults for the
 fields it predates, for as long as its version stays in
-``SUPPORTED_RESULT_SCHEMAS``.  Tournament reports get the same
-torn-write guarantee as every other persisted artifact: a failed save
-never clobbers the previous report and never litters temp files.
+``SUPPORTED_RESULT_SCHEMAS``; a config leaf retired since it was written
+loads when it holds the one value the code still runs.  Tournament
+reports get the same torn-write guarantee as every other persisted
+artifact: a failed save never clobbers the previous report and never
+litters temp files.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.checkpoint import CheckpointError
+from repro.checkpoint.snapshot import load_snapshot
 from repro.config import AttackConfig, CheckpointConfig, DefenseConfig, SimConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
+    RETIRED_LEAVES,
     SUPPORTED_RESULT_SCHEMAS,
+    RetiredConfigError,
+    config_from_dict,
     load_results,
     result_from_dict,
     save_results,
@@ -47,6 +55,19 @@ OLD_VERSIONS = (1, 2, 3, 4)
 
 def fixture_path(version):
     return FIXTURES / f"results_v{version}.json"
+
+
+def _configs_in(payload):
+    """Every persisted config (a ``"config"`` mapping) inside ``payload``."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if key == "config" and isinstance(value, dict):
+                yield value
+            else:
+                yield from _configs_in(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _configs_in(value)
 
 
 class TestOldResultSchemasLoad:
@@ -96,6 +117,33 @@ class TestOldResultSchemasLoad:
         assert payload["schema"] == RESULT_SCHEMA_VERSION
         reloaded = load_results(out)
         assert reloaded["FedAvg"].trace.equals(results["FedAvg"].trace)
+
+    def test_retired_leaves_load_only_at_the_value_still_run(self, tmp_path):
+        """Every config under fixtures/ loads unedited (each still spells
+        retired leaves at their former defaults); a copy of a snapshot
+        manifest asking for a TDMA uplink is refused by name."""
+        configs = [
+            cfg
+            for path in sorted(FIXTURES.rglob("*.json"))
+            for cfg in _configs_in(json.loads(path.read_text()))
+        ]
+        assert len(configs) == 6
+        for data in configs:
+            spelled = [
+                path for path in RETIRED_LEAVES
+                if path.split(".")[1] in data.get(path.split(".")[0], {})
+            ]
+            assert spelled
+            assert config_from_dict(data).seed == data["seed"]
+
+        snap = shutil.copytree(FIXTURES / "snapshot_fedl", tmp_path / "snap")
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["config"]["network"]["mac"] = "tdma"
+        with pytest.raises(RetiredConfigError, match="'network.mac' was retired"):
+            config_from_dict(manifest["config"])
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="'network.mac' was retired"):
+            load_snapshot(snap)
 
     @pytest.mark.parametrize("version", (0, RESULT_SCHEMA_VERSION + 1))
     def test_unknown_schema_rejected(self, version):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.solvers.interior_point import Filter, solve_interior_point
+from repro.solvers.interior_point import solve_interior_point
 from repro.solvers.projected_gradient import projected_gradient
 from tests.qp import solve_box_qp
 
@@ -26,36 +26,6 @@ def box_constraints(n: int, lo=0.0, hi=1.0):
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([np.full(n, hi), -np.full(n, lo)])
     return A, b
-
-
-class TestFilter:
-    def test_empty_accepts_everything(self):
-        flt = Filter()
-        assert flt.is_acceptable(1.0, 1.0)
-
-    def test_dominated_rejected(self):
-        flt = Filter()
-        flt.add(1.0, 1.0)
-        assert not flt.is_acceptable(1.0, 1.0)
-        assert not flt.is_acceptable(2.0, 2.0)
-
-    def test_improvement_accepted(self):
-        flt = Filter()
-        flt.add(1.0, 1.0)
-        assert flt.is_acceptable(0.5, 2.0)   # better violation
-        assert flt.is_acceptable(2.0, 0.5)   # better objective... rejected by
-        # theta_max? No theta_max set; phi improves enough:
-        assert flt.is_acceptable(1.0, 0.5)
-
-    def test_add_prunes_dominated_entries(self):
-        flt = Filter()
-        flt.add(2.0, 2.0)
-        flt.add(1.0, 1.0)  # dominates the first
-        assert len(flt) == 1
-
-    def test_theta_max(self):
-        flt = Filter(theta_max=1.0)
-        assert not flt.is_acceptable(2.0, -100.0)
 
 
 class TestBoxQP:

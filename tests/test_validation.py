@@ -98,12 +98,11 @@ class TestAllPoliciesProduceValidTraces:
         res = run_experiment(pol, cfg)
         assert validate_trace(res.trace, cfg) == []
 
-    def test_with_tdma_and_markov(self):
+    def test_with_markov_availability(self):
         cfg = experiment_config(
             budget=150.0, num_clients=10, min_participants=3, max_epochs=8
         )
         cfg = cfg.replace(
-            network=dataclasses.replace(cfg.network, mac="tdma"),
             population=dataclasses.replace(
                 cfg.population, availability_model="markov", availability_prob=0.7
             ),
