@@ -183,12 +183,13 @@ class ClassConditionalGenerator:
         # makes, without its per-call validation and cumsum of ``p``.
         labels = cdf.searchsorted(gen.random(n), side="right")
         # ε straight into the result: numpy's ``normal(0, σ)`` is
-        # ``0.0 + σ·z``, so σ·z + 0.0 is the same float (at σ = 0 a
-        # negative z gives −0.0, which the + 0.0 turns into +0.0).
+        # ``0.0 + σ·z``, which differs from σ·z only in the sign of a zero
+        # (at σ = 0 a negative z gives −0.0).  Adding ``base`` below clears
+        # that sign too: ``base`` is never −0.0, because ``bias`` is not
+        # and an exact zero sum rounds to +0.0.
         eps = out.reshape(n, h, w, c)
         gen.standard_normal(out=eps)
         eps *= self.noise
-        eps += 0.0
         # Per-sample intensity/contrast jitter (broadcast over pixels).
         gain = gen.uniform(0.85, 1.15, size=(n, 1, 1, 1))
         bias = gen.uniform(-0.05, 0.05, size=(n, 1, 1, 1))

@@ -307,20 +307,32 @@ def _install_epoch_data(
     evaluation-only client in ``eval_only`` is handed the draw the loss
     sweep makes.  Every one of these clients' streams is created here, in
     ascending id order over both sets, as when all of them drew here:
-    ``rng.json`` lists streams in creation order."""
+    ``rng.json`` lists streams in creation order.
+
+    The contributors with one sample count ``n`` draw into one ``(m, n,
+    D)`` features / ``(m, n)`` labels pair, ascending id, and each holds
+    its row views: the batched engine evaluates that pair as one bucket
+    (:mod:`repro.fl.batched`) instead of stacking a copy.  Every stream is
+    the client's own, so the draw order changes no byte."""
     drawn = set(ids.tolist())
     for k in np.sort(np.concatenate((ids, eval_only))).tolist():
-        n = int(counts[k])
-        if k in drawn:
-            sim.clients[k].set_data(_epoch_data(sim, adversary, k, n, num_classes))
-            continue
         stream = sim.streams[k]
         stream.rng  # creates the stream
-        sim.clients[k].defer_data(
-            n,
-            stream.generator.num_features,
-            functools.partial(_epoch_data, sim, adversary, k, n, num_classes),
-        )
+        if k not in drawn:
+            n = int(counts[k])
+            sim.clients[k].defer_data(
+                n,
+                stream.generator.num_features,
+                functools.partial(_epoch_data, sim, adversary, k, n, num_classes),
+            )
+    for n in sorted(set(counts[ids].tolist())):
+        members = ids[counts[ids] == n].tolist()
+        dim = sim.streams[members[0]].generator.num_features
+        x = np.empty((len(members), n, dim))
+        y = np.empty((len(members), n), dtype=np.int64)
+        for row, k in enumerate(members):
+            y[row] = _epoch_data(sim, adversary, k, n, num_classes, out=x[row]).y
+            sim.clients[k].set_data(Dataset(x=x[row], y=y[row]))
 
 
 def run_experiment(

@@ -6,9 +6,10 @@ the local gradient, then one or two evaluations per inner step of every
 DANE solve.  Each evaluation is a handful of tiny GEMMs, so the run is
 dominated by Python and BLAS call overhead rather than arithmetic.
 
-:class:`BatchedClientEngine` sorts the participants by local dataset size,
-stacks each run of equal-length datasets into one contiguous ``(k, n, D)``
-tensor and drives all K solves step-synchronously through the model's
+:class:`BatchedClientEngine` sorts the participants by local dataset size
+into *buckets* — the clients with one sample count — and runs one
+bucket's solves to completion before it starts the next, so the solve
+state is one bucket wide, through the model's
 :class:`repro.nn.kernel.BatchedSequentialKernel` — the flat-parameter
 forward/backward for dense networks that lives in :mod:`repro.nn` and that
 the loop path evaluates single clients with as well
@@ -39,8 +40,16 @@ batch_size``: one fused value+gradient pass at ``w + d_{j+1}`` gives
 (a minibatch gradient plus a full-batch value per step); a client that
 stopped early is not evaluated again.
 
+A bucket's data is one contiguous ``(k, n, D)`` / ``(k, n)`` array pair:
+the epoch's install (``runner._install_epoch_data``) draws the
+contributors of one sample count into one such pair and gives each
+client row views, and the engine evaluates those arrays as they are.
+Only clients installed otherwise (one array each) are stacked into a
+copy.
+
 Per-client RNG streams are preserved exactly: each subsampling client
-draws its own minibatch indices from its own generator in step order, a
+draws its own minibatch indices from its own generator in step order
+(streams are first drawn in bucket order, ascending sample count), a
 client that never subsamples never touches (or creates) its generator, and
 a client that early-stops (reached ``target_eta``) simply leaves the active
 set, so its draw count matches the sequential loop.
@@ -87,51 +96,26 @@ def _equal_count_runs(clients: Sequence) -> Tuple[List[int], List[Tuple[int, int
     return order, runs
 
 
-class _ClientGroup:
-    """Participants sharing one :class:`~repro.fl.client.LocalSolveSpec`.
+def _rows_of(views: List[np.ndarray]) -> Optional[np.ndarray]:
+    """The array whose rows ``0 .. m−1`` are ``views``, in order, else None."""
+    base = views[0].base
+    if base is None or base.shape != (len(views),) + views[0].shape:
+        return None
+    start, step = base.__array_interface__["data"][0], base.strides[0]
+    for j, v in enumerate(views):
+        if v.base is not base or v.__array_interface__["data"][0] != start + j * step:
+            return None
+    return base
 
-    Members are stored sorted by local dataset size and stacked one
-    equal-length run at a time (``buckets``, in the ``runs`` format of
-    :meth:`BatchedSequentialKernel.evaluate_sorted`): only real samples are
-    copied, nothing is padded.  The sort is pure bookkeeping — which
-    clients share a GEMM never changes a result, because batched ops are
-    computed per slice.
-    """
 
-    __slots__ = ("positions", "clients", "lengths", "buckets")
-
-    def __init__(self, positions: List[int], clients: List) -> None:
-        order, runs = _equal_count_runs(clients)
-        self.positions = [positions[j] for j in order]
-        self.clients = [clients[j] for j in order]
-        self.lengths = np.asarray([c.num_samples for c in self.clients])
-        self.buckets: List[Tuple[int, int, np.ndarray, np.ndarray]] = [
-            (
-                start,
-                end,
-                np.stack([c.data.x for c in self.clients[start:end]]),
-                np.stack([c.data.y for c in self.clients[start:end]]),
-            )
-            for start, end in runs
-        ]
-
-    def runs(self, rows: np.ndarray) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """``buckets`` restricted to the ascending group rows ``rows``:
-        ``(lo, hi, x, y)`` with ``rows[lo:hi]`` the rows of one bucket and
-        ``x``/``y`` their data — the bucket's own arrays when all of it is
-        there, else one gathered copy."""
-        runs = []
-        lo = 0
-        ends = [e for _, e, _, _ in self.buckets]
-        for (s, e, x, y), hi in zip(self.buckets, np.searchsorted(rows, ends)):
-            if hi == lo:
-                continue
-            if hi - lo < e - s:
-                sel = rows[lo:hi] - s
-                x, y = x[sel], y[sel]
-            runs.append((lo, int(hi), x, y))
-            lo = hi
-        return runs
+def _bucket_data(clients: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """One bucket's ``(m, n, D)`` / ``(m, n)`` data: the arrays the epoch's
+    install drew it into (``runner._install_epoch_data``), else a stack."""
+    xs, ys = [c.data.x for c in clients], [c.data.y for c in clients]
+    x, y = _rows_of(xs), _rows_of(ys)
+    if x is None or y is None:
+        return np.stack(xs), np.stack(ys)
+    return x, y
 
 
 def batched_local_losses(
@@ -146,8 +130,7 @@ def batched_local_losses(
     dataset is copied in.  The bucket is evaluated and the next one
     overwrites it, so the sweep holds one bucket of data beside the
     contributors', and no dataset is allocated and freed per client.  Each
-    bucket is one exact-length run of
-    :meth:`BatchedSequentialKernel.evaluate_sorted`, so the losses are the
+    bucket is one exact-length kernel evaluation, so the losses are the
     floats a stack of the whole sweep gives.
     """
     w = np.asarray(w, dtype=float)
@@ -170,27 +153,36 @@ def batched_local_losses(
             if data.x is not out:  # a contributor's held dataset
                 out[...] = data.x
             y[row] = data.y
-        losses[members], _ = model.kernel.evaluate_sorted(
-            w, [(0, k, x, y)], model.l2_reg, want_grad=False
+        losses[members], _ = model.kernel._evaluate_exact(
+            w, x, y, model.l2_reg, False
         )
     return losses
 
 
 class BatchedClientEngine:
-    """Round-scoped vectorized executor for one participant set."""
+    """Round-scoped vectorized executor for one participant set.
+
+    ``buckets`` are ``(positions, x, y)``: the participants (by position)
+    sharing one :class:`~repro.fl.client.LocalSolveSpec` and one sample
+    count, ascending count, and their data — only real samples, nothing
+    padded.  Which clients share a GEMM never changes a result, because
+    batched ops are computed per slice.
+    """
 
     def __init__(self, model: ClassifierModel, participants: Sequence) -> None:
         self.model = model
         self.kernel: BatchedSequentialKernel = model.kernel
         self.participants = list(participants)
-        by_spec: Dict[LocalSolveSpec, List[int]] = {}
-        for pos, c in enumerate(self.participants):
-            by_spec.setdefault(c.spec, []).append(pos)
-        self.groups = [
-            _ClientGroup(positions, [self.participants[p] for p in positions])
-            for positions in by_spec.values()
+        by_key: Dict[Tuple[LocalSolveSpec, int], List[int]] = {}
+        for pos, c in sorted(
+            enumerate(self.participants), key=lambda pc: pc[1].num_samples
+        ):
+            by_key.setdefault((c.spec, c.num_samples), []).append(pos)
+        self.buckets = [
+            (positions, *_bucket_data([self.participants[p] for p in positions]))
+            for positions in by_key.values()
         ]
-        # (w, per-group (loss, grad)) of the last local_grads() sweep, so the
+        # (w, per-bucket (loss, grad)) of the last local_grads() sweep, so the
         # solve at the same broadcast point reuses it instead of recomputing.
         self._eval_cache: Optional[Tuple[np.ndarray, List[Tuple]]] = None
 
@@ -210,21 +202,20 @@ class BatchedClientEngine:
                 return False
         return True
 
+    def _sweep(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> Tuple:
+        return self.kernel._evaluate_exact(w, x, y, self.model.l2_reg, True)
+
     # -- full-batch gradients at a shared point ---------------------------------
 
     def local_grads(self, w: np.ndarray) -> List[np.ndarray]:
-        """``[∇F_{t,k}(w)]`` in participant order (single batched sweep)."""
+        """``[∇F_{t,k}(w)]`` in participant order (one pass per bucket)."""
         w = np.asarray(w, dtype=float)
-        per_group: List[Tuple] = []
+        starts = [self._sweep(w, x, y) for _, x, y in self.buckets]
         grads: List[Optional[np.ndarray]] = [None] * len(self.participants)
-        for group in self.groups:
-            losses, flat = self.kernel.evaluate_sorted(
-                w, group.buckets, self.model.l2_reg
-            )
-            per_group.append((losses, flat))
-            for j, pos in enumerate(group.positions):
+        for (positions, _, _), (_, flat) in zip(self.buckets, starts):
+            for j, pos in enumerate(positions):
                 grads[pos] = flat[j]
-        self._eval_cache = (w.copy(), per_group)
+        self._eval_cache = (w.copy(), starts)
         return grads  # type: ignore[return-value]
 
     # -- one global iteration ----------------------------------------------------
@@ -235,7 +226,8 @@ class BatchedClientEngine:
         global_grad: np.ndarray,
         target_eta: Optional[float] = None,
     ) -> List[Tuple[np.ndarray, float, List[float]]]:
-        """All participants' DANE solves at the broadcast point.
+        """All participants' DANE solves at the broadcast point, one
+        bucket's to completion before the next.
 
         Returns ``(d, η̂, trajectory)`` per participant, matching
         :meth:`repro.fl.client.FLClient.train_iteration` bit-for-bit.
@@ -245,80 +237,76 @@ class BatchedClientEngine:
         cache = self._eval_cache
         reuse = cache is not None and np.array_equal(cache[0], w_global)
         out: List[Optional[Tuple]] = [None] * len(self.participants)
-        for gi, group in enumerate(self.groups):
-            if reuse:
-                f0, g0 = cache[1][gi]
-            else:
-                f0, g0 = self.kernel.evaluate_sorted(
-                    w_global, group.buckets, self.model.l2_reg
-                )
-            ds, etas, trajs = self._solve_group(
-                group, w_global, global_grad, target_eta, f0, g0
+        for b, (positions, x, y) in enumerate(self.buckets):
+            f0, g0 = cache[1][b] if reuse else self._sweep(w_global, x, y)
+            ds, etas, trajs = self._solve_bucket(
+                [self.participants[p] for p in positions], x, y,
+                w_global, global_grad, target_eta, f0, g0,
             )
-            for j, pos in enumerate(group.positions):
+            for j, pos in enumerate(positions):
                 out[pos] = (ds[j], etas[j], trajs[j])
         return out  # type: ignore[return-value]
 
-    def _solve_group(
+    def _solve_bucket(
         self,
-        group: _ClientGroup,
+        clients: Sequence,
+        x: np.ndarray,
+        y: np.ndarray,
         w_global: np.ndarray,
         global_grad: np.ndarray,
         target_eta: Optional[float],
         f0: np.ndarray,
         g0: np.ndarray,
     ) -> Tuple[np.ndarray, List[float], List[List[float]]]:
-        """:func:`repro.fl.dane.dane_local_step` for every client of the
-        group at once, from the sweep's ``(f0, g0) = (F_k(w), ∇F_k(w))``.
+        """:func:`repro.fl.dane.dane_local_step` for every client of one
+        bucket (one spec, one sample count, data ``x`` / ``y``) at once,
+        from the sweep's ``(f0, g0) = (F_k(w), ∇F_k(w))``.
 
-        The per-step state — ``d``, the linear term ``lt``, the gradient
-        ``g`` in use, the velocity and one scratch ``t`` — holds one row per
-        *active* client, in group (length-sorted) order, so the full-batch
-        clients stay a prefix ``[:nf]``; every update below is the loop's
-        elementwise IEEE operation applied in place.  Rows leave only when
-        a client reaches ``target_eta``.
+        The bucket is all full-batch or all subsampling.  The per-step
+        state — ``d``, the linear term ``lt``, the gradient ``g`` in use,
+        the velocity and one scratch ``t`` — holds one row per *active*
+        client of the bucket; every update below is the loop's elementwise
+        IEEE operation applied in place.  Rows leave only when a client
+        reaches ``target_eta``.
         """
-        c0 = group.clients[0]
-        spec = c0.spec
-        k_count = len(group.clients)
-        p = w_global.size
+        spec = clients[0].spec
+        m, p = g0.shape
         sigma1 = spec.sigma1
         lr = spec.sgd_lr
         momentum = spec.momentum
         batch_size = spec.batch_size
         reg = self.model.l2_reg
         exact = self.kernel._evaluate_exact
+        full = x.shape[1] <= batch_size
         if spec.local_solver == "dane":
             lt = g0 - spec.sigma2 * global_grad[None, :]
         else:  # fedprox: the gradient-correction linear term is dropped
-            lt = np.zeros((k_count, p))
-        d = np.zeros((k_count, p))
-        velocity = np.zeros((k_count, p)) if momentum > 0.0 else None
-        t = np.empty((k_count, p))
-        # A full-batch client's first gradient is the sweep's; each later
-        # one comes out of the fused pass that also yields G(d)'s value.
-        n_full = int(np.searchsorted(group.lengths, batch_size, side="right"))
-        g = np.empty((k_count, p))
-        g[:n_full] = g0[:n_full]
-        # Minibatch stack of the subsampling clients (all draw batch_size).
-        dim = c0.data.x.shape[1]
-        xb = np.empty((k_count - n_full, batch_size, dim))
-        yb = np.empty((k_count - n_full, batch_size), dtype=np.int64)
+            lt = np.zeros((m, p))
+        d = np.zeros((m, p))
+        velocity = np.zeros((m, p)) if momentum > 0.0 else None
+        t = np.empty((m, p))
+        if full:
+            # The first gradient is the sweep's; each later one comes out
+            # of the fused pass that also yields G(d)'s value.
+            g = g0.copy()
+        else:
+            g = np.empty((m, p))
+            xb = np.empty((m, batch_size, x.shape[2]))
+            yb = np.empty((m, batch_size), dtype=np.int64)
         trajs: List[List[float]] = [[float(f)] for f in f0]  # G(0) = F_k(w)
-        fb = np.empty(k_count)
-        rows = np.arange(k_count)       # group row of each active state row
-        out = None                      # (K, P) result once a row has left
-        nf, runs = n_full, group.buckets
+        rows = np.arange(m)             # bucket row of each active state row
+        xs, ys = x, y                   # the active rows' data
+        out = None                      # (m, P) result once a row has left
         for step in range(spec.sgd_steps):
-            if nf < rows.size:
-                np.add(w_global, d[nf:], out=t[nf:])
-                for j, k in enumerate(rows[nf:].tolist()):
-                    c = group.clients[k]
-                    idx = c.rng.choice(c.num_samples, size=batch_size, replace=False)
-                    xb[j] = c.data.x[idx]
-                    yb[j] = c.data.y[idx]
-                ns = rows.size - nf
-                exact(t[nf:], xb[:ns], yb[:ns], reg, True, out=g[nf:])
+            if not full:
+                np.add(w_global, d, out=t)
+                for j, k in enumerate(rows.tolist()):
+                    idx = clients[k].rng.choice(
+                        x.shape[1], size=batch_size, replace=False
+                    )
+                    xb[j] = x[k, idx]
+                    yb[j] = y[k, idx]
+                exact(t, xb[: rows.size], yb[: rows.size], reg, True, out=g)
             # ∇G(d) = g + σ1 d − lt, then the (heavy-ball) step, into t.
             np.multiply(d, sigma1, out=t)
             t += g
@@ -333,11 +321,7 @@ class BatchedClientEngine:
             np.add(w_global, d, out=t)
             # G(d)'s value on the full local set; for a full-batch client
             # the same pass yields the gradient of its next step.
-            for lo, hi, x, y in runs:
-                fused = lo < nf
-                fb[lo:hi], _ = exact(
-                    t[lo:hi], x, y, reg, fused, out=g[lo:hi] if fused else None
-                )
+            fb, _ = exact(t, xs, ys, reg, full, out=g if full else None)
             check = target_eta is not None and step >= 1
             stop = np.zeros(rows.size, dtype=bool)
             for j, k in enumerate(rows.tolist()):
@@ -350,18 +334,17 @@ class BatchedClientEngine:
                 stop[j] = check and estimate_local_accuracy(traj) <= target_eta
             if stop.any():
                 if out is None:
-                    out = np.empty((k_count, p))
+                    out = np.empty((m, p))
                 out[rows[stop]] = d[stop]
                 keep = ~stop
                 rows = rows[keep]
                 d, lt, g = d[keep], lt[keep], g[keep]
                 if velocity is not None:
                     velocity = velocity[keep]
-                t, fb = t[: rows.size], fb[: rows.size]
-                nf = int(np.count_nonzero(rows < n_full))
+                t = t[: rows.size]
                 if rows.size == 0:
                     break
-                runs = group.runs(rows)
+                xs, ys = x[rows], y[rows]
         if out is None:
             out = d
         else:

@@ -209,8 +209,8 @@ def trimmed_mean(
         return np.median(stacked, axis=0)
     if k == 0:
         return stacked.mean(axis=0)
-    ordered = np.sort(stacked, axis=0)
-    return ordered[k : n - k].mean(axis=0)
+    stacked.sort(axis=0)  # np.stack made it: sorting in place copies nothing
+    return stacked[k : n - k].mean(axis=0)
 
 
 #: Row-tile budget for the blocked pairwise-distance computation: the

@@ -12,8 +12,8 @@ the repo:
   logits` and :meth:`~BatchedSequentialKernel.loss_and_grad` — the ``K = 1``
   slice of the stacked entry points, behind the argument checks the
   ``Module`` path makes on its way through the layers;
-* :mod:`repro.fl.batched` stacks many clients' equal-length datasets and
-  calls :meth:`~BatchedSequentialKernel.evaluate_sorted` on them.
+* :mod:`repro.fl.batched` evaluates many clients' equal-length datasets
+  at once, one ``(K, n, D)`` bucket per call.
 
 Every numpy batched op used here is *per-slice bit-identical* to the 2-D
 op of the ``Module`` path (:mod:`repro.fl.batched` lists why), so which
@@ -22,7 +22,7 @@ entry point evaluated a ``(w, batch)`` point never shows in a result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,43 +163,6 @@ class BatchedSequentialKernel:
                 h = out
         return h, caches
 
-    def evaluate_sorted(
-        self,
-        w: np.ndarray,
-        runs: Sequence[Tuple[int, int, np.ndarray, np.ndarray]],
-        reg: float,
-        want_grad: bool = True,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Batched F / ∇F over a length-sorted client stack.
-
-        ``runs`` lists the stack's contiguous equal-length row ranges as
-        ``(start, end, x, y)`` with ``x`` of shape ``(end − start, n, D)``
-        and ``y`` of shape ``(end − start, n)`` int labels — exactly ``n``
-        samples per client, no padding.  Returns ``(loss, grad)`` with
-        ``loss`` of shape ``(K,)`` and ``grad`` of shape ``(K, P)``
-        (``None`` when ``want_grad`` is false).
-
-        Clients are evaluated one equal-length run at a time so that no
-        GEMM ever sees a padded sample axis: BLAS picks its panel blocking
-        from the matrix shape, so both reducing over *and* carrying padded
-        rows can regroup the floating-point accumulation of the real
-        entries.  With exact lengths every batched matmul is per-slice
-        bit-identical to the sequential 2-D call.
-        """
-        k_count = runs[-1][1]
-        losses = np.empty(k_count)
-        flat = np.empty((k_count, self.num_params)) if want_grad else None
-        for s, e, x, y in runs:
-            losses[s:e], _ = self._evaluate_exact(
-                w if w.ndim == 1 else w[s:e],
-                x,
-                y,
-                reg,
-                want_grad,
-                out=flat[s:e] if want_grad else None,
-            )
-        return losses, flat
-
     def _evaluate_exact(
         self,
         w: np.ndarray,
@@ -209,7 +172,11 @@ class BatchedSequentialKernel:
         want_grad: bool,
         out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """F / ∇F for clients sharing one exact sample count (no padding).
+        """F / ∇F for clients sharing one exact sample count: ``x`` is
+        ``(K, n, D)`` and ``y`` ``(K, n)``, no padded rows (a padded sample
+        axis changes BLAS's blocking and with it low-order bits; see
+        :mod:`repro.fl.batched`).  Returns ``(loss (K,), grad (K, P) |
+        None)``.
 
         The gradient is written into ``out`` (``(K, P)``, every entry
         overwritten) when given, else into a fresh array.

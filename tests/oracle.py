@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import ExperimentConfig
+from repro.datasets.synthetic import Dataset
 
 __all__ = [
     "SCENARIOS",
@@ -39,6 +40,7 @@ __all__ = [
     "full_read",
     "per_row_client_streams",
     "predrawn_rng",
+    "sample_from_cdf_signed_zero_pass",
     "stream_state",
 ]
 
@@ -179,6 +181,36 @@ def feasible_set_projection(
         tol=tol,
         max_iters=max_iters,
     )
+
+
+def sample_from_cdf_signed_zero_pass(self, n, cdf, gen, flatten=True, out=None):
+    """``ClassConditionalGenerator.sample_from_cdf`` as shipped with the
+    ``eps += 0.0`` pass that turned a ``σ·z = −0.0`` into ``+0.0``,
+    verbatim: the oracle for the draw without that pass."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    h, w, c = self.image_shape
+    if out is None:
+        out = np.empty((n, h * w * c))
+    elif (
+        out.shape != (n, h * w * c)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous (n, num_features) array")
+    labels = cdf.searchsorted(gen.random(n), side="right")
+    eps = out.reshape(n, h, w, c)
+    gen.standard_normal(out=eps)
+    eps *= self.noise
+    eps += 0.0
+    gain = gen.uniform(0.85, 1.15, size=(n, 1, 1, 1))
+    bias = gen.uniform(-0.05, 0.05, size=(n, 1, 1, 1))
+    base = self.prototypes[labels]  # (n, H, W, C), a fresh copy
+    np.multiply(base, gain, out=base)
+    base += bias
+    eps += base
+    np.clip(eps, 0.0, 1.0, out=eps)
+    return Dataset(x=out, y=labels)
 
 
 class PerRowClientDataStream:

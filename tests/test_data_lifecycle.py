@@ -287,7 +287,7 @@ class TestSweepHoldsOneBucket:
 
         wrap(ClientDataStream, "draw", after=drawn)
         wrap(ClassifierModel, "loss", before=lambda *a, **k: sample())
-        wrap(BatchedSequentialKernel, "evaluate_sorted", before=lambda *a, **k: sample())
+        wrap(BatchedSequentialKernel, "_evaluate_exact", before=lambda *a, **k: sample())
         sweep(FLClient, "local_loss")
         sweep(round_runner, "batched_local_losses")
 

@@ -15,7 +15,7 @@ from repro.datasets.partition import (
 from repro.datasets.streams import ClientDataStream, build_client_streams
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
 from repro.rng import RngFactory
-from tests.oracle import assert_matches_oracle
+from tests.oracle import assert_matches_oracle, sample_from_cdf_signed_zero_pass
 
 
 class TestDataset:
@@ -321,6 +321,28 @@ class TestDrawIntoBuffer:
             assert got.y.tobytes() == want.y.tobytes()
             buf[: n * dim] = -0.0
         assert twins[0].rng.bit_generator.state == twins[1].rng.bit_generator.state
+
+    @given(
+        label_weights,
+        st.sampled_from([0.0, 1e-3, 0.35, 2.0]),
+        st.integers(1, 70),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_signed_zero_pass_same_bytes(self, weights, noise, n, into, seed):
+        """Without ``eps += 0.0`` the draw is the same bytes, signed zeros
+        included: adding the jittered prototypes clears a ``−0.0`` noise
+        term (noise 0 makes one for every negative ``z``)."""
+        num_classes, ws = weights
+        gen = NOISY_GENERATORS[num_classes, noise]
+        cdf = gen.label_cdf(np.asarray(ws, dtype=float))
+        out = (lambda: np.full((n, gen.num_features), np.nan)) if into else lambda: None
+        assert_matches_oracle(
+            lambda rng, buf: sample_from_cdf_signed_zero_pass(gen, n, cdf, rng, out=buf),
+            lambda rng, buf: gen.sample_from_cdf(n, cdf, rng, out=buf),
+            lambda: (np.random.default_rng(seed), out()),
+        )
 
     def test_rejects_a_buffer_of_the_wrong_shape_or_layout(self):
         gen = NOISY_GENERATORS[2, 0.35]

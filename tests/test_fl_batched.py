@@ -8,6 +8,8 @@ environment variant (IID, non-IID, crash injection, Markov availability).
 """
 
 from dataclasses import dataclass, replace
+from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.streams import build_client_streams
 from repro.datasets.synthetic import ClassConditionalGenerator
-from repro.experiments.runner import run_experiment
+from repro.experiments import runner
+from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
+from repro.fl.adversary import Adversary
 from repro.fl.batched import BatchedClientEngine, batched_local_losses
 from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
@@ -159,6 +164,11 @@ class SolveCase:
     momentum: float = 0.0
     target_eta: Optional[float] = None
     seed: int = 0
+    # Data drawn by the runner's install (one array pair per sample count,
+    # row views per client) instead of one array per client; a label-flip
+    # roster poisons some of it there.
+    installed: bool = False
+    label_flip: bool = False
 
     def build(self):
         """``(clients, w, ḡ)``, identical on every call: fresh model, data
@@ -166,17 +176,36 @@ class SolveCase:
         client has drawn a minibatch."""
         factory = RngFactory(self.seed)
         model = build_model("mlp", DIM, CLASSES, factory.get("model"), hidden=(5,))
-        clients = []
-        for k, (n, one_more) in enumerate(self.clients):
-            c = FLClient(
+        clients = [
+            FLClient(
                 k, model, factory.defer(f"c{k}"),
                 LocalSolveSpec(
                     sgd_steps=self.steps + one_more, sgd_lr=0.1, batch_size=BATCH,
                     local_solver=self.solver, momentum=self.momentum,
                 ),
             )
-            c.set_data(_GEN.sample(n, rng=factory.get(f"d{k}")))
-            clients.append(c)
+            for k, (_, one_more) in enumerate(self.clients)
+        ]
+        counts = np.array([n for n, _ in self.clients])
+        if self.installed:
+            sim = SimpleNamespace(
+                clients=clients,
+                streams=build_client_streams(
+                    _GEN, np.ones((len(clients), CLASSES)), factory
+                ),
+            )
+            adversary = (
+                Adversary("label-flip", len(clients), 0.5, factory.get("roster"), factory)
+                if self.label_flip
+                else None
+            )
+            runner._install_epoch_data(
+                sim, adversary, np.arange(len(clients)), counts, CLASSES,
+                np.array([], dtype=int),
+            )
+        else:
+            for k, c in enumerate(clients):
+                c.set_data(_GEN.sample(int(counts[k]), rng=factory.get(f"d{k}")))
         w = model.get_params() + 0.1 * factory.get("w").normal(size=model.num_params)
         global_grad = 0.05 * factory.get("g").normal(size=w.size)
         return clients, w, global_grad
@@ -232,8 +261,10 @@ class TestSolveMatchesLoop:
             steps=st.integers(1, 6),
             solver=st.sampled_from(["dane", "fedprox"]),
             momentum=st.sampled_from([0.0, 0.5, 0.9]),
-            target_eta=st.sampled_from([None, 0.3, 0.9]),
+            target_eta=st.sampled_from([None, 0.3, 0.52, 0.9]),
             seed=st.integers(0, 2**32 - 1),
+            installed=st.booleans(),
+            label_flip=st.booleans(),
         )
     )
     @settings(
@@ -261,6 +292,10 @@ class TestSolveMatchesLoop:
             ((6, False), (11, False), (7, False), (14, False), (6, False)),
             steps=6, target_eta=0.52,
         ),
+        "installed_label_flip": SolveCase(
+            ((6, False), (11, False), (6, False), (11, False), (4, False), (11, False)),
+            steps=5, momentum=0.5, target_eta=0.52, installed=True, label_flip=True,
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(NAMED))
@@ -279,6 +314,35 @@ class TestSolveMatchesLoop:
             assert min(steps_run) == 2
             full = [j for j, n in zip(steps_run, sizes) if n <= BATCH]
             assert len(set(full)) > 1 and len(set(steps_run)) >= 3
+        if name in ("early_stop", "installed_label_flip"):
+            # A bucket whose every client stops early empties while a
+            # later bucket still runs.
+            by_count = {}
+            for n, j in zip(sizes, steps_run):
+                by_count.setdefault(n, []).append(j)
+            emptied = [n for n, js in by_count.items() if max(js) < case.steps]
+            assert emptied and min(emptied) < max(sizes)
+        if case.installed:
+            engine = BatchedClientEngine(clients[0].model, clients)
+            assert_buckets_are_the_install_arrays(engine)
+        if case.label_flip:
+            # The roster poisoned some rows of a shared label array.
+            honest = SolveCase(case.clients, case.steps, installed=True).build()[0]
+            flipped = [
+                not np.array_equal(a.data.y, b.data.y) for a, b in zip(clients, honest)
+            ]
+            assert any(flipped) and not all(flipped)
+
+
+def assert_buckets_are_the_install_arrays(engine):
+    """Every client's ``data.x`` / ``data.y`` is a row of the bucket that
+    evaluates it: the engine holds no second copy of installed data."""
+    for positions, x, y in engine.buckets:
+        for row, pos in enumerate(positions):
+            data = engine.participants[pos].data
+            assert np.shares_memory(data.x, x) and np.shares_memory(data.y, y)
+            assert data.x.base is x and np.array_equal(x[row], data.x)
+            assert data.y.base is y and np.array_equal(y[row], data.y)
 
 
 def count_kernel_rows(engine, monkeypatch):
@@ -335,3 +399,58 @@ class TestEveryPointEvaluatedOnceBatched:
             for c, (_, _, traj) in zip(clients, solves)
         )
         assert sum(rows) == expected
+
+
+# -- the install's arrays are the engine's buckets ------------------------------
+
+#: ``rng.json`` after two batched FedL epochs of :func:`subsampling_config`,
+#: as written by the engine that stepped every participant of a round
+#: together: running one bucket at a time must leave the same bytes.
+FROZEN_RNG_JSON = Path(__file__).parent / "fixtures" / "rng_batched_subsampling_rounds.json"
+
+
+def subsampling_config():
+    """Two batched epochs with full-batch and subsampling contributors
+    (counts around ``batch_size``), a label-flip roster and an evaluation
+    panel with evaluation-only clients."""
+    return experiment_config(
+        dataset="fmnist", budget=1e9, seed=5, num_clients=16,
+        min_participants=6, max_epochs=2,
+    ).override({
+        "training.engine": "batched",
+        "data.samples_per_client": 30,
+        "attack.kind": "label-flip",
+        "attack.fraction": 0.25,
+        "shard.eval_sample": 8,
+    })
+
+
+def run_subsampling_config():
+    cfg = subsampling_config()
+    sim = Simulation(cfg)
+    run_experiment(
+        make_policy("FedL", cfg, RngFactory(cfg.seed).get("cli.policy")), cfg,
+        simulation=sim,
+    )
+    return sim
+
+
+class TestInstallArraysAreTheBuckets:
+    def test_contributors_share_memory_with_their_bucket(self, monkeypatch):
+        buckets = []
+        init = BatchedClientEngine.__init__
+
+        def checked_init(self, model, participants):
+            init(self, model, participants)
+            assert_buckets_are_the_install_arrays(self)
+            buckets.extend(len(positions) for positions, _, _ in self.buckets)
+
+        monkeypatch.setattr(BatchedClientEngine, "__init__", checked_init)
+        run_subsampling_config()
+        assert buckets and max(buckets) > 1
+
+    def test_rng_json_is_the_frozen_file(self):
+        text = run_subsampling_config().rng.capture()
+        # Subsampling clients drew minibatches, first in (count, id) order.
+        assert '"fl.client.' in text
+        assert text == FROZEN_RNG_JSON.read_text()
