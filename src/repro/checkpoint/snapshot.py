@@ -14,8 +14,7 @@ at an epoch boundary:
 * the whole selection policy (pickled), with the FedL learner's duals and
   FISTA warm-start state additionally mirrored through its explicit
   ``state_dict`` so the hot fields are inspectable and pickle drift is
-  caught at restore time,
-* DP accounting.
+  caught at restore time.
 
 Resume reconstructs the :class:`~repro.experiments.runner.Simulation`
 from the *checkpointed* config first — construction consumes RNG streams
@@ -61,6 +60,7 @@ import numpy as np
 
 from repro.atomic import atomic_write_text, clean_stale_tmps
 from repro.checkpoint.errors import CheckpointError
+from repro.env.state import ClientStateArrays
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -78,16 +78,11 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: The payload files a snapshot's manifest checksums, all of them required.
 _PAYLOADS = ("model.npz", "policy.pkl", "rng.json", "state.npz", "trace.json")
 
-#: Fields of :class:`repro.env.state.ClientStateArrays` that ride state.npz.
-_STATE_FIELDS = (
-    "available",
-    "costs",
-    "belief_costs",
-    "tau_last",
-    "local_losses",
-    "reliability",
-    "cum_selected",
-    "spend",
+#: Fields of :class:`repro.env.state.ClientStateArrays` that ride state.npz:
+#: every per-client array it holds.  A snapshot written before an array
+#: left the state still loads; its extra arrays are ignored.
+_STATE_FIELDS = tuple(
+    name for name in ClientStateArrays.__slots__ if name != "num_clients"
 )
 
 
@@ -115,7 +110,6 @@ class Snapshot:
     learner_state: Optional[dict]
     server_w: np.ndarray
     sim_arrays: Dict[str, np.ndarray]
-    dp: Dict[str, float]
     resume: ResumeState
 
     def restore_into(self, sim) -> None:
@@ -141,8 +135,6 @@ class Snapshot:
         sim.channel._shadow_db = self.sim_arrays["shadow_db"].copy()
         if "avail_state" in self.sim_arrays and hasattr(sim.availability, "_state"):
             sim.availability._state = self.sim_arrays["avail_state"].copy()
-        sim.dp_accountant._rho = float(self.dp["rho"])
-        sim.dp_accountant._releases = int(self.dp["releases"])
         # The explicit learner restore doubles as a pickle-drift guard:
         # the pickled policy already carries this state, but re-applying
         # the JSON mirror keeps the hot duals authoritative.
@@ -235,10 +227,6 @@ def write_snapshot(
             "remaining": float(remaining),
             "cumulative_time": float(cumulative_time),
             "policy_name": getattr(policy, "name", type(policy).__name__),
-            "dp": {
-                "rho": float(sim.dp_accountant.rho),
-                "releases": int(sim.dp_accountant.releases),
-            },
             "learner": learner.state_dict() if learner is not None else None,
             "config": config_to_dict(sim.config),
             "files": dict(sorted(files.items())),
@@ -380,7 +368,6 @@ def load_snapshot(directory: str | Path) -> Snapshot:
             for key in ("prices_current", "shadow_db", "avail_state")
             if key in arrays
         },
-        dp=dict(manifest.get("dp", {"rho": 0.0, "releases": 0})),
         resume=resume,
     )
 

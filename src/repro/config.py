@@ -160,9 +160,6 @@ class TrainingConfig:
     topk_fraction: float = 0.1
     quantize_bits: int = 8
     cmfl_threshold: float = 0.6
-    dp_noise_multiplier: Optional[float] = None   # None = no DP; σ of the
-                                                  # Gaussian mechanism [29]
-    dp_clip_norm: float = 1.0           # Δ, per-upload L2 sensitivity
     local_sgd_steps: int = 10           # max gradient steps j per iteration
                                         # (cap; the η_t target stops earlier)
     engine: str = "auto"                # round execution: "auto" | "loop" |
@@ -200,9 +197,6 @@ class TrainingConfig:
         _require(0.0 < self.topk_fraction <= 1.0, "topk_fraction in (0,1]")
         _require(1 <= self.quantize_bits <= 32, "quantize_bits in [1,32]")
         _require(0.0 <= self.cmfl_threshold <= 1.0, "cmfl_threshold in [0,1]")
-        if self.dp_noise_multiplier is not None:
-            _require(self.dp_noise_multiplier > 0, "dp_noise_multiplier > 0")
-        _require(self.dp_clip_norm > 0, "dp_clip_norm > 0")
 
 
 @dataclass(frozen=True)
@@ -363,10 +357,6 @@ class FedLConfig:
     objective: str = "sum"              # "sum" (paper eq. 4) | "softmax" (ablation)
     solver_warm_start: bool = True      # carry Φ̃/step-size/iteration state
                                         # across epochs in descent_step
-    reliability_penalty: float = 4.0    # cost inflation per unit unreliability
-                                        # (only applied when the runner feeds
-                                        # a reliability score, i.e. a defense
-                                        # aggregator is active)
 
     def __post_init__(self) -> None:
         if self.beta is not None:
@@ -381,7 +371,6 @@ class FedLConfig:
         )
         _require(self.rounding in ("rdcs", "independent"), "unknown rounding")
         _require(self.objective in ("sum", "softmax"), "unknown objective")
-        _require(self.reliability_penalty >= 0, "reliability_penalty must be >= 0")
 
 
 @dataclass(frozen=True)

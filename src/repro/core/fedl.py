@@ -48,6 +48,9 @@ ETA_PRIOR = 0.5
 EMA_WEIGHT = 0.4
 #: η̂ must stay strictly below 1 for ρ = 1/(1−η) to make sense.
 ETA_CLIP = 0.99
+#: Belief-side cost inflation per unit unreliability, c·(1 + p·(1 − r)),
+#: applied when the runner feeds a reliability score (a defense is on).
+RELIABILITY_PENALTY = 4.0
 
 
 @register_strategy
@@ -153,14 +156,12 @@ class FedLPolicy(Strategy):
         fractional selection before rounding.
         """
         costs = ctx.costs
-        if ctx.reliability is not None and self.config.reliability_penalty > 0:
+        if ctx.reliability is not None:
             # Belief-side cost inflation only: clients flagged by the
             # defense layer look more expensive to the learner, so the
             # descent step deprioritizes them — but budget accounting and
             # feasibility repair (enforce_feasibility) keep real prices.
-            costs = costs * (
-                1.0 + self.config.reliability_penalty * (1.0 - ctx.reliability)
-            )
+            costs = costs * (1.0 + RELIABILITY_PENALTY * (1.0 - ctx.reliability))
         inputs = EpochInputs(
             tau=np.nan_to_num(ctx.tau_last, nan=1.0, posinf=1e3),
             costs=costs,

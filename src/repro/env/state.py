@@ -29,12 +29,9 @@ __all__ = ["ClientStateArrays"]
 class ClientStateArrays:
     """One flat numpy array per mutable per-client field.
 
-    Fields:
+    Fields (every one but ``num_clients`` rides a snapshot's state.npz):
 
-    * ``available`` — this epoch's availability mask E_t,
     * ``costs`` — this epoch's realized rental prices c_{t,k},
-    * ``belief_costs`` — the reliability-inflated prices the learner
-      descends on (equal to ``costs`` when no defense is active),
     * ``tau_last`` — last realized per-iteration latency (0-lookahead),
     * ``local_losses`` — last observed local loss (NaN never observed),
     * ``reliability`` — EWMA of clean (unquarantined) rounds,
@@ -44,9 +41,7 @@ class ClientStateArrays:
 
     __slots__ = (
         "num_clients",
-        "available",
         "costs",
-        "belief_costs",
         "tau_last",
         "local_losses",
         "reliability",
@@ -59,9 +54,7 @@ class ClientStateArrays:
             raise ValueError("need at least one client")
         k = int(num_clients)
         self.num_clients = k
-        self.available = np.zeros(k, dtype=bool)
         self.costs = np.zeros(k)
-        self.belief_costs = np.zeros(k)
         self.tau_last = np.full(k, float(tau_prior))
         self.local_losses = np.full(k, np.nan)
         self.reliability = np.ones(k)
@@ -69,26 +62,6 @@ class ClientStateArrays:
         self.spend = np.zeros(k)
 
     # ------------------------------------------------------------- per-epoch --
-
-    def begin_epoch(
-        self,
-        available: np.ndarray,
-        costs: np.ndarray,
-        reliability_penalty: float = 0.0,
-        track_reliability: bool = False,
-    ) -> None:
-        """Install this epoch's environment draw (in place)."""
-        np.copyto(self.available, available)
-        np.copyto(self.costs, costs)
-        if track_reliability and reliability_penalty > 0.0:
-            # Same inflation the FedL learner applies belief-side:
-            # c · (1 + penalty · (1 − r)).
-            np.subtract(1.0, self.reliability, out=self.belief_costs)
-            self.belief_costs *= reliability_penalty
-            self.belief_costs += 1.0
-            self.belief_costs *= self.costs
-        else:
-            np.copyto(self.belief_costs, self.costs)
 
     def observe_latency(self, tau_real: np.ndarray, available: np.ndarray) -> None:
         """Legacy ``tau_last = np.where(available, tau_real, tau_last)``,

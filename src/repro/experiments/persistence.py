@@ -128,12 +128,15 @@ RETIRED_LEAVES: Dict[str, object] = {
     "network.mac": "fdma",
     "data.poisson_arrivals": True,
     "training.aggregation": "uniform",
+    "training.dp_noise_multiplier": None,
+    "training.dp_clip_norm": 1.0,
     "shard.budget_split": "mass",
     "attack.scale": 10.0,
     "attack.sleeper_period": 0,
     "defense.trim_fraction": 0.2,
     "defense.norm_bound": None,
     "defense.krum_f": None,
+    "fedl.reliability_penalty": 4.0,
 }
 
 

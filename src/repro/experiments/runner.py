@@ -58,7 +58,6 @@ from repro.experiments.metrics import EpochRecord, Trace
 from repro.fl import FLClient, FLServer, LocalSolveSpec, run_federated_round
 from repro.fl.adversary import Adversary
 from repro.fl.compression import CompressionSpec
-from repro.fl.privacy import DPSpec, PrivacyAccountant
 from repro.live.runtime import LiveRoundSpec, LiveRuntime
 from repro.net import ChannelModel, achievable_rate, compute_latency, transmission_latency
 from repro.nn import build_model
@@ -196,15 +195,6 @@ class Simulation:
             if tc.compression != "none"
             else None
         )
-        self.dp_spec = (
-            DPSpec(
-                clip_norm=tc.dp_clip_norm,
-                noise_multiplier=tc.dp_noise_multiplier,
-            )
-            if tc.dp_noise_multiplier is not None
-            else None
-        )
-        self.dp_accountant = PrivacyAccountant()
         # --- robustness ------------------------------------------------------
         # None for attack "none": the adversary draws only from its own RNG
         # streams, so attack-free runs stay bit-identical.
@@ -697,9 +687,6 @@ def _run_experiment_loop(
                 iterations=decision.iterations,
                 target_eta=target_eta,
                 compression=sim.compression,
-                dp_spec=sim.dp_spec,
-                dp_rng=sim.rng.get("fl.dp"),
-                dp_accountant=sim.dp_accountant,
                 engine=config.training.engine,
                 adversary=sim.adversary,
                 defense=config.defense,

@@ -60,7 +60,6 @@ from repro.fl.hierarchy import (
     Clustering,
     cluster_clients,
     hierarchical_epoch_latency,
-    hierarchical_round,
     kmeans,
     shard_combine,
 )
@@ -70,12 +69,6 @@ from repro.fl.shard import (
     build_shard_plan,
     decompose_budget,
     decompose_floor,
-)
-from repro.fl.privacy import (
-    DPSpec,
-    PrivacyAccountant,
-    clip_update,
-    gaussian_mechanism,
 )
 
 __all__ = [
@@ -117,7 +110,6 @@ __all__ = [
     "Clustering",
     "cluster_clients",
     "hierarchical_epoch_latency",
-    "hierarchical_round",
     "kmeans",
     "shard_combine",
     "ShardPlan",
@@ -125,8 +117,4 @@ __all__ = [
     "build_shard_plan",
     "decompose_budget",
     "decompose_floor",
-    "DPSpec",
-    "PrivacyAccountant",
-    "clip_update",
-    "gaussian_mechanism",
 ]

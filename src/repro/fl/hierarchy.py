@@ -15,15 +15,14 @@ This module provides:
   ``max over clusters ( max over its participants τ_client→edge
   + τ_edge→cloud )``, with the intra-cluster FDMA band shared only among
   the cluster's participants,
-* :func:`hierarchical_round` — two-level aggregation of the model
-  differences (mathematically equal to a weighted flat average; what
-  changes is the latency/communication structure — verified in tests).
+* :func:`shard_combine` — the sharded round's two-level mean of the
+  model differences (per-shard partial sums, then one global merge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "Clustering",
     "cluster_clients",
     "hierarchical_epoch_latency",
-    "hierarchical_round",
     "shard_combine",
 ]
 
@@ -171,56 +169,26 @@ def hierarchical_epoch_latency(
     return worst
 
 
-def hierarchical_round(
-    updates: Sequence[np.ndarray],
-    client_ids: Sequence[int],
-    clustering: Clustering,
-) -> np.ndarray:
-    """Two-level aggregation: per-cluster mean, then mean over clusters
-    weighted by cluster participant counts (= the flat mean; asserted in
-    tests).  Returned for use in custom hierarchical training loops."""
-    if len(updates) != len(client_ids) or not updates:
-        raise ValueError("need one client id per update")
-    by_cluster: dict[int, List[np.ndarray]] = {}
-    for d, cid in zip(updates, client_ids):
-        j = int(clustering.assignments[cid])
-        by_cluster.setdefault(j, []).append(np.asarray(d, dtype=float))
-    total = np.zeros_like(np.asarray(updates[0], dtype=float))
-    count = 0
-    for members in by_cluster.values():
-        cluster_mean = np.mean(np.stack(members), axis=0)
-        total += cluster_mean * len(members)
-        count += len(members)
-    return total / count
-
-
 def shard_combine(
     updates: np.ndarray,
-    weights: np.ndarray,
     labels: np.ndarray,
     num_shards: int,
 ) -> np.ndarray:
-    """Two-level weighted aggregation: per-shard weighted partial sums,
-    then a global combine over the shard aggregates.
+    """Two-level mean: per-shard partial sums, then a global combine over
+    the shard aggregates.
 
-    Mathematically equal to the flat weighted average
-    ``Σ w_i u_i / Σ w_i`` — what changes is the summation structure (each
-    shard reduces its own members first, as an edge aggregator would),
-    property-tested for random shard counts.  Used by the sharded round
-    path where updates arrive grouped by shard.
+    Mathematically equal to the flat mean of the update rows — what
+    changes is the summation structure (each shard reduces its own
+    members first, as an edge aggregator would), property-tested for
+    random shard counts.  Used by the sharded round path where updates
+    arrive grouped by shard.
     """
     stacked = np.asarray(updates, dtype=float)
-    w = np.asarray(weights, dtype=float)
     lab = np.asarray(labels, dtype=np.int64)
-    if stacked.ndim != 2 or stacked.shape[0] != w.size or w.size != lab.size:
-        raise ValueError("need one weight and one shard label per update row")
-    if w.size == 0:
+    if stacked.ndim != 2 or stacked.shape[0] != lab.size:
+        raise ValueError("need one shard label per update row")
+    if lab.size == 0:
         raise ValueError("need at least one update")
     partial = np.zeros((num_shards, stacked.shape[1]))
-    shard_w = np.zeros(num_shards)
-    np.add.at(partial, lab, stacked * w[:, None])
-    np.add.at(shard_w, lab, w)
-    total_w = float(shard_w.sum())
-    if total_w <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return partial.sum(axis=0) / total_w
+    np.add.at(partial, lab, stacked)
+    return partial.sum(axis=0) / float(lab.size)

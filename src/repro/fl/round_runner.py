@@ -27,8 +27,8 @@ for constraint (3d).
 Who executes the local solves, and which clients' updates arrive at
 iteration ``i``, is the only thing the engines differ in.
 :func:`run_federated_round` reads the engine name once, to pick a *solve
-source*, and from then on the iteration loop, the DP → compress → corrupt
-→ screen → combine → apply chain, the observables and the telemetry run
+source*, and from then on the iteration loop, the compress → corrupt →
+screen → combine → apply chain, the observables and the telemetry run
 once against this protocol:
 
 ``sweep(parts) -> grads``
@@ -84,7 +84,6 @@ from repro.fl.defense import (
     screen_updates,
 )
 from repro.fl.hierarchy import shard_combine
-from repro.fl.privacy import gaussian_mechanism
 from repro.live.runtime import LiveRound, LiveRoundOutcome
 from repro.fl.server import FLServer
 from repro.obs import get_telemetry
@@ -337,7 +336,7 @@ class _LiveSource(_LoopSource):
         return outcome
 
 
-def _solve_source(engine, sim_spec, sim_rng, live_round, dp_on_client_rng):
+def _solve_source(engine, sim_spec, sim_rng, live_round):
     """The one place the engine name is read: check the arguments its
     source needs and return ``build(server, participants, iterations)``."""
     if engine == "des":
@@ -347,11 +346,6 @@ def _solve_source(engine, sim_spec, sim_rng, live_round, dp_on_client_rng):
     if engine == "live":
         if live_round is None:
             raise ValueError("engine='live' requires a live_round")
-        if dp_on_client_rng:
-            # Per-client RNG streams live in the forked workers; drawing DP
-            # noise from the parent-side stream would silently diverge from
-            # the loop engine's draw order.
-            raise ValueError("engine='live' with DP requires a dedicated dp_rng")
         return functools.partial(_LiveSource, live_round=live_round)
     in_process = {"auto": _auto_source, "loop": _LoopSource, "batched": _BatchedSource}
     if engine not in in_process:
@@ -367,9 +361,6 @@ def run_federated_round(
     iterations: int,
     target_eta: float | None = None,
     compression: "CompressionSpec | None" = None,
-    dp_spec: "DPSpec | None" = None,
-    dp_rng: np.random.Generator | None = None,
-    dp_accountant: "PrivacyAccountant | None" = None,
     engine: str = "auto",
     sim_spec: "SimRoundSpec | None" = None,
     sim_rng: np.random.Generator | None = None,
@@ -401,7 +392,7 @@ def run_federated_round(
     per-iteration arrivals), or ``"auto"``.
 
     ``adversary`` (a :class:`repro.fl.adversary.Adversary`) corrupts
-    compromised participants' payloads after DP/compression — the
+    compromised participants' payloads after compression — the
     attacker controls the bytes it uploads.  ``defense`` (a
     :class:`repro.config.DefenseConfig`; ``None`` or aggregator
     ``"none"`` is no defense) screens every upload before
@@ -422,13 +413,7 @@ def run_federated_round(
     """
     if defense is not None and defense.aggregator == "none":
         defense = None
-    build_source = _solve_source(
-        engine,
-        sim_spec,
-        sim_rng,
-        live_round,
-        dp_on_client_rng=dp_spec is not None and dp_rng is None,
-    )
+    build_source = _solve_source(engine, sim_spec, sim_rng, live_round)
     sel = np.asarray(selected_mask, dtype=bool)
     avail = np.asarray(available_mask, dtype=bool)
     if sel.shape != avail.shape or sel.size != len(clients):
@@ -469,14 +454,6 @@ def run_federated_round(
                 it, w_broadcast, global_grad, target_eta
             )
             for client, (d, eta_hat) in zip(iter_parts, solves):
-                if dp_spec is not None:
-                    # DP first (clip + noise on the raw update, [29]
-                    # defense), then any compression of the privatized
-                    # payload.
-                    gen = dp_rng if dp_rng is not None else client.rng
-                    d = gaussian_mechanism(d, dp_spec, gen)
-                    if dp_accountant is not None:
-                        dp_accountant.spend(dp_spec)
                 if compression is not None and compression.scheme != "none":
                     comp = compress_update(
                         d,
@@ -495,7 +472,7 @@ def run_federated_round(
                 full_bits += d.size * FLOAT_BITS
                 if adversary is not None:
                     # The attacker controls its final payload: corruption
-                    # applies after DP/compression, just before upload.
+                    # applies after compression, just before upload.
                     d = adversary.corrupt_update(client.client_id, d)
                 updates.append(d)
                 update_ids.append(client.client_id)
@@ -525,10 +502,7 @@ def run_federated_round(
                     labels = shard_of[np.asarray(screened.client_ids)]
                     server.apply_delta(
                         shard_combine(
-                            screened.updates,
-                            np.ones(len(screened.updates)),
-                            labels,
-                            int(shard_of.max()) + 1,
+                            screened.updates, labels, int(shard_of.max()) + 1
                         )
                     )
                 else:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.strategies.base import Decision, EpochContext, RoundFeedback
 from repro.config import FedLConfig, ShardConfig
-from repro.core.fedl import FedLPolicy
+from repro.core.fedl import RELIABILITY_PENALTY, FedLPolicy
 from repro.core.phi import Phi
 from repro.fl.hierarchy import kmeans
 from repro.obs import get_telemetry
@@ -271,13 +271,8 @@ class ShardedFedLPolicy:
         # Belief-cost mass: the same reliability-inflated prices the
         # flat learner descends on, so unreliable shards draw less budget.
         belief = ctx.costs
-        penalty = 0.0
-        for child in self.children:
-            if child is not None:
-                penalty = child.config.reliability_penalty
-                break
-        if ctx.reliability is not None and penalty > 0:
-            belief = belief * (1.0 + penalty * (1.0 - ctx.reliability))
+        if ctx.reliability is not None:
+            belief = belief * (1.0 + RELIABILITY_PENALTY * (1.0 - ctx.reliability))
         masses = np.zeros(num_shards)
         demands = np.zeros(num_shards)
         for s, members in enumerate(plan.members):

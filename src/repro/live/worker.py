@@ -46,7 +46,7 @@ streams; a client that never trained here has no stream to report) and
 ``set_rng`` restores them (how a restarted worker resumes from the last
 checkpointed client state).
 
-Workers never touch the aggregation pipeline: DP, compression,
+Workers never touch the aggregation pipeline: compression,
 adversaries, defenses and averaging all stay in the server process, in
 ascending-client-id order, which is why a fault-free live run is
 bit-identical to the loop engine.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import textwrap
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -334,12 +335,16 @@ def quarantine_section(
     for cid, n in clipped.items():
         offenders[cid] += n
     flagged = [cid for cid, n in offenders.most_common(max_clients) if n > 0]
-    for cid in flagged:
-        lines.append(
-            f"    k={cid:>3d}  rejected={rejected.get(cid, 0):<4d}"
-            f"clipped={clipped.get(cid, 0)}"
-        )
-    if not flagged:
+    if flagged:
+        from repro.experiments.reporting import format_table
+
+        rows = [
+            (cid, {"rejected": rejected.get(cid, 0), "clipped": clipped.get(cid, 0)})
+            for cid in flagged
+        ]
+        table = format_table(rows, label="client")
+        lines.append(textwrap.indent(table, "    "))
+    else:
         lines.append("    no updates rejected or clipped")
     return "\n".join(lines)
 
@@ -385,6 +390,8 @@ def render_trace(
 
     Raises :class:`UnknownRunError` when ``run`` matches no run id.
     """
+    from repro.experiments.reporting import format_table
+
     directory = Path(directory).expanduser()
     events = read_events(directory)
     folds = fold_runs(events)
@@ -402,11 +409,11 @@ def render_trace(
     )
 
     if counts:
-        width = max(len(k) for k in counts)
-        inventory = "\n".join(
-            f"  {kind:<{width}}  {n:>6d}" for kind, n in sorted(counts.items())
+        inventory = format_table(
+            [(kind, {"events": n}) for kind, n in sorted(counts.items())],
+            label="kind",
         )
-        sections.append("event inventory\n" + inventory)
+        sections.append("event inventory\n" + textwrap.indent(inventory, "  "))
 
     engines = Counter(
         str(e.data.get("engine", "?")) for e in events if e.kind == "round.complete"
@@ -424,27 +431,26 @@ def render_trace(
     if manifest:
         counters = manifest["registry"]["counters"]
         if counters:
-            width = max(len(k) for k in counters)
-            sections.append(
-                "counters\n"
-                + "\n".join(
-                    f"  {name:<{width}}  {value:.6g}"
+            table = format_table(
+                [
+                    (name, {"value": f"{value:.6g}"})
                     for name, value in sorted(counters.items())
-                )
+                ],
+                label="counter",
             )
+            sections.append("counters\n" + textwrap.indent(table, "  "))
         warm_line = _warm_start_summary(counters)
         if warm_line:
             sections.append(warm_line)
         # Utilization is sweep.job time, which only sweep workers record.
         busy = [w for w in manifest["workers"] if w["jobs"] > 0]
         if busy:
-            sections.append(
-                "worker utilization\n"
-                + "\n".join(
-                    f"  {w['worker']:<12} jobs={w['jobs']:<4d} busy={w['busy_s']:.3f}s"
-                    for w in busy
-                )
-            )
+            rows = [
+                (w["worker"], {"jobs": w["jobs"], "busy": f"{w['busy_s']:.3f}s"})
+                for w in busy
+            ]
+            table = format_table(rows, label="worker")
+            sections.append("worker utilization\n" + textwrap.indent(table, "  "))
 
     if run is not None:
         chosen = [r for r in runs if run_matches(r, run)]

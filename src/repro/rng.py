@@ -29,7 +29,7 @@ and snapshots pay for the clients that have drawn, not for the population.
 and never stores the generator it returns: each call tells the factory that
 the stream may have moved.  A snapshot's capture (:meth:`RngFactory.capture`)
 re-reads only the streams handed out by :meth:`~RngFactory.get` (long-lived
-holders: env, net, the eval panel, policies, DP, faults) and the deferred
+holders: env, net, the eval panel, policies, faults) and the deferred
 streams called since the previous capture; every other stream reuses the
 ``rng.json`` entry encoded when it last moved.  So capture cost follows the
 streams drawn since the last snapshot, not every stream the run has made.

@@ -38,6 +38,7 @@ from repro.config import (
     LiveConfig,
     ShardConfig,
 )
+from repro.env.state import ClientStateArrays
 from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.client import FLClient
@@ -349,6 +350,23 @@ class TestSnapshotManifest:
         on_disk = {p.name for p in snap.iterdir()}
         assert set(manifest["files"]) | {"manifest.json"} >= on_disk
         assert manifest["next_epoch"] >= 1
+
+    def test_state_npz_holds_exactly_the_client_state_arrays(self, tmp_path):
+        ckpt_dir = tmp_path / "ck"
+        cfg = small_config().replace(
+            checkpoint=CheckpointConfig(directory=str(ckpt_dir), interval=4, keep=1)
+        )
+        run_experiment(fedl(cfg), cfg)
+        snap = latest_snapshot_path(ckpt_dir)
+        per_client = set(ClientStateArrays.__slots__) - {"num_clients"}
+        with np.load(snap / "state.npz") as npz:
+            assert set(npz.files) == per_client | {
+                "final_w", "prices_current", "shadow_db",
+            }
+            for name in per_client:
+                assert npz[name].shape == (cfg.population.num_clients,), name
+        assert "dp" not in json.loads((snap / "manifest.json").read_text())
+        assert '"fl.dp"' not in (snap / "rng.json").read_text()
 
     def test_prune_keeps_newest(self, tmp_path):
         ckpt_dir = tmp_path / "ck"

@@ -453,13 +453,13 @@ class TestSetPaths:
     def test_values_reach_tuples_optionals_and_bools(self, monkeypatch):
         cfg = resolved_run_config(monkeypatch, [*SIM_SMALL, *sets(
             "training.hidden_units=[32,16]",
-            "training.dp_noise_multiplier=1.5",
+            "fedl.beta=0.05",
             "data.iid=false",
             "sim.faults=churn",
             "training.engine=des",
         )])
         assert cfg.training.hidden_units == (32, 16)
-        assert cfg.training.dp_noise_multiplier == 1.5
+        assert cfg.fedl.beta == 0.05
         assert cfg.data.iid is False
         assert cfg.sim.faults == "churn"
 

@@ -9,7 +9,6 @@ from repro.fl.hierarchy import (
     Clustering,
     cluster_clients,
     hierarchical_epoch_latency,
-    hierarchical_round,
     kmeans,
 )
 
@@ -119,32 +118,3 @@ class TestHierarchicalLatency:
                 clustering, pop.positions_m, np.ones(40, bool), NetworkConfig(),
                 tau_loc, backhaul_rate_bps=0.0,
             )
-
-
-class TestHierarchicalAggregation:
-    def test_balanced_clusters_equal_flat_mean(self, rng):
-        clustering = Clustering(
-            centroids=np.zeros((2, 2)),
-            assignments=np.array([0, 0, 1, 1]),
-        )
-        updates = [rng.normal(size=5) for _ in range(4)]
-        hier = hierarchical_round(updates, [0, 1, 2, 3], clustering)
-        flat = np.mean(np.stack(updates), axis=0)
-        np.testing.assert_allclose(hier, flat)
-
-    def test_unbalanced_weighting(self, rng):
-        clustering = Clustering(
-            centroids=np.zeros((2, 2)),
-            assignments=np.array([0, 0, 0, 1]),
-        )
-        updates = [np.ones(3), np.ones(3), np.ones(3), 5 * np.ones(3)]
-        hier = hierarchical_round(updates, [0, 1, 2, 3], clustering)
-        # Count-weighted cluster means = flat mean: (3·1 + 1·5)/4 = 2.
-        np.testing.assert_allclose(hier, 2.0)
-
-    def test_validation(self, rng):
-        clustering = Clustering(centroids=np.zeros((1, 2)), assignments=np.zeros(2, int))
-        with pytest.raises(ValueError):
-            hierarchical_round([], [], clustering)
-        with pytest.raises(ValueError):
-            hierarchical_round([np.ones(2)], [0, 1], clustering)

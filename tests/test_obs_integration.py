@@ -237,10 +237,12 @@ class TestWorkerUtilization:
         assert main(["trace", str(directory), "--no-chart"]) == 0
         out = capsys.readouterr().out
         section = out.split("worker utilization\n", 1)[1].split("\n\n", 1)[0]
-        rows = section.splitlines()
-        assert rows and all("jobs=0 " not in row for row in rows)
-        assert sum(int(row.split("jobs=")[1].split()[0]) for row in rows) == 2
-        assert not any(row.split()[0] == "main" for row in rows)
+        header, _rule, *rows = section.splitlines()
+        assert header.split() == ["worker", "jobs", "busy"]
+        jobs = {row.split()[0]: int(row.split()[1]) for row in rows}
+        assert jobs and all(n > 0 for n in jobs.values())
+        assert sum(jobs.values()) == 2
+        assert "main" not in jobs
 
 
 class TestNoOpGuarantees:
@@ -393,9 +395,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trajectories — run 't'" in out
         inventory = out.split("event inventory\n", 1)[1].split("\n\n", 1)[0]
-        assert {
-            kind: int(n) for kind, n in (row.split() for row in inventory.splitlines())
-        } == counts
+        header, _rule, *rows = inventory.splitlines()
+        assert header.split() == ["kind", "events"]
+        assert {kind: int(n) for kind, n in (row.split() for row in rows)} == counts
         assert main(["trace", str(tmp_path), "--follow", "--timeout", "5"]) == 0
         footer = capsys.readouterr().out.splitlines()[-1]
         assert footer.startswith(

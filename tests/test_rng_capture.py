@@ -25,10 +25,8 @@ import repro.rng
 from repro.checkpoint import resume_experiment
 from repro.config import AttackConfig, CheckpointConfig, DefenseConfig, ShardConfig
 from repro.datasets.streams import ClientDataStream
-from repro.experiments.runner import Simulation, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
-from repro.fl.privacy import DPSpec
-from repro.fl.round_runner import run_federated_round
 from repro.rng import DeferredStream, RngFactory
 from tests.oracle import full_read
 from tests.test_checkpoint import fedl, small_config
@@ -99,29 +97,6 @@ class TestCaptureOracle:
             assert on_disk == expected, f"snapshot {i}: capture differs from a full read"
         # Every snapshot holds per-client streams: cached entries were in play.
         assert all('"data.client.' in text for text in written)
-
-    def test_dp_noise_on_the_client_stream(self, oracle_captures):
-        """DP without a dedicated stream draws its noise from
-        ``client.rng``: rounds run directly, one capture after each."""
-        cfg = small_config("loop", num_clients=5)
-        cfg = cfg.replace(training=dataclasses.replace(cfg.training, batch_size=4))
-        sim = Simulation(cfg)
-        dp = DPSpec(clip_norm=1.0, noise_multiplier=0.5)
-        k = len(sim.clients)
-        for round_index in range(4):
-            chosen = np.zeros(k, bool)
-            chosen[[round_index % k, (round_index + 2) % k]] = True
-            for c in np.flatnonzero(chosen):
-                sim.clients[c].set_data(sim.streams[c].draw(12))
-            run_federated_round(
-                sim.server, sim.clients, chosen, chosen, 2, engine="loop",
-                dp_spec=dp, dp_rng=None,
-            )
-            sim.rng.capture()
-        assert len(oracle_captures) == 4
-        for expected, captured in oracle_captures:
-            assert captured == expected
-        assert '"fl.client.' in oracle_captures[-1][1]
 
     def test_a_holder_that_keeps_its_generator_is_caught(
         self, monkeypatch, tmp_path, oracle_captures

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.strategies.base import EpochContext
-from repro.config import AttackConfig, DefenseConfig, FedLConfig
+from repro.config import AttackConfig, DefenseConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.defense import CorruptUpdateError
@@ -171,19 +171,17 @@ class TestReliabilityFeedback:
             reliability=reliability,
         )
 
-    def _policy(self, penalty):
+    def _policy(self):
         return make_policy(
             "FedL",
-            robust_config(num_clients=6, min_participants=2).replace(
-                fedl=FedLConfig(reliability_penalty=penalty)
-            ),
+            robust_config(num_clients=6, min_participants=2),
             RngFactory(0).get("policy.FedL"),
         )
 
     def test_unreliable_clients_cost_more_to_the_learner(self):
         reliability = np.ones(6)
         reliability[2] = 0.0            # quarantined every round so far
-        policy = self._policy(penalty=4.0)
+        policy = self._policy()
         policy.fractional_decision(self._ctx(reliability))
         seen = policy._last_inputs.costs
         # c·(1 + penalty·(1−r)): untouched for reliable clients, 5× for
@@ -192,19 +190,11 @@ class TestReliabilityFeedback:
         assert seen[2] == pytest.approx(10.0)
 
     def test_full_reliability_matches_no_reliability(self):
-        policy = self._policy(penalty=4.0)
+        policy = self._policy()
         _, x_none = policy.fractional_decision(self._ctx(None))
-        policy2 = self._policy(penalty=4.0)
+        policy2 = self._policy()
         _, x_ones = policy2.fractional_decision(self._ctx(np.ones(6)))
         assert np.allclose(x_none, x_ones)
-
-    def test_zero_penalty_disables_inflation(self):
-        reliability = np.zeros(6)
-        policy = self._policy(penalty=0.0)
-        _, x_flat = policy.fractional_decision(self._ctx(reliability))
-        policy2 = self._policy(penalty=0.0)
-        _, x_none = policy2.fractional_decision(self._ctx(None))
-        assert np.allclose(x_flat, x_none)
 
     def test_context_validates_reliability(self):
         with pytest.raises(ValueError, match="reliability"):

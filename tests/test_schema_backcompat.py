@@ -145,6 +145,21 @@ class TestOldResultSchemasLoad:
         with pytest.raises(CheckpointError, match="'network.mac' was retired"):
             load_snapshot(snap)
 
+    @pytest.mark.parametrize("path, kept", sorted(RETIRED_LEAVES.items()))
+    def test_each_retired_leaf_loads_only_at_its_kept_value(self, path, kept):
+        section, name = path.split(".")
+        spelled = {"seed": 3, section: {name: kept}}
+        assert config_from_dict(spelled) == config_from_dict({"seed": 3})
+        other = {
+            bool: lambda v: not v,
+            int: lambda v: v + 1,
+            float: lambda v: v + 1.0,
+            str: lambda v: v + "-other",
+            type(None): lambda v: 1.0,
+        }[type(kept)](kept)
+        with pytest.raises(RetiredConfigError, match=f"'{path}' was retired"):
+            config_from_dict({"seed": 3, section: {name: other}})
+
     @pytest.mark.parametrize("version", (0, RESULT_SCHEMA_VERSION + 1))
     def test_unknown_schema_rejected(self, version):
         payload = json.loads(fixture_path(3).read_text())

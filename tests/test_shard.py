@@ -4,7 +4,7 @@ Covers the contracts promised in ``repro.fl.shard``:
 
 * the registry builds the flat ``FedLPolicy`` at one shard and
   ``ShardedFedLPolicy`` from two on, which rejects a single shard;
-* hierarchical ``shard_combine`` equals the flat weighted average;
+* hierarchical ``shard_combine`` equals the flat mean;
 * ``decompose_budget`` / ``decompose_floor`` never overshoot and
   redistribute deterministically;
 * ``ClientStateArrays`` updates reproduce the legacy runner formulas;
@@ -196,10 +196,9 @@ class TestShardCombine:
             d = int(rng.integers(1, 50))
             num_shards = int(rng.integers(1, 8))
             updates = [rng.normal(size=d) for _ in range(n)]
-            weights = rng.uniform(0.1, 10, n)
             labels = rng.integers(0, num_shards, n)
-            combined = shard_combine(updates, weights, labels, num_shards)
-            flat = np.average(np.stack(updates), axis=0, weights=weights)
+            combined = shard_combine(updates, labels, num_shards)
+            flat = np.mean(np.stack(updates), axis=0)
             np.testing.assert_allclose(combined, flat, rtol=1e-10, atol=1e-12)
 
 
@@ -291,18 +290,6 @@ class TestClientStateArrays:
             total_spend[sel] += costs[sel]
         np.testing.assert_array_equal(state.cum_selected, total_sel)
         np.testing.assert_array_equal(state.spend, total_spend)
-
-    def test_begin_epoch_belief_inflation(self, rng):
-        state = ClientStateArrays(12)
-        state.reliability[:] = rng.uniform(0, 1, 12)
-        costs = rng.uniform(0.1, 5, 12)
-        avail = rng.random(12) < 0.5
-        state.begin_epoch(avail, costs, reliability_penalty=2.0, track_reliability=True)
-        expected = costs * (1.0 + 2.0 * (1.0 - state.reliability))
-        np.testing.assert_allclose(state.belief_costs, expected)
-        # Without tracking, belief == realized.
-        state.begin_epoch(avail, costs)
-        np.testing.assert_array_equal(state.belief_costs, costs)
 
 
 class TestInPlaceDynamics:
