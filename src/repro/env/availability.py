@@ -124,30 +124,15 @@ class MarkovAvailabilityProcess:
             exp(−λ) = 1 − p_on_off  ⇒  λ = −log(1 − p_on_off),
 
         so the probability of dropping *sometime during* the round
-        matches the chain's one-step off-transition exactly.  The
-        event-driven runtime's fault layer consumes this rate (see
-        :meth:`repro.sim.faults.FaultProfile.from_churn`), keeping
+        matches the chain's one-step off-transition exactly.  A DES or
+        live run with a churning fault profile takes this rate as the
+        profile's ``dropout_hazard`` (the experiment loop in
+        :mod:`repro.experiments.runner`), and the round draws each
+        client's dropout instant from it
+        (:func:`repro.sim.faults.sample_dropout_times`), keeping
         intra-round churn a refinement of — not a second model beside —
         the epoch-granular chain.  This is a pure function of the
         transition matrix: it draws nothing from the chain's RNG, so the
         epoch-level marginals are untouched.
         """
         return float(-np.log1p(-self.p_on_off))
-
-    def dropout_times(
-        self, num_clients: int, round_seconds: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample per-client intra-round dropout instants (seconds from
-        round start; ``inf`` = survives the round) at the sojourn-
-        consistent hazard.  ``rng`` must be a *separate* stream from the
-        chain's own: the chain's epoch-granular draws stay untouched."""
-        if rng is self.rng:
-            raise ValueError(
-                "dropout_times needs its own RNG stream; using the chain's "
-                "would perturb the epoch-granular marginals"
-            )
-        from repro.sim.faults import sample_dropout_times
-
-        return sample_dropout_times(
-            num_clients, self.intra_round_hazard(), round_seconds, rng
-        )

@@ -56,19 +56,14 @@ from repro.fl.analysis import (
     assumption1_constants,
     estimate_curvature,
 )
-from repro.fl.hierarchy import (
-    Clustering,
-    cluster_clients,
-    hierarchical_epoch_latency,
-    kmeans,
-    shard_combine,
-)
 from repro.fl.shard import (
     ShardPlan,
     ShardedFedLPolicy,
     build_shard_plan,
     decompose_budget,
     decompose_floor,
+    kmeans,
+    shard_combine,
 )
 
 __all__ = [
@@ -107,14 +102,11 @@ __all__ = [
     "CurvatureEstimate",
     "assumption1_constants",
     "estimate_curvature",
-    "Clustering",
-    "cluster_clients",
-    "hierarchical_epoch_latency",
-    "kmeans",
-    "shard_combine",
     "ShardPlan",
     "ShardedFedLPolicy",
     "build_shard_plan",
     "decompose_budget",
     "decompose_floor",
+    "kmeans",
+    "shard_combine",
 ]

@@ -83,7 +83,7 @@ from repro.fl.defense import (
     robust_aggregate,
     screen_updates,
 )
-from repro.fl.hierarchy import shard_combine
+from repro.fl.shard import shard_combine
 from repro.live.runtime import LiveRound, LiveRoundOutcome
 from repro.fl.server import FLServer
 from repro.obs import get_telemetry

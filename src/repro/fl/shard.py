@@ -18,6 +18,12 @@ iteration counts).  The cost-aware decomposition follows Luo et al.,
 "Cost-Effective Federated Learning Design"; the shard-then-select
 structure follows the FedCS resource-pooling idea (see PAPERS.md).
 
+The module also holds the two pieces of edge-aggregation geometry a
+sharded run uses: :func:`kmeans` (Lloyd's algorithm) places the
+``"kmeans"`` shards at client-density centroids, and :func:`shard_combine`
+is the sharded round's mean of the model differences (per-shard partial
+sums, then one global merge).
+
 Contracts:
 
 * ``num_shards >= 2``: one shard is the flat ``FedLPolicy``, which the
@@ -42,7 +48,6 @@ from repro.strategies.base import Decision, EpochContext, RoundFeedback
 from repro.config import FedLConfig, ShardConfig
 from repro.core.fedl import RELIABILITY_PENALTY, FedLPolicy
 from repro.core.phi import Phi
-from repro.fl.hierarchy import kmeans
 from repro.obs import get_telemetry
 
 __all__ = [
@@ -51,6 +56,8 @@ __all__ = [
     "decompose_budget",
     "decompose_floor",
     "ShardedFedLPolicy",
+    "kmeans",
+    "shard_combine",
 ]
 
 
@@ -90,8 +97,8 @@ def build_shard_plan(
     """Partition ``num_clients`` ids into ``num_shards`` shards.
 
     ``"contiguous"`` splits the id range into near-equal blocks;
-    ``"kmeans"`` clusters client positions (Lloyd's algorithm from
-    :mod:`repro.fl.hierarchy`) so shards align with the edge-aggregator
+    ``"kmeans"`` clusters client positions (Lloyd's algorithm,
+    :func:`kmeans`) so shards align with the edge-aggregator
     geometry.  Both are deterministic given ``rng``.
     """
     if not 1 <= num_shards <= num_clients:
@@ -368,3 +375,79 @@ class ShardedFedLPolicy:
         return np.concatenate(
             [child.mu for child in self.children if child is not None]
         )
+
+
+def kmeans(
+    points: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    max_iters: int = 100,
+    tol: float = 1e-8,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm: returns ``(centroids (k,d), assignments (N,))``.
+
+    Initialized by sampling k distinct points (k-means++-lite: the first
+    uniformly, the rest proportional to squared distance).  Empty clusters
+    are re-seeded at the farthest point.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be (N, d)")
+    n = pts.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError("k must be in [1, N]")
+    # k-means++ seeding.
+    centroids = [pts[rng.integers(n)]]
+    for _ in range(k - 1):
+        d2 = np.min(
+            ((pts[:, None, :] - np.stack(centroids)[None]) ** 2).sum(-1), axis=1
+        )
+        total = d2.sum()
+        if total <= 0:
+            centroids.append(pts[rng.integers(n)])
+            continue
+        centroids.append(pts[rng.choice(n, p=d2 / total)])
+    C = np.stack(centroids)
+    assign = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        d2 = ((pts[:, None, :] - C[None]) ** 2).sum(-1)
+        assign = np.argmin(d2, axis=1)
+        new_C = C.copy()
+        for j in range(k):
+            members = pts[assign == j]
+            if members.size == 0:
+                # Re-seed at the globally farthest point.
+                new_C[j] = pts[np.argmax(d2.min(axis=1))]
+            else:
+                new_C[j] = members.mean(axis=0)
+        shift = float(np.max(np.abs(new_C - C)))
+        C = new_C
+        if shift <= tol:
+            break
+    d2 = ((pts[:, None, :] - C[None]) ** 2).sum(-1)
+    return C, np.argmin(d2, axis=1)
+
+
+def shard_combine(
+    updates: np.ndarray,
+    labels: np.ndarray,
+    num_shards: int,
+) -> np.ndarray:
+    """Two-level mean: per-shard partial sums, then a global combine over
+    the shard aggregates.
+
+    Mathematically equal to the flat mean of the update rows — what
+    changes is the summation structure (each shard reduces its own
+    members first, as an edge aggregator would), property-tested for
+    random shard counts.  Used by the sharded round path where updates
+    arrive grouped by shard.
+    """
+    stacked = np.asarray(updates, dtype=float)
+    lab = np.asarray(labels, dtype=np.int64)
+    if stacked.ndim != 2 or stacked.shape[0] != lab.size:
+        raise ValueError("need one shard label per update row")
+    if lab.size == 0:
+        raise ValueError("need at least one update")
+    partial = np.zeros((num_shards, stacked.shape[1]))
+    np.add.at(partial, lab, stacked)
+    return partial.sum(axis=0) / float(lab.size)

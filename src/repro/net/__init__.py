@@ -4,8 +4,8 @@ Implements the exact channel/latency model the paper's simulator uses:
 
 * path loss ``128.1 + 37.6 log10(d_km)`` dB with 8 dB log-normal shadowing
   (:mod:`repro.net.pathloss`, :mod:`repro.net.channel`),
-* FDMA uplink rate ``r = b log2(1 + h p / (N0 b))`` over a shared
-  ``B = 20`` MHz band (:mod:`repro.net.fdma`),
+* FDMA uplink rate ``r = b log2(1 + h p / (N0 b))`` at an equal share
+  ``b = B / num_sharing`` of a ``B = 20`` MHz band (:mod:`repro.net.fdma`),
 * per-client latency ``d_k(t) = l_t (τ_loc + τ_cm)`` with
   ``τ_loc = e_k D_{t,k} / π_k`` and ``τ_cm = s / r``
   (:mod:`repro.net.latency`).
@@ -13,11 +13,7 @@ Implements the exact channel/latency model the paper's simulator uses:
 
 from repro.net.pathloss import pathloss_db, db_to_linear, dbm_to_watt
 from repro.net.channel import ChannelModel, ChannelState
-from repro.net.fdma import (
-    achievable_rate,
-    equal_share_bandwidth,
-    allocate_bandwidth,
-)
+from repro.net.fdma import achievable_rate
 from repro.net.latency import (
     compute_latency,
     transmission_latency,
@@ -32,8 +28,6 @@ __all__ = [
     "ChannelModel",
     "ChannelState",
     "achievable_rate",
-    "equal_share_bandwidth",
-    "allocate_bandwidth",
     "compute_latency",
     "transmission_latency",
     "client_latency",

@@ -1,24 +1,19 @@
-"""FDMA uplink rates and bandwidth allocation (paper Sec. 3.2).
+"""FDMA uplink rate (paper Sec. 3.2).
 
 The achievable rate of client ``k`` with bandwidth ``b_{t,k}`` is
 
     r_{t,k} = b_{t,k} · log2(1 + h_k p_k / (N0 b_{t,k})),
 
-with the cell-wide constraint ``Σ_k b_{t,k} = B``.  Besides the equal-share
-policy (what the paper's baselines effectively assume), we provide a
-water-filling-style allocator that equalizes transmission latency across
-the selected clients — useful because the epoch latency is a max over
-clients, so equal-latency allocation is the bandwidth-optimal choice for a
-fixed selection.
+with the cell-wide constraint ``Σ_k b_{t,k} = B``.  A run splits the band
+equally among the round's uploaders, ``b = B / num_sharing``
+(:meth:`repro.experiments.runner.Simulation.realized_tau_components`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.net.channel import ChannelState
-
-__all__ = ["achievable_rate", "equal_share_bandwidth", "allocate_bandwidth"]
+__all__ = ["achievable_rate"]
 
 
 def achievable_rate(
@@ -43,93 +38,3 @@ def achievable_rate(
     if np.isscalar(bandwidth_hz) and np.isscalar(snr_per_hz):
         return float(out)
     return out
-
-
-def equal_share_bandwidth(total_hz: float, num_sharing: int) -> float:
-    """Equal split of the band among ``num_sharing`` active uploaders."""
-    if num_sharing <= 0:
-        raise ValueError("need at least one sharing client")
-    if total_hz <= 0:
-        raise ValueError("total bandwidth must be positive")
-    return total_hz / num_sharing
-
-
-def allocate_bandwidth(
-    channel: ChannelState,
-    selected: np.ndarray,
-    total_hz: float,
-    upload_bits: float,
-    policy: str = "equal",
-    tol: float = 1e-9,
-    max_iters: int = 100,
-) -> np.ndarray:
-    """Allocate the band ``B`` among the selected clients.
-
-    Parameters
-    ----------
-    channel:
-        Current epoch's channel state.
-    selected:
-        Boolean mask (M,) of uploading clients.
-    policy:
-        ``"equal"`` — equal share, or ``"min_latency"`` — bisection on the
-        common upload latency τ so that ``Σ b_k(τ) = B`` where ``b_k(τ)``
-        is the smallest bandwidth giving client k latency τ (equalizes
-        τ_cm across clients, minimizing the max).
-
-    Returns
-    -------
-    np.ndarray
-        Per-client bandwidth in Hz (zeros for unselected clients).
-    """
-    sel = np.asarray(selected, dtype=bool)
-    m = sel.size
-    bw = np.zeros(m, dtype=float)
-    count = int(sel.sum())
-    if count == 0:
-        return bw
-    if policy == "equal":
-        bw[sel] = equal_share_bandwidth(total_hz, count)
-        return bw
-    if policy != "min_latency":
-        raise ValueError(f"unknown bandwidth policy: {policy}")
-
-    snr = channel.snr_per_hz()[sel]
-
-    def bits_sent(b: np.ndarray, tau: float) -> np.ndarray:
-        return tau * np.asarray(achievable_rate(b, snr), dtype=float)
-
-    def bandwidth_needed(tau: float) -> np.ndarray:
-        """Smallest b_k with rate(b_k) * tau >= upload_bits, via bisection
-        per client (rate is increasing in b)."""
-        lo = np.zeros(count)
-        hi = np.full(count, total_hz)
-        # If even the full band can't meet tau, report the full band.
-        feasible = bits_sent(hi, tau) >= upload_bits
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            ok = bits_sent(mid, tau) >= upload_bits
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
-        return np.where(feasible, hi, total_hz)
-
-    # Bisection on tau: total bandwidth needed decreases as tau grows.
-    tau_lo, tau_hi = 1e-6, 1.0
-    for _ in range(60):
-        if float(bandwidth_needed(tau_hi).sum()) <= total_hz:
-            break
-        tau_hi *= 2.0
-    for _ in range(max_iters):
-        tau = 0.5 * (tau_lo + tau_hi)
-        need = float(bandwidth_needed(tau).sum())
-        if abs(need - total_hz) <= tol * total_hz:
-            break
-        if need > total_hz:
-            tau_lo = tau
-        else:
-            tau_hi = tau
-    b_sel = bandwidth_needed(0.5 * (tau_lo + tau_hi))
-    # Scale to use exactly the full band (never helps to waste bandwidth).
-    scale = total_hz / float(b_sel.sum())
-    bw[sel] = b_sel * scale
-    return bw

@@ -5,8 +5,8 @@ granularity on :class:`repro.sim.engine.EventLoop`:
 
 * every global iteration the server **broadcasts**; each surviving client
   runs its compute phase (``τ_loc`` seconds, from
-  :mod:`repro.net.latency`) then its upload phase (``τ_cm`` seconds, from
-  the FDMA/TDMA rate models in :mod:`repro.net.fdma`), possibly retrying
+  :mod:`repro.net.latency`) then its upload phase (``τ_cm`` seconds, at
+  the equal-share FDMA rate of :mod:`repro.net.fdma`), possibly retrying
   transient upload failures with exponential backoff
   (:mod:`repro.sim.faults`);
 * the server's **aggregation policy** decides when the iteration barrier

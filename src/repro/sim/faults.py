@@ -92,14 +92,6 @@ class FaultProfile:
     def none(cls) -> "FaultProfile":
         return cls()
 
-    @classmethod
-    def from_churn(cls, availability, **overrides) -> "FaultProfile":
-        """Derive the dropout hazard from the experiment's Markov
-        availability chain (see ``intra_round_hazard``), reusing the
-        existing churn model for intra-round behaviour."""
-        hazard = availability.intra_round_hazard()
-        return cls(dropout_hazard=float(hazard), **overrides)
-
 
 #: Named presets selectable as `sim.faults` (CLI: `--set sim.faults=NAME`).
 FAULT_PROFILES: Dict[str, FaultProfile] = {

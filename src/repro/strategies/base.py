@@ -27,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "EpochContext", "Decision", "RoundFeedback", "SelectionPolicy",
-    "enforce_feasibility",
+    "enforce_feasibility", "linear_quantile",
 ]
 
 
@@ -174,3 +174,31 @@ def enforce_feasibility(
         worst = chosen[np.argmax(ctx.costs[chosen])]
         sel[worst] = False
     return sel
+
+
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (its default ``"linear"`` method) for a
+    nonempty 1-d ``values`` and ``q`` in [0, 1].
+
+    numpy ≥ 2.4 passes the partition indexes through ``np.unique``, whose
+    first call imports ``numpy.ma`` (over 1 MB resident) in the middle
+    of a run.  This is the same arithmetic on a sorted copy: virtual index
+    ``(n − 1)·q``, its two neighbours (the last element twice at or past
+    the end), and numpy's two-sided lerp.  On values without zeros or
+    NaNs (latencies are positive) the result is numpy's bit for bit; a
+    NaN anywhere gives NaN, and a zero result may differ in sign, because
+    a sort and numpy's partition order equal keys differently.
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(x[-1]):  # NaNs sort last
+        return float(x[-1])
+    virtual = (x.size - 1) * q
+    if virtual >= x.size - 1:
+        lo = hi = x[-1]
+        gamma = virtual + 1.0  # numpy measures from its index -1
+    else:
+        below = int(virtual)
+        lo, hi = x[below], x[below + 1]
+        gamma = virtual - below
+    diff = hi - lo
+    return float(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)

@@ -27,7 +27,9 @@ from typing import Optional
 import numpy as np
 
 from repro.config import ExperimentConfig
-from repro.strategies.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
+from repro.strategies.base import (
+    Decision, EpochContext, RoundFeedback, enforce_feasibility, linear_quantile,
+)
 from repro.strategies.registry import (
     BASE,
     DEADLINE,
@@ -74,7 +76,7 @@ class _DeadlineFilter(Strategy):
         finite = pool[np.isfinite(pool)]
         if finite.size == 0:
             return float("inf")
-        return float(np.quantile(finite, self.quantile))
+        return linear_quantile(finite, self.quantile)
 
     def update(self, feedback: RoundFeedback) -> None:
         self.base.update(feedback)

@@ -17,7 +17,9 @@ from typing import Optional
 import numpy as np
 
 from repro.config import ExperimentConfig
-from repro.strategies.base import Decision, EpochContext, RoundFeedback, enforce_feasibility
+from repro.strategies.base import (
+    Decision, EpochContext, RoundFeedback, enforce_feasibility, linear_quantile,
+)
 from repro.strategies.registry import (
     DEADLINE, ITERATIONS, ParamSpec, Strategy, register_strategy,
 )
@@ -60,7 +62,7 @@ class FedCSPolicy(Strategy):
         if self.deadline_s is not None:
             return self.deadline_s
         tau = ctx.tau_last[ctx.available]
-        return self.iterations * float(np.quantile(tau, self.adaptive_quantile))
+        return self.iterations * linear_quantile(tau, self.adaptive_quantile)
 
     def select(self, ctx: EpochContext) -> Decision:
         avail = np.flatnonzero(ctx.available)

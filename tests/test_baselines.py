@@ -1,7 +1,16 @@
 """Tests for the selection-policy protocol and the four baselines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 
 from repro.core.fedl import FedLPolicy
 from repro.experiments.scenarios import experiment_config, make_policy
@@ -12,6 +21,7 @@ from repro.strategies.base import (
     RoundFeedback,
     SelectionPolicy,
     enforce_feasibility,
+    linear_quantile,
 )
 from repro.strategies.oracle import best_subset_max_latency
 
@@ -160,6 +170,68 @@ class TestFedCS:
         with pytest.raises(StrategyParamError):
             build("FedCS", rng, adaptive_quantile=0.0)
 
+
+class TestLinearQuantile:
+    """The adaptive deadlines' quantile is ``np.quantile``'s, without
+    loading ``numpy.ma``."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, 1.0, 2.5, np.inf]),  # ties
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 0.6, 1.0])),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_np_quantile(self, values, q):
+        x = np.asarray(values, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.float64(np.quantile(x, q))
+            got = np.float64(linear_quantile(x, q))
+        if np.isnan(expected):
+            assert np.isnan(got)
+        elif np.all(x > 0):  # latencies: the same bits
+            assert got.tobytes() == expected.tobytes(), (values, q)
+        else:  # equal keys may sort as -0.0 / 0.0 either way
+            assert got == expected, (values, q)
+
+    def test_a_des_fedcs_run_never_loads_numpy_ma(self):
+        # robust_des_k100 at tiny size: FedCS's adaptive deadline runs
+        # every epoch on a flaky DES network with top-k uploads, sign-flip
+        # attackers and trimmed-mean screening.
+        script = (
+            "import dataclasses, sys\n"
+            "import repro\n"
+            "import numpy as np\n"
+            "from repro.config import AttackConfig, DefenseConfig, SimConfig\n"
+            "from repro.experiments.runner import run_experiment\n"
+            "from repro.experiments.scenarios import experiment_config, make_policy\n"
+            "cfg = experiment_config(num_clients=20, min_participants=3,\n"
+            "                        budget=1e6, max_epochs=5, seed=0)\n"
+            "cfg = cfg.replace(\n"
+            "    training=dataclasses.replace(cfg.training, engine='des',\n"
+            "                                 compression='topk'),\n"
+            "    sim=SimConfig(aggregation='sync', faults='flaky-uplink'),\n"
+            "    attack=AttackConfig('sign-flip', 0.2),\n"
+            "    defense=DefenseConfig('trimmed-mean'),\n"
+            ")\n"
+            "run_experiment(make_policy('FedCS', cfg, np.random.default_rng(0)), cfg)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
 class TestPowD:
     def test_picks_highest_loss_among_candidates(self, rng):

@@ -6,6 +6,7 @@ import pytest
 from repro.config import DataConfig, PopulationConfig
 from repro.experiments.runner import ExperimentResult, Simulation, run_experiment
 from repro.experiments.scenarios import POLICY_NAMES, experiment_config, make_policy
+from repro.net import achievable_rate, compute_latency, transmission_latency
 from repro.rng import RngFactory
 
 
@@ -58,6 +59,36 @@ class TestSimulationSetup:
         t1 = sim.realized_tau(counts, st, num_sharing=1)
         t5 = sim.realized_tau(counts, st, num_sharing=5)
         assert np.all(t5 >= t1)
+
+    @pytest.mark.parametrize("num_sharing, sharers", [(0, 1), (1, 1), (5, 5)])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_tau_components_are_the_one_latency_formula(
+        self, num_sharing, sharers, compressed
+    ):
+        """τ_loc = e·D/π and τ_cm = s / r(B/num_sharing) bit for bit (paper
+        Sec. 3.2), with no sharers priced as one and an upload ratio
+        scaling τ_cm alone."""
+        sim = Simulation(small_config())
+        state = sim.channel.sample()
+        counts = np.random.default_rng(3).integers(10, 60, size=10)
+        ratio = np.linspace(0.1, 1.0, 10) if compressed else None
+        tau_loc, tau_cm = sim.realized_tau_components(
+            counts, state, num_sharing, upload_ratio=ratio
+        )
+        pop, net = sim.population, sim.config.network
+        want_loc = compute_latency(
+            pop.cycles_per_bit, counts * pop.bits_per_sample, pop.cpu_freq_hz
+        )
+        rates = achievable_rate(net.bandwidth_hz / sharers, state.snr_per_hz())
+        want_cm = transmission_latency(net.upload_bits, rates)
+        if compressed:
+            want_cm = want_cm * ratio
+        np.testing.assert_array_equal(tau_loc, want_loc)
+        np.testing.assert_array_equal(tau_cm, want_cm)
+        np.testing.assert_array_equal(
+            sim.realized_tau(counts, state, num_sharing, upload_ratio=ratio),
+            want_loc + want_cm,
+        )
 
 
 class TestRunExperiment:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.offline import epoch_frontier
 from repro.fl.compression import topk_sparsify, uniform_quantize
-from repro.fl.hierarchy import kmeans
+from repro.fl.shard import kmeans
 from repro.nn.models import build_model
 from repro.nn.serialization import load_checkpoint, save_checkpoint
 

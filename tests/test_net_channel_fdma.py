@@ -1,12 +1,11 @@
-"""Tests for the channel model and FDMA rate/allocation."""
+"""Tests for the channel model and the FDMA rate."""
 
 import numpy as np
 import pytest
 
 from repro.config import NetworkConfig
 from repro.net.channel import ChannelModel, ChannelState
-from repro.net.fdma import achievable_rate, allocate_bandwidth, equal_share_bandwidth
-from repro.net.pathloss import dbm_to_watt
+from repro.net.fdma import achievable_rate
 
 
 def make_channel(rng, distances=(50.0, 200.0, 480.0), **kwargs):
@@ -106,63 +105,3 @@ class TestAchievableRate:
             achievable_rate(-1.0, 1.0)
         with pytest.raises(ValueError):
             achievable_rate(1.0, -1.0)
-
-
-class TestBandwidthAllocation:
-    def _state(self, n=4):
-        gains = np.geomspace(1e-9, 1e-12, n)
-        return ChannelState(
-            gains=gains,
-            tx_power_watt=np.full(n, float(dbm_to_watt(10.0))),
-            noise_psd_watt_hz=float(dbm_to_watt(-174.0)),
-        )
-
-    def test_equal_share_value(self):
-        assert equal_share_bandwidth(20e6, 4) == pytest.approx(5e6)
-
-    def test_equal_share_rejects_bad(self):
-        with pytest.raises(ValueError):
-            equal_share_bandwidth(20e6, 0)
-        with pytest.raises(ValueError):
-            equal_share_bandwidth(0.0, 3)
-
-    def test_equal_policy_masks_unselected(self):
-        st = self._state()
-        sel = np.array([True, False, True, False])
-        bw = allocate_bandwidth(st, sel, 20e6, 80e3, policy="equal")
-        assert bw[1] == 0.0 and bw[3] == 0.0
-        assert bw[0] == pytest.approx(10e6)
-
-    def test_no_selection_all_zero(self):
-        st = self._state()
-        bw = allocate_bandwidth(st, np.zeros(4, bool), 20e6, 80e3)
-        np.testing.assert_array_equal(bw, np.zeros(4))
-
-    def test_min_latency_uses_full_band(self):
-        st = self._state()
-        sel = np.ones(4, bool)
-        bw = allocate_bandwidth(st, sel, 20e6, 80e3, policy="min_latency")
-        assert bw.sum() == pytest.approx(20e6, rel=1e-6)
-
-    def test_min_latency_gives_weak_clients_more(self):
-        st = self._state()
-        sel = np.ones(4, bool)
-        bw = allocate_bandwidth(st, sel, 20e6, 80e3, policy="min_latency")
-        # gains decrease with index → bandwidth must increase
-        assert bw[3] > bw[0]
-
-    def test_min_latency_lowers_max_latency(self):
-        from repro.net.fdma import achievable_rate as rate
-        st = self._state()
-        sel = np.ones(4, bool)
-        s = 80e3
-        eq = allocate_bandwidth(st, sel, 20e6, s, policy="equal")
-        ml = allocate_bandwidth(st, sel, 20e6, s, policy="min_latency")
-        snr = st.snr_per_hz()
-        lat_eq = (s / np.asarray(rate(eq, snr))).max()
-        lat_ml = (s / np.asarray(rate(ml, snr))).max()
-        assert lat_ml <= lat_eq * 1.001
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError):
-            allocate_bandwidth(self._state(), np.ones(4, bool), 20e6, 80e3, policy="prop")

@@ -4,6 +4,8 @@ Covers the contracts promised in ``repro.fl.shard``:
 
 * the registry builds the flat ``FedLPolicy`` at one shard and
   ``ShardedFedLPolicy`` from two on, which rejects a single shard;
+* Lloyd's ``kmeans`` (the ``"kmeans"`` assignment) finds separated
+  blobs, keeps centroids at cluster means and validates its input;
 * hierarchical ``shard_combine`` equals the flat mean;
 * ``decompose_budget`` / ``decompose_floor`` never overshoot and
   redistribute deterministically;
@@ -23,12 +25,13 @@ from repro.env.dynamics import DataVolumeProcess, PriceProcess
 from repro.env.state import ClientStateArrays
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
-from repro.fl.hierarchy import shard_combine
 from repro.fl.shard import (
     ShardedFedLPolicy,
     build_shard_plan,
     decompose_budget,
     decompose_floor,
+    kmeans,
+    shard_combine,
 )
 
 
@@ -86,9 +89,8 @@ class TestShardPlan:
             np.testing.assert_array_equal(plan.shard_of[m], s)
 
     def test_kmeans_deterministic_and_covers_population(self):
-        # The shard geometry study (examples/shard_geometry_study.py)
-        # relies on kmeans plans being a pure function of (positions,
-        # seed) and a true partition of the real population layout.
+        # A kmeans plan is a pure function of (positions, seed) and a
+        # true partition of the real population layout.
         from repro.config import PopulationConfig
         from repro.env import build_population
         from repro.rng import RngFactory
@@ -120,6 +122,48 @@ class TestShardPlan:
             build_shard_plan(10, 2, "kmeans")  # missing positions/rng
         with pytest.raises(ValueError):
             build_shard_plan(10, 2, "mystery")
+
+
+class TestKMeans:
+    def test_recovers_separated_blobs(self, rng):
+        a = rng.normal(0, 0.1, size=(30, 2))
+        b = rng.normal(10, 0.1, size=(30, 2))
+        pts = np.vstack([a, b])
+        centroids, assign = kmeans(pts, 2, rng)
+        # The two blobs end in different clusters.
+        assert len(set(assign[:30])) == 1
+        assert len(set(assign[30:])) == 1
+        assert assign[0] != assign[30]
+
+    def test_centroid_is_cluster_mean(self, rng):
+        pts = rng.normal(size=(40, 2))
+        centroids, assign = kmeans(pts, 3, rng)
+        for j in range(3):
+            members = pts[assign == j]
+            if len(members):
+                np.testing.assert_allclose(centroids[j], members.mean(axis=0), atol=1e-6)
+
+    def test_k_equals_n(self, rng):
+        pts = rng.normal(size=(5, 2))
+        centroids, assign = kmeans(pts, 5, rng)
+        assert len(set(assign.tolist())) == 5
+
+    def test_k_one(self, rng):
+        pts = rng.normal(size=(20, 2))
+        centroids, assign = kmeans(pts, 1, rng)
+        np.testing.assert_allclose(centroids[0], pts.mean(axis=0), atol=1e-8)
+
+    def test_validation(self, rng):
+        with pytest.raises(ValueError):
+            kmeans(np.zeros(5), 2, rng)
+        with pytest.raises(ValueError):
+            kmeans(np.zeros((5, 2)), 6, rng)
+
+    def test_assignments_nearest_centroid(self, rng):
+        pts = rng.normal(size=(50, 2)) * 5
+        centroids, assign = kmeans(pts, 4, rng)
+        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(-1)
+        np.testing.assert_array_equal(assign, d2.argmin(axis=1))
 
 
 class TestDecomposeBudget:

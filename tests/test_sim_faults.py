@@ -44,14 +44,6 @@ class TestFaultProfile:
         with pytest.raises(ValueError):
             FaultProfile(**kwargs)
 
-    def test_from_churn_uses_intra_round_hazard(self):
-        chain = MarkovAvailabilityProcess(
-            8, 0.6, np.random.default_rng(0), mean_on_epochs=4.0
-        )
-        profile = FaultProfile.from_churn(chain, upload_failure_prob=0.1)
-        assert profile.dropout_hazard == chain.intra_round_hazard()
-        assert profile.upload_failure_prob == 0.1
-
 
 class TestDropoutSampling:
     def test_zero_hazard_never_drops(self):
@@ -159,15 +151,10 @@ class TestMarkovBridge:
         drop_rng = np.random.default_rng(1234)
         for _ in range(25):
             masks_plain.append(plain.sample())
-            bridged.intra_round_hazard()  # interleave hazard queries
-            bridged.dropout_times(6, 2.5, drop_rng)  # and dropout draws
+            # Interleave hazard queries and dropout draws at that hazard.
+            sample_dropout_times(6, bridged.intra_round_hazard(), 2.5, drop_rng)
             masks_bridged.append(bridged.sample())
         assert all(
             np.array_equal(a, b)
             for a, b in zip(masks_plain, masks_bridged)
         )
-
-    def test_dropout_times_refuses_the_chain_rng(self):
-        chain = self.make_chain(3)
-        with pytest.raises(ValueError, match="own RNG stream"):
-            chain.dropout_times(6, 2.5, chain.rng)
