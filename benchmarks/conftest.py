@@ -18,8 +18,9 @@ from typing import Dict
 
 import pytest
 
-from repro.experiments.figures import run_policy_suite
+from repro.experiments.figures import paper_grid, suite_traces
 from repro.experiments.metrics import Trace
+from repro.experiments.sweep import run_grid
 from repro.host import usable_cpus
 
 BENCH_CLIENTS = 20
@@ -38,14 +39,14 @@ def cached_suite(dataset: str, iid: bool, budget: float = BENCH_BUDGET) -> Dict[
     """Run (or reuse) the four-policy suite for a scenario."""
     key = (dataset, iid, budget)
     if key not in _suite_cache:
-        _suite_cache[key] = run_policy_suite(
-            dataset,
-            iid,
+        grid = paper_grid(
+            dataset=dataset,
+            iid=iid,
             budget=budget,
             num_clients=BENCH_CLIENTS,
             max_epochs=BENCH_EPOCHS,
-            workers=SWEEP_WORKERS,
         )
+        _suite_cache[key] = suite_traces(run_grid(grid, workers=SWEEP_WORKERS))
     return _suite_cache[key]
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from benchmarks.conftest import BENCH_CLIENTS, BENCH_EPOCHS, SWEEP_WORKERS
-from repro.experiments.figures import budget_sweep
+from repro.experiments.figures import loss_vs_budget, paper_grid
 from repro.experiments.reporting import format_series
+from repro.experiments.sweep import run_grid
 
 BUDGETS = (300.0, 800.0, 2000.0)
 
@@ -13,14 +14,16 @@ BUDGETS = (300.0, 800.0, 2000.0)
 @pytest.mark.parametrize("iid", [True, False], ids=["iid", "non_iid"])
 def test_fig7_cifar_budget_impact(benchmark, emit, iid):
     series = benchmark.pedantic(
-        lambda: budget_sweep(
-            "cifar10",
-            iid=iid,
-            budgets=BUDGETS,
-            num_clients=BENCH_CLIENTS,
-            max_epochs=BENCH_EPOCHS,
+        lambda: loss_vs_budget(run_grid(
+            paper_grid(
+                BUDGETS,
+                dataset="cifar10",
+                iid=iid,
+                num_clients=BENCH_CLIENTS,
+                max_epochs=BENCH_EPOCHS,
+            ),
             workers=SWEEP_WORKERS,
-        ),
+        )),
         rounds=1,
         iterations=1,
     )

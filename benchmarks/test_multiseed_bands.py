@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SWEEP_WORKERS
-from repro.experiments.stats import aggregate_on_rounds, multi_seed_suite
+from repro.experiments.figures import paper_grid, policy_traces
+from repro.experiments.stats import aggregate_on_rounds
+from repro.experiments.sweep import run_grid
 
 SEEDS = (0, 1, 2)
 
@@ -17,15 +19,17 @@ SEEDS = (0, 1, 2)
 @pytest.mark.benchmark(group="robustness")
 def test_fig2_orderings_hold_in_the_mean(benchmark, emit):
     grouped = benchmark.pedantic(
-        lambda: multi_seed_suite(
-            "fmnist",
-            True,
-            seeds=SEEDS,
-            budget=800.0,
-            num_clients=16,
-            max_epochs=40,
+        lambda: policy_traces(run_grid(
+            paper_grid(
+                seeds=SEEDS,
+                dataset="fmnist",
+                iid=True,
+                budget=800.0,
+                num_clients=16,
+                max_epochs=40,
+            ),
             workers=SWEEP_WORKERS,
-        ),
+        )),
         rounds=1,
         iterations=1,
     )

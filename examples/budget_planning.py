@@ -10,18 +10,14 @@ Usage::
 """
 
 from repro.experiments import format_series
-from repro.experiments.figures import budget_sweep
+from repro.experiments.figures import loss_vs_budget, paper_grid
+from repro.experiments.sweep import run_grid
 
 
 def main() -> None:
     budgets = (300.0, 800.0, 2000.0)
-    series = budget_sweep(
-        "fmnist",
-        iid=True,
-        budgets=budgets,
-        num_clients=20,
-        max_epochs=80,
-    )
+    grid = paper_grid(budgets, dataset="fmnist", iid=True, num_clients=20, max_epochs=80)
+    series = loss_vs_budget(run_grid(grid))
     print(
         format_series(
             series,

@@ -12,7 +12,8 @@ Usage::
 import argparse
 
 from repro.experiments import format_series, format_table, headline_claims
-from repro.experiments.figures import accuracy_vs_time, run_policy_suite
+from repro.experiments.figures import accuracy_vs_time, paper_grid, suite_traces
+from repro.experiments.sweep import run_grid
 
 
 def main() -> None:
@@ -22,13 +23,14 @@ def main() -> None:
     parser.add_argument("--budget", type=float, default=1500.0)
     args = parser.parse_args()
 
-    traces = run_policy_suite(
-        args.dataset,
+    grid = paper_grid(
+        dataset=args.dataset,
         iid=not args.non_iid,
         budget=args.budget,
         num_clients=20,
         max_epochs=80,
     )
+    traces = suite_traces(run_grid(grid))
 
     print(
         format_series(

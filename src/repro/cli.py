@@ -41,16 +41,20 @@ shard.num_shards``/``shard.eval_sample`` says otherwise.
 
 ``run --resume DIR`` continues a ``--checkpoint-dir DIR`` run
 bit-identically from its newest snapshot, whose config it takes whole.
-``sweep`` and ``tournament`` run their grids on the process-parallel
-sweep engine; ``--cache-dir`` serves finished jobs from disk.
+``compare``, ``sweep`` and ``tournament`` are reports over one
+experiment grid (:class:`~repro.experiments.sweep.Grid`: policies ×
+scenarios, one per budget for ``compare``/``sweep``, × seeds) on the
+process-parallel sweep engine: ``--cache-dir`` serves finished jobs
+from disk, progress lines ``[i/n] POLICY SCENARIO seed=S (ran|cache)``
+go to stderr, and a repeated policy, scenario, budget or seed exits 2.
 ``--telemetry DIR`` records what ``trace`` renders: the phase tree of
 the recorded timers, the hot phases, counters and the learner's
-trajectories; ``--diff DIR2`` adds the per-phase delta table against a
-second recording.
+trajectories; ``--diff DIR2`` adds the per-phase delta table.
 
 Exit codes: 0 on success, 2 on argument errors (argparse failures,
 malformed ``KEY=VALUE`` items, values the config or the strategy
-registry rejects), 1 on runtime errors.
+registry rejects), 1 on runtime errors (a grid run that ends before its
+first epoch among them).
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro import __version__
 from repro.checkpoint import (
     CheckpointError,
@@ -75,17 +77,30 @@ from repro.checkpoint import (
 )
 from repro.config import ExperimentConfig
 from repro.fl.defense import CorruptUpdateError, TrainingDivergedError
-from repro.experiments.figures import accuracy_vs_time, run_policy_suite
+from repro.experiments.figures import (
+    accuracy_vs_time,
+    loss_vs_budget,
+    paper_grid,
+    suite_traces,
+)
 from repro.experiments.persistence import save_results, save_traces
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import POLICY_NAMES, experiment_config, make_policy
+from repro.experiments.scenarios import (
+    POLICY_NAMES,
+    SCENARIOS,
+    experiment_config,
+    make_policy,
+    scenario_names,
+)
 from repro.experiments.sweep import (
+    EmptyRunError,
+    Grid,
+    GridResults,
     PolicySpec,
     SweepCache,
-    SweepJob,
     SweepProgress,
-    run_sweep,
+    run_grid,
 )
 from repro.experiments.tables import headline_claims
 from repro.live import LiveError, run_calibration
@@ -100,13 +115,7 @@ from repro.obs import (
 )
 from repro.rng import RngFactory
 from repro.sim.faults import FAULT_PROFILES, ParticipationFloorError
-from repro.strategies import (
-    STRATEGY_REGISTRY,
-    StrategyError,
-    get_strategy,
-    resolve_params,
-    strategy_names,
-)
+from repro.strategies import STRATEGY_REGISTRY, strategy_names
 
 __all__ = ["main", "build_parser"]
 
@@ -191,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy target for the completion-time table")
     p_cmp.add_argument("--chart", action="store_true",
                        help="render an ASCII accuracy-vs-time chart")
+    # compare runs serially, uncached, untraced and silently.
+    p_cmp.set_defaults(workers=1, cache_dir=None, telemetry=None, quiet=True)
 
     p_swp = sub.add_parser(
         "sweep",
@@ -504,15 +515,64 @@ def _calibrate(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    knobs = dict(dataset=args.dataset, iid=not args.non_iid, budget=args.budget,
-                 seed=args.seed, num_clients=args.clients,
-                 min_participants=args.participants, max_epochs=args.epochs)
+def _run_grid(args: argparse.Namespace, grid: Grid) -> Optional[GridResults]:
+    """Run ``grid`` for ``compare``, ``sweep`` or ``tournament``: the one
+    place that opens ``--cache-dir``, prints the ``[i/n] … (ran|cache)``
+    progress lines (unless ``--quiet``) and records ``--telemetry`` (the
+    manifest's meta names the grid's axes).  Progress lines and events
+    share one hub.  A run that fails prints one ``repro:`` line and
+    returns ``None`` (exit 1).
+    """
+    cache = SweepCache(args.cache_dir) if args.cache_dir else None
+    stream = None if args.quiet else sys.stderr
+    hub = Telemetry(progress_stream=stream)
+    if args.telemetry:
+        hub = Telemetry.for_directory(
+            args.telemetry, run_id=args.command, progress_stream=stream
+        )
+
+    def report(event: SweepProgress) -> None:
+        scenario = grid.jobs[event.index][0]
+        tag = "cache" if event.cached else "ran"
+        hub.progress(
+            f"[{event.done:>3}/{event.total}] {event.job.policy.name:<14s} "
+            f"{scenario} seed={event.job.config.seed} ({tag})"
+        )
+
     try:
-        experiment_config(**knobs)  # the config's own checks, before any run
+        cells = run_grid(
+            grid, workers=args.workers, cache=cache, progress=report, telemetry=hub
+        )
+    except (ParticipationFloorError, EmptyRunError) as exc:
+        hub.close()
+        what = "error" if isinstance(exc, EmptyRunError) else f"{args.command} aborted"
+        print(f"repro: {what}: {exc}", file=sys.stderr)
+        return None
+    if args.telemetry:
+        hub.finalize(meta={
+            "command": args.command,
+            "jobs": len(grid.jobs),
+            "policies": [p.name for p in grid.policies],
+            "scenarios": [name for name, _ in grid.scenarios],
+            "seeds": list(grid.seeds),
+        })
+        print(f"telemetry -> {args.telemetry}", file=sys.stderr)
+    return cells
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    try:  # the config's own checks, before any run
+        grid = paper_grid(
+            dataset=args.dataset, iid=not args.non_iid, budget=args.budget,
+            seed=args.seed, num_clients=args.clients,
+            min_participants=args.participants, max_epochs=args.epochs,
+        )
     except ValueError as exc:
         return _usage_error(str(exc))
-    traces = run_policy_suite(**knobs)
+    cells = _run_grid(args, grid)
+    if cells is None:
+        return 1
+    traces = suite_traces(cells)
     series = accuracy_vs_time(traces)
     print(
         format_series(
@@ -550,9 +610,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = args.seeds if args.seeds else [args.seed]
     # --param overrides bind per policy to the parameters it declares; a
-    # key no policy in the grid declares is a usage error.  Values are
-    # checked here, as `run` checks them, so a bad one exits 2 before the
-    # pool starts rather than failing inside a worker.
+    # key no policy in the grid declares is a usage error.  The grid
+    # checks values as `run` does, so a bad one exits 2 before the pool
+    # starts rather than failing inside a worker.
     declared = {
         name: {p.name for p in STRATEGY_REGISTRY[name].params}
         for name in args.policies
@@ -567,82 +627,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--param {key}: no selected policy declares this parameter"
                 )
-        policy_params = {
-            name: {k: v for k, v in params.items() if k in keys}
-            for name, keys in declared.items()
-        }
-        configs = [_config(args, sets, b, s) for s in seeds for b in args.budgets]
-        jobs = [
-            SweepJob(PolicySpec(name, params=policy_params[name]), cfg)
-            for cfg in configs
+        policies = [
+            PolicySpec(name, {k: v for k, v in params.items() if k in declared[name]})
             for name in args.policies
         ]
-        for job in jobs:  # StrategyError is a ValueError
-            resolve_params(
-                get_strategy(job.policy.name), job.config, job.policy.params_dict
-            )
+        base = _config(args, sets, args.budgets[0], seeds[0])
+        grid = Grid.over_budgets(base, policies, args.budgets, seeds)
     except ValueError as exc:
         return _usage_error(str(exc))
-
-    cache = SweepCache(args.cache_dir) if args.cache_dir else None
-
-    # Progress and structured events share the telemetry hub: with
-    # --telemetry the hub also records the JSONL trace, otherwise it only
-    # echoes progress lines; --quiet silences the echo either way.
-    progress_stream = None if args.quiet else sys.stderr
-    if args.telemetry:
-        hub = Telemetry.for_directory(
-            args.telemetry, run_id="sweep", progress_stream=progress_stream
-        )
-    else:
-        hub = Telemetry(progress_stream=progress_stream)
-
-    def report(event: SweepProgress) -> None:
-        cfg = event.job.config
-        tag = "cache" if event.cached else "ran"
-        hub.progress(
-            f"[{event.done:>3}/{event.total}] {event.job.policy.name:<8s} "
-            f"budget={cfg.budget:g} seed={cfg.seed} ({tag})"
-        )
-
-    results = run_sweep(
-        jobs, workers=args.workers, cache=cache, progress=report, telemetry=hub
-    )
-    if args.telemetry:
-        hub.finalize(
-            meta={
-                "command": "sweep",
-                "jobs": len(jobs),
-                "policies": list(args.policies),
-                "budgets": [float(b) for b in args.budgets],
-                "seeds": [int(s) for s in seeds],
-            }
-        )
-        print(f"telemetry -> {args.telemetry}", file=sys.stderr)
-    else:
-        hub.close()
-
-    # Mean final loss per (policy, budget) across seeds.
-    losses: dict = {}
-    for job, res in zip(jobs, results):
-        losses.setdefault(job.policy.name, {}).setdefault(
-            float(job.config.budget), []
-        ).append(res.trace.final_loss)
-    series = {
-        name: [(b, float(np.mean(v))) for b, v in sorted(by_budget.items())]
-        for name, by_budget in losses.items()
-    }
+    cells = _run_grid(args, grid)
+    if cells is None:
+        return 1
     print(
         format_series(
-            series, "budget", "final loss",
+            loss_vs_budget(cells), "budget", "final loss",
             title=f"budget impact — {args.dataset}",
         )
     )
-    if args.save:
-        named = {
-            f"{job.policy.name}[budget={job.config.budget:g},seed={job.config.seed}]": res
-            for job, res in zip(jobs, results)
-        }
+    if args.save:  # seed-major, then budget, then policy
+        named = {}
+        for i in range(len(seeds)):
+            for scenario, _ in grid.scenarios:
+                for name in args.policies:
+                    r = cells[scenario, name][i]
+                    named[f"{name}[budget={r.config.budget:g},seed={r.config.seed}]"] = r
         path = save_results(named, args.save)
         print(f"saved -> {path}")
     return 0
@@ -650,15 +658,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
     from repro.experiments.tournament import (
-        SCENARIOS,
-        UnknownScenarioError,
+        FULL_BASE,
+        QUICK_BASE,
         format_report,
-        full_base_config,
-        get_scenario,
-        quick_base_config,
-        run_tournament,
         save_report,
-        scenario_names,
+        tournament_grid,
+        tournament_report,
     )
 
     if args.list_registry:
@@ -672,59 +677,19 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             print(f"  {scenario.name:<16}{tag} {scenario.description}")
         return 0
 
-    try:
-        for name in args.strategies or []:
-            get_strategy(name)
-        for name in args.scenarios or []:
-            get_scenario(name)
-    except (StrategyError, UnknownScenarioError) as exc:
+    seeds = args.seeds or ([0] if args.quick else [0, 1, 2])
+    scenarios = args.scenarios or scenario_names(quick=args.quick)
+    try:  # unknown or repeated strategy, scenario or seed
+        grid = tournament_grid(
+            args.strategies, scenarios, seeds, QUICK_BASE if args.quick else FULL_BASE
+        )
+    except ValueError as exc:
         return _usage_error(str(exc))
-    seeds = args.seeds if args.seeds else ([0] if args.quick else [0, 1, 2])
-    base = quick_base_config() if args.quick else full_base_config()
-    scenarios = args.scenarios or list(scenario_names(quick=args.quick))
-    cache = SweepCache(args.cache_dir) if args.cache_dir else None
-
-    def report_progress(event: SweepProgress) -> None:
-        if args.quiet:
-            return
-        tag = "cache" if event.cached else "ran"
-        print(
-            f"[{event.done:>3}/{event.total}] "
-            f"{event.job.policy.name:<14s} seed={event.job.config.seed} "
-            f"({tag})",
-            file=sys.stderr,
-        )
-
-    hub = (
-        Telemetry.for_directory(args.telemetry, run_id="tournament")
-        if args.telemetry
-        else None
-    )
     started = time.time()
-    try:
-        report = run_tournament(
-            strategies=args.strategies,
-            scenarios=scenarios,
-            seeds=seeds,
-            base_config=base,
-            workers=args.workers,
-            cache=cache,
-            progress=report_progress,
-            telemetry=hub,
-        )
-    except ParticipationFloorError as exc:
-        print(f"repro: tournament aborted: {exc}", file=sys.stderr)
+    cells = _run_grid(args, grid)
+    if cells is None:
         return 1
-    if hub is not None:
-        hub.finalize(
-            meta={
-                "command": "tournament",
-                "strategies": list(args.strategies or []),
-                "scenarios": list(scenarios),
-                "seeds": [int(s) for s in seeds],
-            }
-        )
-        print(f"telemetry -> {args.telemetry}", file=sys.stderr)
+    report = tournament_report(grid, cells)
     print(format_report(report))
     if args.out:
         path = save_report(

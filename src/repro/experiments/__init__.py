@@ -1,5 +1,8 @@
-"""Experiment harness: paper scenarios, the online FL loop, and the
-figure/table regeneration entry points (see DESIGN.md §4 for the index).
+"""Experiment harness: paper scenarios, the online FL loop, the experiment
+grid and the figure/table reports over it (see DESIGN.md §4 for the
+index).  The names below are the everyday entry points; everything else
+is imported from its module (``repro.experiments.sweep``, ``.figures``,
+``.tournament``, ``.persistence``, ...).
 """
 
 from repro.experiments.metrics import EpochRecord, Trace
@@ -11,45 +14,11 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.tables import (
     time_to_accuracy,
-    rounds_to_accuracy,
     accuracy_at_time,
     headline_claims,
 )
 from repro.experiments.reporting import format_table, format_series
-from repro.experiments.persistence import (
-    save_traces,
-    load_traces,
-    save_results,
-    load_results,
-    result_to_dict,
-    result_from_dict,
-    config_to_dict,
-    config_from_dict,
-)
-from repro.experiments.sweep import (
-    PolicySpec,
-    SweepCache,
-    SweepJob,
-    job_key,
-    run_sweep,
-    results_identical,
-)
-from repro.experiments.tournament import (
-    SCENARIOS,
-    ScenarioSpec,
-    format_report,
-    load_report,
-    run_tournament,
-    save_report,
-    scenario_names,
-)
-from repro.experiments.validation import validate_trace
-from repro.experiments.stats import (
-    Band,
-    aggregate_on_rounds,
-    aggregate_on_times,
-    multi_seed_suite,
-)
+from repro.experiments.sweep import Grid, PolicySpec, SweepCache, run_grid
 
 __all__ = [
     "EpochRecord",
@@ -61,35 +30,12 @@ __all__ = [
     "make_policy",
     "POLICY_NAMES",
     "time_to_accuracy",
-    "rounds_to_accuracy",
     "accuracy_at_time",
     "headline_claims",
     "format_table",
     "format_series",
-    "save_traces",
-    "load_traces",
-    "save_results",
-    "load_results",
-    "result_to_dict",
-    "result_from_dict",
-    "config_to_dict",
-    "config_from_dict",
+    "Grid",
     "PolicySpec",
     "SweepCache",
-    "SweepJob",
-    "job_key",
-    "run_sweep",
-    "results_identical",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "run_tournament",
-    "format_report",
-    "save_report",
-    "load_report",
-    "scenario_names",
-    "validate_trace",
-    "Band",
-    "aggregate_on_rounds",
-    "aggregate_on_times",
-    "multi_seed_suite",
+    "run_grid",
 ]

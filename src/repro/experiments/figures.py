@@ -1,71 +1,61 @@
-"""Figure regeneration (paper Figs. 2-7).
+"""The paper's Sec. 6 grid and the figure series reported over it.
 
-Each ``figN`` function runs the four policies (FedL, FedAvg, FedCS, Pow-d)
-on the corresponding scenario and returns the plotted series:
+:func:`paper_grid` is FedL and its three baselines (FedAvg, FedCS, Pow-d)
+× budgets × seeds on one :func:`~repro.experiments.scenarios.experiment_config`
+setting, a :class:`~repro.experiments.sweep.Grid` that
+:func:`~repro.experiments.sweep.run_grid` runs.  The reports:
 
-* Figs. 2-3 — test accuracy vs simulated training time (FMNIST / CIFAR-10,
-  IID and non-IID panels).
-* Figs. 4-5 — test accuracy vs federated round.
-* Figs. 6-7 — final loss vs budget (budget sweep).
+* :func:`suite_traces` / :func:`policy_traces` — each policy's trace(s);
+* :func:`accuracy_vs_time` (Figs. 2-3) and :func:`accuracy_vs_round`
+  (Figs. 4-5) — the plotted series of those traces;
+* :func:`loss_vs_budget` (Figs. 6-7) — final loss per budget.
 
-All of them execute through the sweep engine
-(:mod:`repro.experiments.sweep`), so ``workers > 1`` fans the independent
-runs out over a process pool and an optional ``cache`` makes re-runs
-serve from disk — with output bit-identical to the serial loop either
-way.  The benchmark files under ``benchmarks/`` call these and print the
-series with :func:`repro.experiments.reporting.format_series` so every
-paper figure has a regenerating target (DESIGN.md §4).
+The benchmark files under ``benchmarks/`` print these series with
+:func:`repro.experiments.reporting.format_series`, so every paper figure
+has a regenerating target (DESIGN.md §4).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.experiments.metrics import Trace
 from repro.experiments.scenarios import POLICY_NAMES, experiment_config
-from repro.experiments.sweep import PolicySpec, SweepCache, SweepJob, run_sweep
+from repro.experiments.sweep import Grid, GridResults
 
 __all__ = [
-    "run_policy_suite",
+    "paper_grid",
+    "policy_traces",
+    "suite_traces",
     "accuracy_vs_time",
     "accuracy_vs_round",
-    "budget_sweep",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
+    "loss_vs_budget",
 ]
 
 Series = Dict[str, List[Tuple[float, float]]]
 
 
-def run_policy_suite(
-    dataset: str,
-    iid: bool,
-    budget: float = 2500.0,
-    seed: int = 0,
-    num_clients: int = 30,
-    max_epochs: int = 150,
-    min_participants: int = 5,
+def paper_grid(
+    budgets: Optional[Sequence[float]] = None,
+    seeds: Optional[Sequence[int]] = None,
     policies: Sequence[str] = POLICY_NAMES,
-    workers: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> Dict[str, Trace]:
-    """Run every policy on identical environments (same seed)."""
-    cfg = experiment_config(
-        dataset=dataset,
-        iid=iid,
-        budget=budget,
-        seed=seed,
-        num_clients=num_clients,
-        min_participants=min_participants,
-        max_epochs=max_epochs,
-    )
-    jobs = [SweepJob(policy=PolicySpec(name=name), config=cfg) for name in policies]
-    results = run_sweep(jobs, workers=workers, cache=cache)
-    return {job.policy.name: res.trace for job, res in zip(jobs, results)}
+    **setting,
+) -> Grid:
+    """``policies`` × ``budgets`` × ``seeds`` on ``experiment_config(**setting)``
+    (``budgets``/``seeds`` default to the setting's one budget and seed)."""
+    return Grid.over_budgets(experiment_config(**setting), policies, budgets, seeds)
+
+
+def policy_traces(cells: GridResults) -> Dict[str, List[Trace]]:
+    """Each policy's traces, in seed order, from a one-scenario grid."""
+    return {policy: [r.trace for r in results] for (_, policy), results in cells.items()}
+
+
+def suite_traces(cells: GridResults) -> Dict[str, Trace]:
+    """Each policy's trace from a one-scenario, one-seed grid."""
+    return {policy: traces[0] for policy, traces in policy_traces(cells).items()}
 
 
 def accuracy_vs_time(traces: Dict[str, Trace]) -> Series:
@@ -84,77 +74,12 @@ def accuracy_vs_round(traces: Dict[str, Trace]) -> Series:
     }
 
 
-def budget_sweep(
-    dataset: str,
-    iid: bool,
-    budgets: Sequence[float],
-    seed: int = 0,
-    num_clients: int = 30,
-    max_epochs: int = 150,
-    policies: Sequence[str] = POLICY_NAMES,
-    workers: int = 1,
-    cache: Optional[SweepCache] = None,
-) -> Series:
-    """Figs. 6-7 series: (budget, final test loss) per policy.
-
-    The whole budgets × policies grid is submitted as one sweep, so the
-    engine can keep every worker busy across budget levels.
-    """
-    jobs: List[SweepJob] = []
-    for budget in budgets:
-        cfg = experiment_config(
-            dataset=dataset,
-            iid=iid,
-            budget=budget,
-            seed=seed,
-            num_clients=num_clients,
-            max_epochs=max_epochs,
+def loss_vs_budget(cells: GridResults) -> Series:
+    """Figs. 6-7 series: (budget, final test loss averaged over seeds) per
+    policy, in budget order, from a grid whose scenarios are budgets."""
+    losses: Dict[str, Dict[float, float]] = {}
+    for (_, policy), results in cells.items():
+        losses.setdefault(policy, {})[results[0].config.budget] = float(
+            np.mean([r.trace.final_loss for r in results])
         )
-        jobs.extend(
-            SweepJob(policy=PolicySpec(name=name), config=cfg) for name in policies
-        )
-    results = run_sweep(jobs, workers=workers, cache=cache)
-    out: Series = {name: [] for name in policies}
-    for job, res in zip(jobs, results):
-        out[job.policy.name].append(
-            (float(job.config.budget), res.trace.final_loss)
-        )
-    return out
-
-
-# --- named figure entry points (both IID panels by default; pass iid=False
-#     for the right-hand Non-IID panels) ---------------------------------------
-
-
-def fig2(iid: bool = True, **kwargs) -> Series:
-    """Accuracy vs time, Fashion-MNIST."""
-    return accuracy_vs_time(run_policy_suite("fmnist", iid, **kwargs))
-
-
-def fig3(iid: bool = True, **kwargs) -> Series:
-    """Accuracy vs time, CIFAR-10."""
-    return accuracy_vs_time(run_policy_suite("cifar10", iid, **kwargs))
-
-
-def fig4(iid: bool = True, **kwargs) -> Series:
-    """Accuracy vs federated round, Fashion-MNIST."""
-    return accuracy_vs_round(run_policy_suite("fmnist", iid, **kwargs))
-
-
-def fig5(iid: bool = True, **kwargs) -> Series:
-    """Accuracy vs federated round, CIFAR-10."""
-    return accuracy_vs_round(run_policy_suite("cifar10", iid, **kwargs))
-
-
-def fig6(
-    iid: bool = True, budgets: Sequence[float] = (500, 1000, 2000, 4000), **kwargs
-) -> Series:
-    """Final loss vs budget, Fashion-MNIST."""
-    return budget_sweep("fmnist", iid, budgets, **kwargs)
-
-
-def fig7(
-    iid: bool = True, budgets: Sequence[float] = (500, 1000, 2000, 4000), **kwargs
-) -> Series:
-    """Final loss vs budget, CIFAR-10."""
-    return budget_sweep("cifar10", iid, budgets, **kwargs)
+    return {policy: sorted(by_budget.items()) for policy, by_budget in losses.items()}

@@ -1,22 +1,29 @@
-"""Multi-seed aggregation of experiment traces.
+"""Multi-seed aggregation of experiment results.
 
-Published FL curves are averages over repetitions; this module runs a
-policy suite over several seeds and aggregates the traces into mean ± std
-bands on a common grid, for both the time axis and the round axis.
+Published FL curves are averages over repetitions; this module
+aggregates a policy's traces over seeds (e.g.
+:func:`~repro.experiments.figures.policy_traces` of a multi-seed
+:func:`~repro.experiments.figures.paper_grid`) into mean ± std bands on a
+common grid, for both the time axis and the round axis.
+:func:`mean_std` is the same summary for one number per seed, which the
+tournament's cells use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.experiments.metrics import Trace
-from repro.experiments.scenarios import POLICY_NAMES, experiment_config
-from repro.experiments.sweep import PolicySpec, SweepCache, SweepJob, run_sweep
 
-__all__ = ["Band", "aggregate_on_rounds", "aggregate_on_times", "multi_seed_suite"]
+__all__ = [
+    "Band",
+    "mean_std",
+    "aggregate_on_rounds",
+    "aggregate_on_times",
+]
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,13 @@ class Band:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.x.shape == self.mean.shape == self.std.shape):
             raise ValueError("band arrays must share a shape")
+
+
+def mean_std(values: Sequence[float]) -> Dict[str, float]:
+    """Mean and population standard deviation of one number per seed."""
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
+    return {"mean": mean, "std": var ** 0.5}
 
 
 def aggregate_on_rounds(traces: Sequence[Trace], metric: str = "test_accuracy") -> Band:
@@ -70,39 +84,3 @@ def aggregate_on_times(
         rows.append(np.where(idx >= 0, vals[np.maximum(idx, 0)], 0.0))
     stacked = np.stack(rows)
     return Band(x=grid, mean=stacked.mean(axis=0), std=stacked.std(axis=0))
-
-
-def multi_seed_suite(
-    dataset: str,
-    iid: bool,
-    seeds: Sequence[int],
-    policies: Sequence[str] = POLICY_NAMES,
-    workers: int = 1,
-    cache: Optional[SweepCache] = None,
-    **config_kwargs,
-) -> Dict[str, List[Trace]]:
-    """Run the policy suite once per seed; group traces by policy.
-
-    The whole seeds × policies grid goes through the sweep engine as one
-    call, so ``workers > 1`` parallelizes across seeds and policies at
-    once.  Extra keyword arguments (``budget``, ``num_clients``,
-    ``max_epochs``, ...) are forwarded to
-    :func:`~repro.experiments.scenarios.experiment_config`.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    jobs = [
-        SweepJob(
-            policy=PolicySpec(name=name),
-            config=experiment_config(
-                dataset=dataset, iid=iid, seed=seed, **config_kwargs
-            ),
-        )
-        for seed in seeds
-        for name in policies
-    ]
-    results = run_sweep(jobs, workers=workers, cache=cache)
-    out: Dict[str, List[Trace]] = {}
-    for job, res in zip(jobs, results):
-        out.setdefault(job.policy.name, []).append(res.trace)
-    return out

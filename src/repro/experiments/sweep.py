@@ -1,8 +1,13 @@
-"""Process-parallel sweep engine with content-addressed result caching.
+"""The experiment grid, and the process-parallel sweep engine with
+content-addressed result caching that runs it.
 
 Every figure/table in the paper is a grid of independent
-``run_experiment`` calls (policies × seeds × budgets).  This module turns
-that grid into first-class *jobs* and executes them:
+``run_experiment`` calls.  A :class:`Grid` names its axes — a base
+config, policy specs, named scenario overrides (a budget axis is one
+scenario per budget) and seeds — and :func:`run_grid` returns the
+results keyed by (scenario, policy), in seed order; ``compare``,
+``sweep``, ``tournament`` and the figure series are reports over them.
+Each grid cell × seed is a *job* that :func:`run_sweep` executes:
 
 * **in parallel** on a :class:`concurrent.futures.ProcessPoolExecutor`
   (worker count configurable, default :func:`~repro.host.usable_cpus`), with
@@ -23,11 +28,9 @@ Variations of a job are config overrides, not policy fields::
 
 Usage::
 
-    jobs = [SweepJob(PolicySpec("FedL"), cfg) for cfg in configs]
-    results = run_sweep(jobs, workers=4, cache=SweepCache("~/.cache/repro"))
-
-``run_sweep`` also accepts plain ``(policy_name_or_spec, config)`` tuples
-and always returns results in job order.
+    grid = Grid.over_budgets(cfg, ["FedL", "FedAvg"], budgets=[300, 800], seeds=[0, 1])
+    cells = run_grid(grid, workers=4, cache=SweepCache("~/.cache/repro"))
+    cells["budget=300", "FedL"]  # [seed 0's result, seed 1's result]
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -69,6 +74,10 @@ from repro.strategies import get_strategy, resolve_params
 __all__ = [
     "PolicySpec",
     "SweepJob",
+    "Grid",
+    "GridResults",
+    "EmptyRunError",
+    "run_grid",
     "SweepCache",
     "SweepProgress",
     "CACHE_SCHEMA_VERSION",
@@ -78,7 +87,6 @@ __all__ = [
     "execute_job",
     "run_sweep",
     "results_identical",
-    "default_cache_dir",
 ]
 
 # Bump to invalidate every existing cache entry (e.g. when run_experiment's
@@ -104,7 +112,7 @@ class PolicySpec:
     a dict (or pairs); it is normalized to a sorted tuple of ``(key,
     value)`` pairs so the spec stays frozen, hashable and order-insensitive.
     The policy RNG is drawn from the stream ``policy.<name>``, the stream
-    :func:`~repro.experiments.figures.run_policy_suite` has always used.
+    the paper's four-policy suite has always used.
     """
 
     name: str
@@ -139,29 +147,6 @@ class SweepJob:
     target_accuracy: Optional[float] = None
 
 
-JobLike = Union[
-    SweepJob,
-    Tuple[Union[str, PolicySpec], ExperimentConfig],
-    Tuple[Union[str, PolicySpec], ExperimentConfig, Optional[float]],
-]
-
-
-def as_job(job: JobLike) -> SweepJob:
-    """Coerce a job-like value (``SweepJob`` or tuple) to a ``SweepJob``."""
-    if isinstance(job, SweepJob):
-        return job
-    if isinstance(job, tuple) and len(job) in (2, 3):
-        policy = job[0]
-        if isinstance(policy, str):
-            policy = PolicySpec(name=policy)
-        target = job[2] if len(job) == 3 else None
-        return SweepJob(policy=policy, config=job[1], target_accuracy=target)
-    raise TypeError(
-        "expected SweepJob or (policy, config[, target_accuracy]) tuple, "
-        f"got {job!r}"
-    )
-
-
 # --- content-addressed cache keys ---------------------------------------------
 
 
@@ -178,7 +163,7 @@ def canonical_hash(obj) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-def job_fingerprint(job: JobLike) -> dict:
+def job_fingerprint(job: SweepJob) -> dict:
     """The JSON-ready payload a job's cache key is computed from: the
     config, the strategy name and its parameters as the registry resolves
     them against the config (so a default spelled out and a default left
@@ -188,7 +173,6 @@ def job_fingerprint(job: JobLike) -> dict:
     schema bump invalidates old entries instead of deserializing them
     wrongly.
     """
-    job = as_job(job)
     spec = get_strategy(job.policy.name)
     config = dataclasses.asdict(job.config)
     # Where (or whether) snapshots are written cannot change what a job
@@ -207,19 +191,12 @@ def job_fingerprint(job: JobLike) -> dict:
     }
 
 
-def job_key(job: JobLike) -> str:
+def job_key(job: SweepJob) -> str:
     """Stable content hash identifying a job's result."""
     return canonical_hash(job_fingerprint(job))
 
 
 # --- the on-disk cache --------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR/sweeps`` if set, else ``~/.cache/repro/sweeps``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env).expanduser() if env else Path.home() / ".cache" / "repro"
-    return base / "sweeps"
 
 
 class SweepCache:
@@ -236,10 +213,6 @@ class SweepCache:
         # Any surviving temp file is torn-write litter from a process
         # that died mid-store; sweep it on (re)open.
         clean_stale_tmps(self.root)
-
-    @classmethod
-    def default(cls) -> "SweepCache":
-        return cls(default_cache_dir())
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -258,7 +231,7 @@ class SweepCache:
         except (KeyError, TypeError, ValueError):
             return None
 
-    def store(self, key: str, job: JobLike, result: ExperimentResult) -> Path:
+    def store(self, key: str, job: SweepJob, result: ExperimentResult) -> Path:
         """Persist ``result`` under ``key``; the job fingerprint rides along
         for debuggability.  The write is staged through a temp file so a
         concurrent reader never sees a half-written entry."""
@@ -271,9 +244,6 @@ class SweepCache:
         }
         atomic_write_text(path, json.dumps(payload))
         return path
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -290,14 +260,13 @@ class SweepCache:
 # --- execution ----------------------------------------------------------------
 
 
-def execute_job(job: JobLike) -> ExperimentResult:
+def execute_job(job: SweepJob) -> ExperimentResult:
     """Materialize and run one job (this is the process-pool entry point).
 
     The policy RNG is re-derived from the config seed and the spec's
     stream name, so execution is a pure function of the job value — the
     foundation of both determinism and cacheability.
     """
-    job = as_job(job)
     config = job.config
     # Self-describing results: the spec rides along through persistence.
     # The JSON round trip normalizes tuples to lists up front, so cached
@@ -423,7 +392,7 @@ def _copy_result(result: ExperimentResult) -> ExperimentResult:
 
 
 def run_sweep(
-    jobs: Iterable[JobLike],
+    jobs: Iterable[SweepJob],
     workers: Optional[int] = None,
     cache: Optional[SweepCache] = None,
     progress: Optional[ProgressFn] = None,
@@ -447,7 +416,7 @@ def run_sweep(
     :meth:`~repro.obs.Telemetry.finalize` merges into the manifest.
     Telemetry never alters results or cache keys.
     """
-    jobs = [as_job(j) for j in jobs]
+    jobs = list(jobs)
     total = len(jobs)
     if total == 0:
         return []
@@ -552,6 +521,105 @@ def run_sweep(
         },
     )
     return results  # type: ignore[return-value]  # every slot is filled
+
+
+# --- the grid -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Policies × named scenarios × seeds over one base config.
+
+    Job ``(scenario, policy, seed)`` runs ``policy`` on
+    ``base.override(overrides).replace(seed=seed)``; ``jobs`` lists them
+    as ``(scenario, job)`` pairs, scenario-major, then policy, then seed.
+    Construction checks every job, so a bad config or strategy parameter
+    raises ``ValueError`` before anything runs — as does an empty axis
+    or a repeated policy name, scenario name or seed, which would count
+    one run twice in every report.
+    """
+
+    base: ExperimentConfig
+    policies: Sequence[Union[str, PolicySpec]]
+    scenarios: Sequence[Tuple[str, Mapping[str, object]]]
+    seeds: Sequence[int]
+    jobs: Tuple[Tuple[str, SweepJob], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        policies = tuple(
+            p if isinstance(p, PolicySpec) else PolicySpec(p) for p in self.policies
+        )
+        scenarios = tuple((str(n), dict(o)) for n, o in self.scenarios)
+        seeds = tuple(int(s) for s in self.seeds)
+        for axis, names in (
+            ("policy", [p.name for p in policies]),
+            ("scenario", [n for n, _ in scenarios]),
+            ("seed", list(seeds)),
+        ):
+            if not names:
+                raise ValueError(f"need at least one {axis}")
+            repeated = [v for i, v in enumerate(names) if v in names[:i]]
+            if repeated:
+                raise ValueError(f"repeated {axis}: {repeated[0]}")
+        jobs = []
+        for name, overrides in scenarios:
+            config = self.base.override(overrides)
+            for policy in policies:
+                resolve_params(get_strategy(policy.name), config, policy.params_dict)
+                jobs += [(name, SweepJob(policy, config.replace(seed=s))) for s in seeds]
+        object.__setattr__(self, "policies", policies)
+        object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "jobs", tuple(jobs))
+
+    @classmethod
+    def over_budgets(cls, base, policies, budgets=None, seeds=None) -> "Grid":
+        """One scenario ``budget=<b>`` per budget (default: the base's
+        budget), over ``seeds`` (default: the base's seed)."""
+        return cls(
+            base,
+            policies,
+            [(f"budget={b:g}", {"budget": b})
+             for b in (budgets if budgets is not None else [base.budget])],
+            seeds if seeds is not None else [base.seed],
+        )
+
+
+#: (scenario, policy name) → one result per seed, in seed order.
+GridResults = Dict[Tuple[str, str], List[ExperimentResult]]
+
+
+class EmptyRunError(RuntimeError):
+    """A grid job stopped before its first epoch, so no report can score it."""
+
+    def __init__(self, job: SweepJob, result: ExperimentResult) -> None:
+        cfg = job.config
+        super().__init__(
+            f"{job.policy.name} budget={cfg.budget:g} seed={cfg.seed} stopped before "
+            f"its first epoch ({result.stop_reason}); no report can score an empty run"
+        )
+
+
+def run_grid(
+    grid: Grid,
+    workers: Optional[int] = None,
+    cache: Optional[SweepCache] = None,
+    progress: Optional[ProgressFn] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> GridResults:
+    """Run ``grid.jobs`` through :func:`run_sweep` (a progress event's
+    ``index`` indexes ``grid.jobs``) and group the results by cell.
+    Raises :class:`EmptyRunError` for the first job that ran no epoch."""
+    results = run_sweep(
+        [job for _, job in grid.jobs],
+        workers=workers, cache=cache, progress=progress, telemetry=telemetry,
+    )
+    cells: GridResults = {}
+    for (scenario, job), result in zip(grid.jobs, results):
+        if not result.trace.records:
+            raise EmptyRunError(job, result)
+        cells.setdefault((scenario, job.policy.name), []).append(result)
+    return cells
 
 
 def results_identical(a: ExperimentResult, b: ExperimentResult) -> bool:

@@ -17,7 +17,6 @@ from repro.experiments.metrics import Trace
 
 __all__ = [
     "time_to_accuracy",
-    "rounds_to_accuracy",
     "accuracy_at_time",
     "headline_claims",
 ]
@@ -28,13 +27,6 @@ def time_to_accuracy(
 ) -> Dict[str, Optional[float]]:
     """Simulated completion time (s) to reach ``target`` accuracy, per policy."""
     return {name: tr.time_to_accuracy(target) for name, tr in traces.items()}
-
-
-def rounds_to_accuracy(
-    traces: Mapping[str, Trace], target: float
-) -> Dict[str, Optional[int]]:
-    """Federated rounds to reach ``target`` accuracy, per policy."""
-    return {name: tr.rounds_to_accuracy(target) for name, tr in traces.items()}
 
 
 def accuracy_at_time(

@@ -1,15 +1,13 @@
 """Strategy tournament: every registered strategy × a scenario matrix.
 
-The tournament harness turns "FedL vs a handful of baselines" into a
-ranked, multi-seed benchmark: each :class:`ScenarioSpec` perturbs the
-base experiment along one axis the repo can simulate (partition skew,
-price regimes, adversaries, faults, aggregation modes), every registered
-strategy runs every scenario over every seed through the sweep engine
-(so the cache, dedup, and process-parallelism all apply), and the
-aggregate lands in a versioned, JSON-persistable report:
+The tournament turns "FedL vs a handful of baselines" into a ranked,
+multi-seed benchmark: a :class:`~repro.experiments.sweep.Grid` of
+strategies × :data:`~repro.experiments.scenarios.SCENARIOS` (partition
+skew, price regimes, adversaries, faults, aggregation modes) × seeds, and
+:func:`tournament_report` over its results, versioned and JSON-persistable:
 
 * per-(scenario, strategy) cells: mean ± std accuracy / loss / spend /
-  epochs over seeds;
+  epochs over seeds (:func:`~repro.experiments.stats.mean_std`);
 * per-scenario rankings and winners;
 * an overall ranking by mean rank across scenarios;
 * a head-to-head table counting strict per-scenario wins.
@@ -23,35 +21,24 @@ themselves are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from repro.atomic import atomic_write_text
 from repro.config import ExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.scenarios import experiment_config
-from repro.experiments.sweep import (
-    PolicySpec,
-    ProgressFn,
-    SweepCache,
-    SweepJob,
-    run_sweep,
-)
+from repro.experiments.scenarios import experiment_config, get_scenario, scenario_names
+from repro.experiments.stats import mean_std
+from repro.experiments.sweep import Grid, GridResults
 from repro.strategies import get_strategy, strategy_names
 
 __all__ = [
     "TOURNAMENT_SCHEMA_VERSION",
-    "ScenarioSpec",
-    "SCENARIOS",
-    "scenario_names",
-    "get_scenario",
-    "scenario_config",
-    "UnknownScenarioError",
-    "quick_base_config",
-    "full_base_config",
-    "run_tournament",
+    "QUICK_BASE",
+    "FULL_BASE",
+    "tournament_grid",
+    "tournament_report",
     "format_report",
     "save_report",
     "load_report",
@@ -60,262 +47,86 @@ __all__ = [
 #: Bump when the report layout changes incompatibly.
 TOURNAMENT_SCHEMA_VERSION = 1
 
-
-class UnknownScenarioError(ValueError):
-    """Raised when a scenario name is not in the matrix."""
-
-    def __init__(self, name: str) -> None:
-        self.scenario = name
-        super().__init__(
-            f"unknown scenario {name!r}; known: "
-            f"{', '.join(s.name for s in SCENARIOS)}"
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One column of the tournament matrix: a named config perturbation.
-
-    ``overrides`` are dotted-path changes applied to the base experiment
-    by :meth:`~repro.config.ExperimentConfig.override` (see
-    :func:`scenario_config`); because the whole config enters the
-    sweep-cache fingerprint, two scenarios never collide in the cache.
-    ``quick`` marks scenarios safe and fast enough for the ``--quick``
-    matrix (synchronous-engine only: event-driven fault scenarios can
-    abort tiny runs through the participation floor).
-    """
-
-    name: str
-    description: str
-    overrides: Mapping[str, object] = field(default_factory=dict)
-    quick: bool = False
-
-
-#: The scenario matrix.  Order defines report column order.
-SCENARIOS: Tuple[ScenarioSpec, ...] = (
-    ScenarioSpec(
-        "iid",
-        "the paper's baseline setting: IID shards, stable prices",
-        {"data.iid": True},
-        quick=True,
-    ),
-    ScenarioSpec(
-        "non-iid",
-        "paper-style label-skew partition",
-        {"data.iid": False},
-        quick=True,
-    ),
-    ScenarioSpec(
-        "dirichlet",
-        "dirichlet(0.3) partition: heavy client heterogeneity",
-        {"data.iid": False, "data.partition": "dirichlet",
-         "data.dirichlet_alpha": 0.3},
-    ),
-    ScenarioSpec(
-        "volatile-prices",
-        "AR(1) price innovations at 0.5: costs swing round to round",
-        {"population.cost_volatility": 0.5},
-        quick=True,
-    ),
-    ScenarioSpec(
-        "flat-prices",
-        "frozen prices: cost signal carries no information",
-        {"population.cost_volatility": 0.0},
-    ),
-    ScenarioSpec(
-        "byzantine",
-        "25% sign-flip attackers behind a trimmed-mean defense",
-        {"attack.kind": "sign-flip", "attack.fraction": 0.25,
-         "defense.aggregator": "trimmed-mean"},
-        quick=True,
-    ),
-    ScenarioSpec(
-        "markov-churn",
-        "markov availability: clients flap in correlated bursts",
-        {"population.availability_model": "markov"},
-        quick=True,
-    ),
-    ScenarioSpec(
-        "flaky-uplink",
-        "event-driven runtime with 30% upload failures and retries",
-        {"training.engine": "des", "sim.faults": "flaky-uplink"},
-    ),
-    ScenarioSpec(
-        "async-quorum",
-        "asynchronous aggregation: epoch closes at the quorum",
-        {"training.engine": "des", "sim.aggregation": "async"},
-    ),
+#: The tiny smoke-scale base experiment (seconds per strategy; fmnist, IID).
+QUICK_BASE = experiment_config(
+    budget=120.0, num_clients=8, min_participants=3, max_epochs=3
+)
+#: The development-scale base experiment (minutes per strategy).
+FULL_BASE = experiment_config(
+    budget=800.0, num_clients=20, min_participants=5, max_epochs=40
 )
 
 
-def scenario_config(scenario: ScenarioSpec, base: ExperimentConfig) -> ExperimentConfig:
-    """``base`` with ``scenario``'s overrides applied.
+def tournament_grid(
+    strategies: Optional[Sequence[str]] = None,
+    scenarios: Optional[Sequence[str]] = None,
+    seeds: Sequence[int] = (0,),
+    base_config: Optional[ExperimentConfig] = None,
+) -> Grid:
+    """The tournament's grid.
 
-    The one base-dependent value lives here: an async scenario's quorum
-    is the base's participation floor ``n``, so the epoch closes once
-    ``n`` uploads have arrived whatever the base's scale; a deadline the
-    base set does not apply to async aggregation and is dropped.
+    Defaults: every registered strategy, the quick scenario matrix, one
+    seed, :data:`QUICK_BASE`.  An unknown strategy or scenario name is a
+    typed ``ValueError``, and so is a repeated strategy, scenario or seed.
     """
-    overrides = dict(scenario.overrides)
-    if overrides.get("sim.aggregation") == "async":
-        overrides["sim.quorum"] = base.min_participants
-        overrides["sim.deadline_s"] = None
-    return base.override(overrides)
-
-
-def scenario_names(quick: bool = False) -> Tuple[str, ...]:
-    """Scenario names, optionally restricted to the quick matrix."""
-    return tuple(s.name for s in SCENARIOS if s.quick or not quick)
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    for s in SCENARIOS:
-        if s.name == name:
-            return s
-    raise UnknownScenarioError(name)
-
-
-def quick_base_config(seed: int = 0) -> ExperimentConfig:
-    """The tiny smoke-scale base experiment (seconds per strategy)."""
-    return experiment_config(
-        dataset="fmnist",
-        iid=True,
-        budget=120.0,
-        seed=seed,
-        num_clients=8,
-        min_participants=3,
-        max_epochs=3,
+    base = QUICK_BASE if base_config is None else base_config
+    matrix = [get_scenario(s) for s in scenarios or scenario_names(quick=True)]
+    return Grid(
+        base,
+        list(strategies) if strategies else list(strategy_names()),
+        [(s.name, s.overrides_for(base)) for s in matrix],
+        seeds,
     )
-
-
-def full_base_config(seed: int = 0) -> ExperimentConfig:
-    """The development-scale base experiment (minutes per strategy)."""
-    return experiment_config(
-        dataset="fmnist",
-        iid=True,
-        budget=800.0,
-        seed=seed,
-        num_clients=20,
-        min_participants=5,
-        max_epochs=40,
-    )
-
-
-# --- aggregation ---------------------------------------------------------------
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-def _std(values: Sequence[float]) -> float:
-    m = _mean(values)
-    return (sum((v - m) ** 2 for v in values) / len(values)) ** 0.5
 
 
 def _cell(results: Sequence[ExperimentResult]) -> dict:
     """Aggregate one (scenario, strategy) cell over seeds."""
-    accs = [r.trace.final_accuracy for r in results]
-    losses = [r.trace.final_loss for r in results]
-    spends = [r.trace.total_spend for r in results]
-    epochs = [float(len(r.trace.records)) for r in results]
     return {
-        "accuracy": {"mean": _mean(accs), "std": _std(accs)},
-        "loss": {"mean": _mean(losses), "std": _std(losses)},
-        "spend": {"mean": _mean(spends), "std": _std(spends)},
-        "epochs": {"mean": _mean(epochs), "std": _std(epochs)},
+        "accuracy": mean_std([r.trace.final_accuracy for r in results]),
+        "loss": mean_std([r.trace.final_loss for r in results]),
+        "spend": mean_std([r.trace.total_spend for r in results]),
+        "epochs": mean_std([float(len(r.trace.records)) for r in results]),
         "seeds": len(results),
         "stop_reasons": sorted({r.stop_reason for r in results}),
     }
 
 
-def run_tournament(
-    strategies: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0,),
-    base_config: Optional[ExperimentConfig] = None,
-    workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
-    progress: Optional[ProgressFn] = None,
-    telemetry=None,
-) -> dict:
-    """Run the tournament and return the report dict.
+def tournament_report(grid: Grid, cells: GridResults) -> dict:
+    """The report dict over a tournament grid's results."""
+    names = [p.name for p in grid.policies]
+    scenarios = [name for name, _ in grid.scenarios]
+    table = {s: {n: _cell(cells[s, n]) for n in names} for s in scenarios}
 
-    Defaults: every registered strategy, the quick scenario matrix, one
-    seed, the quick base config.  Strategy and scenario names are
-    validated up front with typed errors.  ``telemetry`` is forwarded to
-    the sweep engine so tournament cells record per-job/worker traces
-    into the same hub the caller finalizes.
-    """
-    names = list(strategies) if strategies else list(strategy_names())
-    for name in names:
-        get_strategy(name)  # raises UnknownStrategyError
-    if scenarios:
-        matrix = [get_scenario(s) for s in scenarios]
-    else:
-        matrix = [s for s in SCENARIOS if s.quick]
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    base = base_config if base_config is not None else quick_base_config()
-
-    jobs: List[SweepJob] = []
-    index: List[Tuple[str, str, int]] = []
-    for scenario in matrix:
-        for name in names:
-            for seed in seeds:
-                cfg = scenario_config(scenario, base.replace(seed=seed))
-                jobs.append(SweepJob(PolicySpec(name), cfg))
-                index.append((scenario.name, name, seed))
-    results = run_sweep(
-        jobs, workers=workers, cache=cache, progress=progress,
-        telemetry=telemetry,
-    )
-
-    by_cell: Dict[str, Dict[str, List[ExperimentResult]]] = {}
-    for (scenario_name, strat, _seed), result in zip(index, results):
-        by_cell.setdefault(scenario_name, {}).setdefault(strat, []).append(result)
-
-    cells = {
-        scenario.name: {name: _cell(by_cell[scenario.name][name]) for name in names}
-        for scenario in matrix
-    }
+    def accuracy(s: str, n: str) -> float:
+        return table[s][n]["accuracy"]["mean"]
 
     # Per-scenario rankings: accuracy descending, name as the tiebreak.
-    rankings: Dict[str, List[str]] = {}
-    for scenario in matrix:
-        ordered = sorted(
-            names,
-            key=lambda n: (-cells[scenario.name][n]["accuracy"]["mean"], n),
-        )
-        rankings[scenario.name] = ordered
+    rankings = {
+        s: sorted(names, key=lambda n: (-accuracy(s, n), n)) for s in scenarios
+    }
     winners = {s: ranked[0] for s, ranked in rankings.items()}
 
     # Overall: mean rank across scenarios, then mean accuracy, then name.
     mean_rank = {
-        n: _mean([rankings[s.name].index(n) + 1 for s in matrix]) for n in names
+        n: mean_std([rankings[s].index(n) + 1 for s in scenarios])["mean"]
+        for n in names
     }
     mean_acc = {
-        n: _mean([cells[s.name][n]["accuracy"]["mean"] for s in matrix])
-        for n in names
+        n: mean_std([accuracy(s, n) for s in scenarios])["mean"] for n in names
     }
     overall = sorted(names, key=lambda n: (mean_rank[n], -mean_acc[n], n))
 
     # Head-to-head: strict per-scenario wins on mean accuracy.
     head_to_head = {
         a: {
-            b: sum(
-                1
-                for s in matrix
-                if cells[s.name][a]["accuracy"]["mean"]
-                > cells[s.name][b]["accuracy"]["mean"]
-            )
+            b: sum(1 for s in scenarios if accuracy(s, a) > accuracy(s, b))
             for b in names
             if b != a
         }
         for a in names
     }
 
+    base = grid.base
     return {
         "schema": TOURNAMENT_SCHEMA_VERSION,
         "strategies": [
@@ -327,9 +138,10 @@ def run_tournament(
             for n in names
         ],
         "scenarios": [
-            {"name": s.name, "description": s.description} for s in matrix
+            {"name": s, "description": get_scenario(s).description}
+            for s in scenarios
         ],
-        "seeds": seeds,
+        "seeds": list(grid.seeds),
         "base_config": {
             "num_clients": base.population.num_clients,
             "min_participants": base.min_participants,
@@ -337,7 +149,7 @@ def run_tournament(
             "budget": base.budget,
             "dataset": base.data.dataset,
         },
-        "cells": cells,
+        "cells": table,
         "rankings": rankings,
         "winners": winners,
         "overall": [
@@ -346,7 +158,7 @@ def run_tournament(
                 "strategy": n,
                 "mean_rank": mean_rank[n],
                 "mean_accuracy": mean_acc[n],
-                "scenario_wins": sum(1 for s in matrix if winners[s.name] == n),
+                "scenario_wins": sum(1 for s in scenarios if winners[s] == n),
             }
             for i, n in enumerate(overall)
         ],

@@ -249,7 +249,8 @@ def per_row_client_streams(generator, class_distributions, rng_factory) -> list:
 class ScenarioSpec:
     """``repro.experiments.tournament.ScenarioSpec`` as shipped when every
     scenario was a set of typed override fields plus ``configure``,
-    verbatim (with the matrix below): the oracle for ``scenario_config``.
+    verbatim (with the matrix below): the oracle for
+    ``repro.experiments.scenarios.ScenarioSpec.overrides_for``.
 
     One column of the tournament matrix: a named config perturbation.
 

@@ -5,13 +5,10 @@ import pytest
 
 from repro.core.problem import EpochInputs, FedLProblem
 from repro.datasets.synthetic import ClassConditionalGenerator
+from repro.experiments.figures import paper_grid, policy_traces
 from repro.experiments.metrics import EpochRecord, Trace
-from repro.experiments.stats import (
-    Band,
-    aggregate_on_rounds,
-    aggregate_on_times,
-    multi_seed_suite,
-)
+from repro.experiments.stats import Band, aggregate_on_rounds, aggregate_on_times
+from repro.experiments.sweep import run_grid
 from repro.fl.analysis import assumption1_constants, estimate_curvature
 from repro.nn.models import build_model
 
@@ -110,23 +107,22 @@ class TestBands:
             aggregate_on_times([make_trace("A", [0.1])], num_points=1)
 
 
+def multi_seed(**axes):
+    grid = paper_grid(budget=60.0, num_clients=8, max_epochs=3, **axes)
+    return policy_traces(run_grid(grid, workers=1))
+
+
 class TestMultiSeed:
     def test_groups_by_policy(self):
-        out = multi_seed_suite(
-            "fmnist", True, seeds=(0, 1),
-            budget=60.0, num_clients=8, max_epochs=3, policies=("FedAvg",),
-        )
+        out = multi_seed(seeds=(0, 1), policies=("FedAvg",))
         assert set(out) == {"FedAvg"}
         assert len(out["FedAvg"]) == 2
 
     def test_seeds_produce_different_traces(self):
-        out = multi_seed_suite(
-            "fmnist", True, seeds=(0, 1),
-            budget=60.0, num_clients=8, max_epochs=3, policies=("FedAvg",),
-        )
+        out = multi_seed(seeds=(0, 1), policies=("FedAvg",))
         a, b = out["FedAvg"]
         assert not np.array_equal(a.accuracy, b.accuracy)
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            multi_seed_suite("fmnist", True, seeds=())
+        with pytest.raises(ValueError, match="need at least one seed"):
+            paper_grid(seeds=())

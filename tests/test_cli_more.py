@@ -434,7 +434,7 @@ def resolved_sweep_configs(monkeypatch, argv):
     def capture(jobs, **kwargs):
         raise Captured([job.config for job in jobs])
 
-    monkeypatch.setattr("repro.cli.run_sweep", capture)
+    monkeypatch.setattr("repro.experiments.sweep.run_sweep", capture)
     with pytest.raises(Captured) as caught:
         main(["sweep", "--policies", "FedAvg", "--quiet", *argv])
     return caught.value.args[0]

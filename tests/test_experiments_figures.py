@@ -1,4 +1,4 @@
-"""Tests for the figure-series generators (small scale)."""
+"""Tests for the paper grid and its figure-series reports (small scale)."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,21 @@ import pytest
 from repro.experiments.figures import (
     accuracy_vs_round,
     accuracy_vs_time,
-    budget_sweep,
-    run_policy_suite,
+    loss_vs_budget,
+    paper_grid,
+    suite_traces,
 )
+from repro.experiments.sweep import run_grid
+
+
+def run_suite(**setting):
+    return suite_traces(run_grid(paper_grid(**setting), workers=1))
 
 
 @pytest.fixture(scope="module")
 def tiny_suite():
-    return run_policy_suite(
-        "fmnist",
+    return run_suite(
+        dataset="fmnist",
         iid=True,
         budget=80.0,
         num_clients=8,
@@ -35,8 +41,8 @@ class TestSuiteRunner:
         """Two policies see the same channel/availability trajectory: the
         FIRST-epoch available count matches across policies (decisions
         cannot have diverged before the first selection)."""
-        suite = run_policy_suite(
-            "fmnist", True, budget=80.0, num_clients=8, max_epochs=2,
+        suite = run_suite(
+            dataset="fmnist", iid=True, budget=80.0, num_clients=8, max_epochs=2,
             policies=("FedAvg", "Pow-d"),
         )
         a = suite["FedAvg"].records[0].num_available
@@ -59,10 +65,11 @@ class TestSeriesShapes:
             assert [p[0] for p in pts] == list(range(1, len(pts) + 1))
 
     def test_budget_sweep_series(self):
-        series = budget_sweep(
-            "fmnist", True, budgets=(40.0, 80.0),
+        grid = paper_grid(
+            (80.0, 40.0), dataset="fmnist", iid=True,
             num_clients=8, max_epochs=4, policies=("FedAvg",),
         )
+        series = loss_vs_budget(run_grid(grid, workers=1))
         pts = series["FedAvg"]
         assert [p[0] for p in pts] == [40.0, 80.0]
         assert all(np.isfinite(p[1]) for p in pts)

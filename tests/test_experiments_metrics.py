@@ -8,7 +8,6 @@ from repro.experiments.reporting import format_series, format_table
 from repro.experiments.tables import (
     accuracy_at_time,
     headline_claims,
-    rounds_to_accuracy,
     time_to_accuracy,
 )
 
@@ -88,10 +87,6 @@ class TestTables:
         out = time_to_accuracy(traces, 0.85)
         assert out["A"] == 2.0
         assert out["B"] is None
-
-    def test_rounds_table(self):
-        traces = {"A": make_trace(accs=(0.5, 0.9))}
-        assert rounds_to_accuracy(traces, 0.85)["A"] == 2
 
     def test_accuracy_at_time_table(self):
         traces = {"A": make_trace()}

@@ -22,7 +22,7 @@ from repro.experiments.persistence import (
     result_to_dict,
     save_results,
 )
-from repro.experiments.scenarios import experiment_config, paper_scale_config
+from repro.experiments.scenarios import PAPER_SCALE, experiment_config
 from repro.experiments.sweep import PolicySpec, SweepJob, execute_job, results_identical
 from repro.live.calibrate import CalibrationReport
 from repro.obs import Telemetry
@@ -65,7 +65,9 @@ class TestConfigRoundTrip:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_non_default_config_with_tuples(self):
-        cfg = paper_scale_config(dataset="cifar10", iid=False, seed=7)
+        cfg = experiment_config(
+            dataset="cifar10", iid=False, budget=20_000.0, seed=7
+        ).override(PAPER_SCALE)
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
         # JSON turns tuples into lists; the loader must turn them back.

@@ -11,7 +11,7 @@ from repro.experiments.scenarios import (
     POLICY_NAMES,
     experiment_config,
     make_policy,
-    paper_scale_config,
+    PAPER_SCALE,
 )
 from repro.rng import RngFactory
 
@@ -30,6 +30,10 @@ class TestExperimentConfig:
         for name in POLICY_NAMES + ("Fair-FedL", "UCB", "Oracle"):
             pol = make_policy(name, cfg, RngFactory(0).get(f"p.{name}"))
             assert pol.name == name
+
+
+def paper_scale_config(dataset="fmnist"):
+    return experiment_config(dataset=dataset, budget=20_000.0).override(PAPER_SCALE)
 
 
 class TestPaperScaleConfig:

@@ -32,7 +32,7 @@ from repro.experiments.sweep import (
     job_key,
     results_identical,
 )
-from repro.experiments.tournament import SCENARIOS
+from repro.experiments.scenarios import SCENARIOS
 from repro.strategies import (
     STRATEGY_REGISTRY,
     StrategyError,
@@ -229,7 +229,8 @@ class TestCliContract:
     ):
         """The sweep rejects a value the way `run` does, before the pool."""
         monkeypatch.setattr(
-            "repro.cli.run_sweep", lambda *a, **k: pytest.fail("a job ran")
+            "repro.experiments.sweep.run_sweep",
+            lambda *a, **k: pytest.fail("a job ran"),
         )
         argv = ["--clients", "8", "--participants", "3", "--epochs", "1"]
         rc = main(["sweep", "--policies", policy, "--param", flag,

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import sweep
-from repro.experiments.figures import run_policy_suite
+from repro.experiments.figures import paper_grid, suite_traces
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.experiments.sweep import (
@@ -21,6 +21,7 @@ from repro.experiments.sweep import (
     SweepJob,
     execute_job,
     results_identical,
+    run_grid,
     run_sweep,
 )
 from repro.host import usable_cpus
@@ -70,16 +71,17 @@ class TestSerialDeterminism:
             make_policy("FedAvg", cfg, RngFactory(cfg.seed).get("policy.FedAvg")),
             cfg,
         )
-        (via_engine,) = run_sweep([("FedAvg", cfg)], workers=1)
+        (via_engine,) = run_sweep([SweepJob(PolicySpec("FedAvg"), cfg)], workers=1)
         assert results_identical(direct, via_engine)
 
     def test_suite_matches_pre_engine_seeding(self):
-        """run_policy_suite still derives each policy RNG from
+        """The paper grid still derives each policy RNG from
         RngFactory(seed).get(f"policy.{name}") — the pre-engine stream."""
-        traces = run_policy_suite(
-            "fmnist", True, budget=120.0, seed=3, num_clients=8, max_epochs=3,
-            policies=("FedAvg",),
+        grid = paper_grid(
+            dataset="fmnist", iid=True, budget=120.0, seed=3, num_clients=8,
+            max_epochs=3, policies=("FedAvg",),
         )
+        traces = suite_traces(run_grid(grid, workers=1))
         cfg = experiment_config(
             dataset="fmnist", iid=True, budget=120.0, seed=3,
             num_clients=8, max_epochs=3,

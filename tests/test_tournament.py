@@ -12,20 +12,22 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.sweep import SweepCache
-from repro.experiments.tournament import (
+from repro.experiments.scenarios import (
     SCENARIOS,
-    TOURNAMENT_SCHEMA_VERSION,
     UnknownScenarioError,
-    format_report,
-    full_base_config,
     get_scenario,
-    load_report,
-    quick_base_config,
-    run_tournament,
-    save_report,
-    scenario_config,
     scenario_names,
+)
+from repro.experiments.sweep import SweepCache, run_grid
+from repro.experiments.tournament import (
+    FULL_BASE,
+    QUICK_BASE,
+    TOURNAMENT_SCHEMA_VERSION,
+    format_report,
+    load_report,
+    save_report,
+    tournament_grid,
+    tournament_report,
 )
 
 from tests import oracle
@@ -34,15 +36,14 @@ STRATS = ["FedAvg", "GradNorm"]
 SCENS = ["iid", "volatile-prices"]
 
 
+def tournament(*args, workers=1, cache=None, progress=None):
+    grid = tournament_grid(*args)
+    cells = run_grid(grid, workers=workers, cache=cache, progress=progress)
+    return tournament_report(grid, cells)
+
+
 def tiny_tournament(cache=None):
-    return run_tournament(
-        strategies=STRATS,
-        scenarios=SCENS,
-        seeds=[0],
-        base_config=quick_base_config(),
-        workers=1,
-        cache=cache,
-    )
+    return tournament(STRATS, SCENS, [0], QUICK_BASE, cache=cache)
 
 
 def canonical(report):
@@ -65,15 +66,17 @@ class TestScenarioRegistry:
         assert excinfo.value.scenario == "bogus"
 
     def test_scenarios_produce_distinct_configs(self):
-        base = quick_base_config()
-        configs = {s.name: scenario_config(s, base) for s in SCENARIOS}
+        base = QUICK_BASE
+        configs = {s.name: base.override(s.overrides_for(base)) for s in SCENARIOS}
         assert len({repr(c) for c in configs.values()}) == len(configs)
 
-    @pytest.mark.parametrize("base", [quick_base_config, full_base_config])
+    @pytest.mark.parametrize(
+        "base", [QUICK_BASE, FULL_BASE], ids=["quick_base", "full_base"]
+    )
     @pytest.mark.parametrize("name", [s.name for s in oracle.SCENARIOS])
     def test_overrides_resolve_like_the_typed_fields(self, name, base):
-        expected = {s.name: s for s in oracle.SCENARIOS}[name].configure(base())
-        assert scenario_config(get_scenario(name), base()) == expected
+        expected = {s.name: s for s in oracle.SCENARIOS}[name].configure(base)
+        assert base.override(get_scenario(name).overrides_for(base)) == expected
 
     def test_matrix_matches_the_oracle(self):
         assert [(s.name, s.description, s.quick) for s in SCENARIOS] == [
@@ -126,14 +129,9 @@ class TestGoldenDeterminism:
         cache = SweepCache(tmp_path / "cache")
         first = tiny_tournament(cache=cache)
         hits = []
-        second = run_tournament(
-            strategies=STRATS,
-            scenarios=SCENS,
-            seeds=[0],
-            base_config=quick_base_config(),
-            workers=1,
-            cache=cache,
-            progress=lambda e: hits.append(e.cached),
+        second = tournament(
+            STRATS, SCENS, [0], QUICK_BASE,
+            cache=cache, progress=lambda e: hits.append(e.cached),
         )
         assert canonical(first) == canonical(second)
         assert hits and all(hits)  # every cell came from the cache
@@ -173,7 +171,7 @@ class TestIssueAcceptance:
     def test_quick_matrix_covers_registry_and_scenarios(self):
         # The ISSUE floor: >= 9 strategies (>= 4 beyond the paper set)
         # across >= 4 scenarios, all through the sweep engine.
-        report = run_tournament(seeds=[0])
+        report = tournament(workers=None)
         names = [s["name"] for s in report["strategies"]]
         assert len(names) >= 9
         paper = {"FedL", "FedAvg", "FedCS", "Pow-d"}
