@@ -297,7 +297,11 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     :class:`CheckpointError` (the CLI's unrecoverable-state exit 1).
     """
     from repro.experiments.metrics import Trace
-    from repro.experiments.persistence import config_from_dict, trace_from_dict
+    from repro.experiments.persistence import (
+        RETIRED_STREAMS,
+        config_from_dict,
+        trace_from_dict,
+    )
     from repro.nn.serialization import load_checkpoint
 
     directory = Path(directory)
@@ -336,7 +340,11 @@ def load_snapshot(directory: str | Path) -> Snapshot:
             )
     try:
         config = config_from_dict(manifest["config"])
-        rng_states = json.loads((snap / "rng.json").read_text())
+        rng_states = {
+            key: state
+            for key, state in json.loads((snap / "rng.json").read_text()).items()
+            if key not in RETIRED_STREAMS
+        }
         trace = trace_from_dict(json.loads((snap / "trace.json").read_text()))
         policy = pickle.loads((snap / "policy.pkl").read_bytes())
         server_w, _meta = load_checkpoint(snap / "model.npz")

@@ -134,13 +134,6 @@ class Trace:
             return None
         return float(self.times[hits[0]])
 
-    def rounds_to_accuracy(self, target: float) -> Optional[int]:
-        acc = self.accuracy
-        hits = np.flatnonzero(acc >= target)
-        if hits.size == 0:
-            return None
-        return int(self.rounds[hits[0]]) + 1  # 1-based round count
-
     def accuracy_at_time(self, t_seconds: float) -> float:
         """Accuracy of the last epoch completed by ``t_seconds`` (0 before)."""
         done = np.flatnonzero(self.times <= t_seconds)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "RETIRED_LEAVES",
+    "RETIRED_STREAMS",
     "RetiredConfigError",
     "result_to_dict",
     "result_from_dict",
@@ -138,6 +139,11 @@ RETIRED_LEAVES: Dict[str, object] = {
     "defense.krum_f": None,
     "fedl.reliability_penalty": 4.0,
 }
+
+#: RNG streams that older snapshots still list in ``rng.json`` and that no
+#: code draws from any more (``fl.dp``: the retired DP noise).  A resume
+#: does not restore them, so they do not live on in its snapshots.
+RETIRED_STREAMS: Tuple[str, ...] = ("fl.dp",)
 
 
 class RetiredConfigError(ValueError):

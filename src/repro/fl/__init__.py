@@ -14,99 +14,19 @@ Implements the paper's FL process:
   and the iteration count ``l_t(η_t, θ0)`` mapping (paper eq. after (1)).
 * :mod:`repro.fl.round_runner` — one full epoch: ``l_t`` iterations of
   (broadcast → local DANE → aggregate).
+
+The package re-exports the names the experiment runner builds a round
+from; everything else is imported from its module.
 """
 
-from repro.fl.dane import DaneWorkspace, dane_surrogate_value, dane_local_step
-from repro.fl.batched import (
-    BatchedClientEngine,
-    BatchedSequentialKernel,
-    batched_local_losses,
-)
 from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.server import FLServer
-from repro.fl.convergence import (
-    estimate_local_accuracy,
-    iterations_for_accuracy,
-    rho_to_eta,
-    eta_to_rho,
-)
 from repro.fl.round_runner import RoundResult, run_federated_round
-from repro.fl.adversary import ATTACKS, Adversary
-from repro.fl.defense import (
-    AGGREGATORS,
-    CorruptUpdateError,
-    DefenseRoundReport,
-    TrainingDivergedError,
-    coordinate_median,
-    krum,
-    robust_aggregate,
-    screen_updates,
-    trimmed_mean,
-)
-from repro.fl.compression import (
-    CompressedUpdate,
-    CompressionSpec,
-    cmfl_relevance,
-    compress_update,
-    topk_sparsify,
-    uniform_quantize,
-)
-from repro.fl.analysis import (
-    CurvatureEstimate,
-    assumption1_constants,
-    estimate_curvature,
-)
-from repro.fl.shard import (
-    ShardPlan,
-    ShardedFedLPolicy,
-    build_shard_plan,
-    decompose_budget,
-    decompose_floor,
-    kmeans,
-    shard_combine,
-)
 
 __all__ = [
-    "DaneWorkspace",
-    "dane_surrogate_value",
-    "dane_local_step",
-    "BatchedClientEngine",
-    "BatchedSequentialKernel",
-    "batched_local_losses",
     "FLClient",
     "LocalSolveSpec",
     "FLServer",
-    "estimate_local_accuracy",
-    "iterations_for_accuracy",
-    "rho_to_eta",
-    "eta_to_rho",
     "RoundResult",
     "run_federated_round",
-    "ATTACKS",
-    "Adversary",
-    "AGGREGATORS",
-    "CorruptUpdateError",
-    "DefenseRoundReport",
-    "TrainingDivergedError",
-    "coordinate_median",
-    "krum",
-    "robust_aggregate",
-    "screen_updates",
-    "trimmed_mean",
-    "CompressedUpdate",
-    "CompressionSpec",
-    "cmfl_relevance",
-    "compress_update",
-    "topk_sparsify",
-    "uniform_quantize",
-    "CurvatureEstimate",
-    "assumption1_constants",
-    "estimate_curvature",
-    "ShardPlan",
-    "ShardedFedLPolicy",
-    "build_shard_plan",
-    "decompose_budget",
-    "decompose_floor",
-    "kmeans",
-    "shard_combine",
 ]

@@ -183,7 +183,8 @@ class BatchedClientEngine:
             for positions in by_key.values()
         ]
         # (w, per-bucket (loss, grad)) of the last local_grads() sweep, so the
-        # solve at the same broadcast point reuses it instead of recomputing.
+        # next solve at the same broadcast point takes it instead of
+        # recomputing.
         self._eval_cache: Optional[Tuple[np.ndarray, List[Tuple]]] = None
 
     @staticmethod
@@ -234,11 +235,18 @@ class BatchedClientEngine:
         """
         w_global = np.asarray(w_global, dtype=float)
         global_grad = np.asarray(global_grad, dtype=float)
-        cache = self._eval_cache
+        # The sweep's pairs are taken out of the cache, and bucket b's is
+        # dropped once its solve has read it: the solves never hold more
+        # than the unread buckets' pairs beside their own state.
+        cache, self._eval_cache = self._eval_cache, None
         reuse = cache is not None and np.array_equal(cache[0], w_global)
+        pairs = cache[1] if reuse else None
         out: List[Optional[Tuple]] = [None] * len(self.participants)
         for b, (positions, x, y) in enumerate(self.buckets):
-            f0, g0 = cache[1][b] if reuse else self._sweep(w_global, x, y)
+            if pairs is None:
+                f0, g0 = self._sweep(w_global, x, y)
+            else:
+                (f0, g0), pairs[b] = pairs[b], None
             ds, etas, trajs = self._solve_bucket(
                 [self.participants[p] for p in positions], x, y,
                 w_global, global_grad, target_eta, f0, g0,

@@ -28,7 +28,7 @@ bit-identical to a build without this module (bench-gated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,9 +112,13 @@ class DefenseRoundReport:
 
 @dataclass
 class ScreenedUpdates:
-    """Output of the validation gate for one global iteration."""
+    """Output of the validation gate for one global iteration.
 
-    updates: List[np.ndarray]
+    With no defense ``updates`` is what the gate was given; with one it is
+    the first rows of the ``(n, P)`` block the survivors were moved up into.
+    """
+
+    updates: Union[np.ndarray, Sequence[np.ndarray]]
     client_ids: List[int]
     rejected_ids: List[int] = field(default_factory=list)
     clipped_ids: List[int] = field(default_factory=list)
@@ -132,10 +136,14 @@ def screen_updates(
 
     With ``defense=None`` this is a pure check: the first non-finite
     update raises :class:`CorruptUpdateError` and finite inputs pass
-    through untouched (same list objects, same order — the bit-identity
-    contract of the undefended path).  With a defense, non-finite updates
-    are quarantined and — under ``norm-clip`` — oversized survivors are
-    rescaled onto the bound.
+    through untouched (the same list or block, same order — the
+    bit-identity contract of the undefended path).  With a defense,
+    non-finite updates are quarantined and — under ``norm-clip`` —
+    oversized survivors are rescaled onto the bound.  The updates are read
+    as one ``(n, P)`` block (an upload block as it is, a list stacked into
+    a new one) and screened in place: the surviving rows move up, in
+    order, and are rescaled where they lie, so the survivors are a view of
+    the block.
     """
     if len(updates) != len(client_ids):
         raise ValueError("one client id per update required")
@@ -149,20 +157,18 @@ def screen_updates(
             if not np.isfinite(np.sum(d)) and not np.all(np.isfinite(d)):
                 raise CorruptUpdateError(client_ids[pos], epoch, iteration)
         return ScreenedUpdates(
-            updates=list(updates), client_ids=[int(c) for c in client_ids]
+            updates=updates, client_ids=[int(c) for c in client_ids]
         )
+    updates = np.asarray(updates, dtype=float)
     finite = [bool(np.isfinite(d).all()) for d in updates]
-    kept: List[np.ndarray] = []
-    kept_ids: List[int] = []
-    rejected: List[int] = []
-    for pos, (ok, d) in enumerate(zip(finite, updates)):
-        if not ok:
-            rejected.append(int(client_ids[pos]))
-            continue
-        kept.append(np.asarray(d, dtype=float))
-        kept_ids.append(int(client_ids[pos]))
+    kept_ids = [int(c) for c, ok in zip(client_ids, finite) if ok]
+    rejected = [int(c) for c, ok in zip(client_ids, finite) if not ok]
+    for row, pos in enumerate(np.flatnonzero(finite)):
+        if row != pos:
+            updates[row] = updates[pos]
+    kept = updates[: len(kept_ids)]
     clipped: List[int] = []
-    if defense.aggregator == "norm-clip" and kept:
+    if defense.aggregator == "norm-clip" and len(kept):
         norms = np.asarray([float(np.linalg.norm(d)) for d in kept])
         bound = float(np.median(norms))
         if bound > 0.0:
@@ -182,14 +188,18 @@ def screen_updates(
 
 
 def _stacked(updates: Sequence[np.ndarray]) -> np.ndarray:
-    if not updates:
+    """The updates as one ``(n, P)`` array: an upload block is read as it
+    is, not copied (so the combiners sort or partition it in place); a list
+    is stacked into a new one."""
+    if len(updates) == 0:
         raise ValueError("no updates to aggregate")
-    return np.stack([np.asarray(d, dtype=float) for d in updates])
+    return np.asarray(updates, dtype=float)
 
 
 def coordinate_median(updates: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise median of the updates (unweighted)."""
-    return np.median(_stacked(updates), axis=0)
+    """Coordinate-wise median of the updates (unweighted).  An ``(n, P)``
+    block is partitioned in place."""
+    return np.median(_stacked(updates), axis=0, overwrite_input=True)
 
 
 def trimmed_mean(
@@ -198,7 +208,8 @@ def trimmed_mean(
     """Coordinate-wise mean after dropping the ``⌊trim·n⌋`` extremes per side.
 
     Degenerates to the plain (unweighted) mean when ``⌊trim·n⌋ = 0`` and
-    to the coordinate median when trimming would exhaust the sample.
+    to the coordinate median when trimming would exhaust the sample.  An
+    ``(n, P)`` block is sorted in place; a list is left as it was.
     """
     if not (0.0 <= trim_fraction < 0.5):
         raise ValueError("trim_fraction must be in [0, 0.5)")
@@ -206,10 +217,10 @@ def trimmed_mean(
     n = stacked.shape[0]
     k = int(np.floor(trim_fraction * n))
     if 2 * k >= n:
-        return np.median(stacked, axis=0)
+        return np.median(stacked, axis=0, overwrite_input=True)
     if k == 0:
         return stacked.mean(axis=0)
-    stacked.sort(axis=0)  # np.stack made it: sorting in place copies nothing
+    stacked.sort(axis=0)  # the round's block or a fresh stack: no copy
     return stacked[k : n - k].mean(axis=0)
 
 
@@ -254,7 +265,7 @@ def krum(updates: Sequence[np.ndarray], f: Optional[int] = None) -> np.ndarray:
     n = stacked.shape[0]
     f_eff = int(np.ceil(n / 5)) if f is None else int(f)
     if n - f_eff - 2 < 1:
-        return np.median(stacked, axis=0)
+        return np.median(stacked, axis=0, overwrite_input=True)
     sq = _pairwise_sq_dists(stacked)
     np.fill_diagonal(sq, np.inf)
     neighbor_d = np.sort(sq, axis=1)[:, : n - f_eff - 2]

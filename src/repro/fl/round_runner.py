@@ -47,6 +47,12 @@ once against this protocol:
     The round's network timeline (``completion_time``, ``dropped``,
     per-iteration ``contributors``, ...) when the source has one.
 
+An iteration's uploads land as the rows of one ``(m, P)`` block that the
+gate screens and the robust combiners read in place.  The block is local
+to the iteration's collect → screen → combine → apply helper, so it is
+freed before the next sweep computes its pairs: at its peak a round holds
+its data, one set of sweep pairs and one upload block.
+
 The four sources: ``"loop"`` solves every participant sequentially in this
 process (the reference); ``"batched"`` drives the same solves through
 :class:`repro.fl.batched.BatchedClientEngine` in stacked numpy ops,
@@ -434,8 +440,6 @@ def run_federated_round(
         else None
     )
 
-    # Initial aggregated gradient at the incoming model.
-    global_grad = FLServer.aggregate_gradients(source.sweep(participants))
     # Flat per-client accumulators (no dicts on the hot path): zeros +
     # greater-than update is exactly the old ``max(prev, eta_hat)`` with a
     # 0.0 prior, masked to NaN below for clients that never contributed.
@@ -444,16 +448,19 @@ def run_federated_round(
     contrib_counts = np.zeros(len(clients), dtype=int)
     compressed_bits = 0.0
     full_bits = 0.0
-    prev_global_delta: np.ndarray | None = None
-    for it in range(iterations):
-        w_broadcast = server.w.copy()
-        updates: List[np.ndarray] = []
-        update_ids: List[int] = []
+
+    def global_iteration(it, w_broadcast, global_grad, prev_global_delta):
+        """Collect → screen → combine → apply for iteration ``it``; returns
+        its contributors.  The uploads are the rows of one ``(m, P)`` block
+        local to this call, so the block and every view of it die on
+        return, before the next sweep."""
+        nonlocal compressed_bits, full_bits
         with tel.timer("round.local_solve"):
             iter_parts, solves = source.solve(
                 it, w_broadcast, global_grad, target_eta
             )
-            for client, (d, eta_hat) in zip(iter_parts, solves):
+            uploads = np.empty((len(iter_parts), server.w.size))
+            for row, (client, (d, eta_hat)) in enumerate(zip(iter_parts, solves)):
                 if compression is not None and compression.scheme != "none":
                     comp = compress_update(
                         d,
@@ -474,57 +481,71 @@ def run_federated_round(
                     # The attacker controls its final payload: corruption
                     # applies after compression, just before upload.
                     d = adversary.corrupt_update(client.client_id, d)
-                updates.append(d)
-                update_ids.append(client.client_id)
+                if np.shape(d) != uploads.shape[1:]:
+                    raise ValueError("update shape mismatch")
+                uploads[row] = d
                 contrib_counts[client.client_id] += 1
                 if eta_hat > eta_acc[client.client_id]:
                     eta_acc[client.client_id] = eta_hat
         with tel.timer("round.aggregate"):
             # Validation gate: with no defense this only *checks* (raising
-            # a typed error on non-finite uploads) and passes the original
-            # updates through untouched; with a defense it quarantines and
-            # (under norm-clip) rescales.  Either way a NaN/Inf payload
-            # can never reach the average below.
+            # a typed error on non-finite uploads) and passes the block
+            # through untouched; with a defense it quarantines and (under
+            # norm-clip) rescales, in the block.  Either way a NaN/Inf
+            # payload can never reach the average below.
             screened = screen_updates(
-                updates, update_ids, defense=defense, epoch=epoch, iteration=it
+                uploads,
+                [c.client_id for c in iter_parts],
+                defense=defense,
+                epoch=epoch,
+                iteration=it,
             )
+            survivors = screened.updates
             if defense_report is not None:
                 for cid in screened.rejected_ids:
                     defense_report.rejected[cid] += 1
                 for cid in screened.clipped_ids:
                     defense_report.clipped[cid] += 1
-                if not screened.updates:
+                if len(survivors) == 0:
                     defense_report.empty_iterations += 1
             if defense is None or defense.aggregator in ("mean", "norm-clip"):
-                if shard_of is not None and screened.updates:
+                if shard_of is not None and len(survivors):
                     # Sharded runs combine hierarchically: per-shard
                     # partial sums, then a global merge of the mean.
                     labels = shard_of[np.asarray(screened.client_ids)]
                     server.apply_delta(
-                        shard_combine(
-                            screened.updates, labels, int(shard_of.max()) + 1
-                        )
+                        shard_combine(survivors, labels, int(shard_of.max()) + 1)
                     )
                 else:
                     # The server's own average — bit-identical to the
                     # undefended path when nothing was quarantined.
-                    server.aggregate_updates(screened.updates)
-            elif screened.updates:
-                server.apply_delta(robust_aggregate(screened.updates, defense))
+                    server.aggregate_updates(survivors)
+            elif len(survivors):
+                server.apply_delta(robust_aggregate(survivors, defense))
             if not np.isfinite(server.w).all():
                 # Honest-run fast fail: finite updates can still overflow
                 # the sum (LR blow-up) — stop with a typed error instead
                 # of silently training on a non-finite model.
                 raise TrainingDivergedError(epoch, it)
-            prev_global_delta = server.w - w_broadcast
-            if it + 1 < iterations:
+        return iter_parts
+
+    # Initial aggregated gradient at the incoming model.
+    with tel.timer("round.sweep"):
+        global_grad = FLServer.aggregate_gradients(source.sweep(participants))
+    prev_global_delta: np.ndarray | None = None
+    for it in range(iterations):
+        w_broadcast = server.w.copy()
+        iter_parts = global_iteration(it, w_broadcast, global_grad, prev_global_delta)
+        prev_global_delta = server.w - w_broadcast
+        if it + 1 < iterations:
+            with tel.timer("round.sweep"):
                 global_grad = FLServer.aggregate_gradients(
                     source.sweep(iter_parts)
                 )
-            elif not iter_parts:
-                # ḡ is aggregated only when a next iteration will read it;
-                # an empty final contributor set fails as that sweep would.
-                raise ValueError("no gradients to aggregate")
+        elif not iter_parts:
+            # ḡ is aggregated only when a next iteration will read it;
+            # an empty final contributor set fails as that sweep would.
+            raise ValueError("no gradients to aggregate")
 
     timeline = source.finish()
 

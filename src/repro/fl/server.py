@@ -39,18 +39,12 @@ class FLServer:
         self._test_logits_at: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def aggregate_updates(self, updates: Sequence[np.ndarray]) -> np.ndarray:
-        """Apply the uniform average of the model differences; returns the
-        new ``w``."""
-        if not updates:
+        """Apply the uniform average of the model differences (a list or
+        the rows of an upload block, averaged as :meth:`aggregate_gradients`
+        averages); returns the new ``w``."""
+        if len(updates) == 0:
             return self.w
-        total = np.zeros_like(self.w)
-        for d in updates:
-            d = np.asarray(d, dtype=float)
-            if d.shape != self.w.shape:
-                raise ValueError("update shape mismatch")
-            total += d
-        self.w = self.w + total / len(updates)
-        return self.w
+        return self.apply_delta(self.aggregate_gradients(updates))
 
     def apply_delta(self, delta: np.ndarray) -> np.ndarray:
         """Apply an already-combined model delta (robust aggregators
@@ -63,10 +57,21 @@ class FLServer:
 
     @staticmethod
     def aggregate_gradients(grads: Sequence[np.ndarray]) -> np.ndarray:
-        """Mean of the participants' gradients (the broadcast ``J_t``/ḡ)."""
-        if not grads:
+        """Mean of the participants' gradients (the broadcast ``J_t``/ḡ).
+
+        A running sum from ``+0.0`` in list order and one divide: the
+        floats ``np.mean(np.stack(grads), axis=0)`` gives for vectors of
+        two or more entries (it too adds the rows in order onto a zero),
+        without a copy of every gradient."""
+        if len(grads) == 0:
             raise ValueError("no gradients to aggregate")
-        return np.mean(np.stack([np.asarray(g, dtype=float) for g in grads]), axis=0)
+        total = np.zeros(np.shape(grads[0]))
+        for g in grads:
+            if np.shape(g) != total.shape:
+                raise ValueError("vector shape mismatch")
+            total += g
+        total /= len(grads)
+        return total
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -22,7 +22,7 @@ entry point evaluated a ``(w, batch)`` point never shows in a result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,20 +35,19 @@ __all__ = ["BatchedSequentialKernel"]
 
 _ACTIVATIONS = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid"}
 
-#: Read-only ``np.arange`` tables keyed by length: the label gather in
-#: :meth:`BatchedSequentialKernel._evaluate_exact` rebuilds the same small
-#: index base tens of thousands of times per experiment.
-_ARANGE_CACHE: Dict[int, np.ndarray] = {}
+#: One read-only ``np.arange``, grown to the largest length asked for: the
+#: label gather in :meth:`BatchedSequentialKernel._evaluate_exact` takes the
+#: same small index base tens of thousands of times per experiment.
+_ARANGE = np.arange(0)
 
 
 def _flat_arange(size: int) -> np.ndarray:
-    """Memoized read-only ``np.arange(size)``."""
-    ar = _ARANGE_CACHE.get(size)
-    if ar is None:
-        ar = np.arange(size)
-        ar.setflags(write=False)
-        _ARANGE_CACHE[size] = ar
-    return ar
+    """Read-only ``np.arange(size)``, a view of the shared table."""
+    global _ARANGE
+    if size > _ARANGE.size:
+        _ARANGE = np.arange(size)
+        _ARANGE.setflags(write=False)
+    return _ARANGE[:size]
 
 
 class BatchedSequentialKernel:

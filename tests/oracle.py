@@ -41,6 +41,10 @@ __all__ = [
     "per_row_client_streams",
     "predrawn_rng",
     "sample_from_cdf_signed_zero_pass",
+    "stacked_coordinate_median",
+    "stacked_gradient_mean",
+    "stacked_krum",
+    "stacked_trimmed_mean",
     "stream_state",
 ]
 
@@ -181,6 +185,57 @@ def feasible_set_projection(
         tol=tol,
         max_iters=max_iters,
     )
+
+
+def stacked_gradient_mean(grads):
+    """``FLServer.aggregate_gradients`` as it stacked every gradient before
+    taking the mean, verbatim."""
+    if not grads:
+        raise ValueError("no gradients to aggregate")
+    return np.mean(np.stack([np.asarray(g, dtype=float) for g in grads]), axis=0)
+
+
+def _stacked_copy(updates):
+    """``defense._stacked`` as it copied every upload into a new stack."""
+    if not updates:
+        raise ValueError("no updates to aggregate")
+    return np.stack([np.asarray(d, dtype=float) for d in updates])
+
+
+def stacked_coordinate_median(updates):
+    """``defense.coordinate_median`` over a copied stack, verbatim."""
+    return np.median(_stacked_copy(updates), axis=0)
+
+
+def stacked_trimmed_mean(updates, trim_fraction=0.2):
+    """``defense.trimmed_mean`` over a copied stack, verbatim."""
+    if not (0.0 <= trim_fraction < 0.5):
+        raise ValueError("trim_fraction must be in [0, 0.5)")
+    stacked = _stacked_copy(updates)
+    n = stacked.shape[0]
+    k = int(np.floor(trim_fraction * n))
+    if 2 * k >= n:
+        return np.median(stacked, axis=0)
+    if k == 0:
+        return stacked.mean(axis=0)
+    stacked.sort(axis=0)
+    return stacked[k : n - k].mean(axis=0)
+
+
+def stacked_krum(updates, f=None):
+    """``defense.krum`` over a copied stack, verbatim."""
+    from repro.fl.defense import _pairwise_sq_dists
+
+    stacked = _stacked_copy(updates)
+    n = stacked.shape[0]
+    f_eff = int(np.ceil(n / 5)) if f is None else int(f)
+    if n - f_eff - 2 < 1:
+        return np.median(stacked, axis=0)
+    sq = _pairwise_sq_dists(stacked)
+    np.fill_diagonal(sq, np.inf)
+    neighbor_d = np.sort(sq, axis=1)[:, : n - f_eff - 2]
+    scores = neighbor_d.sum(axis=1)
+    return stacked[int(np.argmin(scores))].copy()
 
 
 def sample_from_cdf_signed_zero_pass(self, n, cdf, gen, flatten=True, out=None):

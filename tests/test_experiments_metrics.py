@@ -67,10 +67,6 @@ class TestTrace:
         assert tr.time_to_accuracy(0.5) == 2.0
         assert tr.time_to_accuracy(0.95) is None
 
-    def test_rounds_to_accuracy(self):
-        tr = make_trace()
-        assert tr.rounds_to_accuracy(0.5) == 2  # 1-based
-
     def test_accuracy_at_time(self):
         tr = make_trace()
         assert tr.accuracy_at_time(0.5) == 0.0      # nothing finished yet

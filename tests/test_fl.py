@@ -269,6 +269,13 @@ class TestFLServer:
         with pytest.raises(ValueError):
             FLServer.aggregate_gradients([])
 
+    def test_a_vector_of_another_shape_is_refused_not_broadcast(self, setup):
+        gen, model, clients, server = setup
+        with pytest.raises(ValueError, match="shape mismatch"):
+            FLServer.aggregate_gradients([np.ones(3), np.ones(1)])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            server.aggregate_updates([np.ones_like(server.w), np.ones(1)])
+
     def test_test_metrics_share_one_forward_per_model(self, setup, monkeypatch):
         """``test_accuracy`` and ``test_loss`` at one ``w`` cost a single
         pass over the test set, return what two separate passes return, and

@@ -30,12 +30,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import CheckpointError
+from repro.checkpoint import CheckpointError, resume_experiment
 from repro.checkpoint.snapshot import load_snapshot
 from repro.config import AttackConfig, CheckpointConfig, DefenseConfig, SimConfig
 from repro.experiments.persistence import (
     RESULT_SCHEMA_VERSION,
     RETIRED_LEAVES,
+    RETIRED_STREAMS,
     SUPPORTED_RESULT_SCHEMAS,
     RetiredConfigError,
     config_from_dict,
@@ -43,11 +44,14 @@ from repro.experiments.persistence import (
     result_from_dict,
     save_results,
 )
+from repro.experiments.runner import run_experiment
+from repro.experiments.scenarios import make_policy
 from repro.experiments.tournament import (
     TOURNAMENT_SCHEMA_VERSION,
     load_report,
     save_report,
 )
+from repro.rng import RngFactory
 
 FIXTURES = Path(__file__).parent / "fixtures"
 OLD_VERSIONS = (1, 2, 3, 4)
@@ -167,6 +171,30 @@ class TestOldResultSchemasLoad:
         inner["schema"] = version
         with pytest.raises(ValueError, match="unsupported result schema"):
             result_from_dict(inner)
+
+
+class TestRetiredStreams:
+    def test_resumed_fedl_snapshot_does_not_carry_the_dp_stream(self, tmp_path):
+        """``snapshot_fedl``'s ``rng.json`` still lists ``fl.dp``, the
+        stream of the retired DP noise.  A resume that snapshots every
+        epoch writes no ``fl.dp`` into any later ``rng.json``, and its
+        trajectory is the fresh run's."""
+        listed = json.loads((FIXTURES / "snapshot_fedl" / "rng.json").read_text())
+        assert set(RETIRED_STREAMS) <= set(listed)
+        snapshot = load_snapshot(FIXTURES / "snapshot_fedl")
+        assert not set(RETIRED_STREAMS) & set(snapshot.rng_states)
+        every = CheckpointConfig(directory=str(tmp_path), interval=1, keep=10)
+        resumed = resume_experiment(snapshot, checkpoint_override=every)
+        written = sorted(tmp_path.glob("epoch_*/rng.json"))
+        assert len(written) == len(resumed.trace.records) - snapshot.resume.next_epoch
+        for path in written:
+            assert not set(RETIRED_STREAMS) & set(json.loads(path.read_text()))
+        cfg = snapshot.config.replace(checkpoint=CheckpointConfig())
+        fresh = run_experiment(
+            make_policy("FedL", cfg, RngFactory(cfg.seed).get("cli.policy")), cfg
+        )
+        assert resumed.final_w.tobytes() == fresh.final_w.tobytes()
+        assert resumed.trace.equals(fresh.trace)
 
 
 class TestTournamentReportPersistence:
