@@ -9,16 +9,113 @@ The regret guarantees assume (Sec. 3.1 & Assumption 1):
 * bounded per-slot gradients G_f, G_h and feasible-set radius R.
 
 This bench reports the measured constants and checks internal consistency.
+
+The constants cannot be proven for an arbitrary NumPy model, but they can
+be *measured*: :func:`estimate_curvature` samples secants around a point
+and :func:`assumption1_constants` samples the epoch problem's box
+(``tests/test_analysis_stats.py`` unit-tests both).
 """
+
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
 
+from repro.core.phi import Phi
 from repro.core.problem import EpochInputs, FedLProblem
 from repro.datasets.fmnist import synthetic_fmnist
-from repro.fl.analysis import assumption1_constants, estimate_curvature
-from repro.nn.models import build_model
+from repro.datasets.synthetic import Dataset
+from repro.nn.models import ClassifierModel, build_model
 from repro.rng import RngFactory
+
+
+@dataclass(frozen=True)
+class CurvatureEstimate:
+    """Sampled curvature bounds of a loss surface.
+
+    ``smoothness`` estimates L = sup ‖∇F(u) − ∇F(v)‖/‖u − v‖ and
+    ``strong_convexity`` estimates γ = inf (∇F(u) − ∇F(v))ᵀ(u − v)/‖u − v‖²
+    over the sampled direction pairs.  For a convex loss 0 <= γ <= L.
+    """
+
+    smoothness: float
+    strong_convexity: float
+
+    @property
+    def condition_number(self) -> float:
+        if self.strong_convexity <= 0:
+            return float("inf")
+        return self.smoothness / self.strong_convexity
+
+
+def estimate_curvature(
+    model: ClassifierModel,
+    data: Dataset,
+    w: np.ndarray,
+    rng: np.random.Generator,
+    num_pairs: int = 24,
+    radius: float = 0.5,
+) -> CurvatureEstimate:
+    """Sample gradient differences around ``w`` to bound L and γ.
+
+    Draws random pairs ``(u, v)`` within ``radius`` of ``w`` and evaluates
+    the secant quantities; the max ratio lower-bounds L and the min
+    curvature lower-bounds... upper-bounds γ.  (Sampling gives one-sided
+    estimates: reported L can only undershoot, reported γ can only
+    overshoot — the conservative directions for *checking* L-smoothness
+    claims and for *falsifying* strong-convexity claims respectively.)
+    """
+    if num_pairs < 1:
+        raise ValueError("num_pairs must be >= 1")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    w = np.asarray(w, dtype=float)
+    l_max = 0.0
+    gamma_min = np.inf
+    for _ in range(num_pairs):
+        du = rng.normal(size=w.size)
+        dv = rng.normal(size=w.size)
+        u = w + radius * du / max(np.linalg.norm(du), 1e-12)
+        v = w + radius * dv / max(np.linalg.norm(dv), 1e-12)
+        _, gu = model.loss_and_grad(u, data.x, data.y)
+        _, gv = model.loss_and_grad(v, data.x, data.y)
+        diff_w = u - v
+        diff_g = gu - gv
+        denom = float(diff_w @ diff_w)
+        if denom < 1e-16:
+            continue
+        l_max = max(l_max, float(np.linalg.norm(diff_g)) / np.sqrt(denom))
+        gamma_min = min(gamma_min, float(diff_g @ diff_w) / denom)
+    return CurvatureEstimate(
+        smoothness=l_max,
+        strong_convexity=float(gamma_min) if np.isfinite(gamma_min) else 0.0,
+    )
+
+
+def assumption1_constants(
+    problem: FedLProblem,
+    rng: np.random.Generator,
+    num_samples: int = 64,
+) -> Tuple[float, float, float]:
+    """Measured ``(G_f, G_h, R)`` for one epoch problem (Assumption 1).
+
+    Samples Φ uniformly from the box and returns the max gradient norm of
+    ``f_t``, the max norm of ``h_t``, and half the box diameter (the R in
+    ``‖m − n‖ <= 2R``).
+    """
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    lo, hi = problem.box_bounds()
+    g_f = 0.0
+    g_h = 0.0
+    for _ in range(num_samples):
+        v = lo + (hi - lo) * rng.random(lo.size)
+        phi = Phi.from_vector(np.maximum(v, np.concatenate([np.zeros(lo.size - 1), [1.0]])))
+        g_f = max(g_f, float(np.linalg.norm(problem.grad_f(phi))))
+        g_h = max(g_h, float(np.linalg.norm(problem.h(phi))))
+    radius = 0.5 * float(np.linalg.norm(hi - lo))
+    return g_f, g_h, radius
 
 
 @pytest.mark.benchmark(group="theory")

@@ -36,8 +36,8 @@ exactly those five payloads and each matches its checksum.
 
 The RNG capture is incremental.  The factory keeps each stream's encoded
 ``rng.json`` entry and re-reads only the streams its long-lived holders
-keep (``RngFactory.get``) and the per-client streams whose deferred source
-was called since the previous snapshot — which is why a holder calls that
+keep (``RngFactory.get``) and the per-client rows whose source was
+called since the previous snapshot — which is why a holder calls that
 source at each use and never stores its generator (the holder rule of
 :mod:`repro.rng`).  Snapshot cost therefore follows the streams drawn since
 the last snapshot, not every stream the run has created; the bytes are
@@ -298,6 +298,7 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     """
     from repro.experiments.metrics import Trace
     from repro.experiments.persistence import (
+        RETIRED_LEAVES,
         RETIRED_STREAMS,
         config_from_dict,
         trace_from_dict,
@@ -347,6 +348,11 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         }
         trace = trace_from_dict(json.loads((snap / "trace.json").read_text()))
         policy = pickle.loads((snap / "policy.pkl").read_bytes())
+        # A policy pickled before a leaf retired still carries it.
+        policy_config = getattr(policy, "config", None)
+        for section, _, leaf in (path.partition(".") for path in RETIRED_LEAVES):
+            if isinstance(policy_config, type(getattr(config, section))):
+                vars(policy_config).pop(leaf, None)
         server_w, _meta = load_checkpoint(snap / "model.npz")
         with np.load(snap / "state.npz") as npz:
             arrays = {name: npz[name].copy() for name in npz.files}

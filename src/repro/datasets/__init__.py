@@ -14,8 +14,8 @@ both of which the generators reproduce.
 * :mod:`repro.datasets.partition` — IID and non-IID (principal-class mix,
   Dirichlet) client partitioners.
 * :mod:`repro.datasets.streams` — per-epoch online data streams (Poisson
-  volumes, per the paper), one per row of the class-distribution matrix,
-  built at first touch.
+  volumes, per the paper) over the rows of the class-distribution matrix,
+  its label-cdf table and the clients' RNG state table.
 """
 
 from repro.datasets.synthetic import ClassConditionalGenerator, Dataset
@@ -26,7 +26,7 @@ from repro.datasets.partition import (
     non_iid_class_distributions,
     dirichlet_class_distributions,
 )
-from repro.datasets.streams import ClientDataStream, LazyRows, build_client_streams
+from repro.datasets.streams import ClientDataStream, ClientStreams, build_client_streams
 
 __all__ = [
     "ClassConditionalGenerator",
@@ -37,6 +37,6 @@ __all__ = [
     "non_iid_class_distributions",
     "dirichlet_class_distributions",
     "ClientDataStream",
-    "LazyRows",
+    "ClientStreams",
     "build_client_streams",
 ]

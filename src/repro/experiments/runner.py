@@ -39,7 +39,6 @@ from repro.strategies.base import Decision, EpochContext, RoundFeedback, Selecti
 from repro.config import ExperimentConfig
 from repro.datasets import (
     Dataset,
-    LazyRows,
     build_client_streams,
     dirichlet_class_distributions,
     iid_class_distributions,
@@ -56,13 +55,14 @@ from repro.env import (
 )
 from repro.experiments.metrics import EpochRecord, Trace
 from repro.fl import FLClient, FLServer, LocalSolveSpec, run_federated_round
+from repro.fl.client import EpochClients
 from repro.fl.adversary import Adversary
 from repro.fl.compression import CompressionSpec
 from repro.live.runtime import LiveRoundSpec, LiveRuntime
 from repro.net import ChannelModel, achievable_rate, compute_latency, transmission_latency
 from repro.nn import build_model
 from repro.obs import get_telemetry
-from repro.rng import RngFactory
+from repro.rng import RngFactory, RowSource
 from repro.sim.entities import SimRoundSpec
 from repro.sim.faults import fault_profile
 
@@ -176,12 +176,12 @@ class Simulation:
             l2_reg=config.training.l2_reg,
             cnn_scale=0.5,
         )
-        # A client is an index: its FLClient is built the first time the
-        # run reads clients[k], like its data stream above.
+        # Between epochs a client is a row: its FLClient lives for the epoch
+        # that reads clients[k], and its stream is a row of a state table.
         spec = LocalSolveSpec.from_config(config.training)
-        model, rng = self.model, self.rng
-        self.clients = LazyRows(
-            m, lambda k: FLClient(k, model, rng.defer(f"fl.client.{k}"), spec)
+        model, rows = self.model, self.rng.rows("fl.client", m)
+        self.clients = EpochClients(
+            m, lambda k: FLClient(k, model, RowSource(rows, k), spec)
         )
         self.server = FLServer(self.model, self.model.get_params(), self.test_set)
         tc = config.training
@@ -305,19 +305,18 @@ def _install_epoch_data(
     (:mod:`repro.fl.batched`) instead of stacking a copy.  Every stream is
     the client's own, so the draw order changes no byte."""
     drawn = set(ids.tolist())
+    dim = sim.streams.generator.num_features
     for k in np.sort(np.concatenate((ids, eval_only))).tolist():
-        stream = sim.streams[k]
-        stream.rng  # creates the stream
+        sim.streams.rows.create(k)
         if k not in drawn:
             n = int(counts[k])
             sim.clients[k].defer_data(
                 n,
-                stream.generator.num_features,
+                dim,
                 functools.partial(_epoch_data, sim, adversary, k, n, num_classes),
             )
     for n in sorted(set(counts[ids].tolist())):
         members = ids[counts[ids] == n].tolist()
-        dim = sim.streams[members[0]].generator.num_features
         x = np.empty((len(members), n, dim))
         y = np.empty((len(members), n), dtype=np.int64)
         for row, k in enumerate(members):
@@ -695,8 +694,7 @@ def _run_experiment_loop(
                 shard_of=shard_of,
                 **source_args,
             )
-        for k in swept:
-            sim.clients[k].release_data()
+        sim.clients.release()
         final_w = result.w
         # Realized latencies: the band was shared by the actual uploaders
         # (crashed clients never finished; quorum stragglers' uploads are

@@ -225,14 +225,15 @@ class BatchedClientEngine:
         self,
         w_global: np.ndarray,
         global_grad: np.ndarray,
+        out: np.ndarray,
         target_eta: Optional[float] = None,
     ) -> List[Tuple[np.ndarray, float, List[float]]]:
         """All participants' DANE solves at the broadcast point, one
-        bucket's to completion before the next.
-
-        Returns ``(d, η̂, trajectory)`` per participant, matching
-        :meth:`repro.fl.client.FLClient.train_iteration` bit-for-bit.
-        """
+        bucket's to completion before the next, each ``d`` written into its
+        participant's row of ``out`` (an ``(m, P)`` block) as its solve
+        ends.  Returns ``(d, η̂, trajectory)`` per participant, ``d`` a view
+        of its row, matching :meth:`repro.fl.client.FLClient.train_iteration`
+        bit-for-bit."""
         w_global = np.asarray(w_global, dtype=float)
         global_grad = np.asarray(global_grad, dtype=float)
         # The sweep's pairs are taken out of the cache, and bucket b's is
@@ -241,19 +242,20 @@ class BatchedClientEngine:
         cache, self._eval_cache = self._eval_cache, None
         reuse = cache is not None and np.array_equal(cache[0], w_global)
         pairs = cache[1] if reuse else None
-        out: List[Optional[Tuple]] = [None] * len(self.participants)
+        solved: List[Optional[Tuple]] = [None] * len(self.participants)
         for b, (positions, x, y) in enumerate(self.buckets):
             if pairs is None:
                 f0, g0 = self._sweep(w_global, x, y)
             else:
                 (f0, g0), pairs[b] = pairs[b], None
-            ds, etas, trajs = self._solve_bucket(
+            etas, trajs = self._solve_bucket(
                 [self.participants[p] for p in positions], x, y,
                 w_global, global_grad, target_eta, f0, g0,
+                out, np.asarray(positions),
             )
             for j, pos in enumerate(positions):
-                out[pos] = (ds[j], etas[j], trajs[j])
-        return out  # type: ignore[return-value]
+                solved[pos] = (out[pos], etas[j], trajs[j])
+        return solved  # type: ignore[return-value]
 
     def _solve_bucket(
         self,
@@ -265,10 +267,13 @@ class BatchedClientEngine:
         target_eta: Optional[float],
         f0: np.ndarray,
         g0: np.ndarray,
-    ) -> Tuple[np.ndarray, List[float], List[List[float]]]:
+        out: np.ndarray,
+        positions: np.ndarray,
+    ) -> Tuple[List[float], List[List[float]]]:
         """:func:`repro.fl.dane.dane_local_step` for every client of one
         bucket (one spec, one sample count, data ``x`` / ``y``) at once,
-        from the sweep's ``(f0, g0) = (F_k(w), ∇F_k(w))``.
+        from the sweep's ``(f0, g0) = (F_k(w), ∇F_k(w))``, into rows
+        ``positions`` of ``out``.
 
         The bucket is all full-batch or all subsampling.  The per-step
         state — ``d``, the linear term ``lt``, the gradient ``g`` in use,
@@ -304,7 +309,6 @@ class BatchedClientEngine:
         trajs: List[List[float]] = [[float(f)] for f in f0]  # G(0) = F_k(w)
         rows = np.arange(m)             # bucket row of each active state row
         xs, ys = x, y                   # the active rows' data
-        out = None                      # (m, P) result once a row has left
         for step in range(spec.sgd_steps):
             if not full:
                 np.add(w_global, d, out=t)
@@ -341,9 +345,7 @@ class BatchedClientEngine:
                 )
                 stop[j] = check and estimate_local_accuracy(traj) <= target_eta
             if stop.any():
-                if out is None:
-                    out = np.empty((m, p))
-                out[rows[stop]] = d[stop]
+                out[positions[rows[stop]]] = d[stop]
                 keep = ~stop
                 rows = rows[keep]
                 d, lt, g = d[keep], lt[keep], g[keep]
@@ -353,8 +355,5 @@ class BatchedClientEngine:
                 if rows.size == 0:
                     break
                 xs, ys = x[rows], y[rows]
-        if out is None:
-            out = d
-        else:
-            out[rows] = d
-        return out, [estimate_local_accuracy(traj) for traj in trajs], trajs
+        out[positions[rows]] = d
+        return [estimate_local_accuracy(traj) for traj in trajs], trajs

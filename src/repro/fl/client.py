@@ -1,10 +1,11 @@
 """An FL client: holds this epoch's local data and runs the DANE solve.
 
-A client is a row plus objects built at first touch.  What every client
-shares — the solver hyper-parameters — is one :class:`LocalSolveSpec`,
-built and validated once per run; the population is an index range over
-it (:class:`repro.datasets.streams.LazyRows`), and client ``k``'s
-:class:`FLClient` exists only once the run has read ``clients[k]``.
+Between epochs a client is a row.  What every client shares — the solver
+hyper-parameters — is one :class:`LocalSolveSpec`, built and validated once
+per run; what differs lives in tables indexed by client id (its class
+distribution, label cdf and two RNG streams).  Client ``k``'s
+:class:`FLClient` is built the first time an epoch reads ``clients[k]``
+(:class:`EpochClients`) and goes when the epoch releases its clients.
 
 A client holds data only from its install to the end of its round: the
 experiment loop draws D_{t,k} after selection on the round's contributors
@@ -28,8 +29,10 @@ its parameter vector.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from repro.fl.convergence import estimate_local_accuracy
 from repro.fl.dane import DaneWorkspace, dane_local_step
 from repro.nn.models import ClassifierModel
 
-__all__ = ["FLClient", "LocalSolveSpec"]
+__all__ = ["EpochClients", "FLClient", "LocalSolveSpec"]
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class FLClient:
     ) -> None:
         self.client_id = client_id
         self.model = model
-        self._rng = rng  # a Generator, or an RngFactory.defer(key) source
+        self._rng = rng  # a Generator, or a repro.rng.RowSource
         self.spec = spec
         self._data: Optional[Dataset] = None
         # This epoch's sample count and feature width, and an
@@ -99,15 +102,14 @@ class FLClient:
 
     @property
     def rng(self) -> np.random.Generator:
-        """This client's stream.  A deferred source is called at every read
-        and its generator never kept (the holder rule of :mod:`repro.rng`):
-        the call marks the stream for the next snapshot."""
+        """This client's stream.  A row source is called at every read
+        and its generator never kept (the holder rule of :mod:`repro.rng`)."""
         rng = self._rng
         return rng if isinstance(rng, np.random.Generator) else rng()
 
     @property
     def rng_created(self) -> bool:
-        """False while the stream is still pristine (deferred, never read)."""
+        """False while the stream is still pristine (a row never read)."""
         rng = self._rng
         return isinstance(rng, np.random.Generator) or rng.created
 
@@ -252,8 +254,8 @@ class FLClient:
             max_steps=spec.sgd_steps,
             lr=spec.sgd_lr,
             batch_size=spec.batch_size,
-            # Only a subsampling solve draws: a full-batch client's deferred
-            # stream is never created.
+            # Only a subsampling solve draws: a full-batch client's row
+            # is never created.
             rng=self.rng if spec.batch_size < self.num_samples else None,
             target_eta=target_eta,
             momentum=spec.momentum,
@@ -261,3 +263,28 @@ class FLClient:
         )
         eta_hat = estimate_local_accuracy(trajectory)
         return d, eta_hat, trajectory
+
+
+class EpochClients(Sequence):
+    """``clients[k]``: client ``k``'s :class:`FLClient` for this epoch,
+    built by ``make(k)`` at the first read; :meth:`release` ends the epoch,
+    dropping every client built since the last release with its data."""
+
+    def __init__(self, n: int, make: Callable[[int], FLClient]) -> None:
+        self._n = n
+        self._make = make
+        self._live: Dict[int, FLClient] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k) -> FLClient:
+        k = range(self._n)[operator.index(k)]
+        if k not in self._live:
+            self._live[k] = self._make(k)
+        return self._live[k]
+
+    def release(self) -> None:
+        for client in self._live.values():
+            client.release_data()
+        self._live.clear()

@@ -34,10 +34,11 @@ once against this protocol:
 ``sweep(parts) -> grads``
     ``[∇F_k(w)]`` of ``parts`` at the server's current model.  The source
     owns the hand-off of the ``(F_k(w), ∇F_k(w))`` pairs to the next solve.
-``solve(it, w, ḡ, η) -> (parts, [(d, η̂)])``
-    Iteration ``it``'s contributors, in ascending client id, and their
+``solve(it, w, ḡ, η) -> (parts, [(d, η̂)], block)``
+    Iteration ``it``'s contributors, in ascending client id, their
     local-solve outputs at the broadcast point (an iterable the round
-    consumes once, in order).
+    consumes once, in order) and the ``(m, P)`` block their uploads land
+    in (the batched solves have already written each ``d`` into its row).
 ``losses(clients, w) -> [F_k(w)]``
     The end-of-round loss sweep.  A swept client that did not contribute
     holds no data; it draws its dataset inside the sweep
@@ -47,11 +48,11 @@ once against this protocol:
     The round's network timeline (``completion_time``, ``dropped``,
     per-iteration ``contributors``, ...) when the source has one.
 
-An iteration's uploads land as the rows of one ``(m, P)`` block that the
-gate screens and the robust combiners read in place.  The block is local
-to the iteration's collect → screen → combine → apply helper, so it is
-freed before the next sweep computes its pairs: at its peak a round holds
-its data, one set of sweep pairs and one upload block.
+An iteration's uploads land as the rows of that block, which the gate
+screens and the robust combiners read in place.  The block is local to
+the iteration's collect → screen → combine → apply helper, so it is freed
+before the next sweep computes its pairs: at its peak a round holds its
+data, one set of sweep pairs and one upload block.
 
 The four sources: ``"loop"`` solves every participant sequentially in this
 process (the reference); ``"batched"`` drives the same solves through
@@ -182,6 +183,7 @@ class _LoopSource:
         parts = self.arrivals(it)
         # Lazy: each solve runs when the round consumes it, so only one
         # raw update is alive at a time next to the processed ones.
+        block = np.empty((len(parts), w.size))
         return parts, (
             c.train_iteration(
                 w,
@@ -192,7 +194,7 @@ class _LoopSource:
                 start=self.starts.pop(c.client_id, None),
             )[:2]
             for c in parts
-        )
+        ), block
 
     def losses(self, clients: Sequence[FLClient], w: np.ndarray):
         # Per client: an evaluation-only client's draw lives for its call.
@@ -218,10 +220,12 @@ class _BatchedSource(_LoopSource):
         return self.engine.local_grads(self.server.w)
 
     def solve(self, it, w, global_grad, target_eta):
+        # Solves write d into their rows of the iteration's upload block.
+        block = np.empty((len(self.participants), w.size))
         solves = self.engine.train_iteration_all(
-            w, global_grad, target_eta=target_eta
+            w, global_grad, block, target_eta=target_eta
         )
-        return self.participants, [(d, eta_hat) for d, eta_hat, _ in solves]
+        return self.participants, [(d, eta_hat) for d, eta_hat, _ in solves], block
 
     def losses(self, clients, w):
         if BatchedClientEngine.supported(self.server.model, clients):
@@ -303,6 +307,7 @@ class _LiveSource(_LoopSource):
         return (
             [self.by_id[cid] for cid, _, _ in arrivals],
             [(d, eta_hat) for _, d, eta_hat in arrivals],
+            np.empty((len(arrivals), w.size)),
         )
 
     def finish(self) -> LiveRoundOutcome:
@@ -456,10 +461,9 @@ def run_federated_round(
         return, before the next sweep."""
         nonlocal compressed_bits, full_bits
         with tel.timer("round.local_solve"):
-            iter_parts, solves = source.solve(
+            iter_parts, solves, uploads = source.solve(
                 it, w_broadcast, global_grad, target_eta
             )
-            uploads = np.empty((len(iter_parts), server.w.size))
             for row, (client, (d, eta_hat)) in enumerate(zip(iter_parts, solves)):
                 if compression is not None and compression.scheme != "none":
                     comp = compress_update(

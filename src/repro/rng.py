@@ -20,19 +20,26 @@ Usage::
 ``get`` is memoized: asking twice for the same key returns the same
 generator object (so a component can keep drawing from where it left off).
 Streams are created on first use and creation order never matters — a
-stream's state is a function of ``(seed, key)`` alone.  The per-client
-families (``data.client.<k>``, ``fl.client.<k>``) are handed out through
-:meth:`RngFactory.defer` and created at their owner's first draw, so set-up
-and snapshots pay for the clients that have drawn, not for the population.
+stream's state is a function of ``(seed, key)`` alone.
 
-**The holder rule.**  A holder of a deferred source calls it at each use
-and never stores the generator it returns: each call tells the factory that
-the stream may have moved.  A snapshot's capture (:meth:`RngFactory.capture`)
-re-reads only the streams handed out by :meth:`~RngFactory.get` (long-lived
-holders: env, net, the eval panel, policies, faults) and the deferred
-streams called since the previous capture; every other stream reuses the
-``rng.json`` entry encoded when it last moved.  So capture cost follows the
-streams drawn since the last snapshot, not every stream the run has made.
+**Between epochs a client is a row.**  A per-client family
+(``data.client.<k>``, ``fl.client.<k>``) registered with
+:meth:`RngFactory.rows` is one PCG64 state table (:class:`StreamRows`)
+drawn through one shared generator.  A row's source (:class:`RowSource`)
+writes the previous holder's row back, loads its own (created at the first
+call) and returns the shared generator.  Naming a row creates nothing:
+a client that never draws never has a stream.
+
+**The holder rule.**  A holder of a row source calls it at each use and
+never stores the generator it returns.  The rule is load-bearing: a kept
+generator would, after another client's call, draw that client's stream
+(``tests/test_rng_rows.py`` pins this).  A call also marks the row for the
+next snapshot: a capture (:meth:`RngFactory.capture`) re-reads only the
+streams handed out by :meth:`~RngFactory.get` (long-lived holders: env,
+net, the eval panel, policies, faults) and the rows called since the
+previous capture; every other stream reuses the ``rng.json`` entry encoded
+when it last moved.  So capture cost follows the streams drawn since the last
+snapshot, not every stream the run has made.
 
 Every stream is PCG64 (``default_rng``'s bit generator); the factory's
 restore rule and :class:`PCG64Stream` both refuse any other.
@@ -43,16 +50,18 @@ numpy's C code does, for loops whose per-draw numpy call overhead dominates.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from operator import length_hint
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 __all__ = [
-    "DeferredStream",
     "PCG64Stream",
     "RngFactory",
+    "RowSource",
+    "StreamRows",
     "UnsupportedBitGenerator",
     "derive_seed",
 ]
@@ -76,45 +85,57 @@ class RngFactory:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        # Each stream's ``"key": {...}`` rng.json entry as of the last
-        # capture, in creation order (None until its first capture).
+        # Per stream outside the row tables: its ``"key": {...}`` rng.json
+        # entry as of the last capture, and its creation index (rng.json
+        # lists streams in creation order; rows keep theirs in the table).
         self._entries: Dict[str, Optional[str]] = {}
-        # Re-read at every capture: streams handed to long-lived holders.
+        self._index: Dict[str, int] = {}
+        self._count = itertools.count()
+        # Re-read at every capture: streams handed to long-lived holders;
+        # at the next one: streams created since the last.
         self._held: Set[str] = set()
-        # Re-read at the next capture: created or called through a deferred
-        # source since the last one.
         self._touched: Set[str] = set()
+        self._rows: Dict[str, StreamRows] = {}
 
     def _stream(self, key: str) -> np.random.Generator:
         gen = self._streams.get(key)
         if gen is None:
+            if self._row_of(key)[0] is not None:
+                raise ValueError(f"stream {key!r} is a table row: draw it through a RowSource")
             gen = self._streams[key] = np.random.default_rng(
                 derive_seed(self.seed, key)
             )
             self._entries[key] = None
+            self._index[key] = next(self._count)
             self._touched.add(key)
         return gen
 
+    def _row_of(self, key: str) -> Tuple[Optional["StreamRows"], int]:
+        """``(table, k)`` when ``key`` is row ``k`` of a registered family."""
+        family, _, index = key.rpartition(".")
+        rows = self._rows.get(family)
+        k = int(index) if index.isdecimal() and str(int(index)) == index else -1
+        return (rows, k) if rows is not None and 0 <= k < len(rows.index) else (None, -1)
+
+    def rows(self, family: str, n: int) -> "StreamRows":
+        """Register ``<family>.<k>``, ``k < n``, as one table's rows."""
+        rows = self._rows.setdefault(family, StreamRows(self, family, n))
+        if len(rows.index) != n:
+            raise ValueError(f"{family!r} has {len(rows.index)} rows, not {n}")
+        return rows
+
     def get(self, key: str) -> np.random.Generator:
         """Return the memoized generator for ``key`` (create on first use).
-
-        The caller may keep the generator: every capture re-reads it.
-        """
+        The caller may keep it: every capture re-reads it (so not a row)."""
+        gen = self._stream(key)
         self._held.add(key)
-        return self._stream(key)
-
-    def defer(self, key: str) -> "DeferredStream":
-        """A source for ``key``'s stream that creates it only when called:
-        naming a stream this way does not create it.  Holders call the
-        source at each use and never keep what it returns."""
-        return DeferredStream(self, key)
+        return gen
 
     def fresh(self, key: str) -> np.random.Generator:
         """Return a *new* generator for ``key``, resetting its stream (kept
         by the caller, so re-read at every capture, like :meth:`get`)."""
-        gen = np.random.default_rng(derive_seed(self.seed, key))
-        self._streams[key] = gen
-        self._entries.setdefault(key, None)
+        self._stream(key)
+        gen = self._streams[key] = np.random.default_rng(derive_seed(self.seed, key))
         self._held.add(key)
         return gen
 
@@ -125,27 +146,29 @@ class RngFactory:
     # -- checkpointing -----------------------------------------------------------
 
     def capture(self, overlay: Optional[Dict[str, dict]] = None) -> str:
-        """``rng.json``: the JSON object of every created stream's
-        bit-generator state, in creation order.
-
-        Exactly ``json.dumps(states, default=int)`` of a full read of every
-        stream with ``overlay`` applied by ``dict.update`` (states owned
-        outside this process), but only held streams and streams touched
-        since the last capture are read and encoded again.  Streams not yet
-        created are absent — they are deterministic functions of ``seed``
-        and their key, so a resumed factory recreates them identically on
-        first use.
-        """
+        """``rng.json``: every created stream's bit-generator state, in
+        creation order — exactly ``json.dumps(states, default=int)`` of a
+        full read with ``overlay`` (states owned outside this process)
+        applied by ``dict.update``, but only held streams and streams
+        touched since the last capture are read and encoded again.  A stream
+        not yet created is absent: a resumed factory recreates it from
+        ``seed`` and its key on first use."""
         entries, streams = self._entries, self._streams
         for key in self._held | self._touched:
             entries[key] = _entry(key, _read_state(streams[key]))
         self._touched.clear()
+        keys, texts = list(entries), list(entries.values())
+        index = [np.fromiter(map(self._index.__getitem__, keys), np.int64, len(keys))]
+        for rows in self._rows.values():
+            created, row_texts = rows.capture()
+            index.append(rows.index[created])
+            texts += row_texts
+            keys += [f"{rows.family}.{k}" for k in created.tolist()] if overlay else []
+        ordered = {i: texts[i] for i in np.argsort(np.concatenate(index)).tolist()}
         if overlay:
-            entries = {
-                **entries,
-                **{key: _entry(key, state) for key, state in overlay.items()},
-            }
-        return "{" + ", ".join(entries.values()) + "}"
+            ordered = {keys[i]: text for i, text in ordered.items()}
+            ordered.update({key: _entry(key, state) for key, state in overlay.items()})
+        return "{" + ", ".join(ordered.values()) + "}"
 
     def state_dict(self) -> Dict[str, dict]:
         """:meth:`capture` as a dict: the nested plain-python state dicts
@@ -154,66 +177,127 @@ class RngFactory:
         return json.loads(self.capture())
 
     def load_state(self, states: Dict[str, dict]) -> None:
-        """Restore streams captured by :meth:`capture`.
-
-        Each named stream is (re)created and its bit generator
-        fast-forwarded to the saved state, so subsequent draws continue
-        bit-identically from the capture point.  Streams already handed
-        out keep their object identity (holders see the restored stream);
-        cached streams absent from ``states`` are left alone.  A state the
-        stream's bit generator rejects raises :class:`ValueError` naming
-        the stream.  The restored states seed the entry cache, so the next
-        capture re-reads only what moves after the restore.
-        """
+        """Restore streams captured by :meth:`capture`: each named stream
+        (or row) is created if new and set to the saved state, so draws
+        continue bit-identically; generators already handed out keep their
+        identity, and streams absent from ``states`` are left alone.  A
+        rejected state raises :class:`ValueError` naming the stream.  The
+        restored states seed the entry cache."""
         for key, state in states.items():
-            gen = self._stream(key)
-            name = type(gen.bit_generator).__name__
-            try:
-                found = state["bit_generator"]
-                if found != name:
-                    raise ValueError(
-                        f"bit generator {found!r} does not match the "
-                        f"factory's {name!r}"
-                    )
-                # The setter copies the values into the bit generator and
-                # keeps no reference to the caller's dict.
-                gen.bit_generator.state = state
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(
-                    f"stream {key!r}: {name} rejects the saved state "
-                    f"({type(exc).__name__}: {exc})"
-                ) from None
-            self._entries[key] = _entry(key, _read_state(gen))
-            self._touched.discard(key)
+            rows, k = self._row_of(key)
+            gen = rows.load(k) if rows is not None else self._stream(key)
+            _set_state(key, gen, state)
+            entry = _entry(key, _read_state(gen))
+            if rows is not None:
+                rows.touched[k], rows.entries[k] = False, entry
+            else:
+                self._entries[key] = entry
+                self._touched.discard(key)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RngFactory(seed={self.seed}, streams={sorted(self._streams)})"
 
 
-class DeferredStream:
-    """A named stream of an :class:`RngFactory`, created at the first call.
+def _set_state(key: str, gen: np.random.Generator, state: dict) -> None:
+    """Set ``gen``'s bit-generator state, or raise :class:`ValueError`
+    naming stream ``key``."""
+    name = type(gen.bit_generator).__name__
+    try:
+        found = state["bit_generator"]
+        if found != name:
+            raise ValueError(
+                f"bit generator {found!r} does not match the factory's {name!r}"
+            )
+        gen.bit_generator.state = state  # copies; keeps no reference
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"stream {key!r}: {name} rejects the saved state "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
 
-    Calling it returns the stream's generator and marks the stream for the
-    next capture (one dict lookup plus one set add), which is why holders
-    call it at every use instead of keeping the generator.
-    """
 
-    __slots__ = ("_factory", "key")
+_U64 = (1 << 64) - 1
 
-    def __init__(self, factory: RngFactory, key: str) -> None:
+
+class StreamRows:
+    """One family's PCG64 streams, ``<family>.<k>`` for ``k < n``: per row
+    the 128-bit state and increment as uint64 pairs and the buffered uint32
+    pair (``has_uint32 << 32 | uinteger``), the creation index (−1 until
+    created) and whether it was called since the last capture.  The
+    holder's row is stale until written back, at the next swap or capture."""
+
+    def __init__(self, factory: RngFactory, family: str, n: int) -> None:
         self._factory = factory
-        self.key = key
+        self.family = family
+        self.words = np.zeros((n, 5), dtype=np.uint64)
+        self.index = np.full(n, -1, dtype=np.int32)
+        self.touched = np.zeros(n, dtype=bool)
+        self.entries: Dict[int, str] = {}  # as of the last capture
+        self.gen = np.random.default_rng(0)
+        self.holder = -1
+
+    def _state(self, k: int) -> dict:
+        """Row ``k`` as the dict ``PCG64.state`` reads and writes."""
+        sh, sl, ih, il, buf = self.words[k].tolist()
+        pcg = {"state": sh << 64 | sl, "inc": ih << 64 | il}
+        has, half = buf >> 32, buf & _U32
+        return {"bit_generator": "PCG64", "state": pcg, "has_uint32": has, "uinteger": half}
+
+    def _put(self, k: int, state: dict) -> None:
+        s, i = state["state"]["state"], state["state"]["inc"]
+        buf = state["has_uint32"] << 32 | state["uinteger"]
+        self.words[k] = (s >> 64, s & _U64, i >> 64, i & _U64, buf)
+
+    def _write_back(self) -> None:
+        if self.holder >= 0:
+            self._put(self.holder, _read_state(self.gen))
+
+    def create(self, k: int) -> None:
+        """Seed row ``k`` from ``(seed, key)`` unless it exists."""
+        if self.index[k] < 0:
+            seed = derive_seed(self._factory.seed, f"{self.family}.{k}")
+            self._put(k, np.random.PCG64(seed).state)
+            self.index[k] = next(self._factory._count)
+            self.touched[k] = True
+
+    def load(self, k: int) -> np.random.Generator:
+        """Make row ``k`` (created if new) the shared generator's holder."""
+        self._write_back()
+        self.create(k)
+        self.gen.bit_generator.state = self._state(k)
+        self.holder = k
+        return self.gen
+
+    def capture(self) -> Tuple[np.ndarray, List[str]]:
+        """The created rows and their entries (re-encoding touched rows)."""
+        self._write_back()
+        touched = np.flatnonzero(self.touched)
+        self.touched[touched] = False
+        for k in touched.tolist():
+            self.entries[k] = _entry(f"{self.family}.{k}", self._state(k))
+        created = np.flatnonzero(self.index >= 0)
+        return created, [self.entries[k] for k in created.tolist()]
+
+
+class RowSource:
+    """Row ``row``'s source: a call creates the row if new, marks it for
+    the next capture and returns the shared generator holding it."""
+
+    __slots__ = ("_rows", "row")
+
+    def __init__(self, rows: StreamRows, row: int) -> None:
+        self._rows = rows
+        self.row = row
 
     def __call__(self) -> np.random.Generator:
-        factory, key = self._factory, self.key
-        factory._touched.add(key)
-        gen = factory._streams.get(key)
-        return gen if gen is not None else factory._stream(key)
+        rows, k = self._rows, self.row
+        rows.touched[k] = True
+        return rows.gen if rows.holder == k else rows.load(k)
 
     @property
     def created(self) -> bool:
         """Whether the stream exists (has been called, or restored)."""
-        return self.key in self._factory._streams
+        return bool(self._rows.index[self.row] >= 0)
 
 
 _encode = json.JSONEncoder(default=int).encode

@@ -37,7 +37,9 @@ __all__ = [
     "assert_matches_oracle",
     "assert_same",
     "feasible_set_projection",
+    "PerGeneratorRngFactory",
     "full_read",
+    "independent_stream",
     "per_row_client_streams",
     "predrawn_rng",
     "sample_from_cdf_signed_zero_pass",
@@ -58,11 +60,121 @@ def full_read(factory, overlay: Optional[Dict[str, dict]] = None) -> str:
     """The ``rng.json`` a full re-read gives: every stream ``factory`` has
     created, read now, in creation order, overlaid as ``dict.update`` does
     and encoded as a snapshot writes it.  The incremental
-    :meth:`repro.rng.RngFactory.capture` must equal it at every moment."""
-    states = {key: stream_state(gen) for key, gen in factory._streams.items()}
+    :meth:`repro.rng.RngFactory.capture` must equal it at every moment.
+
+    A stream outside the row tables is read from its generator; a row from
+    the shared generator when it is the holder, else from its table row."""
+    found = [
+        (factory._index[key], key, stream_state(gen))
+        for key, gen in factory._streams.items()
+    ]
+    for rows in factory._rows.values():
+        for k in np.flatnonzero(rows.index >= 0).tolist():
+            state = stream_state(rows.gen) if k == rows.holder else rows._state(k)
+            found.append((int(rows.index[k]), f"{rows.family}.{k}", state))
+    states = {key: state for _, key, state in sorted(found, key=lambda f: f[0])}
     if overlay:
         states.update(overlay)
     return json.dumps(states, default=int)
+
+
+def independent_stream(seed: int, key: str) -> np.random.Generator:
+    """Stream ``key`` of a factory seeded ``seed``, as its own generator:
+    what every row of a :class:`repro.rng.StreamRows` table must draw."""
+    from repro.rng import derive_seed
+
+    return np.random.default_rng(derive_seed(seed, key))
+
+
+class PerGeneratorRngFactory:
+    """``RngFactory`` as shipped when every stream, per-client ones
+    included, was its own ``Generator``: the oracle for the row tables'
+    ``capture``/``load_state``.  Verbatim, less the docstrings and ``child``."""
+
+    def __init__(self, seed: int = 0) -> None:
+        self.seed = int(seed)
+        self._streams: Dict[str, np.random.Generator] = {}
+        self._entries: Dict[str, Optional[str]] = {}
+        self._held: set = set()
+        self._touched: set = set()
+
+    def _stream(self, key: str) -> np.random.Generator:
+        from repro.rng import derive_seed
+
+        gen = self._streams.get(key)
+        if gen is None:
+            gen = self._streams[key] = np.random.default_rng(
+                derive_seed(self.seed, key)
+            )
+            self._entries[key] = None
+            self._touched.add(key)
+        return gen
+
+    def get(self, key: str) -> np.random.Generator:
+        self._held.add(key)
+        return self._stream(key)
+
+    def defer(self, key: str) -> "_PerGeneratorDeferredStream":
+        return _PerGeneratorDeferredStream(self, key)
+
+    def fresh(self, key: str) -> np.random.Generator:
+        from repro.rng import derive_seed
+
+        gen = np.random.default_rng(derive_seed(self.seed, key))
+        self._streams[key] = gen
+        self._entries.setdefault(key, None)
+        self._held.add(key)
+        return gen
+
+    def capture(self, overlay: Optional[Dict[str, dict]] = None) -> str:
+        from repro.rng import _entry, _read_state
+
+        entries, streams = self._entries, self._streams
+        for key in self._held | self._touched:
+            entries[key] = _entry(key, _read_state(streams[key]))
+        self._touched.clear()
+        if overlay:
+            entries = {
+                **entries,
+                **{key: _entry(key, state) for key, state in overlay.items()},
+            }
+        return "{" + ", ".join(entries.values()) + "}"
+
+    def load_state(self, states: Dict[str, dict]) -> None:
+        from repro.rng import _entry, _read_state
+
+        for key, state in states.items():
+            gen = self._stream(key)
+            name = type(gen.bit_generator).__name__
+            try:
+                found = state["bit_generator"]
+                if found != name:
+                    raise ValueError(
+                        f"bit generator {found!r} does not match the "
+                        f"factory's {name!r}"
+                    )
+                gen.bit_generator.state = state
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"stream {key!r}: {name} rejects the saved state "
+                    f"({type(exc).__name__}: {exc})"
+                ) from None
+            self._entries[key] = _entry(key, _read_state(gen))
+            self._touched.discard(key)
+
+
+class _PerGeneratorDeferredStream:
+    __slots__ = ("_factory", "key")
+
+    def __init__(self, factory: PerGeneratorRngFactory, key: str) -> None:
+        self._factory = factory
+        self.key = key
+
+    def __call__(self) -> np.random.Generator:
+        factory, key = self._factory, self.key
+        factory._touched.add(key)
+        gen = factory._streams.get(key)
+        return gen if gen is not None else factory._stream(key)
 
 
 def predrawn_rng(seed: int, predraws: int) -> np.random.Generator:

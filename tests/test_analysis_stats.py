@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from benchmarks.test_theory_assumptions import assumption1_constants, estimate_curvature
 from repro.core.problem import EpochInputs, FedLProblem
 from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.experiments.figures import paper_grid, policy_traces
 from repro.experiments.metrics import EpochRecord, Trace
 from repro.experiments.stats import Band, aggregate_on_rounds, aggregate_on_times
 from repro.experiments.sweep import run_grid
-from repro.fl.analysis import assumption1_constants, estimate_curvature
 from repro.nn.models import build_model
 
 

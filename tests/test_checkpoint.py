@@ -45,6 +45,7 @@ from repro.fl.client import FLClient
 from repro.obs import Telemetry, use_telemetry
 from repro.rng import RngFactory
 from tests.crashsmoke import run_crash_resume_smoke
+from tests.oracle import independent_stream, stream_state
 
 SMALL = dict(budget=200.0, seed=0, num_clients=8, min_participants=2, max_epochs=12)
 
@@ -440,7 +441,9 @@ class TestLazyClientStreams:
         w = sim.model.get_params()
         d, eta_hat, _ = client.train_iteration(w, client.local_grad(w))
         assert d.shape == w.shape and np.isfinite(d).all() and 0.0 <= eta_hat <= 1.0
-        assert sim.clients[0].rng is sim.rng.get("fl.client.0")
+        assert stream_state(sim.clients[0].rng) == stream_state(
+            independent_stream(sim.rng.seed, "fl.client.0")
+        )
         assert sim.clients[0].rng_created
 
 

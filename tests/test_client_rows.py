@@ -1,14 +1,16 @@
-"""Clients as rows: the population is a validated ``(K, C)`` matrix plus one
-:class:`~repro.fl.client.LocalSolveSpec`, and a client's objects are built
-the first time the run reads its index.
+"""Clients as rows: the population is a validated ``(K, C)`` matrix, its
+label-cdf table, the RNG factory's per-client state tables and one
+:class:`~repro.fl.client.LocalSolveSpec`; a client's objects are built
+when an epoch reads its index and go when the epoch releases them.
 
 The per-row constructor this replaced is kept in ``tests/oracle.py``; the
 matrix path must give every client the same bytes it gave, raise where it
-raised, and leave no per-client object behind that the run did not touch.
+raised, and leave no per-client object behind its epoch.
 """
 
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from repro.experiments.runner import Simulation, run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
 from repro.fl.client import FLClient, LocalSolveSpec
 from repro.rng import RngFactory
-from tests.oracle import assert_same, per_row_client_streams
+from tests.oracle import PerGeneratorRngFactory, assert_same, per_row_client_streams
 
 GENERATORS = {
     c: ClassConditionalGenerator((3, 4, 1), c, np.random.default_rng(c))
@@ -72,17 +74,17 @@ class TestMatrixPath:
         kind, k, c, seed = case
         gen = GENERATORS[c]
         dists = class_matrix(kind, k, c, seed)
-        old = per_row_client_streams(gen, dists, RngFactory(seed))
+        old = per_row_client_streams(gen, dists, PerGeneratorRngFactory(seed))
         new = build_client_streams(gen, dists, RngFactory(seed))
         assert len(new) == len(old) == k
         for row in range(k):
-            assert_same(old[row].class_probs, new[row].class_probs, f"class_probs[{row}]")
-        # First draw: the label cdf it keeps and the dataset it returns.
+            cdf = gen.label_cdf(old[row].class_probs)
+            assert_same(cdf, new.label_cdf[row], f"label_cdf[{row}]")
+        # First draw: the dataset it returns.
         for row in {0, k // 2, k - 1}:
             cdf = gen.label_cdf(old[row].class_probs)
             expected = gen.sample_from_cdf(n, cdf, old[row]._rng())
             got = new[row].draw(n)
-            assert_same(cdf, new[row]._label_cdf, f"label_cdf[{row}]")
             assert_same(expected.x, got.x, f"x[{row}]")
             assert_same(expected.y, got.y, f"y[{row}]")
 
@@ -90,11 +92,9 @@ class TestMatrixPath:
     def test_ten_thousand_partitioner_rows(self, kind):
         gen = GENERATORS[10]
         dists = class_matrix(kind, 10_000, 10, seed=7)
-        old = per_row_client_streams(gen, dists, RngFactory(0))
+        old = per_row_client_streams(gen, dists, PerGeneratorRngFactory(0))
         new = build_client_streams(gen, dists, RngFactory(0))
-        assert_same(
-            np.stack([s.class_probs for s in old]), np.stack([s.class_probs for s in new])
-        )
+        assert_same(np.stack([gen.label_cdf(s.class_probs) for s in old]), new.label_cdf)
 
     @given(matrices, st.sampled_from(["negative", "zero_row"]), st.data())
     @settings(max_examples=50, deadline=None)
@@ -110,7 +110,7 @@ class TestMatrixPath:
         else:
             dists[row] = 0.0
         with pytest.raises(ValueError) as old:
-            per_row_client_streams(gen, dists, RngFactory(seed))
+            per_row_client_streams(gen, dists, PerGeneratorRngFactory(seed))
         with pytest.raises(ValueError) as new:
             build_client_streams(gen, dists, RngFactory(seed))
         assert str(new.value) == str(old.value)
@@ -190,19 +190,24 @@ def live_instances(model):
 
 
 class TestObjectsAtFirstTouch:
-    def test_rows_are_built_once_and_kept(self):
+    def test_a_client_is_one_object_per_epoch(self):
         sim = Simulation(tiny_config())
         assert len(sim.clients) == len(sim.streams) == 12
         first = sim.clients[3]
         assert sim.clients[np.int64(3)] is first is sim.clients[-9]
         assert first.client_id == 3 and first.spec is sim.clients[4].spec
         assert not first.rng_created
-        assert sim.streams[5] is sim.streams[5]
+        # A stream is built for the draw that reads it, over row k.
+        stream = sim.streams[5]
+        assert stream is not sim.streams[5] and stream._label_cdf is not None
+        assert_same(sim.streams.label_cdf[5], stream._label_cdf)
         with pytest.raises(IndexError):
             sim.clients[12]
         with pytest.raises(TypeError):
             sim.clients[1:3]
         assert [c.client_id for c in sim.clients] == list(range(12))
+        sim.clients.release()
+        assert sim.clients[3] is not first
 
     def test_set_up_builds_no_client_at_k_1e5(self):
         _, streams_before = live_instances(None)
@@ -216,28 +221,52 @@ class TestObjectsAtFirstTouch:
         assert clients == set() and streams == streams_before
         assert len(sim.clients) == len(sim.streams) == 100_000
 
-    def test_a_run_builds_only_the_clients_it_installs(self, monkeypatch):
-        """The contributors (drawn at install) and the evaluation-only
-        clients (installed with the draw the loss sweep makes)."""
-        installed = set()
-        install = runner._install_epoch_data
+    def test_no_client_object_outlives_its_epoch(self, monkeypatch):
+        """K=2000 for 10 epochs with a 400-client panel: most clients are
+        drawn, yet each epoch builds an ``FLClient`` only for the clients it
+        installs, after the run no ``FLClient`` or ``ClientDataStream`` is
+        alive, and the run retains at most 128 B per client beyond set-up.
+        A generator, client, stream, source and label cdf kept per touched
+        client held about 1.7 kB each."""
+        k = 2_000
+        # Preallocated, so nothing traced grows: per client, the epochs
+        # that installed it and the FLClients built for it.
+        installs = np.zeros(k, dtype=np.int64)
+        builds = np.zeros(k, dtype=np.int64)
+        install, init = runner._install_epoch_data, FLClient.__init__
 
         def recording_install(sim, adversary, ids, counts, num_classes, eval_only):
-            installed.update(int(k) for k in ids)
-            installed.update(int(k) for k in eval_only)
+            epoch = np.zeros(k, dtype=bool)
+            epoch[ids] = epoch[eval_only] = True
+            installs[epoch] += 1
             install(sim, adversary, ids, counts, num_classes, eval_only)
 
+        def recording_init(self, client_id, *args, **kwargs):
+            builds[client_id] += 1
+            init(self, client_id, *args, **kwargs)
+
         monkeypatch.setattr(runner, "_install_epoch_data", recording_install)
+        monkeypatch.setattr(FLClient, "__init__", recording_init)
         cfg = experiment_config(
-            budget=1e9, num_clients=20_000, min_participants=20, max_epochs=3, seed=0,
+            budget=1e9, num_clients=k, min_participants=20, max_epochs=10, seed=0,
             model="logreg",
-        ).replace(shard=ShardConfig(eval_sample=50))
+        ).replace(shard=ShardConfig(eval_sample=400))
         _, streams_before = live_instances(None)
-        sim = Simulation(cfg)
-        policy = make_policy("FedAvg", cfg, RngFactory(cfg.seed).get("cli.policy"))
-        result = run_experiment(policy, cfg, simulation=sim)
-        assert len(result.trace) == 3
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg)
+            policy = make_policy("FedAvg", cfg, RngFactory(cfg.seed).get("cli.policy"))
+            gc.collect()
+            set_up = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(policy, cfg, simulation=sim)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - set_up
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 10
+        assert (installs > 0).sum() > k // 2
+        assert np.array_equal(builds, installs)
+        assert retained <= 128 * k, f"{retained / k:.0f} B retained per client"
         clients, streams = live_instances(sim.model)
-        assert 0 < len(installed) < 1_000  # three epochs of ~20 + a 50-client panel
-        assert clients == installed
-        assert streams - streams_before == len(installed)
+        assert clients == set() and streams == streams_before
+        assert np.array_equal(sim.streams.rows.index >= 0, installs > 0)

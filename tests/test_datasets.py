@@ -169,7 +169,7 @@ class TestStreams:
     def test_draw_respects_distribution(self, rng_factory):
         gen = ClassConditionalGenerator((6, 6, 1), 4, rng_factory.get("g"))
         probs = np.array([0.0, 1.0, 0.0, 0.0])
-        stream = ClientDataStream(gen, probs, rng_factory.get("s"))
+        stream = ClientDataStream(gen, gen.label_cdf(probs), rng_factory.get("s"))
         ds = stream.draw(30)
         assert np.all(ds.y == 1)
 
@@ -249,9 +249,11 @@ class TestLabelCdfStreamIdentity:
     def test_stream_draws_match_original_sample(self, weights, sizes, seed):
         num_classes, ws = weights
         gen = GENERATORS[num_classes]
+        probs = np.asarray(ws, dtype=float)
+        probs /= probs.sum()  # the row build_client_streams normalises
         assert_matches_oracle(
             lambda stream: [
-                sample_oracle(gen, n, class_probs=stream.class_probs, rng=stream.rng)
+                sample_oracle(gen, n, class_probs=probs, rng=stream.rng)
                 for n in sizes
             ],
             lambda stream: [stream.draw(n) for n in sizes],
@@ -346,7 +348,9 @@ class TestDrawIntoBuffer:
 
     def test_rejects_a_buffer_of_the_wrong_shape_or_layout(self):
         gen = NOISY_GENERATORS[2, 0.35]
-        stream = ClientDataStream(gen, np.array([0.5, 0.5]), np.random.default_rng(0))
+        stream = ClientDataStream(
+            gen, gen.label_cdf(np.array([0.5, 0.5])), np.random.default_rng(0)
+        )
         dim = gen.num_features
         for bad in (
             np.empty((4, dim + 1)),

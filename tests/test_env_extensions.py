@@ -84,7 +84,7 @@ class TestDirichletPartitionOption:
             )
         )
         sim = Simulation(cfg)
-        dists = np.stack([s.class_probs for s in sim.streams])
+        dists = np.diff(sim.streams.label_cdf, axis=1, prepend=0.0)
         # Low-alpha Dirichlet rows are highly skewed.
         assert np.sort(dists, axis=1)[:, -1].mean() > 0.4
         np.testing.assert_allclose(dists.sum(axis=1), 1.0)
@@ -92,7 +92,7 @@ class TestDirichletPartitionOption:
     def test_paper_partition_unchanged_default(self):
         cfg = experiment_config(budget=120.0, num_clients=10, max_epochs=3, iid=False)
         sim = Simulation(cfg)
-        dists = np.stack([s.class_probs for s in sim.streams])
+        dists = np.diff(sim.streams.label_cdf, axis=1, prepend=0.0)
         # Paper scheme: top-2 classes hold exactly principal_frac.
         top2 = np.sort(dists, axis=1)[:, -2:].sum(axis=1)
         np.testing.assert_allclose(top2, cfg.data.non_iid_principal_frac)

@@ -39,7 +39,7 @@ class TestSimulationSetup:
 
     def test_non_iid_partition(self):
         sim = Simulation(small_config(iid=False))
-        dists = np.stack([s.class_probs for s in sim.streams])
+        dists = np.diff(sim.streams.label_cdf, axis=1, prepend=0.0)
         # Non-IID: rows are skewed, not uniform.
         assert dists.max() > 0.2
 

@@ -28,7 +28,7 @@ from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
-from repro.rng import RngFactory
+from repro.rng import RngFactory, RowSource
 from tests.oracle import assert_matches_oracle, stream_state
 
 
@@ -172,13 +172,14 @@ class SolveCase:
 
     def build(self):
         """``(clients, w, ḡ)``, identical on every call: fresh model, data
-        and *deferred* per-client streams, so a stream exists only once its
-        client has drawn a minibatch."""
+        and per-client streams as table rows, so a stream exists only once
+        its client has drawn a minibatch."""
         factory = RngFactory(self.seed)
         model = build_model("mlp", DIM, CLASSES, factory.get("model"), hidden=(5,))
+        rows = factory.rows("c", len(self.clients))
         clients = [
             FLClient(
-                k, model, factory.defer(f"c{k}"),
+                k, model, RowSource(rows, k),
                 LocalSolveSpec(
                     sgd_steps=self.steps + one_more, sgd_lr=0.1, batch_size=BATCH,
                     local_solver=self.solver, momentum=self.momentum,
@@ -222,7 +223,9 @@ class SolveCase:
     def batched(self, clients, w, global_grad):
         engine = BatchedClientEngine(clients[0].model, clients)
         engine.local_grads(w)
-        return engine.train_iteration_all(w, global_grad, target_eta=self.target_eta)
+        return engine.train_iteration_all(
+            w, global_grad, np.empty((len(clients), w.size)), target_eta=self.target_eta
+        )
 
 
 def client_streams(clients, w, global_grad):
@@ -380,7 +383,7 @@ class TestEveryPointEvaluatedOnceBatched:
         if swept != "never":
             engine.local_grads(w if swept == "same point" else w + 1.0)
         rows = count_kernel_rows(engine, monkeypatch)
-        solves = engine.train_iteration_all(w, global_grad)
+        solves = engine.train_iteration_all(w, global_grad, np.empty((len(sizes), w.size)))
         assert [len(traj) for _, _, traj in solves] == [self.STEPS + 1] * len(sizes)
         # Nothing is evaluated at d = 0 when the sweep covered w; a solve
         # the sweep did not cover pays exactly one sweep of its own.
@@ -393,7 +396,9 @@ class TestEveryPointEvaluatedOnceBatched:
         engine = BatchedClientEngine(clients[0].model, clients)
         engine.local_grads(w)
         rows = count_kernel_rows(engine, monkeypatch)
-        solves = engine.train_iteration_all(w, global_grad, target_eta=case.target_eta)
+        solves = engine.train_iteration_all(
+            w, global_grad, np.empty((len(clients), w.size)), target_eta=case.target_eta
+        )
         expected = sum(
             (len(traj) - 1) * (2 if c.num_samples > BATCH else 1)
             for c, (_, _, traj) in zip(clients, solves)

@@ -15,7 +15,7 @@ from repro.fl.server import FLServer
 from repro.nn.models import build_model
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
-from repro.rng import RngFactory
+from repro.rng import RngFactory, RowSource
 
 
 @pytest.fixture
@@ -353,10 +353,10 @@ class TestNeverDrawsNeverCreates:
 
     def fleet(self, setup, rng_factory):
         gen, model, _ = setup
-        clients = []
+        clients, rows = [], rng_factory.rows("fl.client", len(self.SIZES))
         for k, n in enumerate(self.SIZES):
             c = FLClient(
-                k, model, rng_factory.defer(f"fl.client.{k}"),
+                k, model, RowSource(rows, k),
                 LocalSolveSpec(sgd_steps=3, batch_size=BATCH),
             )
             c.set_data(gen.sample(n, rng=rng_factory.get(f"d{k}")))

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import PCG64Stream, RngFactory, UnsupportedBitGenerator, derive_seed
+from repro.rng import (
+    PCG64Stream,
+    RngFactory,
+    RowSource,
+    UnsupportedBitGenerator,
+    derive_seed,
+)
 from tests.oracle import full_read, predrawn_rng
 
 
@@ -75,14 +81,15 @@ class TestRngFactory:
 
 
 class TestDeferredStreams:
-    """``defer`` names a stream; only the first call of the source (the
-    owner's first draw) creates it — the per-client families' contract."""
+    """A row's source names a stream; only its first call (the owner's
+    first draw) creates it — the per-client families' contract."""
 
     def test_defer_creates_nothing_until_called(self):
         factory = RngFactory(2)
-        source = factory.defer("fl.client.4")
-        assert factory.state_dict() == {}
-        assert source() is factory.get("fl.client.4")
+        source = RowSource(factory.rows("fl.client", 5), 4)
+        assert factory.state_dict() == {} and not source.created
+        source()
+        assert source.created and list(factory.state_dict()) == ["fl.client.4"]
         assert source() is source()
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
@@ -91,7 +98,8 @@ class TestDeferredStreams:
         eager = RngFactory(9)
         expected = {key: eager.get(key).random(6) for key in keys}
         lazy = RngFactory(9)
-        sources = {key: lazy.defer(key) for key in keys}
+        rows = lazy.rows("data.client", 3)
+        sources = {key: RowSource(rows, k) for k, key in enumerate(keys)}
         lazy.get("other").random(5)     # unrelated traffic in between
         for k in order:
             np.testing.assert_array_equal(
@@ -100,7 +108,8 @@ class TestDeferredStreams:
 
     def test_state_dict_lists_only_resolved_streams(self):
         factory = RngFactory(4)
-        sources = [factory.defer(f"fl.client.{k}") for k in range(100)]
+        rows = factory.rows("fl.client", 100)
+        sources = [RowSource(rows, k) for k in range(100)]
         sources[17]().random(3)
         sources[3]()                    # resolved, not yet drawn from
         assert set(factory.state_dict()) == {"fl.client.17", "fl.client.3"}
@@ -111,7 +120,7 @@ class TestDeferredStreams:
         states = src.state_dict()
         expected = src.get("fl.client.1").random(5)
         dst = RngFactory(6)
-        source = dst.defer("fl.client.1")   # handed out before the restore
+        source = RowSource(dst.rows("fl.client", 2), 1)  # handed out before the restore
         dst.load_state(states)
         np.testing.assert_array_equal(source().random(5), expected)
 
@@ -200,7 +209,14 @@ class TestStateRoundTrip:
             np.testing.assert_array_equal(dst.get(key).random(8), expected[key])
 
 
-KEYS = ("env", "fl.client.0", "fl.client.1", "data.client.0")
+PLAIN_KEYS = ("env", "net")
+ROW_KEYS = ("fl.client.0", "fl.client.1", "data.client.0", "data.client.1")
+
+
+def row_sources(factory):
+    """A source per ``ROW_KEYS`` key: two rows of each per-client family."""
+    tables = {family: factory.rows(family, 2) for family in ("fl.client", "data.client")}
+    return {f"{f}.{k}": RowSource(rows, k) for f, rows in tables.items() for k in (0, 1)}
 
 
 class TestIncrementalCapture:
@@ -212,7 +228,7 @@ class TestIncrementalCapture:
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["call", "get", "fresh", "capture", "save", "restore"]),
-                st.sampled_from(KEYS),
+                st.integers(0, 5),
                 st.integers(0, 5),
             ),
             max_size=30,
@@ -221,18 +237,19 @@ class TestIncrementalCapture:
     @settings(max_examples=100, deadline=None)
     def test_capture_equals_a_full_read_after_any_sequence(self, ops):
         factory = RngFactory(1)
-        sources = {key: factory.defer(key) for key in KEYS}
+        sources = row_sources(factory)
         kept = {}                       # what get/fresh holders keep drawing from
         saved = {}
-        for op, key, n in ops:
+        for op, i, n in ops:
+            row_key, plain_key = ROW_KEYS[i % len(ROW_KEYS)], PLAIN_KEYS[i % len(PLAIN_KEYS)]
             for gen in kept.values():
                 gen.random(n)
             if op == "call":
-                sources[key]().random(n)
+                sources[row_key]().random(n)
             elif op == "get":
-                kept[key] = factory.get(key)
+                kept[plain_key] = factory.get(plain_key)
             elif op == "fresh":
-                kept[key] = factory.fresh(key)
+                kept[plain_key] = factory.fresh(plain_key)
             elif op == "restore":
                 factory.load_state(saved)
             else:
@@ -244,7 +261,7 @@ class TestIncrementalCapture:
 
     def test_restoring_an_older_capture_replaces_the_cached_entries(self):
         factory = RngFactory(1)
-        held, source = factory.get("env"), factory.defer("data.client.0")
+        held, source = factory.get("env"), row_sources(factory)["data.client.0"]
         source().random(2)
         saved = json.loads(factory.capture())
         held.random(3)
@@ -257,11 +274,11 @@ class TestIncrementalCapture:
     def test_overlay_replaces_in_place_and_appends_new_keys(self):
         factory = RngFactory(2)
         factory.get("a").random(3)
-        factory.defer("b")().random(1)
+        RowSource(factory.rows("b", 1), 0)().random(1)
         factory.capture()
-        overlay = {"b": {"x": 1}, "c": {"y": np.int64(2)}}
+        overlay = {"b.0": {"x": 1}, "c": {"y": np.int64(2)}}
         assert factory.capture(overlay) == full_read(factory, overlay)
-        assert list(json.loads(factory.capture(overlay))) == ["a", "b", "c"]
+        assert list(json.loads(factory.capture(overlay))) == ["a", "b.0", "c"]
 
 
 # Bounds for ``bounded``: the smallest, 2³¹ + 1 (about half its draws are

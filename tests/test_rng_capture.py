@@ -1,33 +1,32 @@
 """The incremental RNG capture behind every snapshot's ``rng.json``.
 
 A capture re-reads only the streams long-lived holders keep (``get``) and
-the per-client streams called through their deferred source since the
-previous capture; every other stream reuses its cached entry.  Two
+the per-client rows called through their source since the previous
+capture; every other stream reuses its cached entry.  Two
 contracts hold that together:
 
 * **Same bytes.**  At every snapshot, on every engine, ``rng.json`` is
   exactly what a full re-read of every stream (overlaid with the live
   workers' states) would encode at that moment.  The oracle below *is* that
-  full re-read; a holder that keeps its generator instead of calling its
-  source breaks it, and the mutant test shows the oracle notices.
-* **Cost follows draws.**  The number of state reads per capture is
+  full re-read; a source call that does not mark its stream for the next
+  capture breaks it, and the mutant test shows the oracle notices.
+* **Cost follows draws.**  The number of entries encoded per capture is
   bounded by the streams touched since the last capture plus the held
   streams, and does not grow with the epoch index while the number of
   streams does.
 """
 
 import dataclasses
+import json
 
-import numpy as np
 import pytest
 
 import repro.rng
 from repro.checkpoint import resume_experiment
 from repro.config import AttackConfig, CheckpointConfig, DefenseConfig, ShardConfig
-from repro.datasets.streams import ClientDataStream
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import experiment_config, make_policy
-from repro.rng import DeferredStream, RngFactory
+from repro.rng import RngFactory, RowSource, StreamRows
 from tests.oracle import full_read
 from tests.test_checkpoint import fedl, small_config
 
@@ -98,19 +97,18 @@ class TestCaptureOracle:
         # Every snapshot holds per-client streams: cached entries were in play.
         assert all('"data.client.' in text for text in written)
 
-    def test_a_holder_that_keeps_its_generator_is_caught(
+    def test_a_call_that_skips_the_touch_mark_is_caught(
         self, monkeypatch, tmp_path, oracle_captures
     ):
-        """The mutant: a ClientDataStream that stores the generator its
-        deferred source returned (and so never touches the factory again)
-        leaves stale entries that the oracle catches."""
+        """The mutant: a row source that loads its row without marking it
+        for the next capture (so a row drawn again keeps the entry of its
+        first capture) leaves stale entries that the oracle catches."""
 
-        def kept_rng(self):
-            if not isinstance(self._rng, np.random.Generator):
-                self._rng = self._rng()
-            return self._rng
+        def unmarked_call(self):
+            rows = self._rows
+            return rows.gen if rows.holder == self.row else rows.load(self.row)
 
-        monkeypatch.setattr(ClientDataStream, "rng", property(kept_rng))
+        monkeypatch.setattr(RowSource, "__call__", unmarked_call)
         run_with_snapshots(small_config("loop"), tmp_path)
         assert any(expected != captured for expected, captured in oracle_captures)
 
@@ -119,36 +117,42 @@ class TestCaptureCost:
     def test_reads_follow_the_streams_drawn_since_the_last_capture(
         self, monkeypatch, tmp_path
     ):
-        """K=400, a snapshot every epoch: each capture reads at most the
+        """K=400, a snapshot every epoch: each capture encodes at most the
         streams touched since the last one plus the held ones, and that
         stays flat while the population of created streams grows."""
-        reads, touched, held, rows = [0], set(), set(), []
+        encodes, touched, held, rows = [0], set(), set(), []
 
-        read_state = repro.rng._read_state
+        entry = repro.rng._entry
 
-        def counted_read(gen):
-            reads[0] += 1
-            return read_state(gen)
+        def counted_entry(key, state):
+            encodes[0] += 1
+            return entry(key, state)
 
-        call, get, capture = DeferredStream.__call__, RngFactory.get, RngFactory.capture
+        call, create = RowSource.__call__, StreamRows.create
+        get, capture = RngFactory.get, RngFactory.capture
 
         def recorded_call(self):
-            touched.add(self.key)
+            touched.add(f"{self._rows.family}.{self.row}")
             return call(self)
+
+        def recorded_create(self, k):
+            touched.add(f"{self.family}.{k}")
+            return create(self, k)
 
         def recorded_get(self, key):
             held.add(key)
             return get(self, key)
 
         def counted_capture(self, overlay=None):
-            reads[0] = 0
+            encodes[0] = 0
             written = capture(self, overlay)
-            rows.append((reads[0], len(touched | held), len(self._streams)))
+            rows.append((encodes[0], len(touched | held), len(json.loads(written))))
             touched.clear()
             return written
 
-        monkeypatch.setattr(repro.rng, "_read_state", counted_read)
-        monkeypatch.setattr(DeferredStream, "__call__", recorded_call)
+        monkeypatch.setattr(repro.rng, "_entry", counted_entry)
+        monkeypatch.setattr(RowSource, "__call__", recorded_call)
+        monkeypatch.setattr(StreamRows, "create", recorded_create)
         monkeypatch.setattr(RngFactory, "get", recorded_get)
         monkeypatch.setattr(RngFactory, "capture", counted_capture)
 
@@ -164,9 +168,9 @@ class TestCaptureCost:
         run_experiment(make_policy("FedAvg", cfg, RngFactory(0).get("p")), cfg)
 
         assert len(rows) == 30
-        for epoch, (n_reads, bound, _streams) in enumerate(rows):
-            assert n_reads <= bound, f"epoch {epoch}: {n_reads} reads > {bound}"
-        per_capture = [n_reads for n_reads, _, _ in rows]
+        for epoch, (n_encodes, bound, _streams) in enumerate(rows):
+            assert n_encodes <= bound, f"epoch {epoch}: {n_encodes} encodes > {bound}"
+        per_capture = [n_encodes for n_encodes, _, _ in rows]
         assert max(per_capture[15:]) <= max(per_capture[:15]), per_capture
         # Meanwhile the run created far more streams than any capture read.
         assert rows[-1][2] > 5 * max(per_capture), rows[-1]

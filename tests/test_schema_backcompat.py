@@ -25,6 +25,7 @@ litters temp files.
 """
 
 import json
+import pickle
 import shutil
 from pathlib import Path
 
@@ -189,6 +190,30 @@ class TestRetiredStreams:
         assert len(written) == len(resumed.trace.records) - snapshot.resume.next_epoch
         for path in written:
             assert not set(RETIRED_STREAMS) & set(json.loads(path.read_text()))
+        cfg = snapshot.config.replace(checkpoint=CheckpointConfig())
+        fresh = run_experiment(
+            make_policy("FedL", cfg, RngFactory(cfg.seed).get("cli.policy")), cfg
+        )
+        assert resumed.final_w.tobytes() == fresh.final_w.tobytes()
+        assert resumed.trace.equals(fresh.trace)
+
+
+    def test_resumed_fedl_snapshot_drops_the_retired_config_leaf(self, tmp_path):
+        """``snapshot_fedl``'s pickled policy carries
+        ``fedl.reliability_penalty`` on its config, a retired leaf.  The
+        loaded policy does not, nor does any later ``policy.pkl``, and the
+        resumed trajectory is the fresh run's."""
+        raw = pickle.loads((FIXTURES / "snapshot_fedl" / "policy.pkl").read_bytes())
+        assert "reliability_penalty" in vars(raw.config)
+        snapshot = load_snapshot(FIXTURES / "snapshot_fedl")
+        assert "reliability_penalty" not in vars(snapshot.policy.config)
+        every = CheckpointConfig(directory=str(tmp_path), interval=1, keep=10)
+        resumed = resume_experiment(snapshot, checkpoint_override=every)
+        written = sorted(tmp_path.glob("epoch_*/policy.pkl"))
+        assert written
+        for path in written:
+            policy = pickle.loads(path.read_bytes())
+            assert "reliability_penalty" not in vars(policy.config)
         cfg = snapshot.config.replace(checkpoint=CheckpointConfig())
         fresh = run_experiment(
             make_policy("FedL", cfg, RngFactory(cfg.seed).get("cli.policy")), cfg

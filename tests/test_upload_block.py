@@ -6,7 +6,8 @@ the block dies before the next gradient sweep.  The stacked forms these
 replace are kept in :mod:`tests.oracle`; on generated uploads every
 rewrite returns their bytes, from a block and from a plain list alike.
 A defended round's traced peak stays at two ``m × P`` blocks (the sweep's
-pairs while the block fills) plus the size of its installed data.
+pairs while the block fills) plus the size of its installed data, and a
+batched round screens the one block its solves wrote into.
 """
 
 import tracemalloc
@@ -21,6 +22,7 @@ from repro.datasets.synthetic import ClassConditionalGenerator
 from repro.fl.adversary import Adversary
 from repro.fl.client import FLClient, LocalSolveSpec
 from repro.fl.defense import coordinate_median, krum, screen_updates, trimmed_mean
+from repro.fl import round_runner
 from repro.fl.round_runner import run_federated_round
 from repro.fl.server import FLServer
 from repro.nn.models import build_model
@@ -137,6 +139,39 @@ def test_a_defended_round_holds_at_most_two_upload_blocks():
     m = 32
     peak, p, data = defended_round_peak(m, n=32)
     assert peak <= 2 * m * p * 8 + data, (peak, m * p * 8, data)
+
+
+def test_a_batched_round_screens_one_upload_block(monkeypatch):
+    """On the batched engine each solve writes its ``d`` into its row of
+    the round's block, so when the gate screens an iteration's uploads the
+    round holds that one block beside the engine's stacked copy of the
+    data (these clients were installed one by one).  The per-bucket result
+    arrays stayed alive beside it until the iteration returned: 2.98
+    blocks at m = 32, where this round holds 1.98."""
+    m = 32
+    server, clients, adversary = small_round(m, n=32)
+    data = sum(c.data.x.nbytes + c.data.y.nbytes for c in clients)
+    held = []
+    screen = round_runner.screen_updates
+
+    def recorded_screen(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(round_runner, "screen_updates", recorded_screen)
+    everyone = np.ones(m, dtype=bool)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_federated_round(
+            server, clients, everyone, everyone, iterations=2, engine="batched",
+            adversary=adversary, defense=DefenseConfig("trimmed-mean"),
+        )
+    finally:
+        tracemalloc.stop()
+    block = m * server.w.size * 8
+    assert len(held) == 2
+    assert max(held) <= 1.5 * block + data, (max(held) / block, data / block)
 
 
 def test_an_upload_of_another_shape_is_refused_not_broadcast():
